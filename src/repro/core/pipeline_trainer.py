@@ -37,7 +37,7 @@ consults the same cache, so reuse keeps cutting per-stage transfer volume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -323,7 +323,7 @@ class PipelineTrainer(PiPADTrainer):
         # split across groups too (unlike the data-parallel trainer, where
         # every replica issues the full kernel sequence on its shard).
         shares = [
-            replace(c.scaled(share), launches=max(1, round(c.launches * share)))
+            c.scaled(share, launches=max(1, round(c.launches * share)))
             for c in costs
         ]
         aggregation, dense = self._split_costs(shares)

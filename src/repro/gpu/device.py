@@ -160,7 +160,11 @@ class SimulatedGPU:
         per_launch_us = (
             self.spec.cudagraph_launch_overhead_us if graph_mode else self.spec.kernel_launch_overhead_us
         )
-        duration = cost.execution_seconds(self.spec) + cost.launches * per_launch_us * 1e-6
+        # One roofline evaluation per launch: ``balanced * imbalance`` is the
+        # same float ``cost.execution_seconds`` returns.
+        balanced = cost.balanced_seconds(self.spec)
+        exec_seconds = balanced * cost.imbalance
+        duration = exec_seconds + cost.launches * per_launch_us * 1e-6
         op = self.timeline.submit(
             label=label or cost.name,
             kind="kernel",
@@ -171,13 +175,12 @@ class SimulatedGPU:
             attrs={"category": cost.category, "launches": cost.launches},
         )
         stats = self.kernel_stats[cost.category]
-        exec_seconds = cost.execution_seconds(self.spec)
         stats.seconds += exec_seconds
         stats.launches += cost.launches
         stats.flops += cost.flops
         stats.mem_requests += cost.mem_requests
         stats.mem_transactions += cost.mem_transactions
-        stats.balanced_seconds += cost.balanced_seconds(self.spec)
+        stats.balanced_seconds += balanced
         stats.weighted_thread_ratio += cost.active_thread_ratio * max(exec_seconds, 1e-12)
         return op
 

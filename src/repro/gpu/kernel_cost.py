@@ -14,7 +14,7 @@ where compute throughput is de-rated by the kernel's active-thread ratio
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
 from repro.gpu.spec import GPUSpec
@@ -123,18 +123,28 @@ class KernelCost:
         return max(self.compute_seconds(spec), self.memory_seconds(spec))
 
     # -- algebra ------------------------------------------------------------
-    def scaled(self, factor: float) -> "KernelCost":
-        """Scale all extensive quantities by ``factor`` (workload extrapolation)."""
+    def scaled(self, factor: float, *, launches: Optional[int] = None) -> "KernelCost":
+        """Scale all extensive quantities by ``factor`` (workload extrapolation).
+
+        ``launches`` replaces the launch count (default: kept), for splits
+        that divide the kernel sequence itself rather than only its work.
+        """
         if factor <= 0:
             raise ValueError("scale factor must be > 0")
-        return replace(
-            self,
+        return KernelCost(
+            name=self.name,
+            category=self.category,
             flops=self.flops * factor,
             global_read_bytes=self.global_read_bytes * factor,
             global_write_bytes=self.global_write_bytes * factor,
             mem_requests=self.mem_requests * factor,
             mem_transactions=self.mem_transactions * factor,
+            active_thread_ratio=self.active_thread_ratio,
+            imbalance=self.imbalance,
             num_blocks=max(1, int(round(self.num_blocks * factor))),
+            shared_mem_bytes=self.shared_mem_bytes,
+            launches=self.launches if launches is None else launches,
+            bandwidth_efficiency=self.bandwidth_efficiency,
         )
 
     def merged_with(self, other: "KernelCost", name: Optional[str] = None) -> "KernelCost":

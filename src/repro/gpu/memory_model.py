@@ -17,9 +17,8 @@ kernel estimators multiply them by the number of accesses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.gpu.spec import GPUSpec
 
@@ -67,8 +66,8 @@ def row_access(
         raise ValueError("coalesced_rows must be > 0")
     useful = float(feature_dim * FLOAT_BYTES * coalesced_rows)
     request_capacity = spec.vector_request_bytes if vectorized else spec.request_bytes
-    requests = max(1.0, np.ceil(useful / request_capacity))
-    transactions = max(1.0, np.ceil(useful / spec.transaction_bytes))
+    requests = max(1.0, math.ceil(useful / request_capacity))
+    transactions = max(1.0, math.ceil(useful / spec.transaction_bytes))
     wasted = transactions * spec.transaction_bytes - useful
     return RowAccessCost(
         requests=float(requests),
@@ -120,8 +119,8 @@ def contiguous_bytes_cost(nbytes: float, spec: GPUSpec, *, vectorized: bool = Fa
         return RowAccessCost(0.0, 0.0, 0.0, 0.0)
     request_capacity = spec.vector_request_bytes if vectorized else spec.request_bytes
     return RowAccessCost(
-        requests=float(np.ceil(nbytes / request_capacity)),
-        transactions=float(np.ceil(nbytes / spec.transaction_bytes)),
+        requests=float(math.ceil(nbytes / request_capacity)),
+        transactions=float(math.ceil(nbytes / spec.transaction_bytes)),
         useful_bytes=float(nbytes),
         wasted_bytes=0.0,
     )

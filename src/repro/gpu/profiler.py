@@ -22,10 +22,9 @@ dimension (e.g. EvolveGCN's weight-evolving GRU) are left unscaled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.gpu.kernel_cost import (
     CATEGORY_AGGREGATION,
@@ -60,7 +59,7 @@ def _scope_to_category(scope: str) -> str:
 
 
 def _shape_size(shape: Tuple[int, ...]) -> int:
-    return int(np.prod(shape)) if shape else 1
+    return math.prod(shape)
 
 
 def estimate_event_cost(event: OpEvent, spec: GPUSpec) -> Optional[KernelCost]:

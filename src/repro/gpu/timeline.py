@@ -9,6 +9,18 @@ stream have finished and all its dependencies have finished; this is enough
 to reproduce the overlap behaviour the paper's pipeline (Fig. 8) relies on —
 asynchronous transfers hiding behind kernels, partition ``k+1`` transfers
 overlapping partition ``k`` compute, CPU-side preparation overlapping both.
+
+Invariant: each resource is FIFO and never overlaps itself — an op starts no
+earlier than the previous op on its resource ended — so the ops of one
+resource, in submit order, are already sorted by ``(start, end)``.
+
+Cost model of the bookkeeping: :meth:`Timeline.submit` keeps the makespan
+and the per-kind totals as running values, so :meth:`~Timeline.makespan` is
+O(1) and :meth:`~Timeline.kind_seconds` is O(kinds), however many ops came
+before.  :meth:`~Timeline.busy_time` (and the utilization figures built on
+it) takes one pass over the ops plus a sort that the invariant above keeps
+near-linear; it is a reporting query, not something the schedulers call per
+op.
 """
 
 from __future__ import annotations
@@ -61,6 +73,10 @@ class Timeline:
         self._resource_free: Dict[str, float] = {}
         self._stream_free: Dict[str, float] = {}
         self._next_id = 0
+        #: running totals (see the module docstring): the end of the latest-
+        #: ending op, and ``end - start`` summed per kind in submit order
+        self._makespan = 0.0
+        self._kind_seconds: Dict[str, float] = {}
 
     # -- submission ---------------------------------------------------------
     def submit(
@@ -102,7 +118,11 @@ class Timeline:
             deps=tuple(op.uid for op in depends_on) if depends_on else (),
         )
         self._next_id += 1
+        if end > self._makespan:
+            self._makespan = end
         self._ops.append(op)
+        # ``end - start`` (not ``duration``): the same float the op reports
+        self._kind_seconds[kind] = self._kind_seconds.get(kind, 0.0) + (end - start)
         self._resource_free[resource] = end
         self._stream_free[stream] = end
         return op
@@ -122,12 +142,15 @@ class Timeline:
 
     def makespan(self) -> float:
         """End time of the last scheduled operation."""
-        return max((op.end for op in self._ops), default=0.0)
+        return self._makespan
 
     def busy_time(self, resources: Iterable[str]) -> float:
         """Union length of busy intervals across the given resources."""
+        wanted = set(resources)
+        # Per-resource FIFO leaves these as a few interleaved sorted runs,
+        # which the sort merges in near-linear time.
         intervals = sorted(
-            (op.start, op.end) for op in self._ops if op.resource in set(resources) and op.duration > 0
+            [(op.start, op.end) for op in self._ops if op.resource in wanted and op.end - op.start > 0]
         )
         if not intervals:
             return 0.0
@@ -142,16 +165,9 @@ class Timeline:
         busy += cur_end - cur_start
         return busy
 
-    def resource_seconds(self, resource: str) -> float:
-        """Total scheduled duration on one resource (no union — FIFO resource)."""
-        return sum(op.duration for op in self._ops if op.resource == resource)
-
     def kind_seconds(self) -> Dict[str, float]:
-        """Total duration per operation kind."""
-        totals: Dict[str, float] = {}
-        for op in self._ops:
-            totals[op.kind] = totals.get(op.kind, 0.0) + op.duration
-        return totals
+        """Total duration per operation kind (a fresh dict per call)."""
+        return dict(self._kind_seconds)
 
     def gpu_utilization(self) -> float:
         """Fraction of the makespan during which the GPU is busy.
@@ -181,3 +197,5 @@ class Timeline:
         self._resource_free.clear()
         self._stream_free.clear()
         self._next_id = 0
+        self._makespan = 0.0
+        self._kind_seconds.clear()

@@ -51,6 +51,18 @@ class TestTimeline:
         timeline.submit(label="b", kind="h2d", resource="pcie_h2d", duration=0.5, stream="s2")
         assert timeline.busy_time(["compute", "pcie_h2d"]) == pytest.approx(1.0)
 
+    def test_busy_time_accepts_a_one_shot_iterable(self):
+        timeline = Timeline()
+        timeline.submit(label="a", kind="kernel", resource="compute", duration=1.0, stream="s1")
+        timeline.submit(label="b", kind="h2d", resource="pcie_h2d", duration=2.0, stream="s2")
+        timeline.submit(
+            label="c", kind="kernel", resource="compute", duration=1.0, stream="s3", not_before=2.0
+        )
+        resources = ["compute", "pcie_h2d"]
+        assert timeline.busy_time(resources) == 3.0
+        # A generator used to be exhausted by the first op's membership test.
+        assert timeline.busy_time(r for r in resources) == 3.0
+
     def test_utilization_definitions(self):
         timeline = Timeline()
         timeline.submit(label="cpu", kind="cpu", resource="cpu", duration=1.0, stream="default")
