@@ -13,11 +13,13 @@ stalling the pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.csr import CSRMatrix
+from repro.graph.keys import difference, union
 from repro.gpu.spec import GPUSpec
 from repro.kernels.gemm import update_gemm_cost
 from repro.kernels.spmm_sliced import SlicedParallelAggregation
@@ -64,8 +66,8 @@ def build_overlap_group(
             cols = rng.integers(0, num_nodes, size=need, dtype=np.int64)
             mask = rows != cols
             fresh = rows[mask] * num_nodes + cols[mask]
-            fresh = np.setdiff1d(fresh, forbidden, assume_unique=False)
-            keys = np.union1d(keys, fresh)
+            fresh = difference(fresh, forbidden)
+            keys = union(keys, fresh)
         return rng.permutation(keys)[:count]
 
     core = sample(core_size, np.zeros(0, dtype=np.int64)) if core_size else np.zeros(0, dtype=np.int64)
@@ -75,14 +77,12 @@ def build_overlap_group(
         exclusive = (
             sample(exclusive_size, used) if exclusive_size else np.zeros(0, dtype=np.int64)
         )
-        used = np.union1d(used, exclusive)
+        used = union(used, exclusive)
         exclusives.append(exclusive)
 
-    overlap_mat = CSRMatrix.from_edge_keys(np.sort(core), shape)
-    exclusive_mats = [CSRMatrix.from_edge_keys(np.sort(e), shape) for e in exclusives]
-    full = [
-        CSRMatrix.from_edge_keys(np.union1d(core, e), shape) for e in exclusives
-    ]
+    overlap_mat = CSRMatrix.from_edge_keys(core, shape)
+    exclusive_mats = [CSRMatrix.from_edge_keys(e, shape) for e in exclusives]
+    full = [CSRMatrix.from_edge_keys(np.concatenate((core, e)), shape) for e in exclusives]
     return overlap_mat, exclusive_mats, full
 
 
@@ -164,16 +164,18 @@ class OfflineAnalysis:
         weight_reuse: bool = True,
     ) -> float:
         """Parallel-over-sequential speedup for one configuration."""
-        hidden_dim = hidden_dim or max(4, feature_dim * 2)
-        edges = max(1, int(round(self.num_nodes * self.avg_degree)))
-        overlap, exclusives, full = build_overlap_group(
-            self.num_nodes, edges, s_per, overlap_rate, seed=self.seed
+        return offline_speedup(
+            self.spec,
+            self.num_nodes,
+            self.avg_degree,
+            self.slice_capacity,
+            self.seed,
+            s_per,
+            overlap_rate,
+            feature_dim,
+            hidden_dim or max(4, feature_dim * 2),
+            weight_reuse,
         )
-        parallel = self.parallel_gnn_seconds(
-            overlap, exclusives, feature_dim, hidden_dim, weight_reuse=weight_reuse
-        )
-        sequential = self.sequential_gnn_seconds(full, feature_dim, hidden_dim)
-        return sequential / parallel if parallel > 0 else 1.0
 
     def speedup_table(
         self,
@@ -200,6 +202,36 @@ class OfflineAnalysis:
             for s in s_per_values
             for dim in feature_dims
         }
+
+
+# One table per process, shared by the trainer, every serving replica and the
+# Fig. 9 experiment; exact because every input is in the key and
+# build_overlap_group seeds a fresh RNG per call, so an entry is the float a
+# fresh computation returns.
+@lru_cache(maxsize=1024)
+def offline_speedup(
+    spec: GPUSpec,
+    num_nodes: int,
+    avg_degree: float,
+    slice_capacity: int,
+    seed: int,
+    s_per: int,
+    overlap_rate: float,
+    feature_dim: int,
+    hidden_dim: int,
+    weight_reuse: bool,
+) -> float:
+    """Offline speedup of one configuration (see :meth:`OfflineAnalysis.speedup`)."""
+    analysis = OfflineAnalysis(spec, num_nodes, avg_degree, slice_capacity, seed)
+    edges = max(1, int(round(num_nodes * avg_degree)))
+    overlap, exclusives, full = build_overlap_group(
+        num_nodes, edges, s_per, overlap_rate, seed=seed
+    )
+    parallel = analysis.parallel_gnn_seconds(
+        overlap, exclusives, feature_dim, hidden_dim, weight_reuse=weight_reuse
+    )
+    sequential = analysis.sequential_gnn_seconds(full, feature_dim, hidden_dim)
+    return sequential / parallel if parallel > 0 else 1.0
 
 
 # ---------------------------------------------------------------------------

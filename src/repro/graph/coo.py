@@ -50,8 +50,13 @@ class COOMatrix:
                 f"rows/cols/values must have equal length, got {len(rows)}/{len(cols)}/{len(values)}"
             )
         n_rows, n_cols = self.shape
-        if len(rows) and (rows.max(initial=0) >= n_rows or cols.max(initial=0) >= n_cols):
-            raise ValueError("coordinate out of bounds for shape")
+        if len(rows) and (
+            rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols
+        ):
+            raise ValueError(
+                f"coordinates must lie in [0, {n_rows}) x [0, {n_cols}), got rows "
+                f"[{rows.min()}, {rows.max()}] and cols [{cols.min()}, {cols.max()}]"
+            )
         object.__setattr__(self, "rows", np.ascontiguousarray(rows, dtype=np.int64))
         object.__setattr__(self, "cols", np.ascontiguousarray(cols, dtype=np.int64))
         object.__setattr__(self, "values", np.ascontiguousarray(values, dtype=np.float32))

@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.graph.coo import INDEX_BYTES, VALUE_BYTES, COOMatrix
+from repro.graph.keys import unique
 from repro.utils.validation import check_array
 
 
@@ -54,8 +55,11 @@ class CSRMatrix:
             raise ValueError("indptr must be non-decreasing")
         if len(indices) != len(data):
             raise ValueError("indices and data must have equal length")
-        if len(indices) and indices.max(initial=0) >= n_cols:
-            raise ValueError("column index out of bounds")
+        if len(indices) and (indices.min() < 0 or indices.max() >= n_cols):
+            raise ValueError(
+                f"column indices must be in [0, {n_cols}), got "
+                f"[{indices.min()}, {indices.max()}]"
+            )
         object.__setattr__(self, "indptr", np.ascontiguousarray(indptr, dtype=np.int64))
         object.__setattr__(self, "indices", np.ascontiguousarray(indices, dtype=np.int64))
         object.__setattr__(self, "data", np.ascontiguousarray(data, dtype=np.float32))
@@ -76,15 +80,46 @@ class CSRMatrix:
     def from_edges(
         cls, rows: np.ndarray, cols: np.ndarray, shape: Tuple[int, int]
     ) -> "CSRMatrix":
-        """Build an unweighted CSR adjacency from (deduplicated) edge lists."""
-        return COOMatrix.from_edges(rows, cols, shape).to_csr()
+        """Build an unweighted CSR adjacency from edge lists (duplicates kept once)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        n_rows, n_cols = shape
+        if rows.shape != cols.shape or rows.ndim != 1:
+            raise ValueError(
+                f"rows and cols must be 1-D of equal length, got shapes {rows.shape}/{cols.shape}"
+            )
+        # Check each coordinate before forming keys: an out-of-range column
+        # would otherwise alias into the next row.
+        if len(rows) and (rows.min() < 0 or rows.max() >= n_rows):
+            raise ValueError(f"rows must be in [0, {n_rows}), got [{rows.min()}, {rows.max()}]")
+        if len(cols) and (cols.min() < 0 or cols.max() >= n_cols):
+            raise ValueError(f"cols must be in [0, {n_cols}), got [{cols.min()}, {cols.max()}]")
+        return cls.from_edge_keys(rows * n_cols + cols, shape)
 
     @classmethod
     def from_edge_keys(cls, keys: np.ndarray, shape: Tuple[int, int]) -> "CSRMatrix":
-        """Build from flat ``row * n_cols + col`` edge keys (values set to 1)."""
-        keys = np.asarray(keys, dtype=np.int64)
-        rows, cols = np.divmod(keys, shape[1])
-        return cls.from_edges(rows, cols, shape)
+        """Build from flat ``row * n_cols + col`` edge keys (values set to 1).
+
+        Keys may be unsorted and repeated.  Sorted distinct keys are already
+        in CSR order, so the arrays follow directly: columns are the keys
+        modulo ``n_cols`` and ``indptr`` is the running count of keys per row.
+        """
+        n_rows, n_cols = shape
+        keys = unique(np.asarray(keys, dtype=np.int64))
+        if len(keys) and (keys[0] < 0 or keys[-1] >= n_rows * n_cols):
+            raise ValueError(
+                f"edge keys must be in [0, {n_rows * n_cols}) for shape {tuple(shape)}, "
+                f"got [{keys[0]}, {keys[-1]}]"
+            )
+        rows, cols = np.divmod(keys, n_cols)
+        indptr = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+        return cls(
+            indptr=indptr,
+            indices=cols,
+            data=np.ones(len(cols), dtype=np.float32),
+            shape=shape,
+        )
 
     @classmethod
     def empty(cls, shape: Tuple[int, int]) -> "CSRMatrix":

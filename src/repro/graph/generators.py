@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.graph.csr import CSRMatrix
 from repro.graph.dynamic_graph import DynamicGraph
+from repro.graph.keys import difference, union, unique
 from repro.graph.smoothing import apply_edge_life
 from repro.graph.snapshot import GraphSnapshot
 from repro.utils.rng import SeedLike, as_rng
@@ -56,7 +57,7 @@ def _sample_edges_uniform(num_nodes: int, num_edges: int, rng: np.random.Generat
         cols = rng.integers(0, num_nodes, size=need, dtype=np.int64)
         mask = rows != cols
         new = rows[mask] * num_nodes + cols[mask]
-        keys = np.union1d(keys, new)
+        keys = union(keys, new)
     return rng.permutation(keys)[:num_edges]
 
 
@@ -76,7 +77,7 @@ def _sample_edges_preferential(
         cols = rng.integers(0, num_nodes, size=need, dtype=np.int64)
         mask = rows != cols
         new = rows[mask] * num_nodes + cols[mask]
-        keys = np.union1d(keys, new)
+        keys = union(keys, new)
     return rng.permutation(keys)[:num_edges]
 
 
@@ -112,7 +113,7 @@ def _sample_edges_community(
                 cols[i] = rng.integers(0, num_nodes)
         mask = rows != cols
         new = rows[mask] * num_nodes + cols[mask]
-        keys = np.union1d(keys, new)
+        keys = union(keys, new)
     return rng.permutation(keys)[:num_edges]
 
 
@@ -130,7 +131,7 @@ def _sample_edges_static(num_nodes: int, num_edges: int, rng: np.random.Generato
         cols.append((nodes - h) % num_nodes)
     rows_arr = np.concatenate(rows)
     cols_arr = np.concatenate(cols)
-    keys = np.unique(rows_arr * num_nodes + cols_arr)
+    keys = unique(rows_arr * num_nodes + cols_arr)
     if len(keys) > num_edges:
         keys = rng.permutation(keys)[:num_edges]
     return np.sort(keys)
@@ -168,8 +169,8 @@ def evolve_edge_keys(
     survivors = keys[np.sort(keep)]
     sampler = _EDGE_SAMPLERS[topology]
     fresh = sampler(num_nodes, num_change * 3, rng)
-    fresh = np.setdiff1d(fresh, survivors, assume_unique=False)[:num_change]
-    return np.union1d(survivors, fresh)
+    fresh = difference(fresh, survivors)[:num_change]
+    return union(survivors, fresh)
 
 
 # ---------------------------------------------------------------------------

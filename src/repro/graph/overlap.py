@@ -18,6 +18,7 @@ from typing import Deque, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graph.csr import CSRMatrix
+from repro.graph.keys import union, unique
 
 
 @dataclass(frozen=True)
@@ -80,13 +81,13 @@ def extract_overlap(adjacencies: Sequence[CSRMatrix]) -> SnapshotOverlap:
         overlap_keys = key_sets[0]
     else:
         overlap_keys = reduce(lambda a, b: np.intersect1d(a, b, assume_unique=True), key_sets)
-    union_keys = reduce(lambda a, b: np.union1d(a, b), key_sets) if len(key_sets) > 1 else key_sets[0]
+    union_size = len(unique(np.concatenate(key_sets)))
     exclusives = [
         CSRMatrix.from_edge_keys(np.setdiff1d(keys, overlap_keys, assume_unique=True), shape)
         for keys in key_sets
     ]
     overlap = CSRMatrix.from_edge_keys(overlap_keys, shape)
-    rate = float(len(overlap_keys) / len(union_keys)) if len(union_keys) else 1.0
+    rate = float(len(overlap_keys) / union_size) if union_size else 1.0
     return SnapshotOverlap(overlap=overlap, exclusives=exclusives, overlap_rate=rate)
 
 
@@ -144,15 +145,13 @@ def refine_overlap(decomposition: SnapshotOverlap, indices: Sequence[int]) -> Sn
     promoted = reduce(
         lambda a, b: np.intersect1d(a, b, assume_unique=True), exclusive_keys
     )
-    overlap_keys = np.union1d(base_keys, promoted)
+    overlap_keys = union(base_keys, promoted)
     exclusives = [
         CSRMatrix.from_edge_keys(np.setdiff1d(keys, promoted, assume_unique=True), shape)
         for keys in exclusive_keys
     ]
     # base overlap and every exclusive are disjoint, so |∪| decomposes.
-    union_size = len(base_keys) + len(
-        reduce(np.union1d, exclusive_keys) if len(exclusive_keys) > 1 else exclusive_keys[0]
-    )
+    union_size = len(base_keys) + len(unique(np.concatenate(exclusive_keys)))
     rate = float(len(overlap_keys) / union_size) if union_size else 1.0
     return SnapshotOverlap(
         overlap=CSRMatrix.from_edge_keys(overlap_keys, shape),
@@ -236,7 +235,7 @@ class IncrementalOverlapTracker:
         if isinstance(adjacency_or_keys, CSRMatrix):
             keys = adjacency_or_keys.edge_keys()
         else:
-            keys = np.unique(np.asarray(adjacency_or_keys, dtype=np.int64))
+            keys = unique(np.asarray(adjacency_or_keys, dtype=np.int64))
         evicted: Optional[int] = None
         if len(self._window) == self.capacity:
             evicted_version, evicted_keys = self._window.popleft()

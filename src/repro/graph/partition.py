@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.graph.csr import CSRMatrix
+from repro.graph.keys import unique
 from repro.graph.overlap import SnapshotOverlap, extract_overlap
 from repro.graph.snapshot import GraphSnapshot
 from repro.utils.validation import check_positive
@@ -97,7 +98,7 @@ class ShardGroup:
         """Union of halo nodes across the group (fetched once per group)."""
         if not self.shards:
             return 0
-        halos = np.unique(np.concatenate([s.halo_nodes for s in self.shards]))
+        halos = unique(np.concatenate([s.halo_nodes for s in self.shards]))
         return int(len(halos))
 
 
@@ -187,10 +188,10 @@ class GraphPartitioner:
         for device in range(self.num_devices):
             start, stop = int(boundaries[device]), int(boundaries[device + 1])
             adjacency = _row_slice(snapshot.adjacency, start, stop)
-            # np.unique both sorts and deduplicates: a column referenced from
+            # unique both sorts and deduplicates: a column referenced from
             # several rows (or through parallel multi-edges) counts once toward
             # halo traffic — its features are fetched once, not per edge.
-            cols = np.unique(adjacency.indices)
+            cols = unique(adjacency.indices)
             halo = cols[(cols < start) | (cols >= stop)]
             shards.append(
                 SnapshotShard(

@@ -70,8 +70,17 @@ class SlicedCSRMatrix:
             raise ValueError("every slice must hold at least one element")
         if len(sizes) and sizes.max(initial=0) > self.slice_capacity:
             raise ValueError("a slice exceeds slice_capacity")
-        if len(row_indices) and row_indices.max(initial=0) >= self.shape[0]:
-            raise ValueError("row index out of bounds")
+        n_rows, n_cols = self.shape
+        if len(row_indices) and (row_indices.min() < 0 or row_indices.max() >= n_rows):
+            raise ValueError(
+                f"row indices must be in [0, {n_rows}), got "
+                f"[{row_indices.min()}, {row_indices.max()}]"
+            )
+        if len(col_indices) and (col_indices.min() < 0 or col_indices.max() >= n_cols):
+            raise ValueError(
+                f"column indices must be in [0, {n_cols}), got "
+                f"[{col_indices.min()}, {col_indices.max()}]"
+            )
         object.__setattr__(self, "row_indices", np.ascontiguousarray(row_indices, dtype=np.int64))
         object.__setattr__(
             self, "slice_offsets", np.ascontiguousarray(slice_offsets, dtype=np.int64)

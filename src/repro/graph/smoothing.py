@@ -46,10 +46,8 @@ def apply_edge_life(
     smoothened: List[CSRMatrix] = []
     for t in range(len(adjacencies)):
         window = keys[max(0, t - edge_life + 1) : t + 1]
-        union = window[0]
-        for extra in window[1:]:
-            union = np.union1d(union, extra)
-        smoothened.append(CSRMatrix.from_edge_keys(union, shape))
+        # from_edge_keys deduplicates, so the window's union is one build.
+        smoothened.append(CSRMatrix.from_edge_keys(np.concatenate(window), shape))
     return smoothened
 
 

@@ -30,6 +30,7 @@ from repro.gpu.memory_model import FLOAT_BYTES, contiguous_bytes_cost, row_acces
 from repro.gpu.spec import GPUSpec
 from repro.gpu.warp_model import choose_coalesce_num, coalesced_active_thread_ratio
 from repro.graph.csr import CSRMatrix
+from repro.graph.keys import unique
 from repro.graph.sliced_csr import DEFAULT_SLICE_CAPACITY, SlicedCSRMatrix
 from repro.kernels.base import BaseAggregationKernel
 
@@ -74,7 +75,7 @@ class SlicedParallelAggregation(BaseAggregationKernel):
     def _cost_for(self, feature_dim: int, slice_nnz: np.ndarray, direction: str) -> KernelCost:
         nnz = float(slice_nnz.sum()) * self.scale
         num_slices = float(len(slice_nnz)) * self.scale
-        rows_touched = float(len(np.unique(self.sliced.row_indices))) * self.scale
+        rows_touched = float(len(unique(self.sliced.row_indices))) * self.scale
 
         vectorized = feature_dim * FLOAT_BYTES > self.spec.request_bytes
         per_access = row_access(feature_dim, self.spec, vectorized=vectorized)

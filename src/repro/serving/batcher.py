@@ -16,6 +16,7 @@ from typing import Deque, List
 
 import numpy as np
 
+from repro.graph.keys import unique
 from repro.utils.validation import check_positive
 
 
@@ -29,7 +30,7 @@ class InferenceRequest:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "node_ids", np.unique(np.asarray(self.node_ids, dtype=np.int64))
+            self, "node_ids", unique(np.asarray(self.node_ids, dtype=np.int64))
         )
         if len(self.node_ids) == 0:
             raise ValueError("a request needs at least one node id")
@@ -50,7 +51,7 @@ class MicroBatch:
     @property
     def node_ids(self) -> np.ndarray:
         """Union of the member requests' node ids (deduplicated)."""
-        return np.unique(np.concatenate([r.node_ids for r in self.requests]))
+        return unique(np.concatenate([r.node_ids for r in self.requests]))
 
     @property
     def oldest_arrival(self) -> float:

@@ -20,6 +20,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.graph.keys import difference, union
 from repro.graph.snapshot import GraphSnapshot
 from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import check_in_range, check_positive
@@ -125,7 +126,7 @@ def random_delta(
     removed = (
         rng.permutation(current_keys)[:num_change] if num_change else np.zeros(0, dtype=np.int64)
     )
-    survivors = np.setdiff1d(current_keys, removed, assume_unique=False)
+    survivors = difference(current_keys, removed)
     added: np.ndarray = np.zeros(0, dtype=np.int64)
     while len(added) < num_change:
         need = int((num_change - len(added)) * 1.5) + 4
@@ -136,8 +137,8 @@ def random_delta(
         # both removed and re-added in one delta would be resolved
         # differently by the store (idempotent add against the pre-delta
         # state) than by this mirror, silently diverging the trace.
-        fresh = np.setdiff1d(fresh, current_keys, assume_unique=False)
-        added = np.union1d(added, fresh)
+        fresh = difference(fresh, current_keys)
+        added = union(added, fresh)
     added = rng.permutation(added)[:num_change]
 
     updates: Dict[int, np.ndarray] = {}
@@ -151,7 +152,7 @@ def random_delta(
         removed_edges=_keys_to_edges(removed, num_nodes),
         feature_updates=updates,
     )
-    new_keys = np.union1d(survivors, added)
+    new_keys = union(survivors, added)
     return delta, new_keys
 
 

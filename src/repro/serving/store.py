@@ -22,12 +22,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.graph.csr import CSRMatrix
 from repro.graph.dynamic_graph import DynamicGraph
+from repro.graph.keys import difference, intersect, union, unique
 from repro.graph.overlap import IncrementalOverlapTracker, SnapshotOverlap, refine_overlap
 from repro.graph.snapshot import GraphSnapshot
 from repro.gpu.spec import HostSpec
@@ -197,7 +198,7 @@ class IncrementalSnapshotStore:
             # In-neighbors of updated nodes: rows u with a (u, v) edge.
             rows, cols = np.divmod(new_keys, n)
             touched.append(rows[np.isin(cols, updated)])
-        return np.unique(np.concatenate(touched)) if touched else np.zeros(0, dtype=np.int64)
+        return unique(np.concatenate(touched)) if touched else np.zeros(0, dtype=np.int64)
 
     def _apply_seconds(self, delta: GraphDelta, new_nnz: int, touched: int) -> float:
         """Analytic host cost of one delta: key merge, tracker upkeep, patch."""
@@ -227,10 +228,10 @@ class IncrementalSnapshotStore:
         n = self.num_nodes
         current = self._keys[self._version]
 
-        removed_keys = np.intersect1d(delta.removed_keys(n), current, assume_unique=False)
-        survivors = np.setdiff1d(current, removed_keys, assume_unique=False)
-        added_keys = np.setdiff1d(delta.added_keys(n), current, assume_unique=False)
-        new_keys = np.union1d(survivors, added_keys)
+        removed_keys = intersect(delta.removed_keys(n), current)
+        survivors = difference(current, removed_keys)
+        added_keys = difference(delta.added_keys(n), current)
+        new_keys = union(survivors, added_keys)
 
         if len(removed_keys) or len(added_keys):
             adjacency = CSRMatrix.from_edge_keys(new_keys, head.adjacency.shape)
