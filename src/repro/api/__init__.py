@@ -1,9 +1,9 @@
 """Unified entry layer: declarative specs, one engine, one report.
 
-Instead of five hand-wired construction idioms (``make_trainer``,
-``PiPADTrainer(...)``, ``DistributedTrainer(...)``, ``build_serving_engine``,
-``build_sharded_serving_engine``), every scenario is described by a
-serializable :class:`RunSpec` and executed by one :class:`Engine`:
+Every scenario — any training method on one device, a data-parallel group
+or a frame pipeline, with or without a local, sharded or fleet serving
+section — is described by a serializable :class:`RunSpec` and executed by
+one :class:`Engine`:
 
 >>> from repro.api import Engine, RunSpec
 >>> spec = RunSpec(dataset="covid19_england", model="tgcn", method="pipad")

@@ -29,7 +29,7 @@ from repro.api import registries
 from repro.api.spec import RunSpec
 from repro.baselines.base import DGNNTrainerBase
 from repro.baselines.results import TrainingResult
-from repro.core.distributed_trainer import COLLECTIVE_KEYS
+from repro.core.group_trainer import COLLECTIVE_KEYS
 from repro.graph.datasets import load_dataset
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.nn.base_model import DGNNModel

@@ -22,11 +22,9 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Type, TypeVar, Union
 
 from repro.core.config import PiPADConfig
+from repro.gpu.interconnect import INTERCONNECT_KINDS
 from repro.graph.partition import PARTITION_MODES, SCHEDULE_MODES
 from repro.utils.validation import check_positive
-
-#: peer-link models understood by :class:`~repro.gpu.interconnect.Interconnect`
-INTERCONNECT_KINDS: Tuple[str, ...] = ("nvlink", "pcie")
 
 #: device topologies understood by the engine (keys of ``DEVICE_REGISTRY``)
 DEVICE_KINDS: Tuple[str, ...] = ("single", "group", "pipeline")

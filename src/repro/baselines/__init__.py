@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, List, Optional, Type
+from typing import Dict, List, Type
 
 from repro.baselines.base import DGNNTrainerBase, TrainerConfig
 from repro.baselines.results import EpochMetrics, TrainingResult
@@ -13,7 +12,6 @@ from repro.baselines.pygt import (
     PyGTReuseTrainer,
     PyGTTrainer,
 )
-from repro.graph.dynamic_graph import DynamicGraph
 
 
 def _registry() -> Dict[str, Type[DGNNTrainerBase]]:
@@ -37,45 +35,6 @@ def list_methods() -> List[str]:
     return list(METHOD_ORDER)
 
 
-def _make_trainer(
-    method: str,
-    graph: DynamicGraph,
-    config: Optional[TrainerConfig] = None,
-    **kwargs,
-) -> DGNNTrainerBase:
-    """Registry-backed trainer construction (engine-internal path)."""
-    key = method.lower().replace("_", "-")
-    registry = _registry()
-    if key not in registry:
-        raise KeyError(f"unknown method {method!r}; available: {sorted(registry)}")
-    return registry[key](graph, config, **kwargs)
-
-
-def make_trainer(
-    method: str,
-    graph: DynamicGraph,
-    config: Optional[TrainerConfig] = None,
-    **kwargs,
-) -> DGNNTrainerBase:
-    """Instantiate a trainer by method name (``"pygt"``, ..., ``"pipad"``).
-
-    Extra keyword arguments are forwarded to the trainer constructor (PiPAD
-    accepts its own ``pipad_config``).
-
-    .. deprecated::
-        Construct trainers through :class:`repro.api.Engine` with a
-        :class:`~repro.api.spec.RunSpec` instead; this shim remains for
-        backward compatibility.
-    """
-    warnings.warn(
-        "make_trainer is deprecated; use repro.api.Engine.from_spec with a "
-        "RunSpec instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _make_trainer(method, graph, config, **kwargs)
-
-
 __all__ = [
     "DGNNTrainerBase",
     "TrainerConfig",
@@ -87,5 +46,4 @@ __all__ = [
     "PyGTGeSpMMTrainer",
     "METHOD_ORDER",
     "list_methods",
-    "make_trainer",
 ]

@@ -215,6 +215,16 @@ class DGNNTrainerBase:
         """
         return "cpu" if self.use_cuda_graph else self._compute_stream()
 
+    def _dispatch(
+        self, device: SimulatedGPU, costs: Sequence[KernelCost], label: str
+    ) -> None:
+        """Charge the host-side launch cost of ``costs`` on ``device``."""
+        device.host_op(
+            self._dispatch_seconds(sum(c.launches for c in costs)),
+            label=label,
+            stream=self._dispatch_stream(),
+        )
+
     def _transfer_partition(
         self,
         snapshots: Sequence[GraphSnapshot],
@@ -250,15 +260,10 @@ class DGNNTrainerBase:
     ) -> List[TimelineOp]:
         """Account one partition's forward kernels on the device(s).
 
-        The distributed trainer overrides this to fan the launches out across
-        a device group with per-shard cost scaling; the default schedules on
-        the single simulated device.
+        The group trainers override this to fan the launches out across a
+        device group; the default schedules on the single simulated device.
         """
-        self.device.host_op(
-            self._dispatch_seconds(sum(c.launches for c in costs)),
-            label="dispatch",
-            stream=self._dispatch_stream(),
-        )
+        self._dispatch(self.device, costs, "dispatch")
         return self.device.launch_kernels(
             costs,
             label=f"fwd_t{snapshots[0].timestep}",
@@ -269,13 +274,9 @@ class DGNNTrainerBase:
     def _launch_backward(
         self, costs: Sequence[KernelCost], last_compute: Sequence[TimelineOp]
     ) -> List[TimelineOp]:
-        """Account the frame's backward kernels (and, distributed, the gradient
-        all-reduce that follows them)."""
-        self.device.host_op(
-            self._dispatch_seconds(sum(c.launches for c in costs)),
-            label="dispatch_bwd",
-            stream=self._dispatch_stream(),
-        )
+        """Account the frame's backward kernels (and, on a device group, the
+        gradient all-reduce that follows them)."""
+        self._dispatch(self.device, costs, "dispatch_bwd")
         return self.device.launch_kernels(
             costs,
             label="backward",

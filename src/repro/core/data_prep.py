@@ -10,7 +10,6 @@ extraction over the preparing epochs the same way.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -81,28 +80,13 @@ class DataPreparer:
         total_nnz = sum(s.adjacency.nnz for s in snapshots)
         return total_nnz * self.host.overlap_extract_ns_per_nnz * 1e-9
 
-    # -- public API ---------------------------------------------------------------
-    def prepare(self, snapshots: Sequence[GraphSnapshot]) -> PartitionData:
+    # -- preparation -----------------------------------------------------------
+    def _prepare(self, snapshots: Sequence[GraphSnapshot]) -> PartitionData:
         """Prepare (or fetch from cache) the overlap decomposition of a group.
 
-        .. deprecated::
-            Build partitions through the staged datapipe instead:
-            ``repro.core.datapipe.build_datapipe(...).partition(snapshots)``
-            (the engine resolves ``RunSpec.data`` through
-            ``repro.api.registries.DATAPIPE_REGISTRY``).  This shim remains
-            for backward compatibility.
+        The datapipe's path: build partitions through
+        ``repro.core.datapipe.build_datapipe(...).partition(snapshots)``.
         """
-        warnings.warn(
-            "DataPreparer.prepare is deprecated; build partitions through the "
-            "datapipe builder (repro.core.datapipe.build_datapipe(...)"
-            ".partition) or declare a DataSpec on the RunSpec",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._prepare(snapshots)
-
-    def _prepare(self, snapshots: Sequence[GraphSnapshot]) -> PartitionData:
-        """Warning-free internal path (datapipe + in-repo callers)."""
         if not snapshots:
             raise ValueError("cannot prepare an empty snapshot group")
         key = (snapshots[0].timestep, len(snapshots))

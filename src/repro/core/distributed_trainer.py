@@ -1,7 +1,10 @@
 """Data-parallel multi-GPU training over node-sharded snapshot frames.
 
-:class:`DistributedTrainer` wraps the PiPAD trainer with the distributed
-execution model of :mod:`repro.distributed`:
+:class:`DistributedTrainer` extends
+:class:`~repro.core.group_trainer.GroupTrainer` (which owns the device
+group, the per-device prefetchers and caches, the gradient all-reduce and
+the group-wide reporting) with the node-sharded execution model of
+:mod:`repro.distributed`:
 
 - the node set is sharded across ``K`` devices by a
   :class:`~repro.graph.partition.GraphPartitioner` (edge-balanced ranges
@@ -31,17 +34,14 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.baselines.base import TrainerConfig
-from repro.baselines.results import TrainingResult
 from repro.core.config import PiPADConfig
-from repro.core.datapipe import DataPipeConfig, PipeItem, Prefetcher
-from repro.core.trainer import PiPADTrainer
-from repro.gpu.device import SimulatedGPU
-from repro.gpu.device_group import DeviceGroup
-from repro.gpu.interconnect import Interconnect
+from repro.core.datapipe import DataPipeConfig, PipeItem
+from repro.core.group_trainer import GroupTrainer
+from repro.gpu.interconnect import INTERCONNECT_KINDS
 from repro.gpu.kernel_cost import CATEGORY_AGGREGATION, KernelCost
 from repro.gpu.timeline import TimelineOp
 from repro.graph.dynamic_graph import DynamicGraph
-from repro.graph.partition import GraphPartitioner
+from repro.graph.partition import PARTITION_MODES, GraphPartitioner
 from repro.graph.snapshot import GraphSnapshot
 from repro.memory import MemoryConfig
 from repro.utils.validation import check_positive
@@ -49,56 +49,6 @@ from repro.utils.validation import check_positive
 #: smallest per-device cost fraction (guards ``KernelCost.scaled`` against
 #: degenerate shards that own nodes but no edges in some snapshot)
 _MIN_FRACTION = 1e-9
-
-#: ``TrainingResult.extras`` keys itemizing the collective times of a
-#: distributed run (written by the distributed/pipeline trainers'
-#: ``_extra_metrics`` from ``DeviceGroup.collective_seconds``; consumed by the
-#: scaling experiments and the :class:`~repro.api.engine.RunReport` collective
-#: breakdown)
-COLLECTIVE_KEYS = (
-    "halo_exchange_seconds",
-    "all_gather_seconds",
-    "all_reduce_seconds",
-    "peer_transfer_seconds",
-)
-
-
-def aggregate_group_result(result: TrainingResult, group: DeviceGroup) -> TrainingResult:
-    """Re-aggregate a :class:`TrainingResult` across a whole device group.
-
-    The base trainer fills the result from the lead device, which in a
-    multi-device run only carries its share of the work; every extensive
-    counter is therefore re-computed over the group so the record describes
-    the run, not one device.  Shared by :class:`DistributedTrainer` and
-    :class:`~repro.core.pipeline_trainer.PipelineTrainer`.
-    """
-    result.simulated_seconds = group.makespan()
-    result.breakdown = group.breakdown()
-    if group.num_devices > 1:
-        category: Dict[str, float] = {}
-        for device in group:
-            for cat, seconds in device.category_seconds().items():
-                category[cat] = category.get(cat, 0.0) + seconds
-        result.category_seconds = category
-        result.kernel_launches = sum(
-            stats.launches
-            for device in group
-            for stats in device.kernel_stats.values()
-        )
-        result.peak_memory_bytes = max(d.peak_bytes for d in group)
-        result.memory_requests = sum(
-            d.memory_statistics()["requests"] for d in group
-        )
-        result.memory_transactions = sum(
-            d.memory_statistics()["transactions"] for d in group
-        )
-        result.gpu_utilization = float(
-            np.mean([d.gpu_utilization() for d in group])
-        )
-        result.sm_utilization = float(
-            np.mean([d.sm_utilization() for d in group])
-        )
-    return result
 
 
 @dataclass(frozen=True)
@@ -115,9 +65,19 @@ class DistributedConfig:
 
     def __post_init__(self) -> None:
         check_positive("num_devices", self.num_devices)
+        if self.partition_mode not in PARTITION_MODES:
+            raise ValueError(
+                f"unknown partition_mode {self.partition_mode!r}; expected one "
+                f"of {PARTITION_MODES}"
+            )
+        if self.interconnect not in INTERCONNECT_KINDS:
+            raise ValueError(
+                f"unknown interconnect {self.interconnect!r}; expected one of "
+                f"{INTERCONNECT_KINDS}"
+            )
 
 
-class DistributedTrainer(PiPADTrainer):
+class DistributedTrainer(GroupTrainer):
     """PiPAD training sharded node-wise across a simulated device group."""
 
     method_name = "PiPAD-DP"
@@ -132,71 +92,33 @@ class DistributedTrainer(PiPADTrainer):
         memory_config: Optional[MemoryConfig] = None,
     ) -> None:
         self.dist = dist_config or DistributedConfig()
-        super().__init__(graph, config, pipad_config, data_config, memory_config)
-        devices: List[SimulatedGPU] = [self.device]
-        devices += [
-            SimulatedGPU(
-                self.config.gpu,
-                self.config.pcie,
-                self.config.host,
-                use_cuda_graph=self.use_cuda_graph,
-            )
-            for _ in range(self.dist.num_devices - 1)
-        ]
-        self.group = DeviceGroup(
-            devices=devices,
-            interconnect_kind=self.dist.interconnect,
+        super().__init__(
+            graph,
+            config,
+            pipad_config,
+            data_config,
+            memory_config,
+            num_devices=self.dist.num_devices,
+            interconnect=self.dist.interconnect,
         )
         self.partitioner = GraphPartitioner(
             self.dist.num_devices, mode=self.dist.partition_mode
         )
-        #: one prefetcher per shard: each device preps/ships its own node
-        #: range.  Shard 0 reuses the single-device prefetcher so gating
-        #: state stays in one place.
-        self.prefetchers: List[Prefetcher] = [self.prefetcher] + [
-            Prefetcher(
-                self.datapipe, dev, device_index=index, hooks=lambda: self.hooks
-            )
-            for index, dev in enumerate(devices[1:], start=1)
-        ]
-        if self.feature_cache is not None:
-            # One cache per shard, sized against that device's own HBM; the
-            # node ranges they key against follow ``self.boundaries``.
-            self.feature_caches += [
-                self._build_feature_cache(dev) for dev in devices[1:]
-            ]
-            for index, prefetcher in enumerate(self.prefetchers):
-                prefetcher.cache = self.feature_caches[index]
         # Cheap provisional plan; _run_preprocessing replans (and computes the
         # halo/edge statistics, an O(devices x snapshots x edges) sharding
         # pass) right before the first steady-state frame can consume them.
+        # The per-device feature caches key against ``self.boundaries``.
         self.boundaries = self.partitioner.plan(graph.snapshots)
         self._node_fractions = self.partitioner.node_fractions(self.boundaries)
         self._edge_fractions = np.full(
             self.dist.num_devices, 1.0 / self.dist.num_devices
         )
         self._halo_nodes = np.zeros(self.dist.num_devices)
-        self._gradient_bytes = float(
-            sum(p.data.nbytes for p in self.model.parameters())
-        )
         #: bytes per feature element (halo rows ship in the dataset's dtype)
         self._feature_itemsize = float(graph.snapshots[0].features.dtype.itemsize)
-        #: bytes per state element (the hidden state carries the model's
-        #: parameter dtype)
-        self._state_itemsize = float(
-            self.model.parameters()[0].data.dtype.itemsize
-        )
-        #: per-device ops the next partition's compute must wait for
-        self._shard_ready: List[List[TimelineOp]] = [[] for _ in devices]
         self._halo_bytes_total = 0.0
 
     # ------------------------------------------------------------------ cost sharing
-    def _sim_now(self) -> float:
-        return self.group.makespan()
-
-    def _feature_shards(self) -> int:
-        return self.dist.num_devices
-
     def _cost_fraction(self, device: int, cost: KernelCost) -> float:
         """Share of one kernel's work that lands on ``device``'s shard.
 
@@ -269,6 +191,8 @@ class DistributedTrainer(PiPADTrainer):
         snapshots: Sequence[GraphSnapshot],
         depends_on: Optional[Sequence[TimelineOp]],
     ) -> List[TimelineOp]:
+        # Gated on the preparing phase alone, not on _grouped(): a one-device
+        # group still reports its cache accesses per shard (``p<t>_d0``).
         if self._preparing:
             return super()._transfer_partition(snapshots, depends_on)
         total_bytes = self._partition_transfer_bytes(snapshots)
@@ -312,7 +236,7 @@ class DistributedTrainer(PiPADTrainer):
         transfer_ops: Sequence[TimelineOp],
         last_compute: Sequence[TimelineOp],
     ) -> List[TimelineOp]:
-        if self._preparing or self.group.num_devices == 1:
+        if not self._grouped():
             return super()._launch_partition_kernels(
                 costs, snapshots, transfer_ops, last_compute
             )
@@ -320,12 +244,8 @@ class DistributedTrainer(PiPADTrainer):
         per_device_last: List[List[TimelineOp]] = []
         for index, device in enumerate(self.group.devices):
             shard_costs = [c.scaled(self._cost_fraction(index, c)) for c in costs]
-            device.host_op(
-                self._dispatch_seconds(sum(c.launches for c in shard_costs)),
-                label="dispatch",
-                stream=self._dispatch_stream(),
-            )
-            deps = list(transfer_ops) + list(last_compute) + self._shard_ready[index]
+            self._dispatch(device, shard_costs, "dispatch")
+            deps = list(transfer_ops) + list(last_compute) + self._device_ready[index]
             ops = device.launch_kernels(
                 shard_costs,
                 label=f"fwd_t{snapshots[0].timestep}",
@@ -341,7 +261,7 @@ class DistributedTrainer(PiPADTrainer):
             label=f"state_sync_t{snapshots[0].timestep}",
             depends_on=per_device_last,
         )
-        self._shard_ready = [[op] for op in sync_ops]
+        self._device_ready = [[op] for op in sync_ops]
         # The lead device's sync op carries the synchronized end time, so the
         # base class's ``last_compute`` chaining stays correct.
         return [sync_ops[0]]
@@ -349,64 +269,25 @@ class DistributedTrainer(PiPADTrainer):
     def _launch_backward(
         self, costs: Sequence[KernelCost], last_compute: Sequence[TimelineOp]
     ) -> List[TimelineOp]:
-        if self._preparing or self.group.num_devices == 1:
+        if not self._grouped():
             return super()._launch_backward(costs, last_compute)
         per_device_last: List[List[TimelineOp]] = []
         for index, device in enumerate(self.group.devices):
             shard_costs = [c.scaled(self._cost_fraction(index, c)) for c in costs]
-            device.host_op(
-                self._dispatch_seconds(sum(c.launches for c in shard_costs)),
-                label="dispatch_bwd",
-                stream=self._dispatch_stream(),
-            )
+            self._dispatch(device, shard_costs, "dispatch_bwd")
             ops = device.launch_kernels(
                 shard_costs,
                 label="backward",
                 stream=self._compute_stream(),
-                depends_on=list(last_compute) + self._shard_ready[index],
+                depends_on=list(last_compute) + self._device_ready[index],
             )
             per_device_last.append(ops[-1:])
-        # Shard replicas hold partial gradients; combine them before the
-        # optimizer step so every replica applies the same update.
-        reduce_ops = self.group.all_reduce(
-            self._gradient_bytes,
-            label="grad_all_reduce",
-            depends_on=per_device_last,
-        )
-        self._shard_ready = [[op] for op in reduce_ops]
-        return [reduce_ops[0]]
+        return self._all_reduce_gradients(per_device_last)
 
     # ------------------------------------------------------------------ reporting
-    def train(self, epochs: Optional[int] = None) -> TrainingResult:
-        """Train and report group-wide quantities.
-
-        The base class fills the result from the lead device, which in steady
-        state only carries its ~1/K shard of the work; every extensive
-        counter is therefore re-aggregated across the whole group so the
-        record describes the run, not one shard.  ``epoch_metrics`` stay the
-        lead-device view (their simulated seconds track the group clock —
-        collectives keep the devices in lockstep — but their kind-seconds
-        are shard-local).
-        """
-        result = super().train(epochs)
-        return aggregate_group_result(result, self.group)
-
     def _extra_metrics(self) -> Dict[str, float]:
         extras = super()._extra_metrics()
-        if self.group.num_devices > 1:
-            extras["prefetch_items"] = float(
-                sum(p.items_scheduled for p in self.prefetchers)
-            )
-            extras["prefetch_host_seconds"] = sum(
-                p.host_seconds_total for p in self.prefetchers
-            )
-        extras["num_devices"] = float(self.group.num_devices)
         extras["halo_feature_bytes"] = self._halo_bytes_total
-        for kind, seconds in self.group.collective_seconds.items():
-            extras[f"{kind}_seconds"] = seconds
-        device_seconds = self.group.device_seconds()
-        extras["device_seconds_max"] = float(max(device_seconds))
-        extras["device_seconds_min"] = float(min(device_seconds))
         balance = np.array(self._edge_fractions, dtype=np.float64)
         extras["edge_fraction_spread"] = float(balance.max() - balance.min())
         return extras

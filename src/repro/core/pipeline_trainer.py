@@ -1,11 +1,14 @@
 """Frame-pipeline parallelism: snapshot groups sharded across devices.
 
 :class:`PipelineTrainer` is the multi-device analogue of the paper's Fig. 8
-pipeline.  Where :class:`~repro.core.distributed_trainer.DistributedTrainer`
-shards the *node set* (data parallelism), the pipeline trainer shards the
-*frame*: a :class:`~repro.graph.partition.FramePartitioner` assigns each
-snapshot group of a frame to one of ``K`` devices (a pipeline *stage*), and
-the stages execute a 1F1B-style schedule —
+pipeline.  Like the data-parallel trainer it extends
+:class:`~repro.core.group_trainer.GroupTrainer`, which owns the device group,
+the per-device prefetchers and caches, the gradient all-reduce and the
+group-wide reporting.  Where the data-parallel trainer shards the *node set*,
+the pipeline trainer shards the *frame*: a
+:class:`~repro.graph.partition.FramePartitioner` assigns each snapshot group
+of a frame to one of ``K`` devices (a pipeline *stage*), and the stages
+execute a 1F1B-style schedule —
 
 - every stage prefetches its own groups' slices on its own PCIe link, so
   device ``d+1``'s transfer for group ``g+1`` hides behind device ``d``'s
@@ -43,13 +46,11 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.baselines.base import TrainerConfig
-from repro.baselines.results import TrainingResult
 from repro.core.config import PiPADConfig
-from repro.core.datapipe import DataPipeConfig, PipeItem, Prefetcher
-from repro.core.distributed_trainer import aggregate_group_result
-from repro.core.trainer import PiPADTrainer
+from repro.core.datapipe import DataPipeConfig, PipeItem
+from repro.core.group_trainer import GroupTrainer
 from repro.gpu.device import SimulatedGPU
-from repro.gpu.device_group import DeviceGroup
+from repro.gpu.interconnect import INTERCONNECT_KINDS
 from repro.gpu.kernel_cost import CATEGORY_AGGREGATION, KernelCost
 from repro.gpu.timeline import RESOURCE_COMPUTE, TimelineOp
 from repro.graph.dynamic_graph import DynamicGraph
@@ -73,13 +74,18 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         check_positive("num_devices", self.num_devices)
+        if self.interconnect not in INTERCONNECT_KINDS:
+            raise ValueError(
+                f"unknown interconnect {self.interconnect!r}; expected one of "
+                f"{INTERCONNECT_KINDS}"
+            )
         if self.schedule not in SCHEDULE_MODES:
             raise ValueError(
                 f"unknown schedule {self.schedule!r}; expected one of {SCHEDULE_MODES}"
             )
 
 
-class PipelineTrainer(PiPADTrainer):
+class PipelineTrainer(GroupTrainer):
     """PiPAD training with snapshot groups pipelined across a device group."""
 
     method_name = "PiPAD-PP"
@@ -94,47 +100,17 @@ class PipelineTrainer(PiPADTrainer):
         memory_config: Optional[MemoryConfig] = None,
     ) -> None:
         self.pipe = pipe_config or PipelineConfig()
-        super().__init__(graph, config, pipad_config, data_config, memory_config)
-        devices: List[SimulatedGPU] = [self.device]
-        devices += [
-            SimulatedGPU(
-                self.config.gpu,
-                self.config.pcie,
-                self.config.host,
-                use_cuda_graph=self.use_cuda_graph,
-            )
-            for _ in range(self.pipe.num_devices - 1)
-        ]
-        self.group = DeviceGroup(
-            devices=devices, interconnect_kind=self.pipe.interconnect
+        super().__init__(
+            graph,
+            config,
+            pipad_config,
+            data_config,
+            memory_config,
+            num_devices=self.pipe.num_devices,
+            interconnect=self.pipe.interconnect,
         )
         self.frame_partitioner = FramePartitioner(
             self.pipe.num_devices, schedule=self.pipe.schedule
-        )
-        #: one prefetcher per pipeline stage: each stage prefetches its own
-        #: groups' slices on its own PCIe link / host stream.  Stage 0 reuses
-        #: the single-device prefetcher so gating state stays in one place.
-        self.prefetchers: List[Prefetcher] = [self.prefetcher] + [
-            Prefetcher(
-                self.datapipe, dev, device_index=index, hooks=lambda: self.hooks
-            )
-            for index, dev in enumerate(devices[1:], start=1)
-        ]
-        if self.feature_cache is not None:
-            # One cache per pipeline stage: each stage's device stages the
-            # feature rows of its own snapshot groups.
-            self.feature_caches += [
-                self._build_feature_cache(dev) for dev in devices[1:]
-            ]
-            for stage, prefetcher in enumerate(self.prefetchers):
-                prefetcher.cache = self.feature_caches[stage]
-        self._gradient_bytes = float(
-            sum(p.data.nbytes for p in self.model.parameters())
-        )
-        #: bytes per state element (the hidden state is produced by the model,
-        #: so it carries the parameter dtype)
-        self._state_itemsize = float(
-            self.model.parameters()[0].data.dtype.itemsize
         )
         #: stage of each group in the current frame (set per frame)
         self._assignment = np.zeros(0, dtype=np.int64)
@@ -142,8 +118,6 @@ class PipelineTrainer(PiPADTrainer):
         #: op producing the latest recurrent state, and the stage holding it
         self._state_op: Optional[TimelineOp] = None
         self._state_device = 0
-        #: per-device gradient-all-reduce ops gating the next frame's kernels
-        self._frame_ready: List[List[TimelineOp]] = [[] for _ in devices]
         self._bubble_seconds = 0.0
 
     # ------------------------------------------------------------------ sizing
@@ -169,19 +143,10 @@ class PipelineTrainer(PiPADTrainer):
         dense = [c for c in costs if c.category != CATEGORY_AGGREGATION]
         return aggregation, dense
 
-    def _pipelined(self) -> bool:
-        return not self._preparing and self.group.num_devices > 1
-
-    def _feature_shards(self) -> int:
-        return self.pipe.num_devices
-
-    def _sim_now(self) -> float:
-        return self.group.makespan()
-
     # ------------------------------------------------------------------ frame hooks
     def _before_frame(self, frame: Frame, epoch: int) -> None:
         super()._before_frame(frame, epoch)
-        if not self._pipelined():
+        if not self._grouped():
             return
         num_groups = len(self._make_partitions(frame))
         self._assignment = self.frame_partitioner.assign(num_groups)
@@ -195,7 +160,7 @@ class PipelineTrainer(PiPADTrainer):
         snapshots: Sequence[GraphSnapshot],
         depends_on: Optional[Sequence[TimelineOp]],
     ) -> List[TimelineOp]:
-        if not self._pipelined():
+        if not self._grouped():
             return super()._transfer_partition(snapshots, depends_on)
         stage = int(self._assignment[self._group_index])
         item = PipeItem(
@@ -221,7 +186,7 @@ class PipelineTrainer(PiPADTrainer):
         transfer_ops: Sequence[TimelineOp],
         last_compute: Sequence[TimelineOp],
     ) -> List[TimelineOp]:
-        if not self._pipelined():
+        if not self._grouped():
             return super()._launch_partition_kernels(
                 costs, snapshots, transfer_ops, last_compute
             )
@@ -230,12 +195,8 @@ class PipelineTrainer(PiPADTrainer):
         stream = self._compute_stream()
         timestep = snapshots[0].timestep
         aggregation, dense = self._split_costs(costs)
-        device.host_op(
-            self._dispatch_seconds(sum(c.launches for c in costs)),
-            label="dispatch",
-            stream=self._dispatch_stream(),
-        )
-        frame_ready = self._frame_ready[stage]
+        self._dispatch(device, costs, "dispatch")
+        frame_ready = self._device_ready[stage]
         agg_ops = (
             device.launch_kernels(
                 aggregation,
@@ -315,7 +276,7 @@ class PipelineTrainer(PiPADTrainer):
     def _launch_backward(
         self, costs: Sequence[KernelCost], last_compute: Sequence[TimelineOp]
     ) -> List[TimelineOp]:
-        if not self._pipelined():
+        if not self._grouped():
             return super()._launch_backward(costs, last_compute)
         num_groups = len(self._assignment)
         share = 1.0 / num_groups
@@ -329,7 +290,7 @@ class PipelineTrainer(PiPADTrainer):
         aggregation, dense = self._split_costs(shares)
         stream = self._compute_stream()
         per_device_last: List[List[TimelineOp]] = [
-            list(ready) for ready in self._frame_ready
+            list(ready) for ready in self._device_ready
         ]
         chain_op: Optional[TimelineOp] = None
         chain_device = 0
@@ -338,13 +299,7 @@ class PipelineTrainer(PiPADTrainer):
         for index in range(num_groups - 1, -1, -1):
             stage = int(self._assignment[index])
             device = self.group.devices[stage]
-            device.host_op(
-                self._dispatch_seconds(
-                    sum(c.launches for c in aggregation + dense)
-                ),
-                label="dispatch_bwd",
-                stream=self._dispatch_stream(),
-            )
+            self._dispatch(device, shares, "dispatch_bwd")
             if chain_op is None:
                 chain_deps = list(last_compute)
             elif chain_device != stage:
@@ -378,37 +333,11 @@ class PipelineTrainer(PiPADTrainer):
             tail = agg_ops or dense_ops
             if tail:
                 per_device_last[stage] = tail[-1:]
-        # Each stage holds the weight gradients of its own groups only;
-        # combine the replicas before the optimizer step.
-        reduce_ops = self.group.all_reduce(
-            self._gradient_bytes,
-            label="grad_all_reduce",
-            depends_on=per_device_last,
-        )
-        self._frame_ready = [[op] for op in reduce_ops]
-        return [reduce_ops[0]]
+        # Each stage holds the weight gradients of its own groups only.
+        return self._all_reduce_gradients(per_device_last)
 
     # ------------------------------------------------------------------ reporting
-    def train(self, epochs: Optional[int] = None) -> TrainingResult:
-        """Train and report group-wide quantities (see
-        :func:`~repro.core.distributed_trainer.aggregate_group_result`)."""
-        result = super().train(epochs)
-        return aggregate_group_result(result, self.group)
-
     def _extra_metrics(self) -> Dict[str, float]:
         extras = super()._extra_metrics()
-        if self.group.num_devices > 1:
-            extras["prefetch_items"] = float(
-                sum(p.items_scheduled for p in self.prefetchers)
-            )
-            extras["prefetch_host_seconds"] = sum(
-                p.host_seconds_total for p in self.prefetchers
-            )
-        extras["num_devices"] = float(self.group.num_devices)
         extras["pipeline_bubble_seconds"] = self._bubble_seconds
-        for kind, seconds in self.group.collective_seconds.items():
-            extras[f"{kind}_seconds"] = seconds
-        device_seconds = self.group.device_seconds()
-        extras["device_seconds_max"] = float(max(device_seconds))
-        extras["device_seconds_min"] = float(min(device_seconds))
         return extras

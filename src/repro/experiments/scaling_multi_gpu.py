@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.engine import Engine
 from repro.api.spec import DeviceSpec
-from repro.core.distributed_trainer import COLLECTIVE_KEYS
+from repro.core.group_trainer import COLLECTIVE_KEYS
 from repro.experiments.common import (
     ExperimentConfig,
     format_table,

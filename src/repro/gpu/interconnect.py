@@ -12,7 +12,7 @@ the distributed tests pin down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.utils.validation import check_positive
 
@@ -46,6 +46,9 @@ NVLINK = LinkSpec(bandwidth_gbs=25.0, latency_us=2.0)
 PCIE_PEER = LinkSpec(bandwidth_gbs=10.0, latency_us=10.0)
 
 _LINK_KINDS = {"nvlink": NVLINK, "pcie": PCIE_PEER}
+
+#: peer-link models selectable by name (``Interconnect(kind=...)``)
+INTERCONNECT_KINDS: Tuple[str, ...] = tuple(_LINK_KINDS)
 
 
 class Interconnect:

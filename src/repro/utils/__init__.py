@@ -1,4 +1,4 @@
-"""Shared utilities: validation helpers, RNG handling and lightweight timing."""
+"""Shared utilities: validation helpers and RNG handling."""
 
 from repro.utils.rng import as_rng, spawn_rngs
 from repro.utils.validation import (
@@ -8,7 +8,6 @@ from repro.utils.validation import (
     check_type,
     check_array,
 )
-from repro.utils.timing import WallTimer
 
 __all__ = [
     "as_rng",
@@ -18,5 +17,4 @@ __all__ = [
     "check_in_range",
     "check_type",
     "check_array",
-    "WallTimer",
 ]

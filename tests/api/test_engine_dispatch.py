@@ -9,13 +9,13 @@ from pathlib import Path
 import pytest
 
 from repro.api import DeviceSpec, Engine, RunSpec, ServingSpec, TraceSpec
+from repro.api.registries import trainer_registry
 from repro.baselines import (
     PyGTAsyncTrainer,
     PyGTGeSpMMTrainer,
     PyGTReuseTrainer,
     PyGTTrainer,
     TrainerConfig,
-    make_trainer,
 )
 from repro.core import (
     DistributedConfig,
@@ -28,7 +28,8 @@ from repro.core import (
 from repro.core.distributed_trainer import DistributedTrainer as CoreDistributedTrainer
 from repro.distributed import FleetServingEngine, ShardedServingEngine
 from repro.graph import load_dataset
-from repro.serving import ServingConfig, ServingScheduler, build_serving_engine
+from repro.serving import ServingConfig, ServingScheduler
+from repro.serving.scheduler import _build_serving_scheduler
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SPEC_DIR = REPO_ROOT / "specs"
@@ -169,15 +170,14 @@ class TestParityWithOldEntryPoints:
         assert new.final_loss == old.final_loss
         assert new.simulated_seconds == old.simulated_seconds
 
-    def test_make_trainer_shim_matches_engine(self):
+    def test_registry_trainer_matches_engine(self):
         spec = RunSpec(method="pygt-r", **_QUICK)
         new = Engine.from_spec(spec).train()
 
         graph = load_dataset("covid19_england", seed=0, num_snapshots=8)
-        with pytest.deprecated_call():
-            trainer = make_trainer(
-                "pygt-r", graph, TrainerConfig(model="tgcn", frame_size=4, epochs=2)
-            )
+        trainer = trainer_registry()["pygt-r"](
+            graph, TrainerConfig(model="tgcn", frame_size=4, epochs=2)
+        )
         old = trainer.train()
         assert new.loss_curve() == old.loss_curve()
         assert new.simulated_seconds == old.simulated_seconds
@@ -236,12 +236,11 @@ class TestParityWithOldEntryPoints:
             graph, TrainerConfig(model="tgcn", frame_size=4, epochs=2), PiPADConfig()
         )
         trainer.train()
-        with pytest.deprecated_call():
-            old_engine = build_serving_engine(
-                graph,
-                trainer.model,
-                ServingConfig(window=6, max_batch_requests=4, max_delay_ms=1.0),
-            )
+        old_engine = _build_serving_scheduler(
+            graph,
+            trainer.model,
+            ServingConfig(window=6, max_batch_requests=4, max_delay_ms=1.0),
+        )
         old = old_engine.run_trace(trace)
         assert new.metrics.num_requests == old.metrics.num_requests
         assert new.metrics.p50_latency == old.metrics.p50_latency

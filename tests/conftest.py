@@ -9,7 +9,8 @@ from repro.baselines import TrainerConfig
 from repro.graph import CSRMatrix, GeneratorConfig, generate_dynamic_graph
 from repro.gpu import DeviceGroup, GPUSpec, SimulatedGPU
 from repro.nn import build_model
-from repro.serving import IncrementalSnapshotStore, ServingConfig, build_serving_engine
+from repro.serving import IncrementalSnapshotStore, ServingConfig
+from repro.serving.scheduler import _build_serving_scheduler
 
 
 @pytest.fixture(scope="session")
@@ -86,7 +87,7 @@ def make_serving_engine(small_graph):
         defaults = dict(window=4, max_batch_requests=4, max_delay_ms=0.5)
         defaults.update(config_kwargs)
         model = build_model(model_name, small_graph.feature_dim, 8, seed=0)
-        return build_serving_engine(small_graph, model, ServingConfig(**defaults))
+        return _build_serving_scheduler(small_graph, model, ServingConfig(**defaults))
 
     return factory
 

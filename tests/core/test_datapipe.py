@@ -8,8 +8,6 @@ pipeline variant.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +18,6 @@ from repro.core import (
     DATAPIPE_VARIANTS,
     DataPipe,
     DataPipeConfig,
-    DataPreparer,
     DistributedConfig,
     DistributedTrainer,
     PiPADConfig,
@@ -280,28 +277,6 @@ class TestPrefetcherProperties:
             if gate >= 0:
                 assert hooks.first_host_start(f"p{index}") >= consumes[gate].end
         assert prefetcher.in_flight == 0  # balanced schedule/consume
-
-
-class TestDeprecatedPreparePath:
-    def test_prepare_warns_at_the_caller(self, small_graph):
-        preparer = DataPreparer()
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            data = preparer.prepare(small_graph.snapshots[:2])
-        (warning,) = [w for w in record if issubclass(w.category, DeprecationWarning)]
-        assert warning.filename == __file__
-        assert "datapipe" in str(warning.message)
-        # The shim delegates: the cached partition is the internal one.
-        assert data is preparer._prepare(small_graph.snapshots[:2])
-
-    def test_internal_and_datapipe_paths_do_not_warn(self, small_graph):
-        pipe = build_datapipe()
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            pipe.partition(small_graph.snapshots[:2])
-            pipe.preparer._prepare(small_graph.snapshots[2:4])
-            pipe.partition_frame(small_graph.snapshots[:4], 2)
-        assert not [w for w in record if issubclass(w.category, DeprecationWarning)]
 
 
 class TestTrainerParity:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import TrainerConfig, make_trainer
+from repro.api.registries import trainer_registry
+from repro.baselines import PyGTGeSpMMTrainer, PyGTTrainer, TrainerConfig
 from repro.core import PiPADConfig, PiPADTrainer
 from repro.graph import load_dataset
 
@@ -18,15 +19,15 @@ def covid_graph():
 class TestConvergence:
     def test_loss_decreases_over_epochs(self, covid_graph):
         config = TrainerConfig(model="tgcn", frame_size=5, epochs=6, lr=5e-3)
-        result = make_trainer("pygt", covid_graph, config).train()
+        result = PyGTTrainer(covid_graph, config).train()
         curve = result.loss_curve()
         assert curve[-1] < curve[0]
 
     def test_pipad_training_converges_identically(self, covid_graph):
         config = TrainerConfig(model="mpnn_lstm", frame_size=5, epochs=4, lr=5e-3)
-        baseline = make_trainer("pygt", covid_graph, config).train()
-        pipad = make_trainer(
-            "pipad", covid_graph, config, pipad_config=PiPADConfig(preparing_epochs=1)
+        baseline = PyGTTrainer(covid_graph, config).train()
+        pipad = PiPADTrainer(
+            covid_graph, config, PiPADConfig(preparing_epochs=1)
         ).train()
         np.testing.assert_allclose(baseline.loss_curve(), pipad.loss_curve(), rtol=1e-3)
 
@@ -38,16 +39,17 @@ class TestPaperShapes:
         times = {}
         for method in ("pygt", "pygt-g", "pipad"):
             kwargs = {"pipad_config": PiPADConfig(preparing_epochs=1)} if method == "pipad" else {}
-            times[method] = make_trainer(method, covid_graph, config, **kwargs).train().steady_epoch_seconds
+            trainer = trainer_registry()[method](covid_graph, config, **kwargs)
+            times[method] = trainer.train().steady_epoch_seconds
         assert times["pipad"] < times["pygt-g"] <= times["pygt"] * 1.05
         assert times["pygt"] / times["pipad"] > 1.5
 
     def test_speedup_band_matches_paper_range(self, covid_graph):
         """End-to-end speedup falls in (or above) the paper's 1.22x–9.57x band."""
         config = TrainerConfig(model="tgcn", frame_size=5, epochs=3)
-        baseline = make_trainer("pygt", covid_graph, config).train()
-        pipad = make_trainer(
-            "pipad", covid_graph, config, pipad_config=PiPADConfig(preparing_epochs=1)
+        baseline = PyGTTrainer(covid_graph, config).train()
+        pipad = PiPADTrainer(
+            covid_graph, config, PiPADConfig(preparing_epochs=1)
         ).train()
         speedup = baseline.steady_epoch_seconds / pipad.steady_epoch_seconds
         assert speedup > 1.22
@@ -55,7 +57,7 @@ class TestPaperShapes:
     def test_large_dataset_transfer_dominates_pygt(self):
         graph = load_dataset("flickr", seed=0, num_snapshots=8)
         config = TrainerConfig(model="evolvegcn", frame_size=5, epochs=2)
-        result = make_trainer("pygt", graph, config).train()
+        result = PyGTTrainer(graph, config).train()
         transfer_fraction = result.breakdown.get("h2d", 0.0) / result.simulated_seconds
         assert transfer_fraction > 0.2  # the Fig. 3 observation (≈39 % on average)
 
@@ -70,8 +72,8 @@ class TestPaperShapes:
         """Even counting the canonical-mode preparing epoch, the whole PiPAD run
         finishes earlier than PyGT-G on the simulated device."""
         config = TrainerConfig(model="evolvegcn", frame_size=5, epochs=3)
-        pygt_g = make_trainer("pygt-g", covid_graph, config).train()
-        pipad = make_trainer(
-            "pipad", covid_graph, config, pipad_config=PiPADConfig(preparing_epochs=1)
+        pygt_g = PyGTGeSpMMTrainer(covid_graph, config).train()
+        pipad = PiPADTrainer(
+            covid_graph, config, PiPADConfig(preparing_epochs=1)
         ).train()
         assert pipad.simulated_seconds < pygt_g.simulated_seconds

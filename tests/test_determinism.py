@@ -20,7 +20,8 @@ from repro.core import (
 )
 from repro.gpu import SimulatedGPU
 from repro.nn import build_model
-from repro.serving import ServingConfig, build_serving_engine, synthesize_serving_trace
+from repro.serving import ServingConfig, synthesize_serving_trace
+from repro.serving.scheduler import _build_serving_scheduler
 
 
 def timeline_bytes(device: SimulatedGPU) -> bytes:
@@ -56,7 +57,7 @@ def train_distributed(small_graph):
 
 def serve_trace(small_graph):
     model = build_model("tgcn", small_graph.feature_dim, 8, seed=0)
-    engine = build_serving_engine(
+    engine = _build_serving_scheduler(
         small_graph,
         model,
         ServingConfig(window=4, max_batch_requests=4, max_delay_ms=0.5),

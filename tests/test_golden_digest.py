@@ -2,7 +2,7 @@
 
 :mod:`tests.test_determinism` compares two runs of the same code, so it
 cannot see simulated time drift from one commit to the next.  These tests
-pin a SHA-256 over every op of three small runs.  A change that is meant to
+pin a SHA-256 over every op of four small runs.  A change that is meant to
 be host-side only (faster bookkeeping, fewer allocations) must leave them
 untouched; a change that moves simulated time on purpose updates the
 constants and says why.
@@ -48,6 +48,23 @@ PIPELINE_4GPU = {
     "data": {"pipeline": "staged", "prefetch_depth": 2, "pin_memory": True},
 }
 
+GROUP_4GPU_CACHED = {
+    "dataset": "flickr",
+    "model": "tgcn",
+    "method": "pipad",
+    "num_snapshots": 12,
+    "frame_size": 8,
+    "epochs": 2,
+    "cost_scale": 5000.0,
+    "device": {"kind": "group", "num_devices": 4, "interconnect": "nvlink"},
+    "memory": {
+        "feature_cache": True,
+        "gpu_budget_mb": 64,
+        "pinned_budget_mb": 64,
+        "block_rows": 64,
+    },
+}
+
 FLEET_SERVE = {
     "dataset": "youtube",
     "model": "tgcn",
@@ -80,6 +97,11 @@ GOLDEN = {
         PIPELINE_4GPU,
         13464,
         "86e213a8d3a636978e43a62af6f54d677b3f868a068b3458f842d8ab88f674c8",
+    ),
+    "group-4gpu-cached": (
+        GROUP_4GPU_CACHED,
+        8737,
+        "232802a22a67dd0013cb7e97ffa1fc0407c65f24af80289ae51b8f412c693156",
     ),
     "fleet-serve": (
         FLEET_SERVE,

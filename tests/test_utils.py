@@ -1,14 +1,11 @@
-"""Tests for repro.utils (rng, validation, timing)."""
+"""Tests for repro.utils (rng, validation)."""
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 import pytest
 
 from repro.utils import (
-    WallTimer,
     as_rng,
     check_array,
     check_in_range,
@@ -85,26 +82,3 @@ class TestValidation:
         with pytest.raises(ValueError):
             check_array("x", np.zeros((2, 5)), shape=(None, 4))
 
-
-class TestWallTimer:
-    def test_measure_accumulates(self):
-        timer = WallTimer()
-        with timer.measure("work"):
-            time.sleep(0.01)
-        assert timer.total("work") >= 0.005
-        assert timer.counts["work"] == 1
-
-    def test_add_and_grand_total(self):
-        timer = WallTimer()
-        timer.add("a", 1.0)
-        timer.add("a", 0.5)
-        timer.add("b", 2.0)
-        assert timer.total("a") == pytest.approx(1.5)
-        assert timer.grand_total() == pytest.approx(3.5)
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError):
-            WallTimer().add("a", -1.0)
-
-    def test_unknown_name_total_zero(self):
-        assert WallTimer().total("missing") == 0.0

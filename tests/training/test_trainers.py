@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api.registries import trainer_registry
 from repro.baselines import (
     METHOD_ORDER,
     PyGTAsyncTrainer,
@@ -14,7 +15,6 @@ from repro.baselines import (
     TrainerConfig,
     TrainingResult,
     list_methods,
-    make_trainer,
 )
 from repro.core import PiPADConfig, PiPADTrainer
 
@@ -31,8 +31,6 @@ class TestTrainerConfig:
 
     def test_method_registry(self):
         assert list_methods() == METHOD_ORDER
-        with pytest.raises(KeyError):
-            make_trainer("nope", None)
 
 
 class TestBaselineTrainers:
@@ -62,8 +60,9 @@ class TestBaselineTrainers:
     def test_all_methods_same_loss(self, small_graph, trainer_config):
         """All execution strategies compute the same math, so losses agree."""
         losses = {}
+        registry = trainer_registry()
         for method in ("pygt", "pygt-a", "pygt-r", "pygt-g"):
-            losses[method] = make_trainer(method, small_graph, trainer_config).train().final_loss
+            losses[method] = registry[method](small_graph, trainer_config).train().final_loss
         reference = losses["pygt"]
         for method, loss in losses.items():
             assert loss == pytest.approx(reference, rel=1e-3), method
