@@ -2,7 +2,7 @@
 
 :mod:`tests.test_determinism` compares two runs of the same code, so it
 cannot see simulated time drift from one commit to the next.  These tests
-pin a SHA-256 over every op of four small runs.  A change that is meant to
+pin a SHA-256 over every op of five small runs.  A change that is meant to
 be host-side only (faster bookkeeping, fewer allocations) must leave them
 untouched; a change that moves simulated time on purpose updates the
 constants and says why.
@@ -86,6 +86,24 @@ FLEET_SERVE = {
     },
 }
 
+SHARDED_SERVE = {
+    "dataset": "covid19_england",
+    "model": "tgcn",
+    "method": "pipad",
+    "num_snapshots": 16,
+    "frame_size": 8,
+    "epochs": 1,
+    "lr": 0.005,
+    "serving": {
+        "kind": "sharded",
+        "num_shards": 3,
+        "window": 8,
+        "max_batch_requests": 8,
+        "max_delay_ms": 1.0,
+        "trace": {"num_events": 60, "seed": 7},
+    },
+}
+
 #: name -> (spec, op count, digest)
 GOLDEN = {
     "pipad-1gpu": (
@@ -107,6 +125,11 @@ GOLDEN = {
         FLEET_SERVE,
         4255,
         "4613bcb438be9d99ac36ba83b2fd2677f516a4786f8759cbaa2aeaed45a8648c",
+    ),
+    "sharded-serve": (
+        SHARDED_SERVE,
+        8832,
+        "d5a05525c0d9f51e3432532368a48eccdf430c0f7cd8a0cd0bd1e99826d6511e",
     ),
 }
 
