@@ -24,6 +24,8 @@ hand-wired                                      spec
 ``DistributedTrainer(graph, cfg, pc, dc)``      ``RunSpec(device={"kind": "group", "num_devices": K})``
 ``PipelineTrainer(graph, cfg, pc, ppc)``        ``RunSpec(device={"kind": "pipeline", "num_devices": K})``
 ``build_sharded_serving_engine(...)``           ``RunSpec(serving={"kind": "sharded", "num_shards": K})``
+``build_fleet_serving_engine(...)``             ``RunSpec(serving={"kind": "fleet", "num_shards": K})``
+``DataPipeConfig(prefetch_depth=d)``            ``RunSpec(data={"prefetch_depth": d})``
 ==============================================  =====================================
 """
 

@@ -17,21 +17,18 @@ Specs round-trip through dicts and JSON (``RunSpec.from_dict``, ``.to_json``,
 """
 
 from repro.api.engine import COLLECTIVE_KEYS, Engine, RunReport
+from repro.gpu.interconnect import INTERCONNECT_KINDS
 from repro.api.registries import (
-    DATAPIPE_REGISTRY,
     DEVICE_REGISTRY,
     SERVING_REGISTRY,
-    DataPipeKind,
     DeviceKind,
     ServingKind,
-    build_pipe_config,
     build_serving,
     build_trainer,
     trainer_registry,
 )
 from repro.api.spec import (
     DEVICE_KINDS,
-    INTERCONNECT_KINDS,
     PIPAD_FIELDS,
     SERVING_KINDS,
     AnalysisSpec,
@@ -47,10 +44,8 @@ from repro.api.spec import (
 __all__ = [
     "AnalysisSpec",
     "COLLECTIVE_KEYS",
-    "DATAPIPE_REGISTRY",
     "DEVICE_KINDS",
     "DEVICE_REGISTRY",
-    "DataPipeKind",
     "DataSpec",
     "DeviceKind",
     "DeviceSpec",
@@ -66,7 +61,6 @@ __all__ = [
     "ServingSpec",
     "TelemetrySpec",
     "TraceSpec",
-    "build_pipe_config",
     "build_serving",
     "build_trainer",
     "trainer_registry",

@@ -34,12 +34,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis import AnalysisError, run_checks
 from repro.api.engine import Engine
-from repro.api.registries import (
-    DATAPIPE_REGISTRY,
-    DEVICE_REGISTRY,
-    SERVING_REGISTRY,
-    trainer_registry,
-)
+from repro.api.registries import DEVICE_REGISTRY, SERVING_REGISTRY, trainer_registry
 from repro.api.spec import RunSpec
 
 #: built-in specs runnable by name (``python -m repro run quick``); the same
@@ -244,7 +239,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
         "methods": sorted(trainer_registry()),
         "device_kinds": {k: v.description for k, v in DEVICE_REGISTRY.items()},
         "serving_kinds": {k: v.description for k, v in SERVING_REGISTRY.items()},
-        "datapipes": {k: v.description for k, v in DATAPIPE_REGISTRY.items()},
         "datapipe_stages": dict(STAGE_REGISTRY),
         "cache_policies": {
             name: description

@@ -1,6 +1,6 @@
 """Unified registries the engine resolves specs through.
 
-Five registries cover the whole construction space:
+Four registries cover the whole construction space:
 
 - the **trainer registry** (owned by :mod:`repro.baselines`; re-exposed here)
   maps method names to trainer classes — ``pygt``/``pygt-a``/``pygt-r``/
@@ -16,11 +16,12 @@ Five registries cover the whole construction space:
   :class:`~repro.serving.scheduler.ServingScheduler`, ``sharded`` →
   :class:`~repro.distributed.serving.ShardedServingEngine`, ``fleet`` →
   :class:`~repro.distributed.fleet.FleetServingEngine` with a node-sharded
-  store, admission control and an elastic replica pool);
-- :data:`DATAPIPE_REGISTRY` maps a data-pipeline variant (``staged`` /
-  ``monolithic``) to its stage composition and the builder that materializes
-  the :class:`~repro.core.datapipe.DataPipeConfig` every trainer and serving
-  replica consumes (``RunSpec.data`` resolves through it).
+  store, admission control and an elastic replica pool).
+
+``RunSpec.data`` needs no registry: the datapipe has one stage chain, and
+``DataSpec.to_pipe_config`` materializes the
+:class:`~repro.core.datapipe.DataPipeConfig` every trainer and serving
+replica consumes.
 
 Every builder takes ``(spec, graph, ...)`` so new topologies plug in by
 registration instead of another bespoke construction path.
@@ -49,47 +50,6 @@ def list_methods() -> List[str]:
     return sorted(trainer_registry())
 
 
-# ------------------------------------------------------------------ datapipe
-@dataclass(frozen=True)
-class DataPipeKind:
-    """One data-pipeline variant the engine can resolve ``RunSpec.data`` onto."""
-
-    name: str
-    description: str
-    #: stage names in execution order (see ``repro.core.datapipe.STAGE_REGISTRY``)
-    stages: tuple
-    build: Callable[[RunSpec], "DataPipeConfig"]  # noqa: F821 - forward ref
-
-
-def _datapipe_registry() -> Dict[str, DataPipeKind]:
-    from repro.core.datapipe import DATAPIPE_VARIANTS
-
-    descriptions = {
-        "staged": (
-            "slice -> gather -> pin -> h2d staged prep with depth-bounded "
-            "prefetching (the default)"
-        ),
-        "monolithic": "legacy accounting: one opaque host op + the transfer",
-    }
-    return {
-        name: DataPipeKind(
-            name,
-            descriptions.get(name, "datapipe variant"),
-            stages,
-            lambda spec: spec.data.to_pipe_config(),
-        )
-        for name, stages in DATAPIPE_VARIANTS.items()
-    }
-
-
-DATAPIPE_REGISTRY: Dict[str, DataPipeKind] = _datapipe_registry()
-
-
-def build_pipe_config(spec: RunSpec) -> "DataPipeConfig":  # noqa: F821
-    """Resolve a spec's data section into the core :class:`DataPipeConfig`."""
-    return DATAPIPE_REGISTRY[spec.data.pipeline].build(spec)
-
-
 # ------------------------------------------------------------------ devices
 def _build_single_device_trainer(spec: RunSpec, graph: DynamicGraph) -> DGNNTrainerBase:
     cls = trainer_registry()[spec.method]
@@ -98,42 +58,34 @@ def _build_single_device_trainer(spec: RunSpec, graph: DynamicGraph) -> DGNNTrai
             graph,
             spec.trainer_config(),
             pipad_config=spec.pipad_config(),
-            data_config=build_pipe_config(spec),
+            data_config=spec.data.to_pipe_config(),
             memory_config=spec.memory.to_memory_config(),
         )
     return cls(graph, spec.trainer_config())
 
 
 def _build_group_trainer(spec: RunSpec, graph: DynamicGraph) -> DGNNTrainerBase:
-    from repro.core.distributed_trainer import DistributedConfig, DistributedTrainer
+    from repro.core.distributed_trainer import DistributedTrainer
 
     return DistributedTrainer(
         graph,
         spec.trainer_config(),
         pipad_config=spec.pipad_config(),
-        dist_config=DistributedConfig(
-            num_devices=spec.device.num_devices,
-            partition_mode=spec.device.partition_mode,
-            interconnect=spec.device.interconnect,
-        ),
-        data_config=build_pipe_config(spec),
+        dist_config=spec.device.to_distributed_config(),
+        data_config=spec.data.to_pipe_config(),
         memory_config=spec.memory.to_memory_config(),
     )
 
 
 def _build_pipeline_trainer(spec: RunSpec, graph: DynamicGraph) -> DGNNTrainerBase:
-    from repro.core.pipeline_trainer import PipelineConfig, PipelineTrainer
+    from repro.core.pipeline_trainer import PipelineTrainer
 
     return PipelineTrainer(
         graph,
         spec.trainer_config(),
         pipad_config=spec.pipad_config(),
-        pipe_config=PipelineConfig(
-            num_devices=spec.device.num_devices,
-            interconnect=spec.device.interconnect,
-            schedule=spec.device.schedule,
-        ),
-        data_config=build_pipe_config(spec),
+        pipe_config=spec.device.to_pipeline_config(),
+        data_config=spec.data.to_pipe_config(),
         memory_config=spec.memory.to_memory_config(),
     )
 
@@ -187,7 +139,7 @@ def _build_local_serving(
         graph,
         model,
         spec.serving.to_serving_config(),
-        data=build_pipe_config(spec),
+        data=spec.data.to_pipe_config(),
         scale=_serving_scale(spec),
         memory=spec.memory.to_memory_config(),
     )
@@ -204,7 +156,7 @@ def _build_sharded_serving(
         model,
         spec.serving.num_shards,
         spec.serving.to_serving_config(),
-        data=build_pipe_config(spec),
+        data=spec.data.to_pipe_config(),
         scale=_serving_scale(spec),
         memory=spec.memory.to_memory_config(),
     )
@@ -221,7 +173,7 @@ def _build_fleet_serving(
         model,
         spec.serving.to_fleet_config(),
         spec.serving.to_serving_config(),
-        data=build_pipe_config(spec),
+        data=spec.data.to_pipe_config(),
         scale=_serving_scale(spec),
         memory=spec.memory.to_memory_config(),
     )
@@ -274,15 +226,12 @@ def build_serving(
 
 
 __all__ = [
-    "DATAPIPE_REGISTRY",
     "DATASET_ORDER",
     "DEVICE_REGISTRY",
-    "DataPipeKind",
     "DeviceKind",
     "MODEL_REGISTRY",
     "SERVING_REGISTRY",
     "ServingKind",
-    "build_pipe_config",
     "build_serving",
     "build_trainer",
     "list_methods",

@@ -22,9 +22,7 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Type, TypeVar, Union
 
 from repro.core.config import PiPADConfig
-from repro.gpu.interconnect import INTERCONNECT_KINDS
-from repro.graph.partition import PARTITION_MODES, SCHEDULE_MODES
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_choice, check_positive
 
 #: device topologies understood by the engine (keys of ``DEVICE_REGISTRY``)
 DEVICE_KINDS: Tuple[str, ...] = ("single", "group", "pipeline")
@@ -119,12 +117,11 @@ class DeviceSpec(_SpecBase):
     schedule: str = "round_robin"
 
     def __post_init__(self) -> None:
-        if self.kind not in DEVICE_KINDS:
-            raise ValueError(
-                f"unknown device kind {self.kind!r}; valid kinds: "
-                f"{_known_choices(DEVICE_KINDS)}"
-            )
-        check_positive("num_devices", self.num_devices)
+        check_choice("device kind", self.kind, DEVICE_KINDS, "kinds")
+        # Both core configs, for every kind: a 'single' spec still rejects a
+        # bad interconnect or schedule.
+        self.to_distributed_config()
+        self.to_pipeline_config()
         if self.kind == "single" and self.num_devices != 1:
             raise ValueError(
                 f"device kind 'single' requires num_devices=1, got {self.num_devices}; "
@@ -132,21 +129,26 @@ class DeviceSpec(_SpecBase):
             )
         # 'group' and 'pipeline' allow num_devices=1: a one-device run is the
         # reference of scaling sweeps (same trainer class, no collectives).
-        if self.interconnect not in INTERCONNECT_KINDS:
-            raise ValueError(
-                f"unknown interconnect {self.interconnect!r}; valid kinds: "
-                f"{_known_choices(INTERCONNECT_KINDS)}"
-            )
-        if self.partition_mode not in PARTITION_MODES:
-            raise ValueError(
-                f"unknown partition_mode {self.partition_mode!r}; valid modes: "
-                f"{_known_choices(tuple(PARTITION_MODES))}"
-            )
-        if self.schedule not in SCHEDULE_MODES:
-            raise ValueError(
-                f"unknown schedule {self.schedule!r}; valid schedules: "
-                f"{_known_choices(tuple(SCHEDULE_MODES))}"
-            )
+
+    def to_distributed_config(self) -> "DistributedConfig":  # noqa: F821
+        """Materialize the group trainer's :class:`DistributedConfig`."""
+        from repro.core.distributed_trainer import DistributedConfig
+
+        return DistributedConfig(
+            num_devices=self.num_devices,
+            partition_mode=self.partition_mode,
+            interconnect=self.interconnect,
+        )
+
+    def to_pipeline_config(self) -> "PipelineConfig":  # noqa: F821
+        """Materialize the pipeline trainer's :class:`PipelineConfig`."""
+        from repro.core.pipeline_trainer import PipelineConfig
+
+        return PipelineConfig(
+            num_devices=self.num_devices,
+            interconnect=self.interconnect,
+            schedule=self.schedule,
+        )
 
 
 @dataclass(frozen=True)
@@ -206,20 +208,19 @@ class TelemetrySpec(_SpecBase):
 
 @dataclass(frozen=True)
 class DataSpec(_SpecBase):
-    """Data-pipeline section of a run: stage composition and prefetching.
+    """Data-pipeline section of a run: prefetching and pinning.
 
-    Declares how partition data moves from host memory onto the device —
-    which staged pipeline variant runs (``repro.core.datapipe.
-    DATAPIPE_VARIANTS``), how many items the :class:`~repro.core.datapipe.
-    Prefetcher` may prepare ahead of the one currently computing, and whether
-    transfers stage through page-locked memory.  The engine resolves this
-    through ``repro.api.registries.DATAPIPE_REGISTRY`` into the
+    Partition data always moves through the staged
+    ``slice → gather → pin → h2d`` chain; this section declares how many
+    items the :class:`~repro.core.datapipe.Prefetcher` may prepare ahead of
+    the one currently computing, and whether transfers stage through
+    page-locked memory.  ``to_pipe_config`` materializes the
     :class:`~repro.core.datapipe.DataPipeConfig` every trainer and serving
     replica shares.  Scheduling-only: losses and predictions are identical
     for every setting.
     """
 
-    #: pipeline variant (``"staged"`` or the legacy ``"monolithic"``)
+    #: the stage chain; ``"staged"`` is the only one
     pipeline: str = "staged"
     #: max items prepared ahead of the one computing; 0 fully serializes
     prefetch_depth: int = 2
@@ -228,30 +229,14 @@ class DataSpec(_SpecBase):
     pin_memory: bool = True
 
     def __post_init__(self) -> None:
-        from repro.core.datapipe import DATAPIPE_VARIANTS
-
-        if self.pipeline not in DATAPIPE_VARIANTS:
-            raise ValueError(
-                f"unknown datapipe pipeline {self.pipeline!r}; valid pipelines: "
-                f"{_known_choices(DATAPIPE_VARIANTS)}"
-            )
-        if not isinstance(self.prefetch_depth, int) or isinstance(
-            self.prefetch_depth, bool
-        ):
-            raise ValueError(
-                f"prefetch_depth must be an int, got {self.prefetch_depth!r}"
-            )
-        if self.prefetch_depth < 0:
-            raise ValueError(
-                f"prefetch_depth must be >= 0, got {self.prefetch_depth}"
-            )
+        check_choice("datapipe pipeline", self.pipeline, ("staged",), "pipelines")
+        self.to_pipe_config()
 
     def to_pipe_config(self) -> "DataPipeConfig":  # noqa: F821 - forward ref
         """Materialize the core-level :class:`DataPipeConfig`."""
         from repro.core.datapipe import DataPipeConfig
 
         return DataPipeConfig(
-            pipeline=self.pipeline,
             prefetch_depth=self.prefetch_depth,
             pin_memory=self.pin_memory,
         )
@@ -289,30 +274,7 @@ class MemorySpec(_SpecBase):
     block_rows: int = 256
 
     def __post_init__(self) -> None:
-        from repro.memory.policy import CACHE_POLICY_REGISTRY
-
-        if self.policy not in CACHE_POLICY_REGISTRY:
-            raise ValueError(
-                f"unknown cache policy {self.policy!r}; valid policies: "
-                f"{_known_choices(CACHE_POLICY_REGISTRY)}"
-            )
-        if not 0.0 <= self.gpu_budget_fraction <= 1.0:
-            raise ValueError(
-                f"gpu_budget_fraction must be in [0, 1], got {self.gpu_budget_fraction}"
-            )
-        if self.gpu_budget_mb is not None and self.gpu_budget_mb < 0:
-            raise ValueError(f"gpu_budget_mb must be >= 0, got {self.gpu_budget_mb}")
-        if self.pinned_budget_mb < 0:
-            raise ValueError(
-                f"pinned_budget_mb must be >= 0, got {self.pinned_budget_mb}"
-            )
-        if self.spill_budget_mb is not None and self.spill_budget_mb < 0:
-            raise ValueError(
-                f"spill_budget_mb must be >= 0, got {self.spill_budget_mb}"
-            )
-        if not isinstance(self.block_rows, int) or isinstance(self.block_rows, bool):
-            raise ValueError(f"block_rows must be an int, got {self.block_rows!r}")
-        check_positive("block_rows", self.block_rows)
+        self.to_memory_config()
 
     def to_memory_config(self) -> "MemoryConfig":  # noqa: F821 - forward ref
         """Materialize the core-level :class:`repro.memory.MemoryConfig`."""
@@ -331,12 +293,18 @@ class MemorySpec(_SpecBase):
 
 @dataclass(frozen=True)
 class ServingSpec(_SpecBase):
-    """Online-serving section of a run: engine topology + scheduler knobs."""
+    """Online-serving section of a run: engine topology + scheduler knobs.
+
+    Construction builds the core :class:`ServingConfig` and
+    :class:`FleetConfig` for every kind, so each knob is validated once, by
+    its core rule, before any engine exists.
+    """
 
     #: ``"local"`` (one :class:`ServingScheduler`), ``"sharded"``
-    #: (:class:`ShardedServingEngine` over ``num_shards`` full replicas) or
-    #: ``"fleet"`` (:class:`FleetServingEngine`: node-sharded store,
-    #: admission control, elastic replica pool)
+    #: (:class:`ShardedServingEngine`: ``num_shards`` replicas over one
+    #: shared store, round-robin routing) or ``"fleet"``
+    #: (:class:`FleetServingEngine`: node-ownership routing, admission
+    #: control, elastic replica pool)
     kind: str = "local"
     num_shards: int = 1
     window: int = 8
@@ -360,16 +328,11 @@ class ServingSpec(_SpecBase):
     trace: TraceSpec = field(default_factory=TraceSpec)
 
     def __post_init__(self) -> None:
-        from repro.graph.partition import PARTITION_MODES
-
         if isinstance(self.trace, Mapping):
             object.__setattr__(self, "trace", TraceSpec.from_dict(self.trace))
-        if self.kind not in SERVING_KINDS:
-            raise ValueError(
-                f"unknown serving kind {self.kind!r}; valid kinds: "
-                f"{_known_choices(SERVING_KINDS)}"
-            )
-        check_positive("num_shards", self.num_shards)
+        check_choice("serving kind", self.kind, SERVING_KINDS, "kinds")
+        self.to_serving_config()
+        self.to_fleet_config()
         if self.kind == "local" and self.num_shards != 1:
             raise ValueError(
                 f"serving kind 'local' requires num_shards=1, got {self.num_shards}; "
@@ -379,20 +342,6 @@ class ServingSpec(_SpecBase):
             raise ValueError(
                 f"serving kind {self.kind!r} requires num_shards>=2, got "
                 f"{self.num_shards}"
-            )
-        check_positive("min_replicas", self.min_replicas)
-        check_positive("admission_limit", self.admission_limit)
-        check_positive("slo_p99_ms", self.slo_p99_ms)
-        if self.partition_mode not in PARTITION_MODES:
-            raise ValueError(
-                f"unknown partition_mode {self.partition_mode!r}; valid modes: "
-                f"{_known_choices(tuple(PARTITION_MODES))}"
-            )
-        ceiling = self.num_shards if self.max_replicas is None else self.max_replicas
-        if not self.min_replicas <= ceiling <= self.num_shards:
-            raise ValueError(
-                f"need min_replicas <= max_replicas <= num_shards, got "
-                f"min={self.min_replicas} max={ceiling} shards={self.num_shards}"
             )
 
     def to_serving_config(self) -> "ServingConfig":  # noqa: F821 - forward ref
@@ -409,7 +358,7 @@ class ServingSpec(_SpecBase):
         )
 
     def to_fleet_config(self) -> "FleetConfig":  # noqa: F821 - forward ref
-        """Materialize the engine-level :class:`FleetConfig` (kind 'fleet')."""
+        """Materialize the engine-level :class:`FleetConfig`."""
         from repro.distributed.fleet import FleetConfig
 
         return FleetConfig(

@@ -4,7 +4,6 @@ from repro.core.config import PiPADConfig
 from repro.core.slicer import GraphSlicer
 from repro.core.data_prep import DataPreparer, PartitionData
 from repro.core.datapipe import (
-    DATAPIPE_VARIANTS,
     DataPipe,
     DataPipeConfig,
     PipeItem,
@@ -30,7 +29,6 @@ __all__ = [
     "GraphSlicer",
     "DataPreparer",
     "PartitionData",
-    "DATAPIPE_VARIANTS",
     "DataPipe",
     "DataPipeConfig",
     "PipeItem",

@@ -1,20 +1,20 @@
 """Staged data pipeline with transparent, depth-bounded prefetching.
 
-The monolithic :class:`~repro.core.data_prep.DataPreparer` path scheduled
-one opaque ``host_prep`` op and one H2D transfer per partition; this module
-decomposes that into composable stages —
+Every partition moves from host memory onto the device through one chain of
+stages —
 
     slice  →  gather  →  pin  →  h2d
 
 (``slice`` builds the partition's batched index structures, ``gather``
 collects the feature/adjacency rows into one contiguous staging buffer,
-``pin`` copies it into page-locked memory, ``h2d`` crosses the PCIe link) —
-and adds a :class:`Prefetcher` that schedules item ``i``'s host stages while
-item ``i - 1`` (.. ``i - depth``) still computes, the GraphBolt-style
-bounded prefetch buffer.  Only timeline accounting changes: the numerics
+``pin`` copies it into page-locked memory, ``h2d`` crosses the PCIe link;
+``pin`` is left out when ``pin_memory`` is off) — and a :class:`Prefetcher`
+schedules item ``i``'s host stages while item ``i - 1`` (.. ``i - depth``)
+still computes, the GraphBolt-style bounded prefetch buffer.  Only timeline
+accounting depends on the pipe: the numerics
 (:class:`~repro.core.data_prep.PartitionData` and everything downstream)
-are untouched, so losses and serving outputs stay bit-identical to the
-monolithic path.
+are the same for every depth and pinning choice, so losses and serving
+outputs stay bit-identical.
 
 Depth semantics on the deterministic list-scheduler: the first host stage
 of item ``i`` depends on the *consumption* op (the kernels that read the
@@ -50,6 +50,7 @@ from repro.graph.sliced_csr import DEFAULT_SLICE_CAPACITY
 from repro.graph.snapshot import GraphSnapshot
 from repro.memory.cache import TIER_PINNED
 from repro.telemetry.hooks import NULL_CALLBACK, TelemetryCallback
+from repro.utils.validation import check_int, check_non_negative
 
 #: canonical stage names, in execution order
 STAGE_SLICE = "slice"
@@ -65,13 +66,6 @@ STAGE_REGISTRY: Dict[str, str] = {
     STAGE_H2D: "ship the staged partition across the PCIe link (copy engine)",
 }
 
-#: pipeline variant -> ordered stage tuple.  ``monolithic`` is the legacy
-#: accounting (one opaque host op + the transfer); ``staged`` is the default.
-DATAPIPE_VARIANTS: Dict[str, Tuple[str, ...]] = {
-    "staged": (STAGE_SLICE, STAGE_GATHER, STAGE_PIN, STAGE_H2D),
-    "monolithic": (STAGE_SLICE, STAGE_H2D),
-}
-
 
 @dataclass(frozen=True)
 class DataPipeConfig:
@@ -81,8 +75,6 @@ class DataPipeConfig:
     core never imports :mod:`repro.api`.
     """
 
-    #: pipeline variant (key of :data:`DATAPIPE_VARIANTS`)
-    pipeline: str = "staged"
     #: max items prepared ahead of the one currently computing; 0 serializes
     prefetch_depth: int = 2
     #: stage the transfer through page-locked memory (adds the ``pin`` stage;
@@ -90,19 +82,8 @@ class DataPipeConfig:
     pin_memory: bool = True
 
     def __post_init__(self) -> None:
-        if self.pipeline not in DATAPIPE_VARIANTS:
-            raise ValueError(
-                f"unknown datapipe pipeline {self.pipeline!r}; valid: "
-                f"{', '.join(sorted(DATAPIPE_VARIANTS))}"
-            )
-        if not isinstance(self.prefetch_depth, int) or isinstance(self.prefetch_depth, bool):
-            raise ValueError(
-                f"prefetch_depth must be an int, got {self.prefetch_depth!r}"
-            )
-        if self.prefetch_depth < 0:
-            raise ValueError(
-                f"prefetch_depth must be >= 0, got {self.prefetch_depth}"
-            )
+        check_int("prefetch_depth", self.prefetch_depth)
+        check_non_negative("prefetch_depth", self.prefetch_depth)
 
 
 @dataclass(frozen=True)
@@ -154,10 +135,11 @@ class DataPipe:
         self.preparer = preparer or DataPreparer(
             slice_capacity, self.host, use_sliced_csr=use_sliced_csr
         )
-        stages = DATAPIPE_VARIANTS[self.config.pipeline]
-        if not self.config.pin_memory:
-            stages = tuple(s for s in stages if s != STAGE_PIN)
-        self.stages: Tuple[str, ...] = stages
+        self.stages: Tuple[str, ...] = tuple(
+            stage
+            for stage in STAGE_REGISTRY
+            if stage != STAGE_PIN or self.config.pin_memory
+        )
         #: last host-stage op of the synchronous (depth-0) path; depth-0
         #: prefetchers sharing this pipe chain their host stages through it,
         #: modelling the one host thread that prepares items in program order
@@ -416,7 +398,6 @@ def build_datapipe(
 
 
 __all__ = [
-    "DATAPIPE_VARIANTS",
     "DataPipe",
     "DataPipeConfig",
     "PipeItem",

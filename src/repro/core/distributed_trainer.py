@@ -44,7 +44,7 @@ from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.partition import PARTITION_MODES, GraphPartitioner
 from repro.graph.snapshot import GraphSnapshot
 from repro.memory import MemoryConfig
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_choice, check_positive
 
 #: smallest per-device cost fraction (guards ``KernelCost.scaled`` against
 #: degenerate shards that own nodes but no edges in some snapshot)
@@ -65,16 +65,10 @@ class DistributedConfig:
 
     def __post_init__(self) -> None:
         check_positive("num_devices", self.num_devices)
-        if self.partition_mode not in PARTITION_MODES:
-            raise ValueError(
-                f"unknown partition_mode {self.partition_mode!r}; expected one "
-                f"of {PARTITION_MODES}"
-            )
-        if self.interconnect not in INTERCONNECT_KINDS:
-            raise ValueError(
-                f"unknown interconnect {self.interconnect!r}; expected one of "
-                f"{INTERCONNECT_KINDS}"
-            )
+        check_choice("interconnect", self.interconnect, INTERCONNECT_KINDS, "kinds")
+        check_choice(
+            "partition_mode", self.partition_mode, PARTITION_MODES, "partition modes"
+        )
 
 
 class DistributedTrainer(GroupTrainer):

@@ -58,7 +58,7 @@ from repro.graph.frame import Frame
 from repro.graph.partition import SCHEDULE_MODES, FramePartitioner
 from repro.graph.snapshot import GraphSnapshot
 from repro.memory import MemoryConfig
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_choice, check_positive
 
 
 @dataclass(frozen=True)
@@ -74,15 +74,8 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         check_positive("num_devices", self.num_devices)
-        if self.interconnect not in INTERCONNECT_KINDS:
-            raise ValueError(
-                f"unknown interconnect {self.interconnect!r}; expected one of "
-                f"{INTERCONNECT_KINDS}"
-            )
-        if self.schedule not in SCHEDULE_MODES:
-            raise ValueError(
-                f"unknown schedule {self.schedule!r}; expected one of {SCHEDULE_MODES}"
-            )
+        check_choice("interconnect", self.interconnect, INTERCONNECT_KINDS, "kinds")
+        check_choice("schedule", self.schedule, SCHEDULE_MODES, "schedules")
 
 
 class PipelineTrainer(GroupTrainer):

@@ -1,15 +1,16 @@
 """Fleet-scale serving: node-sharded store, load-aware admission, elastic replicas.
 
 :class:`FleetServingEngine` is the "millions of users" counterpart of the
-replicated :class:`~repro.distributed.serving.ShardedServingEngine`.  Three
-things change relative to round-robin replication:
+round-robin :class:`~repro.distributed.serving.ShardedServingEngine`.  Both
+share one :class:`~repro.serving.store.IncrementalSnapshotStore` across
+their replicas and apply each delta to it once; three things change
+relative to round-robin replication:
 
-**Node-sharded store.**  All replicas share one
-:class:`~repro.serving.store.IncrementalSnapshotStore`, and a
-:class:`~repro.graph.partition.GraphPartitioner` plan assigns each replica a
-contiguous node range it *owns*.  A deployed shard holds only its own rows
-(features + adjacency row range + halo rows) instead of a full window copy,
-so per-replica store memory drops ~K-fold; the report accounts that
+**Node-sharded store.**  A :class:`~repro.graph.partition.GraphPartitioner`
+plan assigns each replica a contiguous node range it *owns*.  A deployed
+shard holds only its own rows (features + adjacency row range + halo rows)
+instead of the full window copy the sharded engine accounts per replica, so
+per-replica store memory drops ~K-fold; the report accounts that
 shard-local footprint per replica.  Requests whose nodes spill outside the
 owner's range pay an explicit *halo gather* — a host op sized by the remote
 rows times the window depth at the host gather bandwidth — scheduled through
@@ -40,25 +41,26 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Any, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.datapipe import DataPipeConfig
 from repro.distributed.serving import _BATCH_ID_STRIDE, ShardedServingEngine
 from repro.graph.csr import INDEX_BYTES
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.partition import PARTITION_MODES, GraphPartitioner
-from repro.gpu.spec import GPUSpec, HostSpec, PCIeSpec
-from repro.memory import MemoryConfig
 from repro.nn.base_model import DGNNModel
 from repro.serving.batcher import MicroBatch
-from repro.serving.deltas import GraphDelta
 from repro.serving.metrics import ServingReport
-from repro.serving.scheduler import BatchResult, ServingConfig, ServingScheduler
-from repro.serving.store import DeltaReport, IncrementalSnapshotStore
+from repro.serving.scheduler import (
+    BatchResult,
+    ServingConfig,
+    ServingScheduler,
+    _build_serving_replicas,
+)
+from repro.serving.store import IncrementalSnapshotStore
 from repro.telemetry.hooks import NULL_CALLBACK, TelemetryCallback
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_choice, check_positive
 
 
 @dataclass(frozen=True)
@@ -95,11 +97,9 @@ class FleetConfig:
                 f"need min_replicas <= max_replicas <= num_shards, got "
                 f"min={self.min_replicas} max={ceiling} shards={self.num_shards}"
             )
-        if self.partition_mode not in PARTITION_MODES:
-            raise ValueError(
-                f"unknown partition mode {self.partition_mode!r}; expected one "
-                f"of {PARTITION_MODES}"
-            )
+        check_choice(
+            "partition_mode", self.partition_mode, PARTITION_MODES, "partition modes"
+        )
 
     @property
     def replica_ceiling(self) -> int:
@@ -119,10 +119,11 @@ class ScaleEvent:
 class FleetServingEngine(ShardedServingEngine):
     """Node-sharded, admission-controlled, autoscaling serving fleet.
 
-    Inherits the id bookkeeping, pump re-keying, trace replay and report
-    merging of :class:`ShardedServingEngine`; overrides ingestion (shared
-    store, applied once), routing (ownership + queue depth + admission) and
-    extends the merged report with fleet accounting.
+    Inherits the shared store and its apply-once ingestion, the id
+    bookkeeping, pump re-keying, trace replay and report merging of
+    :class:`ShardedServingEngine`; overrides routing (ownership + queue
+    depth + admission) and extends the merged report with fleet accounting
+    (node-sharded store footprint, admission, scaling, halo).
     """
 
     def __init__(
@@ -131,20 +132,13 @@ class FleetServingEngine(ShardedServingEngine):
         store: IncrementalSnapshotStore,
         config: Optional[FleetConfig] = None,
     ) -> None:
-        super().__init__(replicas)
+        super().__init__(replicas, store)
         self.fleet_config = config or FleetConfig()
         if self.fleet_config.num_shards != len(replicas):
             raise ValueError(
                 f"FleetConfig.num_shards={self.fleet_config.num_shards} but "
                 f"{len(replicas)} replicas were provided"
             )
-        for replica in replicas:
-            if replica.store is not store:
-                raise ValueError(
-                    "fleet replicas must share one IncrementalSnapshotStore; "
-                    "build them through build_fleet_serving_engine"
-                )
-        self.store = store
         #: engine-level telemetry sink (scale events); the runtime swaps in a
         #: live CallbackList alongside the per-replica hooks
         self.hooks: TelemetryCallback = NULL_CALLBACK
@@ -216,21 +210,6 @@ class FleetServingEngine(ShardedServingEngine):
             return [op]
 
         return gather
-
-    # ------------------------------------------------------------------ ingestion
-    def ingest(self, delta: GraphDelta, *, at: Optional[float] = None) -> List[DeltaReport]:
-        """Apply a delta once to the shared store; every replica absorbs it.
-
-        Inactive replicas absorb too — their caches must be consistent the
-        moment a scale-up routes traffic at them.  Returns the single
-        :class:`DeltaReport` (in a list, for signature compatibility with the
-        replicated engine).
-        """
-        self._touch_wall_clock()
-        report = self.store.apply(delta)
-        for replica in self.replicas:
-            replica.absorb_delta(report, at=at)
-        return [report]
 
     # ------------------------------------------------------------------ routing
     def queue_depth(self, shard: int, now: float) -> int:
@@ -432,36 +411,13 @@ def build_fleet_serving_engine(
     model: DGNNModel,
     fleet: Optional[FleetConfig] = None,
     config: Optional[ServingConfig] = None,
-    *,
-    gpu: Optional[GPUSpec] = None,
-    pcie: Optional[PCIeSpec] = None,
-    host: Optional[HostSpec] = None,
-    scale: float = 1.0,
-    data: Optional[DataPipeConfig] = None,
-    memory: Optional[MemoryConfig] = None,
+    **kwargs: Any,
 ) -> FleetServingEngine:
-    """Wire a node-sharded fleet: one shared store, ``num_shards`` replicas."""
+    """Wire a node-sharded fleet: one shared store, ``num_shards`` replicas.
+
+    ``kwargs`` (``gpu``, ``pcie``, ``host``, ``scale``, ``data``,
+    ``memory``) reach every replica.
+    """
     fleet = fleet or FleetConfig()
-    config = config or ServingConfig()
-    if isinstance(graph, IncrementalSnapshotStore):
-        store = graph
-        dataset = "serving"
-    else:
-        store = IncrementalSnapshotStore(graph, window=config.window, host=host)
-        dataset = graph.name
-    replicas = [
-        ServingScheduler(
-            model,
-            store,
-            config,
-            gpu=gpu,
-            pcie=pcie,
-            host=host,
-            scale=scale,
-            dataset=dataset,
-            data=data,
-            memory=memory,
-        )
-        for _ in range(fleet.num_shards)
-    ]
-    return FleetServingEngine(replicas, store, fleet)
+    replicas = _build_serving_replicas(graph, model, fleet.num_shards, config, **kwargs)
+    return FleetServingEngine(replicas, replicas[0].store, fleet)

@@ -1,26 +1,28 @@
 """Sharded entry point for the streaming serving scheduler.
 
 Scales the single-device :class:`~repro.serving.scheduler.ServingScheduler`
-to a device group the way online inference tiers actually shard: one full
-serving replica (store + session + simulated GPU) per device, request
-traffic routed across the replicas, and graph deltas broadcast to all of
-them so every shard serves the same head version.  Routing is deterministic
-round-robin, so a trace replay is reproducible run to run — the property
-the golden determinism test locks in for the single-device engine.
+to a device group the way online inference tiers actually shard: one
+serving replica (session + caches + simulated GPU) per device, all reading
+one shared :class:`~repro.serving.store.IncrementalSnapshotStore`, with
+request traffic routed across the replicas.  A graph delta is applied to
+the store once and every replica absorbs the result, so every shard serves
+the same head version.  Each deployed replica would hold a full window
+copy, which is what the report accounts per replica.  Routing is
+deterministic round-robin, so a trace replay is reproducible run to run —
+the property the golden determinism test locks in for the single-device
+engine.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.datapipe import DataPipeConfig
 from repro.graph.dynamic_graph import DynamicGraph
-from repro.gpu.spec import GPUSpec, HostSpec, PCIeSpec
-from repro.memory import MemoryConfig, aggregate_cache_stats
+from repro.memory import aggregate_cache_stats
 from repro.nn.base_model import DGNNModel
 from repro.serving.deltas import GraphDelta, ServingEvent
 from repro.serving.metrics import ServingMetrics, ServingReport
@@ -28,9 +30,9 @@ from repro.serving.scheduler import (
     BatchResult,
     ServingConfig,
     ServingScheduler,
-    _build_serving_scheduler,
+    _build_serving_replicas,
 )
-from repro.serving.store import DeltaReport
+from repro.serving.store import DeltaReport, IncrementalSnapshotStore
 from repro.utils.validation import check_positive
 
 #: offset separating one shard's batch ids from the next in merged output
@@ -69,12 +71,20 @@ def _merge_stat_maps(
 
 
 class ShardedServingEngine:
-    """Fans request traffic across per-device serving replicas."""
+    """Fans request traffic across per-device replicas of one shared store."""
 
-    def __init__(self, replicas: List[ServingScheduler]) -> None:
+    def __init__(
+        self, replicas: List[ServingScheduler], store: IncrementalSnapshotStore
+    ) -> None:
         if not replicas:
             raise ValueError("need at least one serving replica")
+        if any(replica.store is not store for replica in replicas):
+            raise ValueError(
+                "replicas must share one IncrementalSnapshotStore; build them "
+                "through build_sharded_serving_engine or build_fleet_serving_engine"
+            )
         self.replicas = replicas
+        self.store = store
         self._next_shard = 0
         #: global request id -> (shard index, shard-local request id)
         self._routes: List[Tuple[int, int]] = []
@@ -93,10 +103,17 @@ class ShardedServingEngine:
         return len(self.replicas)
 
     # ------------------------------------------------------------------ traffic
-    def ingest(self, delta: GraphDelta, *, at: Optional[float] = None) -> List[DeltaReport]:
-        """Broadcast a graph delta to every shard (all serve the same head)."""
+    def ingest(self, delta: GraphDelta, *, at: Optional[float] = None) -> DeltaReport:
+        """Apply a delta once to the shared store; every replica absorbs it.
+
+        Replicas that receive no traffic absorb too, so their caches are
+        consistent the moment routing sends them a request.
+        """
         self._touch_wall_clock()
-        return [replica.ingest(delta, at=at) for replica in self.replicas]
+        report = self.store.apply(delta)
+        for replica in self.replicas:
+            replica.absorb_delta(report, at=at)
+        return report
 
     def submit(self, node_ids: Iterable[int], *, at: Optional[float] = None) -> int:
         """Route one request to the next shard; returns a global request id."""
@@ -185,11 +202,11 @@ class ShardedServingEngine:
         Latency records concatenate across shards (request ids map back to
         the global ids ``submit`` returned; batch ids are offset so they
         stay unique).  ``deltas_ingested`` is a logical per-engine count — a
-        broadcast delta is one update, not ``K`` — so it merges as the max
-        across replicas; ``rows_touched`` is fleet-wide patch *work* — every
-        replica invalidates and re-patches its own cache copy — so it merges
-        as the sum (replicas may see different traffic and touch different
-        row counts; copying replica 0's value would under-count).
+        delta every replica absorbs is one update, not ``K`` — so it merges
+        as the max across replicas; ``rows_touched`` is fleet-wide patch
+        *work* — every replica invalidates and re-patches its own cache — so
+        it merges as the sum (replicas may see different traffic and touch
+        different row counts; copying replica 0's value would under-count).
         """
         reports = [replica.report() for replica in self.replicas]
         merged = ServingMetrics()
@@ -230,9 +247,7 @@ class ShardedServingEngine:
         extras: Dict[str, float] = {"num_shards": float(self.num_shards)}
         for shard, report in enumerate(reports):
             extras[f"shard{shard}_requests"] = float(report.metrics.num_requests)
-        extras["per_replica_store_bytes"] = float(
-            np.mean([replica.store.window_bytes() for replica in self.replicas])
-        )
+        extras["per_replica_store_bytes"] = float(self.store.window_bytes())
         # Feature-cache tier counters add up across replicas; the aggregate
         # recomputes the blended hit rate rather than summing ratios.
         cache_stats = [
@@ -264,28 +279,13 @@ def build_sharded_serving_engine(
     model: DGNNModel,
     num_shards: int,
     config: Optional[ServingConfig] = None,
-    *,
-    gpu: Optional[GPUSpec] = None,
-    pcie: Optional[PCIeSpec] = None,
-    host: Optional[HostSpec] = None,
-    scale: float = 1.0,
-    data: Optional["DataPipeConfig"] = None,
-    memory: Optional[MemoryConfig] = None,
+    **kwargs: Any,
 ) -> ShardedServingEngine:
-    """Wire ``num_shards`` serving replicas behind one sharded entry point."""
+    """Wire ``num_shards`` replicas of one store behind a sharded entry point.
+
+    ``kwargs`` (``gpu``, ``pcie``, ``host``, ``scale``, ``data``,
+    ``memory``) reach every replica.
+    """
     check_positive("num_shards", num_shards)
-    replicas = [
-        _build_serving_scheduler(
-            graph,
-            model,
-            config,
-            gpu=gpu,
-            pcie=pcie,
-            host=host,
-            scale=scale,
-            data=data,
-            memory=memory,
-        )
-        for _ in range(num_shards)
-    ]
-    return ShardedServingEngine(replicas)
+    replicas = _build_serving_replicas(graph, model, num_shards, config, **kwargs)
+    return ShardedServingEngine(replicas, replicas[0].store)

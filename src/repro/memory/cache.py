@@ -25,6 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.utils.validation import (
+    check_choice,
+    check_in_range,
+    check_int,
+    check_non_negative,
+    check_positive,
+)
+
 from .policy import CACHE_POLICY_REGISTRY, CachePolicy, build_policy
 
 TIER_GPU = "gpu"
@@ -46,19 +54,13 @@ class MemoryConfig:
     block_rows: int = 256
 
     def __post_init__(self) -> None:
-        if self.policy not in CACHE_POLICY_REGISTRY:
-            known = ", ".join(sorted(CACHE_POLICY_REGISTRY))
-            raise ValueError(f"unknown cache policy {self.policy!r} (known: {known})")
-        if not 0.0 <= self.gpu_budget_fraction <= 1.0:
-            raise ValueError("gpu_budget_fraction must be within [0, 1]")
-        if self.gpu_budget_mb is not None and self.gpu_budget_mb < 0:
-            raise ValueError("gpu_budget_mb must be >= 0")
-        if self.pinned_budget_mb < 0:
-            raise ValueError("pinned_budget_mb must be >= 0")
-        if self.spill_budget_mb is not None and self.spill_budget_mb < 0:
-            raise ValueError("spill_budget_mb must be >= 0")
-        if self.block_rows < 1:
-            raise ValueError("block_rows must be a positive integer")
+        check_choice("cache policy", self.policy, CACHE_POLICY_REGISTRY, "policies")
+        check_in_range("gpu_budget_fraction", self.gpu_budget_fraction, 0.0, 1.0)
+        for name in ("gpu_budget_mb", "pinned_budget_mb", "spill_budget_mb"):
+            if getattr(self, name) is not None:
+                check_non_negative(name, getattr(self, name))
+        check_int("block_rows", self.block_rows)
+        check_positive("block_rows", self.block_rows)
 
 
 @dataclass

@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from repro.serving.metrics import BatchRecord, RequestRecord, ServingMetrics, Se
 from repro.serving.session import InferenceSession
 from repro.serving.store import DeltaReport, IncrementalSnapshotStore
 from repro.telemetry.hooks import NULL_CALLBACK, TelemetryCallback
-from repro.utils.validation import check_in_range, check_positive
+from repro.utils.validation import check_in_range, check_non_negative, check_positive
 
 #: per-snapshot activation-memory amplification (matches the trainer's bound;
 #: the tuner's forward-only entry point halves it for serving)
@@ -87,8 +87,7 @@ class ServingConfig:
     def __post_init__(self) -> None:
         check_positive("window", self.window)
         check_positive("max_batch_requests", self.max_batch_requests)
-        if self.max_delay_ms < 0:
-            raise ValueError("max_delay_ms must be >= 0")
+        check_non_negative("max_delay_ms", self.max_delay_ms)
         if not self.s_per_candidates:
             raise ValueError("s_per_candidates must not be empty")
         for s in self.s_per_candidates:
@@ -641,9 +640,10 @@ class ServingScheduler:
         )
 
 
-def _build_serving_scheduler(
+def _build_serving_replicas(
     graph: Union[DynamicGraph, IncrementalSnapshotStore],
     model: DGNNModel,
+    num_replicas: int,
     config: Optional[ServingConfig] = None,
     *,
     gpu: Optional[GPUSpec] = None,
@@ -652,8 +652,12 @@ def _build_serving_scheduler(
     scale: float = 1.0,
     data: Optional[DataPipeConfig] = None,
     memory: Optional[MemoryConfig] = None,
-) -> ServingScheduler:
-    """Wire a store + scheduler for a trained model (engine-internal path)."""
+) -> List[ServingScheduler]:
+    """Wire ``num_replicas`` schedulers over one shared store (engine-internal).
+
+    A graph gets a fresh store and names the reports after itself; a store
+    passed in is shared as is, and the reports name the dataset ``serving``.
+    """
     config = config or ServingConfig()
     if isinstance(graph, IncrementalSnapshotStore):
         store = graph
@@ -661,15 +665,29 @@ def _build_serving_scheduler(
     else:
         store = IncrementalSnapshotStore(graph, window=config.window, host=host)
         dataset = graph.name
-    return ServingScheduler(
-        model,
-        store,
-        config,
-        gpu=gpu,
-        pcie=pcie,
-        host=host,
-        scale=scale,
-        dataset=dataset,
-        data=data,
-        memory=memory,
-    )
+    return [
+        ServingScheduler(
+            model,
+            store,
+            config,
+            gpu=gpu,
+            pcie=pcie,
+            host=host,
+            scale=scale,
+            dataset=dataset,
+            data=data,
+            memory=memory,
+        )
+        for _ in range(num_replicas)
+    ]
+
+
+def _build_serving_scheduler(
+    graph: Union[DynamicGraph, IncrementalSnapshotStore],
+    model: DGNNModel,
+    config: Optional[ServingConfig] = None,
+    **kwargs: Any,
+) -> ServingScheduler:
+    """Wire a store + scheduler for a trained model (engine-internal path)."""
+    (replica,) = _build_serving_replicas(graph, model, 1, config, **kwargs)
+    return replica

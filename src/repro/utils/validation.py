@@ -23,6 +23,20 @@ def check_non_negative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
+def check_int(name: str, value: Any) -> None:
+    """Raise ``ValueError`` unless ``value`` is an ``int`` (``bool`` excluded)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+def check_choice(name: str, value: Any, valid: Iterable[str], plural: str) -> None:
+    """Raise ``ValueError`` listing the valid ``plural`` unless ``value`` is one."""
+    if value not in valid:
+        raise ValueError(
+            f"unknown {name} {value!r}; valid {plural}: {', '.join(sorted(valid))}"
+        )
+
+
 def check_in_range(
     name: str, value: float, low: float, high: float, *, inclusive: bool = True
 ) -> None:

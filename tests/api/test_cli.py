@@ -20,7 +20,7 @@ class TestList:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         for section in ("datasets:", "models:", "methods:", "device_kinds:",
-                        "serving_kinds:", "datapipes:", "datapipe_stages:",
+                        "serving_kinds:", "datapipe_stages:",
                         "experiments:", "presets:",
                         "telemetry_callbacks:", "telemetry_exporters:"):
             assert section in out
@@ -35,8 +35,7 @@ class TestList:
         assert "table1" in catalogue["experiments"]
         assert "logging" in catalogue["telemetry_callbacks"]
         assert "chrome-trace" in catalogue["telemetry_exporters"]
-        assert {"staged", "monolithic"} <= set(catalogue["datapipes"])
-        # Every stage the list shows is a real stage of the staged variant.
+        # The one stage chain, in execution order.
         assert list(catalogue["datapipe_stages"]) == ["slice", "gather", "pin", "h2d"]
 
 
@@ -180,12 +179,12 @@ class TestSetCoercion:
             [
                 "data.prefetch_depth=4",
                 "data.pin_memory=False",
-                "data.pipeline=monolithic",
+                "data.pipeline=staged",
             ],
         )
         assert spec.data.prefetch_depth == 4
         assert spec.data.pin_memory is False
-        assert spec.data.pipeline == "monolithic"
+        assert spec.data.pipeline == "staged"
 
     def test_unknown_datapipe_variant_rejected(self):
         with pytest.raises(ValueError, match="unknown datapipe pipeline"):

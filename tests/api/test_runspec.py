@@ -83,11 +83,11 @@ class TestRoundTrip:
     def test_data_section_round_trips(self):
         spec = RunSpec(
             dataset="flickr",
-            data=DataSpec(pipeline="monolithic", prefetch_depth=0, pin_memory=False),
+            data=DataSpec(prefetch_depth=0, pin_memory=False),
         )
         restored = RunSpec.from_json(spec.to_json())
         assert restored == spec
-        assert restored.data.pipeline == "monolithic"
+        assert restored.data.prefetch_depth == 0
         assert restored.data.pin_memory is False
 
 
@@ -180,6 +180,9 @@ class TestValidation:
     def test_unknown_interconnect(self):
         with pytest.raises(ValueError, match="unknown interconnect"):
             DeviceSpec(kind="group", num_devices=2, interconnect="infiniband")
+        # Checked for every kind, not only the ones that use a peer link.
+        with pytest.raises(ValueError, match="unknown interconnect 'x'; valid kinds"):
+            DeviceSpec(kind="single", interconnect="x")
 
     def test_unknown_serving_kind(self):
         with pytest.raises(ValueError, match="unknown serving kind"):
@@ -211,6 +214,25 @@ class TestValidation:
         with pytest.raises(ValueError, match="admission_limit"):
             ServingSpec(kind="fleet", num_shards=2, admission_limit=0)
 
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            {"window": 0},
+            {"max_batch_requests": 0},
+            {"max_delay_ms": -1},
+            {"fixed_s_per": 0},
+        ],
+        ids=lambda knob: next(iter(knob)),
+    )
+    def test_scheduler_knobs_rejected_before_an_engine_exists(self, knob):
+        """An invalid scheduler knob fails at spec construction, not when
+        the serving engine is first built after training."""
+        (name,) = knob
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            ServingSpec(**knob)
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            RunSpec(dataset="flickr", serving=knob)
+
     def test_trace_fraction_bounds(self):
         with pytest.raises(ValueError, match="request_fraction"):
             TraceSpec(request_fraction=1.5)
@@ -220,8 +242,11 @@ class TestValidation:
             RunSpec(dataset="flickr", optimizer="lion")
 
     def test_unknown_datapipe_pipeline_names_choices(self):
-        with pytest.raises(ValueError, match="unknown datapipe pipeline 'turbo'.*staged"):
-            DataSpec(pipeline="turbo")
+        for name in ("turbo", "monolithic"):
+            with pytest.raises(
+                ValueError, match=f"unknown datapipe pipeline '{name}'.*staged"
+            ):
+                DataSpec(pipeline=name)
 
     def test_negative_prefetch_depth_rejected(self):
         with pytest.raises(ValueError, match="prefetch_depth must be >= 0"):
@@ -278,7 +303,7 @@ class TestMaterialization:
     def test_data_spec_materializes_pipe_config(self):
         from repro.core.datapipe import DataPipeConfig
 
-        data = DataSpec(pipeline="monolithic", prefetch_depth=3, pin_memory=False)
+        data = DataSpec(prefetch_depth=3, pin_memory=False)
         assert data.to_pipe_config() == DataPipeConfig(
-            pipeline="monolithic", prefetch_depth=3, pin_memory=False
+            prefetch_depth=3, pin_memory=False
         )

@@ -3,7 +3,7 @@
 The tentpole invariant mirrors the trainer suites: the datapipe only moves
 *when* prep work runs on the simulated timelines — losses and serving
 predictions must stay bit-identical across every prefetch depth and
-pipeline variant.
+pinning choice.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.baselines import TrainerConfig
 from repro.core import (
-    DATAPIPE_VARIANTS,
     DataPipe,
     DataPipeConfig,
     DistributedConfig,
@@ -48,13 +47,8 @@ def _pipad() -> PiPADConfig:
 class TestDataPipeConfig:
     def test_defaults(self):
         config = DataPipeConfig()
-        assert config.pipeline == "staged"
         assert config.prefetch_depth == 2
         assert config.pin_memory is True
-
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError, match="unknown datapipe pipeline"):
-            DataPipeConfig(pipeline="turbo")
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
@@ -66,7 +60,12 @@ class TestDataPipeConfig:
             DataPipeConfig(prefetch_depth=depth)
 
     def test_every_variant_is_described(self):
-        for stages in DATAPIPE_VARIANTS.values():
+        """The one stage chain is exactly the described stages, in order."""
+        assert tuple(STAGE_REGISTRY) == (
+            STAGE_SLICE, STAGE_GATHER, STAGE_PIN, STAGE_H2D,
+        )
+        for pin_memory in (True, False):
+            stages = build_datapipe(DataPipeConfig(pin_memory=pin_memory)).stages
             assert stages[0] == STAGE_SLICE
             assert stages[-1] == STAGE_H2D
             assert all(stage in STAGE_REGISTRY for stage in stages)
@@ -83,11 +82,6 @@ class TestStageComposition:
         pipe = build_datapipe(DataPipeConfig(pin_memory=False))
         assert pipe.stages == (STAGE_SLICE, STAGE_GATHER, STAGE_H2D)
         assert not pipe.pinned
-
-    def test_monolithic_is_slice_plus_h2d(self):
-        pipe = build_datapipe(DataPipeConfig(pipeline="monolithic"))
-        assert pipe.stages == (STAGE_SLICE, STAGE_H2D)
-        assert pipe.host_stages == (STAGE_SLICE,)
 
 
 class TestStageCosts:
@@ -294,18 +288,6 @@ class TestTrainerParity:
             )
             curves[depth] = trainer.train().loss_curve()
         assert curves[0] == curves[4]
-
-    def test_monolithic_variant_matches_staged(self, small_graph):
-        staged = PiPADTrainer(
-            small_graph, _config(), _pipad(), data_config=DataPipeConfig()
-        ).train()
-        monolithic = PiPADTrainer(
-            small_graph,
-            _config(),
-            _pipad(),
-            data_config=DataPipeConfig(pipeline="monolithic", pin_memory=False),
-        ).train()
-        assert monolithic.loss_curve() == staged.loss_curve()
 
     def test_pipeline_trainer_parity_and_prefetch_wins(self, small_graph):
         results = {}

@@ -171,6 +171,21 @@ class TestShardedServing:
         versions = {tuple(r.store.window_versions()) for r in engine.replicas}
         assert len(versions) == 1  # all shards serve the same head state
 
+    def test_replicas_share_one_store_applied_once_per_delta(self, small_graph):
+        engine = self.make_engine(small_graph, 3)
+        assert all(replica.store is engine.store for replica in engine.replicas)
+        deltas = [
+            e.delta
+            for e in synthesize_serving_trace(small_graph[-1], 40, seed=7)
+            if e.kind == "delta"
+        ][:3]
+        for delta in deltas:
+            report = engine.ingest(delta, at=0.0)
+            assert report.version == engine.store.window_versions()[-1]
+        assert engine.store.deltas_applied == len(deltas)
+        # Every replica absorbed every delta: caches and counters follow.
+        assert [r.metrics.deltas_ingested for r in engine.replicas] == [len(deltas)] * 3
+
     def test_routing_is_recorded(self, small_graph):
         engine = self.make_engine(small_graph, 2)
         first = engine.submit([0, 1], at=0.0)
@@ -246,6 +261,7 @@ class TestShardedServing:
         trace = synthesize_serving_trace(small_graph[-1], 30, seed=5)
         report = engine.run_trace(trace)
         assert report.engine.endswith("-x2")
+        assert report.dataset == small_graph.name
         assert report.extras["num_shards"] == 2.0
         assert report.simulated_seconds == max(
             r.device.elapsed_seconds() for r in engine.replicas

@@ -352,6 +352,7 @@ class TestFleetReport:
             sum(r.prefetcher.stats()["prefetch_host_seconds"] for r in engine.replicas)
         )
         assert report.engine == "PiPAD-Fleet-x2"
+        assert report.dataset == small_graph.name
 
 
 class TestFleetFeatureCache:
@@ -492,8 +493,7 @@ class TestFleetValidation:
 
     def test_replicas_must_share_the_store(self, small_graph):
         model = build_model("tgcn", small_graph.feature_dim, 8, seed=0)
-        sharded = build_sharded_serving_engine(small_graph, model, 2)
+        # Built one by one, each replica gets its own store.
+        replicas = [_build_serving_scheduler(small_graph, model) for _ in range(2)]
         with pytest.raises(ValueError, match="share one IncrementalSnapshotStore"):
-            FleetServingEngine(
-                sharded.replicas, sharded.replicas[0].store, FleetConfig(num_shards=2)
-            )
+            FleetServingEngine(replicas, replicas[0].store, FleetConfig(num_shards=2))

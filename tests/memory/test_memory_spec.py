@@ -38,6 +38,10 @@ class TestValidation:
             MemorySpec(block_rows=0)
         with pytest.raises(ValueError, match="block_rows"):
             MemorySpec(block_rows=1.5)
+        # The core config owns the rule (it once accepted True and 2.5).
+        for block_rows in (0, 2.5, True):
+            with pytest.raises(ValueError, match="block_rows"):
+                MemoryConfig(block_rows=block_rows)
 
     def test_to_memory_config_mirrors_fields(self):
         spec = MemorySpec(
