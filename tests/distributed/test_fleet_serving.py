@@ -9,7 +9,6 @@ from repro.distributed import (
     FleetConfig,
     FleetServingEngine,
     build_fleet_serving_engine,
-    build_sharded_serving_engine,
 )
 from repro.memory import MemoryConfig
 from repro.nn import build_model
