@@ -89,11 +89,13 @@ class KernelCost:
             raise ValueError(f"unknown category {self.category!r}; expected one of {CATEGORIES}")
         if not 0.0 < self.active_thread_ratio <= 1.0:
             raise ValueError(f"active_thread_ratio must be in (0, 1], got {self.active_thread_ratio}")
-        if self.imbalance < 1.0:
+        # ``not x >= bound`` rather than ``x < bound``, so NaN is rejected too
+        if not self.imbalance >= 1.0:
             raise ValueError(f"imbalance must be >= 1, got {self.imbalance}")
         for attr in ("flops", "global_read_bytes", "global_write_bytes", "mem_requests", "mem_transactions"):
-            if getattr(self, attr) < 0:
-                raise ValueError(f"{attr} must be >= 0")
+            value = getattr(self, attr)
+            if not value >= 0:
+                raise ValueError(f"{attr} must be >= 0, got {value}")
         if not 0.0 < self.bandwidth_efficiency <= 1.0:
             raise ValueError(
                 f"bandwidth_efficiency must be in (0, 1], got {self.bandwidth_efficiency}"

@@ -18,13 +18,27 @@ extensive quantities of every op whose leading dimension equals the snapshot
 node count by ``scale``, so kernel and transfer times land in the regime the
 paper measured while numerics stay cheap.  Ops that do not touch the node
 dimension (e.g. EvolveGCN's weight-evolving GRU) are left unscaled.
+
+Memoized generic costs
+----------------------
+A model emits the same few dozen op shapes over and over (a serving run
+sees ~17.5k events but only ~36 distinct generic ops), so the collector
+computes each generic cost once.  :func:`estimate_event_cost` reads only the
+event's ``name``, ``phase``, ``input_shapes``, ``output_shapes`` and
+``attrs["scope"]`` plus the spec, and the collector's extrapolation adds only
+``num_nodes`` and ``scale``; the memo keys on all eight, so a hit returns the
+cost a fresh computation would build, already scaled.  ``KernelCost`` is
+frozen, so one object is safely shared by every event with that key.  Events
+carrying an explicit ``kernel_cost`` bypass the memo, and traced runs count
+one ``estimate_event_cost`` call per distinct key rather than per event.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import lru_cache
+from typing import List, Optional, Tuple
 
 from repro.gpu.kernel_cost import (
     CATEGORY_AGGREGATION,
@@ -140,6 +154,30 @@ def estimate_event_cost(event: OpEvent, spec: GPUSpec) -> Optional[KernelCost]:
     )
 
 
+@lru_cache(maxsize=1024, typed=True)
+def _generic_cost(
+    name: str,
+    phase: str,
+    input_shapes: Tuple[Tuple[int, ...], ...],
+    output_shapes: Tuple[Tuple[int, ...], ...],
+    scope: str,
+    spec: GPUSpec,
+    num_nodes: int,
+    scale: float,
+) -> Optional[KernelCost]:
+    """The collector's cost of a generic op, memoized on every input it reads.
+
+    Ops whose leading dimension is the snapshot node count are extrapolated
+    by ``scale`` (see the module docstring).
+    """
+    event = OpEvent(name, phase, input_shapes, output_shapes, {"scope": scope})
+    cost = estimate_event_cost(event, spec)
+    if cost is not None and scale != 1.0 and num_nodes > 0:
+        if any(len(s) >= 1 and s[0] == num_nodes for s in input_shapes + output_shapes):
+            cost = cost.scaled(scale)
+    return cost
+
+
 @dataclass
 class KernelCostCollector:
     """Op observer that accumulates kernel costs for one execution region.
@@ -163,22 +201,24 @@ class KernelCostCollector:
 
     def __call__(self, event: OpEvent) -> None:
         self.events_seen += 1
-        cost = estimate_event_cost(event, self.spec)
-        if cost is None:
-            return
         # Kernels that attach an explicit cost (SpMM flavours, UpdateGEMM)
         # already applied their own workload scale; only generic dense ops
-        # are extrapolated here.
-        is_explicit = event.attrs.get("kernel_cost") is not None
-        if not is_explicit and self.scale != 1.0 and self._touches_node_dim(event):
-            cost = cost.scaled(self.scale)
+        # are estimated (and extrapolated) here.
+        cost = event.attrs.get("kernel_cost")
+        if cost is None:
+            cost = _generic_cost(
+                event.name,
+                event.phase,
+                event.input_shapes,
+                event.output_shapes,
+                event.attrs.get("scope", "other"),
+                self.spec,
+                self.num_nodes,
+                self.scale,
+            )
+            if cost is None:
+                return
         self.costs.append(cost)
-
-    def _touches_node_dim(self, event: OpEvent) -> bool:
-        if self.num_nodes <= 0:
-            return False
-        shapes = tuple(event.input_shapes) + tuple(event.output_shapes)
-        return any(len(s) >= 1 and s[0] == self.num_nodes for s in shapes)
 
     # -- draining -----------------------------------------------------------
     def drain(self) -> List[KernelCost]:

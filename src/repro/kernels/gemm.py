@@ -12,6 +12,7 @@ pure cost estimator used for ablation benches.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -26,6 +27,10 @@ from repro.tensor.tensor import Tensor
 _GEMM_BLOCK_ROWS = 64
 
 
+# Every UpdateGEMM forward and backward asks for its cost, almost always with
+# the same shapes; exact because the cost is a pure function of the key and
+# KernelCost is frozen, so one shared object stands for every fresh build.
+@lru_cache(maxsize=1024, typed=True)
 def update_gemm_cost(
     num_rows: int,
     in_features: int,

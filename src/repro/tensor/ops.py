@@ -109,14 +109,15 @@ class Sigmoid(Function):
     op_name = "sigmoid"
 
     def forward(self, a: np.ndarray) -> np.ndarray:
-        # Numerically stable split over the sign of the input.
-        out = np.empty_like(a)
-        positive = a >= 0
-        out[positive] = 1.0 / (1.0 + np.exp(-a[positive]))
-        exp_a = np.exp(a[~positive])
-        out[~positive] = exp_a / (1.0 + exp_a)
-        self.out = out
-        return out
+        # Numerically stable without a per-sign split: with e = exp(-|a|),
+        # sigmoid is 1 / (1 + e) for a >= 0 and e / (1 + e) below, so one
+        # exp and one divide cover both halves (bitwise equal to gathering
+        # each half by mask on float32).  The output is saved for backward.
+        one = a.dtype.type(1)
+        e = np.exp(-np.abs(a))
+        d = e + one
+        self.out = np.divide(np.where(a >= 0, one, e), d, out=d)
+        return self.out
 
     def backward(self, grad: np.ndarray):
         return (grad * self.out * (1.0 - self.out),)

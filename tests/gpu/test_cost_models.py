@@ -212,6 +212,16 @@ class TestKernelCost:
         with pytest.raises(ValueError):
             KernelCost(name="k", flops=-1)
 
+    @pytest.mark.parametrize(
+        "field",
+        ["flops", "global_read_bytes", "global_write_bytes", "mem_requests",
+         "mem_transactions", "imbalance"],
+    )
+    def test_nan_costs_rejected(self, field):
+        # ``nan < 0`` is False, so a plain negativity test lets NaN through
+        with pytest.raises(ValueError, match=field):
+            KernelCost(name="k", **{field: float("nan")})
+
     def test_summarize_costs(self, gpu_spec):
         costs = [
             KernelCost(name="a", category="aggregation", mem_transactions=1e6),

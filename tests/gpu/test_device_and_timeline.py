@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.gpu import (
+    GPUSpec,
     KernelCost,
     KernelCostCollector,
     OutOfMemoryError,
@@ -13,6 +14,7 @@ from repro.gpu import (
     Timeline,
     estimate_event_cost,
 )
+from repro.kernels.gemm import update_gemm_cost
 from repro.tensor import Tensor, observe_ops, ops, op_scope
 from repro.tensor.function import OpEvent
 
@@ -73,6 +75,23 @@ class TestTimeline:
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
             Timeline().submit(label="x", kind="cpu", resource="cpu", duration=-1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_duration_rejected(self, bad):
+        timeline = Timeline()
+        with pytest.raises(ValueError, match="duration must be finite"):
+            timeline.submit(label="x", kind="kernel", resource="compute", duration=bad)
+        # nothing was placed: the resource is still free and the totals clean
+        op = timeline.submit(label="y", kind="kernel", resource="compute", duration=1.0)
+        assert op.start == 0.0 and op.op_id == 0
+        assert timeline.kind_seconds() == {"kernel": 1.0}
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_not_before_rejected(self, bad):
+        with pytest.raises(ValueError, match="not_before must be finite"):
+            Timeline().submit(
+                label="x", kind="cpu", resource="cpu", duration=1.0, not_before=bad
+            )
 
     def test_reset(self):
         timeline = Timeline()
@@ -187,7 +206,53 @@ class TestProfiler:
             name="spmm", phase="forward", input_shapes=((50, 4),), output_shapes=((50, 4),),
             attrs={"kernel_cost": explicit},
         ))
-        assert collector.drain()[0].flops == 100.0
+        assert collector.drain()[0] is explicit
+
+    def test_collector_cost_equals_a_fresh_estimate(self, gpu_spec):
+        node_event = OpEvent(
+            name="matmul", phase="backward", input_shapes=((50, 6),),
+            output_shapes=((50, 4), (4, 6)), attrs={"scope": "rnn"},
+        )
+        other_event = OpEvent(
+            name="tanh", phase="forward", input_shapes=((6, 4),), output_shapes=((6, 4),)
+        )
+        collector = KernelCostCollector(gpu_spec, num_nodes=50, scale=10.0)
+        for _ in range(2):
+            collector(node_event)
+            collector(other_event)
+        scaled, unscaled, scaled_again, unscaled_again = collector.drain()
+        assert scaled == estimate_event_cost(node_event, gpu_spec).scaled(10.0)
+        assert unscaled == estimate_event_cost(other_event, gpu_spec)
+        # the second sighting is served from the memo
+        assert scaled_again is scaled and unscaled_again is unscaled
+
+    def test_memo_keys_on_every_collector_input(self, gpu_spec):
+        event = OpEvent(
+            name="sigmoid", phase="forward", input_shapes=((50, 4),), output_shapes=((50, 4),),
+            attrs={"scope": "rnn"},
+        )
+
+        def cost_through(spec, num_nodes, scale):
+            collector = KernelCostCollector(spec, num_nodes=num_nodes, scale=scale)
+            collector(event)
+            return collector.drain()[0]
+
+        base = cost_through(gpu_spec, 50, 10.0)
+        fresh = estimate_event_cost(event, gpu_spec)
+        assert cost_through(gpu_spec, 60, 10.0) == fresh
+        assert cost_through(gpu_spec, 50, 4.0) == fresh.scaled(4.0)
+        assert cost_through(gpu_spec, 50, 1.0) == fresh
+        wide = GPUSpec(transaction_bytes=64)
+        assert cost_through(wide, 50, 10.0) == estimate_event_cost(event, wide).scaled(10.0)
+        assert cost_through(wide, 50, 10.0) != base
+        assert cost_through(gpu_spec, 50, 10.0) is base
+
+    def test_update_gemm_cost_memo_is_exact_and_still_validates(self, gpu_spec):
+        fresh = update_gemm_cost.__wrapped__(100, 16, 32, gpu_spec, reuse_group=4, scale=2.0)
+        assert update_gemm_cost(100, 16, 32, gpu_spec, reuse_group=4, scale=2.0) == fresh
+        for _ in range(2):
+            with pytest.raises(ValueError, match="reuse_group must be > 0"):
+                update_gemm_cost(100, 16, 32, gpu_spec, reuse_group=0)
 
     def test_collector_integrates_with_autograd(self, gpu_spec):
         collector = KernelCostCollector(gpu_spec, num_nodes=8, scale=1.0)

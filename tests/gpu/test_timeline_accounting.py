@@ -12,6 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, List, Sequence
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -141,3 +142,31 @@ class TestRunningTotalsAreExact:
         op = timeline.submit(label="b", kind="cpu", resource="cpu", duration=0.2)
         assert op.end - op.start != 0.2
         assert timeline.kind_seconds() == rescan_kind_seconds(timeline.ops)
+
+
+class TestTimelineOpContract:
+    def test_ops_are_immutable_and_unhashable(self):
+        op = Timeline().submit(label="a", kind="kernel", resource="compute", duration=1.0)
+        with pytest.raises(AttributeError):
+            op.start = 5.0  # type: ignore[misc]
+        with pytest.raises(TypeError):
+            hash(op)
+        assert op.duration == op.end - op.start == 1.0
+
+    def test_ops_submitted_without_attrs_do_not_share_a_dict(self):
+        timeline = Timeline()
+        a = timeline.submit(label="a", kind="kernel", resource="compute", duration=1.0)
+        b = timeline.submit(label="b", kind="kernel", resource="compute", duration=1.0)
+        a.attrs["hb_writes"] = ["x"]
+        assert a.attrs is not b.attrs and b.attrs == {}
+
+    def test_op_keeps_its_own_copy_of_the_callers_attrs(self):
+        attrs = {"bytes": 4}
+        op = Timeline().submit(
+            label="a", kind="h2d", resource="pcie_h2d", duration=1.0, attrs=attrs
+        )
+        attrs["bytes"] = 8
+        attrs["extra"] = True
+        assert op.attrs == {"bytes": 4}
+        op.attrs["hb_reads"] = ["y"]
+        assert attrs == {"bytes": 8, "extra": True}

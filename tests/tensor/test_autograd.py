@@ -62,6 +62,32 @@ class TestForwardValues:
         assert np.allclose(ops.tanh(x).numpy(), np.tanh(x.numpy()), atol=1e-6)
         assert np.allclose(ops.relu(x).numpy(), np.maximum(x.numpy(), 0))
 
+    def test_sigmoid_is_bitwise_the_masked_formula(self):
+        def masked_sigmoid(a):
+            # the per-sign gather/scatter formulation the op used to run
+            out = np.empty_like(a)
+            positive = a >= 0
+            out[positive] = 1.0 / (1.0 + np.exp(-a[positive]))
+            exp_a = np.exp(a[~positive])
+            out[~positive] = exp_a / (1.0 + exp_a)
+            return out
+
+        f32 = np.finfo(np.float32)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, f32.smallest_subnormal,
+                   -f32.smallest_subnormal, 1e-40, -1e-40, f32.tiny, -f32.tiny,
+                   88.7, -88.7, 104.0, -104.0, f32.max, -f32.max]
+        rng = np.random.default_rng(5)
+        a = np.concatenate([
+            np.array(special, dtype=np.float32),
+            rng.normal(0.0, 8.0, size=4096).astype(np.float32),
+            rng.uniform(-120.0, 120.0, size=4096).astype(np.float32),
+        ])
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = masked_sigmoid(a)
+            got = ops.sigmoid(Tensor(a)).numpy()
+        assert got.dtype == np.float32
+        assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
+
     def test_softmax_rows_sum_to_one(self):
         x = rand_tensor(5, 7, seed=3)
         assert np.allclose(ops.softmax(x, axis=-1).numpy().sum(axis=-1), 1.0, atol=1e-5)
