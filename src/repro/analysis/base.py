@@ -5,8 +5,10 @@ already produces — :class:`~repro.gpu.timeline.Timeline` op streams,
 :class:`~repro.gpu.device_group.DeviceGroup` collectives, feature-cache
 stats — and emits :class:`Violation` records.  :func:`collect_artifacts`
 gathers those artifacts duck-typed from a trainer and/or serving engine,
-the same way :class:`repro.telemetry.runtime.Telemetry` attaches, so the
-analyzer never needs bespoke plumbing per topology.
+so the analyzer never needs bespoke plumbing per topology.  It is the one
+device walk of the repo: :class:`repro.telemetry.runtime.Telemetry` builds
+its Chrome-trace tracks and its timeline projection from the same
+``timelines``.
 """
 
 from __future__ import annotations
@@ -175,7 +177,7 @@ def _collect_side(
 def collect_artifacts(
     trainer: Optional[object] = None, serving_engine: Optional[object] = None
 ) -> ExecutionArtifacts:
-    """Duck-typed artifact gathering, mirroring how telemetry attaches.
+    """Duck-typed artifact gathering over a trainer and/or serving engine.
 
     Trainers expose ``device``/``group``/``feature_caches``; serving engines
     expose either ``replicas`` (sharded/fleet) or a single ``device`` plus

@@ -334,7 +334,9 @@ class Engine:
         )
         if self._analysis is not None:
             report.extras["analysis"] = self._analysis.to_dict()
-        report.metrics = self.telemetry.collect(report)
+        report.metrics = self.telemetry.collect(
+            report, trainer=self._trainer, serving_engine=self._serving_engine
+        )
         return report
 
     # ------------------------------------------------------------------ sanitizer

@@ -38,8 +38,9 @@ stages serialize (and the depth bound counts) per device only.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.data_prep import DataPreparer, PartitionData
 from repro.gpu.device import SimulatedGPU
@@ -48,8 +49,7 @@ from repro.gpu.timeline import TimelineOp
 from repro.graph.overlap import SnapshotOverlap
 from repro.graph.sliced_csr import DEFAULT_SLICE_CAPACITY
 from repro.graph.snapshot import GraphSnapshot
-from repro.memory.cache import TIER_PINNED
-from repro.telemetry.hooks import NULL_CALLBACK, TelemetryCallback
+from repro.memory.cache import TIER_PINNED, AccessPlan
 from repro.utils.validation import check_int, check_non_negative
 
 #: canonical stage names, in execution order
@@ -107,10 +107,39 @@ class PipeItem:
     #: bytes the ``pin`` stage must copy into page-locked memory; ``None``
     #: means ``transfer_bytes``
     pin_bytes: Optional[float] = None
-    #: feature-cache block keys the ``gather`` stage reads; the analyzer's
-    #: happens-before race detector matches these against concurrent
-    #: invalidations (delta writes) touching the same blocks
-    block_keys: Tuple[object, ...] = ()
+    #: the feature-cache lookup that resolved this item's tier traffic
+    #: (see :func:`apply_cache_plan`); the ``gather`` op carries its counts
+    #: as ``cache_*`` attrs and reads its block keys (``hb_reads``, which the
+    #: happens-before race detector matches against delta invalidations)
+    cache: Optional[AccessPlan] = None
+
+
+def apply_cache_plan(item: PipeItem, plan: AccessPlan) -> PipeItem:
+    """Shrink an item's stage bytes by what the cache tiers absorb.
+
+    GPU hits skip the whole gather -> pin -> h2d path; pinned hits skip
+    gather and pin but still cross PCIe.
+    """
+    total = item.transfer_bytes
+    gather = max(0.0, total - plan.gpu_bytes - plan.pinned_bytes)
+    return dataclasses.replace(
+        item,
+        transfer_bytes=max(0.0, total - plan.gpu_bytes),
+        gather_bytes=gather,
+        pin_bytes=gather,
+        cache=plan,
+    )
+
+
+def _tag_cache_lookup(op: TimelineOp, plan: AccessPlan) -> None:
+    """Record one feature-cache lookup on the gather op that consumed it."""
+    if plan.block_keys:
+        op.attrs["hb_reads"] = list(plan.block_keys)
+    op.attrs["cache_gpu_bytes"] = plan.gpu_bytes
+    op.attrs["cache_pinned_bytes"] = plan.pinned_bytes
+    op.attrs["cache_miss_bytes"] = plan.miss_bytes
+    op.attrs["cache_hits"] = plan.gpu_hits + plan.pinned_hits + plan.spill_hits
+    op.attrs["cache_misses"] = plan.misses
 
 
 class DataPipe:
@@ -201,6 +230,10 @@ class Prefetcher:
     stages on the CPU stream and its transfer on the copy engine, gated so at
     most ``depth`` items sit prepared-but-unconsumed; ``mark_consumed``
     registers the compute op that read the item, releasing the oldest slot.
+
+    Every stage op carries its stage name as ``attrs["stage"]``; telemetry
+    reads the prefetch spans and per-stage totals off the timeline after the
+    run.
     """
 
     def __init__(
@@ -211,7 +244,6 @@ class Prefetcher:
         depth: Optional[int] = None,
         device_index: int = 0,
         domain: str = "train",
-        hooks: Optional[Callable[[], TelemetryCallback]] = None,
     ) -> None:
         self.pipe = pipe
         self.device = device
@@ -220,9 +252,6 @@ class Prefetcher:
             raise ValueError(f"prefetch depth must be >= 0, got {self.depth}")
         self.device_index = device_index
         self.domain = domain
-        #: zero-arg provider so hook reattachment (the engine swaps
-        #: ``trainer.hooks`` after construction) is picked up live
-        self._hooks = hooks if hooks is not None else (lambda: NULL_CALLBACK)
         #: consumption op of each scheduled item, in schedule order
         self._consumed: List[Optional[TimelineOp]] = []
         self._scheduled = 0
@@ -272,7 +301,6 @@ class Prefetcher:
         """
         host_stream = "cpu" if self._overlapping() else "default"
         copy_stream = "copy" if self._overlapping() else "default"
-        hooks = self._hooks()
         gate = self._gate_ops() + (list(depends_on) if depends_on else [])
         if not self._overlapping():
             # One synchronous host thread: chain behind the previous item's
@@ -295,13 +323,11 @@ class Prefetcher:
                 depends_on=previous or None,
                 not_before=not_before,
             )
-            if stage == STAGE_GATHER and item.block_keys:
-                op.attrs["hb_reads"] = list(item.block_keys)
+            op.attrs["stage"] = stage
+            if stage == STAGE_GATHER and item.cache is not None:
+                _tag_cache_lookup(op, item.cache)
             if stage == STAGE_PIN:
                 pin_op = op
-            hooks.on_prefetch(
-                stage, item.label, self.device_index, op.start, op.end, self.domain
-            )
             previous = [op]
             if not self._overlapping():
                 self.pipe.last_host_op = op
@@ -313,6 +339,7 @@ class Prefetcher:
             depends_on=previous or None,
             not_before=not_before,
         )
+        transfer.attrs["stage"] = STAGE_H2D
         if pin_op is not None:
             # The pin stage fills a staging buffer the h2d drains; the key is
             # unique per occurrence (labels repeat across epochs).
@@ -320,9 +347,6 @@ class Prefetcher:
             pin_op.attrs["hb_writes"] = [staging_key]
             transfer.attrs.setdefault("hb_reads", []).append(staging_key)
             self._account_staging(item, pin_op, transfer)
-        hooks.on_prefetch(
-            STAGE_H2D, item.label, self.device_index, transfer.start, transfer.end, self.domain
-        )
         self._consumed.append(None)  # slot; filled by mark_consumed in order
         self._scheduled += 1
         self.items_scheduled += 1
@@ -407,5 +431,6 @@ __all__ = [
     "STAGE_PIN",
     "STAGE_REGISTRY",
     "STAGE_SLICE",
+    "apply_cache_plan",
     "build_datapipe",
 ]

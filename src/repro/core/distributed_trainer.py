@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.baselines.base import TrainerConfig
 from repro.core.config import PiPADConfig
-from repro.core.datapipe import DataPipeConfig, PipeItem
+from repro.core.datapipe import DataPipeConfig, PipeItem, apply_cache_plan
 from repro.core.group_trainer import GroupTrainer
 from repro.gpu.interconnect import INTERCONNECT_KINDS
 from repro.gpu.kernel_cost import CATEGORY_AGGREGATION, KernelCost
@@ -186,7 +186,7 @@ class DistributedTrainer(GroupTrainer):
         depends_on: Optional[Sequence[TimelineOp]],
     ) -> List[TimelineOp]:
         # Gated on the preparing phase alone, not on _grouped(): a one-device
-        # group still reports its cache accesses per shard (``p<t>_d0``).
+        # group still looks its shard up in the per-device cache.
         if self._preparing:
             return super()._transfer_partition(snapshots, depends_on)
         total_bytes = self._partition_transfer_bytes(snapshots)
@@ -206,9 +206,8 @@ class DistributedTrainer(GroupTrainer):
                     index=index,
                     lo=int(self.boundaries[index]),
                     hi=int(self.boundaries[index + 1]),
-                    label=f"{item.label}_d{index}",
                 )
-                item = self._apply_cache_plan(item, plan)
+                item = apply_cache_plan(item, plan)
             transfer_ops.append(
                 self.prefetchers[index].schedule(item, depends_on=depends_on)
             )

@@ -87,9 +87,7 @@ class GroupTrainer(PiPADTrainer):
         #: its own PCIe link / host stream.  Device 0 reuses the single-device
         #: prefetcher so gating state stays in one place.
         self.prefetchers: List[Prefetcher] = [self.prefetcher] + [
-            Prefetcher(
-                self.datapipe, dev, device_index=index, hooks=lambda: self.hooks
-            )
+            Prefetcher(self.datapipe, dev, device_index=index)
             for index, dev in enumerate(devices[1:], start=1)
         ]
         if self.feature_cache is not None:

@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.baselines.base import TrainerConfig
 from repro.core.config import PiPADConfig
-from repro.core.datapipe import DataPipeConfig, PipeItem
+from repro.core.datapipe import DataPipeConfig, PipeItem, apply_cache_plan
 from repro.core.group_trainer import GroupTrainer
 from repro.gpu.device import SimulatedGPU
 from repro.gpu.interconnect import INTERCONNECT_KINDS
@@ -163,13 +163,9 @@ class PipelineTrainer(GroupTrainer):
         )
         if self.feature_cache is not None:
             plan = self._cache_plan(
-                snapshots,
-                index=stage,
-                lo=0,
-                hi=self.graph.num_nodes,
-                label=f"{item.label}_s{stage}",
+                snapshots, index=stage, lo=0, hi=self.graph.num_nodes
             )
-            item = self._apply_cache_plan(item, plan)
+            item = apply_cache_plan(item, plan)
         return self.prefetchers[stage].schedule(item, depends_on=depends_on)
 
     def _launch_partition_kernels(
@@ -241,7 +237,8 @@ class PipelineTrainer(GroupTrainer):
         The bubble is the stall attributable to the cross-stage dependency
         alone: how much later the first kernel starts than it would have from
         purely local readiness (own transfers/aggregation, compute engine and
-        stream order).
+        stream order).  The first kernel records that local-ready time as
+        ``attrs["bubble_from"]``, so the stall is visible on the timeline.
         """
         if not costs:
             return []
@@ -262,8 +259,7 @@ class PipelineTrainer(GroupTrainer):
         bubble = ops[0].start - local_ready
         if bubble > 0.0:
             self._bubble_seconds += bubble
-            stage = self.group.devices.index(device)
-            self.hooks.on_bubble(stage, local_ready, ops[0].start)
+            ops[0].attrs["bubble_from"] = local_ready
         return ops
 
     def _launch_backward(

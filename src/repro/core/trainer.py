@@ -35,7 +35,13 @@ from repro.baselines.base import DGNNTrainerBase, TrainerConfig
 from repro.baselines.results import EpochMetrics
 from repro.core.config import PiPADConfig
 from repro.core.data_prep import PartitionData
-from repro.core.datapipe import DataPipe, DataPipeConfig, PipeItem, Prefetcher
+from repro.core.datapipe import (
+    DataPipe,
+    DataPipeConfig,
+    PipeItem,
+    Prefetcher,
+    apply_cache_plan,
+)
 from repro.core.parallel_gnn import ParallelAggregationProvider
 from repro.core.reuse import ReuseManager
 from repro.core.slicer import GraphSlicer
@@ -105,9 +111,7 @@ class PiPADTrainer(DGNNTrainerBase):
             use_sliced_csr=self.pipad.use_sliced_csr,
         )
         self.preparer = self.datapipe.preparer
-        self.prefetcher = Prefetcher(
-            self.datapipe, self.device, hooks=lambda: self.hooks
-        )
+        self.prefetcher = Prefetcher(self.datapipe, self.device)
         candidates = self._candidate_s_per()
         self.tuner = DynamicTuner(
             self.config.gpu,
@@ -208,41 +212,10 @@ class PiPADTrainer(DGNNTrainerBase):
         return requests
 
     def _cache_plan(
-        self,
-        snapshots: Sequence[GraphSnapshot],
-        *,
-        index: int,
-        lo: int,
-        hi: int,
-        label: str,
+        self, snapshots: Sequence[GraphSnapshot], *, index: int, lo: int, hi: int
     ) -> AccessPlan:
-        plan = self.feature_caches[index].access(
+        return self.feature_caches[index].access(
             self._feature_block_requests(snapshots, lo, hi)
-        )
-        self.hooks.on_cache_access(
-            label,
-            index,
-            plan.gpu_bytes,
-            plan.pinned_bytes,
-            plan.miss_bytes,
-            plan.gpu_hits + plan.pinned_hits + plan.spill_hits,
-            plan.misses,
-            self._sim_now(),
-            "train",
-        )
-        return plan
-
-    @staticmethod
-    def _apply_cache_plan(item: PipeItem, plan: AccessPlan) -> PipeItem:
-        """Shrink an item's stage bytes by what the cache tiers absorb."""
-        total = item.transfer_bytes
-        gather = max(0.0, total - plan.gpu_bytes - plan.pinned_bytes)
-        return dataclasses.replace(
-            item,
-            transfer_bytes=max(0.0, total - plan.gpu_bytes),
-            gather_bytes=gather,
-            pin_bytes=gather,
-            block_keys=plan.block_keys,
         )
 
     # ------------------------------------------------------------------ setup
@@ -418,10 +391,8 @@ class PiPADTrainer(DGNNTrainerBase):
             transfer_bytes=self._partition_transfer_bytes(snapshots),
         )
         if self.feature_cache is not None:
-            plan = self._cache_plan(
-                snapshots, index=0, lo=0, hi=self.graph.num_nodes, label=item.label
-            )
-            item = self._apply_cache_plan(item, plan)
+            plan = self._cache_plan(snapshots, index=0, lo=0, hi=self.graph.num_nodes)
+            item = apply_cache_plan(item, plan)
         return self.prefetcher.schedule(item, depends_on=depends_on)
 
     def _launch_partition_kernels(

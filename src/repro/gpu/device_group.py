@@ -15,11 +15,15 @@ readiness over all devices' dependencies, communication engines and streams
 transfers involve only their two endpoints and occupy both of their
 ``peer_link`` engines — the primitive the frame-pipeline trainer hands
 recurrent state (and state gradients) between stages with.
+
+Every communication op carries its kind and size as ``attrs["collective"]``
+and ``attrs["bytes"]``; telemetry and the collective lint read them off the
+timelines after the run.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.gpu.device import SimulatedGPU
 from repro.gpu.interconnect import Interconnect, LinkSpec
@@ -33,10 +37,6 @@ COMM_STREAM = "comm"
 
 #: per-device dependency lists: one sequence of ops per group member
 PerDeviceDeps = Optional[Sequence[Optional[Sequence[TimelineOp]]]]
-
-#: observer of scheduled communication:
-#: ``(kind, label, seconds, nbytes, start, end)``
-CollectiveObserver = Callable[[str, str, float, float, float, float], None]
 
 
 class DeviceGroup:
@@ -68,22 +68,6 @@ class DeviceGroup:
         self.interconnect = Interconnect(len(self.devices), link, kind=interconnect_kind)
         #: accumulated seconds per collective kind (single-device view)
         self.collective_seconds: Dict[str, float] = {}
-        self._observers: List[CollectiveObserver] = []
-
-    # ------------------------------------------------------------------ observation
-    def add_observer(self, observer: CollectiveObserver) -> None:
-        """Register a callable notified of every collective/p2p transfer.
-
-        The telemetry layer uses this to turn group communication into
-        ``on_collective`` hook events without the group importing it.
-        """
-        self._observers.append(observer)
-
-    def _notify(
-        self, kind: str, label: str, seconds: float, nbytes: float, start: float, end: float
-    ) -> None:
-        for observer in self._observers:
-            observer(kind, label, seconds, nbytes, start, end)
 
     # ------------------------------------------------------------------ container
     @property
@@ -147,7 +131,6 @@ class DeviceGroup:
             for device in self.devices
         ]
         self.collective_seconds[kind] = self.collective_seconds.get(kind, 0.0) + seconds
-        self._notify(kind, label, seconds, nbytes, ops[0].start, ops[0].end)
         return ops
 
     def all_reduce(
@@ -253,9 +236,6 @@ class DeviceGroup:
         )
         self.collective_seconds["peer_transfer"] = (
             self.collective_seconds.get("peer_transfer", 0.0) + seconds
-        )
-        self._notify(
-            "peer_transfer", label, seconds, float(nbytes), send_op.start, send_op.end
         )
         return send_op, recv_op
 

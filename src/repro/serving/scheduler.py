@@ -26,7 +26,13 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.datapipe import DataPipe, DataPipeConfig, PipeItem, Prefetcher
+from repro.core.datapipe import (
+    DataPipe,
+    DataPipeConfig,
+    PipeItem,
+    Prefetcher,
+    apply_cache_plan,
+)
 from repro.core.reuse import ReuseManager
 from repro.core.tuner import DynamicTuner, FrameProfile, TuningDecision
 from repro.gpu.device import OutOfMemoryError, SimulatedGPU
@@ -248,9 +254,7 @@ class ServingScheduler:
             enable_weight_reuse=self.config.enable_weight_reuse,
             preparer=self.datapipe.preparer,
         )
-        self.prefetcher = Prefetcher(
-            self.datapipe, self.device, domain="serve", hooks=lambda: self.hooks
-        )
+        self.prefetcher = Prefetcher(self.datapipe, self.device, domain="serve")
         candidates = tuple(
             c for c in self.config.s_per_candidates if c <= store.window_capacity
         ) or (store.window_capacity,)
@@ -499,27 +503,7 @@ class ServingScheduler:
                 plan = self.feature_cache.access(
                     self._feature_block_requests(uncached)
                 )
-                gather = max(
-                    0.0, transfer_bytes - plan.gpu_bytes - plan.pinned_bytes
-                )
-                item = dataclasses.replace(
-                    item,
-                    transfer_bytes=max(0.0, transfer_bytes - plan.gpu_bytes),
-                    gather_bytes=gather,
-                    pin_bytes=gather,
-                    block_keys=plan.block_keys,
-                )
-                self.hooks.on_cache_access(
-                    item.label,
-                    0,
-                    plan.gpu_bytes,
-                    plan.pinned_bytes,
-                    plan.miss_bytes,
-                    plan.gpu_hits + plan.pinned_hits + plan.spill_hits,
-                    plan.misses,
-                    batch.formed_time,
-                    "serve",
-                )
+                item = apply_cache_plan(item, plan)
         depends_on = [] if self._last_delta_op is None else [self._last_delta_op]
         if self.pre_batch_ops is not None:
             depends_on.extend(self.pre_batch_ops(batch))

@@ -7,11 +7,15 @@ requests in Fig. 5, utilization in Table 2):
 - :mod:`repro.telemetry.spans` — nested spans on the simulated clock;
 - :mod:`repro.telemetry.metrics` — one counters/gauges/histograms registry
   unifying the scattered quantitative surfaces behind ``snapshot()``;
-- :mod:`repro.telemetry.hooks` — the callback layer trainers, device groups
-  and serving schedulers emit events through, decoupled from any exporter;
+- :mod:`repro.telemetry.hooks` — the lifecycle callback layer trainers and
+  serving schedulers emit phase/epoch/frame/request/batch/delta events
+  through, decoupled from any exporter;
 - :mod:`repro.telemetry.chrome_trace` — Chrome-trace-event JSON export (one
   Perfetto track per device, one thread per resource);
-- :mod:`repro.telemetry.runtime` — the per-run binding the engine owns;
+- :mod:`repro.telemetry.runtime` — the per-run binding the engine owns; it
+  projects the per-op facts tagged on the device timelines (datapipe
+  stages, cache lookups, bubbles, collectives) into spans and metrics after
+  the run;
 - :mod:`repro.telemetry.persistence` — strict-JSON helpers for the NaN
   convention (non-finite floats round-trip as marker strings).
 """

@@ -8,7 +8,9 @@ and the p2p frame handoffs are visually inspectable at
 ``https://ui.perfetto.dev`` (or ``chrome://tracing``).  Lifecycle spans
 from the :class:`~repro.telemetry.spans.SpanTracer` (phases, epochs,
 frames, serving requests/batches) render as a dedicated ``run`` process
-above the device tracks.
+above the device tracks; the spans projected from the timelines (pipeline
+bubbles, datapipe prefetch stages, feature-cache markers) render on their
+device's ``bubble`` / ``prefetch`` threads.
 
 All timestamps are simulated seconds converted to trace microseconds; the
 train and serve phases run on independent simulated clocks both starting
@@ -53,10 +55,13 @@ _RUN_THREADS: Dict[str, str] = {
     "delta": "deltas",
     "violation": "violations",
 }
-#: thread reserved on each device track for pipeline bubble spans
-_BUBBLE_THREAD = "bubble"
-#: thread reserved on each device track for datapipe prefetch-stage spans
-_PREFETCH_THREAD = "prefetch"
+#: span category -> thread reserved for it on the owning device's track:
+#: pipeline bubbles, datapipe prefetch stages and each item's cache lookup
+_DEVICE_THREADS: Dict[str, str] = {
+    "bubble": "bubble",
+    "prefetch": "prefetch",
+    "cache": "prefetch",
+}
 
 
 @dataclass
@@ -171,11 +176,11 @@ def build_chrome_trace(
     domain_track_pids: Dict[str, List[int]] = {}
     for i, t in enumerate(tracks):
         domain_track_pids.setdefault(t.domain, []).append(i + 1)
-    train_track_pids = domain_track_pids.get("train", [])
     for span in spans:
         offset = offsets.get(span.domain, 0.0)
         args = {key: _jsonable(value) for key, value in sorted(span.attrs.items())}
-        prefetch_pids = domain_track_pids.get(span.domain, [])
+        device_pids = domain_track_pids.get(span.domain, [])
+        thread = _DEVICE_THREADS.get(span.category)
         if span.category == "violation":
             # Sanitizer findings are points in time, not intervals: render
             # as global-scope instant events on the run process so Perfetto
@@ -193,19 +198,13 @@ def build_chrome_trace(
                 }
             )
             continue
-        if span.category == "bubble" and train_track_pids:
-            # Bubbles belong visually to the stalled stage's device track.
-            stage = span.attrs.get("stage", 0)
-            stage = stage if isinstance(stage, int) else 0
-            pid = train_track_pids[stage % len(train_track_pids)]
-            tid = device_tid(pid, _BUBBLE_THREAD)
-        elif span.category == "prefetch" and prefetch_pids:
-            # Prefetch stages belong to the preparing device's track, in the
-            # span's own clock domain (train trainers / serve replicas).
-            device = span.attrs.get("device", 0)
+        if thread is not None and device_pids:
+            # Bubbles, prefetch stages and cache lookups belong to the device
+            # whose timeline holds the op (a bubble's device is its stage).
+            device = span.attrs.get("device", span.attrs.get("stage", 0))
             device = device if isinstance(device, int) else 0
-            pid = prefetch_pids[device % len(prefetch_pids)]
-            tid = device_tid(pid, _PREFETCH_THREAD)
+            pid = device_pids[device % len(device_pids)]
+            tid = device_tid(pid, thread)
         else:
             pid = _RUN_PID
             tid = run_tid(_RUN_THREADS.get(span.category, "lifecycle"))

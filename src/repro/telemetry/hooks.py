@@ -1,14 +1,19 @@
-"""The callback layer: instrumentation hooks decoupled from any exporter.
+"""The callback layer: lifecycle hooks decoupled from any exporter.
 
 Trainers (:class:`~repro.baselines.base.DGNNTrainerBase` and its PiPAD /
-distributed / pipeline subclasses), the :class:`~repro.gpu.device_group.
-DeviceGroup` collectives and the serving schedulers all emit their events
-against the :class:`TelemetryCallback` interface — a null object whose
-methods are all no-ops — so the execution machinery never imports a tracer,
-a metrics registry or an exporter.  The engine attaches a
+distributed / pipeline subclasses), the engine and the serving schedulers
+emit lifecycle events — phases, epochs, frames, serving requests, batches
+and deltas — against the :class:`TelemetryCallback` interface, a null
+object whose methods are all no-ops, so the execution machinery never
+imports a tracer, a metrics registry or an exporter.  The engine attaches a
 :class:`CallbackList` fanning out to whichever sinks the run's
 ``TelemetrySpec`` asked for; code paths that run outside the engine keep the
 default no-op callback and pay one virtual call per event.
+
+Per-op facts (datapipe stages, feature-cache lookups, pipeline bubbles,
+collectives) are not hooks: they are tagged on the timeline ops that carry
+them and projected into spans and metrics after the run
+(:mod:`repro.telemetry.runtime`).
 
 Every timestamp crossing this interface is **simulated** time (the device /
 group clock), never wall time — that is what keeps trace exports
@@ -35,12 +40,6 @@ class TelemetryCallback:
     """
 
     # -- run lifecycle (engine) ---------------------------------------------
-    def on_run_start(self, spec: Any) -> None:
-        """The engine is about to execute ``spec``."""
-
-    def on_run_end(self, report: Any) -> None:
-        """Every phase the spec declared has executed."""
-
     def on_phase_start(self, phase: str, at: float) -> None:
         """A lifecycle phase (``prepare`` / ``train`` / ``serve``) opened."""
 
@@ -60,55 +59,6 @@ class TelemetryCallback:
         self, frame_index: int, epoch: int, start: float, end: float, loss: float
     ) -> None:
         """One frame's forward/backward/update completed."""
-
-    def on_collective(
-        self,
-        kind: str,
-        label: str,
-        seconds: float,
-        nbytes: float,
-        start: float,
-        end: float,
-    ) -> None:
-        """A device-group collective (or p2p transfer) was scheduled."""
-
-    def on_bubble(self, stage: int, start: float, end: float) -> None:
-        """A pipeline stage stalled on its cross-stage state dependency."""
-
-    def on_prefetch(
-        self,
-        stage: str,
-        item: str,
-        device_index: int,
-        start: float,
-        end: float,
-        domain: str = "train",
-    ) -> None:
-        """One datapipe stage of one prefetched item was scheduled.
-
-        ``stage`` is a name from ``repro.core.datapipe.STAGE_REGISTRY``;
-        ``domain`` is the clock the timestamps live on (``"train"`` for
-        trainer prefetchers, ``"serve"`` for serving replicas).
-        """
-
-    def on_cache_access(
-        self,
-        label: str,
-        device_index: int,
-        gpu_bytes: float,
-        pinned_bytes: float,
-        miss_bytes: float,
-        hits: int,
-        misses: int,
-        at: float,
-        domain: str = "train",
-    ) -> None:
-        """One feature-cache lookup resolved an item's tier traffic.
-
-        ``gpu_bytes`` skipped the whole gather → pin → h2d path,
-        ``pinned_bytes`` skipped gather+pin, ``miss_bytes`` pays the full
-        pipe.  ``at`` is the simulated time the item was scheduled.
-        """
 
     # -- serving (schedulers) -----------------------------------------------
     def on_request(self, record: "RequestRecord") -> None:
@@ -207,57 +157,6 @@ class TracingCallback(TelemetryCallback):
             epoch=epoch,
         )
 
-    def on_bubble(self, stage: int, start: float, end: float) -> None:
-        self.tracer.record(
-            "bubble", start, end, category="bubble", domain="train", stage=stage
-        )
-
-    def on_prefetch(
-        self,
-        stage: str,
-        item: str,
-        device_index: int,
-        start: float,
-        end: float,
-        domain: str = "train",
-    ) -> None:
-        self.tracer.record(
-            f"prefetch_{stage}_{item}",
-            start,
-            end,
-            category="prefetch",
-            domain=domain,
-            stage=stage,
-            item=item,
-            device=device_index,
-        )
-
-    def on_cache_access(
-        self,
-        label: str,
-        device_index: int,
-        gpu_bytes: float,
-        pinned_bytes: float,
-        miss_bytes: float,
-        hits: int,
-        misses: int,
-        at: float,
-        domain: str = "train",
-    ) -> None:
-        self.tracer.record(
-            f"cache_{label}",
-            at,
-            at,
-            category="cache",
-            domain=domain,
-            device=device_index,
-            gpu_bytes=gpu_bytes,
-            pinned_bytes=pinned_bytes,
-            miss_bytes=miss_bytes,
-            hits=hits,
-            misses=misses,
-        )
-
     def on_request(self, record: "RequestRecord") -> None:
         self.tracer.record(
             f"request_{record.request_id}",
@@ -307,54 +206,6 @@ class MetricsCallback(TelemetryCallback):
         self, frame_index: int, epoch: int, start: float, end: float, loss: float
     ) -> None:
         self.registry.counter("train.frames").inc()
-
-    def on_collective(
-        self,
-        kind: str,
-        label: str,
-        seconds: float,
-        nbytes: float,
-        start: float,
-        end: float,
-    ) -> None:
-        self.registry.counter(f"collective.{kind}.count").inc()
-        self.registry.counter(f"collective.{kind}.seconds").inc(seconds)
-        self.registry.counter(f"collective.{kind}.bytes").inc(nbytes)
-
-    def on_bubble(self, stage: int, start: float, end: float) -> None:
-        self.registry.counter("pipeline.bubbles").inc()
-        self.registry.counter("pipeline.bubble_seconds").inc(end - start)
-
-    def on_prefetch(
-        self,
-        stage: str,
-        item: str,
-        device_index: int,
-        start: float,
-        end: float,
-        domain: str = "train",
-    ) -> None:
-        self.registry.counter(f"prefetch.{stage}.count").inc()
-        self.registry.counter(f"prefetch.{stage}.seconds").inc(end - start)
-
-    def on_cache_access(
-        self,
-        label: str,
-        device_index: int,
-        gpu_bytes: float,
-        pinned_bytes: float,
-        miss_bytes: float,
-        hits: int,
-        misses: int,
-        at: float,
-        domain: str = "train",
-    ) -> None:
-        self.registry.counter("memory.cache.accesses").inc(hits + misses)
-        self.registry.counter("memory.cache.hits").inc(hits)
-        self.registry.counter("memory.cache.misses").inc(misses)
-        self.registry.counter("memory.cache.gpu_bytes").inc(gpu_bytes)
-        self.registry.counter("memory.cache.pinned_bytes").inc(pinned_bytes)
-        self.registry.counter("memory.cache.miss_bytes").inc(miss_bytes)
 
     def on_request(self, record: "RequestRecord") -> None:
         self.registry.counter("serving.requests").inc()

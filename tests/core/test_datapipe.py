@@ -125,14 +125,26 @@ class TestStageCosts:
             build_datapipe().stage_seconds(STAGE_H2D, self.ITEM)
 
 
-class _RecordingHooks:
-    """Captures on_prefetch events so tests can see per-stage op times."""
+class _StageOps:
+    """Reads the stage-tagged ops off device timelines, in submission order,
+    so tests can see per-stage op times."""
 
-    def __init__(self):
-        self.events = []
+    def __init__(self, devices):
+        self.devices = devices
 
-    def on_prefetch(self, stage, item, device_index, start, end, domain="train"):
-        self.events.append((stage, item, device_index, start, end, domain))
+    @property
+    def events(self):
+        """``(stage, item, device_index, start, end)`` per stage op."""
+        tagged = [
+            (op.uid, op.attrs["stage"], op.label, index, op.start, op.end)
+            for index, device in enumerate(self.devices)
+            for op in device.timeline.ops
+            if "stage" in op.attrs
+        ]
+        return [
+            (stage, label[len(stage) + 1 :], index, start, end)
+            for _, stage, label, index, start, end in sorted(tagged)
+        ]
 
     def first_host_start(self, label):
         return min(e[3] for e in self.events if e[1] == label and e[0] != STAGE_H2D)
@@ -140,11 +152,11 @@ class _RecordingHooks:
 
 def _drive(depth, items, *, compute_seconds=1e-3):
     """Schedule/consume ``items`` through a fresh prefetcher; returns the
-    recorded hook events plus the consume op of every item."""
+    stage ops it scheduled plus the consume op of every item."""
     device = SimulatedGPU()
     pipe = build_datapipe(DataPipeConfig(prefetch_depth=depth))
-    hooks = _RecordingHooks()
-    prefetcher = Prefetcher(pipe, device, hooks=lambda: hooks)
+    hooks = _StageOps([device])
+    prefetcher = Prefetcher(pipe, device)
     consumes = []
     for index, transfer_bytes in enumerate(items):
         item = PipeItem(label=f"p{index}", num_snapshots=2, transfer_bytes=transfer_bytes)
@@ -206,7 +218,7 @@ class TestPrefetcherGating:
         assert stats["prefetch_items"] == 2.0
         host_spans = [e for e in hooks.events if e[0] != STAGE_H2D]
         assert stats["prefetch_host_seconds"] == pytest.approx(
-            sum(end - start for (_, _, _, start, end, _) in host_spans)
+            sum(end - start for (_, _, _, start, end) in host_spans)
         )
 
     def test_negative_depth_override_rejected(self):
@@ -218,10 +230,9 @@ class TestPrefetcherGating:
         consuming on device 0 between the two schedules."""
         pipe = build_datapipe(DataPipeConfig(prefetch_depth=depth))
         devices = [SimulatedGPU(), SimulatedGPU()]
-        hooks = _RecordingHooks()
+        hooks = _StageOps(devices)
         prefetchers = [
-            Prefetcher(pipe, dev, device_index=i, hooks=lambda: hooks)
-            for i, dev in enumerate(devices)
+            Prefetcher(pipe, dev, device_index=i) for i, dev in enumerate(devices)
         ]
         (transfer,) = prefetchers[0].schedule(
             PipeItem(label="a", num_snapshots=2, transfer_bytes=1e6)

@@ -10,6 +10,11 @@ constants and says why.
 Each op contributes ``(timeline, label, kind, resource, stream, start, end,
 deps)`` with times as ``float.hex`` and deps as ``(timeline, op_id)`` —
 ``uid`` is process-global and depends on which tests ran first.
+
+A second digest pins the run report's metrics snapshot (every
+``(name, float.hex(value))`` pair of ``engine.report().metrics``) for the
+same five runs, so telemetry that is derived after the run — prefetch,
+cache, bubble and collective totals — cannot drift silently either.
 """
 
 from __future__ import annotations
@@ -172,3 +177,48 @@ def test_simulated_timelines_match_the_committed_digest(name):
     else:
         engine.train()
     assert timeline_digest(engine) == (num_ops, expected)
+
+
+#: name -> (metric count, SHA-256 of the metrics snapshot)
+GOLDEN_METRICS = {
+    "pipad-1gpu": (
+        47,
+        "72cff4ca149e3202015c8bd73417625ee49a6307a08a300a976511e6534ebc72",
+    ),
+    "pipeline-4gpu": (
+        62,
+        "dfd02b82e2557634256f6b7b9d1d8056a823e211c249820b71005f75a27e6b3a",
+    ),
+    "group-4gpu-cached": (
+        91,
+        "c40ce0fd9aefff802a2d8195290e687c2fce44c809ab5702e1acfe6dc924d58c",
+    ),
+    "fleet-serve": (
+        113,
+        "821ad0f37384ca34e73be4354d8e74d26d3a0645142c076a0ed6cb787ab4ab29",
+    ),
+    "sharded-serve": (
+        95,
+        "e272cd419a64a0b18b73b8a115ffc2f86183da52e43e8acf661664dd37346427",
+    ),
+}
+
+
+def metrics_digest(metrics):
+    """``(metric count, SHA-256 hex)`` over the sorted ``float.hex`` pairs."""
+    digest = hashlib.sha256()
+    for name, value in sorted(metrics.items()):
+        digest.update(repr((name, float(value).hex())).encode())
+        digest.update(b"\n")
+    return len(metrics), digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_METRICS))
+def test_metrics_snapshot_matches_the_committed_digest(name):
+    spec = GOLDEN[name][0]
+    engine = Engine.from_spec(spec)
+    if "serving" in spec:
+        engine.serve()
+    else:
+        engine.train()
+    assert metrics_digest(engine.report().metrics) == GOLDEN_METRICS[name]
