@@ -19,7 +19,19 @@ a reordering from exposing stale or half-written data.
 
 Every HB edge points forward in simulated time (a successor never starts
 before its predecessor ends), so reachability searches prune any node
-starting after the target.
+starting after the target.  Op uids are a topological order of the graph
+(every predecessor was submitted earlier), so a pair is ordered exactly
+when the lower uid reaches the higher one; start times cannot orient the
+search, since zero-duration ops may start together.
+
+Each key is first screened in uid order, keeping its last write and the
+reads since that write (the per-variable state of FastTrack, Flanagan &
+Freund, PLDI 2009): every access must follow the last write, and every
+write the reads since it.  By transitivity that orders every conflicting
+pair, so a clean key costs one reachability search per access instead of
+one per writer × access pair.  Only keys that fail the screen enumerate
+their pairs, which keeps the report exactly what the all-pairs check
+gives.
 """
 
 from __future__ import annotations
@@ -43,17 +55,18 @@ def build_hb_graph(
         last_on_resource: Dict[str, int] = {}
         last_on_stream: Dict[str, int] = {}
         for op in timeline.ops:
-            ops_by_uid[op.uid] = op
+            uid = op.uid
+            ops_by_uid[uid] = op
             for dep in op.deps:
-                successors[dep].append(op.uid)
+                successors[dep].append(uid)
             prev = last_on_resource.get(op.resource)
             if prev is not None:
-                successors[prev].append(op.uid)
-            last_on_resource[op.resource] = op.uid
+                successors[prev].append(uid)
+            last_on_resource[op.resource] = uid
             prev = last_on_stream.get(op.stream)
             if prev is not None:
-                successors[prev].append(op.uid)
-            last_on_stream[op.stream] = op.uid
+                successors[prev].append(uid)
+            last_on_stream[op.stream] = uid
     return ops_by_uid, dict(successors)
 
 
@@ -88,9 +101,44 @@ def ordered(
     ops_by_uid: Dict[int, object],
     successors: Dict[int, List[int]],
 ) -> bool:
-    """Is there an HB path between the two ops, in either direction?"""
-    first, second = (a, b) if ops_by_uid[a].start <= ops_by_uid[b].start else (b, a)
+    """Is there an HB path between the two ops, in either direction?
+
+    Only a path from the lower uid to the higher one can exist.
+    """
+    first, second = sorted((a, b))
     return _reaches(first, second, ops_by_uid, successors)
+
+
+def _key_is_ordered(
+    ops: List[Tuple[int, bool]],
+    ops_by_uid: Dict[int, object],
+    successors: Dict[int, List[int]],
+) -> bool:
+    """Are all conflicting accesses of one key ordered?
+
+    A read must follow the last write; a write must follow the reads since
+    the last write, or the last write itself when there are none (the last
+    write reaches those reads).  An op that reads and writes the key
+    counts as a write.
+    """
+    is_write: Dict[int, bool] = {}
+    for uid, write in ops:
+        is_write[uid] = is_write.get(uid, False) or write
+    last_write: Optional[int] = None
+    reads: List[int] = []
+    for uid in sorted(is_write):
+        if is_write[uid] and reads:
+            preds = reads
+        else:
+            preds = [] if last_write is None else [last_write]
+        for pred in preds:
+            if not _reaches(pred, uid, ops_by_uid, successors):
+                return False
+        if is_write[uid]:
+            last_write, reads = uid, []
+        else:
+            reads.append(uid)
+    return True
 
 
 def _accesses(
@@ -104,9 +152,12 @@ def _accesses(
     out: Dict[Tuple[str, object], List[Tuple[int, bool]]] = defaultdict(list)
     for name, _, timeline in timelines:
         for op in timeline.ops:
-            for key in op.attrs.get("hb_reads", ()) or ():
+            attrs = op.attrs
+            if "hb_reads" not in attrs and "hb_writes" not in attrs:
+                continue
+            for key in attrs.get("hb_reads", ()) or ():
                 out[(name, key)].append((op.uid, False))
-            for key in op.attrs.get("hb_writes", ()) or ():
+            for key in attrs.get("hb_writes", ()) or ():
                 out[(name, key)].append((op.uid, True))
     return out
 
@@ -122,7 +173,7 @@ def check_hb_races(
     seen_pairs: Set[Tuple[int, int]] = set()
     for (name, key), ops in sorted(accesses.items(), key=lambda kv: str(kv[0])):
         writers = [uid for uid, is_write in ops if is_write]
-        if not writers:
+        if not writers or _key_is_ordered(ops, ops_by_uid, successors):
             continue
         readers = [uid for uid, is_write in ops if not is_write]
         for writer in writers:
