@@ -3,6 +3,13 @@
 Stands in for PyTorch in this reproduction: it provides the dense/sparse
 differentiable operations the DGNN models need, plus an op-observer hook the
 simulated GPU uses to charge kernel costs for every executed operation.
+
+Gradient ownership: ``Tensor.backward`` treats every ``.grad`` array as
+immutable, except the buffers it allocated during the current call, into
+which it adds later contributions in place.  An intermediate tensor's
+``.grad`` may share memory with another tensor's; a leaf's (e.g. a
+``Parameter``'s) never does.  Optimizers and other callers must replace
+``.grad``, never write into it; :class:`SGD` and :class:`Adam` comply.
 """
 
 from repro.tensor.tensor import Tensor

@@ -144,6 +144,29 @@ def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+class SliceGrad:
+    """A gradient that is zero except at ``index``, where it equals ``values``.
+
+    :class:`~repro.tensor.ops.GetItem` returns one for a basic index (ints,
+    slices, ``None``, ``Ellipsis``) instead of scattering into a parent-sized
+    array.  A basic index never names one element twice, so adding
+    ``values`` at ``index`` gives the same bits as ``np.add.at``.  ``shape``
+    is the parent's, which is what the backward :class:`OpEvent` reports.
+    """
+
+    __slots__ = ("shape", "index", "values")
+
+    def __init__(self, shape: Tuple[int, ...], index: Any, values: np.ndarray) -> None:
+        self.shape, self.index, self.values = shape, index, values
+
+    def materialize(self) -> np.ndarray:
+        """The dense, parent-shaped gradient."""
+        # ``+=``, not ``=``: like np.add.at it stores 0.0 + v, +0.0 for -0.0.
+        full = np.zeros(self.shape, dtype=np.float32)
+        full[self.index] += self.values
+        return full
+
+
 # ---------------------------------------------------------------------------
 # Function base class
 # ---------------------------------------------------------------------------
@@ -152,8 +175,10 @@ class Function:
 
     Subclasses implement :meth:`forward` (NumPy in, NumPy out, may stash
     arrays on ``self`` for the backward pass) and :meth:`backward` (gradient
-    of the output in, one gradient per positional input out — ``None`` for
-    inputs that are not tensors or do not need gradients).
+    of the output in, one gradient per positional input out — an array, a
+    :class:`SliceGrad`, or ``None`` for inputs that are not tensors or do
+    not need gradients).  ``backward`` must not write into the gradient it
+    is given: that array may be shared (see :meth:`Tensor.backward`).
     """
 
     #: name reported in OpEvents; defaults to the lower-cased class name

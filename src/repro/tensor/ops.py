@@ -8,11 +8,12 @@ returns one gradient per positional input recorded by the engine.
 
 from __future__ import annotations
 
+import copy
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.tensor.function import Function, unbroadcast
+from repro.tensor.function import Function, SliceGrad, unbroadcast
 from repro.tensor.tensor import Tensor
 
 
@@ -323,14 +324,33 @@ class Stack(Function):
         return tuple(np.ascontiguousarray(np.squeeze(p, axis=self.axis)) for p in pieces)
 
 
+def _is_basic(item) -> bool:
+    """Whether ``item`` is an index entry that cannot name an element twice."""
+    return item is None or item is Ellipsis or isinstance(item, (int, np.integer, slice))
+
+
+def _snapshot(index):
+    """``index`` with its arrays and lists copied, so later edits cannot move it."""
+    if isinstance(index, tuple):
+        return tuple(_snapshot(item) for item in index)
+    if isinstance(index, np.ndarray):
+        return index.copy()
+    return copy.deepcopy(index) if isinstance(index, list) else index
+
+
 class GetItem(Function):
     op_name = "getitem"
 
     def forward(self, a: np.ndarray, index) -> np.ndarray:
-        self.a_shape, self.index = a.shape, index
-        return np.ascontiguousarray(a[index])
+        self.a_shape, self.index = a.shape, _snapshot(index)
+        items = self.index if isinstance(self.index, tuple) else (self.index,)
+        self.basic = all(_is_basic(item) for item in items)
+        return np.ascontiguousarray(a[self.index])
 
     def backward(self, grad: np.ndarray):
+        if self.basic:
+            return (SliceGrad(self.a_shape, self.index, grad), None)
+        # Only advanced indices can name an element twice; np.add.at sums those.
         full = np.zeros(self.a_shape, dtype=np.float32)
         np.add.at(full, self.index, grad)
         return (full, None)

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.tensor.function import Function
+from repro.tensor.function import Function, SliceGrad
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
@@ -74,6 +74,15 @@ class Tensor:
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Backpropagate from this tensor through the recorded graph.
 
+        Gradient ownership: a ``.grad`` array is immutable once set, except
+        for a buffer this call allocated itself, which it adds later
+        contributions into in place.  An intermediate tensor (one with a
+        recorded op) takes its first dense contribution by reference, so its
+        ``.grad`` may share memory with ``grad``, another tensor's gradient
+        or an array an op's backward returned.  A leaf (e.g. a ``Parameter``)
+        always gets a buffer of its own.  Code outside the engine, optimizers
+        included, must replace ``.grad`` rather than write into it.
+
         Parameters
         ----------
         grad:
@@ -111,7 +120,17 @@ class Tensor:
                 ):
                     stack.append((parent, False))
 
-        self.grad = grad if self.grad is None else self.grad + grad
+        if self.grad is not None:
+            self.grad = self.grad + grad
+        else:
+            self.grad = grad if self._ctx is not None else grad.copy()
+        # id(tensor) -> True while the buffer this call allocated for the
+        # tensor's gradient holds slice gradients only, False once a dense
+        # contribution has touched it.  Adding a slice in place skips the
+        # `+ 0.0` the materialized slice adds elsewhere, which changes only
+        # a -0.0; a buffer built from zeros by slices alone never holds one
+        # (x + y is -0.0 only when both are).
+        owned: Dict[int, bool] = {}
         for node in reversed(topo):
             ctx = node._ctx
             assert ctx is not None
@@ -127,11 +146,29 @@ class Tensor:
             for arg, g in zip(tensor_args, input_grads):
                 if g is None or not isinstance(arg, Tensor) or not arg.requires_grad:
                     continue
-                g = np.asarray(g, dtype=np.float32)
+                key = id(arg)
+                if isinstance(g, SliceGrad):
+                    if arg.grad is None:
+                        arg.grad = np.zeros(g.shape, dtype=np.float32)
+                        owned[key] = True
+                    if owned.get(key):
+                        arg.grad[g.index] += g.values
+                        continue
+                    g = g.materialize()
+                else:
+                    g = np.asarray(g, dtype=np.float32)
                 if arg.grad is None:
+                    if arg._ctx is not None:
+                        # By reference, but a strided view is copied to C order so
+                        # later ops see the layout (and BLAS paths) a copy gives.
+                        arg.grad = np.ascontiguousarray(g)
+                        continue
                     arg.grad = g.copy()
+                elif key in owned:
+                    np.add(arg.grad, g, out=arg.grad)
                 else:
                     arg.grad = arg.grad + g
+                owned[key] = False
 
     # -- operator sugar --------------------------------------------------------
     def _coerce(self, other: ArrayLike) -> "Tensor":

@@ -186,6 +186,58 @@ class TestGradients:
         check_gradient(lambda: ops.sum(ops.tanh(a @ b)), a, b)
 
 
+class TestGetItem:
+    @pytest.mark.parametrize(
+        "index",
+        [
+            1,
+            -1,
+            (slice(None), 2),
+            slice(None, None, 2),
+            (slice(None), slice(4, 0, -2)),
+            slice(None, None, -1),
+            (Ellipsis, 3),
+            (None, slice(1, 3)),
+            (slice(1, None), None, slice(None, None, 3)),
+        ],
+        ids=["int", "neg-int", "column", "step", "neg-step", "reverse", "ellipsis", "none", "mixed-basic"],
+    )
+    def test_basic_index_grad(self, index):
+        x = rand_tensor(4, 6, seed=20)
+        check_gradient(lambda: ops.sum(x[index] ** 2.0), x)
+
+    @pytest.mark.parametrize(
+        "index",
+        [
+            [0, 0, 1],
+            np.array([True, False, True, True]),
+            (slice(None), np.array([0, 2, 2, 5])),
+        ],
+        ids=["list-with-duplicates", "bool-mask", "slice-and-array"],
+    )
+    def test_advanced_index_sums_duplicates(self, index):
+        x = rand_tensor(4, 6, seed=21)
+        check_gradient(lambda: ops.sum(x[index] ** 2.0), x)
+
+    @pytest.mark.parametrize("in_tuple", [False, True], ids=["array", "list-in-tuple"])
+    def test_index_mutated_after_forward(self, in_tuple):
+        x = rand_tensor(3, 2, seed=23)
+        rows = [0, 2] if in_tuple else np.array([0, 2])
+        y = x[(rows, slice(None)) if in_tuple else rows]
+        rows[0] = 1
+        ops.sum(y).backward()
+        np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+
+    @pytest.mark.parametrize("index", [(slice(None), slice(1, 3)), [0, 2]], ids=["basic", "advanced"])
+    def test_backward_event_reports_the_parent_shape(self, index):
+        events = []
+        x = rand_tensor(4, 6, seed=25)
+        with observe_ops(events.append):
+            ops.sum(x[index]).backward()
+        (event,) = [e for e in events if e.name == "getitem" and e.phase == "backward"]
+        assert event.output_shapes == ((4, 6),)
+
+
 class TestGradModeAndObserver:
     def test_no_grad_blocks_graph(self):
         x = rand_tensor(2, 2)
