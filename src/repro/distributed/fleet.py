@@ -38,6 +38,7 @@ absorbing deltas so their caches are consistent the moment they activate.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -164,6 +165,12 @@ class FleetServingEngine(ShardedServingEngine):
         self._completions: List[List[Tuple[float, int]]] = [
             [] for _ in range(self.num_shards)
         ]
+        #: every request completed fleet-wide as ``(completion_time,
+        #: arrival_time, latency)``, kept sorted for the autoscaler's rolling
+        #: p99; ``_requests_seen[shard]`` counts the records of that replica's
+        #: append-only ``metrics.requests`` already inserted
+        self._completed: List[Tuple[float, float, float]] = []
+        self._requests_seen = [0] * self.num_shards
         for shard in range(self.num_shards):
             replicas[shard].pre_batch_ops = self._make_halo_gather(shard)
             # Scope each replica's feature cache to the node rows it owns:
@@ -299,17 +306,25 @@ class FleetServingEngine(ShardedServingEngine):
 
     # ------------------------------------------------------------------ autoscale
     def _recent_p99_seconds(self) -> float:
-        """Rolling p99 over the most recently completed requests, fleet-wide."""
-        records = [
-            record
-            for replica in self.replicas
-            for record in replica.metrics.requests
-        ]
-        if not records:
+        """Rolling p99 over the most recently completed requests, fleet-wide.
+
+        Only the records the replicas appended since the last call are
+        inserted into the sorted ``_completed`` list.  Records with equal
+        ``(completion_time, arrival_time)`` have equal latencies, so the last
+        ``scale_window`` latencies are those of a full sort of every record.
+        """
+        completed = self._completed
+        for shard, replica in enumerate(self.replicas):
+            records = replica.metrics.requests
+            for record in records[self._requests_seen[shard] :]:
+                bisect.insort(
+                    completed, (record.completion_time, record.arrival_time, record.latency)
+                )
+            self._requests_seen[shard] = len(records)
+        if not completed:
             return float("nan")
-        records.sort(key=lambda r: (r.completion_time, r.arrival_time))
-        recent = records[-self.fleet_config.scale_window :]
-        return float(np.percentile([r.latency for r in recent], 99.0))
+        recent = completed[-self.fleet_config.scale_window :]
+        return float(np.percentile([latency for _, _, latency in recent], 99.0))
 
     def _maybe_scale(self, now: float) -> None:
         cfg = self.fleet_config

@@ -11,7 +11,7 @@ when it would run given stream ordering and resource contention.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.gpu.kernel_cost import CATEGORIES, KernelCost
 from repro.gpu.spec import GPUSpec, HostSpec, PCIeSpec
@@ -156,33 +156,9 @@ class SimulatedGPU:
         use_cuda_graph: Optional[bool] = None,
     ) -> TimelineOp:
         """Schedule one kernel (or a fused group described by a single cost)."""
-        graph_mode = self.use_cuda_graph if use_cuda_graph is None else use_cuda_graph
-        per_launch_us = (
-            self.spec.cudagraph_launch_overhead_us if graph_mode else self.spec.kernel_launch_overhead_us
-        )
-        # One roofline evaluation per launch: ``balanced * imbalance`` is the
-        # same float ``cost.execution_seconds`` returns.
-        balanced = cost.balanced_seconds(self.spec)
-        exec_seconds = balanced * cost.imbalance
-        duration = exec_seconds + cost.launches * per_launch_us * 1e-6
-        op = self.timeline.submit(
-            label=label or cost.name,
-            kind="kernel",
-            resource=RESOURCE_COMPUTE,
-            duration=duration,
-            stream=stream,
-            depends_on=depends_on,
-            attrs={"category": cost.category, "launches": cost.launches},
-        )
-        stats = self.kernel_stats[cost.category]
-        stats.seconds += exec_seconds
-        stats.launches += cost.launches
-        stats.flops += cost.flops
-        stats.mem_requests += cost.mem_requests
-        stats.mem_transactions += cost.mem_transactions
-        stats.balanced_seconds += balanced
-        stats.weighted_thread_ratio += cost.active_thread_ratio * max(exec_seconds, 1e-12)
-        return op
+        return self._launch_chain(
+            [cost], [label or cost.name], stream, depends_on, use_cuda_graph
+        )[0]
 
     def launch_kernels(
         self,
@@ -194,18 +170,57 @@ class SimulatedGPU:
         use_cuda_graph: Optional[bool] = None,
     ) -> List[TimelineOp]:
         """Schedule a sequence of kernels back-to-back on one stream."""
-        ops: List[TimelineOp] = []
-        deps = depends_on
-        for i, cost in enumerate(costs):
-            op = self.launch_kernel(
-                cost,
-                label=f"{label}[{i}]:{cost.name}",
-                stream=stream,
-                depends_on=deps,
-                use_cuda_graph=use_cuda_graph,
-            )
-            deps = [op]
-            ops.append(op)
+        labels = [f"{label}[{i}]:{cost.name}" for i, cost in enumerate(costs)]
+        return self._launch_chain(costs, labels, stream, depends_on, use_cuda_graph)
+
+    def _launch_chain(
+        self,
+        costs: Sequence[KernelCost],
+        labels: Sequence[str],
+        stream: str,
+        depends_on: Optional[Sequence[TimelineOp]],
+        use_cuda_graph: Optional[bool],
+    ) -> List[TimelineOp]:
+        """Place ``costs`` as one timeline chain, then charge ``kernel_stats``.
+
+        :meth:`Timeline.submit_chain` rejects a bad duration before placing
+        anything, and the statistics are charged only after it returns, so a
+        rejected chain leaves the device as it was.
+        """
+        spec = self.spec
+        graph_mode = self.use_cuda_graph if use_cuda_graph is None else use_cuda_graph
+        per_launch_us = (
+            spec.cudagraph_launch_overhead_us if graph_mode else spec.kernel_launch_overhead_us
+        )
+        durations: List[float] = []
+        attrs: List[Dict[str, object]] = []
+        charged: List[Tuple[float, float]] = []
+        for cost in costs:
+            # One roofline evaluation per kernel: ``balanced * imbalance`` is
+            # the same float ``cost.execution_seconds`` returns.
+            balanced = cost.balanced_seconds(spec)
+            exec_seconds = balanced * cost.imbalance
+            durations.append(exec_seconds + cost.launches * per_launch_us * 1e-6)
+            attrs.append({"category": cost.category, "launches": cost.launches})
+            charged.append((balanced, exec_seconds))
+        ops = self.timeline.submit_chain(
+            labels=labels,
+            kind="kernel",
+            resource=RESOURCE_COMPUTE,
+            durations=durations,
+            attrs=attrs,
+            stream=stream,
+            depends_on=depends_on,
+        )
+        for cost, (balanced, exec_seconds) in zip(costs, charged):
+            stats = self.kernel_stats[cost.category]
+            stats.seconds += exec_seconds
+            stats.launches += cost.launches
+            stats.flops += cost.flops
+            stats.mem_requests += cost.mem_requests
+            stats.mem_transactions += cost.mem_transactions
+            stats.balanced_seconds += balanced
+            stats.weighted_thread_ratio += cost.active_thread_ratio * max(exec_seconds, 1e-12)
         return ops
 
     def host_op(

@@ -17,16 +17,28 @@ resource, in submit order, are already sorted by ``(start, end)``.
 Cost model of the bookkeeping: :meth:`Timeline.submit` keeps the makespan
 and the per-kind totals as running values, so :meth:`~Timeline.makespan` is
 O(1) and :meth:`~Timeline.kind_seconds` is O(kinds), however many ops came
-before.  :meth:`~Timeline.busy_time` (and the utilization figures built on
-it) takes one pass over the ops plus a sort that the invariant above keeps
-near-linear; it is a reporting query, not something the schedulers call per
-op.
+before.  It also keeps, per resource, the merged ``[start, end]`` components
+of that resource's positive-length ops.  By the invariant above a new op
+either extends the last component (it starts where that one ends) or opens a
+new one, which is O(1) per op.  :meth:`~Timeline.busy_time` (and the
+utilization figures built on it) merges only those components, so it costs
+O(components) for one resource, plus a sort of the components when several
+resources are asked for.  A pipeline timeline of ~11k ops holds a few dozen
+compute components.  The union of the components is the union of the ops,
+so the merge sums the same differences in the same order as a merge over
+the raw ops, bit for bit.
 
-Every simulated op pays for one :meth:`~Timeline.submit`, so the record it
-returns is cheap to build: :class:`TimelineOp` is a ``NamedTuple`` built
-positionally, about a fifth of the cost of the frozen dataclass it replaced
-(whose constructor ran one ``object.__setattr__`` per field).  On one Xeon
-core a whole ``submit`` takes about 2.4 µs, against 5.4 µs with the
+:meth:`Timeline.submit_chain` places a run of ops back to back on one stream
+and resource in one call: each op starts where its predecessor ends, which
+is exactly where ``submit(depends_on=[prev])`` would put it, and the chain
+adds at most one busy component.  A snapshot group's kernels are one such
+chain (:meth:`~repro.gpu.device.SimulatedGPU.launch_kernels`).
+
+Every other simulated op pays for one :meth:`~Timeline.submit`, so the
+record it returns is cheap to build: :class:`TimelineOp` is a ``NamedTuple``
+built positionally, about a fifth of the cost of the frozen dataclass it
+replaced (whose constructor ran one ``object.__setattr__`` per field).  On
+one Xeon core a whole ``submit`` takes about 2.4 µs, against 5.4 µs with the
 dataclass.  The tuple is just as immutable (assigning a field raises
 ``AttributeError``) and just as unhashable (``attrs`` is a dict).  Each
 submitted op owns a copy of the caller's ``attrs``: schedulers annotate an
@@ -94,6 +106,9 @@ class Timeline:
         #: ending op, and ``end - start`` summed per kind in submit order
         self._makespan = 0.0
         self._kind_seconds: Dict[str, float] = {}
+        #: per resource, the merged ``[start, end]`` components of its
+        #: positive-length ops, in time order (see the module docstring)
+        self._busy: Dict[str, List[List[float]]] = {}
 
     # -- submission ---------------------------------------------------------
     def submit(
@@ -145,7 +160,95 @@ class Timeline:
         self._kind_seconds[kind] = self._kind_seconds.get(kind, 0.0) + (end - start)
         self._resource_free[resource] = end
         self._stream_free[stream] = end
+        if end > start:
+            self._extend_busy(resource, start, end)
         return op
+
+    def submit_chain(
+        self,
+        *,
+        labels: Sequence[str],
+        kind: str,
+        resource: str,
+        durations: Sequence[float],
+        attrs: Optional[Sequence[Optional[Dict[str, object]]]] = None,
+        stream: str = "default",
+        depends_on: Optional[Sequence[TimelineOp]] = None,
+    ) -> List[TimelineOp]:
+        """Schedule ops back to back on one stream and resource.
+
+        The first op is placed as :meth:`submit` places it; every later op
+        starts at its predecessor's end and depends on it alone.  That is
+        where ``submit(depends_on=[prev])`` puts it, since the stream and
+        the resource both free up at that end, so the chain equals one such
+        submit per op, bit for bit.  ``attrs`` (one dict or ``None`` per op)
+        is copied per op, as :meth:`submit` does.  Every duration is checked
+        before anything is placed, so a rejected chain changes nothing.
+        """
+        count = len(labels)
+        if len(durations) != count or (attrs is not None and len(attrs) != count):
+            raise ValueError(
+                f"submit_chain needs one duration (and attrs) per label, got "
+                f"{count} labels, {len(durations)} durations"
+                + ("" if attrs is None else f", {len(attrs)} attrs")
+            )
+        for duration in durations:
+            if not 0.0 <= duration < math.inf:
+                raise ValueError(f"duration must be finite and >= 0, got {duration}")
+        if not count:
+            return []
+        ready = 0.0
+        if depends_on:
+            ready = max(ready, max([op.end for op in depends_on]))
+        ready = max(ready, self._stream_free.get(stream, 0.0))
+        chain_start = start = end = max(ready, self._resource_free.get(resource, 0.0))
+        deps = tuple([op.uid for op in depends_on]) if depends_on else ()
+        total = self._kind_seconds.get(kind, 0.0)
+        op_id = self._next_id
+        ops: List[TimelineOp] = []
+        for label, duration, op_attrs in zip(
+            labels, durations, attrs if attrs is not None else itertools.repeat(None)
+        ):
+            end = start + duration
+            op = TimelineOp(
+                op_id,
+                label,
+                kind,
+                resource,
+                stream,
+                start,
+                end,
+                dict(op_attrs) if op_attrs else {},
+                next(_UID_COUNTER),
+                deps,
+            )
+            ops.append(op)
+            total += end - start
+            deps = (op.uid,)
+            op_id += 1
+            start = end
+        self._next_id = op_id
+        self._ops.extend(ops)
+        self._kind_seconds[kind] = total
+        if end > self._makespan:
+            self._makespan = end
+        self._resource_free[resource] = end
+        self._stream_free[stream] = end
+        # Ops of zero length do not move the clock, so the chain's positive-
+        # length ops form one contiguous run from its start to its end.
+        if end > chain_start:
+            self._extend_busy(resource, chain_start, end)
+        return ops
+
+    def _extend_busy(self, resource: str, start: float, end: float) -> None:
+        """Add the busy interval ``[start, end]`` (``end > start``) on ``resource``."""
+        components = self._busy.setdefault(resource, [])
+        # FIFO: ``start`` is no earlier than the last component's end, so it
+        # either touches that component (and ``end`` extends it) or opens a new one.
+        if components and start <= components[-1][1]:
+            components[-1][1] = end
+        else:
+            components.append([start, end])
 
     # -- queries -------------------------------------------------------------
     @property
@@ -166,12 +269,11 @@ class Timeline:
 
     def busy_time(self, resources: Iterable[str]) -> float:
         """Union length of busy intervals across the given resources."""
-        wanted = set(resources)
-        # Per-resource FIFO leaves these as a few interleaved sorted runs,
-        # which the sort merges in near-linear time.
-        intervals = sorted(
-            [(op.start, op.end) for op in self._ops if op.resource in wanted and op.end - op.start > 0]
-        )
+        per_resource = [self._busy[r] for r in set(resources) if self._busy.get(r)]
+        if len(per_resource) == 1:
+            intervals = per_resource[0]  # one resource: already sorted and disjoint
+        else:
+            intervals = sorted([c for components in per_resource for c in components])
         if not intervals:
             return 0.0
         busy = 0.0
@@ -219,3 +321,4 @@ class Timeline:
         self._next_id = 0
         self._makespan = 0.0
         self._kind_seconds.clear()
+        self._busy.clear()

@@ -111,13 +111,15 @@ class Sigmoid(Function):
 
     def forward(self, a: np.ndarray) -> np.ndarray:
         # Numerically stable without a per-sign split: with e = exp(-|a|),
-        # sigmoid is 1 / (1 + e) for a >= 0 and e / (1 + e) below, so one
-        # exp and one divide cover both halves (bitwise equal to gathering
-        # each half by mask on float32).  The output is saved for backward.
-        one = a.dtype.type(1)
-        e = np.exp(-np.abs(a))
-        d = e + one
-        self.out = np.divide(np.where(a >= 0, one, e), d, out=d)
+        # sigmoid is 1 / (1 + e) for a >= 0 and e / (1 + e) below, and
+        # exp(min(a, 0)) is exactly that numerator (1 above zero; e below,
+        # where -|a| == a).  No sign mask or select, which mispredicts on
+        # mixed signs; bitwise equal to gathering each half by mask on
+        # float32.  The output is saved for backward.
+        d = np.exp(-np.abs(a))
+        d += a.dtype.type(1)
+        num = np.exp(np.minimum(a, a.dtype.type(0)))
+        self.out = np.divide(num, d, out=num)
         return self.out
 
     def backward(self, grad: np.ndarray):

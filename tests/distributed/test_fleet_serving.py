@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.distributed import (
     FleetConfig,
@@ -13,6 +17,7 @@ from repro.distributed import (
 from repro.memory import MemoryConfig
 from repro.nn import build_model
 from repro.serving import ServingConfig, synthesize_serving_trace
+from repro.serving.metrics import RequestRecord
 from repro.serving.scheduler import _build_serving_scheduler
 from repro.telemetry.hooks import TelemetryCallback
 
@@ -283,6 +288,48 @@ class TestAutoscale:
             engine.pump(now + tick)
         assert engine.active_replicas == engine.fleet_config.min_replicas
         assert any(e.direction == "down" for e in engine.scale_events)
+
+
+    # Few distinct times, so equal (completion, arrival) keys land on
+    # different replicas and in different calls, and equal completion times
+    # come with different arrivals (and latencies).
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        appends=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2),
+                st.lists(
+                    st.tuples(st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([0.0, 0.5, 1.0])),
+                    max_size=6,
+                ),
+            ),
+            max_size=8,
+        ),
+        window=st.integers(min_value=1, max_value=6),
+    )
+    def test_rolling_p99_equals_a_full_sort(self, small_graph, appends, window):
+        engine = make_fleet(small_graph, fleet=FleetConfig(num_shards=3, scale_window=window))
+
+        def full_sort_p99() -> float:
+            records = [r for replica in engine.replicas for r in replica.metrics.requests]
+            if not records:
+                return math.nan
+            records.sort(key=lambda r: (r.completion_time, r.arrival_time))
+            return float(np.percentile([r.latency for r in records[-window:]], 99.0))
+
+        request_id = 0
+        for shard, times in appends:
+            for arrival, wait in times:
+                engine.replicas[shard].metrics.record_request(
+                    RequestRecord(request_id, 0, arrival, arrival + wait, 1)
+                )
+                request_id += 1
+            expected, got = full_sort_p99(), engine._recent_p99_seconds()
+            assert got.hex() == expected.hex() or math.isnan(got) and math.isnan(expected)
 
 
 class TestHaloGather:

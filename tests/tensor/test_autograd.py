@@ -88,6 +88,39 @@ class TestForwardValues:
         assert got.dtype == np.float32
         assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
 
+    def test_sigmoid_is_bitwise_the_where_formula(self):
+        def where_sigmoid(a):
+            # the sign-select formulation the op ran before it went branch-free
+            one = a.dtype.type(1)
+            e = np.exp(-np.abs(a))
+            d = e + one
+            return np.divide(np.where(a >= 0, one, e), d, out=d)
+
+        dtype = np.float32  # tensors always hold float32
+        info = np.finfo(dtype)
+        # exp overflows past log(max) and underflows to subnormals past
+        # log(tiny) and to zero past log(smallest_subnormal)
+        edges = [np.log(info.max), np.log(info.tiny), np.log(info.smallest_subnormal)]
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, info.smallest_subnormal,
+                   -info.smallest_subnormal, info.tiny, -info.tiny, info.max, -info.max,
+                   info.eps, -info.eps, 1.0, -1.0]
+        values = np.array(special, dtype=dtype)
+        for edge in np.array(edges, dtype=dtype):
+            around = [np.nextafter(edge, dtype(np.inf)), edge, np.nextafter(edge, dtype(-np.inf))]
+            values = np.concatenate([values, around, np.negative(around)]).astype(dtype)
+        rng = np.random.default_rng(11)
+        mixed = np.concatenate([values, rng.normal(0.0, 30.0, size=4099).astype(dtype)])
+        # odd lengths and an unaligned start exercise the vector loops' tails
+        arrays = [mixed, mixed[1:], mixed.reshape(-1, 1)[::3]] + [
+            rng.permutation(mixed)[:n] for n in (1, 3, 5, 7, 9, 15, 17, 31, 33, 63, 65)
+        ]
+        for a in arrays:
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = where_sigmoid(a)
+                got = ops.sigmoid(Tensor(a)).numpy()
+            assert got.dtype == dtype
+            assert got.tobytes() == expected.tobytes()
+
     def test_softmax_rows_sum_to_one(self):
         x = rand_tensor(5, 7, seed=3)
         assert np.allclose(ops.softmax(x, axis=-1).numpy().sum(axis=-1), 1.0, atol=1e-5)
