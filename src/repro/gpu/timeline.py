@@ -187,11 +187,7 @@ class Timeline:
         """
         count = len(labels)
         if len(durations) != count or (attrs is not None and len(attrs) != count):
-            raise ValueError(
-                f"submit_chain needs one duration (and attrs) per label, got "
-                f"{count} labels, {len(durations)} durations"
-                + ("" if attrs is None else f", {len(attrs)} attrs")
-            )
+            raise ValueError("submit_chain needs one duration (and attrs entry, if given) per label")
         for duration in durations:
             if not 0.0 <= duration < math.inf:
                 raise ValueError(f"duration must be finite and >= 0, got {duration}")
