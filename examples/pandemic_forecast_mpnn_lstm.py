@@ -11,8 +11,15 @@ CPU split of Fig. 3 can be inspected on a live run.
 
 from __future__ import annotations
 
+from typing import Dict
+
 from repro.api import Engine, RunSpec
-from repro.profiling import compute_time_breakdown, latency_breakdown
+
+
+def shares(seconds: Dict[str, float]) -> Dict[str, str]:
+    """Each part's share of the parts' total, as a percentage."""
+    total = sum(seconds.values())
+    return {name: f"{value / total:.1%}" for name, value in seconds.items()}
 
 
 def main() -> None:
@@ -31,12 +38,11 @@ def main() -> None:
     print(f"dataset: {graph.name}  regions={graph.num_nodes}  snapshots={graph.num_snapshots}\n")
 
     baseline_result = baseline_engine.train()
-    print("PyGT latency breakdown:", {
-        k: f"{v:.1%}" for k, v in latency_breakdown(baseline_result).items()
-    })
-    print("PyGT compute breakdown:", {
-        k: f"{v:.1%}" for k, v in compute_time_breakdown(baseline_result).items()
-    })
+    parts = baseline_result.breakdown
+    print("PyGT latency breakdown:", shares({
+        "transfer": parts["h2d"] + parts["d2h"], "compute": parts["kernel"], "cpu": parts["cpu"],
+    }), f"SM utilization {baseline_result.sm_utilization:.1%}")
+    print("PyGT compute breakdown:", shares(baseline_result.category_seconds))
 
     pipad_engine = Engine.from_spec(
         base.replace(method="pipad", pipad={"preparing_epochs": 1}), graph=graph

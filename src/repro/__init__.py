@@ -24,8 +24,7 @@ Sub-packages
   forward-only sessions, micro-batching and the pipelined serving scheduler.
 - :mod:`repro.distributed` — multi-GPU sharding: graph partitioner, device
   group with ring collectives, data-parallel trainer and sharded serving.
-- :mod:`repro.profiling` — breakdowns, utilization, load-balance analysis.
-- :mod:`repro.experiments` — one module per paper table/figure.
+- :mod:`repro.experiments` — one module per paper table/figure, plus ``CLAIMS``.
 - :mod:`repro.telemetry` — observability: span tracing, Chrome-trace export,
   the unified metrics registry and the callback/hook layer.
 - :mod:`repro.api` — the unified entry layer: declarative ``RunSpec``,

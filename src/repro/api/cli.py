@@ -1,6 +1,6 @@
 """``python -m repro`` — the spec-driven command-line surface.
 
-Four subcommands cover the repo's scenarios, all driven by
+Six subcommands cover the repo's scenarios, all driven by
 :class:`~repro.api.spec.RunSpec`:
 
 - ``python -m repro list`` — every registered dataset, model, method,
@@ -13,7 +13,9 @@ Four subcommands cover the repo's scenarios, all driven by
 - ``python -m repro check SPEC`` — static spec lint from the
   :mod:`repro.analysis` catalog, no execution (exit 3 on errors);
 - ``python -m repro experiment NAME`` — regenerate a paper artifact through
-  the experiment harness.
+  the experiment harness;
+- ``python -m repro claims`` — check every paper claim, print one row per
+  claim and write ``BENCH_paper.json`` (exit 1 when a claim fails).
 
 ``--set key=value`` applies dotted overrides to a loaded spec
 (``--set epochs=5 --set device.num_devices=4``), so one JSON file serves a
@@ -339,17 +341,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.experiments import (
-        ExperimentConfig,
-        format_experiment,
-        list_experiments,
-        run_experiment,
-    )
+    from repro.experiments import ExperimentConfig, format_experiment, run_experiment
 
-    if args.name not in list_experiments():
-        raise ValueError(
-            f"unknown experiment {args.name!r}; available: {list_experiments()}"
-        )
     if args.full:
         config = ExperimentConfig.full()
     elif args.quick:
@@ -359,6 +352,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     rows = run_experiment(args.name, config)
     print(format_experiment(args.name, rows))
     return 0
+
+
+def _cmd_claims(args: argparse.Namespace) -> int:
+    from repro.experiments.claims import run_claims
+
+    return run_claims()
 
 
 # ------------------------------------------------------------------ entry point
@@ -436,6 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
     scale.add_argument("--quick", action="store_true", help="minimal smoke sweep")
     scale.add_argument("--full", action="store_true", help="the paper's full grid")
     p_exp.set_defaults(func=_cmd_experiment)
+
+    p_claims = sub.add_parser("claims", help="check the paper's claims, write BENCH_paper.json")
+    p_claims.set_defaults(func=_cmd_claims)
 
     return parser
 

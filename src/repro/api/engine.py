@@ -62,21 +62,6 @@ class RunReport:
         return AnalysisReport.from_dict(data)
 
     # ------------------------------------------------------------------ views
-    def timeline_breakdown(self) -> Dict[str, float]:
-        """Merged per-kind simulated-seconds breakdown across both phases.
-
-        Serving keys are prefixed ``serving_`` so the two timelines never
-        collide; training keys keep their historical names.
-        """
-        merged: Dict[str, float] = {}
-        if self.training is not None:
-            merged.update(self.training.breakdown)
-        if self.serving is not None:
-            merged.update(
-                {f"serving_{k}": v for k, v in self.serving.breakdown.items()}
-            )
-        return merged
-
     def collective_breakdown(self) -> Dict[str, float]:
         """Collective times of a distributed run ({} on single-device runs)."""
         if self.training is None:

@@ -46,7 +46,6 @@ from repro.core.data_prep import DataPreparer, PartitionData
 from repro.gpu.device import SimulatedGPU
 from repro.gpu.spec import HostSpec
 from repro.gpu.timeline import TimelineOp
-from repro.graph.overlap import SnapshotOverlap
 from repro.graph.sliced_csr import DEFAULT_SLICE_CAPACITY
 from repro.graph.snapshot import GraphSnapshot
 from repro.memory.cache import TIER_PINNED, AccessPlan
@@ -188,12 +187,6 @@ class DataPipe:
     ) -> List[PartitionData]:
         """Prepare every partition of a frame at parallelism ``s_per``."""
         return self.preparer.prepare_frame(snapshots, s_per)
-
-    def partition_from_decomposition(
-        self, snapshots: Sequence[GraphSnapshot], overlap: SnapshotOverlap
-    ) -> PartitionData:
-        """Serving path: build partition data from a maintained decomposition."""
-        return self.preparer.prepare_from_decomposition(snapshots, overlap)
 
     # ------------------------------------------------------------------ stage costs
     @property

@@ -134,9 +134,6 @@ class ReuseManager:
         return resident
 
     # -- reporting ------------------------------------------------------------------
-    def cpu_bytes(self) -> int:
-        return sum(v.nbytes for v in self._cpu_store.values())
-
     def stats(self) -> Dict[str, float]:
         return {
             "cpu_hits": float(self.cpu_hits),

@@ -49,9 +49,6 @@ class GraphSlicer:
     def is_cached(self, timestep: int) -> bool:
         return timestep in self._cache
 
-    def cached_bytes(self) -> int:
-        return sum(s.nbytes for s in self._cache.values())
-
     def clear(self) -> None:
         self._cache.clear()
         self.total_host_seconds = 0.0

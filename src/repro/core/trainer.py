@@ -50,7 +50,6 @@ from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.frame import Frame
 from repro.graph.snapshot import GraphSnapshot
 from repro.gpu.device import OutOfMemoryError, SimulatedGPU
-from repro.gpu.memory_model import feature_cache_budget_bytes
 from repro.gpu.timeline import TimelineOp
 from repro.memory import (
     AccessPlan,
@@ -58,6 +57,7 @@ from repro.memory import (
     MemoryConfig,
     aggregate_cache_stats,
     blocks_covering,
+    build_feature_cache,
 )
 from repro.nn.context import ExecutionContext
 
@@ -165,33 +165,11 @@ class PiPADTrainer(DGNNTrainerBase):
 
     def _build_feature_cache(self, device: SimulatedGPU) -> FeatureCache:
         """One per-device cache; the GPU tier is carved out of real HBM."""
-        mem = self.memory
-        if mem.gpu_budget_mb is not None:
-            gpu_budget = int(mem.gpu_budget_mb * 1024 * 1024)
-        else:
-            model_bytes = float(sum(p.data.nbytes for p in self.model.parameters()))
-            gpu_budget = feature_cache_budget_bytes(
-                self.config.gpu,
-                model_bytes=model_bytes,
-                activation_bytes=self._frame_activation_bytes()
-                / float(self._feature_shards()),
-                fraction=mem.gpu_budget_fraction,
-            )
-        cache = FeatureCache(
-            gpu_budget_bytes=gpu_budget,
-            pinned_budget_bytes=int(mem.pinned_budget_mb * 1024 * 1024),
-            spill_budget_bytes=(
-                None
-                if mem.spill_budget_mb is None
-                else int(mem.spill_budget_mb * 1024 * 1024)
-            ),
-            policy=mem.policy,
+        return build_feature_cache(
+            device, self.memory,
+            model_bytes=float(sum(p.data.nbytes for p in self.model.parameters())),
+            activation_bytes=self._frame_activation_bytes() / float(self._feature_shards()),
         )
-        if gpu_budget > 0:
-            # Peak-memory honesty: the GPU tier occupies real HBM alongside
-            # the reuse buffer (raises OutOfMemoryError on absurd budgets).
-            device.malloc("feature_cache", gpu_budget)
-        return cache
 
     def _feature_block_requests(
         self, snapshots: Sequence[GraphSnapshot], lo: int, hi: int

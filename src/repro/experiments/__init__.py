@@ -44,20 +44,20 @@ def list_experiments() -> List[str]:
     return list(EXPERIMENTS)
 
 
+def _experiment(name: str):
+    if name.lower() not in EXPERIMENTS:
+        raise KeyError(f"unknown experiment {name!r}; available: {sorted(EXPERIMENTS)}")
+    return EXPERIMENTS[name.lower()]
+
+
 def run_experiment(name: str, config: Optional[ExperimentConfig] = None, **kwargs):
     """Run one experiment by name and return its rows."""
-    key = name.lower()
-    if key not in EXPERIMENTS:
-        raise KeyError(f"unknown experiment {name!r}; available: {sorted(EXPERIMENTS)}")
-    return EXPERIMENTS[key].run(config, **kwargs)
+    return _experiment(name).run(config, **kwargs)
 
 
 def format_experiment(name: str, rows) -> str:
     """Format an experiment's rows the way the paper presents them."""
-    key = name.lower()
-    if key not in EXPERIMENTS:
-        raise KeyError(f"unknown experiment {name!r}; available: {sorted(EXPERIMENTS)}")
-    return EXPERIMENTS[key].format_result(rows)
+    return _experiment(name).format_result(rows)
 
 
 __all__ = [

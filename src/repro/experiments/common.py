@@ -4,7 +4,8 @@ Every experiment module exposes ``run(config) -> dict`` returning the rows of
 the corresponding paper table/figure and ``format_result(rows) -> str``
 rendering them the way the paper reports them.  :class:`ExperimentConfig`
 scales the sweep: the defaults finish in seconds (suitable for CI and the
-pytest-benchmark harness); ``full()`` mirrors the paper's full grid.
+claims table in :mod:`repro.experiments.claims`); ``full()`` mirrors the
+paper's full grid.
 """
 
 from __future__ import annotations
@@ -34,31 +35,16 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         # Fail fast with the valid choices: a typo'd name must not surface as
         # a KeyError hours into a sweep.
-        unknown_datasets = [
-            d for d in self.datasets if d.lower().replace("-", "_") not in DATASET_ORDER
-        ]
-        if unknown_datasets:
-            raise ValueError(
-                f"unknown dataset(s) {unknown_datasets}; valid datasets: "
-                f"{sorted(DATASET_ORDER)}"
-            )
-        unknown_models = [
-            m for m in self.models if m.lower().replace("-", "_") not in MODEL_REGISTRY
-        ]
-        if unknown_models:
-            raise ValueError(
-                f"unknown model(s) {unknown_models}; valid models: "
-                f"{sorted(MODEL_REGISTRY)}"
-            )
-        registry = _registry()
-        unknown_methods = [
-            m for m in self.methods if m.lower().replace("_", "-") not in registry
-        ]
-        if unknown_methods:
-            raise ValueError(
-                f"unknown method(s) {unknown_methods}; valid methods: "
-                f"{sorted(registry)}"
-            )
+        for kind, names, valid, separator in (
+            ("dataset", self.datasets, DATASET_ORDER, ("-", "_")),
+            ("model", self.models, MODEL_REGISTRY, ("-", "_")),
+            ("method", self.methods, _registry(), ("_", "-")),
+        ):
+            unknown = [n for n in names if n.lower().replace(*separator) not in valid]
+            if unknown:
+                raise ValueError(
+                    f"unknown {kind}(s) {unknown}; valid {kind}s: {sorted(valid)}"
+                )
 
     @classmethod
     def quick(cls) -> "ExperimentConfig":

@@ -11,8 +11,8 @@ from repro.experiments.common import (
     load_experiment_graph,
     method_spec,
 )
+from repro.gpu.load_balance import sliced_vs_csr_balance
 from repro.graph.datasets import get_dataset_spec
-from repro.profiling.load_balance import sliced_vs_csr_balance
 
 
 def run(config: Optional[ExperimentConfig] = None) -> Dict[str, Dict[str, float]]:

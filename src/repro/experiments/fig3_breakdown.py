@@ -10,7 +10,6 @@ from repro.experiments.common import (
     load_experiment_graph,
     run_method,
 )
-from repro.profiling.breakdown import latency_breakdown
 
 
 def run(config: Optional[ExperimentConfig] = None) -> Dict[str, Dict[str, float]]:
@@ -21,7 +20,15 @@ def run(config: Optional[ExperimentConfig] = None) -> Dict[str, Dict[str, float]
         graph = load_experiment_graph(dataset, config)
         for model in config.models:
             result = run_method("pygt", graph, model, config)
-            row = latency_breakdown(result)
+            # The figure plots the GPU-related time: transfers, kernels, host.
+            seconds = result.breakdown
+            parts = {
+                "transfer": seconds.get("h2d", 0.0) + seconds.get("d2h", 0.0),
+                "compute": seconds.get("kernel", 0.0),
+                "cpu": seconds.get("cpu", 0.0),
+            }
+            row = {f"{k}_fraction": v / sum(parts.values()) for k, v in parts.items()}
+            row["sm_utilization"] = result.sm_utilization
             row["simulated_seconds"] = result.simulated_seconds
             rows[f"{model}/{dataset}"] = row
     return rows

@@ -10,7 +10,6 @@ from repro.experiments.common import (
     load_experiment_graph,
     run_method,
 )
-from repro.profiling.breakdown import compute_time_breakdown
 
 
 def run(config: Optional[ExperimentConfig] = None) -> Dict[str, Dict[str, float]]:
@@ -21,7 +20,17 @@ def run(config: Optional[ExperimentConfig] = None) -> Dict[str, Dict[str, float]
         graph = load_experiment_graph(dataset, config)
         for model in config.models:
             result = run_method("pygt", graph, model, config)
-            rows[f"{model}/{dataset}"] = compute_time_breakdown(result)
+            # GNN = aggregation + update GEMMs; RNN = the LSTM/GRU gates;
+            # other = readout, losses and the optimizer.
+            seconds = result.category_seconds
+            parts = {
+                "gnn": seconds.get("aggregation", 0.0) + seconds.get("update", 0.0),
+                "rnn": seconds.get("rnn", 0.0),
+                "other": seconds.get("elementwise", 0.0) + seconds.get("other", 0.0),
+            }
+            rows[f"{model}/{dataset}"] = {
+                f"{k}_fraction": v / sum(parts.values()) for k, v in parts.items()
+            }
     return rows
 
 

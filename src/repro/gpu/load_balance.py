@@ -12,10 +12,13 @@ the imbalance factor is the ratio of the wave-limited actual latency to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.gpu.spec import GPUSpec
+from repro.graph.dynamic_graph import DynamicGraph
+from repro.graph.sliced_csr import SlicedCSRMatrix
 
 
 @dataclass(frozen=True)
@@ -27,11 +30,6 @@ class LoadBalanceReport:
     max_block_work: float
     mean_block_work: float
     imbalance: float
-
-    @property
-    def balanced_fraction(self) -> float:
-        """Fraction of the actual latency that the balanced execution needs."""
-        return 1.0 / self.imbalance if self.imbalance > 0 else 1.0
 
 
 def block_work_from_row_nnz(row_nnz: np.ndarray, rows_per_block: int = 8) -> np.ndarray:
@@ -102,3 +100,37 @@ def analyze_block_work(
         mean_block_work=float(block_work.mean()),
         imbalance=imbalance,
     )
+
+
+def sliced_vs_csr_balance(
+    graph: DynamicGraph,
+    spec: Optional[GPUSpec] = None,
+    *,
+    slice_capacity: int = 32,
+    scale: float = 1.0,
+    max_snapshots: int = 8,
+) -> Dict[str, float]:
+    """Mean imbalance factor of the CSR row and the sliced-CSR slice mapping.
+
+    Averaged over the first ``max_snapshots`` non-empty snapshots;
+    ``improvement`` is their ratio, the quantity Fig. 12's bars visualize.
+    """
+    spec = spec or GPUSpec()
+    csr, sliced = [], []
+    for snapshot in graph.snapshots[:max_snapshots]:
+        adjacency = snapshot.adjacency
+        if adjacency.nnz:
+            slices = SlicedCSRMatrix.from_csr(adjacency, slice_capacity=slice_capacity)
+            csr.append(block_work_from_row_nnz(adjacency.row_nnz()))
+            sliced.append(block_work_from_slice_nnz(slices.slice_nnz()))
+
+    def mean_imbalance(works) -> float:
+        imbalances = [analyze_block_work(w, spec, scale=scale).imbalance for w in works]
+        return float(np.mean(imbalances)) if imbalances else 1.0
+
+    csr_imbalance, sliced_imbalance = mean_imbalance(csr), mean_imbalance(sliced)
+    return {
+        "csr_imbalance": csr_imbalance,
+        "sliced_imbalance": sliced_imbalance,
+        "improvement": csr_imbalance / sliced_imbalance,
+    }

@@ -226,9 +226,6 @@ class KernelCostCollector:
         drained, self.costs = self.costs, []
         return drained
 
-    def peek_total_seconds(self) -> float:
-        return sum(c.execution_seconds(self.spec) for c in self.costs)
-
     def reset(self) -> None:
         self.costs.clear()
         self.events_seen = 0

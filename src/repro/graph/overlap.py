@@ -194,12 +194,6 @@ class IncrementalOverlapTracker:
         """Snapshot versions currently in the window, oldest first."""
         return [version for version, _ in self._window]
 
-    def keys_of(self, version: int) -> np.ndarray:
-        for v, keys in self._window:
-            if v == version:
-                return keys
-        raise KeyError(f"version {version} not in window {self.versions}")
-
     def _decrement(self, keys: np.ndarray) -> None:
         if not len(keys):
             return

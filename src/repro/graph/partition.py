@@ -93,14 +93,6 @@ class ShardGroup:
     def size(self) -> int:
         return len(self.shards)
 
-    @property
-    def halo_feature_rows(self) -> int:
-        """Union of halo nodes across the group (fetched once per group)."""
-        if not self.shards:
-            return 0
-        halos = unique(np.concatenate([s.halo_nodes for s in self.shards]))
-        return int(len(halos))
-
 
 def _row_slice(adjacency: CSRMatrix, start: int, stop: int) -> CSRMatrix:
     """Rows ``[start, stop)`` of ``adjacency``, zero-padded to the full shape."""

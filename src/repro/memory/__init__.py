@@ -16,6 +16,7 @@ from .cache import (
     aggregate_cache_stats,
     blocks_covering,
     blocks_of_rows,
+    build_feature_cache,
 )
 from .policy import CACHE_POLICY_REGISTRY, CachePolicy, ClockPolicy, LRUPolicy, build_policy
 
@@ -35,5 +36,6 @@ __all__ = [
     "aggregate_cache_stats",
     "blocks_covering",
     "blocks_of_rows",
+    "build_feature_cache",
     "build_policy",
 ]

@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.gpu.device import SimulatedGPU
+from repro.gpu.memory_model import feature_cache_budget_bytes
 from repro.utils.validation import (
     check_choice,
     check_in_range,
@@ -392,6 +394,36 @@ class FeatureCache:
 
 
 # -- block helpers ---------------------------------------------------------
+
+
+def build_feature_cache(
+    device: SimulatedGPU, memory: MemoryConfig, *, model_bytes: float, activation_bytes: float
+) -> FeatureCache:
+    """One device's cache; the GPU tier is carved out of the device's HBM.
+
+    The GPU budget is ``memory.gpu_budget_mb`` when pinned, otherwise what
+    HBM can spare next to the model and the activation working set.
+    """
+    mib = 1024 * 1024
+    if memory.gpu_budget_mb is not None:
+        gpu_budget = int(memory.gpu_budget_mb * mib)
+    else:
+        gpu_budget = feature_cache_budget_bytes(
+            device.spec, model_bytes=model_bytes, activation_bytes=activation_bytes,
+            fraction=memory.gpu_budget_fraction,
+        )
+    spill_mb = memory.spill_budget_mb
+    cache = FeatureCache(
+        gpu_budget_bytes=gpu_budget,
+        pinned_budget_bytes=int(memory.pinned_budget_mb * mib),
+        spill_budget_bytes=None if spill_mb is None else int(spill_mb * mib),
+        policy=memory.policy,
+    )
+    if gpu_budget > 0:
+        # Peak-memory honesty: the GPU tier occupies real HBM alongside the
+        # reuse buffer (raises OutOfMemoryError on absurd budgets).
+        device.malloc("feature_cache", gpu_budget)
+    return cache
 
 
 def blocks_covering(lo: int, hi: int, block_rows: int) -> List[Tuple[int, int, int]]:

@@ -53,10 +53,6 @@ class MicroBatch:
         """Union of the member requests' node ids (deduplicated)."""
         return unique(np.concatenate([r.node_ids for r in self.requests]))
 
-    @property
-    def oldest_arrival(self) -> float:
-        return min(r.arrival_time for r in self.requests)
-
 
 class MicroBatcher:
     """Coalesces requests into micro-batches under a latency budget."""

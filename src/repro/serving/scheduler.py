@@ -36,7 +36,6 @@ from repro.core.datapipe import (
 from repro.core.reuse import ReuseManager
 from repro.core.tuner import DynamicTuner, FrameProfile, TuningDecision
 from repro.gpu.device import OutOfMemoryError, SimulatedGPU
-from repro.gpu.memory_model import feature_cache_budget_bytes
 from repro.gpu.spec import GPUSpec, HostSpec, PCIeSpec
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.sliced_csr import DEFAULT_SLICE_CAPACITY
@@ -45,6 +44,7 @@ from repro.memory import (
     MemoryConfig,
     blocks_covering,
     blocks_of_rows,
+    build_feature_cache,
 )
 from repro.nn.base_model import DGNNModel
 from repro.serving.batcher import InferenceRequest, MicroBatch, MicroBatcher
@@ -326,40 +326,15 @@ class ServingScheduler:
             )
 
     def _build_feature_cache(self) -> FeatureCache:
-        mem = self.memory
-        if mem.gpu_budget_mb is not None:
-            gpu_budget = int(mem.gpu_budget_mb * 1024 * 1024)
-        else:
-            model_bytes = float(sum(p.data.nbytes for p in self.model.parameters()))
-            hidden = self.model.hidden_features
-            activation_bytes = (
-                self.store.window_capacity
-                * self.store.num_nodes
-                * hidden
-                * 4.0
-                * _ACTIVATION_FACTOR
-                * self.scale
-            )
-            gpu_budget = feature_cache_budget_bytes(
-                self.device.spec,
-                model_bytes=model_bytes,
-                activation_bytes=activation_bytes,
-                fraction=mem.gpu_budget_fraction,
-            )
-        cache = FeatureCache(
-            gpu_budget_bytes=gpu_budget,
-            pinned_budget_bytes=int(mem.pinned_budget_mb * 1024 * 1024),
-            spill_budget_bytes=(
-                None
-                if mem.spill_budget_mb is None
-                else int(mem.spill_budget_mb * 1024 * 1024)
-            ),
-            policy=mem.policy,
+        activation_bytes = (
+            self.store.window_capacity * self.store.num_nodes * self.model.hidden_features
+            * 4.0 * _ACTIVATION_FACTOR * self.scale
         )
-        if gpu_budget > 0:
-            # The GPU tier occupies real HBM alongside the reuse buffer.
-            self.device.malloc("feature_cache", gpu_budget)
-        return cache
+        return build_feature_cache(
+            self.device, self.memory,
+            model_bytes=float(sum(p.data.nbytes for p in self.model.parameters())),
+            activation_bytes=activation_bytes,
+        )
 
     def scope_feature_cache(self, lo: int, hi: int) -> None:
         """Restrict the cache to the node range ``[lo, hi)`` (fleet shards).

@@ -26,10 +26,3 @@ def xavier_uniform(shape, gain: float = 1.0, seed: SeedLike = None) -> np.ndarra
     fan_in, fan_out = shape[0], shape[-1]
     bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
-def xavier_normal(shape, gain: float = 1.0, seed: SeedLike = None) -> np.ndarray:
-    rng = as_rng(seed)
-    fan_in, fan_out = shape[0], shape[-1]
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return (rng.standard_normal(size=shape) * std).astype(np.float32)

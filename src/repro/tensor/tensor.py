@@ -60,13 +60,6 @@ class Tensor:
             raise ValueError(f"item() requires a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        """A new tensor sharing data but cut off from the graph."""
-        return Tensor(self.data, requires_grad=False, name=self.name)
-
-    def clone(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad, name=self.name)
-
     def zero_grad(self) -> None:
         self.grad = None
 

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Engine, RunSpec
+from repro.api.cli import PRESETS
 from repro.baselines import TrainerConfig
 from repro.core import (
     DataPipe,
@@ -345,6 +347,28 @@ class TestTrainerParity:
         assert trainer.data.prefetch_depth == 0
         assert trainer.data.pin_memory is False
         assert trainer.prefetcher.depth == 0
+
+
+class TestPrefetchDepthSweep:
+    """The pipeline-4gpu preset (8 snapshots, 2 epochs) at depths 0, 1, 2 and 4."""
+
+    @pytest.fixture(scope="class")
+    def results(self):
+        results = {}
+        for depth in (0, 1, 2, 4):
+            data = {**PRESETS["pipeline-4gpu"], "num_snapshots": 8, "epochs": 2}
+            data["data"] = {**data["data"], "prefetch_depth": depth}
+            results[depth] = Engine.from_spec(RunSpec.from_dict(data)).run().training
+        return results
+
+    def test_every_depth_trains_bit_identically(self, results):
+        for depth in (1, 2, 4):
+            assert results[depth].loss_curve() == results[0].loss_curve()
+
+    def test_prefetch_beats_serial_prep_and_deeper_never_slows(self, results):
+        for depth in (1, 2, 4):
+            assert results[depth].steady_epoch_seconds < results[0].steady_epoch_seconds
+        assert results[4].steady_epoch_seconds <= results[1].steady_epoch_seconds
 
 
 class TestServingParity:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,9 @@ from repro.distributed import (
     FleetConfig,
     FleetServingEngine,
     build_fleet_serving_engine,
+    build_sharded_serving_engine,
 )
+from repro.graph import load_dataset
 from repro.memory import MemoryConfig
 from repro.nn import build_model
 from repro.serving import ServingConfig, synthesize_serving_trace
@@ -519,6 +522,56 @@ class TestDeterminismAndParity:
                 np.testing.assert_array_equal(
                     fleet_preds[fleet_id], single_preds[single_id]
                 )
+
+
+class TestFleetVsRoundRobin:
+    """One skewed burst on youtube, K=4: the fleet against round-robin sharding.
+
+    70 % of the requests are remapped into shard 0's node range and arrive
+    0.05 ms apart; ``scale=100`` slows the simulated compute so the burst
+    saturates it.  Both engines serve the same trained model and trace.
+    """
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        graph = load_dataset("youtube", num_snapshots=8)
+        model = build_model("tgcn", graph.feature_dim, 8, seed=0)
+        config = ServingConfig(window=4, max_batch_requests=8, max_delay_ms=0.5)
+        fleet = build_fleet_serving_engine(
+            graph,
+            model,
+            FleetConfig(
+                num_shards=4, min_replicas=1, admission_limit=8, slo_p99_ms=1.0,
+                scale_window=8, scale_cooldown=4,
+            ),
+            config,
+            scale=100.0,
+        )
+        lo, hi = int(fleet.boundaries[0]), int(fleet.boundaries[1])
+        rng = np.random.default_rng(7)
+        trace = []
+        for event in synthesize_serving_trace(
+            graph[-1], 120, seed=7, mean_interarrival_ms=0.05, nodes_per_request=4
+        ):
+            if event.kind == "request" and rng.random() < 0.7:
+                ids = lo + (np.asarray(event.node_ids, dtype=np.int64) % (hi - lo))
+                event = dataclasses.replace(event, node_ids=ids)
+            trace.append(event)
+        sharded = build_sharded_serving_engine(graph, model, 4, config, scale=100.0)
+        return fleet.run_trace(list(trace)), sharded.run_trace(list(trace))
+
+    def test_node_sharding_cuts_per_replica_store_by_about_k(self, reports):
+        fleet, sharded = reports
+        ratio = sharded.extras["per_replica_store_bytes"] / fleet.extras["per_replica_store_bytes"]
+        assert ratio > 0.7 * 4
+
+    def test_overload_is_shed_so_admitted_p99_beats_round_robin(self, reports):
+        fleet, sharded = reports
+        assert fleet.extras["rejected_requests"] > 0
+        assert fleet.metrics.p99_latency < sharded.metrics.p99_latency
+
+    def test_burst_triggers_a_scale_up(self, reports):
+        assert reports[0].extras["scale_up_events"] >= 1
 
 
 class TestFleetValidation:

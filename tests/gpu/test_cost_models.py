@@ -24,6 +24,7 @@ from repro.gpu import (
     summarize_costs,
     warp_efficiency_report,
 )
+from repro.gpu.load_balance import sliced_vs_csr_balance
 
 
 class TestSpecs:
@@ -156,6 +157,12 @@ class TestLoadBalance:
     def test_empty_work(self, gpu_spec):
         report = analyze_block_work(np.zeros(0), gpu_spec)
         assert report.imbalance == 1.0
+
+    def test_sliced_vs_csr_balance(self, small_graph):
+        report = sliced_vs_csr_balance(small_graph)
+        assert report["csr_imbalance"] >= 1.0
+        assert report["sliced_imbalance"] >= 1.0
+        assert report["improvement"] >= 1.0 - 1e-9
 
 
 class TestKernelCost:

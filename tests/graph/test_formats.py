@@ -100,6 +100,7 @@ class TestSlicedCSR:
     @pytest.mark.parametrize("capacity", [1, 2, 4, 32])
     def test_roundtrip(self, random_csr, capacity):
         sliced = SlicedCSRMatrix.from_csr(random_csr, slice_capacity=capacity)
+        assert sliced.nnz == random_csr.nnz
         assert np.allclose(sliced.to_csr().to_dense(), random_csr.to_dense())
 
     def test_slice_capacity_respected(self, random_csr):

@@ -129,14 +129,14 @@ class TestCostShapes:
         assert kernel.coalesce_num(64) == 1
 
     @settings(max_examples=20, deadline=None)
-    @given(dim=st.integers(1, 128), seed=st.integers(0, 50))
-    def test_property_costs_positive_and_consistent(self, dim, seed):
+    @given(dim=st.integers(1, 128), seed=st.integers(0, 50), scale=st.sampled_from([1.0, 1000.0]))
+    def test_property_costs_positive_and_consistent(self, dim, seed, scale):
         """All kernels report positive, internally consistent costs for any dim."""
         adj = make_adj(seed=seed, n=20, m=60)
         if adj.nnz == 0:
             return
         for cls in ALL_KERNELS:
-            cost = cls(adj, SPEC).forward_cost((20, dim))
+            cost = cls(adj, SPEC, scale=scale).forward_cost((20, dim))
             assert cost.flops > 0
             assert cost.mem_transactions >= cost.mem_requests
             assert cost.execution_seconds(SPEC) > 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.api import Engine, MemorySpec, RunSpec, ServingSpec, TraceSpec
+from repro.api.cli import PRESETS
 from repro.baselines import TrainerConfig
 from repro.core.trainer import PiPADTrainer
 from repro.gpu.device import OutOfMemoryError
@@ -93,6 +94,46 @@ class TestOversizedTraining:
         assert [m.loss for m in oversized.epoch_metrics] == [
             m.loss for m in fitting.epoch_metrics
         ]
+
+
+class TestGpuBudgetSweep:
+    """The quick preset uncached and at GPU-tier budgets of 0, 1 and 64 MiB."""
+
+    BUDGETS_MB = (0.0, 1.0, 64.0)
+
+    @pytest.fixture(scope="class")
+    def results(self):
+        def train(memory):
+            spec = RunSpec.from_dict({**PRESETS["quick"], "memory": memory})
+            return Engine.from_spec(spec).run().training
+
+        results = {None: train({})}
+        for budget in self.BUDGETS_MB:
+            results[budget] = train({
+                "feature_cache": True, "gpu_budget_mb": budget,
+                "pinned_budget_mb": 1.0, "block_rows": 32,
+            })
+        return results
+
+    def test_every_budget_trains_bit_identically(self, results):
+        for budget in self.BUDGETS_MB:
+            assert results[budget].loss_curve() == results[None].loss_curve()
+
+    def test_full_fit_hits_the_gpu_tier_and_never_slows_the_epoch(self, results):
+        full_fit, uncached = results[self.BUDGETS_MB[-1]], results[None]
+        assert full_fit.extras["feature_cache_gpu_hits"] > 0
+        assert full_fit.steady_epoch_seconds <= uncached.steady_epoch_seconds
+
+    OVERSIZED = {**PRESETS["train-oversized"], "num_snapshots": 8, "epochs": 2, "serving": None}
+
+    def test_oversized_preset_trains_through_the_cache(self):
+        result = Engine.from_spec(RunSpec.from_dict(self.OVERSIZED)).run().training
+        assert np.isfinite(result.final_loss)
+
+    def test_oversized_preset_is_refused_uncached(self):
+        spec = RunSpec.from_dict({**self.OVERSIZED, "memory": {}})
+        with pytest.raises(OutOfMemoryError):
+            Engine.from_spec(spec).run()
 
 
 def _serving(graph, *, memory=None, scale=1.0, **config_kwargs):

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import Engine, RunSpec, ServingSpec, TraceSpec
 from repro.gpu import SimulatedGPU
 from repro.core import ReuseManager
 from repro.serving import GraphDelta, random_delta, synthesize_serving_trace
@@ -161,6 +162,47 @@ class TestServingScheduler:
             assert results and np.isfinite(
                 results[0].predictions[0]
             ).all(), name
+
+
+class TestIncrementalVsRecompute:
+    """One 200-event trace on covid19_england through both serving specs.
+
+    PiPAD-Serve (reuse cache, pipelined streams, tuned partitions) against
+    full recompute of one snapshot at a time, with the same trained weights.
+    """
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        spec = RunSpec(
+            dataset="covid19_england", model="tgcn", method="pipad", num_snapshots=16,
+            frame_size=8, epochs=2, lr=5e-3, seed=3, pipad={"preparing_epochs": 1},
+            serving=ServingSpec(
+                window=8, max_batch_requests=8, max_delay_ms=1.0,
+                trace=TraceSpec(
+                    num_events=200, request_fraction=0.7, nodes_per_request=8,
+                    mean_interarrival_ms=0.5, seed=13,
+                ),
+            ),
+        )
+        engine = Engine.from_spec(spec)
+        trace = engine.default_trace()
+        naive_spec = spec.replace(
+            serving=spec.serving.replace(enable_reuse=False, fixed_s_per=1, enable_pipeline=False)
+        )
+        naive = Engine.from_spec(naive_spec, graph=engine.graph, model=engine.model)
+        return engine.serve(trace), naive.serve(trace)
+
+    def test_same_requests_and_only_incremental_reuses(self, reports):
+        incremental, naive = reports
+        assert incremental.metrics.num_requests == naive.metrics.num_requests > 0
+        assert incremental.cache_hit_rate > 0.5
+        assert naive.cache_hit_rate == 0.0
+
+    def test_incremental_wins_on_latency_and_pcie_bytes(self, reports):
+        incremental, naive = reports
+        assert incremental.metrics.mean_latency < naive.metrics.mean_latency
+        assert incremental.p99_latency <= naive.p99_latency * 1.05
+        assert incremental.breakdown.get("h2d", 0.0) < naive.breakdown.get("h2d", 0.0)
 
 
 class TestReuseForwardOnlyAPI:

@@ -1,12 +1,10 @@
-"""Tests for the experiment harness, profiling helpers and package surface."""
+"""Tests for the experiment harness and the package surface."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 import repro
-from repro.baselines import PyGTTrainer, TrainerConfig
 from repro.experiments import (
     ExperimentConfig,
     format_experiment,
@@ -16,12 +14,6 @@ from repro.experiments import (
 )
 from repro.experiments.fig10_overall_speedup import speedups
 from repro.experiments.fig11_parallel_gnn import dimension_sensitivity, thread_utilization
-from repro.profiling import (
-    compute_time_breakdown,
-    latency_breakdown,
-    sliced_vs_csr_balance,
-    utilization_summary,
-)
 
 QUICK = ExperimentConfig.quick()
 
@@ -36,39 +28,6 @@ class TestPackageSurface:
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):
             repro.not_a_symbol
-
-
-class TestProfilingHelpers:
-    @pytest.fixture(scope="class")
-    def result(self):
-        from repro.graph import load_dataset
-
-        graph = load_dataset("covid19_england", num_snapshots=8)
-        return PyGTTrainer(graph, TrainerConfig(model="tgcn", frame_size=4, epochs=1)).train()
-
-    def test_latency_breakdown_sums_to_one(self, result):
-        breakdown = latency_breakdown(result)
-        total = (
-            breakdown["transfer_fraction"]
-            + breakdown["compute_fraction"]
-            + breakdown["cpu_fraction"]
-        )
-        assert total == pytest.approx(1.0, abs=1e-6)
-
-    def test_compute_breakdown_sums_to_one(self, result):
-        breakdown = compute_time_breakdown(result)
-        assert sum(breakdown.values()) == pytest.approx(1.0, abs=1e-6)
-        assert breakdown["gnn_fraction"] > 0
-
-    def test_utilization_summary_shape(self, result):
-        table = utilization_summary([result])
-        assert table["PyGT"][result.dataset] == pytest.approx(result.gpu_utilization * 100)
-
-    def test_sliced_vs_csr_balance(self, small_graph):
-        report = sliced_vs_csr_balance(small_graph)
-        assert report["csr_imbalance"] >= 1.0
-        assert report["sliced_imbalance"] >= 1.0
-        assert report["improvement"] >= 1.0 - 1e-9
 
 
 class TestExperimentHarness:
@@ -140,3 +99,11 @@ class TestExperimentHarness:
             total = row["transfer_fraction"] + row["compute_fraction"] + row["cpu_fraction"]
             assert total == pytest.approx(1.0, abs=1e-6)
         assert format_experiment("fig3", rows)
+
+    def test_fig4_breakdown_quick(self):
+        rows = run_experiment("fig4", QUICK)
+        for row in rows.values():
+            total = row["gnn_fraction"] + row["rnn_fraction"] + row["other_fraction"]
+            assert total == pytest.approx(1.0, abs=1e-6)
+            assert row["gnn_fraction"] > 0
+        assert format_experiment("fig4", rows)
