@@ -1,10 +1,11 @@
-"""Tests for the experiment harness and the package surface."""
+"""Tests for the experiment harness, its breakdown helpers and package surface."""
 
 from __future__ import annotations
 
 import pytest
 
 import repro
+from repro.baselines import PyGTTrainer, TrainerConfig
 from repro.experiments import (
     ExperimentConfig,
     format_experiment,
@@ -14,6 +15,7 @@ from repro.experiments import (
 )
 from repro.experiments.fig10_overall_speedup import speedups
 from repro.experiments.fig11_parallel_gnn import dimension_sensitivity, thread_utilization
+from repro.experiments.fig3_breakdown import latency_fractions
 
 QUICK = ExperimentConfig.quick()
 
@@ -28,6 +30,24 @@ class TestPackageSurface:
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):
             repro.not_a_symbol
+
+
+class TestProfilingHelpers:
+    @pytest.fixture(scope="class")
+    def result(self):
+        from repro.graph import load_dataset
+
+        graph = load_dataset("covid19_england", num_snapshots=8)
+        return PyGTTrainer(graph, TrainerConfig(model="tgcn", frame_size=4, epochs=1)).train()
+
+    def test_latency_breakdown_sums_to_one(self, result):
+        breakdown = latency_fractions(result)
+        total = (
+            breakdown["transfer_fraction"]
+            + breakdown["compute_fraction"]
+            + breakdown["cpu_fraction"]
+        )
+        assert total == pytest.approx(1.0, abs=1e-6)
 
 
 class TestExperimentHarness:
