@@ -15,6 +15,11 @@ A second digest pins the run report's metrics snapshot (every
 ``(name, float.hex(value))`` pair of ``engine.report().metrics``) for the
 same five runs, so telemetry that is derived after the run — prefetch,
 cache, bubble and collective totals — cannot drift silently either.
+
+A third digest pins the op-event stream the cost collector receives in one
+steady training frame of a single-GPU and a pipelined run: the events
+themselves, including ops that launch no kernel, in the order the engine
+emits them.
 """
 
 from __future__ import annotations
@@ -206,3 +211,88 @@ def test_metrics_snapshot_matches_the_committed_digest(name):
     else:
         engine.train()
     assert metrics_digest(engine.report().metrics) == GOLDEN_METRICS[name]
+
+
+#: The benchmark's train-single and train-pipeline workloads, cut to two
+#: epochs: the first prepares, the second runs PiPAD's steady schedule.
+TRAIN_SINGLE = {
+    "dataset": "youtube",
+    "model": "mpnn_lstm",
+    "method": "pipad",
+    "num_snapshots": 16,
+    "frame_size": 8,
+    "epochs": 2,
+}
+
+TRAIN_PIPELINE = {**PIPELINE_4GPU, "epochs": 2}
+
+#: name -> (spec, event count, SHA-256 of the op-event stream)
+GOLDEN_EVENTS = {
+    "train-single": (
+        TRAIN_SINGLE,
+        724,
+        "33b507790b52c7dcea83a4177a92111ed4264b790e23d33167c5dc993b5cb4eb",
+    ),
+    "train-pipeline": (
+        TRAIN_PIPELINE,
+        785,
+        "4130e06d0b971c308ff2ac955862c7ea9e825f9376517ad7f36553b21c50face",
+    ),
+}
+
+
+def steady_frame_events(spec, monkeypatch):
+    """Every op event the cost collector sees in the last epoch's first frame.
+
+    A record is ``(name, phase, input shapes, output shapes, scope, whether
+    a kernel_cost is attached)``.  An op that launches no kernel (a
+    ``reshape``) leaves no trace on a timeline, so the timeline digests
+    cannot see it; this record does.
+    """
+    from repro.gpu.profiler import KernelCostCollector
+
+    records = []
+    recording = []
+    observe = KernelCostCollector.__call__
+
+    def spy(collector, event):
+        if recording:
+            records.append(
+                (
+                    event.name,
+                    event.phase,
+                    event.input_shapes,
+                    event.output_shapes,
+                    event.attrs.get("scope"),
+                    event.attrs.get("kernel_cost") is not None,
+                )
+            )
+        observe(collector, event)
+
+    monkeypatch.setattr(KernelCostCollector, "__call__", spy)
+    engine = Engine.from_spec(spec)
+    trainer = engine.trainer
+    train_frame = trainer._train_frame
+
+    def record_first_steady_frame(frame, epoch):
+        if epoch == spec["epochs"] - 1 and frame.index == 0:
+            recording.append(True)
+        try:
+            return train_frame(frame, epoch)
+        finally:
+            recording.clear()
+
+    trainer._train_frame = record_first_steady_frame
+    engine.train()
+    return records
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EVENTS))
+def test_op_event_stream_matches_the_committed_digest(name, monkeypatch):
+    spec, num_events, expected = GOLDEN_EVENTS[name]
+    records = steady_frame_events(spec, monkeypatch)
+    digest = hashlib.sha256()
+    for record in records:
+        digest.update(repr(record).encode())
+        digest.update(b"\n")
+    assert (len(records), digest.hexdigest()) == (num_events, expected)
