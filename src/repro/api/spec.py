@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Type, TypeVar, Union
 
 from repro.core.config import PiPADConfig
+from repro.gpu.spec import GPUSpec
 from repro.utils.validation import check_choice, check_positive
 
 #: device topologies understood by the engine (keys of ``DEVICE_REGISTRY``)
@@ -275,6 +276,16 @@ class MemorySpec(_SpecBase):
 
     def __post_init__(self) -> None:
         self.to_memory_config()
+        # A run's devices are the default GPUSpec.  A GPU tier that takes all
+        # of their HBM leaves none for the reuse buffer, which would fail
+        # only once the trainer allocates it.
+        hbm_mb = GPUSpec().memory_bytes / (1024 * 1024)
+        if self.gpu_budget_mb is not None and self.gpu_budget_mb >= hbm_mb:
+            raise ValueError(
+                f"gpu_budget_mb must be below the device's {hbm_mb:g} MiB of HBM, "
+                f"got {self.gpu_budget_mb:g}: the GPU tier would leave no device "
+                "memory for the reuse buffer"
+            )
 
     def to_memory_config(self) -> "MemoryConfig":  # noqa: F821 - forward ref
         """Materialize the core-level :class:`repro.memory.MemoryConfig`."""

@@ -268,14 +268,10 @@ class PipelineTrainer(GroupTrainer):
         if not self._grouped():
             return super()._launch_backward(costs, last_compute)
         num_groups = len(self._assignment)
-        share = 1.0 / num_groups
-        # ``scaled`` divides the extensive work; the launches are genuinely
+        # ``split`` divides the extensive work; the launches are genuinely
         # split across groups too (unlike the data-parallel trainer, where
         # every replica issues the full kernel sequence on its shard).
-        shares = [
-            c.scaled(share, launches=max(1, round(c.launches * share)))
-            for c in costs
-        ]
+        shares = [c.split(num_groups) for c in costs]
         aggregation, dense = self._split_costs(shares)
         stream = self._compute_stream()
         per_device_last: List[List[TimelineOp]] = [

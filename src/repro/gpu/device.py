@@ -196,8 +196,8 @@ class SimulatedGPU:
         attrs: List[Dict[str, object]] = []
         charged: List[Tuple[float, float]] = []
         for cost in costs:
-            # One roofline evaluation per kernel: ``balanced * imbalance`` is
-            # the same float ``cost.execution_seconds`` returns.
+            # The roofline is evaluated once per cost and spec and kept on the
+            # cost; ``balanced * imbalance`` is ``cost.execution_seconds``.
             balanced = cost.balanced_seconds(spec)
             exec_seconds = balanced * cost.imbalance
             durations.append(exec_seconds + cost.launches * per_launch_us * 1e-6)

@@ -118,11 +118,21 @@ class KernelCost:
 
     def execution_seconds(self, spec: GPUSpec) -> float:
         """Roofline execution time (excluding launch overhead)."""
-        return max(self.compute_seconds(spec), self.memory_seconds(spec)) * self.imbalance
+        return self.balanced_seconds(spec) * self.imbalance
 
     def balanced_seconds(self, spec: GPUSpec) -> float:
-        """Ideal perfectly-load-balanced execution time (Fig. 12 "Balanced")."""
-        return max(self.compute_seconds(spec), self.memory_seconds(spec))
+        """Ideal perfectly-load-balanced execution time (Fig. 12 "Balanced").
+
+        The record is frozen, so the value is kept on it for the last spec
+        asked (by identity) and a cost launched every frame evaluates its
+        roofline once.
+        """
+        memo = self.__dict__.get("_roofline")
+        if memo is not None and memo[0] is spec:
+            return memo[1]
+        seconds = max(self.compute_seconds(spec), self.memory_seconds(spec))
+        self.__dict__["_roofline"] = (spec, seconds)
+        return seconds
 
     # -- algebra ------------------------------------------------------------
     def scaled(self, factor: float, *, launches: Optional[int] = None) -> "KernelCost":
@@ -148,6 +158,24 @@ class KernelCost:
             launches=self.launches if launches is None else launches,
             bandwidth_efficiency=self.bandwidth_efficiency,
         )
+
+    def split(self, parts: int) -> "KernelCost":
+        """One of ``parts`` equal shares of this kernel sequence.
+
+        The work is divided by ``parts`` and so are the launches (at least
+        one stays).  The share is kept on the record per ``parts``, so a cost
+        split every frame is built and validated once.
+        """
+        splits = self.__dict__.get("_splits")
+        if splits is None:
+            splits = self.__dict__["_splits"] = {}
+        share = splits.get(parts)
+        if share is None:
+            factor = 1.0 / parts
+            share = splits[parts] = self.scaled(
+                factor, launches=max(1, round(self.launches * factor))
+            )
+        return share
 
     def merged_with(self, other: "KernelCost", name: Optional[str] = None) -> "KernelCost":
         """Combine two costs into one record (used for fused kernels)."""

@@ -26,19 +26,22 @@ sees ~17.5k events but only ~36 distinct generic ops), so the collector
 computes each generic cost once.  :func:`estimate_event_cost` reads only the
 event's ``name``, ``phase``, ``input_shapes``, ``output_shapes`` and
 ``attrs["scope"]`` plus the spec, and the collector's extrapolation adds only
-``num_nodes`` and ``scale``; the memo keys on all eight, so a hit returns the
-cost a fresh computation would build, already scaled.  ``KernelCost`` is
-frozen, so one object is safely shared by every event with that key.  Events
-carrying an explicit ``kernel_cost`` bypass the memo, and traced runs count
-one ``estimate_event_cost`` call per distinct key rather than per event.
+``num_nodes`` and ``scale``.  The memo is two-level: one dict per
+``(spec, num_nodes, scale)`` context, shared by every collector built for it
+and looked up once when the collector is built, keyed per event on the five
+event fields.  An event therefore hashes a few short tuples, never the
+15-field spec, and a hit returns the cost a fresh computation would build,
+already scaled.  ``KernelCost`` is frozen, so one object is safely shared by
+every event with that key.  Events carrying an explicit ``kernel_cost``
+bypass the memo, and traced runs count one ``estimate_event_cost`` call per
+distinct key and context rather than per event.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.gpu.kernel_cost import (
     CATEGORY_AGGREGATION,
@@ -154,31 +157,22 @@ def estimate_event_cost(event: OpEvent, spec: GPUSpec) -> Optional[KernelCost]:
     )
 
 
-@lru_cache(maxsize=1024, typed=True)
-def _generic_cost(
-    name: str,
-    phase: str,
-    input_shapes: Tuple[Tuple[int, ...], ...],
-    output_shapes: Tuple[Tuple[int, ...], ...],
-    scope: str,
-    spec: GPUSpec,
-    num_nodes: int,
-    scale: float,
-) -> Optional[KernelCost]:
-    """The collector's cost of a generic op, memoized on every input it reads.
+#: a context's memo is emptied when it reaches this many keys
+_MEMO_LIMIT = 1024
 
-    Ops whose leading dimension is the snapshot node count are extrapolated
-    by ``scale`` (see the module docstring).
-    """
-    event = OpEvent(name, phase, input_shapes, output_shapes, {"scope": scope})
-    cost = estimate_event_cost(event, spec)
-    if cost is not None and scale != 1.0 and num_nodes > 0:
-        if any(len(s) >= 1 and s[0] == num_nodes for s in input_shapes + output_shapes):
-            cost = cost.scaled(scale)
-    return cost
+#: memo miss marker (a cached cost may be ``None``: the op launches nothing)
+_UNSEEN = object()
 
 
-@dataclass
+@lru_cache(maxsize=64, typed=True)
+def _context_memo(
+    spec: GPUSpec, num_nodes: int, scale: float
+) -> Dict[tuple, Optional[KernelCost]]:
+    """The generic-cost memo of one ``(spec, num_nodes, scale)`` context:
+    ``(name, phase, input_shapes, output_shapes, scope) -> cost``."""
+    return {}
+
+
 class KernelCostCollector:
     """Op observer that accumulates kernel costs for one execution region.
 
@@ -191,41 +185,58 @@ class KernelCostCollector:
         leading dimension matches are scaled by ``scale``.
     scale:
         Workload extrapolation factor (1.0 = no extrapolation).
+
+    The three are fixed at construction, which looks up the memo of that
+    context once, so an event never hashes the spec.
     """
 
-    spec: GPUSpec
-    num_nodes: int = 0
-    scale: float = 1.0
-    costs: List[KernelCost] = field(default_factory=list)
-    events_seen: int = 0
+    def __init__(self, spec: GPUSpec, num_nodes: int = 0, scale: float = 1.0) -> None:
+        self.spec = spec
+        self.num_nodes = num_nodes
+        self.scale = scale
+        self.costs: List[KernelCost] = []
+        self.events_seen = 0
+        self._memo = _context_memo(spec, num_nodes, scale)
 
     def __call__(self, event: OpEvent) -> None:
         self.events_seen += 1
         # Kernels that attach an explicit cost (SpMM flavours, UpdateGEMM)
         # already applied their own workload scale; only generic dense ops
         # are estimated (and extrapolated) here.
-        cost = event.attrs.get("kernel_cost")
+        attrs = event.attrs
+        cost = attrs.get("kernel_cost")
         if cost is None:
-            cost = _generic_cost(
+            key = (
                 event.name,
                 event.phase,
                 event.input_shapes,
                 event.output_shapes,
-                event.attrs.get("scope", "other"),
-                self.spec,
-                self.num_nodes,
-                self.scale,
+                attrs.get("scope", "other"),
             )
+            memo = self._memo
+            cost = memo.get(key, _UNSEEN)
+            if cost is _UNSEEN:
+                if len(memo) >= _MEMO_LIMIT:
+                    memo.clear()
+                cost = memo[key] = self._generic_cost(event)
             if cost is None:
                 return
         self.costs.append(cost)
+
+    def _generic_cost(self, event: OpEvent) -> Optional[KernelCost]:
+        """The cost of a generic op, extrapolated by ``scale`` when its
+        leading dimension is the snapshot node count (see the module
+        docstring)."""
+        cost = estimate_event_cost(event, self.spec)
+        scale, num_nodes = self.scale, self.num_nodes
+        if cost is not None and scale != 1.0 and num_nodes > 0:
+            shapes = event.input_shapes + event.output_shapes
+            if any(len(s) >= 1 and s[0] == num_nodes for s in shapes):
+                cost = cost.scaled(scale)
+        return cost
 
     # -- draining -----------------------------------------------------------
     def drain(self) -> List[KernelCost]:
         """Return and clear the collected costs."""
         drained, self.costs = self.costs, []
         return drained
-
-    def reset(self) -> None:
-        self.costs.clear()
-        self.events_seen = 0

@@ -17,7 +17,6 @@ from repro.tensor.function import (
     Function,
     OpEvent,
     current_scope,
-    emit_event,
     get_op_observer,
     is_grad_enabled,
     no_grad,
@@ -37,7 +36,6 @@ __all__ = [
     "OpEvent",
     "current_scope",
     "op_scope",
-    "emit_event",
     "get_op_observer",
     "is_grad_enabled",
     "no_grad",

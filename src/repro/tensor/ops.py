@@ -13,8 +13,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.tensor.function import Function, SliceGrad, unbroadcast
-from repro.tensor.tensor import Tensor
+from repro.tensor.function import Function, unbroadcast
+from repro.tensor.tensor import SliceGrad, Tensor
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,43 @@
-"""The :class:`Tensor` class: a NumPy array with reverse-mode autograd."""
+"""The :class:`Tensor` class: a NumPy array with reverse-mode autograd.
+
+This module imports nothing from :mod:`repro.tensor.function` at run time,
+so ``Function.apply`` can import :class:`Tensor` once, at module level.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.tensor.function import Function, SliceGrad
+if TYPE_CHECKING:
+    from repro.tensor.function import Function
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
+
+
+class SliceGrad:
+    """A gradient that is zero except at ``index``, where it equals ``values``.
+
+    :class:`~repro.tensor.ops.GetItem` returns one for a basic index (ints,
+    slices, ``None``, ``Ellipsis``) instead of scattering into a parent-sized
+    array.  A basic index never names one element twice, so adding
+    ``values`` at ``index`` gives the same bits as ``np.add.at``.  ``shape``
+    is the parent's, which is what the backward
+    :class:`~repro.tensor.function.OpEvent` reports.
+    """
+
+    __slots__ = ("shape", "index", "values")
+
+    def __init__(self, shape: Tuple[int, ...], index: Any, values: np.ndarray) -> None:
+        self.shape, self.index, self.values = shape, index, values
+
+    def materialize(self) -> np.ndarray:
+        """The dense, parent-shaped gradient."""
+        # ``+=``, not ``=``: like np.add.at it stores 0.0 + v, +0.0 for -0.0.
+        full = np.zeros(self.shape, dtype=np.float32)
+        full[self.index] += self.values
+        return full
 
 
 class Tensor:

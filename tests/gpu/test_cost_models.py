@@ -203,6 +203,29 @@ class TestKernelCost:
         assert scaled.flops == 30 and scaled.mem_transactions == 60 and scaled.num_blocks == 12
         assert scaled.active_thread_ratio == cost.active_thread_ratio
 
+    def test_roofline_is_kept_per_spec_and_matches_a_fresh_evaluation(self, gpu_spec):
+        cost = KernelCost(name="k", flops=3e9, mem_transactions=7e6, imbalance=1.5)
+        slow = GPUSpec(memory_bandwidth_gbs=100.0)
+
+        def fresh(spec):
+            return max(cost.compute_seconds(spec), cost.memory_seconds(spec))
+
+        for spec in (gpu_spec, slow, gpu_spec, GPUSpec(), slow):
+            assert cost.balanced_seconds(spec) == fresh(spec)
+            assert cost.execution_seconds(spec) == fresh(spec) * cost.imbalance
+        # the kept value is not a field: equality and hashing ignore it
+        twin = KernelCost(name="k", flops=3e9, mem_transactions=7e6, imbalance=1.5)
+        assert twin == cost and hash(twin) == hash(cost)
+
+    @pytest.mark.parametrize("parts", [1, 3, 4, 8])
+    def test_split_is_an_equal_share_built_once(self, parts):
+        cost = KernelCost(name="k", flops=12.0, mem_transactions=20.0, num_blocks=8, launches=5)
+        share = cost.split(parts)
+        factor = 1.0 / parts
+        assert share == cost.scaled(factor, launches=max(1, round(cost.launches * factor)))
+        assert share.launches >= 1
+        assert cost.split(parts) is share
+
     def test_merged_with_sums_traffic(self):
         a = KernelCost(name="a", flops=10, mem_transactions=5, launches=1)
         b = KernelCost(name="b", flops=20, mem_transactions=10, launches=2)

@@ -247,6 +247,22 @@ class TestProfiler:
         assert cost_through(wide, 50, 10.0) != base
         assert cost_through(gpu_spec, 50, 10.0) is base
 
+    def test_full_memo_is_emptied_and_costs_stay_exact(self, gpu_spec, monkeypatch):
+        from repro.gpu import profiler
+
+        monkeypatch.setattr(profiler, "_MEMO_LIMIT", 2)
+        events = [
+            OpEvent(name="sigmoid", phase="forward", input_shapes=((n, 4),), output_shapes=((n, 4),))
+            for n in (3, 5, 7, 3)
+        ]
+        collector = KernelCostCollector(gpu_spec, num_nodes=5, scale=2.0)
+        for event in events:
+            collector(event)
+        expected = [estimate_event_cost(e, gpu_spec) for e in events]
+        expected[1] = expected[1].scaled(2.0)
+        assert collector.drain() == expected
+        assert len(collector._memo) <= 2
+
     def test_update_gemm_cost_memo_is_exact_and_still_validates(self, gpu_spec):
         fresh = update_gemm_cost.__wrapped__(100, 16, 32, gpu_spec, reuse_group=4, scale=2.0)
         assert update_gemm_cost(100, 16, 32, gpu_spec, reuse_group=4, scale=2.0) == fresh

@@ -33,6 +33,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="spill_budget_mb"):
             MemorySpec(spill_budget_mb=-1.0)
 
+    @pytest.mark.parametrize("budget_mb", [16384.0, 20000.0])
+    def test_gpu_budget_as_large_as_hbm_rejected(self, budget_mb):
+        # 16384 MiB is all of the default GPUSpec's HBM.
+        with pytest.raises(ValueError, match="gpu_budget_mb"):
+            MemorySpec(gpu_budget_mb=budget_mb)
+        with pytest.raises(ValueError, match="gpu_budget_mb"):
+            RunSpec(memory={"feature_cache": True, "gpu_budget_mb": budget_mb})
+
+    def test_gpu_budget_below_hbm_accepted(self):
+        assert MemorySpec(gpu_budget_mb=16383.0).gpu_budget_mb == 16383.0
+
     def test_block_rows_must_be_positive_int(self):
         with pytest.raises(ValueError, match="block_rows"):
             MemorySpec(block_rows=0)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.tensor import Tensor, no_grad, observe_ops, ops, op_scope
-from repro.tensor.function import OpEvent, current_scope
+from repro.tensor.function import Function, OpEvent, current_scope
 
 
 def numeric_gradient(fn, array, eps=1e-3):
@@ -269,6 +269,106 @@ class TestGetItem:
             ops.sum(x[index]).backward()
         (event,) = [e for e in events if e.name == "getitem" and e.phase == "backward"]
         assert event.output_shapes == ((4, 6),)
+
+
+class Float64Out(Function):
+    """A function whose forward returns float64, as NumPy ops on mixed dtypes may."""
+
+    op_name = "float64_out"
+
+    def forward(self, a: np.ndarray) -> np.ndarray:
+        return a.astype(np.float64) * 2.0
+
+    def backward(self, grad: np.ndarray):
+        return (grad * 2.0,)
+
+
+class ZeroDArraySum(Function):
+    """A sum whose forward returns a 0-d ndarray rather than a NumPy scalar."""
+
+    op_name = "zero_d_array_sum"
+
+    def forward(self, a: np.ndarray) -> np.ndarray:
+        self.a_shape = a.shape
+        out = np.asarray(a.sum(), dtype=np.float32)
+        assert type(out) is np.ndarray and out.ndim == 0
+        return out
+
+    def backward(self, grad: np.ndarray):
+        return (np.full(self.a_shape, grad.reshape(-1)[0], dtype=np.float32),)
+
+
+class EveryOtherColumn(Function):
+    """Returns a strided view of its input, as a NumPy slice does."""
+
+    op_name = "every_other_column"
+
+    def forward(self, a: np.ndarray) -> np.ndarray:
+        self.a_shape = a.shape
+        return a[:, ::2]
+
+    def backward(self, grad: np.ndarray):
+        full = np.zeros(self.a_shape, dtype=np.float32)
+        full[:, ::2] = grad
+        return (full,)
+
+
+class TestTensorContract:
+    """Every tensor holds a C-contiguous float32 array with ndim >= 1."""
+
+    @staticmethod
+    def assert_canonical(t: Tensor) -> None:
+        assert t.data.dtype == np.float32
+        assert t.data.flags.c_contiguous
+        assert t.data.ndim >= 1
+
+    def test_op_outputs_are_c_contiguous_float32(self):
+        x = rand_tensor(3, 4, seed=31)
+        for out in (x + x, x @ x.T, ops.sigmoid(x), ops.transpose(x), x.reshape(4, 3)):
+            self.assert_canonical(out)
+
+    def test_zero_d_results_have_shape_one(self):
+        x = rand_tensor(3, 4, seed=32)
+        zero_d = ZeroDArraySum.apply(x)
+        for out in (ops.sum(x), ops.mean(x), zero_d, Tensor(np.float32(2)), Tensor(2.0)):
+            self.assert_canonical(out)
+            assert out.shape == (1,)
+        zero_d.backward()
+        np.testing.assert_array_equal(x.grad, np.ones((3, 4), dtype=np.float32))
+
+    def test_zero_d_event_reports_the_forward_shape(self):
+        events = []
+        with observe_ops(events.append):
+            out = ops.sum(rand_tensor(3, 4, seed=33))
+        assert out.shape == (1,)
+        assert events[-1].output_shapes == ((),)
+
+    def test_strided_column_slice_is_copied_to_c_order(self):
+        x = rand_tensor(4, 6, seed=34)
+        column = x[:, 1:3]
+        self.assert_canonical(column)
+        assert not np.shares_memory(column.data, x.data)
+        np.testing.assert_array_equal(column.data, x.data[:, 1:3])
+
+    def test_strided_view_from_forward_is_copied_to_c_order(self):
+        x = rand_tensor(4, 6, seed=36)
+        out = EveryOtherColumn.apply(x)
+        self.assert_canonical(out)
+        assert not np.shares_memory(out.data, x.data)
+        np.testing.assert_array_equal(out.data, x.data[:, ::2])
+
+    def test_float64_is_cast_to_float32(self):
+        data = np.arange(6, dtype=np.float64).reshape(2, 3)
+        self.assert_canonical(Tensor(data))
+        out = Float64Out.apply(rand_tensor(2, 3, seed=35))
+        self.assert_canonical(out)
+        out.sum().backward()
+
+    def test_canonical_array_is_taken_by_reference(self):
+        data = np.ones((2, 3), dtype=np.float32)
+        assert Tensor(data).data is data
+        non_contiguous = np.ones((3, 2), dtype=np.float32).T
+        self.assert_canonical(Tensor(non_contiguous))
 
 
 class TestGradModeAndObserver:
