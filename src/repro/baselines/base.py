@@ -146,14 +146,6 @@ class DGNNTrainerBase:
         host = self.config.host
         return len(snapshots) * host.snapshot_prep_us * 1e-6
 
-    def _dispatch_seconds(self, num_launches: int) -> float:
-        per_launch_us = (
-            self.config.host.graph_dispatch_overhead_us
-            if self.use_cuda_graph
-            else self.config.host.dispatch_overhead_us
-        )
-        return num_launches * per_launch_us * 1e-6
-
     # ------------------------------------------------------------------ transfer planning
     def _cache_covers(self, snapshot: GraphSnapshot) -> bool:
         return self.cache is not None and self.cache.lookup(snapshot.timestep) is not None
@@ -204,25 +196,12 @@ class DGNNTrainerBase:
         """
         return "cpu" if self.async_transfer else "default"
 
-    def _dispatch_stream(self) -> str:
-        """Stream kernel-dispatch host time runs on.
-
-        Eager execution issues every kernel from the Python thread, so the
-        dispatch cost sits on the critical path of the compute stream (this
-        is the CPU-side latency that keeps GPU utilization low on small
-        graphs, Table 2).  A captured CUDA Graph is replayed with a single
-        driver call, so its (much smaller) dispatch cost can overlap.
-        """
-        return "cpu" if self.use_cuda_graph else self._compute_stream()
-
     def _dispatch(
         self, device: SimulatedGPU, costs: Sequence[KernelCost], label: str
     ) -> None:
         """Charge the host-side launch cost of ``costs`` on ``device``."""
-        device.host_op(
-            self._dispatch_seconds(sum(c.launches for c in costs)),
-            label=label,
-            stream=self._dispatch_stream(),
+        device.dispatch(
+            sum(c.launches for c in costs), label=label, stream=self._compute_stream()
         )
 
     def _transfer_partition(

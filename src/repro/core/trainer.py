@@ -45,7 +45,13 @@ from repro.core.datapipe import (
 from repro.core.parallel_gnn import ParallelAggregationProvider
 from repro.core.reuse import ReuseManager
 from repro.core.slicer import GraphSlicer
-from repro.core.tuner import DynamicTuner, FrameProfile, OfflineAnalysis, TuningDecision
+from repro.core.tuner import (
+    ACTIVATION_FACTOR,
+    DynamicTuner,
+    FrameProfile,
+    OfflineAnalysis,
+    TuningDecision,
+)
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.frame import Frame
 from repro.graph.snapshot import GraphSnapshot
@@ -60,9 +66,6 @@ from repro.memory import (
     build_feature_cache,
 )
 from repro.nn.context import ExecutionContext
-
-#: per-snapshot activation-memory amplification used by the tuner's OOM check
-_ACTIVATION_FACTOR = 4.0
 
 
 class PiPADTrainer(DGNNTrainerBase):
@@ -217,7 +220,7 @@ class PiPADTrainer(DGNNTrainerBase):
             self.graph.num_nodes
             * (self.graph.feature_dim + self._hidden_dim)
             * 4.0
-            * _ACTIVATION_FACTOR
+            * ACTIVATION_FACTOR
         )
         transfer = (features + adjacency) * self.scale
         footprint = (features + adjacency + activations * self.config.frame_size / 2.0) * self.scale
@@ -229,7 +232,7 @@ class PiPADTrainer(DGNNTrainerBase):
             * self.graph.num_nodes
             * self._hidden_dim
             * 4.0
-            * _ACTIVATION_FACTOR
+            * ACTIVATION_FACTOR
             * self.scale
         )
 

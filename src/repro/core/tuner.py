@@ -237,6 +237,11 @@ def offline_speedup(
 # ---------------------------------------------------------------------------
 # online dynamic tuner
 # ---------------------------------------------------------------------------
+#: per-snapshot activation-memory amplification behind the footprint
+#: estimates the trainer and the serving policy feed the tuner's memory bound
+ACTIVATION_FACTOR = 4.0
+
+
 @dataclass(frozen=True)
 class FrameProfile:
     """Per-frame statistics gathered online during the preparing epochs."""

@@ -60,7 +60,6 @@ from repro.serving.scheduler import (
     _build_serving_replicas,
 )
 from repro.serving.store import IncrementalSnapshotStore
-from repro.telemetry.hooks import NULL_CALLBACK, TelemetryCallback
 from repro.utils.validation import check_choice, check_positive
 
 
@@ -140,9 +139,6 @@ class FleetServingEngine(ShardedServingEngine):
                 f"FleetConfig.num_shards={self.fleet_config.num_shards} but "
                 f"{len(replicas)} replicas were provided"
             )
-        #: engine-level telemetry sink (scale events); the runtime swaps in a
-        #: live CallbackList alongside the per-replica hooks
-        self.hooks: TelemetryCallback = NULL_CALLBACK
         partitioner = GraphPartitioner(
             self.fleet_config.num_shards, mode=self.fleet_config.partition_mode
         )

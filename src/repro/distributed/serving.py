@@ -33,6 +33,7 @@ from repro.serving.scheduler import (
     _build_serving_replicas,
 )
 from repro.serving.store import DeltaReport, IncrementalSnapshotStore
+from repro.telemetry.hooks import NULL_CALLBACK, TelemetryCallback
 from repro.utils.validation import check_positive
 
 #: offset separating one shard's batch ids from the next in merged output
@@ -90,6 +91,9 @@ class ShardedServingEngine:
         self._routes: List[Tuple[int, int]] = []
         #: (shard index, shard-local request id) -> global request id
         self._global_ids: Dict[Tuple[int, int], int] = {}
+        #: engine-level telemetry sink (deltas, the fleet's scale events); the
+        #: runtime swaps in a live CallbackList alongside the per-replica hooks
+        self.hooks: TelemetryCallback = NULL_CALLBACK
         #: wall clock starts at first traffic, matching the single-device
         #: scheduler — building K replicas is provisioning, not serving time
         self._wall_start: Optional[float] = None
@@ -107,12 +111,17 @@ class ShardedServingEngine:
         """Apply a delta once to the shared store; every replica absorbs it.
 
         Replicas that receive no traffic absorb too, so their caches are
-        consistent the moment routing sends them a request.
+        consistent the moment routing sends them a request.  The delta is
+        one update, so ``on_delta`` fires once, not once per replica.
         """
         self._touch_wall_clock()
+        stamp = at
+        if stamp is None:
+            stamp = max(replica.device.elapsed_seconds() for replica in self.replicas)
         report = self.store.apply(delta)
         for replica in self.replicas:
             replica.absorb_delta(report, at=at)
+        self.hooks.on_delta(report.version, report.num_touched, stamp)
         return report
 
     def submit(self, node_ids: Iterable[int], *, at: Optional[float] = None) -> int:

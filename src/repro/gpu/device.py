@@ -153,12 +153,9 @@ class SimulatedGPU:
         label: Optional[str] = None,
         stream: str = "compute",
         depends_on: Optional[Sequence[TimelineOp]] = None,
-        use_cuda_graph: Optional[bool] = None,
     ) -> TimelineOp:
         """Schedule one kernel (or a fused group described by a single cost)."""
-        return self._launch_chain(
-            [cost], [label or cost.name], stream, depends_on, use_cuda_graph
-        )[0]
+        return self._launch_chain([cost], [label or cost.name], stream, depends_on)[0]
 
     def launch_kernels(
         self,
@@ -167,11 +164,10 @@ class SimulatedGPU:
         label: str = "kernel_batch",
         stream: str = "compute",
         depends_on: Optional[Sequence[TimelineOp]] = None,
-        use_cuda_graph: Optional[bool] = None,
     ) -> List[TimelineOp]:
         """Schedule a sequence of kernels back-to-back on one stream."""
         labels = [f"{label}[{i}]:{cost.name}" for i, cost in enumerate(costs)]
-        return self._launch_chain(costs, labels, stream, depends_on, use_cuda_graph)
+        return self._launch_chain(costs, labels, stream, depends_on)
 
     def _launch_chain(
         self,
@@ -179,7 +175,6 @@ class SimulatedGPU:
         labels: Sequence[str],
         stream: str,
         depends_on: Optional[Sequence[TimelineOp]],
-        use_cuda_graph: Optional[bool],
     ) -> List[TimelineOp]:
         """Place ``costs`` as one timeline chain, then charge ``kernel_stats``.
 
@@ -188,9 +183,10 @@ class SimulatedGPU:
         rejected chain leaves the device as it was.
         """
         spec = self.spec
-        graph_mode = self.use_cuda_graph if use_cuda_graph is None else use_cuda_graph
         per_launch_us = (
-            spec.cudagraph_launch_overhead_us if graph_mode else spec.kernel_launch_overhead_us
+            spec.cudagraph_launch_overhead_us
+            if self.use_cuda_graph
+            else spec.kernel_launch_overhead_us
         )
         durations: List[float] = []
         attrs: List[Dict[str, object]] = []
@@ -222,6 +218,23 @@ class SimulatedGPU:
             stats.balanced_seconds += balanced
             stats.weighted_thread_ratio += cost.active_thread_ratio * max(exec_seconds, 1e-12)
         return ops
+
+    def dispatch(self, num_launches: int, *, label: str, stream: str) -> TimelineOp:
+        """Charge the host-side cost of issuing ``num_launches`` kernels.
+
+        Eager execution issues every kernel from the Python thread, so the
+        dispatch cost sits on the critical path of the caller's compute
+        ``stream`` (the CPU-side latency that keeps GPU utilization low on
+        small graphs, Table 2).  A captured CUDA Graph is replayed with a
+        single driver call, so its much smaller cost goes to the ``"cpu"``
+        stream and can overlap.
+        """
+        host = self.host
+        if self.use_cuda_graph:
+            per_launch_us, stream = host.graph_dispatch_overhead_us, "cpu"
+        else:
+            per_launch_us = host.dispatch_overhead_us
+        return self.host_op(num_launches * per_launch_us * 1e-6, label=label, stream=stream)
 
     def host_op(
         self,

@@ -51,7 +51,6 @@ class DeviceGroup:
         host: Optional[HostSpec] = None,
         link: Optional[LinkSpec] = None,
         interconnect_kind: str = "nvlink",
-        use_cuda_graph: bool = False,
         devices: Optional[Sequence[SimulatedGPU]] = None,
     ) -> None:
         if devices is not None:
@@ -61,10 +60,7 @@ class DeviceGroup:
         else:
             if num_devices < 1:
                 raise ValueError("num_devices must be >= 1")
-            self.devices = [
-                SimulatedGPU(gpu, pcie, host, use_cuda_graph=use_cuda_graph)
-                for _ in range(num_devices)
-            ]
+            self.devices = [SimulatedGPU(gpu, pcie, host) for _ in range(num_devices)]
         self.interconnect = Interconnect(len(self.devices), link, kind=interconnect_kind)
         #: accumulated seconds per collective kind (single-device view)
         self.collective_seconds: Dict[str, float] = {}

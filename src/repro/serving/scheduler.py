@@ -22,10 +22,11 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
+from repro.core.config import PiPADConfig
 from repro.core.datapipe import (
     DataPipe,
     DataPipeConfig,
@@ -34,11 +35,10 @@ from repro.core.datapipe import (
     apply_cache_plan,
 )
 from repro.core.reuse import ReuseManager
-from repro.core.tuner import DynamicTuner, FrameProfile, TuningDecision
+from repro.core.tuner import ACTIVATION_FACTOR, DynamicTuner, FrameProfile, TuningDecision
 from repro.gpu.device import OutOfMemoryError, SimulatedGPU
 from repro.gpu.spec import GPUSpec, HostSpec, PCIeSpec
 from repro.graph.dynamic_graph import DynamicGraph
-from repro.graph.sliced_csr import DEFAULT_SLICE_CAPACITY
 from repro.memory import (
     FeatureCache,
     MemoryConfig,
@@ -53,20 +53,17 @@ from repro.serving.metrics import BatchRecord, RequestRecord, ServingMetrics, Se
 from repro.serving.session import InferenceSession
 from repro.serving.store import DeltaReport, IncrementalSnapshotStore
 from repro.telemetry.hooks import NULL_CALLBACK, TelemetryCallback
-from repro.utils.validation import check_in_range, check_non_negative, check_positive
-
-#: per-snapshot activation-memory amplification (matches the trainer's bound;
-#: the tuner's forward-only entry point halves it for serving)
-_ACTIVATION_FACTOR = 4.0
+from repro.utils.validation import check_non_negative, check_positive
 
 
 @dataclass(frozen=True)
 class ServingConfig:
     """Knobs of the serving engine.
 
-    Mirrors :class:`~repro.core.config.PiPADConfig` where the mechanisms are
-    shared, plus the micro-batching and windowing knobs that only exist when
-    serving online traffic.
+    Serving runs every PiPAD mechanism at its training default (CUDA Graph,
+    sliced CSR, weight reuse, the :class:`~repro.core.config.PiPADConfig`
+    tuner candidates); only the reuse, pipeline and fixed-``S_per`` switches
+    and the micro-batching and windowing knobs of online traffic are set here.
     """
 
     #: number of recent snapshot versions the recurrent models consume
@@ -74,8 +71,6 @@ class ServingConfig:
     #: micro-batch cut thresholds
     max_batch_requests: int = 16
     max_delay_ms: float = 2.0
-    #: candidate parallelism levels for the tuner (capped at ``window``)
-    s_per_candidates: Tuple[int, ...] = (2, 4, 8)
     #: force a fixed parallelism level (bypasses the tuner) when set
     fixed_s_per: Optional[int] = None
     #: serve first-layer aggregations from the reuse cache and patch them
@@ -83,26 +78,13 @@ class ServingConfig:
     enable_reuse: bool = True
     #: overlap transfer/compute/host work on separate streams
     enable_pipeline: bool = True
-    use_cuda_graph: bool = True
-    use_sliced_csr: bool = True
-    enable_weight_reuse: bool = True
-    slice_capacity: int = DEFAULT_SLICE_CAPACITY
-    gpu_reuse_buffer_fraction: float = 0.25
-    memory_safety_fraction: float = 0.9
 
     def __post_init__(self) -> None:
         check_positive("window", self.window)
         check_positive("max_batch_requests", self.max_batch_requests)
         check_non_negative("max_delay_ms", self.max_delay_ms)
-        if not self.s_per_candidates:
-            raise ValueError("s_per_candidates must not be empty")
-        for s in self.s_per_candidates:
-            check_positive("s_per candidate", s)
         if self.fixed_s_per is not None:
             check_positive("fixed_s_per", self.fixed_s_per)
-        check_positive("slice_capacity", self.slice_capacity)
-        check_in_range("gpu_reuse_buffer_fraction", self.gpu_reuse_buffer_fraction, 0.0, 1.0)
-        check_in_range("memory_safety_fraction", self.memory_safety_fraction, 0.1, 1.0)
 
 
 @dataclass(frozen=True)
@@ -166,7 +148,7 @@ class ServingPolicy:
             )
         features = float(head.feature_bytes())
         adjacency = float(head.adjacency.nbytes)
-        activations = n * (store.feature_dim + hidden) * 4.0 * _ACTIVATION_FACTOR
+        activations = n * (store.feature_dim + hidden) * 4.0 * ACTIVATION_FACTOR
         compute = self._compute_seconds_per_snapshot
         if compute is None:
             compute = 5e-4 * self.scale / max(1.0, self.scale)
@@ -179,7 +161,7 @@ class ServingPolicy:
                 (features + adjacency + activations * store.window_size / 2.0) * self.scale
             ),
             frame_activation_bytes=(
-                store.window_size * n * hidden * 4.0 * _ACTIVATION_FACTOR * self.scale
+                store.window_size * n * hidden * 4.0 * ACTIVATION_FACTOR * self.scale
             ),
         )
 
@@ -226,44 +208,27 @@ class ServingScheduler:
         self.dataset = dataset
         self.scale = scale
         self.memory = memory or MemoryConfig()
-        self.device = SimulatedGPU(gpu, pcie, host, use_cuda_graph=self.config.use_cuda_graph)
+        self.device = SimulatedGPU(gpu, pcie, host, use_cuda_graph=True)
         data = data or DataPipeConfig()
         if not self.config.enable_pipeline:
             # Serving's ablation switch forces fully serialized, unpinned prep.
             data = dataclasses.replace(data, prefetch_depth=0, pin_memory=False)
         self.data = data
-        self.datapipe = DataPipe(
-            data,
-            self.device.host,
-            slice_capacity=self.config.slice_capacity,
-            use_sliced_csr=self.config.use_sliced_csr,
-        )
-        self.reuse = ReuseManager(
-            self.device,
-            enabled=self.config.enable_reuse,
-            gpu_buffer_fraction=self.config.gpu_reuse_buffer_fraction,
-        )
+        self.datapipe = DataPipe(data, self.device.host)
+        self.reuse = ReuseManager(self.device, enabled=self.config.enable_reuse)
         self.session = InferenceSession(
             model,
             store,
             self.device,
             reuse=self.reuse,
-            scale=scale,
-            slice_capacity=self.config.slice_capacity,
-            use_sliced_csr=self.config.use_sliced_csr,
-            enable_weight_reuse=self.config.enable_weight_reuse,
             preparer=self.datapipe.preparer,
+            scale=scale,
         )
         self.prefetcher = Prefetcher(self.datapipe, self.device, domain="serve")
         candidates = tuple(
-            c for c in self.config.s_per_candidates if c <= store.window_capacity
+            c for c in PiPADConfig.s_per_candidates if c <= store.window_capacity
         ) or (store.window_capacity,)
-        tuner = DynamicTuner(
-            self.device.spec,
-            candidates,
-            memory_safety_fraction=self.config.memory_safety_fraction,
-            feature_dim=store.feature_dim,
-        )
+        tuner = DynamicTuner(self.device.spec, candidates, feature_dim=store.feature_dim)
         self.policy = ServingPolicy(
             tuner,
             self.config,
@@ -328,7 +293,7 @@ class ServingScheduler:
     def _build_feature_cache(self) -> FeatureCache:
         activation_bytes = (
             self.store.window_capacity * self.store.num_nodes * self.model.hidden_features
-            * 4.0 * _ACTIVATION_FACTOR * self.scale
+            * 4.0 * ACTIVATION_FACTOR * self.scale
         )
         return build_feature_cache(
             self.device, self.memory,
@@ -376,6 +341,7 @@ class ServingScheduler:
         at = self.device.elapsed_seconds() if at is None else at
         report = self.store.apply(delta)
         self.absorb_delta(report, at=at)
+        self.hooks.on_delta(report.version, report.num_touched, at)
         return report
 
     def absorb_delta(self, report: DeltaReport, *, at: Optional[float] = None) -> DeltaReport:
@@ -384,7 +350,8 @@ class ServingScheduler:
         The seam the fleet engine needs: its replicas share one
         :class:`IncrementalSnapshotStore`, so the delta is applied once and
         every replica absorbs the resulting report (cache patch + accounting)
-        without re-applying it.
+        without re-applying it.  Emits no hook: whoever applied the delta
+        reports it once through ``on_delta``.
         """
         self._touch_wall_clock()
         at = self.device.elapsed_seconds() if at is None else at
@@ -412,7 +379,6 @@ class ServingScheduler:
             # happens-before checker flags.
             self._last_delta_op.attrs["hb_writes"] = list(touched_blocks)
         self.metrics.record_delta(report.num_touched)
-        self.hooks.on_delta(report.version, report.num_touched, at)
         return report
 
     def submit(self, node_ids: Iterable[int], *, at: Optional[float] = None) -> int:
@@ -446,14 +412,6 @@ class ServingScheduler:
             0 if self.reuse.has_cached(v) else 1 for v in self.store.window_versions()
         )
         return max(1, uncached)
-
-    def _dispatch_seconds(self, num_launches: int) -> float:
-        per_launch_us = (
-            self.device.host.graph_dispatch_overhead_us
-            if self.config.use_cuda_graph
-            else self.device.host.dispatch_overhead_us
-        )
-        return num_launches * per_launch_us * 1e-6
 
     def _execute(self, batch: MicroBatch) -> BatchResult:
         decision = self.policy.choose(self.store, self.session, batch)
@@ -492,10 +450,10 @@ class ServingScheduler:
         hits_before = self.reuse.cpu_hits + self.reuse.gpu_hits
         misses_before = self.reuse.misses
         predictions, costs = self.session.predict(batch.node_ids, s_per=decision.s_per)
-        self.device.host_op(
-            self._dispatch_seconds(sum(c.launches for c in costs)),
+        self.device.dispatch(
+            sum(c.launches for c in costs),
             label=f"dispatch_b{batch.batch_id}",
-            stream="cpu" if self.config.use_cuda_graph else compute_stream,
+            stream=compute_stream,
         )
         kernel_ops = self.device.launch_kernels(
             costs,

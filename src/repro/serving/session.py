@@ -17,7 +17,7 @@ rows carry over untouched.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from repro.core.reuse import ReuseManager
 from repro.gpu.device import SimulatedGPU
 from repro.gpu.kernel_cost import KernelCost
 from repro.gpu.profiler import KernelCostCollector
-from repro.graph.sliced_csr import DEFAULT_SLICE_CAPACITY
 from repro.nn.base_model import DGNNModel
 from repro.nn.context import ExecutionContext
 from repro.serving.store import DeltaReport, IncrementalSnapshotStore
@@ -44,26 +43,18 @@ class InferenceSession:
         store: IncrementalSnapshotStore,
         device: SimulatedGPU,
         *,
-        reuse: Optional[ReuseManager] = None,
+        reuse: ReuseManager,
+        preparer: DataPreparer,
         scale: float = 1.0,
-        slice_capacity: int = DEFAULT_SLICE_CAPACITY,
-        use_sliced_csr: bool = True,
-        enable_weight_reuse: bool = True,
-        preparer: Optional[DataPreparer] = None,
     ) -> None:
         self.model = model
         self.store = store
         self.device = device
-        self.reuse = reuse if reuse is not None else ReuseManager(device)
-        self.scale = scale
-        self.slice_capacity = slice_capacity
-        self.use_sliced_csr = use_sliced_csr
-        self.enable_weight_reuse = enable_weight_reuse
-        self.context = ExecutionContext(spec=device.spec, scale=scale)
+        self.reuse = reuse
         # The scheduler passes its datapipe's preparer so both share one cache.
-        self.preparer = preparer or DataPreparer(
-            slice_capacity, device.host, use_sliced_csr=use_sliced_csr
-        )
+        self.preparer = preparer
+        self.scale = scale
+        self.context = ExecutionContext(spec=device.spec, scale=scale)
         #: providers/partitions keyed by (window versions, s_per); cleared on every delta
         self._provider_cache: Dict[Tuple[Tuple[int, ...], int], List[ParallelAggregationProvider]] = {}
         self._partition_cache: Dict[Tuple[Tuple[int, ...], int], List[PartitionData]] = {}
@@ -152,8 +143,6 @@ class InferenceSession:
                     reusable_layers=(
                         self.model.reusable_aggregation_layers if self.reuse.enabled else ()
                     ),
-                    slice_capacity=self.slice_capacity,
-                    use_sliced_csr=self.use_sliced_csr,
                 )
             )
         self._provider_cache[key] = providers
@@ -180,7 +169,7 @@ class InferenceSession:
             self.device.spec, num_nodes=self.store.num_nodes, scale=self.scale
         )
         ctx = self.context
-        if self.enable_weight_reuse and not self.model.evolves_weights:
+        if not self.model.evolves_weights:
             ctx = ctx.with_reuse_group(max(len(g) for g in positions))
         with observe_ops(collector):
             predictions = self.model.predict_frame(

@@ -159,16 +159,9 @@ class Telemetry:
 
     def attach_serving(self, engine: Any) -> None:
         """Point a serving engine (single scheduler or sharded replicas)."""
-        replicas = getattr(engine, "replicas", None)
-        if replicas is not None:
-            for replica in replicas:
-                replica.hooks = self.hooks
-            # Engines with their own emission surface (the fleet's autoscale
-            # events) get the live hooks alongside their replicas.
-            if hasattr(engine, "hooks"):
-                engine.hooks = self.hooks
-        else:
-            engine.hooks = self.hooks
+        engine.hooks = self.hooks
+        for replica in getattr(engine, "replicas", ()):
+            replica.hooks = self.hooks
 
     # ------------------------------------------------------------------ export
     def export_trace(

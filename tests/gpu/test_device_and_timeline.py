@@ -7,6 +7,7 @@ import pytest
 
 from repro.gpu import (
     GPUSpec,
+    HostSpec,
     KernelCost,
     KernelCostCollector,
     OutOfMemoryError,
@@ -114,6 +115,20 @@ class TestSimulatedGPU:
         graphed = SimulatedGPU(gpu_spec, use_cuda_graph=True)
         cost = KernelCost(name="k", flops=1.0)
         assert eager.launch_kernel(cost).duration > graphed.launch_kernel(cost).duration
+
+    @pytest.mark.parametrize(
+        "graph_mode, stream, seconds",
+        [(False, "compute", 7 * 10.0 * 1e-6), (True, "cpu", 7 * 0.8 * 1e-6)],
+    )
+    def test_dispatch_charges_the_mode_overhead(self, graph_mode, stream, seconds):
+        """Eager dispatch (10 µs/launch) blocks the caller's compute stream; a
+        CUDA-Graph replay (0.8 µs/launch) goes to the overlappable cpu stream."""
+        device = SimulatedGPU(host=HostSpec(), use_cuda_graph=graph_mode)
+        op = device.dispatch(7, label="dispatch_b3", stream="compute")
+        assert (op.label, op.kind, op.resource, op.stream) == (
+            "dispatch_b3", "cpu", "cpu", stream,
+        )
+        assert (op.start, op.end.hex()) == (0.0, seconds.hex())
 
     def test_launch_kernels_serializes_batch(self, device):
         costs = [KernelCost(name=f"k{i}", flops=1e9) for i in range(3)]

@@ -349,12 +349,13 @@ STAT_FIELDS = (
 )
 
 
-def reference_launch(device, costs, *, label, use_cuda_graph=None, depends_on=None):
+def reference_launch(device, costs, *, label, depends_on=None):
     """The per-kernel launch loop: one ``submit`` and one stats update per cost."""
-    graph_mode = device.use_cuda_graph if use_cuda_graph is None else use_cuda_graph
     spec = device.spec
     per_launch_us = (
-        spec.cudagraph_launch_overhead_us if graph_mode else spec.kernel_launch_overhead_us
+        spec.cudagraph_launch_overhead_us
+        if device.use_cuda_graph
+        else spec.kernel_launch_overhead_us
     )
     ops, deps = [], depends_on
     for i, cost in enumerate(costs):
@@ -402,20 +403,18 @@ def device_hexes(device: SimulatedGPU) -> List[object]:
 class TestDeviceKernelChains:
     @settings(max_examples=40, deadline=None)
     @given(
-        batches=st.lists(st.tuples(costs_st, st.sampled_from([None, True, False])), max_size=4),
+        batches=st.lists(costs_st, max_size=4),
         device_graph=st.booleans(),
     )
     def test_launch_kernels_matches_a_per_cost_reference(self, batches, device_graph):
         device = SimulatedGPU(use_cuda_graph=device_graph)
         reference = SimulatedGPU(use_cuda_graph=device_graph)
-        for index, (costs, graph) in enumerate(batches):
+        for index, costs in enumerate(batches):
             copy = device.transfer_h2d(1e6 * (index + 1))
             ref_copy = reference.transfer_h2d(1e6 * (index + 1))
-            ops = device.launch_kernels(
-                costs, label=f"b{index}", depends_on=[copy], use_cuda_graph=graph
-            )
+            ops = device.launch_kernels(costs, label=f"b{index}", depends_on=[copy])
             ref_ops = reference_launch(
-                reference, costs, label=f"b{index}", use_cuda_graph=graph, depends_on=[ref_copy]
+                reference, costs, label=f"b{index}", depends_on=[ref_copy]
             )
             assert [op.deps for op in ops] == chain_deps(ops, copy)
             assert [op.deps for op in ref_ops] == chain_deps(ref_ops, ref_copy)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Engine
 from repro.telemetry import (
     CALLBACK_REGISTRY,
     CallbackList,
@@ -120,3 +121,46 @@ class TestTelemetryRuntime:
 
     def test_from_spec_none_is_disabled(self):
         assert Telemetry.from_spec(None).enabled is False
+
+
+class TestServingDeltaHook:
+    """A delta applied once to the shared store is one ``on_delta`` event,
+    however many replicas absorb it."""
+
+    SERVING = {
+        "window": 8,
+        "max_batch_requests": 8,
+        "max_delay_ms": 1.0,
+        "trace": {"num_events": 40, "mean_interarrival_ms": 0.2, "seed": 7},
+    }
+
+    @pytest.mark.parametrize(
+        "topology",
+        [
+            {"kind": "local"},
+            {"kind": "sharded", "num_shards": 3},
+            {"kind": "fleet", "num_shards": 4, "min_replicas": 2, "admission_limit": 16},
+        ],
+        ids=lambda topology: topology["kind"],
+    )
+    def test_one_delta_event_per_ingested_delta(self, topology, tmp_path):
+        engine = Engine.from_spec(
+            {
+                "dataset": "youtube",
+                "model": "tgcn",
+                "method": "pipad",
+                "num_snapshots": 12,
+                "frame_size": 8,
+                "epochs": 1,
+                "serving": {**self.SERVING, **topology},
+            }
+        )
+        engine.serve()
+        metrics = engine.report().metrics
+        deltas = metrics["serving.summary.deltas"]
+        assert deltas > 0
+        assert metrics["serving.deltas"] == deltas
+        doc = engine.export_trace(tmp_path / "serve.json")
+        spans = [e["name"] for e in doc["traceEvents"] if e.get("cat") == "delta"]
+        assert len(spans) == len(set(spans)) == deltas
+        assert all(name.startswith("delta_v") for name in spans)

@@ -168,7 +168,10 @@ def test_simulated_timelines_match_the_committed_digest(name, op_records):
     assert timeline_digest(engine, op_records) == (num_ops, expected)
 
 
-#: name -> (metric count, SHA-256 of the metrics snapshot)
+#: name -> (metric count, SHA-256 of the metrics snapshot).  The two
+#: serving digests count one ``serving.deltas`` per ingested delta (fleet
+#: 14, sharded 24) and its rows in ``serving.rows_touched`` (1040, 1191),
+#: not one per replica that absorbed it.
 GOLDEN_METRICS = {
     "pipad-1gpu": (
         47,
@@ -184,11 +187,11 @@ GOLDEN_METRICS = {
     ),
     "fleet-serve": (
         113,
-        "821ad0f37384ca34e73be4354d8e74d26d3a0645142c076a0ed6cb787ab4ab29",
+        "21407a70f1813f601a0e6e73084d882a678a748220b57525ce7f1204678dcbb9",
     ),
     "sharded-serve": (
         95,
-        "e272cd419a64a0b18b73b8a115ffc2f86183da52e43e8acf661664dd37346427",
+        "b94a1a5b8e9b796d05a220e303a9559e3e82fed14989a135e6c086c6652f50b8",
     ),
 }
 
