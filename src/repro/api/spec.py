@@ -513,10 +513,7 @@ class RunSpec(_SpecBase):
     # ------------------------------------------------------------------ resolution
     def pipad_config(self) -> PiPADConfig:
         """Materialize the PiPAD runtime config with this spec's overrides."""
-        overrides = dict(self.pipad)
-        if "s_per_candidates" in overrides:
-            overrides["s_per_candidates"] = tuple(overrides["s_per_candidates"])
-        return PiPADConfig(**overrides)
+        return PiPADConfig(**self.pipad)
 
     def trainer_config(self) -> "TrainerConfig":  # noqa: F821 - forward ref
         """Materialize the shared :class:`TrainerConfig` for this spec."""

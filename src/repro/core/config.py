@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
-from repro.graph.sliced_csr import DEFAULT_SLICE_CAPACITY
-from repro.utils.validation import check_in_range, check_positive
+from repro.utils.validation import check_positive
 
 
 @dataclass(frozen=True)
@@ -14,15 +13,19 @@ class PiPADConfig:
     """Knobs of the PiPAD runtime (§4).
 
     Every optimization can be disabled individually so the ablation benches
-    can quantify its contribution.
+    can quantify its contribution.  The runtime's sizing is fixed where it
+    is defined: the tuner's candidate levels are
+    :data:`~repro.core.tuner.S_PER_CANDIDATES` (2/4/8) and its memory bound
+    keeps 10 % of HBM free (:class:`~repro.core.tuner.DynamicTuner`), the
+    GPU-side reuse buffer may take a quarter of free HBM
+    (:class:`~repro.core.reuse.ReuseManager`), and sliced CSR holds at most
+    :data:`~repro.graph.sliced_csr.DEFAULT_SLICE_CAPACITY` (32) non-zeros per
+    slice.  Serving runs the same runtime with its own three switches
+    (:class:`~repro.serving.scheduler.ServingConfig`).
     """
 
-    #: candidate parallelism levels the dynamic tuner may pick per frame
-    s_per_candidates: Tuple[int, ...] = (2, 4, 8)
     #: force a fixed parallelism level (bypasses the tuner) when set
     fixed_s_per: Optional[int] = None
-    #: maximum non-zeros per slice of the sliced CSR format
-    slice_capacity: int = DEFAULT_SLICE_CAPACITY
     #: number of profiling ("preparing") epochs run in the canonical
     #: one-snapshot manner before switching to partition-parallel training
     preparing_epochs: int = 1
@@ -39,21 +42,9 @@ class PiPADConfig:
     #: use sliced CSR for overlap/exclusive adjacencies; ``False`` falls back
     #: to the plain-CSR kernel (the Fig. 12 ablation)
     use_sliced_csr: bool = True
-    #: fraction of the remaining device memory the GPU-side reuse buffer may
-    #: occupy (§4.4 "the maximal buffer size is limited by ... GPU memory")
-    gpu_reuse_buffer_fraction: float = 0.25
-    #: safety margin kept free when the tuner checks the memory bound
-    memory_safety_fraction: float = 0.9
 
     def __post_init__(self) -> None:
-        if not self.s_per_candidates:
-            raise ValueError("s_per_candidates must not be empty")
-        for s in self.s_per_candidates:
-            check_positive("s_per candidate", s)
         if self.fixed_s_per is not None:
             check_positive("fixed_s_per", self.fixed_s_per)
-        check_positive("slice_capacity", self.slice_capacity)
         if self.preparing_epochs < 0:
             raise ValueError("preparing_epochs must be >= 0")
-        check_in_range("gpu_reuse_buffer_fraction", self.gpu_reuse_buffer_fraction, 0.0, 1.0)
-        check_in_range("memory_safety_fraction", self.memory_safety_fraction, 0.1, 1.0)

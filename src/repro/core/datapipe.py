@@ -84,6 +84,13 @@ class DataPipeConfig:
         check_int("prefetch_depth", self.prefetch_depth)
         check_non_negative("prefetch_depth", self.prefetch_depth)
 
+    def for_pipeline(self, enabled: bool) -> "DataPipeConfig":
+        """This config, or with the pipeline ablated: fully serialized,
+        unpinned prep whatever the declared depth."""
+        if enabled:
+            return self
+        return dataclasses.replace(self, prefetch_depth=0, pin_memory=False)
+
 
 @dataclass(frozen=True)
 class PipeItem:

@@ -26,7 +26,6 @@ partition-parallel schedule.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,16 +45,16 @@ from repro.core.parallel_gnn import ParallelAggregationProvider
 from repro.core.reuse import ReuseManager
 from repro.core.slicer import GraphSlicer
 from repro.core.tuner import (
-    ACTIVATION_FACTOR,
     DynamicTuner,
     FrameProfile,
-    OfflineAnalysis,
     TuningDecision,
+    activation_bytes,
+    capped_candidates,
 )
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.frame import Frame
 from repro.graph.snapshot import GraphSnapshot
-from repro.gpu.device import OutOfMemoryError, SimulatedGPU
+from repro.gpu.device import SimulatedGPU
 from repro.gpu.timeline import TimelineOp
 from repro.memory import (
     AccessPlan,
@@ -94,49 +93,31 @@ class PiPADTrainer(DGNNTrainerBase):
         self.use_cuda_graph = self.pipad.use_cuda_graph
         super().__init__(graph, config)
 
-        self.reuse = ReuseManager(
-            self.device,
-            enabled=self.pipad.enable_inter_frame_reuse,
-            gpu_buffer_fraction=self.pipad.gpu_reuse_buffer_fraction,
-        )
+        self.reuse = ReuseManager(self.device, enabled=self.pipad.enable_inter_frame_reuse)
         self.cache = self.reuse if self.pipad.enable_inter_frame_reuse else None
-        self.slicer = GraphSlicer(self.pipad.slice_capacity, self.config.host)
-        data = data_config or DataPipeConfig()
-        if not self.pipad.enable_pipeline:
-            # The ablation switch keeps its meaning: no pipeline means fully
-            # serialized, unpinned prep — regardless of the declared depth.
-            data = dataclasses.replace(data, prefetch_depth=0, pin_memory=False)
-        self.data = data
+        self.slicer = GraphSlicer(host=self.config.host)
+        self.data = (data_config or DataPipeConfig()).for_pipeline(self.pipad.enable_pipeline)
         self.datapipe = DataPipe(
-            data,
-            self.config.host,
-            slice_capacity=self.pipad.slice_capacity,
-            use_sliced_csr=self.pipad.use_sliced_csr,
+            self.data, self.config.host, use_sliced_csr=self.pipad.use_sliced_csr
         )
         self.preparer = self.datapipe.preparer
         self.prefetcher = Prefetcher(self.datapipe, self.device)
-        candidates = self._candidate_s_per()
-        self.tuner = DynamicTuner(
-            self.config.gpu,
-            candidates,
-            memory_safety_fraction=self.pipad.memory_safety_fraction,
-            analysis=OfflineAnalysis(spec=self.config.gpu),
-            feature_dim=self.graph.feature_dim,
-        )
+        if self.pipad.fixed_s_per is not None:
+            candidates: Tuple[int, ...] = (self.pipad.fixed_s_per,)
+        else:
+            candidates = capped_candidates(self.graph.metadata.get("max_s_per"))
+        self.tuner = DynamicTuner(self.config.gpu, candidates, feature_dim=self.graph.feature_dim)
         self._frame_s_per: Dict[int, int] = {}
         self._tuning_decisions: List[TuningDecision] = []
         self._preparing = self.pipad.preparing_epochs > 0
         self._preprocessed = False
         self._epochs_run = 0
         self._hidden_dim = self.model.hidden_features
-        self._check_feature_capacity()
+        self.feature_cache: Optional[FeatureCache] = self._build_feature_cache(self.device)
         #: one cache per device; distributed/pipeline subclasses append one
         #: per extra shard/stage.  Empty when the cache is disabled.
-        self.feature_caches: List[FeatureCache] = []
-        if self.memory.feature_cache:
-            self.feature_caches.append(self._build_feature_cache(self.device))
-        self.feature_cache: Optional[FeatureCache] = (
-            self.feature_caches[0] if self.feature_caches else None
+        self.feature_caches: List[FeatureCache] = (
+            [] if self.feature_cache is None else [self.feature_cache]
         )
         # The pin stage's staging buffers are pinned memory too: charge them
         # against the cache's pinned tier instead of budgeting them separately.
@@ -147,31 +128,20 @@ class PiPADTrainer(DGNNTrainerBase):
         """Devices the frame's feature working set is split across (1 here)."""
         return 1
 
-    def _frame_feature_bytes(self) -> float:
-        """Extrapolated feature bytes one frame keeps in flight."""
+    def _build_feature_cache(self, device: SimulatedGPU) -> Optional[FeatureCache]:
+        """One device's cache (``None`` uncached, once the frame's feature
+        working set is checked against its HBM)."""
+        shards = float(self._feature_shards())
         features = float(np.mean([s.feature_bytes() for s in self.graph.snapshots]))
-        return features * self.config.frame_size * self.scale
-
-    def _check_feature_capacity(self) -> None:
-        """Refuse runs whose features cannot exist on the device uncached."""
-        if self.memory.feature_cache:
-            return
-        per_device = self._frame_feature_bytes() / float(self._feature_shards())
-        if per_device > self.config.gpu.memory_bytes:
-            raise OutOfMemoryError(
-                f"frame feature working set ({per_device / 1024**3:.1f} GiB per "
-                f"device) exceeds {self.config.gpu.name} HBM "
-                f"({self.config.gpu.memory_gb:.0f} GiB); enable the multi-tier "
-                "feature cache (memory.feature_cache=true) to stage features "
-                "through the pinned-host and spill tiers"
-            )
-
-    def _build_feature_cache(self, device: SimulatedGPU) -> FeatureCache:
-        """One per-device cache; the GPU tier is carved out of real HBM."""
+        frame_activation = activation_bytes(
+            self.config.frame_size, self.graph.num_nodes, self._hidden_dim, self.scale
+        )
         return build_feature_cache(
             device, self.memory,
-            model_bytes=float(sum(p.data.nbytes for p in self.model.parameters())),
-            activation_bytes=self._frame_activation_bytes() / float(self._feature_shards()),
+            feature_bytes=features * self.config.frame_size * self.scale / shards,
+            feature_set="frame feature working set per device",
+            parameters=self.model.parameters(),
+            activation_bytes=frame_activation / shards,
         )
 
     def _feature_block_requests(
@@ -199,51 +169,14 @@ class PiPADTrainer(DGNNTrainerBase):
             self._feature_block_requests(snapshots, lo, hi)
         )
 
-    # ------------------------------------------------------------------ setup
-    def _candidate_s_per(self) -> Tuple[int, ...]:
-        if self.pipad.fixed_s_per is not None:
-            return (self.pipad.fixed_s_per,)
-        candidates = tuple(self.pipad.s_per_candidates)
-        max_s_per = self.graph.metadata.get("max_s_per")
-        if max_s_per:
-            capped = tuple(c for c in candidates if c <= int(max_s_per))
-            candidates = capped or (int(max_s_per),)
-        return candidates
-
     # ------------------------------------------------------------------ preprocessing & tuning
-    def _per_snapshot_bytes(self) -> Tuple[float, float]:
-        """(transfer bytes, memory footprint bytes) per snapshot, extrapolated."""
-        snapshots = self.graph.snapshots
-        features = float(np.mean([s.feature_bytes() for s in snapshots]))
-        adjacency = float(np.mean([s.adjacency.nbytes for s in snapshots]))
-        activations = (
-            self.graph.num_nodes
-            * (self.graph.feature_dim + self._hidden_dim)
-            * 4.0
-            * ACTIVATION_FACTOR
-        )
-        transfer = (features + adjacency) * self.scale
-        footprint = (features + adjacency + activations * self.config.frame_size / 2.0) * self.scale
-        return transfer, footprint
-
-    def _frame_activation_bytes(self) -> float:
-        return (
-            self.config.frame_size
-            * self.graph.num_nodes
-            * self._hidden_dim
-            * 4.0
-            * ACTIVATION_FACTOR
-            * self.scale
-        )
-
-    def _measured_per_snapshot_compute(self) -> float:
-        """Average per-snapshot kernel seconds observed so far (preparing epochs)."""
+    def _measured_per_snapshot_compute(self) -> Optional[float]:
+        """Average per-snapshot kernel seconds observed in the preparing
+        epochs; ``None`` when none ran."""
         total = sum(stats.seconds for stats in self.device.kernel_stats.values())
-        executed = max(1, self._epochs_run) * self.frames.num_frames * self.config.frame_size
         if total <= 0:
-            # No preparing epoch ran: fall back to a coarse analytic estimate.
-            return 5e-4 * self.scale / max(1.0, self.scale)
-        return total / executed
+            return None
+        return total / (max(1, self._epochs_run) * self.frames.num_frames * self.config.frame_size)
 
     def _run_preprocessing(self) -> None:
         """Graph slicing, overlap extraction and per-frame tuning (one-off)."""
@@ -254,9 +187,17 @@ class PiPADTrainer(DGNNTrainerBase):
         self.slicer.total_host_seconds += slicing_seconds
         self.device.host_op(slicing_seconds, label="graph_slicing", stream="cpu_prep")
 
-        transfer_bytes, footprint_bytes = self._per_snapshot_bytes()
-        compute_seconds = self._measured_per_snapshot_compute()
-        frame_activation = self._frame_activation_bytes()
+        snapshots = self.graph.snapshots
+        sizes = dict(
+            feature_bytes=float(np.mean([s.feature_bytes() for s in snapshots])),
+            adjacency_bytes=float(np.mean([s.adjacency.nbytes for s in snapshots])),
+            num_nodes=self.graph.num_nodes,
+            feature_dim=self.graph.feature_dim,
+            hidden_dim=self._hidden_dim,
+            snapshots=self.config.frame_size,
+            scale=self.scale,
+            compute_seconds=self._measured_per_snapshot_compute(),
+        )
 
         for frame in self.frames:
             overlap_rates: Dict[int, float] = {}
@@ -273,14 +214,7 @@ class PiPADTrainer(DGNNTrainerBase):
                 overlap_rates[candidate] = float(
                     np.mean([p.overlap_rate for p in partitions])
                 )
-            profile = FrameProfile(
-                frame_index=frame.index,
-                overlap_rate_per_candidate=overlap_rates,
-                per_snapshot_compute_seconds=compute_seconds,
-                per_snapshot_transfer_bytes=transfer_bytes,
-                per_snapshot_footprint_bytes=footprint_bytes,
-                frame_activation_bytes=frame_activation,
-            )
+            profile = FrameProfile.sized(frame.index, overlap_rates, **sizes)
             decision = self.tuner.decide(
                 profile, pcie_bandwidth_gbs=self.config.pcie.bandwidth_gbs
             )
@@ -316,7 +250,6 @@ class PiPADTrainer(DGNNTrainerBase):
             scale=self.scale,
             cache=self.cache,
             reusable_layers=self.model.reusable_aggregation_layers if self.use_reuse else (),
-            slice_capacity=self.pipad.slice_capacity,
             use_sliced_csr=self.pipad.use_sliced_csr,
         )
 

@@ -20,11 +20,16 @@ import numpy as np
 
 from repro.graph.csr import CSRMatrix
 from repro.graph.keys import difference, union
+from repro.graph.sliced_csr import DEFAULT_SLICE_CAPACITY
 from repro.gpu.spec import GPUSpec
 from repro.kernels.gemm import update_gemm_cost
 from repro.kernels.spmm_sliced import SlicedParallelAggregation
 from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import check_in_range, check_positive
+
+
+#: parallelism levels the tuner chooses ``S_per`` from
+S_PER_CANDIDATES: Tuple[int, ...] = (2, 4, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +101,7 @@ class OfflineAnalysis:
     spec: GPUSpec = field(default_factory=GPUSpec)
     num_nodes: int = 1024
     avg_degree: float = 4.0
-    slice_capacity: int = 32
+    slice_capacity: int = DEFAULT_SLICE_CAPACITY
     seed: int = 0
 
     def parallel_gnn_seconds(
@@ -179,7 +184,7 @@ class OfflineAnalysis:
 
     def speedup_table(
         self,
-        s_per_values: Sequence[int] = (2, 4, 8),
+        s_per_values: Sequence[int] = S_PER_CANDIDATES,
         overlap_rates: Sequence[float] = (0.1, 0.3, 0.5, 0.7, 0.9),
         feature_dim: int = 16,
     ) -> Dict[Tuple[int, float], float]:
@@ -192,7 +197,7 @@ class OfflineAnalysis:
 
     def dimension_table(
         self,
-        s_per_values: Sequence[int] = (2, 4, 8),
+        s_per_values: Sequence[int] = S_PER_CANDIDATES,
         feature_dims: Sequence[int] = (2, 8, 16, 32, 64, 128),
         overlap_rate: float = 0.8,
     ) -> Dict[Tuple[int, int], float]:
@@ -242,6 +247,21 @@ def offline_speedup(
 ACTIVATION_FACTOR = 4.0
 
 
+def capped_candidates(cap: Optional[int]) -> Tuple[int, ...]:
+    """The candidates no larger than ``cap`` (a graph's ``max_s_per`` in
+    training, the window capacity in serving); ``(cap,)`` when none is, all
+    of them when there is no cap."""
+    if not cap:
+        return S_PER_CANDIDATES
+    cap = int(cap)
+    return tuple(c for c in S_PER_CANDIDATES if c <= cap) or (cap,)
+
+
+def activation_bytes(snapshots: int, num_nodes: int, hidden_dim: int, scale: float) -> float:
+    """Activation working set of ``snapshots`` snapshots in flight at once."""
+    return snapshots * num_nodes * hidden_dim * 4.0 * ACTIVATION_FACTOR * scale
+
+
 @dataclass(frozen=True)
 class FrameProfile:
     """Per-frame statistics gathered online during the preparing epochs."""
@@ -252,6 +272,41 @@ class FrameProfile:
     per_snapshot_transfer_bytes: float
     per_snapshot_footprint_bytes: float
     frame_activation_bytes: float
+
+    @classmethod
+    def sized(
+        cls,
+        frame_index: int,
+        overlap_rates: Dict[int, float],
+        *,
+        feature_bytes: float,
+        adjacency_bytes: float,
+        num_nodes: int,
+        feature_dim: int,
+        hidden_dim: int,
+        snapshots: int,
+        scale: float,
+        compute_seconds: Optional[float],
+    ) -> "FrameProfile":
+        """The profile of a frame of ``snapshots`` snapshots of the given
+        (unscaled) per-snapshot byte sizes, extrapolated by ``scale``.
+
+        ``compute_seconds`` is the measured kernel time per snapshot; with
+        nothing measured yet (``None``) a coarse 0.5 ms estimate stands in.
+        """
+        activations = num_nodes * (feature_dim + hidden_dim) * 4.0 * ACTIVATION_FACTOR
+        if compute_seconds is None:
+            compute_seconds = 5e-4 * scale / max(1.0, scale)
+        return cls(
+            frame_index=frame_index,
+            overlap_rate_per_candidate=overlap_rates,
+            per_snapshot_compute_seconds=compute_seconds,
+            per_snapshot_transfer_bytes=(feature_bytes + adjacency_bytes) * scale,
+            per_snapshot_footprint_bytes=(
+                (feature_bytes + adjacency_bytes + activations * snapshots / 2.0) * scale
+            ),
+            frame_activation_bytes=activation_bytes(snapshots, num_nodes, hidden_dim, scale),
+        )
 
 
 @dataclass(frozen=True)
@@ -271,7 +326,7 @@ class DynamicTuner:
     def __init__(
         self,
         spec: GPUSpec,
-        candidates: Sequence[int] = (2, 4, 8),
+        candidates: Sequence[int] = S_PER_CANDIDATES,
         *,
         memory_safety_fraction: float = 0.9,
         stall_tolerance: float = 1.25,

@@ -262,9 +262,7 @@ class FleetServingEngine(ShardedServingEngine):
         """
         self._touch_wall_clock()
         ids = np.asarray(list(node_ids), dtype=np.int64)
-        now = at if at is not None else max(
-            replica.device.elapsed_seconds() for replica in self.replicas
-        )
+        now = self._elapsed_seconds() if at is None else at
         self._maybe_scale(now)
         shard = self._route(ids, now)
         if shard is None:
@@ -292,12 +290,7 @@ class FleetServingEngine(ShardedServingEngine):
                 self._completions[shard],
                 (result.completion_time, len(result.predictions)),
             )
-        tick = (
-            now
-            if now is not None
-            else max(replica.device.elapsed_seconds() for replica in self.replicas)
-        )
-        self._maybe_scale(tick)
+        self._maybe_scale(self._elapsed_seconds() if now is None else now)
         return results
 
     # ------------------------------------------------------------------ autoscale

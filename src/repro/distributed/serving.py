@@ -16,7 +16,6 @@ engine.
 from __future__ import annotations
 
 import dataclasses
-import time
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -24,12 +23,13 @@ import numpy as np
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.memory import aggregate_cache_stats
 from repro.nn.base_model import DGNNModel
-from repro.serving.deltas import GraphDelta, ServingEvent
+from repro.serving.deltas import GraphDelta
 from repro.serving.metrics import ServingMetrics, ServingReport
 from repro.serving.scheduler import (
     BatchResult,
     ServingConfig,
     ServingScheduler,
+    TraceReplay,
     _build_serving_replicas,
 )
 from repro.serving.store import DeltaReport, IncrementalSnapshotStore
@@ -71,7 +71,7 @@ def _merge_stat_maps(
     return merged
 
 
-class ShardedServingEngine:
+class ShardedServingEngine(TraceReplay):
     """Fans request traffic across per-device replicas of one shared store."""
 
     def __init__(
@@ -94,13 +94,9 @@ class ShardedServingEngine:
         #: engine-level telemetry sink (deltas, the fleet's scale events); the
         #: runtime swaps in a live CallbackList alongside the per-replica hooks
         self.hooks: TelemetryCallback = NULL_CALLBACK
-        #: wall clock starts at first traffic, matching the single-device
-        #: scheduler — building K replicas is provisioning, not serving time
-        self._wall_start: Optional[float] = None
 
-    def _touch_wall_clock(self) -> None:
-        if self._wall_start is None:
-            self._wall_start = time.perf_counter()
+    def _elapsed_seconds(self) -> float:
+        return max(replica.device.elapsed_seconds() for replica in self.replicas)
 
     @property
     def num_shards(self) -> int:
@@ -115,9 +111,7 @@ class ShardedServingEngine:
         one update, so ``on_delta`` fires once, not once per replica.
         """
         self._touch_wall_clock()
-        stamp = at
-        if stamp is None:
-            stamp = max(replica.device.elapsed_seconds() for replica in self.replicas)
+        stamp = self._elapsed_seconds() if at is None else at
         report = self.store.apply(delta)
         for replica in self.replicas:
             replica.absorb_delta(report, at=at)
@@ -186,36 +180,17 @@ class ShardedServingEngine:
                 )
         return results
 
-    def run_trace(self, events: Iterable[ServingEvent]) -> ServingReport:
-        """Replay a timestamped trace across the sharded engine."""
-        self._touch_wall_clock()
-        last_time = 0.0
-        for event in sorted(events, key=lambda e: e.time):
-            self.pump(event.time)
-            if event.kind == "delta":
-                assert event.delta is not None
-                self.ingest(event.delta, at=event.time)
-            else:
-                assert event.node_ids is not None
-                self.submit(event.node_ids, at=event.time)
-                self.pump(event.time)
-            last_time = event.time
-        final = max([last_time] + [r.device.elapsed_seconds() for r in self.replicas])
-        self.pump(final, force=True)
-        return self.report()
-
     # ------------------------------------------------------------------ reporting
     def report(self) -> ServingReport:
         """One merged report over all shards.
 
         Latency records concatenate across shards (request ids map back to
         the global ids ``submit`` returned; batch ids are offset so they
-        stay unique).  ``deltas_ingested`` is a logical per-engine count — a
-        delta every replica absorbs is one update, not ``K`` — so it merges
-        as the max across replicas; ``rows_touched`` is fleet-wide patch
-        *work* — every replica invalidates and re-patches its own cache — so
-        it merges as the sum (replicas may see different traffic and touch
-        different row counts; copying replica 0's value would under-count).
+        stay unique).  Every replica absorbs every delta, so a delta is one
+        update, not ``K``: ``deltas_ingested`` and ``rows_touched`` merge as
+        the max across replicas, and ``rows_per_delta`` stays the mean rows
+        one delta touched.  The replicas' own patch work adds up in the
+        ``rows_patched`` reuse stat.
         """
         reports = [replica.report() for replica in self.replicas]
         merged = ServingMetrics()
@@ -236,7 +211,7 @@ class ShardedServingEngine:
         merged.deltas_ingested = max(
             replica.metrics.deltas_ingested for replica in self.replicas
         )
-        merged.rows_touched = sum(
+        merged.rows_touched = max(
             replica.metrics.rows_touched for replica in self.replicas
         )
 
@@ -271,9 +246,7 @@ class ShardedServingEngine:
             model=reports[0].model,
             dataset=reports[0].dataset,
             simulated_seconds=max(r.simulated_seconds for r in reports),
-            wall_seconds=(
-                0.0 if self._wall_start is None else time.perf_counter() - self._wall_start
-            ),
+            wall_seconds=self._wall_seconds(),
             metrics=merged,
             breakdown=breakdown,
             reuse_stats=reuse_stats,

@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.experiments.common import ExperimentConfig, format_table, load_experiment_graph
 from repro.graph.overlap import extract_overlap
+from repro.graph.sliced_csr import DEFAULT_SLICE_CAPACITY
 from repro.gpu.spec import GPUSpec
 from repro.gpu.warp_model import coalesced_active_thread_ratio, baseline_active_thread_ratio
 from repro.kernels.gemm import update_gemm_cost
@@ -48,7 +49,9 @@ def _gnn_module_seconds_sequential(kernel_cls, snapshots, feature_dim, hidden_di
     return seconds, requests, transactions
 
 
-def _gnn_module_seconds_parallel(snapshots, feature_dim, hidden_dim, spec, scale, slice_capacity=32):
+def _gnn_module_seconds_parallel(
+    snapshots, feature_dim, hidden_dim, spec, scale, slice_capacity=DEFAULT_SLICE_CAPACITY
+):
     """PiPAD parallel GNN time for the same group (overlap + exclusives)."""
     decomposition = extract_overlap([s.adjacency for s in snapshots])
     group = len(snapshots)

@@ -7,11 +7,12 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.experiments.common import ExperimentConfig, format_table, load_experiment_graph
+from repro.graph.sliced_csr import DEFAULT_SLICE_CAPACITY
 from repro.graph.stats import format_sizes
 
 
 def run(
-    config: Optional[ExperimentConfig] = None, *, slice_capacity: int = 32
+    config: Optional[ExperimentConfig] = None, *, slice_capacity: int = DEFAULT_SLICE_CAPACITY
 ) -> Dict[str, Dict[str, float]]:
     """Average per-snapshot storage of each format for every dataset."""
     config = config or ExperimentConfig()

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.gpu.spec import GPUSpec
 from repro.graph.dynamic_graph import DynamicGraph
-from repro.graph.sliced_csr import SlicedCSRMatrix
+from repro.graph.sliced_csr import DEFAULT_SLICE_CAPACITY, SlicedCSRMatrix
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ def sliced_vs_csr_balance(
     graph: DynamicGraph,
     spec: Optional[GPUSpec] = None,
     *,
-    slice_capacity: int = 32,
+    slice_capacity: int = DEFAULT_SLICE_CAPACITY,
     scale: float = 1.0,
     max_snapshots: int = 8,
 ) -> Dict[str, float]:

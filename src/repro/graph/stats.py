@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.graph.csr import CSRMatrix
 from repro.graph.dynamic_graph import DynamicGraph
-from repro.graph.sliced_csr import SlicedCSRMatrix
+from repro.graph.sliced_csr import DEFAULT_SLICE_CAPACITY, SlicedCSRMatrix
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ def density(adj: CSRMatrix) -> float:
     return adj.nnz / cells if cells else 0.0
 
 
-def format_sizes(adj: CSRMatrix, slice_capacity: int = 32) -> Dict[str, int]:
+def format_sizes(adj: CSRMatrix, slice_capacity: int = DEFAULT_SLICE_CAPACITY) -> Dict[str, int]:
     """Byte footprint of the same adjacency in COO, CSR and sliced CSR."""
     sliced = SlicedCSRMatrix.from_csr(adj, slice_capacity=slice_capacity)
     return {

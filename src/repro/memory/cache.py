@@ -23,9 +23,9 @@ survives demotion, and a final eviction is accounted as a writeback
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.gpu.device import SimulatedGPU
+from repro.gpu.device import OutOfMemoryError, SimulatedGPU
 from repro.gpu.memory_model import feature_cache_budget_bytes
 from repro.utils.validation import (
     check_choice,
@@ -397,19 +397,41 @@ class FeatureCache:
 
 
 def build_feature_cache(
-    device: SimulatedGPU, memory: MemoryConfig, *, model_bytes: float, activation_bytes: float
-) -> FeatureCache:
-    """One device's cache; the GPU tier is carved out of the device's HBM.
+    device: SimulatedGPU,
+    memory: MemoryConfig,
+    *,
+    feature_bytes: float,
+    feature_set: str,
+    parameters: Iterable[Any],
+    activation_bytes: float,
+) -> Optional[FeatureCache]:
+    """One device's cache, or ``None`` when ``memory.feature_cache`` is off.
 
-    The GPU budget is ``memory.gpu_budget_mb`` when pinned, otherwise what
-    HBM can spare next to the model and the activation working set.
+    Uncached, the device must hold all ``feature_bytes`` of its feature set
+    (``feature_set`` names it in the error) in HBM, or the run is refused
+    with :class:`~repro.gpu.device.OutOfMemoryError`.  Cached, the GPU tier
+    is carved out of the device's HBM: ``memory.gpu_budget_mb`` when pinned,
+    otherwise what HBM can spare next to the model's ``parameters`` and the
+    activation working set.
     """
+    spec = device.spec
+    if not memory.feature_cache:
+        if feature_bytes > spec.memory_bytes:
+            raise OutOfMemoryError(
+                f"{feature_set} ({feature_bytes / 1024**3:.1f} GiB) exceeds "
+                f"{spec.name} HBM ({spec.memory_gb:.0f} GiB); enable the "
+                "multi-tier feature cache (memory.feature_cache=true) to stage "
+                "features through the pinned-host and spill tiers"
+            )
+        return None
     mib = 1024 * 1024
     if memory.gpu_budget_mb is not None:
         gpu_budget = int(memory.gpu_budget_mb * mib)
     else:
         gpu_budget = feature_cache_budget_bytes(
-            device.spec, model_bytes=model_bytes, activation_bytes=activation_bytes,
+            spec,
+            model_bytes=float(sum(p.data.nbytes for p in parameters)),
+            activation_bytes=activation_bytes,
             fraction=memory.gpu_budget_fraction,
         )
     spill_mb = memory.spill_budget_mb

@@ -19,14 +19,12 @@ touched rows rather than to the graph.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
-from repro.core.config import PiPADConfig
 from repro.core.datapipe import (
     DataPipe,
     DataPipeConfig,
@@ -35,8 +33,14 @@ from repro.core.datapipe import (
     apply_cache_plan,
 )
 from repro.core.reuse import ReuseManager
-from repro.core.tuner import ACTIVATION_FACTOR, DynamicTuner, FrameProfile, TuningDecision
-from repro.gpu.device import OutOfMemoryError, SimulatedGPU
+from repro.core.tuner import (
+    DynamicTuner,
+    FrameProfile,
+    TuningDecision,
+    activation_bytes,
+    capped_candidates,
+)
+from repro.gpu.device import SimulatedGPU
 from repro.gpu.spec import GPUSpec, HostSpec, PCIeSpec
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.memory import (
@@ -61,9 +65,10 @@ class ServingConfig:
     """Knobs of the serving engine.
 
     Serving runs every PiPAD mechanism at its training default (CUDA Graph,
-    sliced CSR, weight reuse, the :class:`~repro.core.config.PiPADConfig`
-    tuner candidates); only the reuse, pipeline and fixed-``S_per`` switches
-    and the micro-batching and windowing knobs of online traffic are set here.
+    sliced CSR, weight reuse, the tuner's
+    :data:`~repro.core.tuner.S_PER_CANDIDATES`); only the reuse, pipeline
+    and fixed-``S_per`` switches and the micro-batching and windowing knobs
+    of online traffic are set here.
     """
 
     #: number of recent snapshot versions the recurrent models consume
@@ -137,32 +142,23 @@ class ServingPolicy:
     def _profile(
         self, store: IncrementalSnapshotStore, session: InferenceSession, batch_index: int
     ) -> FrameProfile:
-        head = store.head
-        hidden = session.model.hidden_features
-        n = store.num_nodes
         overlap_rates: Dict[int, float] = {}
         for candidate in self.tuner.candidates:
             groups = session._partition_positions(candidate)  # noqa: SLF001 - shared layout
             overlap_rates[candidate] = float(
                 np.mean([store.partition_decomposition(g).overlap_rate for g in groups])
             )
-        features = float(head.feature_bytes())
-        adjacency = float(head.adjacency.nbytes)
-        activations = n * (store.feature_dim + hidden) * 4.0 * ACTIVATION_FACTOR
-        compute = self._compute_seconds_per_snapshot
-        if compute is None:
-            compute = 5e-4 * self.scale / max(1.0, self.scale)
-        return FrameProfile(
-            frame_index=batch_index,
-            overlap_rate_per_candidate=overlap_rates,
-            per_snapshot_compute_seconds=compute,
-            per_snapshot_transfer_bytes=(features + adjacency) * self.scale,
-            per_snapshot_footprint_bytes=(
-                (features + adjacency + activations * store.window_size / 2.0) * self.scale
-            ),
-            frame_activation_bytes=(
-                store.window_size * n * hidden * 4.0 * ACTIVATION_FACTOR * self.scale
-            ),
+        return FrameProfile.sized(
+            batch_index,
+            overlap_rates,
+            feature_bytes=float(store.head.feature_bytes()),
+            adjacency_bytes=float(store.head.adjacency.nbytes),
+            num_nodes=store.num_nodes,
+            feature_dim=store.feature_dim,
+            hidden_dim=session.model.hidden_features,
+            snapshots=store.window_size,
+            scale=self.scale,
+            compute_seconds=self._compute_seconds_per_snapshot,
         )
 
     def choose(
@@ -185,7 +181,47 @@ class ServingPolicy:
         return decision
 
 
-class ServingScheduler:
+class TraceReplay:
+    """The trace replay and wall clock every serving engine shares.
+
+    The wall clock starts at first traffic (submit/ingest/run_trace), not
+    at construction: building replicas is provisioning, not serving time.
+    An engine supplies ``pump``, ``ingest``, ``submit``, ``report`` and
+    :meth:`_elapsed_seconds`.
+    """
+
+    _wall_start: Optional[float] = None
+
+    def _touch_wall_clock(self) -> None:
+        if self._wall_start is None:
+            self._wall_start = time.perf_counter()
+
+    def _wall_seconds(self) -> float:
+        return 0.0 if self._wall_start is None else time.perf_counter() - self._wall_start
+
+    def _elapsed_seconds(self) -> float:
+        """Simulated time the engine's devices have reached."""
+        raise NotImplementedError
+
+    def run_trace(self, events: Iterable[ServingEvent]) -> ServingReport:
+        """Replay a timestamped delta/request trace and return the report."""
+        self._touch_wall_clock()
+        last_time = 0.0
+        for event in sorted(events, key=lambda e: e.time):
+            self.pump(event.time)
+            if event.kind == "delta":
+                assert event.delta is not None
+                self.ingest(event.delta, at=event.time)
+            else:
+                assert event.node_ids is not None
+                self.submit(event.node_ids, at=event.time)
+                self.pump(event.time)
+            last_time = event.time
+        self.pump(max(last_time, self._elapsed_seconds()), force=True)
+        return self.report()
+
+
+class ServingScheduler(TraceReplay):
     """Drives deltas and request micro-batches through the simulated pipeline."""
 
     def __init__(
@@ -209,12 +245,8 @@ class ServingScheduler:
         self.scale = scale
         self.memory = memory or MemoryConfig()
         self.device = SimulatedGPU(gpu, pcie, host, use_cuda_graph=True)
-        data = data or DataPipeConfig()
-        if not self.config.enable_pipeline:
-            # Serving's ablation switch forces fully serialized, unpinned prep.
-            data = dataclasses.replace(data, prefetch_depth=0, pin_memory=False)
-        self.data = data
-        self.datapipe = DataPipe(data, self.device.host)
+        self.data = (data or DataPipeConfig()).for_pipeline(self.config.enable_pipeline)
+        self.datapipe = DataPipe(self.data, self.device.host)
         self.reuse = ReuseManager(self.device, enabled=self.config.enable_reuse)
         self.session = InferenceSession(
             model,
@@ -225,10 +257,11 @@ class ServingScheduler:
             scale=scale,
         )
         self.prefetcher = Prefetcher(self.datapipe, self.device, domain="serve")
-        candidates = tuple(
-            c for c in PiPADConfig.s_per_candidates if c <= store.window_capacity
-        ) or (store.window_capacity,)
-        tuner = DynamicTuner(self.device.spec, candidates, feature_dim=store.feature_dim)
+        tuner = DynamicTuner(
+            self.device.spec,
+            capped_candidates(store.window_capacity),
+            feature_dim=store.feature_dim,
+        )
         self.policy = ServingPolicy(
             tuner,
             self.config,
@@ -243,10 +276,17 @@ class ServingScheduler:
         #: re-scope it to their shard via :meth:`scope_feature_cache`)
         self._cache_lo = 0
         self._cache_hi = store.num_nodes
-        self._check_feature_capacity()
-        self.feature_cache: Optional[FeatureCache] = None
-        if self.memory.feature_cache:
-            self.feature_cache = self._build_feature_cache()
+        self.feature_cache: Optional[FeatureCache] = build_feature_cache(
+            self.device, self.memory,
+            feature_bytes=(
+                float(store.head.feature_bytes()) * store.window_capacity * scale
+            ),
+            feature_set="serving window feature set",
+            parameters=model.parameters(),
+            activation_bytes=activation_bytes(
+                store.window_capacity, store.num_nodes, model.hidden_features, scale
+            ),
+        )
         # In-flight pin-stage staging buffers count against the cache's
         # pinned tier (pinned_budget_mb covers residency and staging alike).
         self.prefetcher.cache = self.feature_cache
@@ -259,48 +299,11 @@ class ServingScheduler:
         self.pre_batch_ops: Optional[Callable[[MicroBatch], List[object]]] = None
         self._next_request_id = 0
         self._last_delta_op = None
-        #: wall clock starts at first traffic (submit/ingest/run_trace), not at
-        #: construction — replica-build cost is not serving time, and the
-        #: sharded/fleet engines follow the same convention
-        self._wall_start: Optional[float] = None
 
-    def _touch_wall_clock(self) -> None:
-        if self._wall_start is None:
-            self._wall_start = time.perf_counter()
+    def _elapsed_seconds(self) -> float:
+        return self.device.elapsed_seconds()
 
     # ------------------------------------------------------------------ memory tiers
-    def _window_feature_bytes(self) -> float:
-        """Extrapolated feature bytes of a fully populated serving window."""
-        return (
-            float(self.store.head.feature_bytes())
-            * self.store.window_capacity
-            * self.scale
-        )
-
-    def _check_feature_capacity(self) -> None:
-        """Refuse serving configs whose window features cannot fit uncached."""
-        if self.memory.feature_cache:
-            return
-        nbytes = self._window_feature_bytes()
-        if nbytes > self.device.spec.memory_bytes:
-            raise OutOfMemoryError(
-                f"serving window feature set ({nbytes / 1024**3:.1f} GiB) exceeds "
-                f"{self.device.spec.name} HBM ({self.device.spec.memory_gb:.0f} GiB); "
-                "enable the multi-tier feature cache (memory.feature_cache=true) "
-                "to stage features through the pinned-host and spill tiers"
-            )
-
-    def _build_feature_cache(self) -> FeatureCache:
-        activation_bytes = (
-            self.store.window_capacity * self.store.num_nodes * self.model.hidden_features
-            * 4.0 * ACTIVATION_FACTOR * self.scale
-        )
-        return build_feature_cache(
-            self.device, self.memory,
-            model_bytes=float(sum(p.data.nbytes for p in self.model.parameters())),
-            activation_bytes=activation_bytes,
-        )
-
     def scope_feature_cache(self, lo: int, hi: int) -> None:
         """Restrict the cache to the node range ``[lo, hi)`` (fleet shards).
 
@@ -405,14 +408,6 @@ class ServingScheduler:
         return request.request_id
 
     # ------------------------------------------------------------------ execution
-    def _prep_snapshot_count(self) -> int:
-        """Snapshots the datapipe's host stages must touch for one batch
-        (cached window versions skip preparation; at least one is charged)."""
-        uncached = sum(
-            0 if self.reuse.has_cached(v) else 1 for v in self.store.window_versions()
-        )
-        return max(1, uncached)
-
     def _execute(self, batch: MicroBatch) -> BatchResult:
         decision = self.policy.choose(self.store, self.session, batch)
         versions = self.store.window_versions()
@@ -422,21 +417,17 @@ class ServingScheduler:
         transfer_bytes = self.session.partition_transfer_bytes(decision.s_per)
         compute_stream = "compute" if self.config.enable_pipeline else "default"
 
+        # Cached window versions skip host preparation and feature traffic
+        # (the host stages are charged at least one snapshot).
+        uncached = sum(0 if self.reuse.has_cached(v) else 1 for v in versions)
         item = PipeItem(
             label=f"b{batch.batch_id}",
-            num_snapshots=self._prep_snapshot_count(),
+            num_snapshots=max(1, uncached),
             transfer_bytes=transfer_bytes,
         )
-        if self.feature_cache is not None:
-            uncached = sum(
-                0 if self.reuse.has_cached(v) else 1
-                for v in self.store.window_versions()
-            )
-            if uncached:
-                plan = self.feature_cache.access(
-                    self._feature_block_requests(uncached)
-                )
-                item = apply_cache_plan(item, plan)
+        if self.feature_cache is not None and uncached:
+            plan = self.feature_cache.access(self._feature_block_requests(uncached))
+            item = apply_cache_plan(item, plan)
         depends_on = [] if self._last_delta_op is None else [self._last_delta_op]
         if self.pre_batch_ops is not None:
             depends_on.extend(self.pre_batch_ops(batch))
@@ -511,24 +502,6 @@ class ServingScheduler:
         now = self.device.elapsed_seconds() if now is None else now
         return [self._execute(batch) for batch in self.batcher.drain(now, force=force)]
 
-    # ------------------------------------------------------------------ traces
-    def run_trace(self, events: Iterable[ServingEvent]) -> ServingReport:
-        """Replay a timestamped delta/request trace and return the report."""
-        self._touch_wall_clock()
-        last_time = 0.0
-        for event in sorted(events, key=lambda e: e.time):
-            self.pump(event.time)
-            if event.kind == "delta":
-                assert event.delta is not None
-                self.ingest(event.delta, at=event.time)
-            else:
-                assert event.node_ids is not None
-                self.submit(event.node_ids, at=event.time)
-                self.pump(event.time)
-            last_time = event.time
-        self.pump(max(last_time, self.device.elapsed_seconds()), force=True)
-        return self.report()
-
     # ------------------------------------------------------------------ reporting
     def report(self) -> ServingReport:
         extras: Dict[str, float] = {}
@@ -545,9 +518,7 @@ class ServingScheduler:
             model=self.model.name,
             dataset=self.dataset,
             simulated_seconds=self.device.elapsed_seconds(),
-            wall_seconds=(
-                0.0 if self._wall_start is None else time.perf_counter() - self._wall_start
-            ),
+            wall_seconds=self._wall_seconds(),
             metrics=self.metrics,
             breakdown=self.device.breakdown(),
             reuse_stats=self.session.stats(),

@@ -114,6 +114,32 @@ class TestUnknownKeyRejection:
         with pytest.raises(ValueError, match="unknown PiPADConfig override"):
             RunSpec(dataset="flickr", pipad={"enable_warp_drive": True})
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("s_per_candidates", [2, 4]),
+            ("slice_capacity", 16),
+            ("gpu_reuse_buffer_fraction", 0.5),
+            ("memory_safety_fraction", 0.8),
+        ],
+    )
+    def test_removed_pipad_knob_rejected_with_valid_keys(self, key, value):
+        """The runtime's fixed sizing is not a PiPADConfig override."""
+        with pytest.raises(ValueError, match="unknown PiPADConfig override") as info:
+            RunSpec(dataset="flickr", pipad={key: value})
+        message = str(info.value)
+        assert repr(key) in message
+        valid = message.split("valid keys: ")[1].split(", ")
+        assert valid == [
+            "enable_inter_frame_reuse",
+            "enable_pipeline",
+            "enable_weight_reuse",
+            "fixed_s_per",
+            "preparing_epochs",
+            "use_cuda_graph",
+            "use_sliced_csr",
+        ]
+
     def test_data_unknown_key(self):
         with pytest.raises(ValueError, match="unknown DataSpec key"):
             RunSpec.from_dict({"dataset": "flickr", "data": {"depth": 3}})
@@ -270,11 +296,11 @@ class TestMaterialization:
     def test_pipad_config_applies_overrides(self):
         spec = RunSpec(
             dataset="flickr",
-            pipad={"preparing_epochs": 3, "s_per_candidates": [2, 4]},
+            pipad={"preparing_epochs": 3, "use_sliced_csr": False},
         )
         cfg = spec.pipad_config()
         assert cfg.preparing_epochs == 3
-        assert cfg.s_per_candidates == (2, 4)
+        assert cfg.use_sliced_csr is False
 
     def test_serving_spec_materializes_config(self):
         serving = ServingSpec(window=6, max_batch_requests=4, enable_reuse=False)

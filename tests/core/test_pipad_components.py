@@ -15,7 +15,7 @@ from repro.core import (
     build_datapipe,
     build_overlap_group,
 )
-from repro.core.tuner import FrameProfile
+from repro.core.tuner import FrameProfile, capped_candidates
 from repro.gpu import GPUSpec, SimulatedGPU
 from repro.nn import ExecutionContext, SequentialAggregationProvider
 from repro.tensor import Tensor
@@ -26,15 +26,14 @@ SPEC = GPUSpec()
 class TestConfig:
     def test_defaults_valid(self):
         config = PiPADConfig()
-        assert config.s_per_candidates == (2, 4, 8)
+        assert config.fixed_s_per is None
+        assert config.preparing_epochs == 1
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
-            PiPADConfig(s_per_candidates=())
-        with pytest.raises(ValueError):
-            PiPADConfig(gpu_reuse_buffer_fraction=2.0)
-        with pytest.raises(ValueError):
             PiPADConfig(preparing_epochs=-1)
+        with pytest.raises(ValueError):
+            PiPADConfig(fixed_s_per=0)
 
 
 class TestSlicer:
@@ -93,6 +92,10 @@ class TestReuseManager:
         manager.store(0, np.ones((4, 2), dtype=np.float32))
         assert manager.lookup(0) is not None
         assert manager.cpu_hits == 1 and manager.misses == 1
+
+    def test_buffer_fraction_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="gpu_buffer_fraction"):
+            ReuseManager(SimulatedGPU(), gpu_buffer_fraction=2.0)
 
     def test_disabled_manager_never_caches(self):
         manager = ReuseManager(SimulatedGPU(), enabled=False)
@@ -229,6 +232,13 @@ class TestOfflineAnalysisAndTuner:
     def test_tuner_requires_candidates(self):
         with pytest.raises(ValueError):
             DynamicTuner(SPEC, ())
+
+    @pytest.mark.parametrize(
+        "cap, expected",
+        [(None, (2, 4, 8)), (8, (2, 4, 8)), (4, (2, 4)), (3, (2,)), (1, (1,))],
+    )
+    def test_candidates_capped_by_max_s_per_or_window(self, cap, expected):
+        assert capped_candidates(cap) == expected
 
 
 class TestParallelProvider:

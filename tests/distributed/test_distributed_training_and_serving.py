@@ -15,6 +15,7 @@ from repro.core import (
 from repro.distributed import build_sharded_serving_engine
 from repro.nn import build_model
 from repro.serving import synthesize_serving_trace
+from repro.telemetry.hooks import TelemetryCallback
 
 
 @pytest.fixture()
@@ -278,10 +279,9 @@ class TestShardedServing:
 class TestReportMergeBugfixes:
     """Regressions for the sharded report-merge semantics.
 
-    ``rows_touched`` must aggregate as a fleet-wide *sum* (it counts patch
-    work actually done), ``deltas_ingested`` as the *logical* delta count,
-    reuse-stat gauges as means, and the wall clock must start at first
-    traffic, not at engine construction.
+    ``deltas_ingested`` and ``rows_touched`` must aggregate as the
+    *logical* per-delta counts, reuse-stat gauges as means, and the wall
+    clock must start at first traffic, not at engine construction.
     """
 
     def make_engine(self, graph, num_shards):
@@ -292,18 +292,27 @@ class TestReportMergeBugfixes:
         trace = synthesize_serving_trace(graph[-1], 40, seed=seed)
         return [e.delta for e in trace if e.kind == "delta"]
 
-    def test_rows_touched_sums_divergent_shard_traffic(self, small_graph):
-        """Pinned: report() used to copy replica 0's rows_touched verbatim."""
-        engine = self.make_engine(small_graph, 2)
-        first, second = self.deltas_from_trace(small_graph)[:2]
-        engine.ingest(first, at=0.0)  # broadcast: both replicas touch rows
-        # Replica 1 alone absorbs a second delta — the shards now disagree.
-        engine.replicas[1].ingest(second, at=0.0)
-        per_replica = [r.metrics.rows_touched for r in engine.replicas]
-        assert per_replica[1] > per_replica[0]
-        merged = engine.report().metrics
-        assert merged.rows_touched == sum(per_replica)
-        assert merged.rows_touched != per_replica[0]
+    def test_rows_per_delta_is_the_mean_rows_one_delta_touched(self, small_graph):
+        """Pinned: report() used to sum rows_touched over the replicas, so
+        rows_per_delta counted each delta's rows once per replica."""
+
+        class TouchedRows(TelemetryCallback):
+            def __init__(self):
+                self.touched = []
+
+            def on_delta(self, version, num_touched, at):
+                self.touched.append(num_touched)
+
+        engine = self.make_engine(small_graph, 3)
+        engine.hooks = TouchedRows()
+        report = engine.run_trace(synthesize_serving_trace(small_graph[-1], 40, seed=7))
+        touched = engine.hooks.touched
+        merged = report.metrics
+        assert merged.rows_touched == sum(touched) > 0
+        assert merged.rows_per_delta() == sum(touched) / len(touched)
+        # The replicas' own cache patch work still adds up.
+        patched = [r.session.rows_patched for r in engine.replicas]
+        assert report.reuse_stats["rows_patched"] == sum(patched) > max(patched)
 
     def test_deltas_ingested_counts_logical_deltas(self, small_graph):
         engine = self.make_engine(small_graph, 3)

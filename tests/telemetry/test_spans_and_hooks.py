@@ -125,7 +125,7 @@ class TestTelemetryRuntime:
 
 class TestServingDeltaHook:
     """A delta applied once to the shared store is one ``on_delta`` event,
-    however many replicas absorb it."""
+    and its rows count once in the summary, however many replicas absorb it."""
 
     SERVING = {
         "window": 8,
@@ -160,6 +160,7 @@ class TestServingDeltaHook:
         deltas = metrics["serving.summary.deltas"]
         assert deltas > 0
         assert metrics["serving.deltas"] == deltas
+        assert metrics["serving.summary.rows_touched"] == metrics["serving.rows_touched"]
         doc = engine.export_trace(tmp_path / "serve.json")
         spans = [e["name"] for e in doc["traceEvents"] if e.get("cat") == "delta"]
         assert len(spans) == len(set(spans)) == deltas

@@ -171,7 +171,8 @@ def test_simulated_timelines_match_the_committed_digest(name, op_records):
 #: name -> (metric count, SHA-256 of the metrics snapshot).  The two
 #: serving digests count one ``serving.deltas`` per ingested delta (fleet
 #: 14, sharded 24) and its rows in ``serving.rows_touched`` (1040, 1191),
-#: not one per replica that absorbed it.
+#: not one per replica that absorbed it; ``serving.summary.rows_touched``
+#: and ``rows_per_delta`` merge the replicas the same way.
 GOLDEN_METRICS = {
     "pipad-1gpu": (
         47,
@@ -187,11 +188,11 @@ GOLDEN_METRICS = {
     ),
     "fleet-serve": (
         113,
-        "21407a70f1813f601a0e6e73084d882a678a748220b57525ce7f1204678dcbb9",
+        "4baaf27540f62cffb33d0d05e603b1339438bc89b14165728fd59475065c0de0",
     ),
     "sharded-serve": (
         95,
-        "b94a1a5b8e9b796d05a220e303a9559e3e82fed14989a135e6c086c6652f50b8",
+        "2ff113c4207ca8e858bc2e111e54a6f4339a3229cd4398f5d1a0f6eee6e815e6",
     ),
 }
 
