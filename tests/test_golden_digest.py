@@ -20,12 +20,17 @@ A third digest pins the op-event stream the cost collector receives in one
 steady training frame of a single-GPU and a pipelined run: the events
 themselves, including ops that launch no kernel, in the order the engine
 emits them.
+
+A fourth digest pins the prediction rows every admitted request of the two
+serving runs gets back (``float.hex`` per value, by global request id), so
+a change to where the replicas compute them cannot move their bits.
 """
 
 from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from repro.analysis.base import collect_artifacts
@@ -215,6 +220,53 @@ def test_metrics_snapshot_matches_the_committed_digest(name):
     else:
         engine.train()
     assert metrics_digest(engine.report().metrics) == GOLDEN_METRICS[name]
+
+
+#: name -> (admitted request count, SHA-256 of every admitted request's
+#: prediction rows).  The timeline and metrics digests pin when and how much
+#: work ran, not the prediction bits the replicas hand back.
+GOLDEN_PREDICTIONS = {
+    "fleet-serve": (
+        26,
+        "888f6a7f74a4b97facb47b0a957541eae556ce96da74639b3fd1258f7b39cbe8",
+    ),
+    "sharded-serve": (
+        36,
+        "cbb7cd813d67f75bde5be12dfd42785ff90a73e6f051b3cc4c09286f5b30a105",
+    ),
+}
+
+
+def served_predictions(spec):
+    """Global request id -> prediction rows of every admitted request."""
+    engine = Engine.from_spec(spec)
+    engine.train()
+    serving = engine.serving_engine
+    pump = serving.pump
+    predictions = {}
+
+    def recording_pump(*args, **kwargs):
+        results = pump(*args, **kwargs)
+        for result in results:
+            predictions.update(result.predictions)
+        return results
+
+    serving.pump = recording_pump
+    engine.serve()
+    return predictions
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PREDICTIONS))
+def test_served_predictions_match_the_committed_digest(name):
+    predictions = served_predictions(GOLDEN[name][0])
+    digest = hashlib.sha256()
+    for request_id in sorted(predictions):
+        rows = np.asarray(predictions[request_id], dtype=np.float64)
+        digest.update(
+            repr((request_id, rows.shape, [float(v).hex() for v in rows.ravel()])).encode()
+        )
+        digest.update(b"\n")
+    assert (len(predictions), digest.hexdigest()) == GOLDEN_PREDICTIONS[name]
 
 
 #: The benchmark's train-single and train-pipeline workloads, cut to two
