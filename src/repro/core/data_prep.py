@@ -73,7 +73,7 @@ class DataPreparer:
         if adjacency.nnz == 0:
             return 0
         if self.use_sliced_csr:
-            return SlicedCSRMatrix.from_csr(adjacency, slice_capacity=self.slice_capacity).nbytes
+            return SlicedCSRMatrix.csr_nbytes(adjacency, self.slice_capacity)
         return adjacency.nbytes
 
     def _extraction_seconds(self, snapshots: Sequence[GraphSnapshot]) -> float:
@@ -114,8 +114,9 @@ class DataPreparer:
         The serving path maintains the window decomposition incrementally
         (:class:`~repro.graph.overlap.IncrementalOverlapTracker`), so no
         extraction work is charged; only the transfer-format sizes are
-        computed.  Results are *not* cached: snapshot versions are unique and
-        the caller owns their lifetime.
+        computed.  Results are not cached here: the serving store caches
+        them by snapshot versions until one of the versions leaves the
+        window.
         """
         if not snapshots:
             raise ValueError("cannot prepare an empty snapshot group")

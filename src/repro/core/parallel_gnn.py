@@ -12,7 +12,7 @@ exact); only the memory behaviour and cost differ, which is the point.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -28,12 +28,56 @@ from repro.tensor.sparse import spmm
 from repro.tensor.tensor import Tensor
 
 
-class ParallelAggregationProvider:
-    """Aggregates a whole partition at once over its overlap decomposition."""
+class PartitionKernels:
+    """One partition's overlap and exclusive kernels and inverse degrees.
+
+    Nothing here changes once built, so every provider over the same
+    partition (the replicas of a serving fleet) can share one instance.
+    """
 
     def __init__(
         self,
         partition: PartitionData,
+        spec: Optional[GPUSpec] = None,
+        scale: float = 1.0,
+        *,
+        slice_capacity: int = DEFAULT_SLICE_CAPACITY,
+        use_sliced_csr: bool = True,
+    ) -> None:
+        self.partition = partition
+        spec = spec or GPUSpec()
+        self.inv_degree = [Tensor(mean_inverse_degree(s)) for s in partition.snapshots]
+
+        def kernel(adjacency, snapshots_coalesced: int):
+            if not adjacency.nnz:
+                return None
+            if use_sliced_csr:
+                return SlicedParallelAggregation(
+                    adjacency,
+                    spec,
+                    scale,
+                    slice_capacity=slice_capacity,
+                    snapshots_coalesced=snapshots_coalesced,
+                )
+            return GESpMMAggregation(adjacency, spec, scale)
+
+        self.overlap = kernel(partition.overlap.overlap, partition.size)
+        self.exclusives = [kernel(excl, 1) for excl in partition.overlap.exclusives]
+
+
+class ParallelAggregationProvider:
+    """Aggregates a whole partition at once over its overlap decomposition.
+
+    ``partition`` is the group's :class:`PartitionData`, whose kernels the
+    provider builds from ``spec``, ``scale``, ``slice_capacity`` and
+    ``use_sliced_csr``, or :class:`PartitionKernels` already built (and
+    shared with other providers).  The reuse cache and the hit/miss counters
+    are the provider's own.
+    """
+
+    def __init__(
+        self,
+        partition: Union[PartitionData, PartitionKernels],
         spec: Optional[GPUSpec] = None,
         scale: float = 1.0,
         cache: Optional[AggregationCache] = None,
@@ -42,38 +86,20 @@ class ParallelAggregationProvider:
         slice_capacity: int = DEFAULT_SLICE_CAPACITY,
         use_sliced_csr: bool = True,
     ) -> None:
-        self.partition = partition
-        self.spec = spec or GPUSpec()
-        self.scale = scale
+        if not isinstance(partition, PartitionKernels):
+            partition = PartitionKernels(
+                partition,
+                spec,
+                scale,
+                slice_capacity=slice_capacity,
+                use_sliced_csr=use_sliced_csr,
+            )
+        self.kernels = partition
+        self.partition = partition.partition
         self.cache = cache
         self.reusable_layers = tuple(reusable_layers)
-        self.slice_capacity = slice_capacity
-        self.use_sliced_csr = use_sliced_csr
         self.cache_hits = 0
         self.cache_misses = 0
-
-        snapshots = partition.snapshots
-        self._inv_degree = [Tensor(mean_inverse_degree(s)) for s in snapshots]
-
-        overlap_adj = partition.overlap.overlap
-        self._overlap_kernel = None
-        if overlap_adj.nnz:
-            self._overlap_kernel = self._make_kernel(overlap_adj, snapshots_coalesced=len(snapshots))
-        self._exclusive_kernels = [
-            self._make_kernel(excl, snapshots_coalesced=1) if excl.nnz else None
-            for excl in partition.overlap.exclusives
-        ]
-
-    def _make_kernel(self, adjacency, snapshots_coalesced: int):
-        if self.use_sliced_csr:
-            return SlicedParallelAggregation(
-                adjacency,
-                self.spec,
-                self.scale,
-                slice_capacity=self.slice_capacity,
-                snapshots_coalesced=snapshots_coalesced,
-            )
-        return GESpMMAggregation(adjacency, self.spec, self.scale)
 
     # -- provider interface ---------------------------------------------------
     @property
@@ -101,13 +127,14 @@ class ParallelAggregationProvider:
             with op_scope("aggregation"):
                 # Parallel aggregation of the overlap topology against the
                 # coalescent feature matrix of the snapshots still to compute.
-                if self._overlap_kernel is not None:
+                kernels = self.kernels
+                if kernels.overlap is not None:
                     coalescent = (
                         ops.concat([xs[i] for i in to_compute], axis=1)
                         if len(to_compute) > 1
                         else xs[to_compute[0]]
                     )
-                    overlap_out = spmm(self._overlap_kernel, coalescent)
+                    overlap_out = spmm(kernels.overlap, coalescent)
                 else:
                     overlap_out = None
                 for position, index in enumerate(to_compute):
@@ -117,11 +144,11 @@ class ParallelAggregationProvider:
                         part = overlap_out[:, start : start + feature_dim]
                     else:
                         part = None
-                    exclusive_kernel = self._exclusive_kernels[index]
+                    exclusive_kernel = kernels.exclusives[index]
                     pieces = x if part is None else part + x
                     if exclusive_kernel is not None:
                         pieces = pieces + spmm(exclusive_kernel, x)
-                    computed[index] = pieces * self._inv_degree[index]
+                    computed[index] = pieces * kernels.inv_degree[index]
 
         results: List[Tensor] = []
         for index, snapshot in enumerate(snapshots):

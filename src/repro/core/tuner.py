@@ -355,7 +355,7 @@ class DynamicTuner:
         self,
         profile: FrameProfile,
         *,
-        pcie_bandwidth_gbs: float = 12.0,
+        pcie_bandwidth_gbs: float,
         memory_bytes: Optional[int] = None,
     ) -> TuningDecision:
         """Pick ``S_per`` for one frame given its online profile."""
@@ -405,7 +405,7 @@ class DynamicTuner:
         self,
         profile: FrameProfile,
         *,
-        pcie_bandwidth_gbs: float = 12.0,
+        pcie_bandwidth_gbs: float,
         memory_bytes: Optional[int] = None,
     ) -> TuningDecision:
         """Forward-only (inference/serving) variant of :meth:`decide`.

@@ -96,8 +96,7 @@ class SlicedCSRMatrix:
         """Slice a CSR matrix; the element arrays are shared, only the row
         bookkeeping changes, so slicing is O(num_slices)."""
         check_positive("slice_capacity", slice_capacity)
-        row_nnz = csr.row_nnz()
-        slices_per_row = -(-row_nnz // slice_capacity)  # ceil; 0 for empty rows
+        slices_per_row = cls._slices_per_row(csr, slice_capacity)
         num_slices = int(slices_per_row.sum())
         if num_slices == 0:
             return cls(
@@ -125,6 +124,21 @@ class SlicedCSRMatrix:
             slice_capacity=slice_capacity,
         )
 
+    @staticmethod
+    def _slices_per_row(csr: CSRMatrix, slice_capacity: int) -> np.ndarray:
+        return -(-csr.row_nnz() // slice_capacity)  # ceil; 0 for empty rows
+
+    @staticmethod
+    def _storage_bytes(nnz: int, num_slices: int) -> int:
+        return (2 * nnz + 2 * num_slices + 1) * INDEX_BYTES
+
+    @classmethod
+    def csr_nbytes(cls, csr: CSRMatrix, slice_capacity: int) -> int:
+        """``from_csr(csr, slice_capacity).nbytes`` from the slice count alone."""
+        check_positive("slice_capacity", slice_capacity)
+        num_slices = int(cls._slices_per_row(csr, slice_capacity).sum())
+        return cls._storage_bytes(csr.nnz, num_slices)
+
     # -- properties --------------------------------------------------------
     @property
     def nnz(self) -> int:
@@ -145,7 +159,7 @@ class SlicedCSRMatrix:
     @property
     def nbytes(self) -> int:
         """Storage per the paper's accounting: ``2*nnz + 2*num_slices + 1``."""
-        return (2 * self.nnz + 2 * self.num_slices + 1) * INDEX_BYTES
+        return self._storage_bytes(self.nnz, self.num_slices)
 
     def slice_nnz(self) -> np.ndarray:
         """Per-slice element counts (all ``<= slice_capacity``)."""

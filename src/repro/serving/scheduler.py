@@ -117,7 +117,7 @@ class ServingPolicy:
         tuner: DynamicTuner,
         config: ServingConfig,
         *,
-        pcie_bandwidth_gbs: float = 12.0,
+        pcie_bandwidth_gbs: float,
         scale: float = 1.0,
     ) -> None:
         self.tuner = tuner
@@ -144,9 +144,9 @@ class ServingPolicy:
     ) -> FrameProfile:
         overlap_rates: Dict[int, float] = {}
         for candidate in self.tuner.candidates:
-            groups = session._partition_positions(candidate)  # noqa: SLF001 - shared layout
+            groups = store.partition_positions(candidate)
             overlap_rates[candidate] = float(
-                np.mean([store.partition_decomposition(g).overlap_rate for g in groups])
+                np.mean([store.partition_overlap_rate(g) for g in groups])
             )
         return FrameProfile.sized(
             batch_index,

@@ -22,7 +22,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.core.data_prep import DataPreparer, PartitionData
-from repro.core.parallel_gnn import ParallelAggregationProvider
+from repro.core.parallel_gnn import ParallelAggregationProvider, PartitionKernels
 from repro.core.reuse import ReuseManager
 from repro.gpu.device import SimulatedGPU
 from repro.gpu.kernel_cost import KernelCost
@@ -55,9 +55,9 @@ class InferenceSession:
         self.preparer = preparer
         self.scale = scale
         self.context = ExecutionContext(spec=device.spec, scale=scale)
-        #: providers/partitions keyed by (window versions, s_per); cleared on every delta
+        #: this replica's providers (own reuse cache and hit/miss counters)
+        #: keyed by (window versions, s_per); cleared on every delta
         self._provider_cache: Dict[Tuple[Tuple[int, ...], int], List[ParallelAggregationProvider]] = {}
-        self._partition_cache: Dict[Tuple[Tuple[int, ...], int], List[PartitionData]] = {}
         self.rows_patched = 0
         self.full_recomputes = 0
 
@@ -69,10 +69,11 @@ class InferenceSession:
         first-layer aggregation is derived from the parent version's cached
         result by recomputing only the delta-touched rows; if the parent was
         never cached (cold start, reuse disabled) the head stays uncached and
-        the next forward pass computes it in full.
+        the next forward pass computes it in full.  The recomputed rows
+        depend on the head version alone, so the store computes them once
+        for every replica.
         """
         self._provider_cache.clear()
-        self._partition_cache.clear()
         if report.evicted_version is not None:
             self.reuse.invalidate([report.evicted_version])
         if not self.reuse.enabled:
@@ -81,70 +82,73 @@ class InferenceSession:
         if parent is None:
             self.full_recomputes += 1
             return 0.0
-        head = self.store.snapshot(report.version)
         patched = np.array(parent, copy=True)
         touched = report.touched_rows
         if len(touched):
-            sub = head.adjacency.to_scipy()[touched] @ head.features
-            degree = head.adjacency.row_nnz()[touched].astype(np.float32)
-            patched[touched] = (head.features[touched] + sub) / (degree + 1.0)[:, None]
+            patched[touched] = self.store.shared(
+                (report.version,), "patched_rows", lambda: self._patched_rows(report)
+            )
             self.rows_patched += len(touched)
         self.reuse.store(report.version, patched)
         # Patching touched rows is a small gather/SpMM on the host copy.
         flops = 2.0 * max(1, len(touched)) * self.store.feature_dim
         return flops * 1e-9  # ~1 GFLOP/s conservative host estimate
 
-    # ------------------------------------------------------------------ providers
-    def _partition_positions(self, s_per: int) -> List[List[int]]:
-        window = self.store.window_size
-        s_per = max(1, min(s_per, window))
-        return [list(range(start, min(start + s_per, window))) for start in range(0, window, s_per)]
+    def _patched_rows(self, report: DeltaReport) -> np.ndarray:
+        """``(X[t] + A[t]·X) / (deg[t] + 1)`` of the head version's touched rows."""
+        head = self.store.snapshot(report.version)
+        touched = report.touched_rows
+        sub = head.adjacency.to_scipy()[touched] @ head.features
+        degree = head.adjacency.row_nnz()[touched].astype(np.float32)
+        return (head.features[touched] + sub) / (degree + 1.0)[:, None]
 
+    # ------------------------------------------------------------------ providers
     def partitions_for(self, s_per: int) -> List[PartitionData]:
         """Prepared partition data for the current window at ``s_per``.
 
         Built from the store's incrementally refined decompositions and
-        cached until the next delta changes the window (shared by provider
-        construction and transfer-size accounting).
+        shared through the store by every replica until a member version
+        leaves the window (used by provider construction and transfer-size
+        accounting).
         """
-        key = (tuple(self.store.window_versions()), s_per)
-        cached = self._partition_cache.get(key)
-        if cached is not None:
-            return cached
+        preparer = self.preparer
         snapshots = self.store.window_snapshots()
-        partitions = [
-            self.preparer.prepare_from_decomposition(
-                [snapshots[p] for p in positions],
-                self.store.partition_decomposition(positions),
+        return [
+            self.store.shared(
+                self.store.versions_at(positions),
+                ("partition", preparer.slice_capacity, preparer.use_sliced_csr),
+                lambda: preparer.prepare_from_decomposition(
+                    [snapshots[p] for p in positions],
+                    self.store.partition_decomposition(positions),
+                ),
             )
-            for positions in self._partition_positions(s_per)
+            for positions in self.store.partition_positions(s_per)
         ]
-        self._partition_cache[key] = partitions
-        return partitions
 
     def providers_for(self, s_per: int) -> List[ParallelAggregationProvider]:
         """Partition providers for the current window at parallelism ``s_per``.
 
-        Providers are built from the cached partition data and themselves
-        cached until the next delta changes the window.
+        The partitions' kernels are built once per version group and shared
+        through the store; the providers wrapping them carry this replica's
+        reuse cache and are cached until the next delta changes the window.
         """
         key = (tuple(self.store.window_versions()), s_per)
         cached = self._provider_cache.get(key)
         if cached is not None:
             return cached
-        providers: List[ParallelAggregationProvider] = []
-        for partition in self.partitions_for(s_per):
-            providers.append(
-                ParallelAggregationProvider(
-                    partition,
-                    spec=self.device.spec,
-                    scale=self.scale,
-                    cache=self.reuse if self.reuse.enabled else None,
-                    reusable_layers=(
-                        self.model.reusable_aggregation_layers if self.reuse.enabled else ()
-                    ),
-                )
+        spec, scale, reuse = self.device.spec, self.scale, self.reuse.enabled
+        providers = [
+            ParallelAggregationProvider(
+                self.store.shared(
+                    tuple(s.timestep for s in partition.snapshots),
+                    ("kernels", spec, scale),
+                    lambda: PartitionKernels(partition, spec, scale),
+                ),
+                cache=self.reuse if reuse else None,
+                reusable_layers=self.model.reusable_aggregation_layers if reuse else (),
             )
+            for partition in self.partitions_for(s_per)
+        ]
         self._provider_cache[key] = providers
         return providers
 
@@ -161,7 +165,7 @@ class InferenceSession:
         """
         snapshots = self.store.window_snapshots()
         providers = self.providers_for(s_per)
-        positions = self._partition_positions(s_per)
+        positions = self.store.partition_positions(s_per)
         feature_groups: List[List[Tensor]] = [
             [Tensor(snapshots[p].features) for p in group] for group in positions
         ]

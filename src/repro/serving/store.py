@@ -13,6 +13,14 @@ machinery are reused instead of recomputed from scratch on every delta:
   decomposition (:func:`~repro.graph.overlap.refine_overlap`) by
   intersecting only the small exclusive sets.
 
+Everything derived from the window is a function of the snapshot versions
+it covers: refinements, the tuner's per-group overlap rates (counted from
+the members' edge keys, no CSR built), and what the inference sessions
+build through :meth:`IncrementalSnapshotStore.shared` (partition data,
+aggregation kernels, the rows a delta patches).  Each piece is built once
+and read by every replica sharing the store; it is dropped when one of its
+versions leaves the window.
+
 Each applied delta yields a :class:`DeltaReport` naming the new and evicted
 versions plus the *touched rows* — exactly the aggregation rows the
 inference session must recompute, everything else stays cache-valid.
@@ -22,7 +30,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from functools import reduce
+from typing import Any, Callable, Deque, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -85,8 +94,9 @@ class IncrementalSnapshotStore:
         self._tracker = IncrementalOverlapTracker(shape, window)
         self._window: Deque[GraphSnapshot] = deque()
         self._keys: Dict[int, np.ndarray] = {}
-        #: refined subgroup decompositions, valid until the next delta
-        self._refined_cache: Dict[Tuple[int, ...], SnapshotOverlap] = {}
+        #: state derived from a version group alone, keyed ``(versions, kind)``
+        #: (see :meth:`shared`); dropped when one of its versions is evicted
+        self._shared: Dict[Tuple[Tuple[int, ...], Hashable], Any] = {}
         self._version = seeds[0].timestep - 1
         for snap in seeds:
             version = max(self._version + 1, snap.timestep)
@@ -161,20 +171,61 @@ class IncrementalSnapshotStore:
     def overlap_rate(self) -> float:
         return self._tracker.overlap_rate()
 
+    def partition_positions(self, s_per: int) -> List[List[int]]:
+        """Window positions (oldest = 0) of each partition at parallelism ``s_per``."""
+        window = self.window_size
+        s_per = max(1, min(s_per, window))
+        return [list(range(start, min(start + s_per, window))) for start in range(0, window, s_per)]
+
+    def versions_at(self, positions: Sequence[int]) -> Tuple[int, ...]:
+        """Snapshot versions at the given window positions."""
+        return tuple(self._window[p].timestep for p in positions)
+
+    def shared(self, versions: Tuple[int, ...], kind: Hashable, build: Callable[[], Any]) -> Any:
+        """State that depends only on the snapshot ``versions``, built once.
+
+        Every reader of the store (each replica of a serving fleet) gets the
+        same object.  ``kind`` names what ``build`` makes, including any
+        setting it depends on.  The entry lives until one of ``versions``
+        leaves the window, so the cache never outgrows the window's groups.
+        """
+        key = (versions, kind)
+        try:
+            return self._shared[key]
+        except KeyError:
+            value = self._shared[key] = build()
+            return value
+
     def partition_decomposition(self, positions: Sequence[int]) -> SnapshotOverlap:
         """Decomposition of a window subgroup (by position, oldest = 0).
 
-        Refinements are cached until the next delta: steady request traffic
-        between deltas keeps asking for the same subgroups.
+        Refinements are cached by the member versions until one of them
+        leaves the window: steady request traffic keeps asking for the same
+        subgroups, and after a delta the same versions may regroup.
         """
         if list(positions) == list(range(len(self._window))):
             return self.decomposition()
-        key = tuple(positions)
-        cached = self._refined_cache.get(key)
-        if cached is None:
-            cached = refine_overlap(self.decomposition(), positions)
-            self._refined_cache[key] = cached
-        return cached
+        return self.shared(
+            self.versions_at(positions),
+            "decomposition",
+            lambda: refine_overlap(self.decomposition(), positions),
+        )
+
+    def partition_overlap_rate(self, positions: Sequence[int]) -> float:
+        """``partition_decomposition(positions).overlap_rate`` without the CSRs.
+
+        ``|∩ keys| / |∪ keys|`` over the members' edge keys: the same two
+        integers the decomposition divides, so the same float.
+        """
+        versions = self.versions_at(positions)
+
+        def rate() -> float:
+            keys = [self._keys[v] for v in versions]
+            common = reduce(lambda a, b: np.intersect1d(a, b, assume_unique=True), keys)
+            union_size = len(unique(np.concatenate(keys)))
+            return float(len(common) / union_size) if union_size else 1.0
+
+        return self.shared(versions, "overlap_rate", rate)
 
     # ------------------------------------------------------------------ deltas
     def _touched_rows(
@@ -248,11 +299,13 @@ class IncrementalSnapshotStore:
             adjacency=adjacency, features=features, targets=None, timestep=new_version
         )
         evicted = self._tracker.push(new_version, new_keys)
-        self._refined_cache.clear()
         self._window.append(snapshot)
         if len(self._window) > self.window_capacity:
             old = self._window.popleft()
             del self._keys[old.timestep]
+            self._shared = {
+                key: value for key, value in self._shared.items() if old.timestep not in key[0]
+            }
         self._keys[new_version] = new_keys
 
         touched = self._touched_rows(delta, added_keys, removed_keys, new_keys)

@@ -16,11 +16,12 @@ from repro.core import (
     build_overlap_group,
 )
 from repro.core.tuner import FrameProfile, capped_candidates
-from repro.gpu import GPUSpec, SimulatedGPU
+from repro.gpu import GPUSpec, PCIeSpec, SimulatedGPU
 from repro.nn import ExecutionContext, SequentialAggregationProvider
 from repro.tensor import Tensor
 
 SPEC = GPUSpec()
+PCIE_GBS = PCIeSpec().bandwidth_gbs
 
 
 class TestConfig:
@@ -208,25 +209,29 @@ class TestOfflineAnalysisAndTuner:
 
     def test_tuner_prefers_larger_s_per_when_memory_allows(self):
         tuner = DynamicTuner(SPEC, (2, 4, 8), feature_dim=8)
-        decision = tuner.decide(self._profile(footprint=1e6))
+        decision = tuner.decide(self._profile(footprint=1e6), pcie_bandwidth_gbs=PCIE_GBS)
         assert decision.s_per == 8
 
     def test_tuner_respects_memory_bound(self):
         tuner = DynamicTuner(SPEC, (2, 4, 8), feature_dim=8)
         # 3 GB per snapshot: only 2 fit next to a 7 GB frame working set.
-        decision = tuner.decide(self._profile(footprint=3e9, frame_activation=7e9))
+        decision = tuner.decide(
+            self._profile(footprint=3e9, frame_activation=7e9), pcie_bandwidth_gbs=PCIE_GBS
+        )
         assert decision.s_per == 2
 
     def test_tuner_falls_back_when_nothing_fits(self):
         tuner = DynamicTuner(SPEC, (2, 4, 8), feature_dim=8)
-        decision = tuner.decide(self._profile(footprint=20e9))
+        decision = tuner.decide(self._profile(footprint=20e9), pcie_bandwidth_gbs=PCIE_GBS)
         assert decision.s_per == 1
         assert "memory" in decision.reason
 
     def test_tuner_avoids_pipeline_stall(self):
         tuner = DynamicTuner(SPEC, (2, 8), feature_dim=8, stall_tolerance=1.0)
         # Huge transfers relative to compute: all candidates stall, tuner says so.
-        decision = tuner.decide(self._profile(footprint=1e6, transfer=1e9, compute=1e-6))
+        decision = tuner.decide(
+            self._profile(footprint=1e6, transfer=1e9, compute=1e-6), pcie_bandwidth_gbs=PCIE_GBS
+        )
         assert "stall" in decision.reason
 
     def test_tuner_requires_candidates(self):

@@ -19,7 +19,7 @@ from repro.distributed import (
 from repro.graph import load_dataset
 from repro.memory import MemoryConfig
 from repro.nn import build_model
-from repro.serving import ServingConfig, synthesize_serving_trace
+from repro.serving import ServingConfig, random_delta, synthesize_serving_trace
 from repro.serving.metrics import RequestRecord
 from repro.serving.scheduler import _build_serving_scheduler
 from repro.telemetry.hooks import TelemetryCallback
@@ -522,6 +522,53 @@ class TestDeterminismAndParity:
                 np.testing.assert_array_equal(
                     fleet_preds[fleet_id], single_preds[single_id]
                 )
+
+
+class TestSharedWindowState:
+    """Replicas share what the window derives from versions, not their caches."""
+
+    def test_replicas_share_kernels_but_count_reuse_apart(self, small_graph):
+        model = build_model("tgcn", small_graph.feature_dim, 8, seed=0)
+        engine = build_sharded_serving_engine(
+            small_graph, model, 2, ServingConfig(window=4, max_batch_requests=4)
+        )
+        first, second = (replica.session for replica in engine.replicas)
+        for s_per in (1, 2, 4):
+            for a, b in zip(first.providers_for(s_per), second.providers_for(s_per)):
+                assert a is not b
+                assert a.kernels is b.kernels
+                assert a.partition is b.partition
+        nodes = np.arange(5)
+        for _ in range(2):
+            first.predict(nodes, s_per=2)
+        providers = (first.providers_for(2), second.providers_for(2))
+        assert sum(p.cache_hits for p in providers[0]) == 4
+        assert sum(p.cache_misses for p in providers[0]) == 4
+        assert all(p.cache_hits == p.cache_misses == 0 for p in providers[1])
+        assert first.reuse.stats() != second.reuse.stats()
+
+    def test_a_delta_keeps_groups_of_surviving_versions(self, small_graph):
+        model = build_model("tgcn", small_graph.feature_dim, 8, seed=0)
+        engine = build_sharded_serving_engine(
+            small_graph, model, 2, ServingConfig(window=4, max_batch_requests=4)
+        )
+        store = engine.store
+        first, second = (replica.session for replica in engine.replicas)
+        before = first.providers_for(2)
+        rng = np.random.default_rng(3)
+        for _ in range(2):
+            delta, _ = random_delta(
+                store.head.adjacency.edge_keys(), store.num_nodes, rng,
+                feature_update_fraction=0.1, feature_dim=store.feature_dim,
+            )
+            engine.ingest(delta, at=0.0)
+        after = second.providers_for(2)
+        # Two deltas shift the window by one group of two: the newer group
+        # of the old window is the older group of the new one.
+        assert after[0].kernels is before[1].kernels
+        assert after[0] is not before[1]
+        window = set(store.window_versions())
+        assert all(set(versions) <= window for versions, _ in store._shared)
 
 
 class TestFleetVsRoundRobin:

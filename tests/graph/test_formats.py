@@ -121,6 +121,24 @@ class TestSlicedCSR:
         sliced = SlicedCSRMatrix.from_csr(random_csr, slice_capacity=2)
         assert sliced.nbytes == (2 * sliced.nnz + 2 * sliced.num_slices + 1) * 4
 
+    @pytest.mark.parametrize("capacity", [1, 3, 32])
+    def test_slice_count_bytes_match_the_built_matrix(self, capacity):
+        """``csr_nbytes`` sizes a matrix from its slice count alone."""
+        n = max(5, 2 * capacity)
+        row_sizes = [0, capacity, 0, capacity + 1, 2 * capacity]  # with empty rows
+        rows = np.repeat(np.arange(len(row_sizes)), row_sizes)
+        cols = np.concatenate([np.arange(k) for k in row_sizes])
+        matrices = [
+            CSRMatrix.empty((n, n)),
+            CSRMatrix.from_edges(rows, cols, (n, n)),
+        ] + [
+            CSRMatrix.from_edges(np.zeros(k, dtype=np.int64), np.arange(k), (n, n))
+            for k in (capacity, capacity + 1, 2 * capacity)
+        ]
+        for csr in matrices:
+            built = SlicedCSRMatrix.from_csr(csr, slice_capacity=capacity)
+            assert SlicedCSRMatrix.csr_nbytes(csr, capacity) == built.nbytes
+
     def test_space_between_csr_and_coo_for_default_capacity(self, random_csr):
         sliced = SlicedCSRMatrix.from_csr(random_csr)
         assert random_csr.nbytes <= sliced.nbytes <= random_csr.to_coo().nbytes + 4

@@ -114,6 +114,85 @@ class TestIncrementalSnapshotStore:
         assert store.window_size == 2
 
 
+def slide(store, rng, deltas):
+    """Apply ``deltas`` random edge/feature deltas to ``store``."""
+    for _ in range(deltas):
+        delta, _ = random_delta(
+            store.head.adjacency.edge_keys(), store.num_nodes, rng,
+            feature_update_fraction=0.05, feature_dim=store.feature_dim,
+        )
+        store.apply(delta)
+
+
+class TestSharedWindowState:
+    """Window state keyed by snapshot versions, shared and evicted with them."""
+
+    S_PER = (1, 2, 3, 4)
+
+    def query_every_group(self, store):
+        for s_per in self.S_PER:
+            for positions in store.partition_positions(s_per):
+                store.partition_overlap_rate(positions)
+                store.partition_decomposition(positions)
+
+    def test_partition_positions_cover_the_window_in_order(self, make_snapshot_store):
+        store = make_snapshot_store(window=4)
+        assert store.partition_positions(3) == [[0, 1, 2], [3]]
+        assert store.partition_positions(8) == [[0, 1, 2, 3]]
+        assert store.partition_positions(0) == [[0], [1], [2], [3]]
+
+    def test_cached_state_matches_extraction_from_scratch(self, make_snapshot_store):
+        store = make_snapshot_store(window=4)
+        rng = np.random.default_rng(5)
+        for _ in range(7):  # more deltas than the window holds
+            self.query_every_group(store)
+            slide(store, rng, 1)
+        self.query_every_group(store)
+        kinds = {kind for _, kind in store._shared}
+        assert kinds == {"overlap_rate", "decomposition"}
+        for (versions, kind), value in store._shared.items():
+            scratch = extract_overlap([store.snapshot(v).adjacency for v in versions])
+            if kind == "overlap_rate":
+                assert value.hex() == scratch.overlap_rate.hex()
+                continue
+            assert value.overlap_rate.hex() == scratch.overlap_rate.hex()
+            assert np.array_equal(value.overlap.edge_keys(), scratch.overlap.edge_keys())
+            assert len(value.exclusives) == len(scratch.exclusives)
+            for cached, fresh in zip(value.exclusives, scratch.exclusives):
+                assert np.array_equal(cached.edge_keys(), fresh.edge_keys())
+
+    def test_rate_equals_the_decomposition_rate(self, make_snapshot_store):
+        store = make_snapshot_store(window=4)
+        slide(store, np.random.default_rng(6), 5)
+        for s_per in self.S_PER:
+            for positions in store.partition_positions(s_per):
+                decomposition = store.partition_decomposition(positions)
+                rate = store.partition_overlap_rate(positions)
+                assert rate.hex() == decomposition.overlap_rate.hex()
+
+    def test_no_entry_outlives_its_versions(self, make_snapshot_store):
+        store = make_snapshot_store(window=4)
+        rng = np.random.default_rng(7)
+        for _ in range(9):
+            self.query_every_group(store)
+            store.shared((store.version,), "head", lambda: object())
+            slide(store, rng, 1)
+            window = set(store.window_versions())
+            assert store._shared
+            for versions, _ in store._shared:
+                assert set(versions) <= window
+
+    def test_entries_survive_deltas_that_keep_their_versions(self, make_snapshot_store):
+        store = make_snapshot_store(window=4)
+        head = store.version
+        built = store.shared((head,), "head", lambda: object())
+        slide(store, np.random.default_rng(8), 3)
+        assert store.shared((head,), "head", lambda: object()) is built
+        slide(store, np.random.default_rng(9), 1)
+        assert head not in store.window_versions()
+        assert store.shared((head,), "head", lambda: object()) is not built
+
+
 class TestSynthesizedTrace:
     def test_trace_is_reproducible_and_sorted(self, small_graph):
         a = synthesize_serving_trace(small_graph[0], 40, seed=9)
