@@ -35,7 +35,12 @@ from repro.gpu.profiler import KernelCostCollector
 from repro.gpu.spec import GPUSpec, HostSpec, PCIeSpec
 from repro.gpu.timeline import TimelineOp
 from repro.nn import build_model
-from repro.nn.aggregation import DictAggregationCache, SequentialAggregationProvider
+from repro.kernels.base import BaseAggregationKernel
+from repro.nn.aggregation import (
+    DictAggregationCache,
+    SequentialAggregationProvider,
+    snapshot_kernel,
+)
 from repro.nn.base_model import DGNNModel
 from repro.nn.context import ExecutionContext
 from repro.telemetry.hooks import NULL_CALLBACK, TelemetryCallback
@@ -102,6 +107,9 @@ class DGNNTrainerBase:
         self.frames = FrameIterator(graph, frame_size=self.config.frame_size)
         self.cache = DictAggregationCache() if self.use_reuse else None
         self.context = ExecutionContext(spec=self.config.gpu, scale=self.scale)
+        #: one aggregation kernel per (kernel family, snapshot timestep), kept
+        #: for the whole run: every frame, epoch and ``evaluate`` reuses it
+        self._snapshot_kernels: Dict[Tuple[str, int], Optional[BaseAggregationKernel]] = {}
         #: telemetry sink; the engine swaps in a live CallbackList, standalone
         #: trainers keep the no-op null object
         self.hooks: TelemetryCallback = NULL_CALLBACK
@@ -173,6 +181,14 @@ class DGNNTrainerBase:
         """Split a frame into the snapshot groups processed together."""
         return [(snapshot,) for snapshot in frame]
 
+    def _snapshot_kernel(self, snapshot: GraphSnapshot) -> Optional[BaseAggregationKernel]:
+        key = (self.kernel_name, snapshot.timestep)
+        if key not in self._snapshot_kernels:
+            self._snapshot_kernels[key] = snapshot_kernel(
+                snapshot, self.kernel_name, self.config.gpu, self.scale
+            )
+        return self._snapshot_kernels[key]
+
     def _make_provider(self, snapshots: Sequence[GraphSnapshot]):
         return SequentialAggregationProvider(
             snapshots,
@@ -181,6 +197,7 @@ class DGNNTrainerBase:
             scale=self.scale,
             cache=self.cache,
             reusable_layers=self.model.reusable_aggregation_layers if self.use_reuse else (),
+            kernels=[self._snapshot_kernel(s) for s in snapshots],
         )
 
     def _partition_context(self, snapshots: Sequence[GraphSnapshot]) -> ExecutionContext:

@@ -12,7 +12,7 @@ from repro.core.datapipe import (
     build_datapipe,
 )
 from repro.core.reuse import ReuseManager
-from repro.core.parallel_gnn import ParallelAggregationProvider
+from repro.core.parallel_gnn import ParallelAggregationProvider, PartitionKernels
 from repro.core.tuner import (
     DynamicTuner,
     FrameProfile,
@@ -37,6 +37,7 @@ __all__ = [
     "build_datapipe",
     "ReuseManager",
     "ParallelAggregationProvider",
+    "PartitionKernels",
     "DynamicTuner",
     "FrameProfile",
     "OfflineAnalysis",

@@ -8,11 +8,22 @@ per snapshot, and — for reusable layers — the per-snapshot results are store
 in the reuse cache.  Numerically the output is identical to aggregating each
 snapshot independently (the decomposition ``A_i = A_over + A_excl_i`` is
 exact); only the memory behaviour and cost differ, which is the point.
+
+The static half of that work — the sliced-CSR overlap and exclusive
+kernels, their slice statistics, transposes and per-feature-width costs, and
+the inverse degrees — lives in :class:`PartitionKernels`, which PiPAD builds
+once as preprocessing (§4.2, §4.4).  A training run builds one set per
+prepared partition and reuses it in every frame and epoch
+(``PiPADTrainer._make_provider``); a serving fleet builds one set per
+window version group and shares it across replicas
+(``InferenceSession.providers_for``).  Either way a
+:class:`ParallelAggregationProvider` wraps the shared kernels with the
+caller's reuse cache and its own hit/miss counters.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +43,8 @@ class PartitionKernels:
     """One partition's overlap and exclusive kernels and inverse degrees.
 
     Nothing here changes once built, so every provider over the same
-    partition (the replicas of a serving fleet) can share one instance.
+    partition — every frame and epoch of a training run, every replica of
+    a serving fleet — can share one instance.
     """
 
     def __init__(
@@ -68,34 +80,21 @@ class PartitionKernels:
 class ParallelAggregationProvider:
     """Aggregates a whole partition at once over its overlap decomposition.
 
-    ``partition`` is the group's :class:`PartitionData`, whose kernels the
-    provider builds from ``spec``, ``scale``, ``slice_capacity`` and
-    ``use_sliced_csr``, or :class:`PartitionKernels` already built (and
-    shared with other providers).  The reuse cache and the hit/miss counters
-    are the provider's own.
+    ``kernels`` are the partition's :class:`PartitionKernels`, built once
+    and shared by every provider over the same partition: the trainer keeps
+    one set per prepared partition for the whole run, the serving store one
+    per version group.  The reuse cache and the hit/miss counters are the
+    provider's own.
     """
 
     def __init__(
         self,
-        partition: Union[PartitionData, PartitionKernels],
-        spec: Optional[GPUSpec] = None,
-        scale: float = 1.0,
+        kernels: PartitionKernels,
         cache: Optional[AggregationCache] = None,
         reusable_layers: Sequence[int] = (0,),
-        *,
-        slice_capacity: int = DEFAULT_SLICE_CAPACITY,
-        use_sliced_csr: bool = True,
     ) -> None:
-        if not isinstance(partition, PartitionKernels):
-            partition = PartitionKernels(
-                partition,
-                spec,
-                scale,
-                slice_capacity=slice_capacity,
-                use_sliced_csr=use_sliced_csr,
-            )
-        self.kernels = partition
-        self.partition = partition.partition
+        self.kernels = kernels
+        self.partition = kernels.partition
         self.cache = cache
         self.reusable_layers = tuple(reusable_layers)
         self.cache_hits = 0

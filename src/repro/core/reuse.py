@@ -16,6 +16,9 @@ import numpy as np
 
 from repro.gpu.device import SimulatedGPU
 
+#: share of the device's free memory the GPU-side buffer may occupy
+GPU_BUFFER_FRACTION = 0.25
+
 
 class ReuseManager:
     """CPU + GPU aggregation-result buffers with capacity-aware residency."""
@@ -25,13 +28,9 @@ class ReuseManager:
         device: SimulatedGPU,
         *,
         enabled: bool = True,
-        gpu_buffer_fraction: float = 0.25,
     ) -> None:
-        if not 0.0 <= gpu_buffer_fraction <= 1.0:
-            raise ValueError("gpu_buffer_fraction must be in [0, 1]")
         self.device = device
         self.enabled = enabled
-        self.gpu_buffer_fraction = gpu_buffer_fraction
         self._cpu_store: Dict[int, np.ndarray] = {}
         self._gpu_resident: Dict[int, int] = {}  # timestep -> bytes
         self._gpu_buffer_bytes = 0
@@ -97,7 +96,7 @@ class ReuseManager:
     def gpu_buffer_capacity(self) -> int:
         """Bytes the GPU-side buffer may occupy given current free memory."""
         free = self.device.spec.memory_bytes - self.device.allocated_bytes + self._gpu_buffer_bytes
-        return int(free * self.gpu_buffer_fraction)
+        return int(free * GPU_BUFFER_FRACTION)
 
     def plan_gpu_residency(
         self, upcoming_timesteps: Sequence[int], bytes_per_timestep: Dict[int, int]

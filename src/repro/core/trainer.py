@@ -41,7 +41,7 @@ from repro.core.datapipe import (
     Prefetcher,
     apply_cache_plan,
 )
-from repro.core.parallel_gnn import ParallelAggregationProvider
+from repro.core.parallel_gnn import ParallelAggregationProvider, PartitionKernels
 from repro.core.reuse import ReuseManager
 from repro.core.slicer import GraphSlicer
 from repro.core.tuner import (
@@ -108,6 +108,9 @@ class PiPADTrainer(DGNNTrainerBase):
             candidates = capped_candidates(self.graph.metadata.get("max_s_per"))
         self.tuner = DynamicTuner(self.config.gpu, candidates, feature_dim=self.graph.feature_dim)
         self._frame_s_per: Dict[int, int] = {}
+        #: one kernel set per prepared partition, keyed like the preparer's
+        #: ``PartitionData`` cache and reused by every frame and epoch
+        self._partition_kernels: Dict[Tuple[int, int], PartitionKernels] = {}
         self._tuning_decisions: List[TuningDecision] = []
         self._preparing = self.pipad.preparing_epochs > 0
         self._preprocessed = False
@@ -229,6 +232,8 @@ class PiPADTrainer(DGNNTrainerBase):
             self._frame_s_per[frame.index] = decision.s_per
             self._tuning_decisions.append(decision)
         self._preprocessed = True
+        # The canonical per-snapshot kernels served the preparing epochs only.
+        self._snapshot_kernels.clear()
 
     # ------------------------------------------------------------------ frame execution overrides
     def _make_partitions(self, frame: Frame) -> List[Tuple[GraphSnapshot, ...]]:
@@ -244,13 +249,20 @@ class PiPADTrainer(DGNNTrainerBase):
         if self._preparing:
             return super()._make_provider(snapshots)
         partition = self.datapipe.partition(snapshots)
+        key = (partition.start_timestep, partition.size)
+        kernels = self._partition_kernels.get(key)
+        if kernels is None:
+            kernels = PartitionKernels(
+                partition,
+                self.config.gpu,
+                self.scale,
+                use_sliced_csr=self.pipad.use_sliced_csr,
+            )
+            self._partition_kernels[key] = kernels
         return ParallelAggregationProvider(
-            partition,
-            spec=self.config.gpu,
-            scale=self.scale,
+            kernels,
             cache=self.cache,
             reusable_layers=self.model.reusable_aggregation_layers if self.use_reuse else (),
-            use_sliced_csr=self.pipad.use_sliced_csr,
         )
 
     def _partition_context(self, snapshots: Sequence[GraphSnapshot]) -> ExecutionContext:

@@ -30,6 +30,11 @@ from repro.utils.validation import check_in_range, check_positive
 
 #: parallelism levels the tuner chooses ``S_per`` from
 S_PER_CANDIDATES: Tuple[int, ...] = (2, 4, 8)
+#: share of device memory a frame's working set may plan to occupy
+MEMORY_SAFETY_FRACTION = 0.9
+#: a candidate stalls the pipeline once its transfer time exceeds its
+#: compute time by more than this factor
+STALL_TOLERANCE = 1.25
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +333,6 @@ class DynamicTuner:
         spec: GPUSpec,
         candidates: Sequence[int] = S_PER_CANDIDATES,
         *,
-        memory_safety_fraction: float = 0.9,
-        stall_tolerance: float = 1.25,
         analysis: Optional[OfflineAnalysis] = None,
         feature_dim: int = 16,
     ) -> None:
@@ -337,8 +340,6 @@ class DynamicTuner:
             raise ValueError("candidates must not be empty")
         self.spec = spec
         self.candidates = tuple(sorted(set(int(c) for c in candidates)))
-        self.memory_safety_fraction = memory_safety_fraction
-        self.stall_tolerance = stall_tolerance
         self.feature_dim = feature_dim
         self.analysis = analysis or OfflineAnalysis(spec=spec)
         #: speedup table from the offline analysis: (s_per, OR bucket) -> speedup
@@ -359,7 +360,7 @@ class DynamicTuner:
         memory_bytes: Optional[int] = None,
     ) -> TuningDecision:
         """Pick ``S_per`` for one frame given its online profile."""
-        capacity = (memory_bytes or self.spec.memory_bytes) * self.memory_safety_fraction
+        capacity = (memory_bytes or self.spec.memory_bytes) * MEMORY_SAFETY_FRACTION
         available = capacity - profile.frame_activation_bytes
 
         feasible: List[int] = []
@@ -384,7 +385,7 @@ class DynamicTuner:
                 candidate * profile.per_snapshot_transfer_bytes / (pcie_bandwidth_gbs * 1e9)
             )
             compute_seconds = candidate * profile.per_snapshot_compute_seconds / max(speedup, 1e-9)
-            stalls = transfer_seconds > compute_seconds * self.stall_tolerance
+            stalls = transfer_seconds > compute_seconds * STALL_TOLERANCE
             scored.append((candidate, speedup, stalls))
 
         non_stalling = [entry for entry in scored if not entry[2]]

@@ -167,6 +167,8 @@ class FleetServingEngine(ShardedServingEngine):
         #: append-only ``metrics.requests`` already inserted
         self._completed: List[Tuple[float, float, float]] = []
         self._requests_seen = [0] * self.num_shards
+        #: rolling p99 of ``_completed``'s tail, recomputed only after inserts
+        self._recent_p99 = float("nan")
         for shard in range(self.num_shards):
             replicas[shard].pre_batch_ops = self._make_halo_gather(shard)
             # Scope each replica's feature cache to the node rows it owns:
@@ -301,19 +303,24 @@ class FleetServingEngine(ShardedServingEngine):
         inserted into the sorted ``_completed`` list.  Records with equal
         ``(completion_time, arrival_time)`` have equal latencies, so the last
         ``scale_window`` latencies are those of a full sort of every record.
+        The percentile is recomputed only when a record was inserted.
         """
         completed = self._completed
+        inserted = False
         for shard, replica in enumerate(self.replicas):
             records = replica.metrics.requests
             for record in records[self._requests_seen[shard] :]:
                 bisect.insort(
                     completed, (record.completion_time, record.arrival_time, record.latency)
                 )
+                inserted = True
             self._requests_seen[shard] = len(records)
-        if not completed:
-            return float("nan")
-        recent = completed[-self.fleet_config.scale_window :]
-        return float(np.percentile([latency for _, _, latency in recent], 99.0))
+        if inserted:
+            recent = completed[-self.fleet_config.scale_window :]
+            self._recent_p99 = float(
+                np.percentile([latency for _, _, latency in recent], 99.0)
+            )
+        return self._recent_p99
 
     def _maybe_scale(self, now: float) -> None:
         cfg = self.fleet_config

@@ -6,11 +6,17 @@ what the same operation costs on the simulated GPU.  Subclasses implement
 only the cost estimate; the numerics are identical across kernels (that is
 the point: PyG, GE-SpMM and PiPAD's parallel kernel compute the same values,
 they differ in memory behaviour).
+
+A kernel's adjacency, spec and scale are fixed at construction, so its cost
+depends only on the dense operand's width and the direction: each
+``(feature_dim, direction)`` cost is built once and returned from then on.
+Kernels that live across frames and epochs (PiPAD's partition kernels, the
+baselines' per-snapshot kernels) thus pay the load-balance analysis once.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,6 +51,7 @@ class BaseAggregationKernel:
         self.scale = float(scale)
         self._forward_mat: sp.csr_matrix = adjacency.to_scipy()
         self._backward_mat: Optional[sp.csr_matrix] = None
+        self._costs: Dict[Tuple[int, str], KernelCost] = {}
 
     # -- numerics ------------------------------------------------------------
     def forward(self, dense: np.ndarray) -> np.ndarray:
@@ -58,23 +65,35 @@ class BaseAggregationKernel:
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         """Compute ``A^T @ grad`` (gradient w.r.t. the dense operand)."""
+        grad = np.asarray(grad, dtype=np.float32)
+        return np.asarray(self._transposed() @ grad, dtype=np.float32)
+
+    def _transposed(self) -> sp.csr_matrix:
+        """``A^T`` in CSR, built on first use and kept."""
         if self._backward_mat is None:
             self._backward_mat = self._forward_mat.T.tocsr()
-        grad = np.asarray(grad, dtype=np.float32)
-        return np.asarray(self._backward_mat @ grad, dtype=np.float32)
+        return self._backward_mat
 
     # -- cost ------------------------------------------------------------------
     def forward_cost(self, dense_shape: Tuple[int, int]) -> KernelCost:
-        """Cost of the forward aggregation; implemented by subclasses."""
-        raise NotImplementedError
+        """Cost of the forward aggregation ``A @ X``."""
+        return self._cost(self._feature_dim(dense_shape), "fwd")
 
     def backward_cost(self, grad_shape: Tuple[int, int]) -> KernelCost:
-        """Cost of the backward aggregation.
+        """Cost of the backward aggregation ``A^T @ dY``."""
+        return self._cost(self._feature_dim(grad_shape), "bwd")
 
-        Default: same access pattern as forward applied to the transposed
-        adjacency (same nnz, in-degree distribution instead of out-degree).
-        """
-        return self.forward_cost(grad_shape)
+    def _cost(self, feature_dim: int, direction: str) -> KernelCost:
+        key = (feature_dim, direction)
+        cost = self._costs.get(key)
+        if cost is None:
+            cost = self._costs[key] = self._build_cost(feature_dim, direction)
+        return cost
+
+    def _build_cost(self, feature_dim: int, direction: str) -> KernelCost:
+        """Cost of one aggregation over ``feature_dim`` columns in
+        ``direction`` (``"fwd"`` or ``"bwd"``); implemented by subclasses."""
+        raise NotImplementedError
 
     # -- helpers -----------------------------------------------------------------
     @property

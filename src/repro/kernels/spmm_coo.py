@@ -11,8 +11,6 @@ full).
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.gpu.kernel_cost import CATEGORY_AGGREGATION, KernelCost
@@ -33,8 +31,8 @@ class PyGCOOAggregation(BaseAggregationKernel):
 
     name = "spmm_coo_pyg"
 
-    def forward_cost(self, dense_shape: Tuple[int, int]) -> KernelCost:
-        feature_dim = self._feature_dim(dense_shape)
+    def _build_cost(self, feature_dim: int, direction: str) -> KernelCost:
+        # Backward gathers/scatters over A^T with the same per-edge traffic.
         nnz = self.nnz * self.scale
         rows = self.num_rows * self.scale
 

@@ -18,7 +18,7 @@ PyGT-G keeps both CSR and CSC resident (§5.2).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -58,7 +58,8 @@ class GESpMMAggregation(BaseAggregationKernel):
         self._transpose_row_nnz: Optional[np.ndarray] = None
 
     # -- cost -----------------------------------------------------------------
-    def _cost_for(self, feature_dim: int, row_nnz: np.ndarray, direction: str) -> KernelCost:
+    def _build_cost(self, feature_dim: int, direction: str) -> KernelCost:
+        row_nnz = self._row_nnz if direction == "fwd" else self._transposed_row_nnz()
         nnz = float(row_nnz.sum()) * self.scale
         rows = float(len(row_nnz)) * self.scale
 
@@ -96,11 +97,8 @@ class GESpMMAggregation(BaseAggregationKernel):
             bandwidth_efficiency=_GESPMM_BANDWIDTH_EFFICIENCY,
         )
 
-    def forward_cost(self, dense_shape: Tuple[int, int]) -> KernelCost:
-        return self._cost_for(self._feature_dim(dense_shape), self._row_nnz, "fwd")
-
-    def backward_cost(self, grad_shape: Tuple[int, int]) -> KernelCost:
+    def _transposed_row_nnz(self) -> np.ndarray:
+        """Row sizes of ``A^T``: the CSC column extents the backward reads."""
         if self._transpose_row_nnz is None:
-            transpose = self._forward_mat.T.tocsr()
-            self._transpose_row_nnz = np.diff(transpose.indptr).astype(np.int64)
-        return self._cost_for(self._feature_dim(grad_shape), self._transpose_row_nnz, "bwd")
+            self._transpose_row_nnz = np.diff(self._transposed().indptr).astype(np.int64)
+        return self._transpose_row_nnz

@@ -20,7 +20,7 @@ distribution, which is the effect Fig. 12 measures.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -72,7 +72,8 @@ class SlicedParallelAggregation(BaseAggregationKernel):
         self._transpose_slice_nnz: Optional[np.ndarray] = None
 
     # -- cost -----------------------------------------------------------------
-    def _cost_for(self, feature_dim: int, slice_nnz: np.ndarray, direction: str) -> KernelCost:
+    def _build_cost(self, feature_dim: int, direction: str) -> KernelCost:
+        slice_nnz = self._slice_nnz if direction == "fwd" else self._transposed_slice_nnz()
         nnz = float(slice_nnz.sum()) * self.scale
         num_slices = float(len(slice_nnz)) * self.scale
         rows_touched = float(len(unique(self.sliced.row_indices))) * self.scale
@@ -122,15 +123,13 @@ class SlicedParallelAggregation(BaseAggregationKernel):
             bandwidth_efficiency=_SLICED_BANDWIDTH_EFFICIENCY,
         )
 
-    def forward_cost(self, dense_shape: Tuple[int, int]) -> KernelCost:
-        return self._cost_for(self._feature_dim(dense_shape), self._slice_nnz, "fwd")
-
-    def backward_cost(self, grad_shape: Tuple[int, int]) -> KernelCost:
+    def _transposed_slice_nnz(self) -> np.ndarray:
+        """Slice sizes of ``A^T`` sliced at the same capacity (backward pass)."""
         if self._transpose_slice_nnz is None:
-            transpose = CSRMatrix.from_scipy(self._forward_mat.T.tocsr())
+            transpose = CSRMatrix.from_scipy(self._transposed())
             sliced_t = SlicedCSRMatrix.from_csr(transpose, slice_capacity=self.slice_capacity)
             self._transpose_slice_nnz = sliced_t.slice_nnz()
-        return self._cost_for(self._feature_dim(grad_shape), self._transpose_slice_nnz, "bwd")
+        return self._transpose_slice_nnz
 
     # -- extra reporting ---------------------------------------------------------
     def coalesce_num(self, feature_dim: int) -> int:

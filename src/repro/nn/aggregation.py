@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.graph.snapshot import GraphSnapshot
 from repro.gpu.spec import GPUSpec
+from repro.kernels.base import BaseAggregationKernel
 from repro.kernels.registry import get_aggregation_kernel
 from repro.tensor.function import op_scope
 from repro.tensor.sparse import spmm
@@ -58,6 +59,16 @@ def mean_inverse_degree(snapshot: GraphSnapshot) -> np.ndarray:
     return (1.0 / (degree + 1.0)).reshape(-1, 1)
 
 
+def snapshot_kernel(
+    snapshot: GraphSnapshot, kernel_name: str, spec: GPUSpec, scale: float
+) -> Optional[BaseAggregationKernel]:
+    """The ``kernel_name`` kernel over one snapshot's adjacency (``None``
+    when the snapshot has no edges: its aggregation is the self term only)."""
+    if not snapshot.adjacency.nnz:
+        return None
+    return get_aggregation_kernel(kernel_name)(snapshot.adjacency, spec, scale)
+
+
 class SequentialAggregationProvider:
     """One-snapshot-at-a-time aggregation (all PyGT baseline variants).
 
@@ -75,6 +86,10 @@ class SequentialAggregationProvider:
         Optional first-layer aggregation cache (PyGT-R / PyGT-G reuse).
     reusable_layers:
         Which GCN layer indices may consult the cache (layer 0 by default).
+    kernels:
+        Per-snapshot kernels already built by :func:`snapshot_kernel` (the
+        trainers keep one per snapshot for the whole run); when omitted the
+        provider builds its own from ``kernel_name``, ``spec`` and ``scale``.
     """
 
     def __init__(
@@ -85,6 +100,8 @@ class SequentialAggregationProvider:
         scale: float = 1.0,
         cache: Optional[AggregationCache] = None,
         reusable_layers: Sequence[int] = (0,),
+        *,
+        kernels: Optional[Sequence[Optional[BaseAggregationKernel]]] = None,
     ) -> None:
         if not snapshots:
             raise ValueError("provider needs at least one snapshot")
@@ -93,11 +110,13 @@ class SequentialAggregationProvider:
         self.scale = scale
         self.cache = cache
         self.reusable_layers = tuple(reusable_layers)
-        kernel_cls = get_aggregation_kernel(kernel_name)
-        self._kernels = [
-            kernel_cls(snap.adjacency, self.spec, scale) if snap.adjacency.nnz else None
-            for snap in self.snapshots
-        ]
+        if kernels is None:
+            kernels = [
+                snapshot_kernel(snap, kernel_name, self.spec, scale) for snap in self.snapshots
+            ]
+        elif len(kernels) != len(self.snapshots):
+            raise ValueError(f"expected {len(self.snapshots)} kernels, got {len(kernels)}")
+        self._kernels = list(kernels)
         self._inv_degree = [Tensor(mean_inverse_degree(snap)) for snap in self.snapshots]
         #: number of aggregations served from the cache (reporting/telemetry)
         self.cache_hits = 0

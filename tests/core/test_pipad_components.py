@@ -10,11 +10,16 @@ from repro.core import (
     GraphSlicer,
     OfflineAnalysis,
     ParallelAggregationProvider,
+    PartitionKernels,
     PiPADConfig,
+    PiPADTrainer,
     ReuseManager,
     build_datapipe,
     build_overlap_group,
 )
+from repro.core import reuse as reuse_module
+from repro.core import trainer as trainer_module
+from repro.core import tuner as tuner_module
 from repro.core.tuner import FrameProfile, capped_candidates
 from repro.gpu import GPUSpec, PCIeSpec, SimulatedGPU
 from repro.nn import ExecutionContext, SequentialAggregationProvider
@@ -94,9 +99,12 @@ class TestReuseManager:
         assert manager.lookup(0) is not None
         assert manager.cpu_hits == 1 and manager.misses == 1
 
-    def test_buffer_fraction_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="gpu_buffer_fraction"):
-            ReuseManager(SimulatedGPU(), gpu_buffer_fraction=2.0)
+    def test_gpu_buffer_is_a_quarter_of_free_memory(self):
+        device = SimulatedGPU()
+        assert reuse_module.GPU_BUFFER_FRACTION == 0.25
+        assert ReuseManager(device).gpu_buffer_capacity() == int(
+            device.spec.memory_bytes * 0.25
+        )
 
     def test_disabled_manager_never_caches(self):
         manager = ReuseManager(SimulatedGPU(), enabled=False)
@@ -104,17 +112,19 @@ class TestReuseManager:
         assert manager.lookup(0) is None
         assert not manager.has_cached(0)
 
-    def test_gpu_residency_respects_capacity(self):
+    def test_gpu_residency_respects_capacity(self, monkeypatch):
+        monkeypatch.setattr(reuse_module, "GPU_BUFFER_FRACTION", 0.5)
         device = SimulatedGPU()
-        manager = ReuseManager(device, gpu_buffer_fraction=0.5)
+        manager = ReuseManager(device)
         for t in range(4):
             manager.store(t, np.ones((8, 2), dtype=np.float32))
         resident = manager.plan_gpu_residency([0, 1, 2, 3], {t: 10**9 * 5 for t in range(4)})
         assert len(resident) <= 2  # 50% of 16 GB at 5 GB each
         assert all(manager.is_gpu_resident(t) for t in resident)
 
-    def test_gpu_residency_in_use_order(self):
-        manager = ReuseManager(SimulatedGPU(), gpu_buffer_fraction=0.5)
+    def test_gpu_residency_in_use_order(self, monkeypatch):
+        monkeypatch.setattr(reuse_module, "GPU_BUFFER_FRACTION", 0.5)
+        manager = ReuseManager(SimulatedGPU())
         for t in range(3):
             manager.store(t, np.ones(4, dtype=np.float32))
         resident = manager.plan_gpu_residency([2, 0, 1], {t: 100 for t in range(3)})
@@ -226,8 +236,9 @@ class TestOfflineAnalysisAndTuner:
         assert decision.s_per == 1
         assert "memory" in decision.reason
 
-    def test_tuner_avoids_pipeline_stall(self):
-        tuner = DynamicTuner(SPEC, (2, 8), feature_dim=8, stall_tolerance=1.0)
+    def test_tuner_avoids_pipeline_stall(self, monkeypatch):
+        monkeypatch.setattr(tuner_module, "STALL_TOLERANCE", 1.0)
+        tuner = DynamicTuner(SPEC, (2, 8), feature_dim=8)
         # Huge transfers relative to compute: all candidates stall, tuner says so.
         decision = tuner.decide(
             self._profile(footprint=1e6, transfer=1e9, compute=1e-6), pcie_bandwidth_gbs=PCIE_GBS
@@ -250,7 +261,7 @@ class TestParallelProvider:
     def test_parallel_matches_sequential_numerics(self, small_graph):
         group = small_graph.snapshots[:3]
         data = build_datapipe().partition(group)
-        parallel = ParallelAggregationProvider(data, spec=SPEC)
+        parallel = ParallelAggregationProvider(PartitionKernels(data, SPEC))
         sequential = SequentialAggregationProvider(group, kernel_name="coo", spec=SPEC)
         xs = [Tensor(s.features) for s in group]
         parallel_out = parallel.aggregate_many(0, xs)
@@ -261,7 +272,7 @@ class TestParallelProvider:
     def test_parallel_gradients_flow(self, small_graph):
         group = small_graph.snapshots[:2]
         data = build_datapipe().partition(group)
-        provider = ParallelAggregationProvider(data, spec=SPEC)
+        provider = ParallelAggregationProvider(PartitionKernels(data, SPEC))
         xs = [Tensor(s.features, requires_grad=True) for s in group]
         outs = provider.aggregate_many(0, xs)
         (outs[0].sum() + outs[1].sum()).backward()
@@ -271,21 +282,21 @@ class TestParallelProvider:
         group = small_graph.snapshots[:2]
         data = build_datapipe().partition(group)
         manager = ReuseManager(SimulatedGPU())
-        provider = ParallelAggregationProvider(data, spec=SPEC, cache=manager)
+        provider = ParallelAggregationProvider(PartitionKernels(data, SPEC), cache=manager)
         xs = [Tensor(s.features) for s in group]
         provider.aggregate_many(0, xs)
         assert provider.cache_misses == 2
-        provider2 = ParallelAggregationProvider(data, spec=SPEC, cache=manager)
+        provider2 = ParallelAggregationProvider(PartitionKernels(data, SPEC), cache=manager)
         out_cached = provider2.aggregate_many(0, xs)
         assert provider2.cache_hits == 2
-        out_fresh = ParallelAggregationProvider(data, spec=SPEC).aggregate_many(0, xs)
+        out_fresh = ParallelAggregationProvider(PartitionKernels(data, SPEC)).aggregate_many(0, xs)
         for a, b in zip(out_cached, out_fresh):
             assert np.allclose(a.numpy(), b.numpy(), atol=1e-5)
 
     def test_single_snapshot_partition(self, small_graph):
         group = small_graph.snapshots[:1]
         data = build_datapipe().partition(group)
-        provider = ParallelAggregationProvider(data, spec=SPEC)
+        provider = ParallelAggregationProvider(PartitionKernels(data, SPEC))
         [out] = provider.aggregate_many(0, [Tensor(group[0].features)])
         seq = SequentialAggregationProvider(group, spec=SPEC).aggregate_many(
             0, [Tensor(group[0].features)]
@@ -295,9 +306,78 @@ class TestParallelProvider:
     def test_csr_fallback_matches(self, small_graph):
         group = small_graph.snapshots[:2]
         data = build_datapipe(use_sliced_csr=False).partition(group)
-        provider = ParallelAggregationProvider(data, spec=SPEC, use_sliced_csr=False)
+        provider = ParallelAggregationProvider(PartitionKernels(data, SPEC, use_sliced_csr=False))
         xs = [Tensor(s.features) for s in group]
         outs = provider.aggregate_many(0, xs)
         seq = SequentialAggregationProvider(group, spec=SPEC).aggregate_many(0, xs)
         for a, b in zip(outs, seq):
             assert np.allclose(a.numpy(), b.numpy(), atol=1e-4)
+
+
+class TestTrainerKernelMemo:
+    """A training run builds one kernel set per prepared partition and wraps
+    it in a fresh provider every frame and epoch."""
+
+    STEADY_EPOCHS = 3
+
+    def _train(self, graph, config, monkeypatch):
+        built = []
+
+        class CountingKernels(PartitionKernels):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(trainer_module, "PartitionKernels", CountingKernels)
+        providers = []
+
+        class RecordingTrainer(PiPADTrainer):
+            def _run_preprocessing(self):
+                super()._run_preprocessing()
+                # Frames 0 and 2 both hold a partition starting at timestep 2,
+                # of two and of four snapshots.
+                self._frame_s_per = {i: 4 if i == 2 else 2 for i in self._frame_s_per}
+
+            def _make_provider(self, snapshots):
+                provider = super()._make_provider(snapshots)
+                if not self._preparing:
+                    key = tuple(s.timestep for s in snapshots)
+                    providers.append((self._epochs_run, key, provider))
+                return provider
+
+        trainer = RecordingTrainer(graph, config, PiPADConfig(preparing_epochs=1))
+        trainer.train(epochs=1 + self.STEADY_EPOCHS)
+        return built, providers
+
+    def test_every_provider_of_a_partition_wraps_the_same_kernels(
+        self, small_graph, trainer_config, monkeypatch
+    ):
+        _, providers = self._train(small_graph, trainer_config, monkeypatch)
+        assert {epoch for epoch, _, _ in providers} == {1, 2, 3}
+        by_partition = {}
+        for _, key, provider in providers:
+            by_partition.setdefault(key, []).append(provider)
+            assert isinstance(provider, ParallelAggregationProvider)
+            assert tuple(s.timestep for s in provider.partition.snapshots) == key
+        for key, group in by_partition.items():
+            assert len(group) >= self.STEADY_EPOCHS, key
+            assert all(p.kernels is group[0].kernels for p in group), key
+            assert len({id(p) for p in group}) == len(group)
+
+    def test_providers_keep_their_own_reuse_counters(
+        self, small_graph, trainer_config, monkeypatch
+    ):
+        _, providers = self._train(small_graph, trainer_config, monkeypatch)
+        for _, key, provider in providers:
+            # One forward pass per provider: each counts only its own
+            # layer-0 lookups, one per snapshot, never a shared running total.
+            assert provider.cache_hits + provider.cache_misses == len(key)
+
+    def test_one_kernel_set_per_distinct_partition(
+        self, small_graph, trainer_config, monkeypatch
+    ):
+        built, providers = self._train(small_graph, trainer_config, monkeypatch)
+        keys = {key for _, key, _ in providers}
+        assert {(2, 3), (2, 3, 4, 5)} <= keys
+        assert len(built) == len(keys)
+        assert {tuple(s.timestep for s in k.partition.snapshots) for k in built} == keys

@@ -335,6 +335,27 @@ class TestAutoscale:
             assert got.hex() == expected.hex() or math.isnan(got) and math.isnan(expected)
 
 
+    def test_rolling_p99_recomputed_only_after_inserts(self, small_graph, monkeypatch):
+        engine = make_fleet(small_graph, fleet=FleetConfig(num_shards=3, scale_window=4))
+        calls = []
+        percentile = np.percentile
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return percentile(*args, **kwargs)
+
+        monkeypatch.setattr(np, "percentile", counting)
+        assert math.isnan(engine._recent_p99_seconds()) and not calls
+        for request_id, (shard, latency) in enumerate([(0, 1.0), (2, 3.0), (1, 2.0)]):
+            engine.replicas[shard].metrics.record_request(
+                RequestRecord(request_id, 0, 0.0, latency, 1)
+            )
+            first = engine._recent_p99_seconds()
+            assert engine._recent_p99_seconds() == first
+            assert len(calls) == request_id + 1
+        assert first == percentile([1.0, 2.0, 3.0], 99.0)
+
+
 class TestHaloGather:
     def test_remote_rows_charge_a_gather(self, small_graph):
         engine = make_fleet(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -193,3 +195,68 @@ class TestRegistry:
     def test_register_rejects_non_kernel(self):
         with pytest.raises(TypeError):
             register_aggregation_kernel("bad", dict)
+
+
+def _cost_fields(cost):
+    """Every field of a KernelCost, floats as ``float.hex``."""
+    return {
+        f.name: float(v).hex() if isinstance(v, float) else v
+        for f in dataclasses.fields(cost)
+        for v in [getattr(cost, f.name)]
+    }
+
+
+class TestCostMemo:
+    """A kernel's cost for one (feature_dim, direction) is built once."""
+
+    # Below, at and above the warp size: coalesced thread groups, one full
+    # warp, vector loads.
+    DIMS = (SPEC.warp_size // 4, SPEC.warp_size, 3 * SPEC.warp_size)
+
+    @staticmethod
+    def _skewed_adj():
+        # Edges fan into a few columns, so the transpose's degree
+        # distribution (the backward cost) differs from the forward one.
+        rng = np.random.default_rng(5)
+        rows = rng.integers(0, 40, 200)
+        cols = rng.integers(0, 4, 200)
+        return CSRMatrix.from_edges(rows, cols, (40, 40))
+
+    @pytest.mark.parametrize("kernel_cls", [SlicedParallelAggregation, GESpMMAggregation])
+    def test_memoized_costs_match_a_fresh_kernel(self, kernel_cls):
+        adj = self._skewed_adj()
+        kernel = kernel_cls(adj, SPEC, scale=1000.0)
+        queries = [(dim, direction) for dim in self.DIMS for direction in ("fwd", "bwd")]
+        # Warm every entry, then ask again in the reverse order.
+        for dim, direction in queries + queries[::-1]:
+            fresh = kernel_cls(adj, SPEC, scale=1000.0)
+            if direction == "fwd":
+                got, want = kernel.forward_cost((40, dim)), fresh.forward_cost((40, dim))
+            else:
+                got, want = kernel.backward_cost((40, dim)), fresh.backward_cost((40, dim))
+            assert _cost_fields(got) == _cost_fields(want), (dim, direction)
+
+    @pytest.mark.parametrize("kernel_cls", ALL_KERNELS)
+    def test_cost_is_built_once_per_width_and_direction(self, kernel_cls):
+        kernel = kernel_cls(self._skewed_adj(), SPEC)
+        for dim in self.DIMS:
+            assert kernel.forward_cost((40, dim)) is kernel.forward_cost((40, dim))
+            assert kernel.backward_cost((40, dim)) is kernel.backward_cost((40, dim))
+        assert kernel.forward_cost((40, 8)) is not kernel.forward_cost((40, 16))
+
+    @pytest.mark.parametrize("kernel_cls", [SlicedParallelAggregation, GESpMMAggregation])
+    def test_directions_differ_on_a_skewed_adjacency(self, kernel_cls):
+        kernel = kernel_cls(self._skewed_adj(), SPEC)
+        fwd, bwd = kernel.forward_cost((40, 8)), kernel.backward_cost((40, 8))
+        assert fwd.name.endswith("_fwd") and bwd.name.endswith("_bwd")
+        fwd_fields, bwd_fields = _cost_fields(fwd), _cost_fields(bwd)
+        del fwd_fields["name"], bwd_fields["name"]
+        assert fwd_fields != bwd_fields
+
+    @pytest.mark.parametrize("kernel_cls", ALL_KERNELS)
+    def test_backward_numerics_after_backward_cost(self, kernel_cls):
+        adj = self._skewed_adj()
+        kernel = kernel_cls(adj, SPEC)
+        kernel.backward_cost((40, 3))
+        grad = np.random.default_rng(2).random((40, 3)).astype(np.float32)
+        assert np.allclose(kernel.backward(grad), adj.to_dense().T @ grad, atol=1e-4)

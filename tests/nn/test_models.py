@@ -18,6 +18,7 @@ from repro.nn import (
     list_models,
     mean_inverse_degree,
 )
+from repro.nn.aggregation import snapshot_kernel
 from repro.tensor import Tensor
 from repro.tensor.nn.loss import mse_loss
 
@@ -70,6 +71,21 @@ class TestProviders:
         provider = SequentialAggregationProvider([small_graph[0]], spec=SPEC)
         with pytest.raises(ValueError):
             provider.aggregate_many(0, [])
+
+    def test_prebuilt_kernels_are_used_as_given(self, small_graph):
+        group = [small_graph[0], small_graph[1]]
+        kernels = [snapshot_kernel(s, "gespmm", SPEC, 1.0) for s in group]
+        provider = SequentialAggregationProvider(group, spec=SPEC, kernels=kernels)
+        assert provider._kernels == kernels
+        built = SequentialAggregationProvider(group, kernel_name="gespmm", spec=SPEC)
+        outs = zip(
+            provider.aggregate_many(0, features_of(group)),
+            built.aggregate_many(0, features_of(group)),
+        )
+        for a, b in outs:
+            assert np.array_equal(a.numpy(), b.numpy())
+        with pytest.raises(ValueError, match="expected 2 kernels"):
+            SequentialAggregationProvider(group, spec=SPEC, kernels=kernels[:1])
 
 
 class TestGCNUpdate:

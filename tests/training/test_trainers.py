@@ -17,6 +17,7 @@ from repro.baselines import (
     list_methods,
 )
 from repro.core import PiPADConfig, PiPADTrainer
+from repro.kernels import get_aggregation_kernel
 
 
 class TestTrainerConfig:
@@ -71,6 +72,26 @@ class TestBaselineTrainers:
         trainer = PyGTTrainer(small_graph, trainer_config)
         trainer.train(epochs=1)
         assert np.isfinite(trainer.evaluate())
+
+    @pytest.mark.parametrize("trainer_cls", [PyGTTrainer, PyGTGeSpMMTrainer])
+    def test_snapshot_kernels_built_once_per_run(self, small_graph, trainer_config, trainer_cls):
+        seen = {}
+
+        class Recording(trainer_cls):
+            def _make_provider(self, snapshots):
+                provider = super()._make_provider(snapshots)
+                for snapshot, kernel in zip(snapshots, provider._kernels):
+                    seen.setdefault(snapshot.timestep, []).append(kernel)
+                return provider
+
+        trainer = Recording(small_graph, trainer_config)
+        trainer.train(epochs=2)
+        trainer.evaluate()
+        assert set(seen) == {s.timestep for s in small_graph.snapshots}
+        for timestep, kernels in seen.items():
+            assert len(kernels) >= 2, timestep
+            assert all(k is kernels[0] for k in kernels), timestep
+            assert kernels[0].name == get_aggregation_kernel(trainer_cls.kernel_name).name
 
     def test_custom_cost_scale_respected(self, small_graph):
         config = TrainerConfig(model="tgcn", frame_size=4, epochs=1, cost_scale=50.0)
