@@ -16,9 +16,12 @@ once as preprocessing (§4.2, §4.4).  A training run builds one set per
 prepared partition and reuses it in every frame and epoch
 (``PiPADTrainer._make_provider``); a serving fleet builds one set per
 window version group and shares it across replicas
-(``InferenceSession.providers_for``).  Either way a
-:class:`ParallelAggregationProvider` wraps the shared kernels with the
-caller's reuse cache and its own hit/miss counters.
+(``InferenceSession.kernels_for``).  The inverse degrees belong to the
+snapshot, so every set over a snapshot holds the same tensor.  A
+:class:`ParallelAggregationProvider` wraps the shared kernels with a reuse
+cache and its own hit/miss counters: the trainer's cache, or, in serving,
+the recording cache of the one forward pass a fleet runs per distinct
+input (``InferenceSession.predict``).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from repro.graph.sliced_csr import DEFAULT_SLICE_CAPACITY
 from repro.gpu.spec import GPUSpec
 from repro.kernels.spmm_csr import GESpMMAggregation
 from repro.kernels.spmm_sliced import SlicedParallelAggregation
-from repro.nn.aggregation import AggregationCache, mean_inverse_degree
+from repro.nn.aggregation import AggregationCache, inverse_degree
 from repro.tensor import ops
 from repro.tensor.function import op_scope
 from repro.tensor.sparse import spmm
@@ -44,7 +47,9 @@ class PartitionKernels:
 
     Nothing here changes once built, so every provider over the same
     partition — every frame and epoch of a training run, every replica of
-    a serving fleet — can share one instance.
+    a serving fleet — can share one instance.  The inverse degrees are the
+    snapshots' own (:func:`~repro.nn.aggregation.inverse_degree`), shared
+    with every other partition that holds the snapshot.
     """
 
     def __init__(
@@ -58,7 +63,7 @@ class PartitionKernels:
     ) -> None:
         self.partition = partition
         spec = spec or GPUSpec()
-        self.inv_degree = [Tensor(mean_inverse_degree(s)) for s in partition.snapshots]
+        self.inv_degree = [inverse_degree(s) for s in partition.snapshots]
 
         def kernel(adjacency, snapshots_coalesced: int):
             if not adjacency.nnz:

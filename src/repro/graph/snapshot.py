@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -34,6 +34,9 @@ class GraphSnapshot:
     targets: Optional[np.ndarray] = None
     timestep: int = 0
     _normalized_cache: Dict[str, CSRMatrix] = field(default_factory=dict, repr=False)
+    #: memo of :func:`repro.nn.aggregation.inverse_degree`, shared by every
+    #: kernel set and provider over this snapshot
+    _inverse_degree: Any = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.features = check_array("features", self.features, ndim=2, dtype_kind="f").astype(

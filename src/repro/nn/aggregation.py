@@ -59,6 +59,13 @@ def mean_inverse_degree(snapshot: GraphSnapshot) -> np.ndarray:
     return (1.0 / (degree + 1.0)).reshape(-1, 1)
 
 
+def inverse_degree(snapshot: GraphSnapshot) -> Tensor:
+    """:func:`mean_inverse_degree` as a constant tensor, built once per snapshot."""
+    if snapshot._inverse_degree is None:  # noqa: SLF001 - the snapshot's memo
+        snapshot._inverse_degree = Tensor(mean_inverse_degree(snapshot))
+    return snapshot._inverse_degree
+
+
 def snapshot_kernel(
     snapshot: GraphSnapshot, kernel_name: str, spec: GPUSpec, scale: float
 ) -> Optional[BaseAggregationKernel]:
@@ -117,7 +124,7 @@ class SequentialAggregationProvider:
         elif len(kernels) != len(self.snapshots):
             raise ValueError(f"expected {len(self.snapshots)} kernels, got {len(kernels)}")
         self._kernels = list(kernels)
-        self._inv_degree = [Tensor(mean_inverse_degree(snap)) for snap in self.snapshots]
+        self._inv_degree = [inverse_degree(snap) for snap in self.snapshots]
         #: number of aggregations served from the cache (reporting/telemetry)
         self.cache_hits = 0
         self.cache_misses = 0

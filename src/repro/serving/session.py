@@ -13,11 +13,18 @@ on topology + raw features) becomes the serving fast path: when a delta
 arrives, only the delta-touched rows of the head version's aggregation are
 recomputed from the parent version's cached result — the other ~90+ % of
 rows carry over untouched.
+
+The same insight applies to the forward pass itself.  Its outputs — the
+head predictions, the kernel costs and the reuse-cache traffic — depend
+only on the window versions, the parallelism and the exact contents of the
+replica's cached aggregations, so a fleet runs it once per distinct input
+through the shared store and every replica replays the recorded cache
+traffic against its own :class:`~repro.core.reuse.ReuseManager`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,6 +39,27 @@ from repro.nn.context import ExecutionContext
 from repro.serving.store import DeltaReport, IncrementalSnapshotStore
 from repro.tensor import observe_ops
 from repro.tensor.tensor import Tensor
+
+
+class _RecordingCache:
+    """The reuse cache a shared forward pass runs against.
+
+    Answers lookups from one replica's cached aggregations and from what
+    the pass stores itself, and logs every call as ``(timestep, stored)``:
+    ``stored`` is ``None`` for a lookup and the stored array for a store.
+    """
+
+    def __init__(self, cached: Dict[int, np.ndarray]) -> None:
+        self._values = cached
+        self.log: List[Tuple[int, Optional[np.ndarray]]] = []
+
+    def lookup(self, timestep: int) -> Optional[np.ndarray]:
+        self.log.append((timestep, None))
+        return self._values.get(timestep)
+
+    def store(self, timestep: int, value: np.ndarray) -> None:
+        self.log.append((timestep, value))
+        self._values[timestep] = value
 
 
 class InferenceSession:
@@ -55,9 +83,6 @@ class InferenceSession:
         self.preparer = preparer
         self.scale = scale
         self.context = ExecutionContext(spec=device.spec, scale=scale)
-        #: this replica's providers (own reuse cache and hit/miss counters)
-        #: keyed by (window versions, s_per); cleared on every delta
-        self._provider_cache: Dict[Tuple[Tuple[int, ...], int], List[ParallelAggregationProvider]] = {}
         self.rows_patched = 0
         self.full_recomputes = 0
 
@@ -73,7 +98,6 @@ class InferenceSession:
         depend on the head version alone, so the store computes them once
         for every replica.
         """
-        self._provider_cache.clear()
         if report.evicted_version is not None:
             self.reuse.invalidate([report.evicted_version])
         if not self.reuse.enabled:
@@ -108,7 +132,7 @@ class InferenceSession:
 
         Built from the store's incrementally refined decompositions and
         shared through the store by every replica until a member version
-        leaves the window (used by provider construction and transfer-size
+        leaves the window (used by kernel construction and transfer-size
         accounting).
         """
         preparer = self.preparer
@@ -125,32 +149,21 @@ class InferenceSession:
             for positions in self.store.partition_positions(s_per)
         ]
 
-    def providers_for(self, s_per: int) -> List[ParallelAggregationProvider]:
-        """Partition providers for the current window at parallelism ``s_per``.
+    def kernels_for(self, s_per: int) -> List[PartitionKernels]:
+        """Aggregation kernels of the current window's partitions at ``s_per``.
 
-        The partitions' kernels are built once per version group and shared
-        through the store; the providers wrapping them carry this replica's
-        reuse cache and are cached until the next delta changes the window.
+        Built once per version group and shared through the store by every
+        replica until a member version leaves the window.
         """
-        key = (tuple(self.store.window_versions()), s_per)
-        cached = self._provider_cache.get(key)
-        if cached is not None:
-            return cached
-        spec, scale, reuse = self.device.spec, self.scale, self.reuse.enabled
-        providers = [
-            ParallelAggregationProvider(
-                self.store.shared(
-                    tuple(s.timestep for s in partition.snapshots),
-                    ("kernels", spec, scale),
-                    lambda: PartitionKernels(partition, spec, scale),
-                ),
-                cache=self.reuse if reuse else None,
-                reusable_layers=self.model.reusable_aggregation_layers if reuse else (),
+        spec, scale = self.device.spec, self.scale
+        return [
+            self.store.shared(
+                tuple(s.timestep for s in partition.snapshots),
+                ("kernels", spec, scale),
+                lambda: PartitionKernels(partition, spec, scale),
             )
             for partition in self.partitions_for(s_per)
         ]
-        self._provider_cache[key] = providers
-        return providers
 
     # ------------------------------------------------------------------ prediction
     def predict(
@@ -162,9 +175,52 @@ class InferenceSession:
         hidden state needs the history), reads the head-snapshot prediction
         rows for ``node_ids`` and returns them together with the kernel costs
         the scheduler should account on the device.
+
+        The pass is a function of the window versions, ``s_per`` and the
+        exact bytes of this replica's cached aggregations of those versions
+        (patched and computed caches differ in their last bits), so it runs
+        once per distinct input through the shared store.  Every caller
+        replays the pass's reuse-cache calls against its own
+        :class:`~repro.core.reuse.ReuseManager`: hit and miss counts and
+        the stored aggregations are the same as if it had run the pass.
         """
+        versions = tuple(self.store.window_versions())
+        reuse = self.reuse
+        cached = {v: reuse.peek(v) for v in versions}
+        kind = (
+            "forward",
+            self.model,
+            self.device.spec,
+            self.scale,
+            s_per,
+            reuse.enabled,
+            tuple(None if a is None else a.tobytes() for a in cached.values()),
+        )
+        head, costs, log = self.store.shared(
+            versions, kind, lambda: self._forward(s_per, cached)
+        )
+        for timestep, stored in log:
+            if stored is None:
+                reuse.lookup(timestep)
+            else:
+                reuse.store(timestep, stored)
+        return head[np.asarray(node_ids, dtype=np.int64)], list(costs)
+
+    def _forward(self, s_per: int, cached: Dict[int, Optional[np.ndarray]]) -> tuple:
+        """Run the model over the window against ``cached`` aggregations.
+
+        Returns the head predictions of every node, the kernel costs and
+        the log of the pass's reuse-cache calls.
+        """
+        cache = None
+        if self.reuse.enabled:
+            cache = _RecordingCache({v: a for v, a in cached.items() if a is not None})
+        reusable = self.model.reusable_aggregation_layers if cache is not None else ()
+        providers = [
+            ParallelAggregationProvider(kernels, cache=cache, reusable_layers=reusable)
+            for kernels in self.kernels_for(s_per)
+        ]
         snapshots = self.store.window_snapshots()
-        providers = self.providers_for(s_per)
         positions = self.store.partition_positions(s_per)
         feature_groups: List[List[Tensor]] = [
             [Tensor(snapshots[p].features) for p in group] for group in positions
@@ -179,9 +235,12 @@ class InferenceSession:
             predictions = self.model.predict_frame(
                 providers, feature_groups, self.store.num_nodes, ctx
             )
-        head_prediction = predictions[-1].data
-        node_ids = np.asarray(node_ids, dtype=np.int64)
-        return head_prediction[node_ids], collector.drain()
+        log = tuple(cache.log) if cache is not None else ()
+        # Every replica that replays the log caches these very arrays.
+        for _, stored in log:
+            if stored is not None:
+                stored.flags.writeable = False
+        return predictions[-1].data, tuple(collector.drain()), log
 
     # ------------------------------------------------------------------ transfer planning
     def partition_transfer_bytes(self, s_per: int) -> float:

@@ -17,9 +17,10 @@ Everything derived from the window is a function of the snapshot versions
 it covers: refinements, the tuner's per-group overlap rates (counted from
 the members' edge keys, no CSR built), and what the inference sessions
 build through :meth:`IncrementalSnapshotStore.shared` (partition data,
-aggregation kernels, the rows a delta patches).  Each piece is built once
-and read by every replica sharing the store; it is dropped when one of its
-versions leaves the window.
+aggregation kernels, the rows a delta patches, and the forward pass itself,
+keyed also by the bytes of the caller's cached aggregations).  Each piece
+is built once and read by every replica sharing the store; it is dropped
+when one of its versions leaves the window.
 
 Each applied delta yields a :class:`DeltaReport` naming the new and evicted
 versions plus the *touched rows* — exactly the aggregation rows the

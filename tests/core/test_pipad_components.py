@@ -22,7 +22,7 @@ from repro.core import trainer as trainer_module
 from repro.core import tuner as tuner_module
 from repro.core.tuner import FrameProfile, capped_candidates
 from repro.gpu import GPUSpec, PCIeSpec, SimulatedGPU
-from repro.nn import ExecutionContext, SequentialAggregationProvider
+from repro.nn import ExecutionContext, SequentialAggregationProvider, mean_inverse_degree
 from repro.tensor import Tensor
 
 SPEC = GPUSpec()
@@ -314,6 +314,19 @@ class TestParallelProvider:
             assert np.allclose(a.numpy(), b.numpy(), atol=1e-4)
 
 
+    def test_partitions_share_each_snapshots_inverse_degree(self, small_graph):
+        snapshots = small_graph.snapshots
+        first = PartitionKernels(build_datapipe().partition(snapshots[0:3]), SPEC)
+        second = PartitionKernels(build_datapipe().partition(snapshots[2:4]), SPEC)
+        shared = first.inv_degree[2]
+        assert shared is second.inv_degree[0]
+        assert SequentialAggregationProvider(snapshots[2:3], spec=SPEC)._inv_degree[0] is shared
+        expected = mean_inverse_degree(snapshots[2])
+        assert [float(x).hex() for x in shared.data.ravel()] == [
+            float(x).hex() for x in expected.ravel()
+        ]
+
+
 class TestTrainerKernelMemo:
     """A training run builds one kernel set per prepared partition and wraps
     it in a fresh provider every frame and epoch."""
@@ -381,3 +394,6 @@ class TestTrainerKernelMemo:
         assert {(2, 3), (2, 3, 4, 5)} <= keys
         assert len(built) == len(keys)
         assert {tuple(s.timestep for s in k.partition.snapshots) for k in built} == keys
+        # One inverse-degree tensor per snapshot, however many sets hold it.
+        timesteps = {t for key in keys for t in key}
+        assert len({id(d) for k in built for d in k.inv_degree}) == len(timesteps)

@@ -19,9 +19,11 @@ from repro.distributed import (
 from repro.graph import load_dataset
 from repro.memory import MemoryConfig
 from repro.nn import build_model
+from repro.nn.base_model import DGNNModel
 from repro.serving import ServingConfig, random_delta, synthesize_serving_trace
 from repro.serving.metrics import RequestRecord
 from repro.serving.scheduler import _build_serving_scheduler
+from repro.serving.session import InferenceSession
 from repro.telemetry.hooks import TelemetryCallback
 
 
@@ -555,18 +557,63 @@ class TestSharedWindowState:
         )
         first, second = (replica.session for replica in engine.replicas)
         for s_per in (1, 2, 4):
-            for a, b in zip(first.providers_for(s_per), second.providers_for(s_per)):
-                assert a is not b
-                assert a.kernels is b.kernels
-                assert a.partition is b.partition
+            for a, b in zip(first.kernels_for(s_per), second.kernels_for(s_per)):
+                assert a is b
         nodes = np.arange(5)
         for _ in range(2):
             first.predict(nodes, s_per=2)
-        providers = (first.providers_for(2), second.providers_for(2))
-        assert sum(p.cache_hits for p in providers[0]) == 4
-        assert sum(p.cache_misses for p in providers[0]) == 4
-        assert all(p.cache_hits == p.cache_misses == 0 for p in providers[1])
+
+        def counts(session):
+            reuse = session.reuse
+            return reuse.cpu_hits + reuse.gpu_hits, reuse.misses
+
+        def passes():
+            return sum(kind[0] == "forward" for _, kind in engine.store._shared)
+
+        assert counts(first) == (4, 4)
+        assert counts(second) == (0, 0)
         assert first.reuse.stats() != second.reuse.stats()
+        assert passes() == 2
+        # The second replica's cold pass is the first replica's first one,
+        # shared, yet it is counted against the second replica's own cache.
+        second.predict(nodes, s_per=2)
+        assert passes() == 2
+        assert counts(first) == (4, 4)
+        assert counts(second) == (0, 4)
+
+    def test_one_forward_pass_per_distinct_input(self, small_graph, monkeypatch):
+        """A pass's input is the window, ``S_per`` and the cached bytes."""
+        calls, passes, inputs = [], [], set()
+        predict, predict_frame = InferenceSession.predict, DGNNModel.predict_frame
+
+        def counting_predict(session, node_ids, *, s_per=1):
+            versions = tuple(session.store.window_versions())
+            cached = tuple(
+                None if a is None else a.tobytes()
+                for a in (session.reuse.peek(v) for v in versions)
+            )
+            calls.append(s_per)
+            inputs.add((versions, s_per, cached))
+            return predict(session, node_ids, s_per=s_per)
+
+        def counting_predict_frame(model, *args, **kwargs):
+            passes.append(model)
+            return predict_frame(model, *args, **kwargs)
+
+        monkeypatch.setattr(InferenceSession, "predict", counting_predict)
+        monkeypatch.setattr(DGNNModel, "predict_frame", counting_predict_frame)
+        engine = make_fleet(
+            small_graph, fleet=FleetConfig(num_shards=3, min_replicas=3, admission_limit=1024)
+        )
+        for event in sorted(synthesize_serving_trace(small_graph[-1], 60, seed=13),
+                            key=lambda e: e.time):
+            engine.pump(event.time)
+            if event.kind == "delta":
+                engine.ingest(event.delta, at=event.time)
+            else:
+                engine.submit(event.node_ids, at=event.time)
+        engine.pump(None, force=True)
+        assert len(passes) == len(inputs) < len(calls)
 
     def test_a_delta_keeps_groups_of_surviving_versions(self, small_graph):
         model = build_model("tgcn", small_graph.feature_dim, 8, seed=0)
@@ -575,7 +622,7 @@ class TestSharedWindowState:
         )
         store = engine.store
         first, second = (replica.session for replica in engine.replicas)
-        before = first.providers_for(2)
+        before = first.kernels_for(2)
         rng = np.random.default_rng(3)
         for _ in range(2):
             delta, _ = random_delta(
@@ -583,11 +630,10 @@ class TestSharedWindowState:
                 feature_update_fraction=0.1, feature_dim=store.feature_dim,
             )
             engine.ingest(delta, at=0.0)
-        after = second.providers_for(2)
+        after = second.kernels_for(2)
         # Two deltas shift the window by one group of two: the newer group
         # of the old window is the older group of the new one.
-        assert after[0].kernels is before[1].kernels
-        assert after[0] is not before[1]
+        assert after[0] is before[1]
         window = set(store.window_versions())
         assert all(set(versions) <= window for versions, _ in store._shared)
 
