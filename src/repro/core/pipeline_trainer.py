@@ -272,6 +272,7 @@ class PipelineTrainer(GroupTrainer):
         # split across groups too (unlike the data-parallel trainer, where
         # every replica issues the full kernel sequence on its shard).
         shares = [c.split(num_groups) for c in costs]
+        share_launches = sum(c.launches for c in shares)
         aggregation, dense = self._split_costs(shares)
         stream = self._compute_stream()
         per_device_last: List[List[TimelineOp]] = [
@@ -284,7 +285,7 @@ class PipelineTrainer(GroupTrainer):
         for index in range(num_groups - 1, -1, -1):
             stage = int(self._assignment[index])
             device = self.group.devices[stage]
-            self._dispatch(device, shares, "dispatch_bwd")
+            device.dispatch(share_launches, label="dispatch_bwd", stream=stream)
             if chain_op is None:
                 chain_deps = list(last_compute)
             elif chain_device != stage:

@@ -11,9 +11,9 @@ when it would run given stream ordering and resource contention.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.gpu.kernel_cost import CATEGORIES, KernelCost
+from repro.gpu.kernel_cost import CATEGORIES, KernelCost, LaunchTerms
 from repro.gpu.spec import GPUSpec, HostSpec, PCIeSpec
 from repro.gpu.timeline import (
     RESOURCE_COMPUTE,
@@ -182,42 +182,37 @@ class SimulatedGPU:
         anything, and the statistics are charged only after it returns, so a
         rejected chain leaves the device as it was.
         """
-        spec = self.spec
-        per_launch_us = (
-            spec.cudagraph_launch_overhead_us
-            if self.use_cuda_graph
-            else spec.kernel_launch_overhead_us
-        )
-        durations: List[float] = []
-        attrs: List[Dict[str, object]] = []
-        charged: List[Tuple[float, float]] = []
-        for cost in costs:
-            # The roofline is evaluated once per cost and spec and kept on the
-            # cost; ``balanced * imbalance`` is ``cost.execution_seconds``.
-            balanced = cost.balanced_seconds(spec)
-            exec_seconds = balanced * cost.imbalance
-            durations.append(exec_seconds + cost.launches * per_launch_us * 1e-6)
-            attrs.append({"category": cost.category, "launches": cost.launches})
-            charged.append((balanced, exec_seconds))
+        terms = self.launch_terms(costs)
         ops = self.timeline.submit_chain(
             labels=labels,
             kind="kernel",
             resource=RESOURCE_COMPUTE,
-            durations=durations,
-            attrs=attrs,
+            durations=[t.duration for t in terms],
+            attrs=[t.attrs for t in terms],
             stream=stream,
             depends_on=depends_on,
         )
-        for cost, (balanced, exec_seconds) in zip(costs, charged):
-            stats = self.kernel_stats[cost.category]
-            stats.seconds += exec_seconds
-            stats.launches += cost.launches
-            stats.flops += cost.flops
-            stats.mem_requests += cost.mem_requests
-            stats.mem_transactions += cost.mem_transactions
+        kernel_stats = self.kernel_stats
+        for (
+            _, _, category, seconds, launches, flops, requests, transactions, balanced, weighted
+        ) in terms:
+            stats = kernel_stats[category]
+            stats.seconds += seconds
+            stats.launches += launches
+            stats.flops += flops
+            stats.mem_requests += requests
+            stats.mem_transactions += transactions
             stats.balanced_seconds += balanced
-            stats.weighted_thread_ratio += cost.active_thread_ratio * max(exec_seconds, 1e-12)
+            stats.weighted_thread_ratio += weighted
         return ops
+
+    def launch_terms(self, costs: Sequence[KernelCost]) -> List[LaunchTerms]:
+        """Each cost's :meth:`KernelCost.launch_terms` on this device."""
+        spec = self.spec
+        per_launch_us = spec.kernel_launch_overhead_us
+        if self.use_cuda_graph:
+            per_launch_us = spec.cudagraph_launch_overhead_us
+        return [cost.launch_terms(spec, per_launch_us) for cost in costs]
 
     def dispatch(self, num_launches: int, *, label: str, stream: str) -> TimelineOp:
         """Charge the host-side cost of issuing ``num_launches`` kernels.

@@ -15,7 +15,7 @@ where compute throughput is de-rated by the kernel's active-thread ratio
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, NamedTuple, Optional
 
 from repro.gpu.spec import GPUSpec
 
@@ -32,6 +32,23 @@ CATEGORIES = (
     CATEGORY_ELEMENTWISE,
     CATEGORY_OTHER,
 )
+
+
+class LaunchTerms(NamedTuple):
+    """What one launch of a :class:`KernelCost` places and charges: the op's
+    ``duration`` (execution plus launch overhead) and ``attrs`` template, then
+    the ``category``'s :class:`~repro.gpu.device.KernelStats` increments."""
+
+    duration: float
+    attrs: Dict[str, object]
+    category: str
+    seconds: float
+    launches: int
+    flops: float
+    mem_requests: float
+    mem_transactions: float
+    balanced_seconds: float
+    weighted_thread_ratio: float
 
 
 @dataclass(frozen=True)
@@ -133,6 +150,37 @@ class KernelCost:
         seconds = max(self.compute_seconds(spec), self.memory_seconds(spec))
         self.__dict__["_roofline"] = (spec, seconds)
         return seconds
+
+    def launch_terms(self, spec: GPUSpec, per_launch_us: float) -> LaunchTerms:
+        """The :class:`LaunchTerms` of launching this cost on ``spec``.
+
+        ``per_launch_us`` is the device's overhead per kernel launch (eager
+        and CUDA-graph devices differ).  The terms are kept on the record for
+        the last ``(spec, per_launch_us)`` asked, the spec by identity as in
+        :meth:`balanced_seconds`; ``attrs`` is a template each op copies.  A
+        device adds the terms to its statistics one cost at a time in launch
+        order: float addition does not associate, so a pre-summed chain
+        would change the totals' bits.
+        """
+        memo = self.__dict__.get("_launch_terms")
+        if memo is not None and memo[0] is spec and memo[1] == per_launch_us:
+            return memo[2]
+        balanced = self.balanced_seconds(spec)
+        seconds = balanced * self.imbalance
+        terms = LaunchTerms(
+            seconds + self.launches * per_launch_us * 1e-6,
+            {"category": self.category, "launches": self.launches},
+            self.category,
+            seconds,
+            self.launches,
+            self.flops,
+            self.mem_requests,
+            self.mem_transactions,
+            balanced,
+            self.active_thread_ratio * max(seconds, 1e-12),
+        )
+        self.__dict__["_launch_terms"] = (spec, per_launch_us, terms)
+        return terms
 
     # -- algebra ------------------------------------------------------------
     def scaled(self, factor: float, *, launches: Optional[int] = None) -> "KernelCost":

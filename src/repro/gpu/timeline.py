@@ -36,17 +36,18 @@ chain (:meth:`~repro.gpu.device.SimulatedGPU.launch_kernels`).
 
 Every other simulated op pays for one :meth:`~Timeline.submit`, so the
 record it returns is cheap to build: :class:`TimelineOp` is a ``NamedTuple``
-built positionally, about a fifth of the cost of the frozen dataclass it
-replaced (whose constructor ran one ``object.__setattr__`` per field).  On
-one Xeon core a whole ``submit`` takes about 2.4 µs, against 5.4 µs with the
-dataclass.  The tuple is just as immutable (assigning a field raises
-``AttributeError``) and just as unhashable (``attrs`` is a dict).  Each
-submitted op owns a copy of the caller's ``attrs``: schedulers annotate an
-op after submitting it (the sanitizer's ``hb_reads``/``hb_writes`` keys),
-and that must not leak into other ops or back into the caller's dict.
-Non-finite ``duration`` and ``not_before`` are rejected, since a NaN would
-silently break the per-resource FIFO invariant and an infinity would block
-a resource forever.
+that both submit paths build with ``tuple.__new__``, skipping its
+Python-level ``__new__``.  On a 2-vCPU Xeon VM a whole ``submit`` (one
+dependency, one attrs key) takes about 2.8 µs, against 3.0 µs through that
+``__new__`` (min of five 20k-op runs); the frozen dataclass the tuple
+replaced cost more than twice as much.  The tuple is just as immutable
+(assigning a field raises ``AttributeError``) and just as unhashable
+(``attrs`` is a dict).  Each submitted op owns a copy of the caller's
+``attrs``: schedulers annotate an op after submitting it (the sanitizer's
+``hb_reads``/``hb_writes`` keys), and that must not leak into other ops or
+back into the caller's dict.  Non-finite ``duration`` and ``not_before``
+are rejected, since a NaN would silently break the per-resource FIFO
+invariant and an infinity would block a resource forever.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ RESOURCES = (RESOURCE_COMPUTE, RESOURCE_PCIE_H2D, RESOURCE_PCIE_D2H, RESOURCE_CP
 #: happens-before analyzer needs an identifier that is unique across every
 #: timeline of a run
 _UID_COUNTER = itertools.count()
+#: ``_new_op(TimelineOp, fields)`` skips the ``NamedTuple``'s Python ``__new__``
+_new_op = tuple.__new__
 
 
 class TimelineOp(NamedTuple):
@@ -140,18 +143,12 @@ class Timeline:
         ready = max(ready, self._stream_free.get(stream, 0.0))
         start = max(ready, self._resource_free.get(resource, 0.0))
         end = start + duration
-        op = TimelineOp(
-            self._next_id,
-            label,
-            kind,
-            resource,
-            stream,
-            start,
-            end,
+        op = _new_op(TimelineOp, (
+            self._next_id, label, kind, resource, stream, start, end,
             dict(attrs) if attrs else {},
             next(_UID_COUNTER),
             tuple([op.uid for op in depends_on]) if depends_on else (),
-        )
+        ))
         self._next_id += 1
         if end > self._makespan:
             self._makespan = end
@@ -206,18 +203,12 @@ class Timeline:
             labels, durations, attrs if attrs is not None else itertools.repeat(None)
         ):
             end = start + duration
-            op = TimelineOp(
-                op_id,
-                label,
-                kind,
-                resource,
-                stream,
-                start,
-                end,
+            op = _new_op(TimelineOp, (
+                op_id, label, kind, resource, stream, start, end,
                 dict(op_attrs) if op_attrs else {},
                 next(_UID_COUNTER),
                 deps,
-            )
+            ))
             ops.append(op)
             total += end - start
             deps = (op.uid,)

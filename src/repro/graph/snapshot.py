@@ -7,6 +7,7 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
+from repro.graph.coo import INDEX_BYTES, VALUE_BYTES
 from repro.graph.csr import CSRMatrix
 from repro.graph.normalize import gcn_normalize
 from repro.utils.validation import check_array
@@ -78,13 +79,15 @@ class GraphSnapshot:
 
     def adjacency_bytes(self, fmt: str = "coo") -> int:
         """Host→device transfer size of the adjacency in a given format."""
+        adjacency = self.adjacency
         if fmt == "coo":
-            return self.adjacency.to_coo().nbytes
+            return adjacency.nnz * (2 * INDEX_BYTES + VALUE_BYTES)
         if fmt == "csr":
-            return self.adjacency.nbytes
+            return adjacency.nbytes
         if fmt == "csr+csc":
-            # GE-SpMM keeps both orientations resident for backward (§5.2).
-            return self.adjacency.nbytes + self.adjacency.transpose().nbytes
+            # GE-SpMM keeps both orientations resident for backward (§5.2);
+            # the CSC copy has the same entries and ``num_cols + 1`` pointers.
+            return adjacency.nbytes + (2 * adjacency.nnz + adjacency.num_cols + 1) * INDEX_BYTES
         raise ValueError(f"unknown adjacency format {fmt!r}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

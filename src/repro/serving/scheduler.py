@@ -441,8 +441,9 @@ class ServingScheduler(TraceReplay):
         hits_before = self.reuse.cpu_hits + self.reuse.gpu_hits
         misses_before = self.reuse.misses
         predictions, costs = self.session.predict(batch.node_ids, s_per=decision.s_per)
+        terms = self.device.launch_terms(costs)
         self.device.dispatch(
-            sum(c.launches for c in costs),
+            sum(t.launches for t in terms),
             label=f"dispatch_b{batch.batch_id}",
             stream=compute_stream,
         )
@@ -453,7 +454,7 @@ class ServingScheduler(TraceReplay):
             depends_on=[transfer],
         )
         self.prefetcher.mark_consumed(kernel_ops[-1:] or [transfer])
-        kernel_seconds = sum(c.execution_seconds(self.device.spec) for c in costs)
+        kernel_seconds = sum(t.seconds for t in terms)
         self.policy.observe_compute(kernel_seconds, self.store.window_size)
 
         result_bytes = len(batch.node_ids) * self.model.out_features * 4 * self.scale
