@@ -3,9 +3,12 @@
 The correctness gate of the reproduction: happens-before race detection
 over the timelines (:mod:`repro.analysis.hb`), collective deadlock /
 mismatch lint (:mod:`repro.analysis.collectives`), memory-watermark
-replay (:mod:`repro.analysis.watermark`) and static ``RunSpec``
-cross-section lint (:mod:`repro.analysis.speclint`), all catalogued in
-:data:`CHECK_REGISTRY` (:mod:`repro.analysis.registry`).
+replay (:mod:`repro.analysis.watermark`) and static ``RunSpec`` lint
+(:mod:`repro.analysis.speclint`), all catalogued in :data:`CHECK_REGISTRY`
+(:mod:`repro.analysis.registry`).  The static lint only warns about legal
+but useless knobs; the cross-section errors (partition sizes vs. frame and
+window, window vs. stream, fleet batch vs. admission limit) are enforced
+when the spec is built, so an invalid spec never reaches a check.
 
 Entry points: ``python -m repro check <spec>`` for the static family,
 ``--sanitize`` on run/serve (or :meth:`repro.api.Engine.sanitize`) for

@@ -101,40 +101,10 @@ register_check(
     _execution(watermark.check_memory_watermark),
 )
 register_check(
-    "spec-pinned-staging",
-    FAMILY_STATIC,
-    "pinned budget fits the prefetch depth's in-flight staging buffers",
-    _static(speclint.lint_pinned_staging),
-)
-register_check(
-    "spec-fleet-admission",
-    FAMILY_STATIC,
-    "fleet admission limit admits at least one full micro-batch",
-    _static(speclint.lint_fleet_admission),
-)
-register_check(
     "spec-dead-memory",
     FAMILY_STATIC,
     "tier budgets are not declared while the feature cache is off",
     _static(speclint.lint_dead_memory_knobs),
-)
-register_check(
-    "spec-telemetry-paths",
-    FAMILY_STATIC,
-    "trace/report paths require telemetry to be enabled",
-    _static(speclint.lint_telemetry_paths),
-)
-register_check(
-    "spec-partitioning",
-    FAMILY_STATIC,
-    "fixed partition sizes fit their frame / serving window",
-    _static(speclint.lint_partitioning),
-)
-register_check(
-    "spec-serving-window",
-    FAMILY_STATIC,
-    "the serving window fits the snapshot stream",
-    _static(speclint.lint_serving_window),
 )
 register_check(
     "spec-prefetch-pipeline",

@@ -11,7 +11,8 @@ Six subcommands cover the repo's scenarios, all driven by
 - ``python -m repro serve SPEC`` — the online phase only (trains the model
   the spec describes, then replays the spec's serving trace);
 - ``python -m repro check SPEC`` — static spec lint from the
-  :mod:`repro.analysis` catalog, no execution (exit 3 on errors);
+  :mod:`repro.analysis` catalog, no execution (exit 2 when the spec cannot
+  be built, 3 on error violations);
 - ``python -m repro experiment NAME`` — regenerate a paper artifact through
   the experiment harness;
 - ``python -m repro claims`` — check every paper claim, print one row per
@@ -282,8 +283,6 @@ def _apply_output_flags(spec: RunSpec, args: argparse.Namespace) -> RunSpec:
         updates["report_path"] = args.save_report
     if not updates:
         return spec
-    if not spec.telemetry.enabled and "trace_path" in updates:
-        raise ValueError("--trace requires telemetry.enabled=True")
     return spec.replace(telemetry=spec.telemetry.replace(**updates))
 
 
@@ -329,7 +328,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    """Static spec lint: no engine, no execution, exit 3 on errors."""
+    """Static spec lint: no engine, no execution, exit 3 on errors.
+
+    An invalid spec fails in :func:`load_spec` already (exit 2).
+    """
     spec = load_spec(args.spec, args.set or ())
     report = run_checks(spec, checks=spec.analysis.checks or None)
     if args.json:
@@ -422,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("spec", help="spec JSON file path or preset name")
     p_check.add_argument(
         "--set", action="append", metavar="KEY=VALUE",
-        help="dotted spec override, e.g. --set analysis.checks='[\"spec-partitioning\"]'",
+        help="dotted spec override, e.g. --set analysis.checks='[\"spec-dead-memory\"]'",
     )
     p_check.add_argument(
         "--json", action="store_true", help="print the analysis report as JSON"

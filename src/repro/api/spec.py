@@ -308,7 +308,10 @@ class ServingSpec(_SpecBase):
 
     Construction builds the core :class:`ServingConfig` and
     :class:`FleetConfig` for every kind, so each knob is validated once, by
-    its core rule, before any engine exists.
+    its core rule, before any engine exists.  ``ServingConfig`` rejects a
+    ``fixed_s_per`` above the ``window``; a ``"fleet"`` spec also rejects a
+    ``max_batch_requests`` above its ``admission_limit``, since no replica
+    could ever form a full batch.
     """
 
     #: ``"local"`` (one :class:`ServingScheduler`), ``"sharded"``
@@ -354,6 +357,13 @@ class ServingSpec(_SpecBase):
                 f"serving kind {self.kind!r} requires num_shards>=2, got "
                 f"{self.num_shards}"
             )
+        if self.kind == "fleet" and self.max_batch_requests > self.admission_limit:
+            raise ValueError(
+                f"serving.max_batch_requests ({self.max_batch_requests}) "
+                f"exceeds serving.admission_limit ({self.admission_limit}): "
+                "a replica sheds requests before a full batch can ever form; "
+                "raise the admission limit or shrink the batch"
+            )
 
     def to_serving_config(self) -> "ServingConfig":  # noqa: F821 - forward ref
         """Materialize the scheduler-level :class:`ServingConfig`."""
@@ -392,7 +402,10 @@ class AnalysisSpec(_SpecBase):
     ``RunReport.extras["analysis"]`` and as Chrome-trace instant events,
     and — with ``fail_on_violation`` — fails the run on any
     error-severity finding.  ``python -m repro check`` runs the static
-    family alone, no engine required.
+    family alone, no engine required.  The static family only warns
+    (``spec-dead-memory``, ``spec-prefetch-pipeline``): the cross-section
+    errors (partition sizes vs. frame and window, window vs. stream,
+    fleet batch vs. admission limit) are enforced by spec construction.
     """
 
     enabled: bool = False
@@ -412,7 +425,14 @@ class AnalysisSpec(_SpecBase):
 
 @dataclass(frozen=True)
 class RunSpec(_SpecBase):
-    """One declarative, serializable description of an executable run."""
+    """One declarative, serializable description of an executable run.
+
+    Construction also enforces the rules that span sections, so a spec
+    that could not run cannot be built: ``pipad.fixed_s_per`` fits
+    ``frame_size``, the serving ``window`` fits ``num_snapshots``, and
+    (in :class:`ServingSpec`) the serving ``fixed_s_per`` fits the window
+    and a fleet's ``max_batch_requests`` fits its ``admission_limit``.
+    """
 
     #: dataset analogue (any name in ``repro.graph.datasets.DATASET_ORDER``)
     dataset: str = "covid19_england"
@@ -503,6 +523,19 @@ class RunSpec(_SpecBase):
                 f"device kind {self.device.kind!r} is only supported by method "
                 f"'pipad' (DistributedTrainer/PipelineTrainer), got method "
                 f"{self.method!r}"
+            )
+        fixed = self.pipad.get("fixed_s_per")
+        if fixed is not None and int(fixed) > self.frame_size:
+            raise ValueError(
+                f"pipad.fixed_s_per ({fixed}) exceeds frame_size "
+                f"({self.frame_size}): a partition cannot span more "
+                "snapshots than its frame holds"
+            )
+        if self.serving is not None and self.serving.window > self.num_snapshots:
+            raise ValueError(
+                f"serving.window ({self.serving.window}) exceeds num_snapshots "
+                f"({self.num_snapshots}): the store can never fill its "
+                "window; shrink the window or extend the stream"
             )
         # Frozen dataclass: normalize names via object.__setattr__ so the
         # engine and registries can rely on canonical keys downstream.

@@ -90,6 +90,11 @@ class ServingConfig:
         check_non_negative("max_delay_ms", self.max_delay_ms)
         if self.fixed_s_per is not None:
             check_positive("fixed_s_per", self.fixed_s_per)
+            if self.fixed_s_per > self.window:
+                raise ValueError(
+                    f"serving.fixed_s_per ({self.fixed_s_per}) exceeds "
+                    f"serving.window ({self.window})"
+                )
 
 
 @dataclass(frozen=True)

@@ -129,14 +129,18 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "clean: no violations" in out
 
-    def test_check_violating_spec_exits_three(self, capsys):
+    def test_check_violating_spec_exits_three(self, failing_check, capsys):
         code = main([
             "check", "quick",
-            "--set", "telemetry.enabled=False",
-            "--set", "telemetry.trace_path=/tmp/x.json",
+            "--set", f'analysis.checks=["{failing_check}"]',
         ])
         assert code == 3
-        assert "spec-telemetry-paths" in capsys.readouterr().out
+        assert "seeded violation" in capsys.readouterr().out
+
+    def test_check_warnings_alone_exit_zero(self, capsys):
+        code = main(["check", "quick", "--set", "memory.gpu_budget_mb=512"])
+        assert code == 0
+        assert "spec-dead-memory" in capsys.readouterr().out
 
     def test_check_json_output(self, capsys):
         assert main(["check", "quick", "--json"]) == 0
@@ -179,7 +183,8 @@ class TestCLI:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "analysis_checks:" in out
-        assert "hb-race" in out and "spec-pinned-staging" in out
+        assert "hb-race" in out and "spec-dead-memory" in out
+        assert "spec-pinned-staging" not in out
 
 
 class TestCleanSweep:

@@ -228,13 +228,25 @@ class TestRun:
         assert set(payload) == {"spec", "training", "serving", "metrics", "extras"}
         assert payload["metrics"]  # telemetry snapshot is populated
 
-    def test_trace_with_disabled_telemetry_exits_2(self, capsys):
+    def test_disabled_telemetry_still_writes_trace_and_report(
+        self, tmp_path, capsys
+    ):
+        """Telemetry off drops only the op spans: the trace still carries
+        the timeline tracks and the report is a full ``RunReport``."""
+        from repro.api import RunReport
+
+        trace = tmp_path / "trace.json"
+        report = tmp_path / "report.json"
         assert main([
             "run", "quick",
             "--set", "telemetry.enabled=False",
-            "--trace", "out.json",
-        ]) == 2
-        assert "telemetry.enabled" in capsys.readouterr().err
+            "--trace", str(trace),
+            "--save-report", str(report),
+        ]) == 0
+        assert json.loads(trace.read_text())["traceEvents"]
+        loaded = RunReport.load(report)
+        assert loaded.spec.telemetry.enabled is False
+        assert loaded.training is not None
 
 
 class TestServe:

@@ -127,6 +127,7 @@ class TestServingDispatch:
                 num_shards=4,
                 min_replicas=1,
                 max_replicas=3,
+                max_batch_requests=5,
                 admission_limit=5,
                 slo_p99_ms=7.5,
             ),

@@ -56,6 +56,7 @@ class TestRoundTrip:
                 num_shards=4,
                 min_replicas=2,
                 max_replicas=3,
+                max_batch_requests=8,
                 admission_limit=8,
                 slo_p99_ms=1.5,
                 partition_mode="nodes",
@@ -314,6 +315,7 @@ class TestMaterialization:
             kind="fleet",
             num_shards=4,
             min_replicas=2,
+            max_batch_requests=4,
             admission_limit=6,
             slo_p99_ms=3.0,
             partition_mode="nodes",

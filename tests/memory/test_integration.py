@@ -270,3 +270,46 @@ class TestEngineEndToEnd:
         engine.export_artifacts(report)
         trace = (tmp_path / "trace.json").read_text()
         assert "cache_" in trace
+
+
+class TestPinnedStagingClamp:
+    """A pinned tier smaller than one staging block is a valid spec:
+    ``reserve_staging`` clamps each buffer to the tier and streams the rest
+    through bounce buffers, so simulated time and numerics do not move."""
+
+    @staticmethod
+    def _cached_run(pinned_budget_mb):
+        spec = RunSpec(
+            dataset="flickr",
+            model="tgcn",
+            method="pipad",
+            num_snapshots=6,
+            frame_size=4,
+            epochs=3,
+            cost_scale=150000.0,
+            memory=MemorySpec(
+                feature_cache=True,
+                gpu_budget_mb=2048.0,
+                pinned_budget_mb=pinned_budget_mb,
+                block_rows=64,
+            ),
+            analysis={"enabled": True},
+        )
+        return Engine.from_spec(spec).run()
+
+    def test_tiny_pinned_tier_runs_clean_and_unchanged(self):
+        tiny_mb = 1e-4
+        tiny = self._cached_run(tiny_mb)
+        reference = self._cached_run(1024.0)
+        capacity = int(tiny_mb * 1024 * 1024)
+        depth = tiny.spec.data.prefetch_depth
+        # Below even one block of single-column float32 rows per buffer.
+        assert capacity < (depth + 1) * tiny.spec.memory.block_rows * 4
+        assert tiny.extras["analysis"]["num_violations"] == 0
+        extras = tiny.training.extras
+        assert extras["feature_cache_pinned_capacity_bytes"] == capacity
+        assert 0 < extras["feature_cache_peak_pinned_bytes"] <= capacity
+        for field in ("steady_epoch_seconds", "final_loss"):
+            assert getattr(tiny.training, field).hex() == getattr(
+                reference.training, field
+            ).hex()
