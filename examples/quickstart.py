@@ -8,21 +8,25 @@ and PiPAD on the Covid-19 England analogue, runs both through
 ``Engine.from_spec(...)``, and compares the reports (the losses are identical
 up to float noise — PiPAD changes the execution schedule, not the math).
 
-Specs serialize to JSON (see the ``specs/`` directory for ready-made ones),
-so the same two runs work from the command line::
+Specs serialize to JSON.  The package ships ready-made ones as presets
+(``src/repro/api/presets/*.json``; ``python -m repro list`` names them), so
+the same two runs work from the command line::
 
     python -m repro run pygt-baseline
     python -m repro run pipad-single
 
-Hand-wired constructors and the specs they correspond to:
+Each spec section is the runtime config it feeds (``pipad`` is a
+``PiPADConfig``, ``device`` a ``GroupConfig`` plus its kind, ``data`` a
+``DataPipeConfig``, ``memory`` a ``MemoryConfig``), and a plain dict builds
+it.  Hand-wired constructors and the specs they correspond to:
 
 ==============================================  =====================================
 hand-wired                                      spec
 ==============================================  =====================================
 ``PyGTTrainer(graph, cfg).train()``             ``Engine.from_spec(RunSpec(method="pygt", ...)).train()``
-``PiPADTrainer(graph, cfg, pipad_cfg)``         ``RunSpec(method="pipad", pipad={...overrides...})``
-``DistributedTrainer(graph, cfg, pc, dc)``      ``RunSpec(device={"kind": "group", "num_devices": K})``
-``PipelineTrainer(graph, cfg, pc, ppc)``        ``RunSpec(device={"kind": "pipeline", "num_devices": K})``
+``PiPADTrainer(graph, cfg, pipad_cfg)``         ``RunSpec(method="pipad", pipad=pipad_cfg)``
+``DistributedTrainer(graph, cfg, pc, gc)``      ``RunSpec(device={"kind": "group", "num_devices": K})``
+``PipelineTrainer(graph, cfg, pc, gc)``         ``RunSpec(device={"kind": "pipeline", "num_devices": K})``
 ``build_sharded_serving_engine(...)``           ``RunSpec(serving={"kind": "sharded", "num_shards": K})``
 ``build_fleet_serving_engine(...)``             ``RunSpec(serving={"kind": "fleet", "num_shards": K})``
 ``DataPipeConfig(prefetch_depth=d)``            ``RunSpec(data={"prefetch_depth": d})``

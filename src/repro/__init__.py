@@ -73,9 +73,8 @@ _LAZY_EXPORTS = {
     "PiPADConfig": "repro.core",
     "PiPADTrainer": "repro.core",
     # distributed execution
-    "DistributedConfig": "repro.distributed",
+    "GroupConfig": "repro.distributed",
     "DistributedTrainer": "repro.distributed",
-    "PipelineConfig": "repro.distributed",
     "PipelineTrainer": "repro.distributed",
     "DeviceGroup": "repro.distributed",
     "FramePartitioner": "repro.distributed",

@@ -52,7 +52,7 @@ def lint_prefetch_pipeline(spec: object) -> List[Violation]:
     """Prefetch depth is silently forced to 0 when the pipeline is disabled."""
     if spec.method != "pipad":
         return []
-    if spec.pipad.get("enable_pipeline", True) or spec.data.prefetch_depth == 0:
+    if spec.pipad.enable_pipeline or spec.data.prefetch_depth == 0:
         return []
     return [
         Violation(

@@ -29,12 +29,10 @@ from repro.api.registries import (
 )
 from repro.api.spec import (
     DEVICE_KINDS,
-    PIPAD_FIELDS,
     SERVING_KINDS,
     AnalysisSpec,
     DataSpec,
     DeviceSpec,
-    MemorySpec,
     RunSpec,
     ServingSpec,
     TelemetrySpec,
@@ -51,8 +49,6 @@ __all__ = [
     "DeviceSpec",
     "Engine",
     "INTERCONNECT_KINDS",
-    "MemorySpec",
-    "PIPAD_FIELDS",
     "RunReport",
     "RunSpec",
     "SERVING_KINDS",

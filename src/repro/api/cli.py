@@ -7,7 +7,8 @@ Six subcommands cover the repo's scenarios, all driven by
   device/serving topology, experiment and built-in preset;
 - ``python -m repro run SPEC`` — execute a spec (JSON file path or preset
   name) through :class:`~repro.api.engine.Engine`: training plus, when the
-  spec declares one, the serving phase;
+  spec declares one, the serving phase.  The presets are JSON files shipped
+  in the package (``repro/api/presets/NAME.json``);
 - ``python -m repro serve SPEC`` — the online phase only (trains the model
   the spec describes, then replays the spec's serving trace);
 - ``python -m repro check SPEC`` — static spec lint from the
@@ -32,6 +33,7 @@ import argparse
 import json
 import math
 import sys
+from importlib import resources
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -40,123 +42,23 @@ from repro.api.engine import Engine
 from repro.api.registries import DEVICE_REGISTRY, SERVING_REGISTRY, trainer_registry
 from repro.api.spec import RunSpec
 
-#: built-in specs runnable by name (``python -m repro run quick``); the same
-#: scenarios ship as JSON files under ``specs/`` at the repo root
-PRESETS: Dict[str, Dict[str, Any]] = {
-    "quick": {
-        "dataset": "covid19_england",
-        "model": "tgcn",
-        "method": "pipad",
-        "num_snapshots": 10,
-        "frame_size": 6,
-        "epochs": 2,
-    },
-    "pipad-single": {
-        "dataset": "covid19_england",
-        "model": "tgcn",
-        "method": "pipad",
-        "num_snapshots": 14,
-        "frame_size": 8,
-        "epochs": 3,
-    },
-    "pygt-baseline": {
-        "dataset": "covid19_england",
-        "model": "tgcn",
-        "method": "pygt",
-        "num_snapshots": 14,
-        "frame_size": 8,
-        "epochs": 3,
-    },
-    "distributed-4gpu": {
-        "dataset": "flickr",
-        "model": "tgcn",
-        "method": "pipad",
-        "num_snapshots": 12,
-        "frame_size": 8,
-        "epochs": 3,
-        "cost_scale": 5000.0,
-        "device": {"kind": "group", "num_devices": 4, "interconnect": "nvlink"},
-    },
-    "pipeline-4gpu": {
-        "dataset": "flickr",
-        "model": "evolvegcn",
-        "method": "pipad",
-        "num_snapshots": 12,
-        "frame_size": 8,
-        "epochs": 3,
-        "cost_scale": 5000.0,
-        "pipad": {"fixed_s_per": 2},
-        "device": {
-            "kind": "pipeline",
-            "num_devices": 4,
-            "interconnect": "nvlink",
-            "schedule": "round_robin",
-        },
-        "data": {"pipeline": "staged", "prefetch_depth": 2, "pin_memory": True},
-    },
-    "train-oversized": {
-        # Feature working set ~20.6 GiB against a 16 GiB simulated HBM:
-        # inexpressible without the multi-tier feature cache, which pages the
-        # overflow through pinned host memory and the spill tier.
-        "dataset": "flickr",
-        "model": "tgcn",
-        "method": "pipad",
-        "num_snapshots": 10,
-        "frame_size": 8,
-        "epochs": 2,
-        "cost_scale": 150000.0,
-        "memory": {
-            "feature_cache": True,
-            "gpu_budget_mb": 2048.0,
-            "pinned_budget_mb": 1024.0,
-            "block_rows": 64,
-        },
-        "serving": {
-            "kind": "local",
-            "window": 8,
-            "max_batch_requests": 8,
-            "max_delay_ms": 1.0,
-            "trace": {"num_events": 40, "seed": 7},
-        },
-    },
-    "fleet-serving": {
-        "dataset": "youtube",
-        "model": "tgcn",
-        "method": "pipad",
-        "num_snapshots": 12,
-        "frame_size": 8,
-        "epochs": 2,
-        "lr": 5e-3,
-        "serving": {
-            "kind": "fleet",
-            "num_shards": 4,
-            "min_replicas": 2,
-            "admission_limit": 16,
-            "slo_p99_ms": 2.0,
-            "window": 8,
-            "max_batch_requests": 8,
-            "max_delay_ms": 1.0,
-            "trace": {"num_events": 160, "mean_interarrival_ms": 0.2, "seed": 7},
-        },
-    },
-    "sharded-serving": {
-        "dataset": "covid19_england",
-        "model": "tgcn",
-        "method": "pipad",
-        "num_snapshots": 16,
-        "frame_size": 8,
-        "epochs": 2,
-        "lr": 5e-3,
-        "serving": {
-            "kind": "sharded",
-            "num_shards": 2,
-            "window": 8,
-            "max_batch_requests": 8,
-            "max_delay_ms": 1.0,
-            "trace": {"num_events": 120, "seed": 7},
-        },
-    },
-}
+#: built-in specs runnable by name (``python -m repro run quick``): one JSON
+#: file per preset, shipped as package data
+PRESET_DIR = resources.files("repro.api") / "presets"
+
+
+def preset_names() -> List[str]:
+    """Names of the built-in presets, sorted."""
+    return sorted(
+        entry.name[: -len(".json")]
+        for entry in PRESET_DIR.iterdir()
+        if entry.name.endswith(".json")
+    )
+
+
+def read_preset(name: str) -> Dict[str, Any]:
+    """One preset's spec data, freshly parsed."""
+    return json.loads((PRESET_DIR / f"{name}.json").read_text())
 
 
 #: Python-style literals accepted next to their JSON spellings.  Without this
@@ -200,17 +102,21 @@ def _apply_overrides(data: Dict[str, Any], overrides: Sequence[str]) -> Dict[str
 
 
 def load_spec(source: str, overrides: Sequence[str] = ()) -> RunSpec:
-    """Resolve a CLI spec argument: a JSON file path or a preset name."""
-    path = Path(source)
-    if path.exists():
-        data = json.loads(path.read_text())
-    elif source in PRESETS:
-        data = json.loads(json.dumps(PRESETS[source]))  # deep copy
+    """Resolve a CLI spec argument: a JSON file path or a preset name.
+
+    A path that cannot be read (missing, a directory, no permission) and
+    names no preset is a ``ValueError``, which the CLI reports as exit 2.
+    """
+    if not Path(source).exists() and source in preset_names():
+        data = read_preset(source)
     else:
-        raise ValueError(
-            f"spec {source!r} is neither a readable JSON file nor a preset; "
-            f"presets: {', '.join(sorted(PRESETS))}"
-        )
+        try:
+            data = json.loads(Path(source).read_text())
+        except OSError as exc:
+            raise ValueError(
+                f"spec {source!r} is neither a readable JSON file nor a preset "
+                f"({exc.strerror or exc}); presets: {', '.join(preset_names())}"
+            ) from None
     if overrides:
         data = _apply_overrides(data, overrides)
     return RunSpec.from_dict(data)
@@ -248,7 +154,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
             for name, (_, description) in CACHE_POLICY_REGISTRY.items()
         },
         "experiments": list_experiments(),
-        "presets": sorted(PRESETS),
+        "presets": preset_names(),
         "telemetry_callbacks": dict(CALLBACK_REGISTRY),
         "telemetry_exporters": dict(EXPORTER_REGISTRY),
         "analysis_checks": {

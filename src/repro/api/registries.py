@@ -18,13 +18,14 @@ Four registries cover the whole construction space:
   :class:`~repro.distributed.fleet.FleetServingEngine` with a node-sharded
   store, admission control and an elastic replica pool).
 
-``RunSpec.data`` needs no registry: the datapipe has one stage chain, and
-``DataSpec.to_pipe_config`` materializes the
-:class:`~repro.core.datapipe.DataPipeConfig` every trainer and serving
-replica consumes.
-
 Every builder takes ``(spec, graph, ...)`` so new topologies plug in by
-registration instead of another bespoke construction path.
+registration instead of another bespoke construction path.  The spec's
+sections are the runtime configs, so the builders pass them straight
+through: ``spec.pipad``, ``spec.device`` (the group trainers'
+:class:`~repro.core.group_trainer.GroupConfig`), ``spec.data`` (the
+:class:`~repro.core.datapipe.DataPipeConfig`; the datapipe has one stage
+chain, so it needs no registry), ``spec.memory`` and ``spec.serving`` (the
+scheduler's and the fleet's configs).
 """
 
 from __future__ import annotations
@@ -57,9 +58,9 @@ def _build_single_device_trainer(spec: RunSpec, graph: DynamicGraph) -> DGNNTrai
         return cls(
             graph,
             spec.trainer_config(),
-            pipad_config=spec.pipad_config(),
-            data_config=spec.data.to_pipe_config(),
-            memory_config=spec.memory.to_memory_config(),
+            pipad_config=spec.pipad,
+            data_config=spec.data,
+            memory_config=spec.memory,
         )
     return cls(graph, spec.trainer_config())
 
@@ -68,12 +69,7 @@ def _build_group_trainer(spec: RunSpec, graph: DynamicGraph) -> DGNNTrainerBase:
     from repro.core.distributed_trainer import DistributedTrainer
 
     return DistributedTrainer(
-        graph,
-        spec.trainer_config(),
-        pipad_config=spec.pipad_config(),
-        dist_config=spec.device.to_distributed_config(),
-        data_config=spec.data.to_pipe_config(),
-        memory_config=spec.memory.to_memory_config(),
+        graph, spec.trainer_config(), spec.pipad, spec.device, spec.data, spec.memory
     )
 
 
@@ -81,12 +77,7 @@ def _build_pipeline_trainer(spec: RunSpec, graph: DynamicGraph) -> DGNNTrainerBa
     from repro.core.pipeline_trainer import PipelineTrainer
 
     return PipelineTrainer(
-        graph,
-        spec.trainer_config(),
-        pipad_config=spec.pipad_config(),
-        pipe_config=spec.device.to_pipeline_config(),
-        data_config=spec.data.to_pipe_config(),
-        memory_config=spec.memory.to_memory_config(),
+        graph, spec.trainer_config(), spec.pipad, spec.device, spec.data, spec.memory
     )
 
 
@@ -138,10 +129,10 @@ def _build_local_serving(
     return _build_serving_scheduler(
         graph,
         model,
-        spec.serving.to_serving_config(),
-        data=spec.data.to_pipe_config(),
+        spec.serving,
+        data=spec.data,
         scale=_serving_scale(spec),
-        memory=spec.memory.to_memory_config(),
+        memory=spec.memory,
     )
 
 
@@ -155,10 +146,10 @@ def _build_sharded_serving(
         graph,
         model,
         spec.serving.num_shards,
-        spec.serving.to_serving_config(),
-        data=spec.data.to_pipe_config(),
+        spec.serving,
+        data=spec.data,
         scale=_serving_scale(spec),
-        memory=spec.memory.to_memory_config(),
+        memory=spec.memory,
     )
 
 
@@ -171,11 +162,11 @@ def _build_fleet_serving(
     return build_fleet_serving_engine(
         graph,
         model,
-        spec.serving.to_fleet_config(),
-        spec.serving.to_serving_config(),
-        data=spec.data.to_pipe_config(),
+        fleet=spec.serving,
+        config=spec.serving,
+        data=spec.data,
         scale=_serving_scale(spec),
-        memory=spec.memory.to_memory_config(),
+        memory=spec.memory,
     )
 
 

@@ -68,11 +68,15 @@ class TrainerConfig:
     host: HostSpec = field(default_factory=HostSpec)
 
     def __post_init__(self) -> None:
+        if self.hidden_dim is not None:
+            check_positive("hidden_dim", self.hidden_dim)
         check_positive("frame_size", self.frame_size)
         check_positive("epochs", self.epochs)
         check_positive("lr", self.lr)
         if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+            raise ValueError(f"unknown optimizer {self.optimizer!r}; valid: adam, sgd")
+        if self.cost_scale is not None:
+            check_positive("cost_scale", self.cost_scale)
 
 
 class DGNNTrainerBase:

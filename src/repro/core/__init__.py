@@ -21,8 +21,9 @@ from repro.core.tuner import (
     build_overlap_group,
 )
 from repro.core.trainer import PiPADTrainer
-from repro.core.distributed_trainer import DistributedConfig, DistributedTrainer
-from repro.core.pipeline_trainer import PipelineConfig, PipelineTrainer
+from repro.core.group_trainer import GroupConfig
+from repro.core.distributed_trainer import DistributedTrainer
+from repro.core.pipeline_trainer import PipelineTrainer
 
 __all__ = [
     "PiPADConfig",
@@ -44,8 +45,7 @@ __all__ = [
     "TuningDecision",
     "build_overlap_group",
     "PiPADTrainer",
-    "DistributedConfig",
+    "GroupConfig",
     "DistributedTrainer",
-    "PipelineConfig",
     "PipelineTrainer",
 ]

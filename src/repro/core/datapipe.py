@@ -70,8 +70,8 @@ STAGE_REGISTRY: Dict[str, str] = {
 class DataPipeConfig:
     """Plain-data configuration of the staged datapipe.
 
-    The API layer's ``DataSpec`` converts to this (``to_pipe_config``) so the
-    core never imports :mod:`repro.api`.
+    A run spec's ``data`` section extends it (``DataSpec`` adds only the
+    stage chain's name), so the core never imports :mod:`repro.api`.
     """
 
     #: max items prepared ahead of the one currently computing; 0 serializes

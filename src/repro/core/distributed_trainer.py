@@ -28,7 +28,6 @@ the lead device, mirroring PiPAD's single-device preparing phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -36,39 +35,17 @@ import numpy as np
 from repro.baselines.base import TrainerConfig
 from repro.core.config import PiPADConfig
 from repro.core.datapipe import DataPipeConfig, PipeItem, apply_cache_plan
-from repro.core.group_trainer import GroupTrainer
-from repro.gpu.interconnect import INTERCONNECT_KINDS
+from repro.core.group_trainer import GroupConfig, GroupTrainer
 from repro.gpu.kernel_cost import CATEGORY_AGGREGATION, KernelCost
 from repro.gpu.timeline import TimelineOp
 from repro.graph.dynamic_graph import DynamicGraph
-from repro.graph.partition import PARTITION_MODES, GraphPartitioner
+from repro.graph.partition import GraphPartitioner
 from repro.graph.snapshot import GraphSnapshot
 from repro.memory import MemoryConfig
-from repro.utils.validation import check_choice, check_positive
 
 #: smallest per-device cost fraction (guards ``KernelCost.scaled`` against
 #: degenerate shards that own nodes but no edges in some snapshot)
 _MIN_FRACTION = 1e-9
-
-
-@dataclass(frozen=True)
-class DistributedConfig:
-    """Knobs of the multi-GPU execution model."""
-
-    #: number of devices the node set is sharded across
-    num_devices: int = 2
-    #: node-assignment strategy of the partitioner (``"edges"`` balances the
-    #: aggregation work; ``"nodes"`` gives equal-sized ranges)
-    partition_mode: str = "edges"
-    #: peer-link model between devices (``"nvlink"`` or ``"pcie"``)
-    interconnect: str = "nvlink"
-
-    def __post_init__(self) -> None:
-        check_positive("num_devices", self.num_devices)
-        check_choice("interconnect", self.interconnect, INTERCONNECT_KINDS, "kinds")
-        check_choice(
-            "partition_mode", self.partition_mode, PARTITION_MODES, "partition modes"
-        )
 
 
 class DistributedTrainer(GroupTrainer):
@@ -81,22 +58,16 @@ class DistributedTrainer(GroupTrainer):
         graph: DynamicGraph,
         config: Optional[TrainerConfig] = None,
         pipad_config: Optional[PiPADConfig] = None,
-        dist_config: Optional[DistributedConfig] = None,
+        group_config: Optional[GroupConfig] = None,
         data_config: Optional[DataPipeConfig] = None,
         memory_config: Optional[MemoryConfig] = None,
     ) -> None:
-        self.dist = dist_config or DistributedConfig()
         super().__init__(
-            graph,
-            config,
-            pipad_config,
-            data_config,
-            memory_config,
-            num_devices=self.dist.num_devices,
-            interconnect=self.dist.interconnect,
+            graph, config, pipad_config, group_config, data_config, memory_config
         )
+        num_devices = self.group_config.num_devices
         self.partitioner = GraphPartitioner(
-            self.dist.num_devices, mode=self.dist.partition_mode
+            num_devices, mode=self.group_config.partition_mode
         )
         # Cheap provisional plan; _run_preprocessing replans (and computes the
         # halo/edge statistics, an O(devices x snapshots x edges) sharding
@@ -104,10 +75,8 @@ class DistributedTrainer(GroupTrainer):
         # The per-device feature caches key against ``self.boundaries``.
         self.boundaries = self.partitioner.plan(graph.snapshots)
         self._node_fractions = self.partitioner.node_fractions(self.boundaries)
-        self._edge_fractions = np.full(
-            self.dist.num_devices, 1.0 / self.dist.num_devices
-        )
-        self._halo_nodes = np.zeros(self.dist.num_devices)
+        self._edge_fractions = np.full(num_devices, 1.0 / num_devices)
+        self._halo_nodes = np.zeros(num_devices)
         #: bytes per feature element (halo rows ship in the dataset's dtype)
         self._feature_itemsize = float(graph.snapshots[0].features.dtype.itemsize)
         self._halo_bytes_total = 0.0

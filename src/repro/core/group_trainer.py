@@ -18,8 +18,9 @@ share:
   devices, and :meth:`_extra_metrics` adds the collective and per-device
   keys.
 
-Subclasses decide only how a partition's transfer, forward kernels and
-backward kernels land on the devices.  Preparing epochs, and every epoch of
+Both take one :class:`GroupConfig` (device count, interconnect and the
+partition/schedule strategies).  Subclasses decide only how a partition's
+transfer, forward kernels and backward kernels land on the devices.  Preparing epochs, and every epoch of
 a one-device group, take the single-device path (:meth:`_grouped` is
 false), so a group of one schedules exactly what
 :class:`~repro.core.trainer.PiPADTrainer` schedules.
@@ -27,6 +28,7 @@ false), so a group of one schedules exactly what
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -38,9 +40,12 @@ from repro.core.datapipe import DataPipeConfig, Prefetcher
 from repro.core.trainer import PiPADTrainer
 from repro.gpu.device import SimulatedGPU
 from repro.gpu.device_group import DeviceGroup
+from repro.gpu.interconnect import INTERCONNECT_KINDS
 from repro.gpu.timeline import TimelineOp
 from repro.graph.dynamic_graph import DynamicGraph
+from repro.graph.partition import PARTITION_MODES, SCHEDULE_MODES
 from repro.memory import MemoryConfig
+from repro.utils.validation import check_choice, check_positive
 
 #: ``TrainingResult.extras`` keys itemizing the collective times of a group
 #: run (written by :meth:`GroupTrainer._extra_metrics` from
@@ -54,23 +59,48 @@ COLLECTIVE_KEYS = (
 )
 
 
+@dataclass(frozen=True)
+class GroupConfig:
+    """Knobs of a multi-device group, shared by both group trainers."""
+
+    #: number of devices the work is sharded across; a group of one is the
+    #: reference of scaling sweeps (same trainer class, no collectives)
+    num_devices: int = 1
+    #: peer-link model between devices (``"nvlink"`` or ``"pcie"``)
+    interconnect: str = "nvlink"
+    #: node-assignment strategy of the data-parallel partitioner
+    #: (``"edges"`` balances the aggregation work; ``"nodes"`` gives
+    #: equal-sized ranges)
+    partition_mode: str = "edges"
+    #: stage-assignment strategy of the pipeline's frame partitioner
+    #: (``"round_robin"`` or ``"blocked"``)
+    schedule: str = "round_robin"
+
+    def __post_init__(self) -> None:
+        check_positive("num_devices", self.num_devices)
+        check_choice("interconnect", self.interconnect, INTERCONNECT_KINDS, "kinds")
+        check_choice(
+            "partition_mode", self.partition_mode, PARTITION_MODES, "partition modes"
+        )
+        check_choice("schedule", self.schedule, SCHEDULE_MODES, "schedules")
+
+
 class GroupTrainer(PiPADTrainer):
     """PiPAD training charged to a group of ``num_devices`` simulated GPUs."""
 
     def __init__(
         self,
         graph: DynamicGraph,
-        config: Optional[TrainerConfig],
-        pipad_config: Optional[PiPADConfig],
-        data_config: Optional[DataPipeConfig],
-        memory_config: Optional[MemoryConfig],
-        *,
-        num_devices: int,
-        interconnect: str,
+        config: Optional[TrainerConfig] = None,
+        pipad_config: Optional[PiPADConfig] = None,
+        group_config: Optional[GroupConfig] = None,
+        data_config: Optional[DataPipeConfig] = None,
+        memory_config: Optional[MemoryConfig] = None,
     ) -> None:
         # PiPADTrainer.__init__ sizes the feature working set through
         # _feature_shards() before the group exists.
-        self._num_devices = num_devices
+        self.group_config = group_config or GroupConfig()
+        num_devices = self.group_config.num_devices
         super().__init__(graph, config, pipad_config, data_config, memory_config)
         devices: List[SimulatedGPU] = [self.device]
         devices += [
@@ -82,7 +112,9 @@ class GroupTrainer(PiPADTrainer):
             )
             for _ in range(num_devices - 1)
         ]
-        self.group = DeviceGroup(devices=devices, interconnect_kind=interconnect)
+        self.group = DeviceGroup(
+            devices=devices, interconnect_kind=self.group_config.interconnect
+        )
         #: one prefetcher per device: each device preps/ships its own work on
         #: its own PCIe link / host stream.  Device 0 reuses the single-device
         #: prefetcher so gating state stays in one place.
@@ -112,7 +144,7 @@ class GroupTrainer(PiPADTrainer):
         return self.group.makespan()
 
     def _feature_shards(self) -> int:
-        return self._num_devices
+        return self.group_config.num_devices
 
     def _grouped(self) -> bool:
         """Whether this epoch fans work out across more than one device."""

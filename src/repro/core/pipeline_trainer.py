@@ -40,7 +40,6 @@ consults the same cache, so reuse keeps cutting per-stage transfer volume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -48,34 +47,15 @@ import numpy as np
 from repro.baselines.base import TrainerConfig
 from repro.core.config import PiPADConfig
 from repro.core.datapipe import DataPipeConfig, PipeItem, apply_cache_plan
-from repro.core.group_trainer import GroupTrainer
+from repro.core.group_trainer import GroupConfig, GroupTrainer
 from repro.gpu.device import SimulatedGPU
-from repro.gpu.interconnect import INTERCONNECT_KINDS
 from repro.gpu.kernel_cost import CATEGORY_AGGREGATION, KernelCost
 from repro.gpu.timeline import RESOURCE_COMPUTE, TimelineOp
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.frame import Frame
-from repro.graph.partition import SCHEDULE_MODES, FramePartitioner
+from repro.graph.partition import FramePartitioner
 from repro.graph.snapshot import GraphSnapshot
 from repro.memory import MemoryConfig
-from repro.utils.validation import check_choice, check_positive
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Knobs of the frame-pipeline execution model."""
-
-    #: number of pipeline stages (devices) the frame is sharded across
-    num_devices: int = 2
-    #: peer-link model between stages (``"nvlink"`` or ``"pcie"``)
-    interconnect: str = "nvlink"
-    #: stage-assignment strategy of the :class:`FramePartitioner`
-    schedule: str = "round_robin"
-
-    def __post_init__(self) -> None:
-        check_positive("num_devices", self.num_devices)
-        check_choice("interconnect", self.interconnect, INTERCONNECT_KINDS, "kinds")
-        check_choice("schedule", self.schedule, SCHEDULE_MODES, "schedules")
 
 
 class PipelineTrainer(GroupTrainer):
@@ -88,22 +68,15 @@ class PipelineTrainer(GroupTrainer):
         graph: DynamicGraph,
         config: Optional[TrainerConfig] = None,
         pipad_config: Optional[PiPADConfig] = None,
-        pipe_config: Optional[PipelineConfig] = None,
+        group_config: Optional[GroupConfig] = None,
         data_config: Optional[DataPipeConfig] = None,
         memory_config: Optional[MemoryConfig] = None,
     ) -> None:
-        self.pipe = pipe_config or PipelineConfig()
         super().__init__(
-            graph,
-            config,
-            pipad_config,
-            data_config,
-            memory_config,
-            num_devices=self.pipe.num_devices,
-            interconnect=self.pipe.interconnect,
+            graph, config, pipad_config, group_config, data_config, memory_config
         )
         self.frame_partitioner = FramePartitioner(
-            self.pipe.num_devices, schedule=self.pipe.schedule
+            self.group_config.num_devices, schedule=self.group_config.schedule
         )
         #: stage of each group in the current frame (set per frame)
         self._assignment = np.zeros(0, dtype=np.int64)

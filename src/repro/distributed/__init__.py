@@ -27,8 +27,9 @@ lives next to its single-device counterparts so each layer stays cohesive:
   p99/SLO pressure.
 """
 
-from repro.core.distributed_trainer import DistributedConfig, DistributedTrainer
-from repro.core.pipeline_trainer import PipelineConfig, PipelineTrainer
+from repro.core.distributed_trainer import DistributedTrainer
+from repro.core.group_trainer import GroupConfig
+from repro.core.pipeline_trainer import PipelineTrainer
 from repro.distributed.fleet import (
     FleetConfig,
     FleetServingEngine,
@@ -51,19 +52,18 @@ from repro.graph.partition import (
 __all__ = [
     "COMM_STREAM",
     "DeviceGroup",
-    "DistributedConfig",
     "DistributedTrainer",
     "FleetConfig",
     "FleetServingEngine",
     "FramePartitioner",
     "FrameStage",
     "GraphPartitioner",
+    "GroupConfig",
     "Interconnect",
     "LinkSpec",
     "NVLINK",
     "PARTITION_MODES",
     "PCIE_PEER",
-    "PipelineConfig",
     "PipelineTrainer",
     "RESOURCE_PEER_LINK",
     "SCHEDULE_MODES",

@@ -49,61 +49,24 @@ import numpy as np
 from repro.distributed.serving import _BATCH_ID_STRIDE, ShardedServingEngine
 from repro.graph.csr import INDEX_BYTES
 from repro.graph.dynamic_graph import DynamicGraph
-from repro.graph.partition import PARTITION_MODES, GraphPartitioner
+from repro.graph.partition import GraphPartitioner
 from repro.nn.base_model import DGNNModel
 from repro.serving.batcher import MicroBatch
 from repro.serving.metrics import ServingReport
 from repro.serving.scheduler import (
     BatchResult,
+    FleetConfig,
     ServingConfig,
     ServingScheduler,
     _build_serving_replicas,
 )
 from repro.serving.store import IncrementalSnapshotStore
-from repro.utils.validation import check_choice, check_positive
 
 
-@dataclass(frozen=True)
-class FleetConfig:
-    """Knobs of the fleet engine: sharding, admission and autoscaling."""
-
-    #: provisioned replicas; also the number of node shards (pool ceiling)
-    num_shards: int = 2
-    #: replicas active at start (and the scale-down floor)
-    min_replicas: int = 1
-    #: scale-up ceiling; ``None`` means all provisioned shards
-    max_replicas: Optional[int] = None
-    #: per-replica queue depth at which new requests are shed
-    admission_limit: int = 32
-    #: p99 latency target (milliseconds, simulated time) driving autoscale
-    slo_p99_ms: float = 50.0
-    #: node-assignment strategy of the ownership plan (``"edges"``/``"nodes"``)
-    partition_mode: str = "edges"
-    #: completed requests in the rolling p99 window
-    scale_window: int = 16
-    #: admitted submissions between scale decisions
-    scale_cooldown: int = 8
-
-    def __post_init__(self) -> None:
-        check_positive("num_shards", self.num_shards)
-        check_positive("min_replicas", self.min_replicas)
-        check_positive("admission_limit", self.admission_limit)
-        check_positive("slo_p99_ms", self.slo_p99_ms)
-        check_positive("scale_window", self.scale_window)
-        check_positive("scale_cooldown", self.scale_cooldown)
-        ceiling = self.num_shards if self.max_replicas is None else self.max_replicas
-        if not self.min_replicas <= ceiling <= self.num_shards:
-            raise ValueError(
-                f"need min_replicas <= max_replicas <= num_shards, got "
-                f"min={self.min_replicas} max={ceiling} shards={self.num_shards}"
-            )
-        check_choice(
-            "partition_mode", self.partition_mode, PARTITION_MODES, "partition modes"
-        )
-
-    @property
-    def replica_ceiling(self) -> int:
-        return self.num_shards if self.max_replicas is None else self.max_replicas
+#: completed requests in the autoscaler's rolling p99 window
+SCALE_WINDOW = 16
+#: admitted submissions between scale decisions
+SCALE_COOLDOWN = 8
 
 
 @dataclass(frozen=True)
@@ -146,7 +109,7 @@ class FleetServingEngine(ShardedServingEngine):
         self.boundaries = partitioner.plan(store.window_snapshots())
         self._partitioner = partitioner
         self._active = self.fleet_config.min_replicas
-        self._since_scale = self.fleet_config.scale_cooldown
+        self._since_scale = SCALE_COOLDOWN
         self.rejected_requests = 0
         self.scale_events: List[ScaleEvent] = []
         self.halo_gather_bytes = 0.0
@@ -302,7 +265,7 @@ class FleetServingEngine(ShardedServingEngine):
         Only the records the replicas appended since the last call are
         inserted into the sorted ``_completed`` list.  Records with equal
         ``(completion_time, arrival_time)`` have equal latencies, so the last
-        ``scale_window`` latencies are those of a full sort of every record.
+        ``SCALE_WINDOW`` latencies are those of a full sort of every record.
         The percentile is recomputed only when a record was inserted.
         """
         completed = self._completed
@@ -316,7 +279,7 @@ class FleetServingEngine(ShardedServingEngine):
                 inserted = True
             self._requests_seen[shard] = len(records)
         if inserted:
-            recent = completed[-self.fleet_config.scale_window :]
+            recent = completed[-SCALE_WINDOW:]
             self._recent_p99 = float(
                 np.percentile([latency for _, _, latency in recent], 99.0)
             )
@@ -324,7 +287,7 @@ class FleetServingEngine(ShardedServingEngine):
 
     def _maybe_scale(self, now: float) -> None:
         cfg = self.fleet_config
-        if self._since_scale < cfg.scale_cooldown:
+        if self._since_scale < SCALE_COOLDOWN:
             self._since_scale += 1
             return
         p99 = self._recent_p99_seconds()

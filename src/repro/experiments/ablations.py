@@ -7,6 +7,7 @@ the per-mechanism evidence backing the end-to-end Fig. 10 numbers.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, Optional
 
 from repro.api.engine import Engine
@@ -43,7 +44,7 @@ def run(
     baseline_seconds = None
     base_spec = method_spec("pipad", model, config, dataset=dataset)
     for name, overrides in ABLATIONS.items():
-        spec = base_spec.replace(pipad={**base_spec.pipad, **overrides})
+        spec = base_spec.replace(pipad=dataclasses.replace(base_spec.pipad, **overrides))
         result = Engine.from_spec(spec, graph=graph).train()
         seconds = result.steady_epoch_seconds
         if name == "full":

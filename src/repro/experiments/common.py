@@ -82,12 +82,8 @@ def method_spec(
 ) -> "RunSpec":  # noqa: F821 - forward ref
     """The :class:`~repro.api.spec.RunSpec` one sweep combination resolves to."""
     from repro.api.spec import RunSpec
+    from repro.core.config import PiPADConfig
 
-    pipad = (
-        {"preparing_epochs": config.preparing_epochs}
-        if method.lower() == "pipad"
-        else {}
-    )
     return RunSpec(
         dataset=dataset,
         model=model,
@@ -96,7 +92,7 @@ def method_spec(
         frame_size=config.frame_size,
         epochs=config.epochs,
         seed=config.seed,
-        pipad=pipad,
+        pipad=PiPADConfig(preparing_epochs=config.preparing_epochs),
     )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, Optional
 
 from repro.api.engine import Engine
@@ -34,7 +35,7 @@ def run(config: Optional[ExperimentConfig] = None) -> Dict[str, Dict[str, float]
         sliced_spec = method_spec("pipad", model, config, dataset=dataset)
         sliced_result = Engine.from_spec(sliced_spec, graph=graph).train()
         csr_spec = sliced_spec.replace(
-            pipad={**sliced_spec.pipad, "use_sliced_csr": False}
+            pipad=dataclasses.replace(sliced_spec.pipad, use_sliced_csr=False)
         )
         csr_result = Engine.from_spec(csr_spec, graph=graph).train()
         rows[dataset] = {

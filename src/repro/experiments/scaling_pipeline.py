@@ -19,6 +19,7 @@ differs.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.engine import Engine
@@ -61,7 +62,7 @@ def run(
     # preferred s_per would produce; fixing the partition size keeps the
     # schedule (and the numerics) identical across every device count.
     base_spec = base_spec.replace(
-        pipad={**base_spec.pipad, "fixed_s_per": fixed_s_per}
+        pipad=dataclasses.replace(base_spec.pipad, fixed_s_per=fixed_s_per)
     )
 
     results = {}

@@ -45,7 +45,11 @@ TIER_ORDER = (TIER_GPU, TIER_PINNED, TIER_SPILL)
 
 @dataclass(frozen=True)
 class MemoryConfig:
-    """Core-level knobs for the feature cache (mirrors ``MemorySpec``)."""
+    """Knobs of the feature cache; a run spec's ``memory`` section is one.
+
+    The rule tying ``gpu_budget_mb`` to the device's HBM belongs to the run
+    (``RunSpec``), which knows its devices.
+    """
 
     feature_cache: bool = False
     policy: str = "lru"

@@ -43,6 +43,7 @@ from repro.core.tuner import (
 from repro.gpu.device import SimulatedGPU
 from repro.gpu.spec import GPUSpec, HostSpec, PCIeSpec
 from repro.graph.dynamic_graph import DynamicGraph
+from repro.graph.partition import PARTITION_MODES
 from repro.memory import (
     FeatureCache,
     MemoryConfig,
@@ -57,7 +58,7 @@ from repro.serving.metrics import BatchRecord, RequestRecord, ServingMetrics, Se
 from repro.serving.session import InferenceSession
 from repro.serving.store import DeltaReport, IncrementalSnapshotStore
 from repro.telemetry.hooks import NULL_CALLBACK, TelemetryCallback
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import check_choice, check_non_negative, check_positive
 
 
 @dataclass(frozen=True)
@@ -95,6 +96,45 @@ class ServingConfig:
                     f"serving.fixed_s_per ({self.fixed_s_per}) exceeds "
                     f"serving.window ({self.window})"
                 )
+
+
+@dataclass(frozen=True)
+class FleetConfig:
+    """Knobs of the fleet engine (:mod:`repro.distributed.fleet`): sharding,
+    admission and autoscaling.  The autoscaler's window and cooldown are
+    that module's ``SCALE_WINDOW`` and ``SCALE_COOLDOWN``."""
+
+    #: provisioned replicas; also the number of node shards (pool ceiling)
+    num_shards: int = 1
+    #: replicas active at start (and the scale-down floor)
+    min_replicas: int = 1
+    #: scale-up ceiling; ``None`` means all provisioned shards
+    max_replicas: Optional[int] = None
+    #: per-replica queue depth at which new requests are shed
+    admission_limit: int = 32
+    #: p99 latency target (milliseconds, simulated time) driving autoscale
+    slo_p99_ms: float = 50.0
+    #: node-assignment strategy of the ownership plan (``"edges"``/``"nodes"``)
+    partition_mode: str = "edges"
+
+    def __post_init__(self) -> None:
+        check_positive("num_shards", self.num_shards)
+        check_positive("min_replicas", self.min_replicas)
+        check_positive("admission_limit", self.admission_limit)
+        check_positive("slo_p99_ms", self.slo_p99_ms)
+        if not self.min_replicas <= self.replica_ceiling <= self.num_shards:
+            raise ValueError(
+                f"need min_replicas <= max_replicas <= num_shards, got "
+                f"min={self.min_replicas} max={self.replica_ceiling} "
+                f"shards={self.num_shards}"
+            )
+        check_choice(
+            "partition_mode", self.partition_mode, PARTITION_MODES, "partition modes"
+        )
+
+    @property
+    def replica_ceiling(self) -> int:
+        return self.num_shards if self.max_replicas is None else self.max_replicas
 
 
 @dataclass(frozen=True)

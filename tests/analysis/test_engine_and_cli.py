@@ -14,7 +14,7 @@ from repro.analysis import (
     register_check,
 )
 from repro.api import Engine, RunReport, RunSpec
-from repro.api.cli import PRESETS, load_spec, main
+from repro.api.cli import PRESET_DIR, load_spec, main, preset_names
 
 QUICK = {
     "dataset": "covid19_england",
@@ -188,17 +188,17 @@ class TestCLI:
 
 
 class TestCleanSweep:
-    """Every shipped spec and preset passes the static lint clean."""
+    """Every shipped preset passes the static lint clean, by name and by path."""
 
-    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @pytest.mark.parametrize("preset", preset_names())
     def test_presets_lint_clean(self, preset, capsys):
         assert main(["check", preset]) == 0
 
-    def test_spec_files_lint_clean(self, capsys):
-        from pathlib import Path
+    def test_preset_files_lint_clean(self, capsys):
+        from importlib import resources
 
-        spec_dir = Path(__file__).resolve().parents[2] / "specs"
-        paths = sorted(spec_dir.glob("*.json"))
-        assert paths, "specs/ directory should ship example specs"
-        for path in paths:
-            assert main(["check", str(path)]) == 0, path.name
+        entries = sorted(PRESET_DIR.iterdir(), key=lambda entry: entry.name)
+        assert entries, "the package should ship its presets"
+        for entry in entries:
+            with resources.as_file(entry) as path:
+                assert main(["check", str(path)]) == 0, entry.name

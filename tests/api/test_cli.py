@@ -10,7 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.api.cli import PRESETS, _apply_overrides, _parse_value, load_spec, main
+from repro.api.cli import (
+    PRESET_DIR,
+    _apply_overrides,
+    _parse_value,
+    load_spec,
+    main,
+    preset_names,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -41,9 +48,19 @@ class TestList:
 
 class TestSpecLoading:
     def test_presets_all_validate(self):
-        for name in PRESETS:
+        assert len(preset_names()) == 8
+        for name in preset_names():
             spec = load_spec(name)
             assert spec.dataset  # parsed and validated
+
+    def test_preset_files_ship_in_the_package(self):
+        names = sorted(
+            entry.name for entry in PRESET_DIR.iterdir() if entry.name.endswith(".json")
+        )
+        assert names == [f"{name}.json" for name in preset_names()]
+        assert "quick.json" in names
+        # Root specs/ keeps only its README, which points at the package copies.
+        assert sorted(p.name for p in (REPO_ROOT / "specs").iterdir()) == ["README.md"]
 
     def test_load_spec_from_file(self, tmp_path):
         path = tmp_path / "s.json"
@@ -54,6 +71,14 @@ class TestSpecLoading:
     def test_unknown_source_names_presets(self):
         with pytest.raises(ValueError, match="neither a readable JSON file nor a preset"):
             load_spec("no-such-spec")
+
+    def test_directory_as_spec_path_exits_2(self, tmp_path, capsys):
+        """An unreadable path is an error line, not an IsADirectoryError
+        traceback."""
+        assert main(["check", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert "neither a readable JSON file nor a preset" in captured.err
+        assert captured.out == ""
 
     def test_set_overrides_nested_keys(self):
         spec = load_spec(
@@ -68,15 +93,18 @@ class TestSpecLoading:
         with pytest.raises(ValueError, match="key=value"):
             _apply_overrides({}, ["epochs"])
 
-    def test_shipped_spec_files_load(self):
-        for path in sorted((REPO_ROOT / "specs").glob("*.json")):
-            assert load_spec(str(path)).dataset
+    def test_shipped_preset_files_load_by_path(self):
+        from importlib import resources
+
+        for name in preset_names():
+            with resources.as_file(PRESET_DIR / f"{name}.json") as path:
+                assert load_spec(str(path)) == load_spec(name)
 
     def test_pipeline_preset_resolves_pipeline_topology(self):
         spec = load_spec("pipeline-4gpu")
         assert spec.device.kind == "pipeline"
         assert spec.device.num_devices == 4
-        assert spec.pipad["fixed_s_per"] == 2
+        assert spec.pipad.fixed_s_per == 2
         assert spec.data.pipeline == "staged"
         assert spec.data.prefetch_depth == 2
 
@@ -122,6 +150,24 @@ class TestSetCoercion:
         )
         assert spec.serving.enable_reuse is False
         assert spec.serving.enable_pipeline is True
+
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            ("data.pin_memory=yes", "DataSpec.pin_memory"),
+            ("memory.feature_cache=yes", "MemoryConfig.feature_cache"),
+            ("serving.enable_reuse=nope", "ServingSpec.enable_reuse"),
+            ("pipad.use_sliced_csr=nope", "PiPADConfig.use_sliced_csr"),
+            ('telemetry.enabled="false"', "TelemetrySpec.enabled"),
+            ("analysis.fail_on_violation=0", "AnalysisSpec.fail_on_violation"),
+        ],
+    )
+    def test_bool_field_rejects_non_bool(self, override, field, capsys):
+        """A string such as ``"yes"`` would otherwise run as true."""
+        with pytest.raises(ValueError, match=f"^{field} must be true or false, got "):
+            load_spec("fleet-serving", [override])
+        assert main(["check", "fleet-serving", "--set", override]) == 2
+        assert f"{field} must be true or false" in capsys.readouterr().err
 
     def test_quoted_value_stays_a_string(self):
         spec = load_spec("quick", ['dataset="hepth"'])

@@ -1,8 +1,10 @@
-"""Rules spanning spec sections are enforced when the spec is built.
+"""Rules are enforced when the spec is built.
 
-Each rule is rejected the same way through every door a spec comes in by
-(the constructor, ``from_dict``, a JSON file, ``python -m repro check``),
-with the same message, and each boundary value is accepted.
+Each rule — one spanning spec sections, or a bound of a runtime config that
+an engine would otherwise reject only once it is built — is rejected the
+same way through every door a spec comes in by (the constructor,
+``from_dict``, a JSON file, ``python -m repro check``), with the same
+message, and each boundary value is accepted.
 """
 
 from __future__ import annotations
@@ -47,6 +49,30 @@ RULES = [
         "a replica sheds requests before a full batch can ever form; raise "
         "the admission limit or shrink the batch",
         {"serving": dict(FLEET, max_batch_requests=4, admission_limit=4)},
+    ),
+    (
+        "pipad-fixed-s-per-positive",
+        {"pipad": {"fixed_s_per": 0}},
+        "fixed_s_per must be > 0, got 0",
+        {"pipad": {"fixed_s_per": 1}},
+    ),
+    (
+        "pipad-preparing-epochs-non-negative",
+        {"pipad": {"preparing_epochs": -1}},
+        "preparing_epochs must be >= 0",
+        {"pipad": {"preparing_epochs": 0}},
+    ),
+    (
+        "hidden-dim-positive",
+        {"hidden_dim": -3},
+        "hidden_dim must be > 0, got -3",
+        {"hidden_dim": 1},
+    ),
+    (
+        "cost-scale-positive",
+        {"cost_scale": -1},
+        "cost_scale must be > 0, got -1",
+        {"cost_scale": 1e-3},
     ),
 ]
 

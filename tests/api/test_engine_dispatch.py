@@ -4,8 +4,6 @@ hand-wired entry points (bit-identical losses)."""
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
 from repro.api import DeviceSpec, Engine, RunSpec, ServingSpec, TraceSpec
@@ -17,12 +15,12 @@ from repro.baselines import (
     PyGTTrainer,
     TrainerConfig,
 )
+from repro.api.cli import load_spec
 from repro.core import (
-    DistributedConfig,
     DistributedTrainer,
+    GroupConfig,
     PiPADConfig,
     PiPADTrainer,
-    PipelineConfig,
     PipelineTrainer,
 )
 from repro.core.distributed_trainer import DistributedTrainer as CoreDistributedTrainer
@@ -30,9 +28,6 @@ from repro.distributed import FleetServingEngine, ShardedServingEngine
 from repro.graph import load_dataset
 from repro.serving import ServingConfig, ServingScheduler
 from repro.serving.scheduler import _build_serving_scheduler
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-SPEC_DIR = REPO_ROOT / "specs"
 
 _QUICK = dict(dataset="covid19_england", model="tgcn", num_snapshots=8, frame_size=4, epochs=2)
 
@@ -58,7 +53,7 @@ class TestTrainerDispatch:
         )
         engine = Engine.from_spec(spec)
         assert type(engine.trainer) is CoreDistributedTrainer
-        assert engine.trainer.dist.num_devices == 2
+        assert engine.trainer.group_config.num_devices == 2
 
     def test_group_device_settings_reach_trainer(self):
         spec = RunSpec(
@@ -69,8 +64,8 @@ class TestTrainerDispatch:
             **_QUICK,
         )
         trainer = Engine.from_spec(spec).trainer
-        assert trainer.dist.interconnect == "pcie"
-        assert trainer.dist.partition_mode == "nodes"
+        assert trainer.group_config.interconnect == "pcie"
+        assert trainer.group_config.partition_mode == "nodes"
         assert len(trainer.group.devices) == 3
 
     def test_pipeline_device_resolves_pipeline_trainer(self):
@@ -79,7 +74,26 @@ class TestTrainerDispatch:
         )
         engine = Engine.from_spec(spec)
         assert type(engine.trainer) is PipelineTrainer
-        assert engine.trainer.pipe.num_devices == 2
+        assert engine.trainer.group_config.num_devices == 2
+
+    @pytest.mark.parametrize("kind", ["single", "group", "pipeline"])
+    def test_sections_reach_the_trainer_as_they_are(self, kind):
+        """The spec sections are the runtime configs: the engine passes them
+        through instead of copying them."""
+        spec = RunSpec(
+            method="pipad",
+            pipad={"preparing_epochs": 2},
+            device={"kind": kind, "num_devices": 1},
+            data={"prefetch_depth": 3},
+            memory={"block_rows": 32},
+            **_QUICK,
+        )
+        trainer = Engine.from_spec(spec).trainer
+        assert trainer.pipad is spec.pipad
+        assert trainer.data is spec.data
+        assert trainer.memory is spec.memory
+        if kind != "single":
+            assert trainer.group_config is spec.device
 
     def test_pipeline_device_settings_reach_trainer(self):
         spec = RunSpec(
@@ -90,8 +104,8 @@ class TestTrainerDispatch:
             **_QUICK,
         )
         trainer = Engine.from_spec(spec).trainer
-        assert trainer.pipe.interconnect == "pcie"
-        assert trainer.pipe.schedule == "blocked"
+        assert trainer.group_config.interconnect == "pcie"
+        assert trainer.group_config.schedule == "blocked"
         assert len(trainer.group.devices) == 4
 
 
@@ -142,6 +156,15 @@ class TestServingDispatch:
         engine = Engine.from_spec(RunSpec(**_QUICK))
         with pytest.raises(ValueError, match="no serving section"):
             _ = engine.serving_engine
+
+    def test_serving_section_is_the_fleet_and_scheduler_config(self):
+        spec = RunSpec(
+            serving=ServingSpec(kind="fleet", num_shards=2, max_batch_requests=4),
+            **_QUICK,
+        )
+        fleet = Engine.from_spec(spec).serving_engine
+        assert fleet.fleet_config is spec.serving
+        assert all(replica.config is spec.serving for replica in fleet.replicas)
 
     def test_serving_config_reaches_scheduler(self):
         spec = RunSpec(
@@ -196,7 +219,7 @@ class TestParityWithOldEntryPoints:
             graph,
             TrainerConfig(model="tgcn", frame_size=4, epochs=2),
             PiPADConfig(),
-            DistributedConfig(num_devices=2),
+            GroupConfig(num_devices=2),
         ).train()
         assert new.loss_curve() == old.loss_curve()
         assert new.simulated_seconds == old.simulated_seconds
@@ -250,11 +273,11 @@ class TestParityWithOldEntryPoints:
 
 
 class TestShippedSpecs:
-    """The specs/ JSONs all execute through Engine.from_spec and agree
+    """The shipped presets all execute through Engine.from_spec and agree
     with the hand-wired entry points."""
 
     def test_pipad_single_gpu_spec(self):
-        report = Engine.from_spec(SPEC_DIR / "train_pipad_single_gpu.json").run()
+        report = Engine.from_spec(load_spec("pipad-single")).run()
         graph = load_dataset("covid19_england", seed=0, num_snapshots=14)
         old = PiPADTrainer(
             graph, TrainerConfig(model="tgcn", frame_size=8, epochs=3), PiPADConfig()
@@ -263,7 +286,7 @@ class TestShippedSpecs:
         assert report.training.loss_curve() == old.loss_curve()
 
     def test_pygt_baseline_spec(self):
-        report = Engine.from_spec(SPEC_DIR / "train_pygt_baseline.json").run()
+        report = Engine.from_spec(load_spec("pygt-baseline")).run()
         graph = load_dataset("covid19_england", seed=0, num_snapshots=14)
         old = PyGTTrainer(
             graph, TrainerConfig(model="tgcn", frame_size=8, epochs=3)
@@ -272,14 +295,14 @@ class TestShippedSpecs:
         assert report.training.loss_curve() == old.loss_curve()
 
     def test_distributed_4gpu_spec(self):
-        report = Engine.from_spec(SPEC_DIR / "train_distributed_4gpu.json").run()
+        report = Engine.from_spec(load_spec("distributed-4gpu")).run()
         training = report.training
         graph = load_dataset("flickr", seed=0, num_snapshots=12)
         old = DistributedTrainer(
             graph,
             TrainerConfig(model="tgcn", frame_size=8, epochs=3, cost_scale=5000.0),
             PiPADConfig(),
-            DistributedConfig(num_devices=4, interconnect="nvlink"),
+            GroupConfig(num_devices=4, interconnect="nvlink"),
         ).train()
         assert training.final_loss == old.final_loss
         assert training.loss_curve() == old.loss_curve()
@@ -290,14 +313,14 @@ class TestShippedSpecs:
         assert collectives["halo_exchange_seconds"] > 0
 
     def test_pipeline_4gpu_spec(self):
-        report = Engine.from_spec(SPEC_DIR / "train_pipeline_4gpu.json").run()
+        report = Engine.from_spec(load_spec("pipeline-4gpu")).run()
         training = report.training
         graph = load_dataset("flickr", seed=0, num_snapshots=12)
         old = PipelineTrainer(
             graph,
             TrainerConfig(model="evolvegcn", frame_size=8, epochs=3, cost_scale=5000.0),
             PiPADConfig(fixed_s_per=2),
-            PipelineConfig(num_devices=4, interconnect="nvlink"),
+            GroupConfig(num_devices=4, interconnect="nvlink"),
         ).train()
         assert training.final_loss == old.final_loss
         assert training.loss_curve() == old.loss_curve()
@@ -310,7 +333,7 @@ class TestShippedSpecs:
         assert training.extras["pipeline_bubble_seconds"] > 0
 
     def test_sharded_serving_spec(self):
-        engine = Engine.from_spec(SPEC_DIR / "serve_sharded.json")
+        engine = Engine.from_spec(load_spec("sharded-serving"))
         report = engine.run()
         assert report.serving is not None
         assert type(engine.serving_engine) is ShardedServingEngine
@@ -319,7 +342,7 @@ class TestShippedSpecs:
         assert report.serving.extras["num_shards"] == 2.0
 
     def test_fleet_serving_spec(self):
-        engine = Engine.from_spec(SPEC_DIR / "serve_fleet.json")
+        engine = Engine.from_spec(load_spec("fleet-serving"))
         report = engine.run()
         assert report.serving is not None
         assert type(engine.serving_engine) is FleetServingEngine

@@ -112,7 +112,7 @@ class TestUnknownKeyRejection:
             )
 
     def test_pipad_override_unknown_key(self):
-        with pytest.raises(ValueError, match="unknown PiPADConfig override"):
+        with pytest.raises(ValueError, match="unknown PiPADConfig key"):
             RunSpec(dataset="flickr", pipad={"enable_warp_drive": True})
 
     @pytest.mark.parametrize(
@@ -126,7 +126,7 @@ class TestUnknownKeyRejection:
     )
     def test_removed_pipad_knob_rejected_with_valid_keys(self, key, value):
         """The runtime's fixed sizing is not a PiPADConfig override."""
-        with pytest.raises(ValueError, match="unknown PiPADConfig override") as info:
+        with pytest.raises(ValueError, match="unknown PiPADConfig key") as info:
             RunSpec(dataset="flickr", pipad={key: value})
         message = str(info.value)
         assert repr(key) in message
@@ -284,7 +284,9 @@ class TestValidation:
             DataSpec(prefetch_depth=True)
 
 
-class TestMaterialization:
+class TestSectionsAreConfigs:
+    """Each section is, or extends, the runtime config it feeds."""
+
     def test_trainer_config_matches_fields(self):
         spec = RunSpec(
             dataset="flickr", model="tgcn", frame_size=4, epochs=7, lr=2e-3, seed=5
@@ -294,24 +296,29 @@ class TestMaterialization:
             "tgcn", 4, 7, 2e-3, 5,
         )
 
-    def test_pipad_config_applies_overrides(self):
+    def test_pipad_section_is_a_pipad_config(self):
+        from repro.core.config import PiPADConfig
+
         spec = RunSpec(
             dataset="flickr",
             pipad={"preparing_epochs": 3, "use_sliced_csr": False},
         )
-        cfg = spec.pipad_config()
-        assert cfg.preparing_epochs == 3
-        assert cfg.use_sliced_csr is False
+        assert spec.pipad == PiPADConfig(preparing_epochs=3, use_sliced_csr=False)
+        assert RunSpec(dataset="flickr").pipad == PiPADConfig()
 
-    def test_serving_spec_materializes_config(self):
-        serving = ServingSpec(window=6, max_batch_requests=4, enable_reuse=False)
-        cfg = serving.to_serving_config()
+    def test_serving_spec_is_a_serving_config(self):
+        from repro.serving import ServingConfig
+
+        cfg = ServingSpec(window=6, max_batch_requests=4, enable_reuse=False)
+        assert isinstance(cfg, ServingConfig)
         assert cfg.window == 6
         assert cfg.max_batch_requests == 4
         assert cfg.enable_reuse is False
 
-    def test_serving_spec_materializes_fleet_config(self):
-        serving = ServingSpec(
+    def test_serving_spec_is_a_fleet_config(self):
+        from repro.distributed import FleetConfig
+
+        cfg = ServingSpec(
             kind="fleet",
             num_shards=4,
             min_replicas=2,
@@ -320,7 +327,7 @@ class TestMaterialization:
             slo_p99_ms=3.0,
             partition_mode="nodes",
         )
-        cfg = serving.to_fleet_config()
+        assert isinstance(cfg, FleetConfig)
         assert cfg.num_shards == 4
         assert cfg.min_replicas == 2
         assert cfg.admission_limit == 6
@@ -328,10 +335,38 @@ class TestMaterialization:
         assert cfg.partition_mode == "nodes"
         assert cfg.replica_ceiling == 4
 
-    def test_data_spec_materializes_pipe_config(self):
+    def test_data_spec_is_a_pipe_config(self):
         from repro.core.datapipe import DataPipeConfig
 
         data = DataSpec(prefetch_depth=3, pin_memory=False)
-        assert data.to_pipe_config() == DataPipeConfig(
-            prefetch_depth=3, pin_memory=False
+        assert isinstance(data, DataPipeConfig)
+        assert (data.prefetch_depth, data.pin_memory) == (3, False)
+
+    def test_device_spec_is_the_group_config(self):
+        from repro.core.group_trainer import GroupConfig
+
+        device = DeviceSpec(kind="pipeline", num_devices=4, schedule="blocked")
+        assert isinstance(device, GroupConfig)
+        assert (device.num_devices, device.schedule) == (4, "blocked")
+
+    def test_parent_report_spec_form_still_loads(self):
+        """A report saved before the sections became configs stored ``pipad``
+        as its overrides only; it loads to the same spec."""
+        from repro.api import RunReport
+
+        old = {
+            "dataset": "flickr",
+            "pipad": {"fixed_s_per": 2},
+            "device": {"kind": "pipeline", "num_devices": 4, "interconnect": "nvlink",
+                       "partition_mode": "edges", "schedule": "round_robin"},
+            "data": {"pipeline": "staged", "prefetch_depth": 2, "pin_memory": True},
+            "memory": {"feature_cache": True, "policy": "lru", "gpu_budget_fraction": 0.5,
+                       "gpu_budget_mb": 2048.0, "pinned_budget_mb": 1024.0,
+                       "spill_budget_mb": None, "block_rows": 64},
+        }
+        report = RunReport.from_dict(
+            {"spec": old, "training": None, "serving": None, "metrics": {}, "extras": {}}
         )
+        assert report.spec == RunSpec.from_dict(old)
+        assert report.spec.pipad.fixed_s_per == 2
+        assert RunSpec.from_dict(report.spec.to_dict()) == report.spec

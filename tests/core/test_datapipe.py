@@ -14,17 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Engine, RunSpec
-from repro.api.cli import PRESETS
+from repro.api.cli import read_preset
 from repro.baselines import TrainerConfig
 from repro.core import (
     DataPipe,
     DataPipeConfig,
-    DistributedConfig,
     DistributedTrainer,
+    GroupConfig,
     PiPADConfig,
     PiPADTrainer,
     PipeItem,
-    PipelineConfig,
     PipelineTrainer,
     Prefetcher,
     STAGE_REGISTRY,
@@ -309,7 +308,7 @@ class TestTrainerParity:
                 small_graph,
                 _config(cost_scale=2000.0),
                 _pipad(),
-                PipelineConfig(num_devices=3),
+                GroupConfig(num_devices=3),
                 data_config=DataPipeConfig(prefetch_depth=depth),
             ).train()
         assert results[0].loss_curve() == results[2].loss_curve()
@@ -323,7 +322,7 @@ class TestTrainerParity:
                 small_graph,
                 _config(cost_scale=2000.0),
                 _pipad(),
-                DistributedConfig(num_devices=4),
+                GroupConfig(num_devices=4),
                 data_config=DataPipeConfig(prefetch_depth=depth),
             ).train()
         assert results[0].loss_curve() == results[2].loss_curve()
@@ -356,7 +355,7 @@ class TestPrefetchDepthSweep:
     def results(self):
         results = {}
         for depth in (0, 1, 2, 4):
-            data = {**PRESETS["pipeline-4gpu"], "num_snapshots": 8, "epochs": 2}
+            data = {**read_preset("pipeline-4gpu"), "num_snapshots": 8, "epochs": 2}
             data["data"] = {**data["data"], "prefetch_depth": depth}
             results[depth] = Engine.from_spec(RunSpec.from_dict(data)).run().training
         return results

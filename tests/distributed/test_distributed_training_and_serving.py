@@ -7,8 +7,8 @@ import pytest
 
 from repro.baselines import TrainerConfig
 from repro.core import (
-    DistributedConfig,
     DistributedTrainer,
+    GroupConfig,
     PiPADConfig,
     PiPADTrainer,
 )
@@ -33,7 +33,7 @@ class TestDistributedTrainer:
             small_graph,
             trainer_config,
             PiPADConfig(preparing_epochs=1),
-            DistributedConfig(num_devices=4),
+            GroupConfig(num_devices=4),
         ).train()
         assert sharded.final_loss == single.final_loss
         assert sharded.method == "PiPAD-DP"
@@ -45,7 +45,7 @@ class TestDistributedTrainer:
                 small_graph,
                 dist_trainer_config,
                 PiPADConfig(preparing_epochs=1),
-                DistributedConfig(num_devices=devices),
+                GroupConfig(num_devices=devices),
             ).train()
         assert (
             results[4].steady_epoch_seconds < results[1].steady_epoch_seconds
@@ -56,7 +56,7 @@ class TestDistributedTrainer:
             small_graph,
             dist_trainer_config,
             PiPADConfig(preparing_epochs=1),
-            DistributedConfig(num_devices=2),
+            GroupConfig(num_devices=2),
         ).train()
         assert result.extras["num_devices"] == 2.0
         assert result.extras["all_reduce_seconds"] > 0
@@ -69,7 +69,7 @@ class TestDistributedTrainer:
             small_graph,
             trainer_config,
             PiPADConfig(preparing_epochs=1),
-            DistributedConfig(num_devices=1),
+            GroupConfig(num_devices=1),
         ).train()
         assert "all_reduce_seconds" not in result.extras
         assert result.extras["halo_feature_bytes"] == 0.0
@@ -81,7 +81,7 @@ class TestDistributedTrainer:
             small_graph,
             dist_trainer_config,
             PiPADConfig(preparing_epochs=1),
-            DistributedConfig(num_devices=4),
+            GroupConfig(num_devices=4),
         )
         result = trainer.train()
         expected_category = {}
@@ -103,7 +103,7 @@ class TestDistributedTrainer:
             small_graph,
             dist_trainer_config,
             PiPADConfig(preparing_epochs=1),
-            DistributedConfig(num_devices=3),
+            GroupConfig(num_devices=3),
         )
         result = trainer.train()
         assert result.simulated_seconds == pytest.approx(trainer.group.makespan())
@@ -116,7 +116,7 @@ class TestDistributedTrainer:
             small_graph,
             dist_trainer_config,
             PiPADConfig(preparing_epochs=1),
-            DistributedConfig(num_devices=4),
+            GroupConfig(num_devices=4),
         )
         trainer.train()
         # TGCN is RNN/update dominated, so the calibrated plan must not give
@@ -130,13 +130,13 @@ class TestDistributedTrainer:
                 small_graph,
                 dist_trainer_config,
                 PiPADConfig(preparing_epochs=1),
-                DistributedConfig(num_devices=4, interconnect=kind),
+                GroupConfig(num_devices=4, interconnect=kind),
             ).train().steady_epoch_seconds
         assert times["nvlink"] <= times["pcie"]
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
-            DistributedConfig(num_devices=0)
+            GroupConfig(num_devices=0)
 
     def test_scaling_experiment_requires_single_device_reference(self):
         from repro.experiments import run_experiment

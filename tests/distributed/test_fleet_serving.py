@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.distributed.fleet as fleet_module
 from repro.distributed import (
     FleetConfig,
     FleetServingEngine,
@@ -34,6 +35,13 @@ def make_fleet(graph, *, fleet=None, model_seed=0, **config_kwargs):
     return build_fleet_serving_engine(
         graph, model, fleet or FleetConfig(num_shards=3), ServingConfig(**defaults)
     )
+
+
+@pytest.fixture
+def fast_autoscale(monkeypatch):
+    """The autoscaler's rolling window and cooldown shrunk to 4 and 2."""
+    monkeypatch.setattr(fleet_module, "SCALE_WINDOW", 4)
+    monkeypatch.setattr(fleet_module, "SCALE_COOLDOWN", 2)
 
 
 def shard_interior_node(engine: FleetServingEngine, shard: int) -> int:
@@ -216,6 +224,7 @@ class TestAdmissionDepth:
             assert engine.queue_depth(shard, now) == scanned
 
 
+@pytest.mark.usefixtures("fast_autoscale")
 class TestAutoscale:
     def pressure_fleet(self, graph, **fleet_kwargs):
         defaults = dict(
@@ -223,8 +232,6 @@ class TestAutoscale:
             min_replicas=1,
             admission_limit=64,
             slo_p99_ms=1e-6,
-            scale_window=4,
-            scale_cooldown=2,
         )
         defaults.update(fleet_kwargs)
         return make_fleet(graph, fleet=FleetConfig(**defaults))
@@ -316,8 +323,9 @@ class TestAutoscale:
         ),
         window=st.integers(min_value=1, max_value=6),
     )
-    def test_rolling_p99_equals_a_full_sort(self, small_graph, appends, window):
-        engine = make_fleet(small_graph, fleet=FleetConfig(num_shards=3, scale_window=window))
+    def test_rolling_p99_equals_a_full_sort(self, small_graph, monkeypatch, appends, window):
+        monkeypatch.setattr(fleet_module, "SCALE_WINDOW", window)
+        engine = make_fleet(small_graph, fleet=FleetConfig(num_shards=3))
 
         def full_sort_p99() -> float:
             records = [r for replica in engine.replicas for r in replica.metrics.requests]
@@ -338,7 +346,7 @@ class TestAutoscale:
 
 
     def test_rolling_p99_recomputed_only_after_inserts(self, small_graph, monkeypatch):
-        engine = make_fleet(small_graph, fleet=FleetConfig(num_shards=3, scale_window=4))
+        engine = make_fleet(small_graph, fleet=FleetConfig(num_shards=3))
         calls = []
         percentile = np.percentile
 
@@ -456,16 +464,14 @@ class TestFleetFeatureCache:
 
 
 class TestDeterminismAndParity:
+    @pytest.mark.usefixtures("fast_autoscale")
     def test_run_trace_replay_is_deterministic(self, small_graph):
         """Golden-style: two identically built fleets replay one trace to
         byte-identical request records, rejections and scale decisions."""
         trace = synthesize_serving_trace(
             small_graph[-1], 60, seed=9, mean_interarrival_ms=0.05
         )
-        fleet_cfg = dict(
-            num_shards=3, min_replicas=1, admission_limit=3, slo_p99_ms=0.5,
-            scale_window=4, scale_cooldown=2,
-        )
+        fleet_cfg = dict(num_shards=3, min_replicas=1, admission_limit=3, slo_p99_ms=0.5)
         reports = []
         engines = []
         for _ in range(2):
@@ -648,16 +654,20 @@ class TestFleetVsRoundRobin:
 
     @pytest.fixture(scope="class")
     def reports(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fleet_module, "SCALE_WINDOW", 8)
+            patch.setattr(fleet_module, "SCALE_COOLDOWN", 4)
+            return self._serve_burst()
+
+    @staticmethod
+    def _serve_burst():
         graph = load_dataset("youtube", num_snapshots=8)
         model = build_model("tgcn", graph.feature_dim, 8, seed=0)
         config = ServingConfig(window=4, max_batch_requests=8, max_delay_ms=0.5)
         fleet = build_fleet_serving_engine(
             graph,
             model,
-            FleetConfig(
-                num_shards=4, min_replicas=1, admission_limit=8, slo_p99_ms=1.0,
-                scale_window=8, scale_cooldown=4,
-            ),
+            FleetConfig(num_shards=4, min_replicas=1, admission_limit=8, slo_p99_ms=1.0),
             config,
             scale=100.0,
         )

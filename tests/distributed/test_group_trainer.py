@@ -7,11 +7,10 @@ import pytest
 import repro.api
 from repro.baselines import TrainerConfig
 from repro.core import (
-    DistributedConfig,
     DistributedTrainer,
+    GroupConfig,
     PiPADConfig,
     PiPADTrainer,
-    PipelineConfig,
     PipelineTrainer,
 )
 from repro.gpu.interconnect import INTERCONNECT_KINDS
@@ -29,14 +28,14 @@ class TestConfigValidation:
         assert repro.api.INTERCONNECT_KINDS is INTERCONNECT_KINDS
         assert set(INTERCONNECT_KINDS) == {"nvlink", "pcie"}
 
-    @pytest.mark.parametrize("config_cls", [DistributedConfig, PipelineConfig])
+    @pytest.mark.parametrize("config_cls", [GroupConfig, repro.api.DeviceSpec])
     def test_unknown_interconnect_rejected_at_construction(self, config_cls):
         with pytest.raises(ValueError, match="interconnect 'bogus'.*nvlink"):
             config_cls(interconnect="bogus")
 
     def test_unknown_partition_mode_rejected_at_construction(self):
         with pytest.raises(ValueError, match="partition_mode 'bogus'.*edges"):
-            DistributedConfig(partition_mode="bogus")
+            GroupConfig(partition_mode="bogus")
 
 
 class TestOneDeviceGroup:
@@ -46,8 +45,8 @@ class TestOneDeviceGroup:
     @pytest.mark.parametrize(
         "trainer_cls, group_config",
         [
-            (PipelineTrainer, PipelineConfig(num_devices=1)),
-            (DistributedTrainer, DistributedConfig(num_devices=1)),
+            (PipelineTrainer, GroupConfig(num_devices=1)),
+            (DistributedTrainer, GroupConfig(num_devices=1)),
         ],
         ids=["pipeline", "group"],
     )

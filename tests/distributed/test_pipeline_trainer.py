@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import TrainerConfig
-from repro.core import PiPADConfig, PiPADTrainer, PipelineConfig, PipelineTrainer
+from repro.core import GroupConfig, PiPADConfig, PiPADTrainer, PipelineTrainer
 
 
 def _config(model: str = "tgcn") -> TrainerConfig:
@@ -16,17 +16,17 @@ def _pipad() -> PiPADConfig:
     return PiPADConfig(preparing_epochs=1, fixed_s_per=2)
 
 
-class TestPipelineConfig:
+class TestGroupConfig:
     def test_defaults_validate(self):
-        config = PipelineConfig()
-        assert config.num_devices == 2
+        config = GroupConfig()
+        assert config.num_devices == 1
         assert config.schedule == "round_robin"
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
-            PipelineConfig(num_devices=0)
+            GroupConfig(num_devices=0)
         with pytest.raises(ValueError):
-            PipelineConfig(schedule="random")
+            GroupConfig(schedule="random")
 
 
 class TestNumerics:
@@ -39,7 +39,7 @@ class TestNumerics:
             small_graph,
             _config(model),
             _pipad(),
-            PipelineConfig(num_devices=3),
+            GroupConfig(num_devices=3),
         ).train()
         assert pipelined.loss_curve() == single.loss_curve()
         assert pipelined.final_loss == single.final_loss
@@ -51,7 +51,7 @@ class TestNumerics:
                 small_graph,
                 _config(),
                 _pipad(),
-                PipelineConfig(num_devices=2, schedule=schedule),
+                GroupConfig(num_devices=2, schedule=schedule),
             )
             losses[schedule] = trainer.train().loss_curve()
         assert losses["round_robin"] == losses["blocked"]
@@ -59,7 +59,7 @@ class TestNumerics:
     def test_single_stage_degenerates_to_plain_pipad(self, small_graph):
         single = PiPADTrainer(small_graph, _config(), _pipad()).train()
         one_stage = PipelineTrainer(
-            small_graph, _config(), _pipad(), PipelineConfig(num_devices=1)
+            small_graph, _config(), _pipad(), GroupConfig(num_devices=1)
         ).train()
         assert one_stage.loss_curve() == single.loss_curve()
         assert one_stage.simulated_seconds == pytest.approx(single.simulated_seconds)
@@ -76,13 +76,13 @@ class TestSchedule:
         )
         single = PiPADTrainer(small_graph, config, _pipad()).train()
         pipelined = PipelineTrainer(
-            small_graph, config, _pipad(), PipelineConfig(num_devices=2)
+            small_graph, config, _pipad(), GroupConfig(num_devices=2)
         ).train()
         assert pipelined.steady_epoch_seconds < single.steady_epoch_seconds
 
     def test_multi_stage_run_itemizes_pipeline_costs(self, small_graph):
         trainer = PipelineTrainer(
-            small_graph, _config(), _pipad(), PipelineConfig(num_devices=2)
+            small_graph, _config(), _pipad(), GroupConfig(num_devices=2)
         )
         result = trainer.train()
         assert result.extras["num_devices"] == 2.0
@@ -94,7 +94,7 @@ class TestSchedule:
 
     def test_work_lands_on_every_stage(self, small_graph):
         trainer = PipelineTrainer(
-            small_graph, _config(), _pipad(), PipelineConfig(num_devices=2)
+            small_graph, _config(), _pipad(), GroupConfig(num_devices=2)
         )
         trainer.train()
         for device in trainer.group:
@@ -106,7 +106,7 @@ class TestSchedule:
             small_graph,
             _config(),
             PiPADConfig(preparing_epochs=1, fixed_s_per=2),
-            PipelineConfig(num_devices=3),
+            GroupConfig(num_devices=3),
         )
         trainer.run_epoch(0)  # preparing epoch
         assert trainer.group.devices[1].timeline.ops == []
@@ -114,7 +114,7 @@ class TestSchedule:
 
     def test_group_makespan_is_the_result_clock(self, small_graph):
         trainer = PipelineTrainer(
-            small_graph, _config(), _pipad(), PipelineConfig(num_devices=2)
+            small_graph, _config(), _pipad(), GroupConfig(num_devices=2)
         )
         result = trainer.train()
         assert result.simulated_seconds == pytest.approx(trainer.group.makespan())
@@ -122,7 +122,7 @@ class TestSchedule:
     def test_deterministic_across_runs(self, small_graph):
         def run():
             return PipelineTrainer(
-                small_graph, _config(), _pipad(), PipelineConfig(num_devices=2)
+                small_graph, _config(), _pipad(), GroupConfig(num_devices=2)
             ).train()
 
         first, second = run(), run()

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import Engine, MemorySpec, RunSpec, ServingSpec, TraceSpec
-from repro.api.cli import PRESETS
+from repro.api import Engine, RunSpec, ServingSpec, TraceSpec
+from repro.api.cli import read_preset
 from repro.baselines import TrainerConfig
 from repro.core.trainer import PiPADTrainer
 from repro.gpu.device import OutOfMemoryError
@@ -104,7 +104,7 @@ class TestGpuBudgetSweep:
     @pytest.fixture(scope="class")
     def results(self):
         def train(memory):
-            spec = RunSpec.from_dict({**PRESETS["quick"], "memory": memory})
+            spec = RunSpec.from_dict({**read_preset("quick"), "memory": memory})
             return Engine.from_spec(spec).run().training
 
         results = {None: train({})}
@@ -124,7 +124,7 @@ class TestGpuBudgetSweep:
         assert full_fit.extras["feature_cache_gpu_hits"] > 0
         assert full_fit.steady_epoch_seconds <= uncached.steady_epoch_seconds
 
-    OVERSIZED = {**PRESETS["train-oversized"], "num_snapshots": 8, "epochs": 2, "serving": None}
+    OVERSIZED = {**read_preset("train-oversized"), "num_snapshots": 8, "epochs": 2, "serving": None}
 
     def test_oversized_preset_trains_through_the_cache(self):
         result = Engine.from_spec(RunSpec.from_dict(self.OVERSIZED)).run().training
@@ -234,7 +234,7 @@ class TestEngineEndToEnd:
             frame_size=4,
             epochs=2,
             cost_scale=5.0e7,
-            memory=MemorySpec(
+            memory=MemoryConfig(
                 feature_cache=True, gpu_budget_mb=1024.0, pinned_budget_mb=700.0,
                 block_rows=16,
             ),
@@ -287,7 +287,7 @@ class TestPinnedStagingClamp:
             frame_size=4,
             epochs=3,
             cost_scale=150000.0,
-            memory=MemorySpec(
+            memory=MemoryConfig(
                 feature_cache=True,
                 gpu_budget_mb=2048.0,
                 pinned_budget_mb=pinned_budget_mb,

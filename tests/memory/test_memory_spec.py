@@ -1,10 +1,11 @@
-"""MemorySpec validation, serialization and CLI override coercion."""
+"""The memory section (a ``MemoryConfig``): validation, serialization and
+CLI override coercion."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.api import MemorySpec, RunSpec
+from repro.api import RunSpec
 from repro.api.cli import load_spec
 from repro.gpu.memory_model import feature_cache_budget_bytes
 from repro.gpu.spec import GPUSpec
@@ -13,75 +14,55 @@ from repro.memory import MemoryConfig
 
 class TestValidation:
     def test_defaults_are_off(self):
-        spec = MemorySpec()
+        spec = MemoryConfig()
         assert spec.feature_cache is False
         assert spec.policy == "lru"
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="cache policy"):
-            MemorySpec(policy="arc")
+            MemoryConfig(policy="arc")
 
     def test_fraction_bounds(self):
         with pytest.raises(ValueError, match="gpu_budget_fraction"):
-            MemorySpec(gpu_budget_fraction=1.5)
+            MemoryConfig(gpu_budget_fraction=1.5)
 
     def test_negative_budgets_rejected(self):
         with pytest.raises(ValueError, match="gpu_budget_mb"):
-            MemorySpec(gpu_budget_mb=-1.0)
+            MemoryConfig(gpu_budget_mb=-1.0)
         with pytest.raises(ValueError, match="pinned_budget_mb"):
-            MemorySpec(pinned_budget_mb=-1.0)
+            MemoryConfig(pinned_budget_mb=-1.0)
         with pytest.raises(ValueError, match="spill_budget_mb"):
-            MemorySpec(spill_budget_mb=-1.0)
+            MemoryConfig(spill_budget_mb=-1.0)
 
     @pytest.mark.parametrize("budget_mb", [16384.0, 20000.0])
     def test_gpu_budget_as_large_as_hbm_rejected(self, budget_mb):
-        # 16384 MiB is all of the default GPUSpec's HBM.
-        with pytest.raises(ValueError, match="gpu_budget_mb"):
-            MemorySpec(gpu_budget_mb=budget_mb)
-        with pytest.raises(ValueError, match="gpu_budget_mb"):
+        # 16384 MiB is all of the default GPUSpec's HBM.  The rule belongs
+        # to the run (its devices), not to the cache config.
+        with pytest.raises(ValueError, match="gpu_budget_mb must be below"):
+            RunSpec(memory=MemoryConfig(gpu_budget_mb=budget_mb))
+        with pytest.raises(ValueError, match="gpu_budget_mb must be below"):
             RunSpec(memory={"feature_cache": True, "gpu_budget_mb": budget_mb})
 
     def test_gpu_budget_below_hbm_accepted(self):
-        assert MemorySpec(gpu_budget_mb=16383.0).gpu_budget_mb == 16383.0
+        spec = RunSpec(memory={"gpu_budget_mb": 16383.0})
+        assert spec.memory.gpu_budget_mb == 16383.0
 
     def test_block_rows_must_be_positive_int(self):
-        with pytest.raises(ValueError, match="block_rows"):
-            MemorySpec(block_rows=0)
-        with pytest.raises(ValueError, match="block_rows"):
-            MemorySpec(block_rows=1.5)
         # The core config owns the rule (it once accepted True and 2.5).
-        for block_rows in (0, 2.5, True):
+        for block_rows in (0, 1.5, 2.5, True):
             with pytest.raises(ValueError, match="block_rows"):
                 MemoryConfig(block_rows=block_rows)
-
-    def test_to_memory_config_mirrors_fields(self):
-        spec = MemorySpec(
-            feature_cache=True,
-            policy="clock",
-            gpu_budget_mb=64.0,
-            pinned_budget_mb=32.0,
-            spill_budget_mb=128.0,
-            block_rows=16,
-        )
-        config = spec.to_memory_config()
-        assert isinstance(config, MemoryConfig)
-        assert config.feature_cache is True
-        assert config.policy == "clock"
-        assert config.gpu_budget_mb == 64.0
-        assert config.pinned_budget_mb == 32.0
-        assert config.spill_budget_mb == 128.0
-        assert config.block_rows == 16
 
 
 class TestRunSpecPlumbing:
     def test_default_memory_section(self):
         spec = RunSpec(dataset="covid19_england")
-        assert spec.memory == MemorySpec()
+        assert spec.memory == MemoryConfig()
 
     def test_json_round_trip_with_memory(self):
         spec = RunSpec(
             dataset="flickr",
-            memory=MemorySpec(feature_cache=True, policy="clock", block_rows=32),
+            memory=MemoryConfig(feature_cache=True, policy="clock", block_rows=32),
         )
         restored = RunSpec.from_json(spec.to_json())
         assert restored == spec
@@ -91,12 +72,12 @@ class TestRunSpecPlumbing:
         spec = RunSpec.from_dict(
             {"dataset": "flickr", "memory": {"feature_cache": True, "block_rows": 8}}
         )
-        assert isinstance(spec.memory, MemorySpec)
+        assert isinstance(spec.memory, MemoryConfig)
         assert spec.memory.feature_cache is True
         assert spec.memory.block_rows == 8
 
     def test_unknown_memory_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown MemorySpec key"):
+        with pytest.raises(ValueError, match="unknown MemoryConfig key"):
             RunSpec.from_dict({"dataset": "flickr", "memory": {"hbm_gb": 32}})
 
 

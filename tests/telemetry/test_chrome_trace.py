@@ -13,14 +13,14 @@ import json
 import pytest
 
 from repro.api import Engine, RunSpec
-from repro.api.cli import PRESETS
+from repro.api.cli import read_preset
 from repro.telemetry import SpanTracer, TraceTrack, build_chrome_trace
 
 
 def _pipeline_spec() -> RunSpec:
     # The CLI preset, shrunk: identical topology (4 pipeline stages), fewer
     # snapshots/epochs so two full runs stay fast.
-    data = json.loads(json.dumps(PRESETS["pipeline-4gpu"]))
+    data = read_preset("pipeline-4gpu")
     data.update(num_snapshots=8, epochs=2)
     return RunSpec.from_dict(data)
 

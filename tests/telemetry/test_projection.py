@@ -10,12 +10,11 @@ device whose timeline holds the op.
 
 from __future__ import annotations
 
-import json
 
 import pytest
 
 from repro.api import Engine, RunSpec
-from repro.api.cli import PRESETS
+from repro.api.cli import read_preset
 from repro.core.datapipe import (
     DataPipeConfig,
     PipeItem,
@@ -189,7 +188,7 @@ class TestProjectTimelines:
 
 @pytest.fixture(scope="module")
 def pipeline_engine() -> Engine:
-    data = json.loads(json.dumps(PRESETS["pipeline-4gpu"]))
+    data = read_preset("pipeline-4gpu")
     data.update(num_snapshots=8, epochs=2)
     engine = Engine.from_spec(RunSpec.from_dict(data))
     engine.train()

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from repro.baselines import TrainerConfig
 from repro.core import (
-    DistributedConfig,
     DistributedTrainer,
+    GroupConfig,
     PiPADConfig,
     PiPADTrainer,
 )
@@ -49,7 +49,7 @@ def train_distributed(small_graph):
         small_graph,
         config,
         PiPADConfig(preparing_epochs=1),
-        DistributedConfig(num_devices=3),
+        GroupConfig(num_devices=3),
     )
     trainer.train()
     return trainer
