@@ -29,10 +29,13 @@ _GRAD_REDUCE = "grad_all_reduce"
 
 
 def _rank_sequences(group: object) -> List[List[object]]:
-    """Per-rank list of collective ops (kind ``collective``), program order."""
+    """Per-rank list of collective ops (kind ``collective``), program order.
+
+    Reads the kind column and builds a view of the collective ops only.
+    """
     return [
-        [op for op in device.timeline.ops if op.kind == "collective"]
-        for device in group.devices
+        [columns.view(row) for row, kind in enumerate(columns.kind) if kind == "collective"]
+        for columns in (device.timeline.columns for device in group.devices)
     ]
 
 

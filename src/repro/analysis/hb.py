@@ -1,8 +1,7 @@
 """Happens-before race detection over the simulated timelines.
 
-The HB graph has one node per :class:`~repro.gpu.timeline.TimelineOp` and
-three edge families, exactly the mechanisms the list scheduler serializes
-with:
+The HB graph has one node per timeline op and three edge families, exactly
+the mechanisms the list scheduler serializes with:
 
 - **dependency edges** — ``submit(depends_on=...)``, recorded as op uids
   (these may cross timelines: p2p recvs, cross-device gates);
@@ -32,14 +31,21 @@ pair, so a clean key costs one reachability search per access instead of
 one per writer × access pair.  Only keys that fail the screen enumerate
 their pairs, which keeps the report exactly what the all-pairs check
 gives.
+
+The graph is read off each timeline's columns
+(:class:`~repro.gpu.timeline.OpColumns`): a node is a uid with its start
+time, and an op view is built only for the ops a race report names.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .base import ExecutionArtifacts, Violation
+
+if TYPE_CHECKING:
+    from repro.gpu.timeline import TimelineOp
 
 #: cap per run so a systemically broken schedule reports a digest, not a flood
 MAX_RACES_REPORTED = 25
@@ -47,37 +53,44 @@ MAX_RACES_REPORTED = 25
 
 def build_hb_graph(
     timelines: Sequence[Tuple[str, str, object]]
-) -> Tuple[Dict[int, object], Dict[int, List[int]]]:
-    """Return ``(ops_by_uid, successors)`` across all given timelines."""
-    ops_by_uid: Dict[int, object] = {}
+) -> Tuple[Dict[int, float], Dict[int, List[int]]]:
+    """Return ``(start_by_uid, successors)`` across all given timelines."""
+    starts: Dict[int, float] = {}
     successors: Dict[int, List[int]] = defaultdict(list)
     for _, _, timeline in timelines:
+        columns = timeline.columns
+        starts.update(zip(columns.uid, columns.start))
+        for dep, uid in columns.dep_edges():
+            successors[dep].append(uid)
         last_on_resource: Dict[str, int] = {}
         last_on_stream: Dict[str, int] = {}
-        for op in timeline.ops:
-            uid = op.uid
-            ops_by_uid[uid] = op
-            for dep in op.deps:
-                successors[dep].append(uid)
-            prev = last_on_resource.get(op.resource)
+        for uid, pos, resource, stream in zip(
+            columns.uid, columns.pos, columns.resource, columns.stream
+        ):
+            if pos:
+                # a chain op's dep edge on its predecessor is also its
+                # resource and stream edge
+                last_on_resource[resource] = last_on_stream[stream] = uid
+                continue
+            prev = last_on_resource.get(resource)
             if prev is not None:
                 successors[prev].append(uid)
-            last_on_resource[op.resource] = uid
-            prev = last_on_stream.get(op.stream)
+            last_on_resource[resource] = uid
+            prev = last_on_stream.get(stream)
             if prev is not None:
                 successors[prev].append(uid)
-            last_on_stream[op.stream] = uid
-    return ops_by_uid, dict(successors)
+            last_on_stream[stream] = uid
+    return starts, dict(successors)
 
 
 def _reaches(
     source: int,
     target: int,
-    ops_by_uid: Dict[int, object],
+    starts: Dict[int, float],
     successors: Dict[int, List[int]],
 ) -> bool:
     """Is there a directed HB path ``source -> target``?"""
-    target_start = ops_by_uid[target].start
+    target_start = starts[target]
     seen: Set[int] = {source}
     frontier = [source]
     while frontier:
@@ -87,8 +100,8 @@ def _reaches(
         for nxt in successors.get(uid, ()):  # edges move forward in time
             if nxt in seen:
                 continue
-            nxt_op = ops_by_uid.get(nxt)
-            if nxt_op is None or nxt_op.start > target_start:
+            nxt_start = starts.get(nxt)
+            if nxt_start is None or nxt_start > target_start:
                 continue
             seen.add(nxt)
             frontier.append(nxt)
@@ -98,7 +111,7 @@ def _reaches(
 def ordered(
     a: int,
     b: int,
-    ops_by_uid: Dict[int, object],
+    starts: Dict[int, float],
     successors: Dict[int, List[int]],
 ) -> bool:
     """Is there an HB path between the two ops, in either direction?
@@ -106,12 +119,12 @@ def ordered(
     Only a path from the lower uid to the higher one can exist.
     """
     first, second = sorted((a, b))
-    return _reaches(first, second, ops_by_uid, successors)
+    return _reaches(first, second, starts, successors)
 
 
 def _key_is_ordered(
     ops: List[Tuple[int, bool]],
-    ops_by_uid: Dict[int, object],
+    starts: Dict[int, float],
     successors: Dict[int, List[int]],
 ) -> bool:
     """Are all conflicting accesses of one key ordered?
@@ -132,7 +145,7 @@ def _key_is_ordered(
         else:
             preds = [] if last_write is None else [last_write]
         for pred in preds:
-            if not _reaches(pred, uid, ops_by_uid, successors):
+            if not _reaches(pred, uid, starts, successors):
                 return False
         if is_write[uid]:
             last_write, reads = uid, []
@@ -151,29 +164,37 @@ def _accesses(
     """
     out: Dict[Tuple[str, object], List[Tuple[int, bool]]] = defaultdict(list)
     for name, _, timeline in timelines:
-        for op in timeline.ops:
-            attrs = op.attrs
-            if "hb_reads" not in attrs and "hb_writes" not in attrs:
-                continue
+        columns = timeline.columns
+        for row in columns.rows_with("hb_reads", "hb_writes"):
+            attrs, uid = columns.attrs(row), columns.uid[row]
             for key in attrs.get("hb_reads", ()) or ():
-                out[(name, key)].append((op.uid, False))
+                out[(name, key)].append((uid, False))
             for key in attrs.get("hb_writes", ()) or ():
-                out[(name, key)].append((op.uid, True))
+                out[(name, key)].append((uid, True))
     return out
+
+
+def _op_of(timelines: Sequence[Tuple[str, str, object]], uid: int) -> "TimelineOp":
+    """The view of the op with ``uid`` on whichever timeline holds it."""
+    for _, _, timeline in timelines:
+        row = timeline.columns.row_of(uid)
+        if row is not None:
+            return timeline.columns.view(row)
+    raise KeyError(f"no op with uid {uid}")
 
 
 def check_hb_races(
     artifacts: ExecutionArtifacts, spec: Optional[object] = None
 ) -> List[Violation]:
     """Flag annotated-access pairs with no ordering path between them."""
-    ops_by_uid, successors = build_hb_graph(artifacts.timelines)
+    starts, successors = build_hb_graph(artifacts.timelines)
     accesses = _accesses(artifacts.timelines)
     domains = {name: domain for name, domain, _ in artifacts.timelines}
     violations: List[Violation] = []
     seen_pairs: Set[Tuple[int, int]] = set()
     for (name, key), ops in sorted(accesses.items(), key=lambda kv: str(kv[0])):
         writers = [uid for uid, is_write in ops if is_write]
-        if not writers or _key_is_ordered(ops, ops_by_uid, successors):
+        if not writers or _key_is_ordered(ops, starts, successors):
             continue
         readers = [uid for uid, is_write in ops if not is_write]
         for writer in writers:
@@ -183,9 +204,9 @@ def check_hb_races(
                 if pair in seen_pairs:
                     continue
                 seen_pairs.add(pair)
-                if ordered(writer, other, ops_by_uid, successors):
+                if ordered(writer, other, starts, successors):
                     continue
-                a, b = ops_by_uid[pair[0]], ops_by_uid[pair[1]]
+                a, b = (_op_of(artifacts.timelines, uid) for uid in pair)
                 violations.append(
                     Violation(
                         check="hb-race",

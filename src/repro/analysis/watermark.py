@@ -16,7 +16,7 @@ Three ceilings, checked at every instant rather than just at the end:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .base import ExecutionArtifacts, Violation
 
@@ -32,41 +32,44 @@ def _replay_pinned(
     name: str, domain: str, timeline: object
 ) -> Optional[Violation]:
     """Replay one timeline's staging acquire/release events against budget."""
-    events: List[Tuple[float, int, float, object]] = []
+    columns = timeline.columns
+    #: (time, 0 = release / 1 = acquire, bytes, the op's attrs, its row)
+    events: List[Tuple[float, int, float, Mapping[str, object], int]] = []
     budget: Optional[float] = None
-    for op in timeline.ops:
-        acquired = op.attrs.get("pinned_acquire_bytes")
+    for row in columns.rows_with("pinned_acquire_bytes", "pinned_release_bytes"):
+        attrs = columns.attrs(row)
+        acquired = attrs.get("pinned_acquire_bytes")
         if acquired is not None:
             # Order (release, acquire) at equal timestamps: a buffer drained
             # exactly when the next pin starts is free for reuse.
-            events.append((op.start, 1, float(acquired), op))
-            declared = op.attrs.get("pinned_budget_bytes")
+            events.append((columns.start[row], 1, float(acquired), attrs, row))
+            declared = attrs.get("pinned_budget_bytes")
             if declared is not None:
                 budget = float(declared)
-        released = op.attrs.get("pinned_release_bytes")
+        released = attrs.get("pinned_release_bytes")
         if released is not None:
-            events.append((op.end, 0, float(released), op))
+            events.append((columns.end[row], 0, float(released), attrs, row))
     if budget is None or not events:
         return None
     events.sort(key=lambda e: (e[0], e[1]))
     staging = 0.0
     tier_used = 0.0
-    peak, peak_time, peak_op = 0.0, 0.0, None
-    for time, kind, nbytes, op in events:
+    peak, peak_time, peak_row = 0.0, 0.0, 0
+    for time, kind, nbytes, attrs, row in events:
         if kind == 0:
             staging -= nbytes
             continue
         staging += nbytes
-        tier_used = float(op.attrs.get("pinned_tier_used_bytes", tier_used))
+        tier_used = float(attrs.get("pinned_tier_used_bytes", tier_used))
         total = staging + tier_used
         if total > peak:
-            peak, peak_time, peak_op = total, time, op
+            peak, peak_time, peak_row = total, time, row
     if _over(peak, budget):
         return Violation(
             check="memory-watermark",
             message=(
                 f"{name}: pinned watermark {peak / 1024**2:.1f} MiB at "
-                f"t={peak_time:.6f}s (op {peak_op.label!r}) exceeds "
+                f"t={peak_time:.6f}s (op {columns.label(peak_row)!r}) exceeds "
                 f"pinned_budget_mb ({budget / 1024**2:.1f} MiB); in-flight "
                 "staging must be charged against the pinned tier — raise "
                 "memory.pinned_budget_mb or lower data.prefetch_depth"

@@ -16,8 +16,8 @@ config, and the engine receives the sections as they are:
   ``trace``.
 
 Specs round-trip losslessly through ``to_dict``/``from_dict`` and JSON,
-reject unknown keys and non-bool values of bool fields at every nesting
-level, and validate all names against the live registries at construction
+reject unknown keys, non-bool values of bool fields, non-integer values of
+int fields and a null required section at every nesting level, and validate all names against the live registries at construction
 time, so a typo fails immediately with the list of valid choices instead of
 deep inside a sweep.
 """
@@ -63,9 +63,11 @@ def _to_plain(value: Any) -> Any:
 def _from_plain(cls: Type[_T], data: Any) -> _T:
     """Build a section from plain data.
 
-    Rejects unknown keys, and a non-bool value in a field typed ``bool``
-    (the string ``"no"`` would otherwise run as true).  Every other rule
-    belongs to the section's own ``__post_init__``.
+    Rejects unknown keys, a non-bool value in a field typed ``bool`` (the
+    string ``"no"`` would otherwise run as true), and a non-integer or a
+    bool in a field typed ``int`` (``epochs=2.5`` would otherwise pass and
+    fail deep inside a run).  Every other rule belongs to the section's own
+    ``__post_init__``.
     """
     if not isinstance(data, Mapping):
         raise ValueError(f"{cls.__name__} expects a mapping, got {type(data).__name__}")
@@ -77,10 +79,13 @@ def _from_plain(cls: Type[_T], data: Any) -> _T:
             f"valid keys: {_known_choices(known)}"
         )
     for key, value in data.items():
-        if known[key].type in (bool, "bool") and not isinstance(value, bool):
+        kind = known[key].type
+        if kind in (bool, "bool") and not isinstance(value, bool):
             raise ValueError(
                 f"{cls.__name__}.{key} must be true or false, got {value!r}"
             )
+        if kind in (int, "int") and (not isinstance(value, int) or isinstance(value, bool)):
+            raise ValueError(f"{cls.__name__}.{key} must be an integer, got {value!r}")
     return cls(**data)
 
 
@@ -345,6 +350,8 @@ class RunSpec(_SpecBase):
         # the literal form ``RunSpec(device={"kind": "group", ...})``).
         for name, section_cls in _SECTIONS.items():
             value = getattr(self, name)
+            if value is None and name != "serving":
+                raise ValueError(f"RunSpec.{name} must be a mapping, got null")
             if isinstance(value, Mapping):
                 object.__setattr__(self, name, _from_plain(section_cls, value))
 

@@ -257,7 +257,7 @@ class DGNNTrainerBase:
         snapshots: Sequence[GraphSnapshot],
         transfer_ops: Sequence[TimelineOp],
         last_compute: Sequence[TimelineOp],
-    ) -> List[TimelineOp]:
+    ) -> Sequence[TimelineOp]:
         """Account one partition's forward kernels on the device(s).
 
         The group trainers override this to fan the launches out across a
@@ -273,7 +273,7 @@ class DGNNTrainerBase:
 
     def _launch_backward(
         self, costs: Sequence[KernelCost], last_compute: Sequence[TimelineOp]
-    ) -> List[TimelineOp]:
+    ) -> Sequence[TimelineOp]:
         """Account the frame's backward kernels (and, on a device group, the
         gradient all-reduce that follows them)."""
         self._dispatch(self.device, costs, "dispatch_bwd")

@@ -137,15 +137,18 @@ def apply_cache_plan(item: PipeItem, plan: AccessPlan) -> PipeItem:
     )
 
 
-def _tag_cache_lookup(op: TimelineOp, plan: AccessPlan) -> None:
-    """Record one feature-cache lookup on the gather op that consumed it."""
+def _cache_lookup_facts(plan: AccessPlan) -> Dict[str, object]:
+    """The attrs that record one feature-cache lookup on the gather op that
+    consumed it."""
+    facts: Dict[str, object] = {}
     if plan.block_keys:
-        op.attrs["hb_reads"] = list(plan.block_keys)
-    op.attrs["cache_gpu_bytes"] = plan.gpu_bytes
-    op.attrs["cache_pinned_bytes"] = plan.pinned_bytes
-    op.attrs["cache_miss_bytes"] = plan.miss_bytes
-    op.attrs["cache_hits"] = plan.gpu_hits + plan.pinned_hits + plan.spill_hits
-    op.attrs["cache_misses"] = plan.misses
+        facts["hb_reads"] = list(plan.block_keys)
+    facts["cache_gpu_bytes"] = plan.gpu_bytes
+    facts["cache_pinned_bytes"] = plan.pinned_bytes
+    facts["cache_miss_bytes"] = plan.miss_bytes
+    facts["cache_hits"] = plan.gpu_hits + plan.pinned_hits + plan.spill_hits
+    facts["cache_misses"] = plan.misses
+    return facts
 
 
 class DataPipe:
@@ -313,24 +316,34 @@ class Prefetcher:
             ]
         previous: List[TimelineOp] = gate
         pin_op: Optional[TimelineOp] = None
+        staging_key: Optional[str] = None
         for stage in self.pipe.host_stages:
             seconds = self.pipe.stage_seconds(stage, item)
             self.host_seconds_total += seconds
+            attrs: Dict[str, object] = {"stage": stage}
+            if stage == STAGE_GATHER and item.cache is not None:
+                attrs.update(_cache_lookup_facts(item.cache))
+            if stage == STAGE_PIN:
+                # The pin stage fills a staging buffer the h2d drains; the key
+                # is unique per occurrence (labels repeat across epochs).
+                staging_key = f"staging:{self.domain}{self.device_index}:{self.items_scheduled}"
+                attrs["hb_writes"] = [staging_key]
             op = self.device.host_op(
                 seconds,
                 label=f"{stage}_{item.label}",
                 stream=host_stream,
                 depends_on=previous or None,
                 not_before=not_before,
+                attrs=attrs,
             )
-            op.attrs["stage"] = stage
-            if stage == STAGE_GATHER and item.cache is not None:
-                _tag_cache_lookup(op, item.cache)
             if stage == STAGE_PIN:
                 pin_op = op
             previous = [op]
             if not self._overlapping():
                 self.pipe.last_host_op = op
+        transfer_attrs: Dict[str, object] = {"stage": STAGE_H2D}
+        if staging_key is not None:
+            transfer_attrs["hb_reads"] = [staging_key]
         transfer = self.device.transfer_h2d(
             item.transfer_bytes,
             label=f"h2d_{item.label}",
@@ -338,14 +351,9 @@ class Prefetcher:
             pinned=self.pipe.pinned,
             depends_on=previous or None,
             not_before=not_before,
+            attrs=transfer_attrs,
         )
-        transfer.attrs["stage"] = STAGE_H2D
         if pin_op is not None:
-            # The pin stage fills a staging buffer the h2d drains; the key is
-            # unique per occurrence (labels repeat across epochs).
-            staging_key = f"staging:{self.domain}{self.device_index}:{self.items_scheduled}"
-            pin_op.attrs["hb_writes"] = [staging_key]
-            transfer.attrs.setdefault("hb_reads", []).append(staging_key)
             self._account_staging(item, pin_op, transfer)
         self._consumed.append(None)  # slot; filled by mark_consumed in order
         self._scheduled += 1
@@ -378,11 +386,15 @@ class Prefetcher:
         live.append((transfer.end, charged))
         self._staging = live
         tier = self.cache.tiers[TIER_PINNED]
-        pin_op.attrs["pinned_acquire_bytes"] = charged
-        pin_op.attrs["pinned_tier_used_bytes"] = tier.used_bytes
+        acquire: Dict[str, object] = {
+            "pinned_acquire_bytes": charged,
+            "pinned_tier_used_bytes": tier.used_bytes,
+        }
         if tier.capacity_bytes is not None:
-            pin_op.attrs["pinned_budget_bytes"] = float(tier.capacity_bytes)
-        transfer.attrs["pinned_release_bytes"] = charged
+            acquire["pinned_budget_bytes"] = float(tier.capacity_bytes)
+        timeline = self.device.timeline
+        timeline.annotate(pin_op, **acquire)
+        timeline.annotate(transfer, pinned_release_bytes=charged)
 
     def mark_consumed(self, ops: Sequence[TimelineOp]) -> None:
         """Register the compute op that read the oldest unconsumed item."""

@@ -204,7 +204,7 @@ class PipelineTrainer(GroupTrainer):
         stream: str,
         local_deps: List[TimelineOp],
         chain_deps: List[TimelineOp],
-    ) -> List[TimelineOp]:
+    ) -> Sequence[TimelineOp]:
         """Launch state-chained kernels and account their pipeline bubble.
 
         The bubble is the stall attributable to the cross-stage dependency
@@ -232,7 +232,7 @@ class PipelineTrainer(GroupTrainer):
         bubble = ops[0].start - local_ready
         if bubble > 0.0:
             self._bubble_seconds += bubble
-            ops[0].attrs["bubble_from"] = local_ready
+            timeline.annotate(ops[0], bubble_from=local_ready)
         return ops
 
     def _launch_backward(

@@ -327,7 +327,7 @@ class PiPADTrainer(DGNNTrainerBase):
         snapshots: Sequence[GraphSnapshot],
         transfer_ops: Sequence[TimelineOp],
         last_compute: Sequence[TimelineOp],
-    ) -> List[TimelineOp]:
+    ) -> Sequence[TimelineOp]:
         ops = super()._launch_partition_kernels(
             costs, snapshots, transfer_ops, last_compute
         )

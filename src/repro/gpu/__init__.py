@@ -39,6 +39,8 @@ from repro.gpu.timeline import (
     RESOURCE_PCIE_H2D,
     Timeline,
     TimelineOp,
+    TimelineOps,
+    op_records,
 )
 from repro.gpu.device import KernelStats, OutOfMemoryError, SimulatedGPU
 from repro.gpu.interconnect import NVLINK, PCIE_PEER, Interconnect, LinkSpec
@@ -78,6 +80,8 @@ __all__ = [
     "RESOURCE_PCIE_H2D",
     "Timeline",
     "TimelineOp",
+    "TimelineOps",
+    "op_records",
     "KernelStats",
     "OutOfMemoryError",
     "SimulatedGPU",

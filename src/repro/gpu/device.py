@@ -11,7 +11,7 @@ when it would run given stream ordering and resource contention.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.gpu.kernel_cost import CATEGORIES, KernelCost, LaunchTerms
 from repro.gpu.spec import GPUSpec, HostSpec, PCIeSpec
@@ -22,6 +22,7 @@ from repro.gpu.timeline import (
     RESOURCE_PCIE_H2D,
     Timeline,
     TimelineOp,
+    TimelineOps,
 )
 
 
@@ -109,9 +110,14 @@ class SimulatedGPU:
         pinned: bool = True,
         depends_on: Optional[Sequence[TimelineOp]] = None,
         not_before: float = 0.0,
+        attrs: Optional[Mapping[str, object]] = None,
     ) -> TimelineOp:
-        """Schedule a host→device copy of ``nbytes``."""
+        """Schedule a host→device copy of ``nbytes``; ``attrs`` adds facts
+        after its ``bytes`` and ``pinned``."""
         duration = self.pcie.transfer_seconds(nbytes, pinned=pinned)
+        op_attrs: Dict[str, object] = {"bytes": float(nbytes), "pinned": pinned}
+        if attrs:
+            op_attrs.update(attrs)
         return self.timeline.submit(
             label=label,
             kind="h2d",
@@ -119,7 +125,7 @@ class SimulatedGPU:
             duration=duration,
             stream=stream,
             depends_on=depends_on,
-            attrs={"bytes": float(nbytes), "pinned": pinned},
+            attrs=op_attrs,
             not_before=not_before,
         )
 
@@ -164,33 +170,40 @@ class SimulatedGPU:
         label: str = "kernel_batch",
         stream: str = "compute",
         depends_on: Optional[Sequence[TimelineOp]] = None,
-    ) -> List[TimelineOp]:
-        """Schedule a sequence of kernels back-to-back on one stream."""
-        labels = [f"{label}[{i}]:{cost.name}" for i, cost in enumerate(costs)]
-        return self._launch_chain(costs, labels, stream, depends_on)
+    ) -> TimelineOps:
+        """Schedule a sequence of kernels back-to-back on one stream.
+
+        Op ``i`` is labelled ``f"{label}[{i}]:{costs[i].name}"``; the ops
+        come back as a lazy sequence (see :meth:`Timeline.submit_chain`).
+        """
+        names = [cost.name for cost in costs]
+        return self._launch_chain(costs, names, stream, depends_on, prefix=label)
 
     def _launch_chain(
         self,
         costs: Sequence[KernelCost],
-        labels: Sequence[str],
+        names: Sequence[str],
         stream: str,
         depends_on: Optional[Sequence[TimelineOp]],
-    ) -> List[TimelineOp]:
+        prefix: Optional[str] = None,
+    ) -> TimelineOps:
         """Place ``costs`` as one timeline chain, then charge ``kernel_stats``.
 
         :meth:`Timeline.submit_chain` rejects a bad duration before placing
         anything, and the statistics are charged only after it returns, so a
-        rejected chain leaves the device as it was.
+        rejected chain leaves the device as it was.  Every op shares its
+        cost's read-only :class:`LaunchTerms` ``attrs`` template.
         """
         terms = self.launch_terms(costs)
         ops = self.timeline.submit_chain(
-            labels=labels,
+            labels=names,
             kind="kernel",
             resource=RESOURCE_COMPUTE,
             durations=[t.duration for t in terms],
             attrs=[t.attrs for t in terms],
             stream=stream,
             depends_on=depends_on,
+            prefix=prefix,
         )
         kernel_stats = self.kernel_stats
         for (
@@ -239,6 +252,7 @@ class SimulatedGPU:
         stream: str = "cpu",
         depends_on: Optional[Sequence[TimelineOp]] = None,
         not_before: float = 0.0,
+        attrs: Optional[Mapping[str, object]] = None,
     ) -> TimelineOp:
         """Schedule CPU-side work (graph slicing, preparation, dispatch)."""
         return self.timeline.submit(
@@ -248,6 +262,7 @@ class SimulatedGPU:
             duration=seconds,
             stream=stream,
             depends_on=depends_on,
+            attrs=attrs,
             not_before=not_before,
         )
 

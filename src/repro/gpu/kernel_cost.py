@@ -15,7 +15,8 @@ where compute throughput is de-rated by the kernel's active-thread ratio
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, NamedTuple, Optional
+from types import MappingProxyType
+from typing import Dict, Iterable, Mapping, NamedTuple, Optional
 
 from repro.gpu.spec import GPUSpec
 
@@ -36,11 +37,12 @@ CATEGORIES = (
 
 class LaunchTerms(NamedTuple):
     """What one launch of a :class:`KernelCost` places and charges: the op's
-    ``duration`` (execution plus launch overhead) and ``attrs`` template, then
-    the ``category``'s :class:`~repro.gpu.device.KernelStats` increments."""
+    ``duration`` (execution plus launch overhead) and read-only ``attrs``
+    template, which every op of this launch shares on the timeline, then the
+    ``category``'s :class:`~repro.gpu.device.KernelStats` increments."""
 
     duration: float
-    attrs: Dict[str, object]
+    attrs: Mapping[str, object]
     category: str
     seconds: float
     launches: int
@@ -157,7 +159,7 @@ class KernelCost:
         ``per_launch_us`` is the device's overhead per kernel launch (eager
         and CUDA-graph devices differ).  The terms are kept on the record for
         the last ``(spec, per_launch_us)`` asked, the spec by identity as in
-        :meth:`balanced_seconds`; ``attrs`` is a template each op copies.  A
+        :meth:`balanced_seconds`; ``attrs`` is the template its ops share.  A
         device adds the terms to its statistics one cost at a time in launch
         order: float addition does not associate, so a pre-summed chain
         would change the totals' bits.
@@ -169,7 +171,7 @@ class KernelCost:
         seconds = balanced * self.imbalance
         terms = LaunchTerms(
             seconds + self.launches * per_launch_us * 1e-6,
-            {"category": self.category, "launches": self.launches},
+            MappingProxyType({"category": self.category, "launches": self.launches}),
             self.category,
             seconds,
             self.launches,

@@ -415,17 +415,16 @@ class ServingScheduler(TraceReplay):
             self.feature_cache.invalidate(touched_blocks)
         # Remember the op: batches serving the post-delta window must not
         # start before the delta that produced their state has been applied.
+        # The delta op *writes* the touched feature blocks; a gather reading
+        # those blocks without an ordering path is a race the happens-before
+        # checker flags.
         self._last_delta_op = self.device.host_op(
             report.apply_seconds + patch_seconds,
             label=f"delta_v{report.version}",
             stream="cpu_prep" if self.config.enable_pipeline else "default",
             not_before=at,
+            attrs={"hb_writes": list(touched_blocks)} if touched_blocks else None,
         )
-        if touched_blocks:
-            # The delta op *writes* the touched feature blocks; a gather
-            # reading those blocks without an ordering path is a race the
-            # happens-before checker flags.
-            self._last_delta_op.attrs["hb_writes"] = list(touched_blocks)
         self.metrics.record_delta(report.num_touched)
         return report
 

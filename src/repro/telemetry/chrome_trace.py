@@ -85,7 +85,7 @@ def _jsonable(value: Any) -> Any:
 def _track_resources(timeline: Timeline) -> List[str]:
     """Resources of one timeline in stable order: canonical first, extras
     (e.g. ``peer_link``) sorted after."""
-    present = {op.resource for op in timeline.ops}
+    present = set(timeline.columns.resource)
     ordered = [r for r in RESOURCES if r in present]
     ordered.extend(sorted(present - set(RESOURCES)))
     return ordered

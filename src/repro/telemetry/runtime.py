@@ -57,16 +57,18 @@ def project_timelines(
     counts once: device 0's op for a group collective, the ``_send`` op for
     a point-to-point transfer; only training-domain collectives count (the
     trainer's device group is the one whose seconds the report carries).
+    Each timeline's attrs column is scanned for the fact keys, and a view
+    is built only for the ops that carry one.
     """
     tagged = []
     devices: Dict[str, int] = {}
     for _, domain, timeline in timelines:
         device = devices.get(domain, 0)
         devices[domain] = device + 1
+        columns = timeline.columns
         tagged.extend(
-            (op.uid, domain, device, op)
-            for op in timeline.ops
-            if not _FACT_KEYS.isdisjoint(op.attrs)
+            (columns.uid[row], domain, device, columns.view(row))
+            for row in columns.rows_with(*_FACT_KEYS)
         )
     tagged.sort(key=lambda entry: entry[0])
 

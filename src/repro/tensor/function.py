@@ -85,9 +85,9 @@ _NO_ATTRS: Mapping[str, Any] = MappingProxyType({})
 class OpEvent(NamedTuple):
     """A single executed operation, reported to the installed observer.
 
-    A ``NamedTuple``, like :class:`~repro.gpu.timeline.TimelineOp`: the
-    engine builds one per executed op, positionally, and assigning a field
-    raises ``AttributeError``.
+    A ``NamedTuple``, like a :class:`~repro.gpu.timeline.TimelineOp` view:
+    the engine builds one per executed op, positionally, and assigning a
+    field raises ``AttributeError``.
 
     Attributes
     ----------

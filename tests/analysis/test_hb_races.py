@@ -24,19 +24,20 @@ def artifacts_of(*timelines: Timeline) -> ExecutionArtifacts:
 
 def submit(timeline, label, *, resource, stream, duration=1.0, deps=None,
            reads=(), writes=()):
-    op = timeline.submit(
+    attrs = {}
+    if reads:
+        attrs["hb_reads"] = list(reads)
+    if writes:
+        attrs["hb_writes"] = list(writes)
+    return timeline.submit(
         label=label,
         kind="cpu" if resource == "cpu" else "h2d",
         resource=resource,
         duration=duration,
         stream=stream,
         depends_on=deps,
+        attrs=attrs,
     )
-    if reads:
-        op.attrs["hb_reads"] = list(reads)
-    if writes:
-        op.attrs["hb_writes"] = list(writes)
-    return op
 
 
 def reference_hb_races(artifacts: ExecutionArtifacts):
@@ -299,7 +300,7 @@ class TestMatchesAllPairsReference:
             "hb_writes"][0]
         seeded = [ops[i * len(ops) // 6] for i in range(1, 6)]
         for op in seeded:
-            op.attrs.setdefault("hb_writes", []).append(key)
+            timeline.annotate(op, hb_writes=[*op.attrs.get("hb_writes", ()), key])
         violations = check_hb_races(artifacts)
         assert violations == reference_hb_races(artifacts)
         labels = {repr(op.label) for op in seeded}

@@ -17,14 +17,17 @@ def pin_and_transfer(timeline, *, acquire, budget, tier_used=0.0,
     pin = timeline.submit(
         label="pin", kind="cpu", resource="cpu", duration=1.0, stream="prep"
     )
-    pin.attrs["pinned_acquire_bytes"] = acquire
-    pin.attrs["pinned_tier_used_bytes"] = tier_used
-    pin.attrs["pinned_budget_bytes"] = budget
+    timeline.annotate(
+        pin,
+        pinned_acquire_bytes=acquire,
+        pinned_tier_used_bytes=tier_used,
+        pinned_budget_bytes=budget,
+    )
     h2d = timeline.submit(
         label="h2d", kind="h2d", resource="pcie_h2d",
         duration=transfer_duration, stream="copy", depends_on=[pin],
     )
-    h2d.attrs["pinned_release_bytes"] = acquire
+    timeline.annotate(h2d, pinned_release_bytes=acquire)
     return pin, h2d
 
 
@@ -64,9 +67,12 @@ class TestPinnedReplay:
             label="pin", kind="cpu", resource="cpu", duration=1.0,
             stream="prep", depends_on=[h2d],
         )
-        pin2.attrs["pinned_acquire_bytes"] = 600 * MIB
-        pin2.attrs["pinned_tier_used_bytes"] = 0.0
-        pin2.attrs["pinned_budget_bytes"] = 600 * MIB
+        timeline.annotate(
+            pin2,
+            pinned_acquire_bytes=600 * MIB,
+            pinned_tier_used_bytes=0.0,
+            pinned_budget_bytes=600 * MIB,
+        )
         assert check_memory_watermark(
             ExecutionArtifacts(timelines=[("gpu0", "train", timeline)])
         ) == []

@@ -169,6 +169,20 @@ class TestSetCoercion:
         assert main(["check", "fleet-serving", "--set", override]) == 2
         assert f"{field} must be true or false" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("epochs=2.5", "RunSpec.epochs must be an integer"),
+            ("num_snapshots=7.5", "RunSpec.num_snapshots must be an integer"),
+            ("device=null", "RunSpec.device must be a mapping, got null"),
+            ("telemetry=null", "RunSpec.telemetry must be a mapping, got null"),
+        ],
+    )
+    def test_bad_field_type_exits_2(self, override, message, capsys):
+        assert main(["check", "quick", "--set", override]) == 2
+        assert main(["run", "quick", "--set", override]) == 2
+        assert message in capsys.readouterr().err
+
     def test_quoted_value_stays_a_string(self):
         spec = load_spec("quick", ['dataset="hepth"'])
         assert spec.dataset == "hepth"

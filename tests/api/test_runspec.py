@@ -146,6 +146,39 @@ class TestUnknownKeyRejection:
             RunSpec.from_dict({"dataset": "flickr", "data": {"depth": 3}})
 
 
+class TestLoadTimeTypes:
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ({"epochs": 2.5}, "RunSpec.epochs"),
+            ({"num_snapshots": 7.5}, "RunSpec.num_snapshots"),
+            ({"epochs": True}, "RunSpec.epochs"),
+            ({"epochs": "3"}, "RunSpec.epochs"),
+            ({"data": {"prefetch_depth": 1.0}}, "DataSpec.prefetch_depth"),
+            ({"serving": {"trace": {"num_events": 40.0}}}, "TraceSpec.num_events"),
+        ],
+    )
+    def test_non_integer_in_an_int_field_rejected(self, data, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            RunSpec.from_dict({"dataset": "flickr", **data})
+
+    def test_integers_still_load(self):
+        spec = RunSpec.from_dict({"dataset": "flickr", "epochs": 2, "seed": 0})
+        assert (spec.epochs, spec.seed) == (2, 0)
+
+    @pytest.mark.parametrize(
+        "section", ["device", "pipad", "data", "memory", "telemetry", "analysis"]
+    )
+    def test_null_required_section_rejected(self, section):
+        with pytest.raises(ValueError, match=f"RunSpec.{section} must be a mapping, got null"):
+            RunSpec.from_dict({"dataset": "flickr", section: None})
+        with pytest.raises(ValueError, match=f"RunSpec.{section} must be a mapping"):
+            RunSpec(dataset="flickr", **{section: None})
+
+    def test_null_serving_is_a_training_only_run(self):
+        assert RunSpec.from_dict({"dataset": "flickr", "serving": None}).serving is None
+
+
 class TestValidation:
     def test_unknown_dataset_names_choices(self):
         with pytest.raises(ValueError, match="unknown dataset 'mnist'.*covid19_england"):

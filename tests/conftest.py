@@ -8,39 +8,16 @@ import pytest
 from repro.baselines import TrainerConfig
 from repro.graph import CSRMatrix, GeneratorConfig, generate_dynamic_graph
 from repro.gpu import DeviceGroup, GPUSpec, SimulatedGPU
+from repro.gpu import op_records as gpu_op_records
 from repro.nn import build_model
 from repro.serving import IncrementalSnapshotStore, ServingConfig
 from repro.serving.scheduler import _build_serving_scheduler
 
 
-def _op_records(timelines):
-    """The canonical record of every op in ``timelines`` (a list of op lists).
-
-    Label, kind, resource, stream, ``float.hex`` start and end, and deps as
-    ``(timeline index, op_id)``: everything simulated about an op except its
-    process-unique uid.
-    """
-    where = {op.uid: (index, op.op_id) for index, ops in enumerate(timelines) for op in ops}
-    return [
-        (
-            index,
-            op.label,
-            op.kind,
-            op.resource,
-            op.stream,
-            float(op.start).hex(),
-            float(op.end).hex(),
-            tuple(where[uid] for uid in op.deps),
-        )
-        for index, ops in enumerate(timelines)
-        for op in ops
-    ]
-
-
 @pytest.fixture(scope="session")
 def op_records():
-    """:func:`_op_records`: compare or hash timelines op for op."""
-    return _op_records
+    """:func:`repro.gpu.op_records`: compare or hash timelines op for op."""
+    return gpu_op_records
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,9 @@
 statistics increments per spec and launch overhead.  These tests pin that
 launching from the kept terms is indistinguishable from deriving everything
 per launch: the statistics are a sequential per-cost ``+=`` in launch order,
-every device gets its own duration, every op owns its attrs, and a chain-built
-op is an ordinary :class:`TimelineOp`.
+every device gets its own duration, every op of one cost shares its read-only
+attrs template until it is annotated, and a chain-built op is an ordinary
+:class:`TimelineOp`.
 """
 
 from __future__ import annotations
@@ -137,13 +138,18 @@ class TestOwnAttrs:
     def test_annotating_one_op_reaches_no_other(self, gpu_spec):
         device = SimulatedGPU(gpu_spec)
         cost, other = KernelCost(name="a", launches=2), KernelCost(name="b")
-        template = dict(cost.launch_terms(gpu_spec, _overhead_us(device)).attrs)
+        shared = cost.launch_terms(gpu_spec, _overhead_us(device)).attrs
+        template = dict(shared)
         ops = device.launch_kernels([cost, other, cost], label="fwd")
-        # what PipelineTrainer._launch_chained writes on a stalled chain's head
-        ops[0].attrs["bubble_from"] = 0.5
-        assert len({id(op.attrs) for op in ops}) == 3
-        assert ops[2].attrs == template
-        assert "bubble_from" not in ops[1].attrs
+        assert ops[0].attrs is shared and ops[2].attrs is shared
+        with pytest.raises(TypeError):
+            ops[0].attrs["bubble_from"] = 0.5  # type: ignore[index]
+        # what PipelineTrainer._launch_chained records on a stalled chain's head
+        device.timeline.annotate(ops[0], bubble_from=0.5)
+        head, middle, tail = device.timeline.ops
+        assert head.attrs == {**template, "bubble_from": 0.5}
+        assert tail.attrs == template and tail.attrs is shared
+        assert "bubble_from" not in middle.attrs
         again = device.launch_kernels([cost, cost], label="fwd")
         assert [op.attrs for op in again] == [template, template]
         assert cost.launch_terms(gpu_spec, _overhead_us(device)).attrs == template

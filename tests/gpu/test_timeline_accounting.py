@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
+from types import MappingProxyType
 from typing import Dict, List, Sequence, Tuple
 
 import pytest
@@ -159,23 +160,38 @@ class TestTimelineOpContract:
             hash(op)
         assert op.duration == op.end - op.start == 1.0
 
-    def test_ops_submitted_without_attrs_do_not_share_a_dict(self):
+    def test_annotating_an_op_without_attrs_reaches_no_other(self):
         timeline = Timeline()
         a = timeline.submit(label="a", kind="kernel", resource="compute", duration=1.0)
-        b = timeline.submit(label="b", kind="kernel", resource="compute", duration=1.0)
-        a.attrs["hb_writes"] = ["x"]
-        assert a.attrs is not b.attrs and b.attrs == {}
+        timeline.submit(label="b", kind="kernel", resource="compute", duration=1.0)
+        with pytest.raises(TypeError):
+            a.attrs["hb_writes"] = ["x"]  # type: ignore[index]
+        timeline.annotate(a, hb_writes=["x"])
+        a_now, b_now = timeline.ops
+        assert a_now.attrs == {"hb_writes": ["x"]} and b_now.attrs == {}
+        # a view is a snapshot: the record submit returned keeps its attrs
+        assert a.attrs == {}
 
     def test_op_keeps_its_own_copy_of_the_callers_attrs(self):
         attrs = {"bytes": 4}
-        op = Timeline().submit(
+        timeline = Timeline()
+        op = timeline.submit(
             label="a", kind="h2d", resource="pcie_h2d", duration=1.0, attrs=attrs
         )
         attrs["bytes"] = 8
         attrs["extra"] = True
-        assert op.attrs == {"bytes": 4}
-        op.attrs["hb_reads"] = ["y"]
+        assert op.attrs == {"bytes": 4} == timeline.ops[0].attrs
+        timeline.annotate(op, hb_reads=["y"])
+        assert timeline.ops[0].attrs == {"bytes": 4, "hb_reads": ["y"]}
         assert attrs == {"bytes": 8, "extra": True}
+
+    def test_annotate_rejects_an_op_of_another_timeline(self):
+        timeline, other = Timeline(), Timeline()
+        timeline.submit(label="a", kind="cpu", resource="cpu", duration=1.0)
+        stranger = other.submit(label="b", kind="cpu", resource="cpu", duration=1.0)
+        with pytest.raises(ValueError, match="not on this timeline"):
+            timeline.annotate(stranger, stage="slice")
+        assert timeline.ops[0].attrs == {} and other.ops[0].attrs == {}
 
 
 # -- kernel chains ------------------------------------------------------------
@@ -308,18 +324,29 @@ class TestChainsEqualPerOpSubmits:
         assert timeline.busy_time(["compute"]) == 29.0
         assert timeline.busy_time(["compute", "cpu"]) == 102.0
 
-    def test_each_chained_op_owns_its_attrs(self):
+    def test_chained_dicts_are_copied_and_read_only_mappings_shared(self):
         shared = {"category": "update"}
-        ops = Timeline().submit_chain(
-            labels=["a", "b", "c"],
+        template = MappingProxyType({"category": "rnn"})
+        timeline = Timeline()
+        ops = timeline.submit_chain(
+            labels=["a", "b", "c", "d"],
             kind="kernel",
             resource="compute",
-            durations=[1.0, 1.0, 1.0],
-            attrs=[shared, shared, None],
+            durations=[1.0, 1.0, 1.0, 1.0],
+            attrs=[shared, shared, None, template],
         )
-        ops[0].attrs["bubble_from"] = "stage0"
-        assert ops[1].attrs == shared == {"category": "update"}
-        assert ops[2].attrs == {} and ops[2].attrs is not ops[1].attrs
+        shared["category"] = "rnn"
+        assert ops[0].attrs == ops[1].attrs == {"category": "update"}
+        assert ops[2].attrs == {} and ops[3].attrs is template
+        timeline.annotate(ops[0], bubble_from="stage0")
+        timeline.annotate(ops[3], bubble_from="stage1")
+        assert [op.attrs for op in timeline.ops] == [
+            {"category": "update", "bubble_from": "stage0"},
+            {"category": "update"},
+            {},
+            {"category": "rnn", "bubble_from": "stage1"},
+        ]
+        assert template == {"category": "rnn"}
 
 
 # -- device-level chains ------------------------------------------------------
@@ -430,11 +457,13 @@ class TestDeviceKernelChains:
         assert (op.label, op.start.hex(), op.end.hex()) == ("single", ref.start.hex(), ref.end.hex())
         assert device_hexes(device)[0] == device_hexes(reference)[0]
 
-    def test_launched_ops_own_their_attrs(self):
-        ops = SimulatedGPU().launch_kernels([KernelCost(name=f"k{i}", flops=1e9) for i in range(3)])
-        ops[0].attrs["bubble_from"] = "stage1"
-        assert all("bubble_from" not in op.attrs for op in ops[1:])
-        assert ops[1].attrs == {"category": "other", "launches": 1}
+    def test_annotating_a_launched_op_reaches_no_other(self):
+        device = SimulatedGPU()
+        ops = device.launch_kernels([KernelCost(name=f"k{i}", flops=1e9) for i in range(3)])
+        device.timeline.annotate(ops[0], bubble_from="stage1")
+        first, *rest = device.timeline.ops
+        assert first.attrs == {"category": "other", "launches": 1, "bubble_from": "stage1"}
+        assert all(op.attrs == {"category": "other", "launches": 1} for op in rest)
 
     def test_a_rejected_chain_leaves_the_device_untouched(self):
         device = SimulatedGPU()

@@ -130,7 +130,7 @@ class TestProjectTimelines:
         devices = [SimulatedGPU(), SimulatedGPU()]
         devices[1].host_op(1e-3, label="filler")
         chained = devices[1].host_op(1e-3, label="chained")
-        chained.attrs["bubble_from"] = 7.5e-4
+        devices[1].timeline.annotate(chained, bubble_from=7.5e-4)
         totals, spans = project_timelines(_timelines(devices))
         assert totals == {
             "pipeline.bubbles": 1.0,
@@ -148,8 +148,9 @@ class TestProjectTimelines:
         # Alternating devices; summing device by device would give
         # 1e-16 + 1e-16 + 1.0 != 1e-16 + 1.0 + 1e-16.
         for step, seconds in enumerate([1e-16, 1.0, 1e-16, 0.0]):
-            op = devices[step % 2].host_op(seconds, label=f"slice_p{step}")
-            op.attrs["stage"] = "slice"
+            devices[step % 2].host_op(
+                seconds, label=f"slice_p{step}", attrs={"stage": "slice"}
+            )
         in_order = per_device = 0.0
         for op in sorted(
             (op for d in devices for op in d.timeline.ops), key=lambda op: op.uid
