@@ -64,7 +64,6 @@ _LAZY_EXPORTS = {
     "FrameIterator": "repro.graph",
     "SnapshotOverlap": "repro.graph",
     "load_dataset": "repro.graph",
-    "list_datasets": "repro.graph",
     # simulated GPU
     "GPUSpec": "repro.gpu",
     "PCIeSpec": "repro.gpu",
@@ -86,7 +85,6 @@ _LAZY_EXPORTS = {
     "PCIE_PEER": "repro.distributed",
     "PARTITION_MODES": "repro.distributed",
     "SCHEDULE_MODES": "repro.distributed",
-    "ShardGroup": "repro.distributed",
     "SnapshotShard": "repro.distributed",
     "ShardedServingEngine": "repro.distributed",
     "build_sharded_serving_engine": "repro.distributed",
@@ -103,12 +101,10 @@ _LAZY_EXPORTS = {
     "TrainingResult": "repro.baselines",
     "EpochMetrics": "repro.baselines",
     "METHOD_ORDER": "repro.baselines",
-    "list_methods": "repro.baselines",
     # models
     "MODEL_ORDER": "repro.nn",
     "MODEL_REGISTRY": "repro.nn",
     "build_model": "repro.nn",
-    "list_models": "repro.nn",
     # serving
     "BatchRecord": "repro.serving",
     "BatchResult": "repro.serving",

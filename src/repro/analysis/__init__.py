@@ -32,7 +32,6 @@ from .registry import (
     register_check,
     resolve_checks,
     run_checks,
-    static_checks,
 )
 
 __all__ = [
@@ -50,5 +49,4 @@ __all__ = [
     "register_check",
     "resolve_checks",
     "run_checks",
-    "static_checks",
 ]

@@ -97,9 +97,6 @@ class AnalysisReport:
     def warnings(self) -> List[Violation]:
         return [v for v in self.violations if v.severity == SEVERITY_WARNING]
 
-    def by_check(self, check: str) -> List[Violation]:
-        return [v for v in self.violations if v.check == check]
-
     def format(self) -> str:
         lines = [
             f"analysis: {len(self.checks)} check(s), "

@@ -114,14 +114,6 @@ register_check(
 )
 
 
-def static_checks() -> Tuple[str, ...]:
-    return tuple(
-        name
-        for name, info in CHECK_REGISTRY.items()
-        if info.family == FAMILY_STATIC
-    )
-
-
 def resolve_checks(names: Optional[Sequence[str]] = None) -> Tuple[str, ...]:
     """Validate and normalize a check selection (empty/None = all)."""
     if not names:

@@ -31,7 +31,7 @@ scheduler's and the fleet's configs).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Type, Union
+from typing import Callable, Dict, Type, Union
 
 from repro.api.spec import RunSpec
 from repro.baselines import _registry as _trainer_registry
@@ -45,10 +45,6 @@ from repro.nn.base_model import DGNNModel
 def trainer_registry() -> Dict[str, Type[DGNNTrainerBase]]:
     """Method name -> trainer class (the baselines registry, unchanged)."""
     return _trainer_registry()
-
-
-def list_methods() -> List[str]:
-    return sorted(trainer_registry())
 
 
 # ------------------------------------------------------------------ devices
@@ -225,6 +221,5 @@ __all__ = [
     "ServingKind",
     "build_serving",
     "build_trainer",
-    "list_methods",
     "trainer_registry",
 ]

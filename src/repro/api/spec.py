@@ -101,8 +101,8 @@ class _SpecBase:
         """Inverse of :meth:`to_dict`; raises on unknown keys."""
         return _from_plain(cls, data)
 
-    def to_json(self, *, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_json(cls: Type[_T], text: str) -> _T:
@@ -322,7 +322,6 @@ class RunSpec(_SpecBase):
     frame_size: int = 8
     epochs: int = 3
     lr: float = 1e-3
-    optimizer: str = "adam"
     seed: int = 0
     hidden_dim: Optional[int] = None
     #: workload-extrapolation factor; ``None`` derives it from the dataset
@@ -422,7 +421,6 @@ class RunSpec(_SpecBase):
             frame_size=self.frame_size,
             epochs=self.epochs,
             lr=self.lr,
-            optimizer=self.optimizer,
             seed=self.seed,
             cost_scale=self.cost_scale,
         )

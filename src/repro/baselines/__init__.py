@@ -30,11 +30,6 @@ def _registry() -> Dict[str, Type[DGNNTrainerBase]]:
 METHOD_ORDER: List[str] = ["PyGT", "PyGT-A", "PyGT-R", "PyGT-G", "PiPAD"]
 
 
-def list_methods() -> List[str]:
-    """Canonical method names, in figure order."""
-    return list(METHOD_ORDER)
-
-
 __all__ = [
     "DGNNTrainerBase",
     "TrainerConfig",
@@ -45,5 +40,4 @@ __all__ = [
     "PyGTReuseTrainer",
     "PyGTGeSpMMTrainer",
     "METHOD_ORDER",
-    "list_methods",
 ]

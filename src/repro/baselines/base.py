@@ -44,7 +44,7 @@ from repro.nn.aggregation import (
 from repro.nn.base_model import DGNNModel
 from repro.nn.context import ExecutionContext
 from repro.telemetry.hooks import NULL_CALLBACK, TelemetryCallback
-from repro.tensor import Adam, SGD, Tensor, no_grad, observe_ops
+from repro.tensor import Adam, Tensor, no_grad, observe_ops
 from repro.tensor.nn.loss import mse_loss
 from repro.utils.validation import check_positive
 
@@ -58,7 +58,6 @@ class TrainerConfig:
     frame_size: int = DEFAULT_FRAME_SIZE
     epochs: int = 3
     lr: float = 1e-3
-    optimizer: str = "adam"
     seed: int = 0
     #: workload-extrapolation factor; ``None`` derives it from the dataset
     #: analogue (paper node count / analogue node count)
@@ -73,8 +72,6 @@ class TrainerConfig:
         check_positive("frame_size", self.frame_size)
         check_positive("epochs", self.epochs)
         check_positive("lr", self.lr)
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}; valid: adam, sgd")
         if self.cost_scale is not None:
             check_positive("cost_scale", self.cost_scale)
 
@@ -106,8 +103,7 @@ class DGNNTrainerBase:
         self.model: DGNNModel = build_model(
             self.config.model, graph.feature_dim, hidden, out_features=1, seed=self.config.seed
         )
-        optim_cls = Adam if self.config.optimizer == "adam" else SGD
-        self.optimizer = optim_cls(self.model.parameters(), lr=self.config.lr)
+        self.optimizer = Adam(self.model.parameters(), lr=self.config.lr)
         self.frames = FrameIterator(graph, frame_size=self.config.frame_size)
         self.cache = DictAggregationCache() if self.use_reuse else None
         self.context = ExecutionContext(spec=self.config.gpu, scale=self.scale)
@@ -382,9 +378,9 @@ class DGNNTrainerBase:
         return {}
 
     # ------------------------------------------------------------------ evaluation
-    def evaluate(self, frame_index: int = -1) -> float:
-        """Inference-only MSE on one frame (no gradient, no device accounting)."""
-        frame = self.frames.frame(self.frames.num_frames - 1 if frame_index < 0 else frame_index)
+    def evaluate(self) -> float:
+        """Inference-only MSE on the last frame (no gradient, no device accounting)."""
+        frame = self.frames.frame(self.frames.num_frames - 1)
         state = self.model.init_state(self.graph.num_nodes)
         predictions: List[Tensor] = []
         with no_grad():

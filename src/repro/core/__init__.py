@@ -9,7 +9,6 @@ from repro.core.datapipe import (
     PipeItem,
     Prefetcher,
     STAGE_REGISTRY,
-    build_datapipe,
 )
 from repro.core.reuse import ReuseManager
 from repro.core.parallel_gnn import ParallelAggregationProvider, PartitionKernels
@@ -35,7 +34,6 @@ __all__ = [
     "PipeItem",
     "Prefetcher",
     "STAGE_REGISTRY",
-    "build_datapipe",
     "ReuseManager",
     "ParallelAggregationProvider",
     "PartitionKernels",

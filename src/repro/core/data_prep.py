@@ -46,23 +46,13 @@ class PartitionData:
         """Total adjacency bytes shipped for the group (overlap + exclusives)."""
         return self.overlap_bytes + sum(self.exclusive_bytes)
 
-    @property
-    def baseline_adjacency_bytes(self) -> int:
-        """Adjacency bytes if every snapshot were shipped in full (CSR)."""
-        return sum(s.adjacency.nbytes for s in self.snapshots)
-
 
 class DataPreparer:
     """Builds and caches :class:`PartitionData` for snapshot groups."""
 
     def __init__(
-        self,
-        slice_capacity: int = DEFAULT_SLICE_CAPACITY,
-        host: Optional[HostSpec] = None,
-        *,
-        use_sliced_csr: bool = True,
+        self, host: Optional[HostSpec] = None, *, use_sliced_csr: bool = True
     ) -> None:
-        self.slice_capacity = slice_capacity
         self.host = host or HostSpec()
         self.use_sliced_csr = use_sliced_csr
         self._cache: Dict[Tuple[int, int], PartitionData] = {}
@@ -73,7 +63,7 @@ class DataPreparer:
         if adjacency.nnz == 0:
             return 0
         if self.use_sliced_csr:
-            return SlicedCSRMatrix.csr_nbytes(adjacency, self.slice_capacity)
+            return SlicedCSRMatrix.csr_nbytes(adjacency, DEFAULT_SLICE_CAPACITY)
         return adjacency.nbytes
 
     def _extraction_seconds(self, snapshots: Sequence[GraphSnapshot]) -> float:
@@ -85,7 +75,7 @@ class DataPreparer:
         """Prepare (or fetch from cache) the overlap decomposition of a group.
 
         The datapipe's path: build partitions through
-        ``repro.core.datapipe.build_datapipe(...).partition(snapshots)``.
+        ``repro.core.datapipe.DataPipe(...).partition(snapshots)``.
         """
         if not snapshots:
             raise ValueError("cannot prepare an empty snapshot group")
@@ -132,9 +122,6 @@ class DataPreparer:
             exclusive_bytes=tuple(self._format_bytes(e) for e in overlap.exclusives),
             extraction_seconds=0.0,
         )
-
-    def is_cached(self, start_timestep: int, size: int) -> bool:
-        return (start_timestep, size) in self._cache
 
     def prepare_frame(
         self, snapshots: Sequence[GraphSnapshot], s_per: int

@@ -46,7 +46,6 @@ from repro.core.data_prep import DataPreparer, PartitionData
 from repro.gpu.device import SimulatedGPU
 from repro.gpu.spec import HostSpec
 from repro.gpu.timeline import TimelineOp
-from repro.graph.sliced_csr import DEFAULT_SLICE_CAPACITY
 from repro.graph.snapshot import GraphSnapshot
 from repro.memory.cache import TIER_PINNED, AccessPlan
 from repro.utils.validation import check_int, check_non_negative
@@ -164,15 +163,11 @@ class DataPipe:
         config: Optional[DataPipeConfig] = None,
         host: Optional[HostSpec] = None,
         *,
-        preparer: Optional[DataPreparer] = None,
-        slice_capacity: int = DEFAULT_SLICE_CAPACITY,
         use_sliced_csr: bool = True,
     ) -> None:
         self.config = config or DataPipeConfig()
         self.host = host or HostSpec()
-        self.preparer = preparer or DataPreparer(
-            slice_capacity, self.host, use_sliced_csr=use_sliced_csr
-        )
+        self.preparer = DataPreparer(self.host, use_sliced_csr=use_sliced_csr)
         self.stages: Tuple[str, ...] = tuple(
             stage
             for stage in STAGE_REGISTRY
@@ -191,12 +186,6 @@ class DataPipe:
     def partition(self, snapshots: Sequence[GraphSnapshot]) -> PartitionData:
         """Prepare (or fetch from cache) one snapshot group's partition data."""
         return self.preparer._prepare(snapshots)
-
-    def partition_frame(
-        self, snapshots: Sequence[GraphSnapshot], s_per: int
-    ) -> List[PartitionData]:
-        """Prepare every partition of a frame at parallelism ``s_per``."""
-        return self.preparer.prepare_frame(snapshots, s_per)
 
     # ------------------------------------------------------------------ stage costs
     @property
@@ -219,10 +208,6 @@ class DataPipe:
             return nbytes / (self.host.pin_bandwidth_gbs * 1e9)
         raise ValueError(f"{stage!r} is not a host stage of this pipe")
 
-    def host_seconds(self, item: PipeItem) -> float:
-        """Total host-side seconds of one item across all host stages."""
-        return sum(self.stage_seconds(s, item) for s in self.host_stages)
-
 
 class Prefetcher:
     """Depth-bounded scheduler of pipe items onto one simulated device.
@@ -244,15 +229,12 @@ class Prefetcher:
         pipe: DataPipe,
         device: SimulatedGPU,
         *,
-        depth: Optional[int] = None,
         device_index: int = 0,
         domain: str = "train",
     ) -> None:
         self.pipe = pipe
         self.device = device
-        self.depth = pipe.config.prefetch_depth if depth is None else depth
-        if self.depth < 0:
-            raise ValueError(f"prefetch depth must be >= 0, got {self.depth}")
+        self.depth = pipe.config.prefetch_depth
         self.device_index = device_index
         self.domain = domain
         #: consumption op of each scheduled item, in schedule order
@@ -406,31 +388,12 @@ class Prefetcher:
             return  # nothing outstanding: consumption of an unscheduled item
         self._consumed[index] = ops[-1] if ops else self._consumed[index - 1] if index else None
 
-    # ------------------------------------------------------------------ introspection
-    @property
-    def in_flight(self) -> int:
-        """Items scheduled but not yet marked consumed."""
-        return sum(1 for op in self._consumed if op is None)
-
     def stats(self) -> Dict[str, float]:
         return {
             "prefetch_depth": float(self.depth),
             "prefetch_items": float(self.items_scheduled),
             "prefetch_host_seconds": self.host_seconds_total,
         }
-
-
-def build_datapipe(
-    config: Optional[DataPipeConfig] = None,
-    host: Optional[HostSpec] = None,
-    *,
-    slice_capacity: int = DEFAULT_SLICE_CAPACITY,
-    use_sliced_csr: bool = True,
-) -> DataPipe:
-    """The datapipe builder: one :class:`DataPipe` with its own preparer."""
-    return DataPipe(
-        config, host, slice_capacity=slice_capacity, use_sliced_csr=use_sliced_csr
-    )
 
 
 __all__ = [
@@ -444,5 +407,4 @@ __all__ = [
     "STAGE_REGISTRY",
     "STAGE_SLICE",
     "apply_cache_plan",
-    "build_datapipe",
 ]

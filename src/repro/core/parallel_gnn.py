@@ -31,7 +31,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.data_prep import PartitionData
-from repro.graph.sliced_csr import DEFAULT_SLICE_CAPACITY
 from repro.gpu.spec import GPUSpec
 from repro.kernels.spmm_csr import GESpMMAggregation
 from repro.kernels.spmm_sliced import SlicedParallelAggregation
@@ -58,7 +57,6 @@ class PartitionKernels:
         spec: Optional[GPUSpec] = None,
         scale: float = 1.0,
         *,
-        slice_capacity: int = DEFAULT_SLICE_CAPACITY,
         use_sliced_csr: bool = True,
     ) -> None:
         self.partition = partition
@@ -73,7 +71,6 @@ class PartitionKernels:
                     adjacency,
                     spec,
                     scale,
-                    slice_capacity=slice_capacity,
                     snapshots_coalesced=snapshots_coalesced,
                 )
             return GESpMMAggregation(adjacency, spec, scale)

@@ -115,10 +115,9 @@ class OfflineAnalysis:
         exclusives: Sequence[CSRMatrix],
         feature_dim: int,
         hidden_dim: int,
-        *,
-        weight_reuse: bool = True,
     ) -> float:
-        """Estimated time to aggregate + update a group with the parallel GNN."""
+        """Estimated time to aggregate + update a group with the parallel GNN
+        (the update GEMM reuses its weights across the group)."""
         group = len(exclusives)
         seconds = 0.0
         launch = self.spec.cudagraph_launch_overhead_us * 1e-6
@@ -137,9 +136,8 @@ class OfflineAnalysis:
                 seconds += kernel.forward_cost(
                     (exclusive.num_rows, feature_dim)
                 ).execution_seconds(self.spec) + launch
-        reuse_group = group if weight_reuse else 1
         update = update_gemm_cost(
-            self.num_nodes, feature_dim, hidden_dim, self.spec, reuse_group=reuse_group
+            self.num_nodes, feature_dim, hidden_dim, self.spec, reuse_group=group
         )
         seconds += group * (update.execution_seconds(self.spec) + launch)
         return seconds
@@ -170,8 +168,6 @@ class OfflineAnalysis:
         overlap_rate: float,
         feature_dim: int,
         hidden_dim: Optional[int] = None,
-        *,
-        weight_reuse: bool = True,
     ) -> float:
         """Parallel-over-sequential speedup for one configuration."""
         return offline_speedup(
@@ -184,7 +180,6 @@ class OfflineAnalysis:
             overlap_rate,
             feature_dim,
             hidden_dim or max(4, feature_dim * 2),
-            weight_reuse,
         )
 
     def speedup_table(
@@ -229,7 +224,6 @@ def offline_speedup(
     overlap_rate: float,
     feature_dim: int,
     hidden_dim: int,
-    weight_reuse: bool,
 ) -> float:
     """Offline speedup of one configuration (see :meth:`OfflineAnalysis.speedup`)."""
     analysis = OfflineAnalysis(spec, num_nodes, avg_degree, slice_capacity, seed)
@@ -237,9 +231,7 @@ def offline_speedup(
     overlap, exclusives, full = build_overlap_group(
         num_nodes, edges, s_per, overlap_rate, seed=seed
     )
-    parallel = analysis.parallel_gnn_seconds(
-        overlap, exclusives, feature_dim, hidden_dim, weight_reuse=weight_reuse
-    )
+    parallel = analysis.parallel_gnn_seconds(overlap, exclusives, feature_dim, hidden_dim)
     sequential = analysis.sequential_gnn_seconds(full, feature_dim, hidden_dim)
     return sequential / parallel if parallel > 0 else 1.0
 
@@ -333,7 +325,6 @@ class DynamicTuner:
         spec: GPUSpec,
         candidates: Sequence[int] = S_PER_CANDIDATES,
         *,
-        analysis: Optional[OfflineAnalysis] = None,
         feature_dim: int = 16,
     ) -> None:
         if not candidates:
@@ -341,7 +332,7 @@ class DynamicTuner:
         self.spec = spec
         self.candidates = tuple(sorted(set(int(c) for c in candidates)))
         self.feature_dim = feature_dim
-        self.analysis = analysis or OfflineAnalysis(spec=spec)
+        self.analysis = OfflineAnalysis(spec=spec)
         #: speedup table from the offline analysis: (s_per, OR bucket) -> speedup
         self._or_buckets = (0.1, 0.3, 0.5, 0.7, 0.9)
         self._table = self.analysis.speedup_table(
@@ -357,10 +348,9 @@ class DynamicTuner:
         profile: FrameProfile,
         *,
         pcie_bandwidth_gbs: float,
-        memory_bytes: Optional[int] = None,
     ) -> TuningDecision:
         """Pick ``S_per`` for one frame given its online profile."""
-        capacity = (memory_bytes or self.spec.memory_bytes) * MEMORY_SAFETY_FRACTION
+        capacity = self.spec.memory_bytes * MEMORY_SAFETY_FRACTION
         available = capacity - profile.frame_activation_bytes
 
         feasible: List[int] = []
@@ -407,7 +397,6 @@ class DynamicTuner:
         profile: FrameProfile,
         *,
         pcie_bandwidth_gbs: float,
-        memory_bytes: Optional[int] = None,
     ) -> TuningDecision:
         """Forward-only (inference/serving) variant of :meth:`decide`.
 
@@ -425,9 +414,7 @@ class DynamicTuner:
             per_snapshot_footprint_bytes=profile.per_snapshot_footprint_bytes * 0.5,
             frame_activation_bytes=profile.frame_activation_bytes * 0.5,
         )
-        decision = self.decide(
-            forward_profile, pcie_bandwidth_gbs=pcie_bandwidth_gbs, memory_bytes=memory_bytes
-        )
+        decision = self.decide(forward_profile, pcie_bandwidth_gbs=pcie_bandwidth_gbs)
         return TuningDecision(
             frame_index=decision.frame_index,
             s_per=decision.s_per,

@@ -45,7 +45,6 @@ from repro.graph.partition import (
     FramePartitioner,
     FrameStage,
     GraphPartitioner,
-    ShardGroup,
     SnapshotShard,
 )
 
@@ -68,7 +67,6 @@ __all__ = [
     "RESOURCE_PEER_LINK",
     "SCHEDULE_MODES",
     "ScaleEvent",
-    "ShardGroup",
     "ShardedServingEngine",
     "SnapshotShard",
     "build_fleet_serving_engine",

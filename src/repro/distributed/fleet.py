@@ -13,10 +13,10 @@ instead of the full window copy the sharded engine accounts per replica, so
 per-replica store memory drops ~K-fold; the report accounts that
 shard-local footprint per replica.  Requests whose nodes spill outside the
 owner's range pay an explicit *halo gather* — a host op sized by the remote
-rows times the window depth at the host gather bandwidth — scheduled through
-the :attr:`~repro.serving.scheduler.ServingScheduler.pre_batch_ops` seam so
-the batch's transfers wait on it.  Because the numerics still read the shared
-store, predictions stay bit-identical to the single-device scheduler.
+rows times the window depth at the host gather bandwidth, which the replica
+schedules before the batch's transfers (they wait on it).  Because the
+numerics still read the shared store, predictions stay bit-identical to the
+single-device scheduler.
 
 **Load-aware routing with admission control.**  Each request routes to the
 active replica owning the most of its nodes, tie-broken by micro-batcher
@@ -51,7 +51,6 @@ from repro.graph.csr import INDEX_BYTES
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.partition import GraphPartitioner
 from repro.nn.base_model import DGNNModel
-from repro.serving.batcher import MicroBatch
 from repro.serving.metrics import ServingReport
 from repro.serving.scheduler import (
     BatchResult,
@@ -112,9 +111,6 @@ class FleetServingEngine(ShardedServingEngine):
         self._since_scale = SCALE_COOLDOWN
         self.rejected_requests = 0
         self.scale_events: List[ScaleEvent] = []
-        self.halo_gather_bytes = 0.0
-        self.halo_gather_seconds = 0.0
-        self.halo_gather_batches = 0
         #: per-shard outstanding requests (queued + in flight), maintained
         #: incrementally by submit/pump instead of re-scanned from the
         #: ever-growing request records on every admission decision
@@ -133,10 +129,9 @@ class FleetServingEngine(ShardedServingEngine):
         #: rolling p99 of ``_completed``'s tail, recomputed only after inserts
         self._recent_p99 = float("nan")
         for shard in range(self.num_shards):
-            replicas[shard].pre_batch_ops = self._make_halo_gather(shard)
-            # Scope each replica's feature cache to the node rows it owns:
-            # blocks keyed outside the owner range would alias rows another
-            # replica serves, and the halo seam already charges remote rows.
+            # Scope each replica to the node rows it owns: cache blocks keyed
+            # outside the owner range would alias rows another replica
+            # serves, and the replica charges a halo gather for remote rows.
             replicas[shard].scope_feature_cache(
                 int(self.boundaries[shard]), int(self.boundaries[shard + 1])
             )
@@ -146,38 +141,6 @@ class FleetServingEngine(ShardedServingEngine):
     def active_replicas(self) -> int:
         """Replicas currently receiving traffic (a prefix of the pool)."""
         return self._active
-
-    def owner_of(self, node_id: int) -> int:
-        """Shard owning a node id under the persistent partition plan."""
-        return int(np.searchsorted(self.boundaries, node_id, side="right") - 1)
-
-    # ------------------------------------------------------------------ halo gather
-    def _make_halo_gather(self, shard: int):
-        """Per-replica ``pre_batch_ops`` hook charging boundary-row gathers."""
-        replica = self.replicas[shard]
-        lo, hi = int(self.boundaries[shard]), int(self.boundaries[shard + 1])
-
-        def gather(batch: MicroBatch) -> List[object]:
-            remote = int(np.count_nonzero((batch.node_ids < lo) | (batch.node_ids >= hi)))
-            if remote == 0:
-                return []
-            store = replica.store
-            gather_bytes = (
-                remote * store.feature_dim * 4.0 * store.window_size * replica.scale
-            )
-            seconds = gather_bytes / (replica.device.host.gather_bandwidth_gbs * 1e9)
-            op = replica.device.host_op(
-                seconds,
-                label=f"halo_gather_b{batch.batch_id}",
-                stream="cpu_prep" if replica.config.enable_pipeline else "default",
-                not_before=batch.formed_time,
-            )
-            self.halo_gather_bytes += gather_bytes
-            self.halo_gather_seconds += seconds
-            self.halo_gather_batches += 1
-            return [op]
-
-        return gather
 
     # ------------------------------------------------------------------ routing
     def queue_depth(self, shard: int, now: float) -> int:
@@ -345,6 +308,8 @@ class FleetServingEngine(ShardedServingEngine):
         merged = super().report()
         merged.engine = f"PiPAD-Fleet-x{self.num_shards}"
         shard_bytes = self.shard_store_bytes()
+        # Fleet-wide sums in issue (uid) order, as one running total would add.
+        gathers = sorted(g for replica in self.replicas for g in replica.halo_gathers)
         cfg = self.fleet_config
         merged.extras.update(
             {
@@ -359,9 +324,9 @@ class FleetServingEngine(ShardedServingEngine):
                 "scale_down_events": float(
                     sum(1 for e in self.scale_events if e.direction == "down")
                 ),
-                "halo_gather_bytes": float(self.halo_gather_bytes),
-                "halo_gather_seconds": float(self.halo_gather_seconds),
-                "halo_gather_batches": float(self.halo_gather_batches),
+                "halo_gather_bytes": float(sum(b for _, b, _ in gathers)),
+                "halo_gather_seconds": float(sum(s for _, _, s in gathers)),
+                "halo_gather_batches": float(len(gathers)),
                 # node-sharded footprint overrides the replicated full-window
                 # figure the base merge reports
                 "per_replica_store_bytes": float(np.mean(shard_bytes)),
@@ -389,8 +354,7 @@ def build_fleet_serving_engine(
 ) -> FleetServingEngine:
     """Wire a node-sharded fleet: one shared store, ``num_shards`` replicas.
 
-    ``kwargs`` (``gpu``, ``pcie``, ``host``, ``scale``, ``data``,
-    ``memory``) reach every replica.
+    ``kwargs`` (``scale``, ``data``, ``memory``) reach every replica.
     """
     fleet = fleet or FleetConfig()
     replicas = _build_serving_replicas(graph, model, fleet.num_shards, config, **kwargs)

@@ -133,10 +133,6 @@ class ShardedServingEngine(TraceReplay):
         self._global_ids[(shard, local_id)] = global_id
         return global_id
 
-    def route_of(self, request_id: int) -> Tuple[int, int]:
-        """(shard index, shard-local id) a global request id resolved to."""
-        return self._routes[request_id]
-
     def _to_global(self, shard: int, local_id: int) -> int:
         """Global id of a shard-local request.
 
@@ -265,8 +261,7 @@ def build_sharded_serving_engine(
 ) -> ShardedServingEngine:
     """Wire ``num_shards`` replicas of one store behind a sharded entry point.
 
-    ``kwargs`` (``gpu``, ``pcie``, ``host``, ``scale``, ``data``,
-    ``memory``) reach every replica.
+    ``kwargs`` (``scale``, ``data``, ``memory``) reach every replica.
     """
     check_positive("num_shards", num_shards)
     replicas = _build_serving_replicas(graph, model, num_shards, config, **kwargs)

@@ -31,18 +31,13 @@ ABLATIONS: Dict[str, Dict[str, object]] = {
 }
 
 
-def run(
-    config: Optional[ExperimentConfig] = None,
-    *,
-    dataset: str = "hepth",
-    model: str = "tgcn",
-) -> Dict[str, Dict[str, float]]:
-    """Steady-state epoch time of each ablated PiPAD configuration."""
+def run(config: Optional[ExperimentConfig] = None) -> Dict[str, Dict[str, float]]:
+    """Steady-state epoch time of each ablated PiPAD configuration (HepTh, T-GCN)."""
     config = config or ExperimentConfig()
-    graph = load_experiment_graph(dataset, config)
+    graph = load_experiment_graph("hepth", config)
     rows: Dict[str, Dict[str, float]] = {}
     baseline_seconds = None
-    base_spec = method_spec("pipad", model, config, dataset=dataset)
+    base_spec = method_spec("pipad", "tgcn", config, dataset="hepth")
     for name, overrides in ABLATIONS.items():
         spec = base_spec.replace(pipad=dataclasses.replace(base_spec.pipad, **overrides))
         result = Engine.from_spec(spec, graph=graph).train()

@@ -13,19 +13,23 @@ of each dataset analogue — inter-frame reuse is disabled, mirroring §5.3.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.experiments.common import ExperimentConfig, format_table, load_experiment_graph
 from repro.graph.overlap import extract_overlap
-from repro.graph.sliced_csr import DEFAULT_SLICE_CAPACITY
 from repro.gpu.spec import GPUSpec
 from repro.gpu.warp_model import coalesced_active_thread_ratio, baseline_active_thread_ratio
 from repro.kernels.gemm import update_gemm_cost
 from repro.kernels.spmm_coo import PyGCOOAggregation
 from repro.kernels.spmm_csr import GESpMMAggregation
 from repro.kernels.spmm_sliced import SlicedParallelAggregation
+
+#: snapshots per parallel group (``S_per``), capped by each dataset's limit
+GROUP_SIZE = 4
+#: feature dimensions of the Fig. 11(b) sweep
+DIMENSIONS = (2, 8, 16, 32, 64, 128)
 
 
 def _gnn_module_seconds_sequential(kernel_cls, snapshots, feature_dim, hidden_dim, spec, scale):
@@ -49,9 +53,7 @@ def _gnn_module_seconds_sequential(kernel_cls, snapshots, feature_dim, hidden_di
     return seconds, requests, transactions
 
 
-def _gnn_module_seconds_parallel(
-    snapshots, feature_dim, hidden_dim, spec, scale, slice_capacity=DEFAULT_SLICE_CAPACITY
-):
+def _gnn_module_seconds_parallel(snapshots, feature_dim, hidden_dim, spec, scale):
     """PiPAD parallel GNN time for the same group (overlap + exclusives)."""
     decomposition = extract_overlap([s.adjacency for s in snapshots])
     group = len(snapshots)
@@ -59,7 +61,7 @@ def _gnn_module_seconds_parallel(
     seconds = requests = transactions = 0.0
     if decomposition.overlap.nnz:
         kernel = SlicedParallelAggregation(
-            decomposition.overlap, spec, scale, slice_capacity=slice_capacity, snapshots_coalesced=group
+            decomposition.overlap, spec, scale, snapshots_coalesced=group
         )
         cost = kernel.forward_cost((snapshots[0].num_nodes, feature_dim * group))
         seconds += cost.execution_seconds(spec) + launch
@@ -67,9 +69,7 @@ def _gnn_module_seconds_parallel(
         transactions += cost.mem_transactions
     for exclusive, snapshot in zip(decomposition.exclusives, snapshots):
         if exclusive.nnz:
-            kernel = SlicedParallelAggregation(
-                exclusive, spec, scale, slice_capacity=slice_capacity, snapshots_coalesced=1
-            )
+            kernel = SlicedParallelAggregation(exclusive, spec, scale, snapshots_coalesced=1)
             cost = kernel.forward_cost((snapshot.num_nodes, feature_dim))
             seconds += cost.execution_seconds(spec) + launch
             requests += cost.mem_requests
@@ -84,11 +84,7 @@ def _gnn_module_seconds_parallel(
     return seconds, requests, transactions
 
 
-def run(
-    config: Optional[ExperimentConfig] = None,
-    *,
-    group_size: int = 4,
-) -> Dict[str, Dict[str, float]]:
+def run(config: Optional[ExperimentConfig] = None) -> Dict[str, Dict[str, float]]:
     """Per-dataset GNN-module comparison: PyGT vs PyGT-G vs PiPAD parallel."""
     config = config or ExperimentConfig()
     spec = GPUSpec()
@@ -101,8 +97,8 @@ def run(
 
             spec_ds = get_dataset_spec(str(graph.metadata["dataset"]))
             scale = max(1.0, spec_ds.paper.num_nodes / spec_ds.config.num_nodes)
-        max_s = int(graph.metadata.get("max_s_per", group_size))
-        group = min(group_size, max_s, graph.num_snapshots)
+        max_s = int(graph.metadata.get("max_s_per", GROUP_SIZE))
+        group = min(GROUP_SIZE, max_s, graph.num_snapshots)
         snapshots = graph.snapshots[:group]
         feature_dim = graph.feature_dim
         hidden_dim = int(graph.metadata.get("hidden_dim", 32))
@@ -126,21 +122,15 @@ def run(
     return rows
 
 
-def dimension_sensitivity(
-    config: Optional[ExperimentConfig] = None,
-    *,
-    dataset: str = "hepth",
-    dimensions: Sequence[int] = (2, 8, 16, 32, 64, 128),
-    group_size: int = 4,
-) -> Dict[int, float]:
-    """Fig. 11(b): parallel-GNN speedup over PyGT as the feature dim changes."""
+def dimension_sensitivity(config: Optional[ExperimentConfig] = None) -> Dict[int, float]:
+    """Fig. 11(b): parallel-GNN speedup over PyGT on HepTh as the feature dim changes."""
     config = config or ExperimentConfig()
     spec = GPUSpec()
-    graph = load_experiment_graph(dataset, config)
-    snapshots = graph.snapshots[: min(group_size, graph.num_snapshots)]
+    graph = load_experiment_graph("hepth", config)
+    snapshots = graph.snapshots[: min(GROUP_SIZE, graph.num_snapshots)]
     hidden_dim = int(graph.metadata.get("hidden_dim", 32))
     result: Dict[int, float] = {}
-    for dim in dimensions:
+    for dim in DIMENSIONS:
         pyg_seconds, _, _ = _gnn_module_seconds_sequential(
             PyGCOOAggregation, snapshots, dim, hidden_dim, spec, 1.0
         )
@@ -149,13 +139,7 @@ def dimension_sensitivity(
     return result
 
 
-def thread_utilization(
-    config: Optional[ExperimentConfig] = None,
-    *,
-    feature_dim: int = 2,
-    hidden_dim: int = 6,
-    group_size: int = 4,
-) -> Dict[str, float]:
+def thread_utilization(config: Optional[ExperimentConfig] = None) -> Dict[str, float]:
     """§5.3 thread-utilization comparison (warp execution efficiency).
 
     The paper sets input/hidden dimensions of all datasets to 2/6 and reports
@@ -163,6 +147,7 @@ def thread_utilization(
     PyGT-G and 64.9 % for PiPAD.
     """
     spec = GPUSpec()
+    feature_dim, hidden_dim = 2, 6
     # GNN-related kernels: the aggregation (low thread utilization for small
     # dims under the row-per-warp mapping) and the dense update (full warps).
     gespmm_ratios = [
@@ -171,8 +156,8 @@ def thread_utilization(
         1.0,  # update GEMM
     ]
     pipad_ratios = [
-        coalesced_active_thread_ratio(feature_dim * group_size, spec),
-        coalesced_active_thread_ratio(hidden_dim * group_size, spec),
+        coalesced_active_thread_ratio(feature_dim * GROUP_SIZE, spec),
+        coalesced_active_thread_ratio(hidden_dim * GROUP_SIZE, spec),
         1.0,
     ]
     return {

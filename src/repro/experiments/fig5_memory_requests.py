@@ -9,29 +9,24 @@ representative snapshot.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.experiments.common import ExperimentConfig, format_table, load_experiment_graph
 from repro.gpu.spec import GPUSpec
 from repro.kernels.spmm_csr import GESpMMAggregation
 
-DEFAULT_DIMENSIONS = (2, 4, 8, 16, 32, 64, 128)
+DIMENSIONS = (2, 4, 8, 16, 32, 64, 128)
 
 
-def run(
-    config: Optional[ExperimentConfig] = None,
-    *,
-    dataset: str = "hepth",
-    dimensions: Sequence[int] = DEFAULT_DIMENSIONS,
-) -> Dict[int, Dict[str, float]]:
+def run(config: Optional[ExperimentConfig] = None) -> Dict[int, Dict[str, float]]:
     """Requests/transactions of one CSR aggregation per feature dimension."""
     config = config or ExperimentConfig()
-    graph = load_experiment_graph(dataset, config)
+    graph = load_experiment_graph("hepth", config)
     adjacency = graph.snapshots[0].adjacency
     spec = GPUSpec()
     kernel = GESpMMAggregation(adjacency, spec)
     rows: Dict[int, Dict[str, float]] = {}
-    for dim in dimensions:
+    for dim in DIMENSIONS:
         cost = kernel.forward_cost((adjacency.num_rows, dim))
         rows[dim] = {
             "requests": cost.mem_requests,

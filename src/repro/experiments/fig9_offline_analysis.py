@@ -7,39 +7,24 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.tuner import OfflineAnalysis
 from repro.experiments.common import ExperimentConfig, format_table
 from repro.gpu.spec import GPUSpec
 
-DEFAULT_S_PER = (2, 4, 8)
-DEFAULT_OVERLAP_RATES = (0.1, 0.3, 0.5, 0.7, 0.9)
-DEFAULT_DIMENSIONS = (2, 8, 16, 32, 64)
+S_PER_VALUES = (2, 4, 8)
+OVERLAP_RATES = (0.1, 0.3, 0.5, 0.7, 0.9)
+DIMENSIONS = (2, 8, 16, 32, 64)
 
 
-def run(
-    config: Optional[ExperimentConfig] = None,
-    *,
-    s_per_values: Sequence[int] = DEFAULT_S_PER,
-    overlap_rates: Sequence[float] = DEFAULT_OVERLAP_RATES,
-    dimensions: Sequence[int] = DEFAULT_DIMENSIONS,
-    num_nodes: int = 1024,
-    avg_degree: float = 4.0,
-    feature_dim: int = 16,
-) -> Dict[str, Dict[Tuple[int, object], float]]:
+def run(config: Optional[ExperimentConfig] = None) -> Dict[str, Dict[Tuple[int, object], float]]:
     """Compute both Fig. 9 panels from the offline cost-model analysis."""
     config = config or ExperimentConfig()
-    analysis = OfflineAnalysis(
-        spec=GPUSpec(), num_nodes=num_nodes, avg_degree=avg_degree, seed=config.seed
-    )
+    analysis = OfflineAnalysis(spec=GPUSpec(), num_nodes=1024, avg_degree=4.0, seed=config.seed)
     return {
-        "speedup_vs_overlap": analysis.speedup_table(
-            s_per_values, overlap_rates, feature_dim=feature_dim
-        ),
-        "speedup_vs_dimension": analysis.dimension_table(
-            s_per_values, dimensions, overlap_rate=0.8
-        ),
+        "speedup_vs_overlap": analysis.speedup_table(S_PER_VALUES, OVERLAP_RATES, feature_dim=16),
+        "speedup_vs_dimension": analysis.dimension_table(S_PER_VALUES, DIMENSIONS, overlap_rate=0.8),
     }
 
 

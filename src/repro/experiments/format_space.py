@@ -7,19 +7,16 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.experiments.common import ExperimentConfig, format_table, load_experiment_graph
-from repro.graph.sliced_csr import DEFAULT_SLICE_CAPACITY
 from repro.graph.stats import format_sizes
 
 
-def run(
-    config: Optional[ExperimentConfig] = None, *, slice_capacity: int = DEFAULT_SLICE_CAPACITY
-) -> Dict[str, Dict[str, float]]:
+def run(config: Optional[ExperimentConfig] = None) -> Dict[str, Dict[str, float]]:
     """Average per-snapshot storage of each format for every dataset."""
     config = config or ExperimentConfig()
     rows: Dict[str, Dict[str, float]] = {}
     for dataset in config.datasets:
         graph = load_experiment_graph(dataset, config)
-        sizes = [format_sizes(s.adjacency, slice_capacity) for s in graph.snapshots]
+        sizes = [format_sizes(s.adjacency) for s in graph.snapshots]
         coo = float(np.mean([s["coo_bytes"] for s in sizes]))
         csr = float(np.mean([s["csr_bytes"] for s in sizes]))
         sliced = float(np.mean([s["sliced_csr_bytes"] for s in sizes]))

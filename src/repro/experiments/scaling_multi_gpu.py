@@ -12,7 +12,7 @@ single-device run, and the per-steady-epoch time spent in each collective
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.api.engine import Engine
 from repro.api.spec import DeviceSpec
@@ -24,46 +24,31 @@ from repro.experiments.common import (
     method_spec,
 )
 
-#: device counts swept by default (1 is the reference run)
-DEFAULT_DEVICE_COUNTS = (1, 2, 4, 8)
+#: device counts swept (1 is the reference run)
+DEVICE_COUNTS = (1, 2, 4, 8)
 
 
-def run(
-    config: Optional[ExperimentConfig] = None,
-    *,
-    device_counts: Sequence[int] = DEFAULT_DEVICE_COUNTS,
-    interconnect: str = "nvlink",
-    cost_scale: float = 5000.0,
-) -> List[Dict[str, float]]:
-    """Train the sweep's first dataset/model at each device count."""
-    if 1 not in device_counts:
-        raise ValueError(
-            "device_counts must include 1 — the single-device run is the "
-            f"speedup/efficiency reference, got {tuple(device_counts)}"
-        )
+def run(config: Optional[ExperimentConfig] = None) -> List[Dict[str, float]]:
+    """Train the sweep's first dataset/model at each device count over NVLink."""
     config = config or ExperimentConfig.quick()
     dataset = config.datasets[0]
     model = config.models[0]
     graph = load_experiment_graph(dataset, config)
     base_spec = method_spec("pipad", model, config, dataset=dataset).replace(
-        cost_scale=cost_scale
+        cost_scale=5000.0
     )
 
     steady_by_devices: Dict[int, float] = {}
     results = {}
-    for devices in device_counts:
-        spec = base_spec.replace(
-            device=DeviceSpec(
-                kind="group", num_devices=devices, interconnect=interconnect
-            )
-        )
+    for devices in DEVICE_COUNTS:
+        spec = base_spec.replace(device=DeviceSpec(kind="group", num_devices=devices))
         result = Engine.from_spec(spec, graph=graph).train()
         steady_by_devices[devices] = result.steady_epoch_seconds
         results[devices] = result
 
     rows: List[Dict[str, float]] = []
     reference = steady_by_devices[1]
-    for devices in device_counts:
+    for devices in DEVICE_COUNTS:
         result = results[devices]
         steady = steady_by_devices[devices]
         speedup = reference / steady if steady > 0 else float("inf")

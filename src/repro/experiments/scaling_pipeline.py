@@ -20,7 +20,7 @@ differs.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.api.engine import Engine
 from repro.api.spec import DeviceSpec
@@ -31,55 +31,35 @@ from repro.experiments.common import (
     method_spec,
 )
 
-#: device counts swept by default (1 is the reference run)
-DEFAULT_DEVICE_COUNTS = (1, 2, 4, 8)
+#: device counts swept (1 is the reference run)
+DEVICE_COUNTS = (1, 2, 4, 8)
 
 
-def run(
-    config: Optional[ExperimentConfig] = None,
-    *,
-    device_counts: Sequence[int] = DEFAULT_DEVICE_COUNTS,
-    interconnect: str = "nvlink",
-    schedule: str = "round_robin",
-    cost_scale: float = 5000.0,
-    fixed_s_per: int = 2,
-    include_group: bool = True,
-) -> List[Dict[str, float]]:
-    """Train the sweep's first dataset/model at each pipeline depth."""
-    if 1 not in device_counts:
-        raise ValueError(
-            "device_counts must include 1 — the single-device run is the "
-            f"speedup/efficiency reference, got {tuple(device_counts)}"
-        )
+def run(config: Optional[ExperimentConfig] = None) -> List[Dict[str, float]]:
+    """Train the sweep's first dataset/model at each pipeline depth over
+    NVLink with the round-robin schedule."""
     config = config or ExperimentConfig.quick()
     dataset = config.datasets[0]
     model = config.models[0]
     graph = load_experiment_graph(dataset, config)
     base_spec = method_spec("pipad", model, config, dataset=dataset).replace(
-        cost_scale=cost_scale
+        cost_scale=5000.0
     )
     # A deep pipeline needs more snapshot groups per frame than the tuner's
     # preferred s_per would produce; fixing the partition size keeps the
     # schedule (and the numerics) identical across every device count.
     base_spec = base_spec.replace(
-        pipad=dataclasses.replace(base_spec.pipad, fixed_s_per=fixed_s_per)
+        pipad=dataclasses.replace(base_spec.pipad, fixed_s_per=2)
     )
 
     results = {}
-    for devices in device_counts:
-        spec = base_spec.replace(
-            device=DeviceSpec(
-                kind="pipeline",
-                num_devices=devices,
-                interconnect=interconnect,
-                schedule=schedule,
-            )
-        )
+    for devices in DEVICE_COUNTS:
+        spec = base_spec.replace(device=DeviceSpec(kind="pipeline", num_devices=devices))
         results[devices] = Engine.from_spec(spec, graph=graph).train()
 
     rows: List[Dict[str, float]] = []
     reference = results[1].steady_epoch_seconds
-    for devices in device_counts:
+    for devices in DEVICE_COUNTS:
         result = results[devices]
         steady = result.steady_epoch_seconds
         speedup = reference / steady if steady > 0 else float("inf")
@@ -101,25 +81,19 @@ def run(
             "all_reduce_seconds": result.extras.get("all_reduce_seconds", 0.0)
             / pipeline_epochs,
         }
-        if include_group:
-            if devices == 1:
-                # A one-device group degenerates to the same plain PiPAD run
-                # as a one-device pipeline; reuse the reference.
-                group_steady, group_all_reduce = steady, 0.0
-            else:
-                group_spec = base_spec.replace(
-                    device=DeviceSpec(
-                        kind="group", num_devices=devices, interconnect=interconnect
-                    )
-                )
-                group_result = Engine.from_spec(group_spec, graph=graph).train()
-                group_steady = group_result.steady_epoch_seconds
-                group_all_reduce = (
-                    group_result.extras.get("all_reduce_seconds", 0.0)
-                    / pipeline_epochs
-                )
-            row["group_steady_epoch_seconds"] = group_steady
-            row["group_all_reduce_seconds"] = group_all_reduce
+        if devices == 1:
+            # A one-device group degenerates to the same plain PiPAD run
+            # as a one-device pipeline; reuse the reference.
+            group_steady, group_all_reduce = steady, 0.0
+        else:
+            group_spec = base_spec.replace(device=DeviceSpec(kind="group", num_devices=devices))
+            group_result = Engine.from_spec(group_spec, graph=graph).train()
+            group_steady = group_result.steady_epoch_seconds
+            group_all_reduce = (
+                group_result.extras.get("all_reduce_seconds", 0.0) / pipeline_epochs
+            )
+        row["group_steady_epoch_seconds"] = group_steady
+        row["group_all_reduce_seconds"] = group_all_reduce
         rows.append(row)
     return rows
 

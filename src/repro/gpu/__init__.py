@@ -9,22 +9,18 @@ from repro.gpu.kernel_cost import (
     CATEGORY_RNN,
     CATEGORY_UPDATE,
     KernelCost,
-    summarize_costs,
 )
 from repro.gpu.memory_model import (
     FLOAT_BYTES,
     RowAccessCost,
-    classify_dimension,
     contiguous_bytes_cost,
     row_access,
 )
 from repro.gpu.warp_model import (
     MAX_COALESCE_NUM,
-    WarpEfficiencyReport,
     baseline_active_thread_ratio,
     choose_coalesce_num,
     coalesced_active_thread_ratio,
-    warp_efficiency_report,
 )
 from repro.gpu.load_balance import (
     LoadBalanceReport,
@@ -58,18 +54,14 @@ __all__ = [
     "CATEGORY_RNN",
     "CATEGORY_UPDATE",
     "KernelCost",
-    "summarize_costs",
     "FLOAT_BYTES",
     "RowAccessCost",
-    "classify_dimension",
     "contiguous_bytes_cost",
     "row_access",
     "MAX_COALESCE_NUM",
-    "WarpEfficiencyReport",
     "baseline_active_thread_ratio",
     "choose_coalesce_num",
     "coalesced_active_thread_ratio",
-    "warp_efficiency_report",
     "LoadBalanceReport",
     "analyze_block_work",
     "block_work_from_row_nnz",

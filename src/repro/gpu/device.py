@@ -134,34 +134,22 @@ class SimulatedGPU:
         nbytes: float,
         *,
         label: str = "d2h",
-        stream: str = "copy_back",
-        pinned: bool = True,
         depends_on: Optional[Sequence[TimelineOp]] = None,
-        not_before: float = 0.0,
     ) -> TimelineOp:
-        """Schedule a device→host copy of ``nbytes``."""
-        duration = self.pcie.transfer_seconds(nbytes, pinned=pinned)
+        """Schedule a pinned device→host copy of ``nbytes``."""
         return self.timeline.submit(
             label=label,
             kind="d2h",
             resource=RESOURCE_PCIE_D2H,
-            duration=duration,
-            stream=stream,
+            duration=self.pcie.transfer_seconds(nbytes, pinned=True),
+            stream="copy_back",
             depends_on=depends_on,
-            attrs={"bytes": float(nbytes), "pinned": pinned},
-            not_before=not_before,
+            attrs={"bytes": float(nbytes), "pinned": True},
         )
 
-    def launch_kernel(
-        self,
-        cost: KernelCost,
-        *,
-        label: Optional[str] = None,
-        stream: str = "compute",
-        depends_on: Optional[Sequence[TimelineOp]] = None,
-    ) -> TimelineOp:
+    def launch_kernel(self, cost: KernelCost) -> TimelineOp:
         """Schedule one kernel (or a fused group described by a single cost)."""
-        return self._launch_chain([cost], [label or cost.name], stream, depends_on)[0]
+        return self._launch_chain([cost], [cost.name], "compute", None)[0]
 
     def launch_kernels(
         self,
@@ -288,11 +276,11 @@ class SimulatedGPU:
     def category_seconds(self) -> Dict[str, float]:
         return {cat: stats.seconds for cat, stats in self.kernel_stats.items()}
 
-    def average_thread_ratio(self, categories: Optional[Sequence[str]] = None) -> float:
+    def average_thread_ratio(self) -> float:
         """Execution-time-weighted warp execution efficiency."""
-        cats = list(categories) if categories else list(CATEGORIES)
-        weighted = sum(self.kernel_stats[c].weighted_thread_ratio for c in cats)
-        seconds = sum(max(self.kernel_stats[c].seconds, 0.0) for c in cats)
+        stats = self.kernel_stats.values()
+        weighted = sum(s.weighted_thread_ratio for s in stats)
+        seconds = sum(max(s.seconds, 0.0) for s in stats)
         return weighted / seconds if seconds > 0 else 1.0
 
     def memory_statistics(self) -> Dict[str, float]:

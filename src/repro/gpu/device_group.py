@@ -26,8 +26,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.gpu.device import SimulatedGPU
-from repro.gpu.interconnect import Interconnect, LinkSpec
-from repro.gpu.spec import GPUSpec, HostSpec, PCIeSpec
+from repro.gpu.interconnect import Interconnect
 from repro.gpu.timeline import TimelineOp
 
 #: the per-device communication engine collectives occupy
@@ -43,25 +42,12 @@ class DeviceGroup:
     """Coordinates ``K`` simulated-GPU timelines plus their interconnect."""
 
     def __init__(
-        self,
-        num_devices: int = 1,
-        *,
-        gpu: Optional[GPUSpec] = None,
-        pcie: Optional[PCIeSpec] = None,
-        host: Optional[HostSpec] = None,
-        link: Optional[LinkSpec] = None,
-        interconnect_kind: str = "nvlink",
-        devices: Optional[Sequence[SimulatedGPU]] = None,
+        self, devices: Sequence[SimulatedGPU], *, interconnect_kind: str = "nvlink"
     ) -> None:
-        if devices is not None:
-            if not devices:
-                raise ValueError("devices must not be empty")
-            self.devices: List[SimulatedGPU] = list(devices)
-        else:
-            if num_devices < 1:
-                raise ValueError("num_devices must be >= 1")
-            self.devices = [SimulatedGPU(gpu, pcie, host) for _ in range(num_devices)]
-        self.interconnect = Interconnect(len(self.devices), link, kind=interconnect_kind)
+        if not devices:
+            raise ValueError("devices must not be empty")
+        self.devices: List[SimulatedGPU] = list(devices)
+        self.interconnect = Interconnect(len(self.devices), kind=interconnect_kind)
         #: accumulated seconds per collective kind (single-device view)
         self.collective_seconds: Dict[str, float] = {}
 
@@ -69,11 +55,6 @@ class DeviceGroup:
     @property
     def num_devices(self) -> int:
         return len(self.devices)
-
-    @property
-    def lead(self) -> SimulatedGPU:
-        """Device 0: the one that also runs shared host-side work."""
-        return self.devices[0]
 
     def __len__(self) -> int:
         return len(self.devices)
@@ -135,11 +116,10 @@ class DeviceGroup:
         *,
         label: str = "all_reduce",
         depends_on: PerDeviceDeps = None,
-        not_before: float = 0.0,
     ) -> List[TimelineOp]:
         """Ring all-reduce of an ``nbytes`` buffer; returns one op per device."""
         seconds = self.interconnect.all_reduce_seconds(nbytes)
-        return self._collective("all_reduce", label, seconds, nbytes, depends_on, not_before)
+        return self._collective("all_reduce", label, seconds, nbytes, depends_on, 0.0)
 
     def all_gather(
         self,
@@ -147,13 +127,10 @@ class DeviceGroup:
         *,
         label: str = "all_gather",
         depends_on: PerDeviceDeps = None,
-        not_before: float = 0.0,
     ) -> List[TimelineOp]:
         """Ring all-gather where each device contributes ``nbytes_per_device``."""
         seconds = self.interconnect.all_gather_seconds(nbytes_per_device)
-        return self._collective(
-            "all_gather", label, seconds, nbytes_per_device, depends_on, not_before
-        )
+        return self._collective("all_gather", label, seconds, nbytes_per_device, depends_on, 0.0)
 
     def halo_exchange(
         self,
@@ -161,7 +138,6 @@ class DeviceGroup:
         *,
         label: str = "halo_exchange",
         depends_on: PerDeviceDeps = None,
-        not_before: float = 0.0,
     ) -> List[TimelineOp]:
         """Neighbor exchange of halo rows; cost bounded by the busiest device."""
         if len(bytes_per_device) != len(self.devices):
@@ -171,7 +147,7 @@ class DeviceGroup:
             )
         heaviest = max(float(b) for b in bytes_per_device)
         seconds = self.interconnect.halo_exchange_seconds(heaviest)
-        return self._collective("halo_exchange", label, seconds, heaviest, depends_on, not_before)
+        return self._collective("halo_exchange", label, seconds, heaviest, depends_on, 0.0)
 
     # ------------------------------------------------------------------ point to point
     def send(
@@ -182,7 +158,6 @@ class DeviceGroup:
         *,
         label: str = "p2p",
         depends_on: Optional[Sequence[TimelineOp]] = None,
-        not_before: float = 0.0,
     ) -> Tuple[TimelineOp, TimelineOp]:
         """Point-to-point copy from ``src`` to ``dst`` over the peer link.
 
@@ -204,7 +179,7 @@ class DeviceGroup:
         if src == dst:
             raise ValueError(f"src and dst must differ, both are {src}")
         seconds = self.interconnect.peer_seconds(nbytes, src, dst)
-        ready = max(0.0, not_before)
+        ready = 0.0
         if depends_on:
             ready = max(ready, max(op.end for op in depends_on))
         for index in (src, dst):
@@ -235,17 +210,14 @@ class DeviceGroup:
         )
         return send_op, recv_op
 
-    def barrier(
-        self, *, label: str = "barrier", depends_on: PerDeviceDeps = None
-    ) -> List[TimelineOp]:
+    def barrier(self) -> List[TimelineOp]:
         """Zero-duration synchronization point across all devices.
 
         A barrier is only passed once every device has drained *all* its
         previously scheduled work, so it waits on each device's current
         makespan, not just the communication engine.
         """
-        drained = self.makespan()
-        return self._collective("barrier", label, 0.0, 0.0, depends_on, drained)
+        return self._collective("barrier", "barrier", 0.0, 0.0, None, self.makespan())
 
     # ------------------------------------------------------------------ metrics
     def makespan(self) -> float:

@@ -12,7 +12,7 @@ the distributed tests pin down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.utils.validation import check_positive
 
@@ -54,29 +54,14 @@ INTERCONNECT_KINDS: Tuple[str, ...] = tuple(_LINK_KINDS)
 class Interconnect:
     """Ring-topology interconnect among ``num_devices`` peers."""
 
-    def __init__(
-        self,
-        num_devices: int,
-        link: Optional[LinkSpec] = None,
-        *,
-        kind: str = "nvlink",
-    ) -> None:
+    def __init__(self, num_devices: int, *, kind: str = "nvlink") -> None:
         check_positive("num_devices", num_devices)
-        if link is None:
-            if kind not in _LINK_KINDS:
-                raise ValueError(
-                    f"unknown interconnect kind {kind!r}; expected one of {sorted(_LINK_KINDS)}"
-                )
-            link = _LINK_KINDS[kind]
-        else:
-            # An explicit LinkSpec overrides ``kind``; report the model that is
-            # actually in effect rather than echoing a possibly-wrong label.
-            kind = next(
-                (name for name, spec in _LINK_KINDS.items() if spec == link),
-                "custom",
+        if kind not in _LINK_KINDS:
+            raise ValueError(
+                f"unknown interconnect kind {kind!r}; expected one of {sorted(_LINK_KINDS)}"
             )
         self.num_devices = num_devices
-        self.link = link
+        self.link = _LINK_KINDS[kind]
         self.kind = kind
 
     # ------------------------------------------------------------------ point to point

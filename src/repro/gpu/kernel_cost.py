@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, Iterable, Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from repro.gpu.spec import GPUSpec
 
@@ -226,47 +226,3 @@ class KernelCost:
                 factor, launches=max(1, round(self.launches * factor))
             )
         return share
-
-    def merged_with(self, other: "KernelCost", name: Optional[str] = None) -> "KernelCost":
-        """Combine two costs into one record (used for fused kernels)."""
-        total_time_weight = self.flops + other.flops + 1e-30
-        ratio = (
-            self.active_thread_ratio * (self.flops + 1e-30)
-            + other.active_thread_ratio * (other.flops + 1e-30)
-        ) / total_time_weight
-        return KernelCost(
-            name=name or f"{self.name}+{other.name}",
-            category=self.category if self.category == other.category else CATEGORY_OTHER,
-            flops=self.flops + other.flops,
-            global_read_bytes=self.global_read_bytes + other.global_read_bytes,
-            global_write_bytes=self.global_write_bytes + other.global_write_bytes,
-            mem_requests=self.mem_requests + other.mem_requests,
-            mem_transactions=self.mem_transactions + other.mem_transactions,
-            active_thread_ratio=min(1.0, max(ratio, 1e-3)),
-            imbalance=max(self.imbalance, other.imbalance),
-            num_blocks=self.num_blocks + other.num_blocks,
-            shared_mem_bytes=max(self.shared_mem_bytes, other.shared_mem_bytes),
-            launches=self.launches + other.launches,
-            bandwidth_efficiency=min(self.bandwidth_efficiency, other.bandwidth_efficiency),
-        )
-
-
-def summarize_costs(costs: Iterable[KernelCost], spec: GPUSpec) -> Dict[str, float]:
-    """Aggregate a stream of kernel costs into per-category seconds and totals."""
-    summary: Dict[str, float] = {f"{cat}_seconds": 0.0 for cat in CATEGORIES}
-    summary.update(
-        total_seconds=0.0,
-        total_flops=0.0,
-        total_requests=0.0,
-        total_transactions=0.0,
-        total_launches=0,
-    )
-    for cost in costs:
-        seconds = cost.execution_seconds(spec)
-        summary[f"{cost.category}_seconds"] += seconds
-        summary["total_seconds"] += seconds
-        summary["total_flops"] += cost.flops
-        summary["total_requests"] += cost.mem_requests
-        summary["total_transactions"] += cost.mem_transactions
-        summary["total_launches"] += cost.launches
-    return summary

@@ -12,13 +12,13 @@ the imbalance factor is the ratio of the wave-limited actual latency to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from repro.gpu.spec import GPUSpec
 from repro.graph.dynamic_graph import DynamicGraph
-from repro.graph.sliced_csr import DEFAULT_SLICE_CAPACITY, SlicedCSRMatrix
+from repro.graph.sliced_csr import SlicedCSRMatrix
 
 
 @dataclass(frozen=True)
@@ -102,25 +102,18 @@ def analyze_block_work(
     )
 
 
-def sliced_vs_csr_balance(
-    graph: DynamicGraph,
-    spec: Optional[GPUSpec] = None,
-    *,
-    slice_capacity: int = DEFAULT_SLICE_CAPACITY,
-    scale: float = 1.0,
-    max_snapshots: int = 8,
-) -> Dict[str, float]:
+def sliced_vs_csr_balance(graph: DynamicGraph, *, scale: float = 1.0) -> Dict[str, float]:
     """Mean imbalance factor of the CSR row and the sliced-CSR slice mapping.
 
-    Averaged over the first ``max_snapshots`` non-empty snapshots;
+    Averaged over the non-empty snapshots among the first eight;
     ``improvement`` is their ratio, the quantity Fig. 12's bars visualize.
     """
-    spec = spec or GPUSpec()
+    spec = GPUSpec()
     csr, sliced = [], []
-    for snapshot in graph.snapshots[:max_snapshots]:
+    for snapshot in graph.snapshots[:8]:
         adjacency = snapshot.adjacency
         if adjacency.nnz:
-            slices = SlicedCSRMatrix.from_csr(adjacency, slice_capacity=slice_capacity)
+            slices = SlicedCSRMatrix.from_csr(adjacency)
             csr.append(block_work_from_row_nnz(adjacency.row_nnz()))
             sliced.append(block_work_from_slice_nnz(slices.slice_nnz()))
 

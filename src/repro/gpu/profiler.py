@@ -59,10 +59,10 @@ from repro.tensor.function import OpEvent
 _FREE_OPS = {"reshape"}
 
 #: transcendental activations cost a few flops per element
-_TRANSCENDENTAL = {"sigmoid", "tanh", "exp", "log", "softmax"}
+_TRANSCENDENTAL = {"sigmoid", "tanh", "exp", "log"}
 
 #: ops that move data without arithmetic
-_COPY_OPS = {"transpose", "concat", "stack", "getitem", "dropout"}
+_COPY_OPS = {"transpose", "concat", "stack", "getitem"}
 
 
 def _scope_to_category(scope: str) -> str:

@@ -113,11 +113,11 @@ class TimelineOp(NamedTuple):
     stream: str
     start: float
     end: float
-    attrs: Mapping[str, object] = _NO_ATTRS
+    attrs: Mapping[str, object]
     #: process-unique identity (dep edges may point at other timelines)
-    uid: int = -1
+    uid: int
     #: uids of the ops this one was submitted ``depends_on``
-    deps: Tuple[int, ...] = ()
+    deps: Tuple[int, ...]
 
     @property
     def duration(self) -> float:

@@ -10,7 +10,6 @@ number of active threads per warp (Algorithm 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from repro.gpu.spec import GPUSpec
 
@@ -45,32 +44,3 @@ def coalesced_active_thread_ratio(coalescent_dim: int, spec: GPUSpec) -> float:
     groups = choose_coalesce_num(coalescent_dim, spec)
     active = min(spec.warp_size, groups * coalescent_dim)
     return active / spec.warp_size
-
-
-@dataclass(frozen=True)
-class WarpEfficiencyReport:
-    """Before/after thread-utilization comparison for a given dimension."""
-
-    feature_dim: int
-    coalescent_dim: int
-    baseline_ratio: float
-    coalesced_ratio: float
-    coalesce_num: int
-
-    @property
-    def improvement(self) -> float:
-        return self.coalesced_ratio / self.baseline_ratio if self.baseline_ratio else 1.0
-
-
-def warp_efficiency_report(
-    feature_dim: int, snapshots_per_partition: int, spec: GPUSpec
-) -> WarpEfficiencyReport:
-    """Summarize thread utilization for one-snapshot vs. coalesced execution."""
-    coalescent_dim = feature_dim * max(1, snapshots_per_partition)
-    return WarpEfficiencyReport(
-        feature_dim=feature_dim,
-        coalescent_dim=coalescent_dim,
-        baseline_ratio=baseline_active_thread_ratio(feature_dim, spec),
-        coalesced_ratio=coalesced_active_thread_ratio(coalescent_dim, spec),
-        coalesce_num=choose_coalesce_num(coalescent_dim, spec),
-    )

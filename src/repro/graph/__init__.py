@@ -3,15 +3,12 @@
 from repro.graph.coo import COOMatrix
 from repro.graph.csr import CSRMatrix
 from repro.graph.sliced_csr import SlicedCSRMatrix, DEFAULT_SLICE_CAPACITY
-from repro.graph.normalize import add_self_loops, gcn_normalize
 from repro.graph.snapshot import GraphSnapshot
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.frame import (
     DEFAULT_FRAME_SIZE,
     Frame,
     FrameIterator,
-    Partition,
-    partition_frame,
 )
 from repro.graph.overlap import (
     IncrementalOverlapTracker,
@@ -19,7 +16,6 @@ from repro.graph.overlap import (
     adjacent_change_rates,
     change_rate,
     extract_overlap,
-    group_overlap_rate,
     pairwise_overlap_rate,
     refine_overlap,
 )
@@ -29,10 +25,9 @@ from repro.graph.partition import (
     FramePartitioner,
     FrameStage,
     GraphPartitioner,
-    ShardGroup,
     SnapshotShard,
 )
-from repro.graph.smoothing import apply_edge_life, smoothened_edge_total
+from repro.graph.smoothing import apply_edge_life
 from repro.graph.generators import GeneratorConfig, generate_dynamic_graph, TOPOLOGIES
 from repro.graph.datasets import (
     DATASET_ABBREVIATIONS,
@@ -40,32 +35,25 @@ from repro.graph.datasets import (
     DatasetSpec,
     PaperStats,
     get_dataset_spec,
-    hidden_dim_for,
-    list_datasets,
     load_dataset,
 )
-from repro.graph.stats import DegreeStats, density, format_sizes, summarize
+from repro.graph.stats import DegreeStats, format_sizes, summarize
 
 __all__ = [
     "COOMatrix",
     "CSRMatrix",
     "SlicedCSRMatrix",
     "DEFAULT_SLICE_CAPACITY",
-    "add_self_loops",
-    "gcn_normalize",
     "GraphSnapshot",
     "DynamicGraph",
     "DEFAULT_FRAME_SIZE",
     "Frame",
     "FrameIterator",
-    "Partition",
-    "partition_frame",
     "IncrementalOverlapTracker",
     "SnapshotOverlap",
     "adjacent_change_rates",
     "change_rate",
     "extract_overlap",
-    "group_overlap_rate",
     "pairwise_overlap_rate",
     "refine_overlap",
     "PARTITION_MODES",
@@ -73,10 +61,8 @@ __all__ = [
     "FramePartitioner",
     "FrameStage",
     "GraphPartitioner",
-    "ShardGroup",
     "SnapshotShard",
     "apply_edge_life",
-    "smoothened_edge_total",
     "GeneratorConfig",
     "generate_dynamic_graph",
     "TOPOLOGIES",
@@ -85,11 +71,8 @@ __all__ = [
     "DatasetSpec",
     "PaperStats",
     "get_dataset_spec",
-    "hidden_dim_for",
-    "list_datasets",
     "load_dataset",
     "DegreeStats",
-    "density",
     "format_sizes",
     "summarize",
 ]

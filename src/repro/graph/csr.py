@@ -181,12 +181,5 @@ class CSRMatrix:
             )
         return np.asarray(self.to_scipy() @ dense, dtype=np.float32)
 
-    def with_values(self, values: np.ndarray) -> "CSRMatrix":
-        """Return a copy with the same sparsity pattern but new values."""
-        values = np.asarray(values, dtype=np.float32)
-        if values.shape != self.data.shape:
-            raise ValueError("values must match nnz")
-        return CSRMatrix(indptr=self.indptr, indices=self.indices, data=values, shape=self.shape)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"CSRMatrix(shape={self.shape}, nnz={self.nnz})"

@@ -14,6 +14,7 @@ the registry records those choices so trainers pick them up automatically.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -236,11 +237,6 @@ DATASET_ABBREVIATIONS: Dict[str, str] = {
 }
 
 
-def list_datasets() -> List[str]:
-    """Names of all registered dataset analogues (in figure order)."""
-    return list(DATASET_ORDER)
-
-
 def get_dataset_spec(name: str) -> DatasetSpec:
     """Look up a :class:`DatasetSpec` by name (case-insensitive)."""
     key = name.lower().replace("-", "_")
@@ -254,35 +250,22 @@ def load_dataset(
     seed: SeedLike = 0,
     *,
     num_snapshots: Optional[int] = None,
-    scale: float = 1.0,
 ) -> DynamicGraph:
     """Generate the synthetic analogue of a Table 1 dataset.
 
     Parameters
     ----------
     name:
-        One of :func:`list_datasets`.
+        One of :data:`DATASET_ORDER`.
     seed:
         Generator seed (default 0 so repeated loads are identical).
     num_snapshots:
         Override the number of snapshots (e.g. to shorten a benchmark).
-    scale:
-        Multiplier on the node count (1.0 = the registry default).
     """
     spec = get_dataset_spec(name)
     config = spec.config
-    if num_snapshots is not None or scale != 1.0:
-        config = GeneratorConfig(
-            num_nodes=max(8, int(round(config.num_nodes * scale))),
-            avg_degree=config.avg_degree,
-            feature_dim=config.feature_dim,
-            num_snapshots=num_snapshots or config.num_snapshots,
-            change_rate=config.change_rate,
-            topology=config.topology,
-            edge_life=config.edge_life,
-            feature_drift=config.feature_drift,
-            name=config.name,
-        )
+    if num_snapshots:
+        config = dataclasses.replace(config, num_snapshots=num_snapshots)
     graph = generate_dynamic_graph(config, seed=seed)
     graph.metadata.update(
         {
@@ -297,8 +280,3 @@ def load_dataset(
         }
     )
     return graph
-
-
-def hidden_dim_for(name: str) -> int:
-    """The hidden dimension the paper uses for this dataset (§5.1)."""
-    return get_dataset_spec(name).hidden_dim

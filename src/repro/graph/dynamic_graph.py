@@ -72,16 +72,6 @@ class DynamicGraph:
     def edge_counts(self) -> np.ndarray:
         return np.array([s.num_edges for s in self.snapshots], dtype=np.int64)
 
-    def slice_view(self, start: int, stop: int) -> "DynamicGraph":
-        """A new DynamicGraph over snapshots ``[start, stop)`` (shared data)."""
-        if not (0 <= start < stop <= self.num_snapshots):
-            raise ValueError(f"invalid slice [{start}, {stop}) of {self.num_snapshots} snapshots")
-        return DynamicGraph(
-            snapshots=self.snapshots[start:stop],
-            name=f"{self.name}[{start}:{stop}]",
-            metadata=dict(self.metadata),
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"DynamicGraph(name={self.name!r}, nodes={self.num_nodes}, "

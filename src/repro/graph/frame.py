@@ -47,102 +47,37 @@ class Frame:
         return len(self.snapshots)
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A contiguous group of snapshots inside a frame, processed in parallel."""
-
-    snapshots: tuple
-    index: int
-    frame_index: int
-
-    @property
-    def size(self) -> int:
-        return len(self.snapshots)
-
-    def __iter__(self) -> Iterator[GraphSnapshot]:
-        return iter(self.snapshots)
-
-    def __getitem__(self, i: int) -> GraphSnapshot:
-        return self.snapshots[i]
-
-    def __len__(self) -> int:
-        return len(self.snapshots)
-
-
 class FrameIterator:
     """Iterates the sliding-window frames of a :class:`DynamicGraph`.
 
-    Parameters
-    ----------
-    graph:
-        The dynamic graph to window.
-    frame_size:
-        Number of snapshots per frame (paper default 16).
-    stride:
-        Forward stride of the window (paper default 1).
+    Frames hold ``frame_size`` snapshots (paper default 16) and the window
+    slides forward by one snapshot per frame.
     """
 
-    def __init__(
-        self, graph: DynamicGraph, frame_size: int = DEFAULT_FRAME_SIZE, stride: int = 1
-    ) -> None:
+    def __init__(self, graph: DynamicGraph, frame_size: int = DEFAULT_FRAME_SIZE) -> None:
         check_positive("frame_size", frame_size)
-        check_positive("stride", stride)
         if frame_size > graph.num_snapshots:
             raise ValueError(
                 f"frame_size {frame_size} exceeds the number of snapshots {graph.num_snapshots}"
             )
         self.graph = graph
         self.frame_size = frame_size
-        self.stride = stride
 
     @property
     def num_frames(self) -> int:
-        return (self.graph.num_snapshots - self.frame_size) // self.stride + 1
+        return self.graph.num_snapshots - self.frame_size + 1
 
     def __len__(self) -> int:
         return self.num_frames
 
     def __iter__(self) -> Iterator[Frame]:
-        for idx in range(self.num_frames):
-            start = idx * self.stride
-            yield Frame(
-                snapshots=tuple(self.graph.snapshots[start : start + self.frame_size]),
-                index=idx,
-                start=start,
-            )
+        return map(self.frame, range(self.num_frames))
 
     def frame(self, index: int) -> Frame:
         if not 0 <= index < self.num_frames:
             raise IndexError(f"frame index {index} out of range [0, {self.num_frames})")
-        start = index * self.stride
         return Frame(
-            snapshots=tuple(self.graph.snapshots[start : start + self.frame_size]),
+            snapshots=tuple(self.graph.snapshots[index : index + self.frame_size]),
             index=index,
-            start=start,
+            start=index,
         )
-
-    def overlap_with_next(self, index: int) -> int:
-        """Number of snapshots frame ``index`` shares with frame ``index + 1``."""
-        if index >= self.num_frames - 1:
-            return 0
-        return max(0, self.frame_size - self.stride)
-
-
-def partition_frame(frame: Frame, s_per: int) -> List[Partition]:
-    """Split a frame into partitions of (up to) ``s_per`` contiguous snapshots.
-
-    Snapshots are distributed uniformly (paper §4.4: "we uniformly distribute
-    the snapshots in single frame to each partition"); the final partition may
-    be smaller when ``s_per`` does not divide the frame size.
-    """
-    check_positive("s_per", s_per)
-    partitions: List[Partition] = []
-    for p_idx, start in enumerate(range(0, frame.size, s_per)):
-        partitions.append(
-            Partition(
-                snapshots=tuple(frame.snapshots[start : start + s_per]),
-                index=p_idx,
-                frame_index=frame.index,
-            )
-        )
-    return partitions

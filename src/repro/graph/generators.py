@@ -181,15 +181,15 @@ def _make_features(
     feature_dim: int,
     num_snapshots: int,
     rng: np.random.Generator,
-    drift: float = 0.05,
 ) -> List[np.ndarray]:
-    """Per-snapshot node features: a static base plus a slow random drift."""
+    """Per-snapshot node features: a static base plus a slow random drift
+    (5 % of a standard normal per snapshot)."""
     base = rng.standard_normal((num_nodes, feature_dim)).astype(np.float32)
     features = []
     current = base
     for _ in range(num_snapshots):
         features.append(current.copy())
-        current = current + drift * rng.standard_normal((num_nodes, feature_dim)).astype(
+        current = current + 0.05 * rng.standard_normal((num_nodes, feature_dim)).astype(
             np.float32
         )
     return features
@@ -230,7 +230,6 @@ class GeneratorConfig:
     change_rate: float = 0.10
     topology: str = "preferential"
     edge_life: int = 1
-    feature_drift: float = 0.05
     name: str = "synthetic"
 
     def __post_init__(self) -> None:
@@ -263,7 +262,7 @@ def generate_dynamic_graph(config: GeneratorConfig, seed: SeedLike = 0) -> Dynam
         if config.edge_life > 1
         else raw_adjacencies
     )
-    features = _make_features(n, config.feature_dim, config.num_snapshots, rng, config.feature_drift)
+    features = _make_features(n, config.feature_dim, config.num_snapshots, rng)
     targets = _make_targets(adjacencies, features, rng)
 
     snapshots = [

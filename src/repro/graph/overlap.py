@@ -44,24 +44,6 @@ class SnapshotOverlap:
     def group_size(self) -> int:
         return len(self.exclusives)
 
-    @property
-    def transfer_elements(self) -> int:
-        """Total stored elements if the group is shipped as overlap+exclusives."""
-        return self.overlap.nnz + sum(e.nnz for e in self.exclusives)
-
-    @property
-    def baseline_elements(self) -> int:
-        """Total stored elements if every snapshot is shipped in full."""
-        return sum(self.overlap.nnz + e.nnz for e in self.exclusives)
-
-    @property
-    def saved_fraction(self) -> float:
-        """Fraction of adjacency elements the decomposition avoids transferring."""
-        baseline = self.baseline_elements
-        if baseline == 0:
-            return 0.0
-        return 1.0 - self.transfer_elements / baseline
-
 
 def extract_overlap(adjacencies: Sequence[CSRMatrix]) -> SnapshotOverlap:
     """Decompose a snapshot group into overlap + exclusive adjacencies.
@@ -99,11 +81,6 @@ def pairwise_overlap_rate(a: CSRMatrix, b: CSRMatrix) -> float:
     inter = len(np.intersect1d(ka, kb, assume_unique=True))
     union = len(ka) + len(kb) - inter
     return inter / union if union else 1.0
-
-
-def group_overlap_rate(adjacencies: Sequence[CSRMatrix]) -> float:
-    """Overlap rate (``|∩| / |∪|``) of a whole snapshot group."""
-    return extract_overlap(adjacencies).overlap_rate
 
 
 def change_rate(previous: CSRMatrix, current: CSRMatrix) -> float:
@@ -265,7 +242,3 @@ class IncrementalOverlapTracker:
 
     def overlap_rate(self) -> float:
         return self.decomposition().overlap_rate
-
-    def refine(self, positions: Sequence[int]) -> SnapshotOverlap:
-        """Decomposition of the window members at the given positions."""
-        return refine_overlap(self.decomposition(), positions)

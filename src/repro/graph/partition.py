@@ -17,13 +17,13 @@ decomposition — and the transfer savings it buys — applies per shard.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.csr import CSRMatrix
 from repro.graph.keys import unique
-from repro.graph.overlap import SnapshotOverlap, extract_overlap
+from repro.graph.overlap import extract_overlap
 from repro.graph.snapshot import GraphSnapshot
 from repro.utils.validation import check_positive
 
@@ -63,35 +63,10 @@ class SnapshotShard:
     def num_halo_nodes(self) -> int:
         return int(len(self.halo_nodes))
 
-    def halo_feature_bytes(
-        self, feature_dim: int, dtype: Union[np.dtype, type, str] = np.float32
-    ) -> float:
-        """Bytes of remote features this shard must receive before aggregating.
-
-        ``dtype`` is the feature element type (default float32); callers with
-        float64 or half-precision features must pass their actual dtype or the
-        halo traffic is mis-sized.
-        """
-        itemsize = np.dtype(dtype).itemsize
-        return float(self.num_halo_nodes * feature_dim * itemsize)
-
-
-@dataclass(frozen=True)
-class ShardGroup:
-    """One device's view of a snapshot group (a training partition).
-
-    ``overlap`` is the shard-local overlap/exclusive decomposition, built by
-    the same :func:`extract_overlap` the single-GPU path uses — the sharding
-    is transparent to the reuse machinery.
-    """
-
-    device: int
-    shards: Tuple[SnapshotShard, ...]
-    overlap: SnapshotOverlap
-
-    @property
-    def size(self) -> int:
-        return len(self.shards)
+    def halo_feature_bytes(self, feature_dim: int) -> float:
+        """Bytes of remote float32 features (the only feature dtype a
+        :class:`GraphSnapshot` holds) this shard receives before aggregating."""
+        return float(self.num_halo_nodes * feature_dim * 4)
 
 
 def _row_slice(adjacency: CSRMatrix, start: int, stop: int) -> CSRMatrix:
@@ -197,21 +172,6 @@ class GraphPartitioner:
             )
         return shards
 
-    def shard_group(
-        self, snapshots: Sequence[GraphSnapshot], boundaries: Optional[np.ndarray] = None
-    ) -> List[ShardGroup]:
-        """Shard a snapshot group; each device gets its shards + shard-local overlap."""
-        if not snapshots:
-            raise ValueError("cannot shard an empty snapshot group")
-        boundaries = self.plan(snapshots) if boundaries is None else np.asarray(boundaries)
-        per_snapshot = [self.shard_snapshot(s, boundaries) for s in snapshots]
-        groups: List[ShardGroup] = []
-        for device in range(self.num_devices):
-            shards = tuple(shards_of[device] for shards_of in per_snapshot)
-            overlap = extract_overlap([s.adjacency for s in shards])
-            groups.append(ShardGroup(device=device, shards=shards, overlap=overlap))
-        return groups
-
     # ------------------------------------------------------------------ fractions
     def node_fractions(self, boundaries: np.ndarray) -> np.ndarray:
         """Fraction of the node set each device owns."""
@@ -308,16 +268,3 @@ class FramePartitioner:
             )
             for device in range(self.num_devices)
         ]
-
-    # ------------------------------------------------------------------ statistics
-    def group_fractions(self, num_groups: int) -> np.ndarray:
-        """Fraction of the frame's groups each device owns."""
-        assignment = self.assign(num_groups)
-        counts = np.bincount(assignment, minlength=self.num_devices)
-        return counts / float(num_groups)
-
-    def num_handoffs(self, num_groups: int) -> int:
-        """Cross-device state handoffs per frame (adjacent groups on
-        different devices — each one is a point-to-point transfer)."""
-        assignment = self.assign(num_groups)
-        return int(np.count_nonzero(assignment[1:] != assignment[:-1]))

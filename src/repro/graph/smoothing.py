@@ -49,8 +49,3 @@ def apply_edge_life(
         # from_edge_keys deduplicates, so the window's union is one build.
         smoothened.append(CSRMatrix.from_edge_keys(np.concatenate(window), shape))
     return smoothened
-
-
-def smoothened_edge_total(adjacencies: Sequence[CSRMatrix], edge_life: int) -> int:
-    """Total edge count across all snapshots after smoothening (Table 1 ``#E-S``)."""
-    return sum(adj.nnz for adj in apply_edge_life(adjacencies, edge_life))

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 import numpy as np
 
 from repro.graph.coo import INDEX_BYTES, VALUE_BYTES
 from repro.graph.csr import CSRMatrix
-from repro.graph.normalize import gcn_normalize
 from repro.utils.validation import check_array
 
 
@@ -34,7 +33,6 @@ class GraphSnapshot:
     features: np.ndarray
     targets: Optional[np.ndarray] = None
     timestep: int = 0
-    _normalized_cache: Dict[str, CSRMatrix] = field(default_factory=dict, repr=False)
     #: memo of :func:`repro.nn.aggregation.inverse_degree`, shared by every
     #: kernel set and provider over this snapshot
     _inverse_degree: Any = field(default=None, init=False, repr=False, compare=False)
@@ -66,12 +64,6 @@ class GraphSnapshot:
     @property
     def feature_dim(self) -> int:
         return int(self.features.shape[1])
-
-    def normalized_adjacency(self, method: str = "mean") -> CSRMatrix:
-        """GCN-normalized adjacency, cached per normalization method."""
-        if method not in self._normalized_cache:
-            self._normalized_cache[method] = gcn_normalize(self.adjacency, method=method)
-        return self._normalized_cache[method]
 
     def feature_bytes(self) -> int:
         """Host→device transfer size of the feature matrix."""

@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.graph.csr import CSRMatrix
 from repro.graph.dynamic_graph import DynamicGraph
-from repro.graph.sliced_csr import DEFAULT_SLICE_CAPACITY, SlicedCSRMatrix
+from repro.graph.sliced_csr import SlicedCSRMatrix
 
 
 @dataclass(frozen=True)
@@ -47,15 +47,9 @@ def _gini(values: np.ndarray) -> float:
     return float((n + 1 - 2 * (cum / total).sum()) / n)
 
 
-def density(adj: CSRMatrix) -> float:
-    """Edge density ``nnz / (rows * cols)``."""
-    cells = adj.num_rows * adj.num_cols
-    return adj.nnz / cells if cells else 0.0
-
-
-def format_sizes(adj: CSRMatrix, slice_capacity: int = DEFAULT_SLICE_CAPACITY) -> Dict[str, int]:
+def format_sizes(adj: CSRMatrix) -> Dict[str, int]:
     """Byte footprint of the same adjacency in COO, CSR and sliced CSR."""
-    sliced = SlicedCSRMatrix.from_csr(adj, slice_capacity=slice_capacity)
+    sliced = SlicedCSRMatrix.from_csr(adj)
     return {
         "coo_bytes": adj.to_coo().nbytes,
         "csr_bytes": adj.nbytes,

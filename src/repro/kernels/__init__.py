@@ -14,7 +14,6 @@ from repro.kernels.gemm import UpdateGEMM, update_gemm, update_gemm_cost
 from repro.kernels.registry import (
     AGGREGATION_KERNELS,
     get_aggregation_kernel,
-    register_aggregation_kernel,
 )
 
 __all__ = [
@@ -27,5 +26,4 @@ __all__ = [
     "update_gemm_cost",
     "AGGREGATION_KERNELS",
     "get_aggregation_kernel",
-    "register_aggregation_kernel",
 ]

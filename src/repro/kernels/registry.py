@@ -28,10 +28,3 @@ def get_aggregation_kernel(name: str) -> Type[BaseAggregationKernel]:
             f"unknown aggregation kernel {name!r}; available: {sorted(set(AGGREGATION_KERNELS))}"
         )
     return AGGREGATION_KERNELS[key]
-
-
-def register_aggregation_kernel(name: str, cls: Type[BaseAggregationKernel]) -> None:
-    """Register a custom aggregation-kernel family (for extensions/tests)."""
-    if not issubclass(cls, BaseAggregationKernel):
-        raise TypeError("cls must subclass BaseAggregationKernel")
-    AGGREGATION_KERNELS[name.lower()] = cls

@@ -49,11 +49,8 @@ class GESpMMAggregation(BaseAggregationKernel):
         adjacency: CSRMatrix,
         spec: Optional[GPUSpec] = None,
         scale: float = 1.0,
-        *,
-        rows_per_block: int = _ROWS_PER_BLOCK,
     ) -> None:
         super().__init__(adjacency, spec, scale)
-        self.rows_per_block = rows_per_block
         self._row_nnz = adjacency.row_nnz()
         self._transpose_row_nnz: Optional[np.ndarray] = None
 
@@ -73,7 +70,7 @@ class GESpMMAggregation(BaseAggregationKernel):
         write_cost = contiguous_bytes_cost(rows * feature_dim * FLOAT_BYTES, self.spec)
 
         balance = analyze_block_work(
-            block_work_from_row_nnz(row_nnz, self.rows_per_block), self.spec, scale=self.scale
+            block_work_from_row_nnz(row_nnz, _ROWS_PER_BLOCK), self.spec, scale=self.scale
         )
 
         return KernelCost(
@@ -89,9 +86,9 @@ class GESpMMAggregation(BaseAggregationKernel):
             + write_cost.transactions,
             active_thread_ratio=baseline_active_thread_ratio(feature_dim, self.spec),
             imbalance=balance.imbalance,
-            num_blocks=max(1, int(np.ceil(rows / self.rows_per_block))),
+            num_blocks=max(1, int(np.ceil(rows / _ROWS_PER_BLOCK))),
             shared_mem_bytes=min(
-                self.spec.shared_mem_per_sm_kb * 1024.0, self.rows_per_block * 32 * _NNZ_BYTES
+                self.spec.shared_mem_per_sm_kb * 1024.0, _ROWS_PER_BLOCK * 32 * _NNZ_BYTES
             ),
             launches=1,
             bandwidth_efficiency=_GESPMM_BANDWIDTH_EFFICIENCY,

@@ -28,7 +28,7 @@ from repro.gpu.kernel_cost import CATEGORY_AGGREGATION, KernelCost
 from repro.gpu.load_balance import analyze_block_work, block_work_from_slice_nnz
 from repro.gpu.memory_model import FLOAT_BYTES, contiguous_bytes_cost, row_access
 from repro.gpu.spec import GPUSpec
-from repro.gpu.warp_model import choose_coalesce_num, coalesced_active_thread_ratio
+from repro.gpu.warp_model import coalesced_active_thread_ratio
 from repro.graph.csr import CSRMatrix
 from repro.graph.keys import unique
 from repro.graph.sliced_csr import DEFAULT_SLICE_CAPACITY, SlicedCSRMatrix
@@ -59,14 +59,12 @@ class SlicedParallelAggregation(BaseAggregationKernel):
         *,
         slice_capacity: int = DEFAULT_SLICE_CAPACITY,
         snapshots_coalesced: int = 1,
-        slices_per_block: int = _SLICES_PER_BLOCK,
     ) -> None:
         super().__init__(adjacency, spec, scale)
         if snapshots_coalesced <= 0:
             raise ValueError("snapshots_coalesced must be > 0")
         self.slice_capacity = slice_capacity
         self.snapshots_coalesced = snapshots_coalesced
-        self.slices_per_block = slices_per_block
         self.sliced = SlicedCSRMatrix.from_csr(adjacency, slice_capacity=slice_capacity)
         self._slice_nnz = self.sliced.slice_nnz()
         self._transpose_slice_nnz: Optional[np.ndarray] = None
@@ -98,7 +96,7 @@ class SlicedParallelAggregation(BaseAggregationKernel):
             active_ratio = 1.0
 
         balance = analyze_block_work(
-            block_work_from_slice_nnz(slice_nnz, self.slices_per_block), self.spec, scale=self.scale
+            block_work_from_slice_nnz(slice_nnz, _SLICES_PER_BLOCK), self.spec, scale=self.scale
         )
 
         return KernelCost(
@@ -114,10 +112,10 @@ class SlicedParallelAggregation(BaseAggregationKernel):
             + write_cost.transactions * _ATOMIC_WRITE_PENALTY,
             active_thread_ratio=active_ratio,
             imbalance=balance.imbalance,
-            num_blocks=max(1, int(np.ceil(num_slices / self.slices_per_block))),
+            num_blocks=max(1, int(np.ceil(num_slices / _SLICES_PER_BLOCK))),
             shared_mem_bytes=min(
                 self.spec.shared_mem_per_sm_kb * 1024.0,
-                self.slices_per_block * self.slice_capacity * _NNZ_BYTES,
+                _SLICES_PER_BLOCK * self.slice_capacity * _NNZ_BYTES,
             ),
             launches=1,
             bandwidth_efficiency=_SLICED_BANDWIDTH_EFFICIENCY,
@@ -130,8 +128,3 @@ class SlicedParallelAggregation(BaseAggregationKernel):
             sliced_t = SlicedCSRMatrix.from_csr(transpose, slice_capacity=self.slice_capacity)
             self._transpose_slice_nnz = sliced_t.slice_nnz()
         return self._transpose_slice_nnz
-
-    # -- extra reporting ---------------------------------------------------------
-    def coalesce_num(self, feature_dim: int) -> int:
-        """Thread groups per warp the kernel would use for ``feature_dim``."""
-        return choose_coalesce_num(feature_dim, self.spec)

@@ -15,9 +15,8 @@ byte accounting handed to the datapipe:
   miss: it re-enters the pipe at the gather stage.
 
 Evictions cascade downward (GPU → pinned → spill); eviction from the
-spill tier is final.  A *dirty* block is never silently dropped: it
-survives demotion, and a final eviction is accounted as a writeback
-(counter + bytes) — the invariant the hypothesis property test pins.
+spill tier is final.  Cached rows are read-only copies, so an eviction
+never writes anything back (``feature_cache_writeback_bytes`` stays 0).
 """
 
 from __future__ import annotations
@@ -175,7 +174,6 @@ class FeatureCache:
                 build_policy(policy),
             ),
         }
-        self._dirty: Dict[Hashable, float] = {}
         #: high-water mark of pinned residency + in-flight staging, the
         #: quantity the memory-watermark checker verifies against the budget
         self.peak_pinned_bytes = 0.0
@@ -188,8 +186,6 @@ class FeatureCache:
             "miss_bytes": 0.0,
             "evictions": 0,
             "demotions": 0,
-            "writebacks": 0,
-            "writeback_bytes": 0.0,
             "invalidations": 0,
         }
 
@@ -203,9 +199,6 @@ class FeatureCache:
 
     def __contains__(self, key: Hashable) -> bool:
         return self.tier_of(key) is not None
-
-    def is_dirty(self, key: Hashable) -> bool:
-        return key in self._dirty
 
     # -- core access -------------------------------------------------------
 
@@ -286,11 +279,6 @@ class FeatureCache:
                 self._note_pinned_peak()
             self.counters["demotions"] += 1
             return
-        # Evicted out of the bottom tier: dirty blocks are written back,
-        # never dropped on the floor.
-        if key in self._dirty:
-            self.counters["writebacks"] += 1
-            self.counters["writeback_bytes"] += self._dirty.pop(key)
 
     # -- staging reservations ---------------------------------------------
 
@@ -337,13 +325,6 @@ class FeatureCache:
 
     # -- mutation ----------------------------------------------------------
 
-    def mark_dirty(self, keys: Iterable[Hashable]) -> None:
-        """Flag resident blocks as dirty (e.g. patched by a delta)."""
-        for key in keys:
-            tier = self.tier_of(key)
-            if tier is not None:
-                self._dirty[key] = self.tiers[tier].entries[key]
-
     def invalidate(self, keys: Iterable[Hashable]) -> int:
         """Drop blocks whose backing rows changed.  Returns count dropped."""
         dropped = 0
@@ -352,7 +333,6 @@ class FeatureCache:
             if tier is None:
                 continue
             self.tiers[tier].remove(key)
-            self._dirty.pop(key, None)
             dropped += 1
         self.counters["invalidations"] += dropped
         return dropped
@@ -360,12 +340,8 @@ class FeatureCache:
     def clear(self) -> None:
         for tier in self.tiers.values():
             tier.clear()
-        self._dirty.clear()
 
     # -- introspection -----------------------------------------------------
-
-    def dirty_keys(self) -> Tuple[Hashable, ...]:
-        return tuple(self._dirty)
 
     def stats(self) -> Dict[str, float]:
         c = self.counters
@@ -381,8 +357,8 @@ class FeatureCache:
             "feature_cache_miss_bytes": c["miss_bytes"],
             "feature_cache_evictions": c["evictions"],
             "feature_cache_demotions": c["demotions"],
-            "feature_cache_writebacks": c["writebacks"],
-            "feature_cache_writeback_bytes": c["writeback_bytes"],
+            "feature_cache_writebacks": 0,
+            "feature_cache_writeback_bytes": 0.0,
             "feature_cache_invalidations": c["invalidations"],
         }
         for name in TIER_ORDER:

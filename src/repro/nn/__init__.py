@@ -30,11 +30,6 @@ MODEL_REGISTRY: Dict[str, Type[DGNNModel]] = {
 MODEL_ORDER: List[str] = ["evolvegcn", "mpnn_lstm", "tgcn"]
 
 
-def list_models() -> List[str]:
-    """Canonical names of the available DGNN models."""
-    return list(MODEL_ORDER)
-
-
 def build_model(
     name: str,
     in_features: int,
@@ -64,6 +59,5 @@ __all__ = [
     "TGCN",
     "MODEL_REGISTRY",
     "MODEL_ORDER",
-    "list_models",
     "build_model",
 ]

@@ -26,7 +26,6 @@ class GCNUpdate(Module):
         self,
         in_features: int,
         out_features: int,
-        bias: bool = True,
         seed: SeedLike = None,
     ) -> None:
         super().__init__()
@@ -37,9 +36,7 @@ class GCNUpdate(Module):
         self.weight = Parameter(
             init.xavier_uniform((in_features, out_features), seed=seed), name="weight"
         )
-        self.bias: Optional[Parameter] = (
-            Parameter(init.zeros(out_features), name="bias") if bias else None
-        )
+        self.bias = Parameter(init.zeros(out_features), name="bias")
 
     def forward(self, aggregated: Tensor, ctx: Optional[ExecutionContext] = None) -> Tensor:
         ctx = ctx or ExecutionContext()

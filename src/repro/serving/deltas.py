@@ -61,10 +61,6 @@ class GraphDelta:
     def num_feature_updates(self) -> int:
         return len(self.feature_updates)
 
-    @property
-    def is_empty(self) -> bool:
-        return self.num_added == 0 and self.num_removed == 0 and self.num_feature_updates == 0
-
     def added_keys(self, num_cols: int) -> np.ndarray:
         """Flat ``row * n_cols + col`` keys of the added edges."""
         return self.added_edges[:, 0] * num_cols + self.added_edges[:, 1]
@@ -101,13 +97,17 @@ def _keys_to_edges(keys: np.ndarray, num_cols: int) -> np.ndarray:
     return np.stack([rows, cols], axis=1) if len(keys) else np.zeros((0, 2), dtype=np.int64)
 
 
+#: share of a delta's edges that change (half removed, half added)
+EDGE_CHANGE_FRACTION = 0.04
+#: share of the nodes whose features a delta rewrites
+FEATURE_UPDATE_FRACTION = 0.02
+
+
 def random_delta(
     current_keys: np.ndarray,
     num_nodes: int,
     rng: np.random.Generator,
     *,
-    edge_change_fraction: float = 0.04,
-    feature_update_fraction: float = 0.02,
     feature_dim: int = 0,
 ) -> Tuple[GraphDelta, np.ndarray]:
     """Sample one delta against the current edge-key set.
@@ -116,12 +116,10 @@ def random_delta(
     evolve the graph without owning a snapshot store.  Half the changed edge
     mass is removals and half fresh insertions, matching the generators'
     :func:`~repro.graph.generators.evolve_edge_keys` convention, so the
-    adjacent-version overlap stays near ``1 - edge_change_fraction``.
+    adjacent-version overlap stays near ``1 - EDGE_CHANGE_FRACTION``.
     """
-    check_in_range("edge_change_fraction", edge_change_fraction, 0.0, 1.0)
-    check_in_range("feature_update_fraction", feature_update_fraction, 0.0, 1.0)
     current_keys = np.asarray(current_keys, dtype=np.int64)
-    num_change = int(round(len(current_keys) * edge_change_fraction / 2.0))
+    num_change = int(round(len(current_keys) * EDGE_CHANGE_FRACTION / 2.0))
 
     removed = (
         rng.permutation(current_keys)[:num_change] if num_change else np.zeros(0, dtype=np.int64)
@@ -142,7 +140,7 @@ def random_delta(
     added = rng.permutation(added)[:num_change]
 
     updates: Dict[int, np.ndarray] = {}
-    num_updates = int(round(num_nodes * feature_update_fraction))
+    num_updates = int(round(num_nodes * FEATURE_UPDATE_FRACTION))
     if num_updates and feature_dim:
         for node in rng.choice(num_nodes, size=num_updates, replace=False):
             updates[int(node)] = rng.standard_normal(feature_dim).astype(np.float32)
@@ -163,8 +161,6 @@ def synthesize_serving_trace(
     request_fraction: float = 0.7,
     nodes_per_request: int = 8,
     mean_interarrival_ms: float = 1.0,
-    edge_change_fraction: float = 0.04,
-    feature_update_fraction: float = 0.02,
     seed: SeedLike = 0,
 ) -> List[ServingEvent]:
     """Build a reproducible mixed delta/request trace starting from a snapshot.
@@ -191,13 +187,6 @@ def synthesize_serving_trace(
             ).astype(np.int64)
             events.append(ServingEvent(time=clock, kind="request", node_ids=node_ids))
         else:
-            delta, keys = random_delta(
-                keys,
-                num_nodes,
-                rng,
-                edge_change_fraction=edge_change_fraction,
-                feature_update_fraction=feature_update_fraction,
-                feature_dim=initial.feature_dim,
-            )
+            delta, keys = random_delta(keys, num_nodes, rng, feature_dim=initial.feature_dim)
             events.append(ServingEvent(time=clock, kind="delta", delta=delta))
     return events

@@ -2,10 +2,8 @@
 
 Records are kept per request so tail latency (p99) is a first-class
 quantity, the way online inference systems are actually judged.  The
-aggregate :class:`ServingReport` is convertible into the repo-wide
-:class:`~repro.baselines.results.TrainingResult` record, so serving runs
-compose with the existing comparison helpers (``speedup_over`` etc.) and
-the benchmark harness.
+aggregate :class:`ServingReport` carries the run's summary, and
+``speedup_over`` compares two runs of one trace.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from typing import Any, Dict, List, Mapping
 
 import numpy as np
 
-from repro.baselines.results import TrainingResult
 from repro.telemetry.persistence import restore_floats, sanitize_floats
 
 
@@ -212,25 +209,6 @@ class ServingReport:
         if math.isnan(mine) or math.isnan(theirs):
             return float("nan")
         return theirs / mine if mine > 0 else float("inf")
-
-    def to_training_result(self, *, epochs: int = 1) -> TrainingResult:
-        """Project into the shared result record for cross-harness comparison."""
-        extras = dict(self.extras)
-        extras.update(self.metrics.summary())
-        extras.update({f"reuse_{k}": v for k, v in self.reuse_stats.items()})
-        return TrainingResult(
-            method=self.engine,
-            model=self.model,
-            dataset=self.dataset,
-            epochs=epochs,
-            simulated_seconds=self.simulated_seconds,
-            wall_seconds=self.wall_seconds,
-            final_loss=float("nan"),
-            breakdown=dict(self.breakdown),
-            gpu_utilization=self.gpu_utilization,
-            peak_memory_bytes=self.peak_memory_bytes,
-            extras=extras,
-        )
 
     # -- persistence ---------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:

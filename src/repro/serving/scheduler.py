@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from repro.core.tuner import (
     capped_candidates,
 )
 from repro.gpu.device import SimulatedGPU
-from repro.gpu.spec import GPUSpec, HostSpec, PCIeSpec
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.partition import PARTITION_MODES
 from repro.memory import (
@@ -275,9 +274,6 @@ class ServingScheduler(TraceReplay):
         store: IncrementalSnapshotStore,
         config: Optional[ServingConfig] = None,
         *,
-        gpu: Optional[GPUSpec] = None,
-        pcie: Optional[PCIeSpec] = None,
-        host: Optional[HostSpec] = None,
         scale: float = 1.0,
         dataset: str = "serving",
         data: Optional[DataPipeConfig] = None,
@@ -289,7 +285,7 @@ class ServingScheduler(TraceReplay):
         self.dataset = dataset
         self.scale = scale
         self.memory = memory or MemoryConfig()
-        self.device = SimulatedGPU(gpu, pcie, host, use_cuda_graph=True)
+        self.device = SimulatedGPU(use_cuda_graph=True)
         self.data = (data or DataPipeConfig()).for_pipeline(self.config.enable_pipeline)
         self.datapipe = DataPipe(self.data, self.device.host)
         self.reuse = ReuseManager(self.device, enabled=self.config.enable_reuse)
@@ -317,8 +313,9 @@ class ServingScheduler(TraceReplay):
             max_requests=self.config.max_batch_requests,
             max_delay_ms=self.config.max_delay_ms,
         )
-        #: node range this scheduler's feature cache covers (fleet replicas
-        #: re-scope it to their shard via :meth:`scope_feature_cache`)
+        #: node range this scheduler owns: its feature cache covers it and
+        #: rows outside it pay a halo gather (fleet replicas narrow it to
+        #: their shard via :meth:`scope_feature_cache`)
         self._cache_lo = 0
         self._cache_hi = store.num_nodes
         self.feature_cache: Optional[FeatureCache] = build_feature_cache(
@@ -338,10 +335,8 @@ class ServingScheduler(TraceReplay):
         self.metrics = ServingMetrics()
         #: telemetry sink; the engine swaps in a live CallbackList
         self.hooks: TelemetryCallback = NULL_CALLBACK
-        #: optional per-batch op injector (the fleet engine hangs its halo
-        #: gather here); called with the micro-batch, returns timeline ops the
-        #: batch's transfers must additionally wait on
-        self.pre_batch_ops: Optional[Callable[[MicroBatch], List[object]]] = None
+        #: ``(op uid, bytes, seconds)`` of every halo gather, in issue order
+        self.halo_gathers: List[Tuple[int, float, float]] = []
         self._next_request_id = 0
         self._last_delta_op = None
 
@@ -350,7 +345,8 @@ class ServingScheduler(TraceReplay):
 
     # ------------------------------------------------------------------ memory tiers
     def scope_feature_cache(self, lo: int, hi: int) -> None:
-        """Restrict the cache to the node range ``[lo, hi)`` (fleet shards).
+        """Own only the node range ``[lo, hi)`` (fleet shards): the cache
+        covers it and rows outside it pay a halo gather.
 
         Clears any cached residency: blocks keyed outside the new scope
         would otherwise alias a different replica's rows.
@@ -364,6 +360,30 @@ class ServingScheduler(TraceReplay):
         self._cache_hi = hi
         if self.feature_cache is not None:
             self.feature_cache.clear()
+
+    def _halo_gather(self, batch: MicroBatch):
+        """Host op gathering the batch's rows outside the owned node range.
+
+        Sized by the remote rows times the window depth at the host gather
+        bandwidth; the batch's transfers wait on it.  ``None`` when every
+        row is owned (always, unless :meth:`scope_feature_cache` narrowed
+        the range).
+        """
+        ids = batch.node_ids
+        remote = int(np.count_nonzero((ids < self._cache_lo) | (ids >= self._cache_hi)))
+        if remote == 0:
+            return None
+        store = self.store
+        gather_bytes = remote * store.feature_dim * 4.0 * store.window_size * self.scale
+        seconds = gather_bytes / (self.device.host.gather_bandwidth_gbs * 1e9)
+        op = self.device.host_op(
+            seconds,
+            label=f"halo_gather_b{batch.batch_id}",
+            stream="cpu_prep" if self.config.enable_pipeline else "default",
+            not_before=batch.formed_time,
+        )
+        self.halo_gathers.append((op.uid, gather_bytes, seconds))
+        return op
 
     def _feature_block_requests(self, uncached_versions: int):
         """Cache keys + bytes for one batch's feature-row traffic.
@@ -473,8 +493,9 @@ class ServingScheduler(TraceReplay):
             plan = self.feature_cache.access(self._feature_block_requests(uncached))
             item = apply_cache_plan(item, plan)
         depends_on = [] if self._last_delta_op is None else [self._last_delta_op]
-        if self.pre_batch_ops is not None:
-            depends_on.extend(self.pre_batch_ops(batch))
+        halo = self._halo_gather(batch)
+        if halo is not None:
+            depends_on.append(halo)
         transfer_ops = self.prefetcher.schedule(
             item,
             depends_on=depends_on or None,
@@ -579,9 +600,6 @@ def _build_serving_replicas(
     num_replicas: int,
     config: Optional[ServingConfig] = None,
     *,
-    gpu: Optional[GPUSpec] = None,
-    pcie: Optional[PCIeSpec] = None,
-    host: Optional[HostSpec] = None,
     scale: float = 1.0,
     data: Optional[DataPipeConfig] = None,
     memory: Optional[MemoryConfig] = None,
@@ -596,16 +614,13 @@ def _build_serving_replicas(
         store = graph
         dataset = "serving"
     else:
-        store = IncrementalSnapshotStore(graph, window=config.window, host=host)
+        store = IncrementalSnapshotStore(graph, window=config.window)
         dataset = graph.name
     return [
         ServingScheduler(
             model,
             store,
             config,
-            gpu=gpu,
-            pcie=pcie,
-            host=host,
             scale=scale,
             dataset=dataset,
             data=data,

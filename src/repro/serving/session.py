@@ -140,7 +140,7 @@ class InferenceSession:
         return [
             self.store.shared(
                 self.store.versions_at(positions),
-                ("partition", preparer.slice_capacity, preparer.use_sliced_csr),
+                ("partition", preparer.use_sliced_csr),
                 lambda: preparer.prepare_from_decomposition(
                     [snapshots[p] for p in positions],
                     self.store.partition_decomposition(positions),

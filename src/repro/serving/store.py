@@ -75,7 +75,6 @@ class IncrementalSnapshotStore:
         initial: Union[DynamicGraph, GraphSnapshot, Sequence[GraphSnapshot]],
         *,
         window: int = 8,
-        host: Optional[HostSpec] = None,
     ) -> None:
         check_positive("window", window)
         if isinstance(initial, DynamicGraph):
@@ -91,7 +90,7 @@ class IncrementalSnapshotStore:
             if snap.adjacency.shape != shape:
                 raise ValueError("all seed snapshots must share the same shape")
         self.window_capacity = window
-        self.host = host or HostSpec()
+        self.host = HostSpec()
         self._tracker = IncrementalOverlapTracker(shape, window)
         self._window: Deque[GraphSnapshot] = deque()
         self._keys: Dict[int, np.ndarray] = {}

@@ -22,7 +22,7 @@ deterministic.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.baselines.results import EpochMetrics
@@ -83,8 +83,8 @@ HOOK_NAMES = tuple(
 class CallbackList(TelemetryCallback):
     """Fans every hook out to an ordered list of callbacks."""
 
-    def __init__(self, callbacks: Iterable[TelemetryCallback] = ()) -> None:
-        self.callbacks: List[TelemetryCallback] = list(callbacks)
+    def __init__(self) -> None:
+        self.callbacks: List[TelemetryCallback] = []
 
     def add(self, callback: TelemetryCallback) -> "CallbackList":
         self.callbacks.append(callback)
@@ -225,25 +225,22 @@ class MetricsCallback(TelemetryCallback):
 class LoggingCallback(TelemetryCallback):
     """Prints one progress line per coarse event (opt-in via the spec)."""
 
-    def __init__(self, sink: Optional[Callable[[str], None]] = None) -> None:
-        self._emit = sink if sink is not None else print
-
     def on_phase_start(self, phase: str, at: float) -> None:
-        self._emit(f"[telemetry] phase {phase} started @ {at * 1e3:.2f} ms")
+        print(f"[telemetry] phase {phase} started @ {at * 1e3:.2f} ms")
 
     def on_phase_end(self, phase: str, at: float) -> None:
-        self._emit(f"[telemetry] phase {phase} finished @ {at * 1e3:.2f} ms")
+        print(f"[telemetry] phase {phase} finished @ {at * 1e3:.2f} ms")
 
     def on_epoch_end(
         self, epoch: int, metrics: "EpochMetrics", start: float, end: float
     ) -> None:
-        self._emit(
+        print(
             f"[telemetry] epoch {epoch}: {(end - start) * 1e3:.2f} ms simulated, "
             f"loss {metrics.loss:.4f}"
         )
 
     def on_delta(self, version: int, num_touched: int, at: float) -> None:
-        self._emit(
+        print(
             f"[telemetry] delta v{version}: {num_touched} rows @ {at * 1e3:.2f} ms"
         )
 

@@ -31,9 +31,8 @@ HISTOGRAM_PERCENTILES: Tuple[Tuple[str, float], ...] = (("p50", 50.0), ("p99", 9
 class Counter:
     """Monotonically non-decreasing total."""
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.help = help
         self._value = 0.0
 
     @property
@@ -49,9 +48,8 @@ class Counter:
 class Gauge:
     """Point-in-time value that can move in either direction."""
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.help = help
         self._value = float("nan")
 
     @property
@@ -69,9 +67,8 @@ class Gauge:
 class Histogram:
     """Distribution of observations; percentiles are NaN when empty."""
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.help = help
         self._observations: List[float] = []
 
     def observe(self, value: float) -> None:
@@ -118,7 +115,7 @@ class MetricsRegistry:
         self._instruments: Dict[str, Instrument] = {}
 
     # ------------------------------------------------------------------ registration
-    def _get_or_create(self, name: str, cls: type, help: str) -> Instrument:
+    def _get_or_create(self, name: str, cls: type) -> Instrument:
         if not name:
             raise ValueError("instrument name must be non-empty")
         existing = self._instruments.get(name)
@@ -129,18 +126,18 @@ class MetricsRegistry:
                     f"{type(existing).__name__}, cannot re-register as {cls.__name__}"
                 )
             return existing
-        instrument = cls(name, help)
+        instrument = cls(name)
         self._instruments[name] = instrument
         return instrument
 
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._get_or_create(name, Counter, help)  # type: ignore[return-value]
+    def counter(self, name: str) -> Counter:
+        return self._get_or_create(name, Counter)  # type: ignore[return-value]
 
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get_or_create(name, Gauge, help)  # type: ignore[return-value]
+    def gauge(self, name: str) -> Gauge:
+        return self._get_or_create(name, Gauge)  # type: ignore[return-value]
 
-    def histogram(self, name: str, help: str = "") -> Histogram:
-        return self._get_or_create(name, Histogram, help)  # type: ignore[return-value]
+    def histogram(self, name: str) -> Histogram:
+        return self._get_or_create(name, Histogram)  # type: ignore[return-value]
 
     # ------------------------------------------------------------------ bulk ingestion
     def set_gauges(self, values: Mapping[str, float], *, prefix: str = "") -> None:

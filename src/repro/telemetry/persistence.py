@@ -14,7 +14,7 @@ serving, api) can import them without cycles.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Mapping, Sequence, Union
+from typing import Any, Dict, Mapping, Union
 
 _NONFINITE_MARKERS: Dict[str, float] = {
     "NaN": float("nan"),
@@ -60,15 +60,8 @@ def restore_float_dict(
     return {key: float(restore_floats(item)) for key, item in value.items()}
 
 
-def restore_float_list(value: Union[Sequence[Any], None]) -> List[float]:
-    if not value:
-        return []
-    return [float(restore_floats(item)) for item in value]
-
-
 __all__ = [
     "restore_float_dict",
-    "restore_float_list",
     "restore_floats",
     "sanitize_floats",
 ]

@@ -122,9 +122,9 @@ class SpanTracer:
         self._spans.append(span)
         return span
 
-    def close_all(self, at: Optional[float] = None) -> None:
-        """Close every still-open span (at ``at``, or at its deepest extent)."""
-        horizon = at if at is not None else self.extent()
+    def close_all(self) -> None:
+        """Close every still-open span at the latest closed-span end."""
+        horizon = self.extent()
         while self._stack:
             span = self._stack.pop()
             span.end = max(horizon, span.start)
@@ -135,21 +135,9 @@ class SpanTracer:
         """All spans in recording order (open spans included)."""
         return list(self._spans)
 
-    @property
-    def open_depth(self) -> int:
-        return len(self._stack)
-
-    def extent(self, domain: Optional[str] = None) -> float:
-        """Latest closed-span end time (optionally restricted to a domain)."""
-        ends = [
-            s.end
-            for s in self._spans
-            if s.end is not None and (domain is None or s.domain == domain)
-        ]
-        return max(ends, default=0.0)
-
-    def by_category(self, category: str) -> List[Span]:
-        return [s for s in self._spans if s.category == category]
+    def extent(self) -> float:
+        """Latest closed-span end time."""
+        return max((s.end for s in self._spans if s.end is not None), default=0.0)
 
     def reset(self) -> None:
         self._spans.clear()

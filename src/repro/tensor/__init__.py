@@ -9,44 +9,35 @@ immutable, except the buffers it allocated during the current call, into
 which it adds later contributions in place.  An intermediate tensor's
 ``.grad`` may share memory with another tensor's; a leaf's (e.g. a
 ``Parameter``'s) never does.  Optimizers and other callers must replace
-``.grad``, never write into it; :class:`SGD` and :class:`Adam` comply.
+``.grad``, never write into it; :class:`Adam` complies.
 """
 
 from repro.tensor.tensor import Tensor
 from repro.tensor.function import (
     Function,
     OpEvent,
-    current_scope,
-    get_op_observer,
-    is_grad_enabled,
     no_grad,
     observe_ops,
     op_scope,
-    set_op_observer,
     unbroadcast,
 )
 from repro.tensor import ops
 from repro.tensor.sparse import AggregationKernel, spmm
 from repro.tensor import nn
-from repro.tensor.optim import SGD, Adam, Optimizer
+from repro.tensor.optim import Adam, Optimizer
 
 __all__ = [
     "Tensor",
     "Function",
     "OpEvent",
-    "current_scope",
     "op_scope",
-    "get_op_observer",
-    "is_grad_enabled",
     "no_grad",
     "observe_ops",
-    "set_op_observer",
     "unbroadcast",
     "ops",
     "AggregationKernel",
     "spmm",
     "nn",
-    "SGD",
     "Adam",
     "Optimizer",
 ]

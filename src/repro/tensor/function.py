@@ -58,11 +58,6 @@ _FLOAT32 = np.dtype(np.float32)
 _grad_enabled: bool = True
 
 
-def is_grad_enabled() -> bool:
-    """Whether newly created tensors will record the autograd graph."""
-    return _grad_enabled
-
-
 @contextlib.contextmanager
 def no_grad():
     """Context manager disabling graph construction (inference mode)."""
@@ -137,11 +132,6 @@ def _scope_attrs(scope: str) -> Mapping[str, Any]:
     return attrs
 
 
-def current_scope() -> str:
-    """The innermost active op scope, or ``"other"`` when none is set."""
-    return _scope_stack[-1] if _scope_stack else "other"
-
-
 @contextlib.contextmanager
 def op_scope(name: str):
     """Tag all operations executed in the block with ``name``."""
@@ -150,16 +140,6 @@ def op_scope(name: str):
         yield
     finally:
         _scope_stack.pop()
-
-
-def set_op_observer(observer: Optional[OpObserver]) -> None:
-    """Install (or clear, with ``None``) the process-wide op observer."""
-    global _observer
-    _observer = observer
-
-
-def get_op_observer() -> Optional[OpObserver]:
-    return _observer
 
 
 @contextlib.contextmanager

@@ -4,9 +4,6 @@ from repro.tensor.nn.module import Module, Parameter
 from repro.tensor.nn.linear import Linear
 from repro.tensor.nn.rnn_cells import GRUCell, LSTMCell
 from repro.tensor.nn.loss import (
-    bce_with_logits_loss,
-    cross_entropy_loss,
-    l1_loss,
     mse_loss,
 )
 from repro.tensor.nn import init
@@ -17,9 +14,6 @@ __all__ = [
     "Linear",
     "GRUCell",
     "LSTMCell",
-    "bce_with_logits_loss",
-    "cross_entropy_loss",
-    "l1_loss",
     "mse_loss",
     "init",
 ]

@@ -15,14 +15,9 @@ def ones(*shape: int) -> np.ndarray:
     return np.ones(shape, dtype=np.float32)
 
 
-def uniform(shape, low: float = -0.1, high: float = 0.1, seed: SeedLike = None) -> np.ndarray:
-    rng = as_rng(seed)
-    return rng.uniform(low, high, size=shape).astype(np.float32)
-
-
-def xavier_uniform(shape, gain: float = 1.0, seed: SeedLike = None) -> np.ndarray:
+def xavier_uniform(shape, seed: SeedLike = None) -> np.ndarray:
     """Glorot/Xavier uniform initialization for 2-D weights."""
     rng = as_rng(seed)
     fan_in, fan_out = shape[0], shape[-1]
-    bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)

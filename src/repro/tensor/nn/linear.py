@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
 
 from repro.tensor.nn import init
 from repro.tensor.nn.module import Module, Parameter
@@ -21,7 +20,6 @@ class Linear(Module):
         self,
         in_features: int,
         out_features: int,
-        bias: bool = True,
         seed: SeedLike = None,
     ) -> None:
         super().__init__()
@@ -32,15 +30,10 @@ class Linear(Module):
         self.weight = Parameter(
             init.xavier_uniform((in_features, out_features), seed=seed), name="weight"
         )
-        self.bias: Optional[Parameter] = (
-            Parameter(init.zeros(out_features), name="bias") if bias else None
-        )
+        self.bias = Parameter(init.zeros(out_features), name="bias")
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return x @ self.weight + self.bias
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Linear(in={self.in_features}, out={self.out_features}, bias={self.bias is not None})"
+        return f"Linear(in={self.in_features}, out={self.out_features})"

@@ -18,31 +18,3 @@ def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
     _check_same_shape(prediction, target)
     diff = prediction - target
     return ops.mean(diff * diff)
-
-
-def l1_loss(prediction: Tensor, target: Tensor) -> Tensor:
-    """Mean absolute error (via a smooth |x| = sqrt(x^2 + eps) surrogate)."""
-    _check_same_shape(prediction, target)
-    diff = prediction - target
-    return ops.mean(ops.power(diff * diff + Tensor(1e-12), 0.5))
-
-
-def bce_with_logits_loss(logits: Tensor, target: Tensor) -> Tensor:
-    """Numerically stable binary cross-entropy on logits.
-
-    Uses ``max(x, 0) - x*y + log(1 + exp(-|x|))``; the max/abs terms are
-    computed with differentiable primitives (relu / two relus).
-    """
-    _check_same_shape(logits, target)
-    positive_part = ops.relu(logits)
-    abs_logits = ops.relu(logits) + ops.relu(-logits)
-    log_term = ops.log(Tensor(1.0) + ops.exp(-abs_logits))
-    return ops.mean(positive_part - logits * target + log_term)
-
-
-def cross_entropy_loss(logits: Tensor, target_one_hot: Tensor) -> Tensor:
-    """Softmax cross-entropy against one-hot targets of the same shape."""
-    _check_same_shape(logits, target_one_hot)
-    log_probs = ops.log(ops.softmax(logits, axis=-1) + Tensor(1e-12))
-    per_row = ops.sum(log_probs * target_one_hot, axis=-1)
-    return -ops.mean(per_row)

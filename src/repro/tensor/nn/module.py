@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Tuple
-
-import numpy as np
+from typing import Iterator, List, Optional, Tuple
 
 from repro.tensor.tensor import Tensor
 
@@ -54,9 +52,6 @@ class Module:
     def parameters(self) -> List[Parameter]:
         return [p for _, p in self.named_parameters()]
 
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.zero_grad()
@@ -76,26 +71,3 @@ class Module:
         for module in self._modules.values():
             module.train(mode)
         return self
-
-    def eval(self) -> "Module":
-        return self.train(False)
-
-    # -- state ----------------------------------------------------------------------
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        return {name: param.data.copy() for name, param in self.named_parameters()}
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        own = dict(self.named_parameters())
-        missing = set(own) - set(state)
-        unexpected = set(state) - set(own)
-        if missing or unexpected:
-            raise KeyError(
-                f"state dict mismatch: missing={sorted(missing)}, unexpected={sorted(unexpected)}"
-            )
-        for name, param in own.items():
-            value = np.asarray(state[name], dtype=np.float32)
-            if value.shape != param.data.shape:
-                raise ValueError(
-                    f"shape mismatch for {name}: expected {param.data.shape}, got {value.shape}"
-                )
-            param.data = value.copy()

@@ -148,18 +148,6 @@ class ReLU(Function):
         return (grad * self.mask,)
 
 
-class LeakyReLU(Function):
-    op_name = "leaky_relu"
-
-    def forward(self, a: np.ndarray, negative_slope: float = 0.01) -> np.ndarray:
-        self.mask = a > 0
-        self.slope = float(negative_slope)
-        return np.where(self.mask, a, a * self.slope)
-
-    def backward(self, grad: np.ndarray):
-        return (np.where(self.mask, grad, grad * self.slope), None)
-
-
 class Exp(Function):
     op_name = "exp"
 
@@ -180,40 +168,6 @@ class Log(Function):
 
     def backward(self, grad: np.ndarray):
         return (grad / self.a,)
-
-
-class Softmax(Function):
-    op_name = "softmax"
-
-    def forward(self, a: np.ndarray, axis: int = -1) -> np.ndarray:
-        self.axis = axis
-        shifted = a - a.max(axis=axis, keepdims=True)
-        exp = np.exp(shifted)
-        self.out = exp / exp.sum(axis=axis, keepdims=True)
-        return self.out
-
-    def backward(self, grad: np.ndarray):
-        dot = (grad * self.out).sum(axis=self.axis, keepdims=True)
-        return ((grad - dot) * self.out,)
-
-
-class Dropout(Function):
-    op_name = "dropout"
-
-    def forward(self, a: np.ndarray, p: float = 0.5, training: bool = True, seed=None) -> np.ndarray:
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        if not training or p == 0.0:
-            self.mask = None
-            return a
-        rng = np.random.default_rng(seed)
-        self.mask = (rng.random(a.shape) >= p).astype(np.float32) / (1.0 - p)
-        return a * self.mask
-
-    def backward(self, grad: np.ndarray):
-        if self.mask is None:
-            return (grad, None, None, None)
-        return (grad * self.mask, None, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -401,24 +355,12 @@ def relu(a: Tensor) -> Tensor:
     return ReLU.apply(a)
 
 
-def leaky_relu(a: Tensor, negative_slope: float = 0.01) -> Tensor:
-    return LeakyReLU.apply(a, negative_slope)
-
-
 def exp(a: Tensor) -> Tensor:
     return Exp.apply(a)
 
 
 def log(a: Tensor) -> Tensor:
     return Log.apply(a)
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    return Softmax.apply(a, axis=axis)
-
-
-def dropout(a: Tensor, p: float = 0.5, training: bool = True, seed=None) -> Tensor:
-    return Dropout.apply(a, p, training, seed)
 
 
 def sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001 - mirrors numpy

@@ -1,4 +1,4 @@
-"""Optimizers (SGD with momentum, Adam)."""
+"""The Adam optimizer over a flat list of parameters."""
 
 from __future__ import annotations
 
@@ -24,41 +24,6 @@ class Optimizer:
 
     def step(self) -> None:
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        parameters: Sequence[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters)
-        check_positive("lr", lr)
-        check_in_range("momentum", momentum, 0.0, 1.0)
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: Dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        for param in self.parameters:
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity = self._velocity.get(id(param))
-                velocity = (
-                    self.momentum * velocity + grad if velocity is not None else grad.copy()
-                )
-                self._velocity[id(param)] = velocity
-                grad = velocity
-            param.data = param.data - self.lr * grad
 
 
 class Adam(Optimizer):

@@ -1,20 +1,17 @@
 """Shared utilities: validation helpers and RNG handling."""
 
-from repro.utils.rng import as_rng, spawn_rngs
+from repro.utils.rng import as_rng
 from repro.utils.validation import (
     check_positive,
     check_non_negative,
     check_in_range,
-    check_type,
     check_array,
 )
 
 __all__ = [
     "as_rng",
-    "spawn_rngs",
     "check_positive",
     "check_non_negative",
     "check_in_range",
-    "check_type",
     "check_array",
 ]

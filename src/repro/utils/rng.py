@@ -26,21 +26,3 @@ def as_rng(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: SeedLike, n: int) -> list[np.random.Generator]:
-    """Derive ``n`` independent child generators from ``seed``.
-
-    Used when a workload (e.g. a dynamic-graph generator) needs one stream
-    per snapshot so that changing the number of snapshots does not perturb
-    the randomness of earlier ones.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    root = as_rng(seed)
-    seed_seq = getattr(root.bit_generator, "seed_seq", None)
-    if isinstance(seed_seq, np.random.SeedSequence):
-        return [np.random.default_rng(s) for s in seed_seq.spawn(n)]
-    # Fallback when the generator exposes no seed sequence: derive children
-    # from fresh integers drawn off the root stream.
-    return [np.random.default_rng(int(root.integers(0, 2**63 - 1))) for _ in range(n)]

@@ -6,7 +6,7 @@ cryptic broadcast error three layers down.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Sequence, Tuple, Type
+from typing import Any, Iterable, Optional
 
 import numpy as np
 
@@ -47,20 +47,12 @@ def check_in_range(
         raise ValueError(f"{name} must satisfy {low} {op} {name} {op} {high}, got {value!r}")
 
 
-def check_type(name: str, value: Any, types: Type | Tuple[Type, ...]) -> None:
-    """Raise ``TypeError`` unless ``value`` is an instance of ``types``."""
-    if not isinstance(value, types):
-        expect = types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)
-        raise TypeError(f"{name} must be {expect}, got {type(value).__name__}")
-
-
 def check_array(
     name: str,
     value: Any,
     *,
     ndim: Optional[int] = None,
     dtype_kind: Optional[str] = None,
-    shape: Optional[Sequence[Optional[int]]] = None,
 ) -> np.ndarray:
     """Coerce ``value`` to ``np.ndarray`` and validate its structure.
 
@@ -71,8 +63,6 @@ def check_array(
     dtype_kind:
         Required NumPy dtype kind string (e.g. ``"f"``, ``"i"``, ``"iu"``
         meaning "any of these kinds").
-    shape:
-        Expected shape where ``None`` entries are wildcards.
     """
     arr = np.asarray(value)
     if ndim is not None and arr.ndim != ndim:
@@ -81,12 +71,4 @@ def check_array(
         raise ValueError(
             f"{name} must have dtype kind in {dtype_kind!r}, got {arr.dtype} (kind {arr.dtype.kind!r})"
         )
-    if shape is not None:
-        if len(shape) != arr.ndim:
-            raise ValueError(f"{name} must have {len(shape)} dims, got {arr.ndim}")
-        for axis, expected in enumerate(shape):
-            if expected is not None and arr.shape[axis] != expected:
-                raise ValueError(
-                    f"{name} has shape {arr.shape}, expected {tuple(shape)} (mismatch on axis {axis})"
-                )
     return arr

@@ -10,7 +10,7 @@ from repro.analysis.collectives import (
     check_p2p_pairing,
     check_pipeline_order,
 )
-from repro.gpu import DeviceGroup
+from repro.gpu import DeviceGroup, SimulatedGPU
 
 
 def artifacts_of(group: DeviceGroup) -> ExecutionArtifacts:
@@ -44,7 +44,7 @@ def seed_p2p(group, rank, *, label, peer, nbytes=1024.0):
 
 @pytest.fixture
 def group():
-    return DeviceGroup(2)
+    return DeviceGroup([SimulatedGPU() for _ in range(2)])
 
 
 class TestCollectiveMatch:

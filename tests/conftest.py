@@ -78,7 +78,7 @@ def trainer_config():
 @pytest.fixture()
 def device_group():
     """A four-device simulated group over the default NVLink interconnect."""
-    return DeviceGroup(4)
+    return DeviceGroup([SimulatedGPU() for _ in range(4)])
 
 
 @pytest.fixture()

@@ -27,7 +27,6 @@ from repro.core import (
     PipelineTrainer,
     Prefetcher,
     STAGE_REGISTRY,
-    build_datapipe,
 )
 from repro.core.datapipe import STAGE_GATHER, STAGE_H2D, STAGE_PIN, STAGE_SLICE
 from repro.gpu import SimulatedGPU
@@ -66,7 +65,7 @@ class TestDataPipeConfig:
             STAGE_SLICE, STAGE_GATHER, STAGE_PIN, STAGE_H2D,
         )
         for pin_memory in (True, False):
-            stages = build_datapipe(DataPipeConfig(pin_memory=pin_memory)).stages
+            stages = DataPipe(DataPipeConfig(pin_memory=pin_memory)).stages
             assert stages[0] == STAGE_SLICE
             assert stages[-1] == STAGE_H2D
             assert all(stage in STAGE_REGISTRY for stage in stages)
@@ -74,13 +73,13 @@ class TestDataPipeConfig:
 
 class TestStageComposition:
     def test_staged_default(self):
-        pipe = build_datapipe()
+        pipe = DataPipe()
         assert pipe.stages == (STAGE_SLICE, STAGE_GATHER, STAGE_PIN, STAGE_H2D)
         assert pipe.host_stages == (STAGE_SLICE, STAGE_GATHER, STAGE_PIN)
         assert pipe.pinned
 
     def test_unpinned_drops_the_pin_stage(self):
-        pipe = build_datapipe(DataPipeConfig(pin_memory=False))
+        pipe = DataPipe(DataPipeConfig(pin_memory=False))
         assert pipe.stages == (STAGE_SLICE, STAGE_GATHER, STAGE_H2D)
         assert not pipe.pinned
 
@@ -90,12 +89,12 @@ class TestStageCosts:
     ITEM = PipeItem(label="p0", num_snapshots=4, transfer_bytes=1e6)
 
     def test_slice_cost_follows_snapshot_count(self):
-        pipe = build_datapipe(host=self.HOST)
+        pipe = DataPipe(host=self.HOST)
         expected = 4 * self.HOST.snapshot_prep_us * 1e-6
         assert pipe.stage_seconds(STAGE_SLICE, self.ITEM) == pytest.approx(expected)
 
     def test_gather_and_pin_follow_bandwidth(self):
-        pipe = build_datapipe(host=self.HOST)
+        pipe = DataPipe(host=self.HOST)
         assert pipe.stage_seconds(STAGE_GATHER, self.ITEM) == pytest.approx(
             1e6 / (self.HOST.gather_bandwidth_gbs * 1e9)
         )
@@ -103,17 +102,11 @@ class TestStageCosts:
             1e6 / (self.HOST.pin_bandwidth_gbs * 1e9)
         )
 
-    def test_host_seconds_sums_host_stages(self):
-        pipe = build_datapipe(host=self.HOST)
-        assert pipe.host_seconds(self.ITEM) == pytest.approx(
-            sum(pipe.stage_seconds(s, self.ITEM) for s in pipe.host_stages)
-        )
-
     def test_slice_scale_scales_only_the_slice_stage(self):
         """Distributed shards index a fraction of the nodes but their
         gather/pin already follow the sharded ``transfer_bytes`` — scaling
         them again would double-count the shard fraction."""
-        pipe = build_datapipe(host=self.HOST)
+        pipe = DataPipe(host=self.HOST)
         shard = PipeItem(label="p0", num_snapshots=4, transfer_bytes=1e6, slice_scale=0.25)
         assert pipe.stage_seconds(STAGE_SLICE, shard) == pytest.approx(
             0.25 * pipe.stage_seconds(STAGE_SLICE, self.ITEM)
@@ -123,7 +116,7 @@ class TestStageCosts:
 
     def test_h2d_is_not_a_host_stage(self):
         with pytest.raises(ValueError, match="not a host stage"):
-            build_datapipe().stage_seconds(STAGE_H2D, self.ITEM)
+            DataPipe().stage_seconds(STAGE_H2D, self.ITEM)
 
 
 class _StageOps:
@@ -155,7 +148,7 @@ def _drive(depth, items, *, compute_seconds=1e-3):
     """Schedule/consume ``items`` through a fresh prefetcher; returns the
     stage ops it scheduled plus the consume op of every item."""
     device = SimulatedGPU()
-    pipe = build_datapipe(DataPipeConfig(prefetch_depth=depth))
+    pipe = DataPipe(DataPipeConfig(prefetch_depth=depth))
     hooks = _StageOps([device])
     prefetcher = Prefetcher(pipe, device)
     consumes = []
@@ -196,21 +189,11 @@ class TestPrefetcherGating:
         assert starts == sorted(starts)
         assert [e[1] for e in transfers] == ["p0", "p1", "p2", "p3"]
 
-    def test_in_flight_counts_unconsumed_items(self):
-        device = SimulatedGPU()
-        prefetcher = Prefetcher(build_datapipe(), device, depth=4)
-        item = PipeItem(label="p", num_snapshots=1, transfer_bytes=1e3)
-        prefetcher.schedule(item)
-        prefetcher.schedule(item)
-        assert prefetcher.in_flight == 2
-        prefetcher.mark_consumed([device.host_op(1e-6, label="c")])
-        assert prefetcher.in_flight == 1
-
     def test_mark_consumed_without_outstanding_items_is_a_noop(self):
         device = SimulatedGPU()
-        prefetcher = Prefetcher(build_datapipe(), device)
+        prefetcher = Prefetcher(DataPipe(), device)
         prefetcher.mark_consumed([device.host_op(1e-6, label="c")])
-        assert prefetcher.in_flight == 0
+        assert prefetcher.stats()["prefetch_items"] == 0.0
 
     def test_stats_report_depth_items_and_host_seconds(self):
         hooks, _, prefetcher = _drive(2, [1e6, 1e6])
@@ -222,14 +205,10 @@ class TestPrefetcherGating:
             sum(end - start for (_, _, _, start, end) in host_spans)
         )
 
-    def test_negative_depth_override_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            Prefetcher(build_datapipe(), SimulatedGPU(), depth=-1)
-
     def _two_device_drive(self, depth):
         """One item per device through prefetchers sharing a single pipe,
         consuming on device 0 between the two schedules."""
-        pipe = build_datapipe(DataPipeConfig(prefetch_depth=depth))
+        pipe = DataPipe(DataPipeConfig(prefetch_depth=depth))
         devices = [SimulatedGPU(), SimulatedGPU()]
         hooks = _StageOps(devices)
         prefetchers = [
@@ -282,7 +261,7 @@ class TestPrefetcherProperties:
             gate = index - depth - 1
             if gate >= 0:
                 assert hooks.first_host_start(f"p{index}") >= consumes[gate].end
-        assert prefetcher.in_flight == 0  # balanced schedule/consume
+        assert None not in prefetcher._consumed  # balanced schedule/consume
 
 
 class TestTrainerParity:

@@ -20,7 +20,7 @@ def test_cached_speedup_equals_uncached_bit_for_bit():
     for s_per, rate in ((2, 0.3), (4, 0.9)):
         cached = analysis.speedup(s_per, rate, feature_dim=8)
         fresh = offline_speedup.__wrapped__(
-            SPEC, 96, 3.0, 16, 5, s_per, rate, 8, 16, True
+            SPEC, 96, 3.0, 16, 5, s_per, rate, 8, 16
         )
         assert cached.hex() == fresh.hex()
         assert analysis.speedup(s_per, rate, feature_dim=8).hex() == fresh.hex()
@@ -32,7 +32,7 @@ def test_each_analysis_parameter_keys_its_own_entry():
         other = small(**{field: value})
         want = offline_speedup.__wrapped__(
             other.spec, other.num_nodes, other.avg_degree, other.slice_capacity,
-            other.seed, 4, 0.5, 8, 16, True,
+            other.seed, 4, 0.5, 8, 16,
         )
         got = other.speedup(4, 0.5, feature_dim=8)
         assert got.hex() == want.hex()
@@ -40,9 +40,8 @@ def test_each_analysis_parameter_keys_its_own_entry():
 
 
 def test_second_tuner_reuses_the_table():
-    analysis = small(seed=11)
-    first = DynamicTuner(SPEC, (2, 4), analysis=analysis, feature_dim=4)
+    first = DynamicTuner(SPEC, (2, 4), feature_dim=4)
     misses = offline_speedup.cache_info().misses
-    second = DynamicTuner(SPEC, (2, 4), analysis=small(seed=11), feature_dim=4)
+    second = DynamicTuner(SPEC, (2, 4), feature_dim=4)
     assert offline_speedup.cache_info().misses == misses
     assert second._table == first._table

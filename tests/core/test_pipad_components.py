@@ -14,9 +14,9 @@ from repro.core import (
     PiPADConfig,
     PiPADTrainer,
     ReuseManager,
-    build_datapipe,
     build_overlap_group,
 )
+from repro.core.datapipe import DataPipe
 from repro.core import reuse as reuse_module
 from repro.core import trainer as trainer_module
 from repro.core import tuner as tuner_module
@@ -43,12 +43,6 @@ class TestConfig:
 
 
 class TestSlicer:
-    def test_slice_snapshot_cached(self, small_graph):
-        slicer = GraphSlicer(slice_capacity=4)
-        first = slicer.slice_snapshot(small_graph[0])
-        second = slicer.slice_snapshot(small_graph[0])
-        assert first is second
-        assert slicer.is_cached(small_graph[0].timestep)
 
     def test_conversion_seconds_proportional_to_nnz(self, small_graph):
         slicer = GraphSlicer()
@@ -59,7 +53,7 @@ class TestSlicer:
 
 class TestDataPreparer:
     def test_partition_decomposition_exact(self, small_graph):
-        pipe = build_datapipe(slice_capacity=8)
+        pipe = DataPipe()
         group = small_graph.snapshots[:3]
         data = pipe.partition(group)
         assert data.size == 3
@@ -70,7 +64,7 @@ class TestDataPreparer:
             assert np.array_equal(rebuilt, snapshot.adjacency.edge_keys())
 
     def test_partition_caches_by_start_and_size(self, small_graph):
-        pipe = build_datapipe()
+        pipe = DataPipe()
         group = small_graph.snapshots[:2]
         first = pipe.partition(group)
         seconds_after_first = pipe.preparer.total_extraction_seconds
@@ -79,16 +73,16 @@ class TestDataPreparer:
         assert pipe.preparer.total_extraction_seconds == seconds_after_first
 
     def test_transfer_savings_vs_full_snapshots(self, small_graph):
-        data = build_datapipe().partition(small_graph.snapshots[:4])
-        assert data.adjacency_bytes < data.baseline_adjacency_bytes
+        data = DataPipe().partition(small_graph.snapshots[:4])
+        assert data.adjacency_bytes < sum(s.adjacency.nbytes for s in data.snapshots)
 
-    def test_partition_frame_covers_all_snapshots(self, small_graph):
-        parts = build_datapipe().partition_frame(small_graph.snapshots[:6], s_per=4)
+    def test_prepare_frame_covers_all_snapshots(self, small_graph):
+        parts = DataPipe().preparer.prepare_frame(small_graph.snapshots[:6], s_per=4)
         assert [p.size for p in parts] == [4, 2]
 
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
-            build_datapipe().partition([])
+            DataPipe().partition([])
 
 
 class TestReuseManager:
@@ -260,7 +254,7 @@ class TestOfflineAnalysisAndTuner:
 class TestParallelProvider:
     def test_parallel_matches_sequential_numerics(self, small_graph):
         group = small_graph.snapshots[:3]
-        data = build_datapipe().partition(group)
+        data = DataPipe().partition(group)
         parallel = ParallelAggregationProvider(PartitionKernels(data, SPEC))
         sequential = SequentialAggregationProvider(group, kernel_name="coo", spec=SPEC)
         xs = [Tensor(s.features) for s in group]
@@ -271,7 +265,7 @@ class TestParallelProvider:
 
     def test_parallel_gradients_flow(self, small_graph):
         group = small_graph.snapshots[:2]
-        data = build_datapipe().partition(group)
+        data = DataPipe().partition(group)
         provider = ParallelAggregationProvider(PartitionKernels(data, SPEC))
         xs = [Tensor(s.features, requires_grad=True) for s in group]
         outs = provider.aggregate_many(0, xs)
@@ -280,7 +274,7 @@ class TestParallelProvider:
 
     def test_parallel_uses_cache(self, small_graph):
         group = small_graph.snapshots[:2]
-        data = build_datapipe().partition(group)
+        data = DataPipe().partition(group)
         manager = ReuseManager(SimulatedGPU())
         provider = ParallelAggregationProvider(PartitionKernels(data, SPEC), cache=manager)
         xs = [Tensor(s.features) for s in group]
@@ -295,7 +289,7 @@ class TestParallelProvider:
 
     def test_single_snapshot_partition(self, small_graph):
         group = small_graph.snapshots[:1]
-        data = build_datapipe().partition(group)
+        data = DataPipe().partition(group)
         provider = ParallelAggregationProvider(PartitionKernels(data, SPEC))
         [out] = provider.aggregate_many(0, [Tensor(group[0].features)])
         seq = SequentialAggregationProvider(group, spec=SPEC).aggregate_many(
@@ -305,7 +299,7 @@ class TestParallelProvider:
 
     def test_csr_fallback_matches(self, small_graph):
         group = small_graph.snapshots[:2]
-        data = build_datapipe(use_sliced_csr=False).partition(group)
+        data = DataPipe(use_sliced_csr=False).partition(group)
         provider = ParallelAggregationProvider(PartitionKernels(data, SPEC, use_sliced_csr=False))
         xs = [Tensor(s.features) for s in group]
         outs = provider.aggregate_many(0, xs)
@@ -316,8 +310,8 @@ class TestParallelProvider:
 
     def test_partitions_share_each_snapshots_inverse_degree(self, small_graph):
         snapshots = small_graph.snapshots
-        first = PartitionKernels(build_datapipe().partition(snapshots[0:3]), SPEC)
-        second = PartitionKernels(build_datapipe().partition(snapshots[2:4]), SPEC)
+        first = PartitionKernels(DataPipe().partition(snapshots[0:3]), SPEC)
+        second = PartitionKernels(DataPipe().partition(snapshots[2:4]), SPEC)
         shared = first.inv_degree[2]
         assert shared is second.inv_degree[0]
         assert SequentialAggregationProvider(snapshots[2:3], spec=SPEC)._inv_degree[0] is shared

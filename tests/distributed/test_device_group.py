@@ -34,9 +34,9 @@ class TestInterconnect:
         assert ic.ring_distance(2, 5) == 3
 
     def test_all_reduce_follows_ring_formula(self):
-        ic = Interconnect(4, LinkSpec(bandwidth_gbs=10.0, latency_us=0.0))
-        # 2(K-1) steps of N/K bytes at 10 GB/s.
-        expected = 6 * (1e9 / 4) / 10e9
+        ic = Interconnect(4)
+        # 2(K-1) steps of N/K bytes over one NVLink hop each.
+        expected = 6 * NVLINK.transfer_seconds(1e9 / 4)
         assert ic.all_reduce_seconds(1e9) == pytest.approx(expected)
 
     def test_all_reduce_single_device_free(self):
@@ -119,7 +119,7 @@ class TestDeviceGroup:
         assert all(op.start == pytest.approx(4.0) for op in ops)
 
     def test_single_device_collectives_are_free(self):
-        group = DeviceGroup(1)
+        group = DeviceGroup([SimulatedGPU() for _ in range(1)])
         (op,) = group.all_reduce(1e9)
         assert op.duration == 0.0
 
@@ -147,7 +147,7 @@ class TestDeviceGroup:
     def test_wraps_existing_devices(self):
         lead = SimulatedGPU()
         group = DeviceGroup(devices=[lead, SimulatedGPU()])
-        assert group.lead is lead
+        assert group[0] is lead
         assert len(group) == 2
 
     def test_reset_clears_all_timelines(self, device_group):

@@ -139,10 +139,11 @@ class TestDistributedTrainer:
             GroupConfig(num_devices=0)
 
     def test_scaling_experiment_requires_single_device_reference(self):
-        from repro.experiments import run_experiment
+        from repro.experiments import scaling_multi_gpu, scaling_pipeline
 
-        with pytest.raises(ValueError, match="must include 1"):
-            run_experiment("scaling", device_counts=(2, 4))
+        # speedup and efficiency are relative to the one-device run
+        assert scaling_multi_gpu.DEVICE_COUNTS[0] == 1
+        assert scaling_pipeline.DEVICE_COUNTS[0] == 1
 
 
 class TestShardedServing:
@@ -191,8 +192,8 @@ class TestShardedServing:
         engine = self.make_engine(small_graph, 2)
         first = engine.submit([0, 1], at=0.0)
         second = engine.submit([2], at=0.0)
-        assert engine.route_of(first)[0] == 0
-        assert engine.route_of(second)[0] == 1
+        assert engine._routes[first][0] == 0
+        assert engine._routes[second][0] == 1
 
     def test_pump_results_keyed_by_global_request_ids(self, small_graph):
         """Regression: shard-local ids collide across shards; the ids submit
@@ -267,8 +268,7 @@ class TestShardedServing:
         assert report.simulated_seconds == max(
             r.device.elapsed_seconds() for r in engine.replicas
         )
-        result = report.to_training_result()
-        assert np.isfinite(result.extras["p50_latency_ms"])
+        assert np.isfinite(report.metrics.summary()["p50_latency_ms"])
 
     def test_zero_shards_rejected(self, small_graph):
         model = build_model("tgcn", small_graph.feature_dim, 8, seed=0)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -68,8 +70,8 @@ class TestFleetRouting:
         for shard in range(3):
             lo, hi = int(engine.boundaries[shard]), int(engine.boundaries[shard + 1])
             gid = engine.submit(range(lo, hi), at=0.0)
-            assert engine.route_of(gid)[0] == shard
-            assert engine.owner_of(lo) == shard
+            assert engine._routes[gid][0] == shard
+            assert np.searchsorted(engine.boundaries, lo, side="right") - 1 == shard
 
     def test_majority_owner_wins(self, small_graph):
         engine = make_fleet(
@@ -78,7 +80,7 @@ class TestFleetRouting:
         two_here = [shard_interior_node(engine, 1), shard_interior_node(engine, 1) ]
         one_there = [shard_interior_node(engine, 0)]
         gid = engine.submit(two_here + one_there, at=0.0)
-        assert engine.route_of(gid)[0] == 1
+        assert engine._routes[gid][0] == 1
 
     def test_owner_tie_breaks_by_queue_depth(self, small_graph):
         engine = make_fleet(
@@ -94,7 +96,7 @@ class TestFleetRouting:
         # One node from each shard: ownership ties, lower queue depth wins.
         tied = [shard_interior_node(engine, 0), shard_interior_node(engine, 1)]
         gid = engine.submit(tied, at=0.0)
-        assert engine.route_of(gid)[0] == 1
+        assert engine._routes[gid][0] == 1
 
     def test_replicas_share_one_store(self, small_graph):
         engine = make_fleet(small_graph)
@@ -138,7 +140,7 @@ class TestAdmissionControl:
                 engine.pump(0.0, force=True)
         assert admitted == list(range(len(admitted)))
         for gid in admitted:
-            shard, local = engine.route_of(gid)
+            shard, local = engine._routes[gid]
             assert engine._to_global(shard, local) == gid
         results = engine.pump(0.0, force=True)
         predicted = set()
@@ -374,7 +376,7 @@ class TestHaloGather:
         # Entirely local request: no halo traffic.
         engine.submit([shard_interior_node(engine, 0)], at=0.0)
         engine.pump(0.0, force=True)
-        assert engine.halo_gather_batches == 0
+        assert engine.report().extras["halo_gather_batches"] == 0
         # Majority shard 0, one remote row: the batch pays a gather.
         spanning = [
             shard_interior_node(engine, 0),
@@ -382,15 +384,13 @@ class TestHaloGather:
             shard_interior_node(engine, 1),
         ]
         gid = engine.submit(spanning, at=0.0)
-        assert engine.route_of(gid)[0] == 0
+        assert engine._routes[gid][0] == 0
         engine.pump(0.0, force=True)
-        assert engine.halo_gather_batches == 1
-        assert engine.halo_gather_bytes > 0
         report = engine.report()
-        assert report.extras["halo_gather_bytes"] == pytest.approx(
-            engine.halo_gather_bytes
-        )
-        assert report.extras["halo_gather_seconds"] > 0
+        assert report.extras["halo_gather_batches"] == 1
+        ((_, gather_bytes, seconds),) = engine.replicas[0].halo_gathers
+        assert report.extras["halo_gather_bytes"] == gather_bytes > 0
+        assert report.extras["halo_gather_seconds"] == seconds > 0
 
 
 class TestFleetReport:
@@ -633,7 +633,7 @@ class TestSharedWindowState:
         for _ in range(2):
             delta, _ = random_delta(
                 store.head.adjacency.edge_keys(), store.num_nodes, rng,
-                feature_update_fraction=0.1, feature_dim=store.feature_dim,
+                feature_dim=store.feature_dim,
             )
             engine.ingest(delta, at=0.0)
         after = second.kernels_for(2)
@@ -720,3 +720,20 @@ class TestFleetValidation:
         replicas = [_build_serving_scheduler(small_graph, model) for _ in range(2)]
         with pytest.raises(ValueError, match="share one IncrementalSnapshotStore"):
             FleetServingEngine(replicas, replicas[0].store, FleetConfig(num_shards=2))
+
+
+class TestFleetLifetime:
+    def test_finished_engine_is_freed_without_the_cycle_collector(self, small_graph):
+        """A served fleet engine holds no reference cycle: dropping the last
+        reference frees it at once, not at the next cyclic collection."""
+        engine = make_fleet(small_graph, fleet=FleetConfig(num_shards=2, min_replicas=2))
+        engine.run_trace(synthesize_serving_trace(small_graph[-1], 40, seed=3))
+        assert engine.report().extras["halo_gather_batches"] > 0
+        ref = weakref.ref(engine)
+        gc.collect()
+        gc.disable()
+        try:
+            del engine
+            assert ref() is None
+        finally:
+            gc.enable()

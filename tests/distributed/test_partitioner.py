@@ -6,13 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.graph import (
-    CSRMatrix,
-    FramePartitioner,
-    GraphPartitioner,
-    GraphSnapshot,
-    extract_overlap,
-)
+from repro.graph import CSRMatrix, FramePartitioner, GraphPartitioner, GraphSnapshot
 
 
 class TestPlan:
@@ -77,18 +71,6 @@ class TestShards:
         dim = small_graph.feature_dim
         assert shard.halo_feature_bytes(dim) == shard.num_halo_nodes * dim * 4
 
-    def test_halo_feature_bytes_follows_dtype(self, small_graph):
-        """The halo traffic is sized by the feature dtype, not hardcoded 4B."""
-        shard = GraphPartitioner(2).shard_snapshot(small_graph[0])[0]
-        dim = small_graph.feature_dim
-        assert shard.halo_feature_bytes(dim, np.float64) == (
-            shard.num_halo_nodes * dim * 8
-        )
-        assert shard.halo_feature_bytes(dim, np.float16) == (
-            shard.num_halo_nodes * dim * 2
-        )
-        assert shard.halo_feature_bytes(dim, "float32") == shard.halo_feature_bytes(dim)
-
     def test_multi_edge_columns_count_once_in_halo(self):
         """Regression: a remote column referenced through several edges (two
         rows here, plus a parallel multi-edge) must appear once in
@@ -111,31 +93,6 @@ class TestShards:
         assert shard.num_halo_nodes == 1
         assert shard.halo_feature_bytes(2) == 1 * 2 * 4
 
-    def test_shard_group_overlap_reconstructs_members(self, small_graph):
-        """Per-shard overlap decomposition stays exact under sharding."""
-        partitioner = GraphPartitioner(3)
-        snapshots = small_graph.snapshots[:4]
-        for group in partitioner.shard_group(snapshots):
-            for shard, exclusive in zip(group.shards, group.overlap.exclusives):
-                rebuilt = np.union1d(
-                    group.overlap.overlap.edge_keys(), exclusive.edge_keys()
-                )
-                assert np.array_equal(rebuilt, shard.adjacency.edge_keys())
-
-    def test_shard_group_matches_direct_extraction(self, small_graph):
-        partitioner = GraphPartitioner(2)
-        snapshots = small_graph.snapshots[:3]
-        boundaries = partitioner.plan(snapshots)
-        groups = partitioner.shard_group(snapshots, boundaries)
-        for device, group in enumerate(groups):
-            shards = [
-                partitioner.shard_snapshot(s, boundaries)[device] for s in snapshots
-            ]
-            direct = extract_overlap([s.adjacency for s in shards])
-            assert np.array_equal(
-                group.overlap.overlap.edge_keys(), direct.overlap.edge_keys()
-            )
-
     def test_fractions_sum_to_one(self, small_graph):
         partitioner = GraphPartitioner(4)
         boundaries = partitioner.plan(small_graph.snapshots)
@@ -143,10 +100,6 @@ class TestShards:
         assert partitioner.edge_fractions(
             small_graph.snapshots, boundaries
         ).sum() == pytest.approx(1.0)
-
-    def test_empty_group_rejected(self, small_graph):
-        with pytest.raises(ValueError):
-            GraphPartitioner(2).shard_group([])
 
 
 class TestFramePartitioner:
@@ -182,16 +135,6 @@ class TestFramePartitioner:
     def test_fewer_groups_than_devices_leaves_stages_empty(self):
         stages = FramePartitioner(4).stages(2)
         assert [stage.num_groups for stage in stages] == [1, 1, 0, 0]
-
-    def test_group_fractions_sum_to_one(self):
-        fractions = FramePartitioner(4).group_fractions(10)
-        assert fractions.sum() == pytest.approx(1.0)
-
-    def test_handoff_counts(self):
-        """Round-robin maximizes handoffs, blocked minimizes them."""
-        assert FramePartitioner(4).num_handoffs(8) == 7
-        assert FramePartitioner(4, schedule="blocked").num_handoffs(8) == 3
-        assert FramePartitioner(1).num_handoffs(8) == 0
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):

@@ -17,12 +17,9 @@ from repro.gpu import (
     block_work_from_row_nnz,
     block_work_from_slice_nnz,
     choose_coalesce_num,
-    classify_dimension,
     coalesced_active_thread_ratio,
     contiguous_bytes_cost,
     row_access,
-    summarize_costs,
-    warp_efficiency_report,
 )
 from repro.gpu.load_balance import sliced_vs_csr_balance
 
@@ -63,27 +60,16 @@ class TestMemoryModel:
         access = row_access(2, gpu_spec)
         assert access.transactions == 1 and access.requests == 1
         assert access.wasted_bytes == 32 - 8
-        assert classify_dimension(2, gpu_spec) == "bandwidth-unsaturated"
 
     def test_request_burst_regime(self, gpu_spec):
         access = row_access(64, gpu_spec)
         assert access.requests == 2 and access.transactions == 8
-        assert classify_dimension(64, gpu_spec) == "request-burst"
-
-    def test_balanced_regime(self, gpu_spec):
-        assert classify_dimension(16, gpu_spec) == "balanced"
 
     def test_vectorized_reduces_requests_not_transactions(self, gpu_spec):
         scalar = row_access(128, gpu_spec)
         vector = row_access(128, gpu_spec, vectorized=True)
         assert vector.requests < scalar.requests
         assert vector.transactions == scalar.transactions
-
-    def test_coalesced_rows_scale_useful_bytes(self, gpu_spec):
-        single = row_access(2, gpu_spec)
-        coalesced = row_access(2, gpu_spec, coalesced_rows=4)
-        assert coalesced.useful_bytes == 4 * single.useful_bytes
-        assert coalesced.transactions == 1
 
     def test_contiguous_bytes_cost(self, gpu_spec):
         cost = contiguous_bytes_cost(1024, gpu_spec)
@@ -119,11 +105,6 @@ class TestWarpModel:
             assert coalesced_active_thread_ratio(dim, gpu_spec) >= baseline_active_thread_ratio(
                 dim, gpu_spec
             )
-
-    def test_warp_efficiency_report(self, gpu_spec):
-        report = warp_efficiency_report(2, 4, gpu_spec)
-        assert report.coalescent_dim == 8
-        assert report.improvement > 1.0
 
 
 class TestLoadBalance:
@@ -226,12 +207,6 @@ class TestKernelCost:
         assert share.launches >= 1
         assert cost.split(parts) is share
 
-    def test_merged_with_sums_traffic(self):
-        a = KernelCost(name="a", flops=10, mem_transactions=5, launches=1)
-        b = KernelCost(name="b", flops=20, mem_transactions=10, launches=2)
-        merged = a.merged_with(b)
-        assert merged.flops == 30 and merged.mem_transactions == 15 and merged.launches == 3
-
     def test_invalid_costs_rejected(self):
         with pytest.raises(ValueError):
             KernelCost(name="k", category="bogus")
@@ -251,15 +226,3 @@ class TestKernelCost:
         # ``nan < 0`` is False, so a plain negativity test lets NaN through
         with pytest.raises(ValueError, match=field):
             KernelCost(name="k", **{field: float("nan")})
-
-    def test_summarize_costs(self, gpu_spec):
-        costs = [
-            KernelCost(name="a", category="aggregation", mem_transactions=1e6),
-            KernelCost(name="b", category="rnn", flops=1e9, launches=3),
-        ]
-        summary = summarize_costs(costs, gpu_spec)
-        assert summary["total_launches"] == 4
-        assert summary["aggregation_seconds"] > 0
-        assert summary["total_seconds"] == pytest.approx(
-            summary["aggregation_seconds"] + summary["rnn_seconds"]
-        )

@@ -105,7 +105,7 @@ class TestSimulatedGPU:
     def test_transfer_and_kernel_accounting(self, device):
         transfer = device.transfer_h2d(12e9 / 1000)  # ~1 ms at 12 GB/s
         cost = KernelCost(name="k", category="aggregation", mem_transactions=1e6)
-        kernel = device.launch_kernel(cost, depends_on=[transfer])
+        (kernel,) = device.launch_kernels([cost], depends_on=[transfer])
         assert kernel.start >= transfer.end
         assert device.kernel_stats["aggregation"].launches == 1
         assert device.elapsed_seconds() == pytest.approx(kernel.end)
@@ -161,7 +161,7 @@ class TestSimulatedGPU:
         device.launch_kernel(
             KernelCost(name="b", category="update", mem_transactions=1e6, active_thread_ratio=1.0)
         )
-        ratio = device.average_thread_ratio(["aggregation", "update"])
+        ratio = device.average_thread_ratio()
         assert 0.25 < ratio < 1.0
 
     def test_reset_clears_state(self, device):

@@ -452,9 +452,9 @@ class TestDeviceKernelChains:
         cost = KernelCost(name="k", category="update", flops=3e9, active_thread_ratio=0.3)
         device = SimulatedGPU(use_cuda_graph=graph_mode)
         reference = SimulatedGPU(use_cuda_graph=graph_mode)
-        op = device.launch_kernel(cost, label="single")
+        op = device.launch_kernel(cost)
         ref = reference_launch(reference, [cost], label="_")[0]
-        assert (op.label, op.start.hex(), op.end.hex()) == ("single", ref.start.hex(), ref.end.hex())
+        assert (op.label, op.start.hex(), op.end.hex()) == ("k", ref.start.hex(), ref.end.hex())
         assert device_hexes(device)[0] == device_hexes(reference)[0]
 
     def test_annotating_a_launched_op_reaches_no_other(self):

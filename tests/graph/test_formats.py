@@ -91,10 +91,6 @@ class TestCSR:
                 data=np.array([1.0], dtype=np.float32), shape=(1, 3),
             )
 
-    def test_with_values_preserves_pattern(self, random_csr):
-        new = random_csr.with_values(np.full(random_csr.nnz, 2.0, dtype=np.float32))
-        assert np.allclose(new.to_dense(), 2.0 * random_csr.to_dense())
-
 
 class TestSlicedCSR:
     @pytest.mark.parametrize("capacity", [1, 2, 4, 32])

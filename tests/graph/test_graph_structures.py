@@ -7,49 +7,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.core.datapipe import DataPipe
 from repro.graph import (
     CSRMatrix,
     DynamicGraph,
     FrameIterator,
     GraphSnapshot,
-    add_self_loops,
-    gcn_normalize,
-    partition_frame,
 )
 
 
 def tiny_adj():
     return CSRMatrix.from_edges(np.array([0, 1, 2]), np.array([1, 2, 0]), (4, 4))
-
-
-class TestNormalize:
-    def test_self_loops_added(self):
-        adj = add_self_loops(tiny_adj())
-        dense = adj.to_dense()
-        assert np.all(np.diag(dense) == 1.0)
-
-    def test_mean_rows_sum_to_one(self):
-        norm = gcn_normalize(tiny_adj(), method="mean")
-        sums = norm.to_dense().sum(axis=1)
-        assert np.allclose(sums, 1.0, atol=1e-6)
-
-    def test_sym_is_symmetric_for_symmetric_input(self):
-        adj = CSRMatrix.from_edges(np.array([0, 1]), np.array([1, 0]), (3, 3))
-        norm = gcn_normalize(adj, method="sym").to_dense()
-        assert np.allclose(norm, norm.T, atol=1e-6)
-
-    def test_none_keeps_values(self):
-        norm = gcn_normalize(tiny_adj(), method="none", self_loops=False)
-        assert np.allclose(norm.to_dense(), tiny_adj().to_dense())
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            gcn_normalize(tiny_adj(), method="bogus")
-
-    def test_isolated_node_handled(self):
-        adj = CSRMatrix.from_edges(np.array([0]), np.array([1]), (3, 3))
-        norm = gcn_normalize(adj, method="mean")
-        assert np.isfinite(norm.to_dense()).all()
 
 
 class TestSnapshot:
@@ -65,10 +33,6 @@ class TestSnapshot:
     def test_target_length_checked(self):
         with pytest.raises(ValueError):
             GraphSnapshot(tiny_adj(), np.zeros((4, 3), dtype=np.float32), targets=np.zeros(3))
-
-    def test_normalized_adjacency_cached(self):
-        snap = GraphSnapshot(tiny_adj(), np.zeros((4, 2), dtype=np.float32))
-        assert snap.normalized_adjacency() is snap.normalized_adjacency()
 
     def test_adjacency_bytes_formats(self):
         snap = GraphSnapshot(tiny_adj(), np.zeros((4, 2), dtype=np.float32))
@@ -120,15 +84,6 @@ class TestDynamicGraph:
         assert len(rates) == small_graph.num_snapshots - 1
         assert np.all((rates >= 0) & (rates <= 1))
 
-    def test_slice_view_shares_snapshots(self, small_graph):
-        view = small_graph.slice_view(2, 6)
-        assert view.num_snapshots == 4
-        assert view[0] is small_graph[2]
-
-    def test_slice_view_bounds_checked(self, small_graph):
-        with pytest.raises(ValueError):
-            small_graph.slice_view(5, 3)
-
     def test_mismatched_nodes_rejected(self, small_graph):
         other = GraphSnapshot(tiny_adj(), np.zeros((4, 4), dtype=np.float32))
         with pytest.raises(ValueError):
@@ -141,18 +96,14 @@ class TestFrames:
         assert frames.num_frames == small_graph.num_snapshots - 4 + 1
 
     def test_frames_slide_by_stride(self, small_graph):
-        frames = list(FrameIterator(small_graph, frame_size=4, stride=2))
-        assert frames[1].start == 2
+        frames = list(FrameIterator(small_graph, frame_size=4))
+        assert frames[1].start == 1
         assert [s.timestep for s in frames[0]] == [0, 1, 2, 3]
+        assert [s.timestep for s in frames[1]] == [1, 2, 3, 4]
 
     def test_frame_size_too_large_rejected(self, small_graph):
         with pytest.raises(ValueError):
             FrameIterator(small_graph, frame_size=small_graph.num_snapshots + 1)
-
-    def test_overlap_with_next(self, small_graph):
-        frames = FrameIterator(small_graph, frame_size=4)
-        assert frames.overlap_with_next(0) == 3
-        assert frames.overlap_with_next(frames.num_frames - 1) == 0
 
     def test_frame_lookup_out_of_range(self, small_graph):
         frames = FrameIterator(small_graph, frame_size=4)
@@ -162,7 +113,7 @@ class TestFrames:
     @pytest.mark.parametrize("s_per,expected_sizes", [(1, [1] * 4), (2, [2, 2]), (3, [3, 1]), (4, [4])])
     def test_partition_frame_sizes(self, small_graph, s_per, expected_sizes):
         frame = FrameIterator(small_graph, frame_size=4).frame(0)
-        partitions = partition_frame(frame, s_per)
+        partitions = DataPipe().preparer.prepare_frame(list(frame.snapshots), s_per)
         assert [p.size for p in partitions] == expected_sizes
-        flattened = [s.timestep for p in partitions for s in p]
+        flattened = [s.timestep for p in partitions for s in p.snapshots]
         assert flattened == [s.timestep for s in frame]

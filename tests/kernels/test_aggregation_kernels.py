@@ -16,7 +16,6 @@ from repro.kernels import (
     PyGCOOAggregation,
     SlicedParallelAggregation,
     get_aggregation_kernel,
-    register_aggregation_kernel,
     update_gemm,
     update_gemm_cost,
 )
@@ -125,11 +124,6 @@ class TestCostShapes:
         kernel = GESpMMAggregation(adj, SPEC)
         assert kernel.backward_cost((30, 8)).imbalance >= kernel.forward_cost((30, 8)).imbalance
 
-    def test_coalesce_num_report(self):
-        kernel = SlicedParallelAggregation(make_adj(), SPEC)
-        assert kernel.coalesce_num(4) == 4
-        assert kernel.coalesce_num(64) == 1
-
     @settings(max_examples=20, deadline=None)
     @given(dim=st.integers(1, 128), seed=st.integers(0, 50), scale=st.sampled_from([1.0, 1000.0]))
     def test_property_costs_positive_and_consistent(self, dim, seed, scale):
@@ -184,17 +178,6 @@ class TestRegistry:
     def test_unknown_kernel_rejected(self):
         with pytest.raises(KeyError):
             get_aggregation_kernel("nope")
-
-    def test_register_custom_kernel(self):
-        class Custom(GESpMMAggregation):
-            name = "custom"
-
-        register_aggregation_kernel("custom-test", Custom)
-        assert get_aggregation_kernel("custom-test") is Custom
-
-    def test_register_rejects_non_kernel(self):
-        with pytest.raises(TypeError):
-            register_aggregation_kernel("bad", dict)
 
 
 def _cost_fields(cost):

@@ -1,4 +1,4 @@
-"""FeatureCache semantics: tier cascade, demotion, writeback, invalidation."""
+"""FeatureCache semantics: tier cascade, demotion, invalidation."""
 
 from __future__ import annotations
 
@@ -97,40 +97,12 @@ class TestAccessAndAdmission:
         assert cache.tier_of("cold") == TIER_SPILL
 
 
-class TestDirtyAndInvalidate:
-    def test_mark_dirty_only_flags_resident_blocks(self):
-        cache = make_cache()
-        cache.access([("a", 40.0)])
-        cache.mark_dirty(["a", "ghost"])
-        assert cache.is_dirty("a")
-        assert not cache.is_dirty("ghost")
-
-    def test_dirty_block_survives_demotion(self):
-        cache = make_cache(gpu=100, pinned=100)
-        cache.access([("a", 60.0)])
-        cache.mark_dirty(["a"])
-        cache.access([("b", 60.0)])  # demotes a to pinned
-        assert cache.tier_of("a") == TIER_PINNED
-        assert cache.is_dirty("a")
-        assert cache.stats()["feature_cache_writebacks"] == 0
-
-    def test_final_eviction_of_dirty_block_is_a_writeback(self):
-        cache = make_cache(gpu=100, pinned=0, spill=0)
-        cache.access([("a", 60.0)])
-        cache.mark_dirty(["a"])
-        cache.access([("b", 60.0)])  # a falls off the bottom
-        stats = cache.stats()
-        assert stats["feature_cache_writebacks"] == 1
-        assert stats["feature_cache_writeback_bytes"] == 60.0
-        assert not cache.is_dirty("a")
-
-    def test_invalidate_drops_blocks_and_clears_dirty(self):
+class TestInvalidate:
+    def test_invalidate_drops_blocks(self):
         cache = make_cache()
         cache.access([("a", 40.0), ("b", 40.0)])
-        cache.mark_dirty(["a"])
         assert cache.invalidate(["a", "nope"]) == 1
         assert "a" not in cache
-        assert not cache.is_dirty("a")
         assert cache.stats()["feature_cache_invalidations"] == 1
         # The next access is a genuine miss, not a stale hit.
         assert cache.access([("a", 40.0)]).misses == 1
@@ -147,7 +119,7 @@ class TestDirtyAndInvalidate:
 @given(
     ops=st.lists(
         st.tuples(
-            st.sampled_from(["access", "dirty", "invalidate"]),
+            st.sampled_from(["access", "invalidate"]),
             st.integers(min_value=0, max_value=11),
         ),
         max_size=60,
@@ -157,44 +129,30 @@ class TestDirtyAndInvalidate:
     spill=st.one_of(st.none(), st.integers(min_value=0, max_value=120)),
     policy=st.sampled_from(["lru", "clock"]),
 )
-def test_eviction_never_loses_a_dirty_row(ops, gpu, pinned, spill, policy):
-    """Property: a dirtied block is resident, invalidated, or written back.
-
-    Whatever interleaving of accesses, dirty marks and invalidations the
-    cache sees, dirty bytes are conserved — eviction out of the bottom tier
-    must account a writeback, never drop the block silently.
-    """
+def test_tiers_stay_within_budget(ops, gpu, pinned, spill, policy):
+    """Property: whatever interleaving of accesses and invalidations the
+    cache sees, each block lives in at most one tier and no tier holds more
+    bytes than its budget."""
     cache = FeatureCache(
         gpu_budget_bytes=gpu,
         pinned_budget_bytes=pinned,
         spill_budget_bytes=spill,
         policy=policy,
     )
-    dirtied_bytes = 0.0
-    invalidated_dirty_bytes = 0.0
     for op, block in ops:
         key = f"k{block}"
-        nbytes = float(10 + block)
         if op == "access":
-            cache.access([(key, nbytes)])
-        elif op == "dirty":
-            was_dirty = cache.is_dirty(key)
-            cache.mark_dirty([key])
-            if cache.is_dirty(key) and not was_dirty:
-                dirtied_bytes += nbytes
+            cache.access([(key, float(10 + block))])
         else:
-            if cache.is_dirty(key):
-                invalidated_dirty_bytes += nbytes
             cache.invalidate([key])
-    resident_dirty_bytes = sum(
-        cache.tiers[cache.tier_of(key)].entries[key] for key in cache.dirty_keys()
-    )
-    written_back = cache.stats()["feature_cache_writeback_bytes"]
-    assert dirtied_bytes == pytest.approx(
-        resident_dirty_bytes + invalidated_dirty_bytes + written_back
-    )
-    # And every dirty key the cache still tracks really is resident.
-    assert all(key in cache for key in cache.dirty_keys())
+    seen = set()
+    for tier in cache.tiers.values():
+        assert not seen & set(tier.entries)
+        seen |= set(tier.entries)
+        assert tier.used_bytes == pytest.approx(sum(tier.entries.values()))
+        if tier.capacity_bytes is not None:
+            assert tier.used_bytes <= tier.capacity_bytes
+    assert cache.stats()["feature_cache_writeback_bytes"] == 0.0
 
 
 class TestHelpers:

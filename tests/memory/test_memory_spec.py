@@ -125,5 +125,3 @@ class TestBudgetDerivation:
     def test_budget_rejects_bad_fraction(self):
         with pytest.raises(ValueError):
             feature_cache_budget_bytes(GPUSpec(), fraction=1.5)
-        with pytest.raises(ValueError):
-            feature_cache_budget_bytes(GPUSpec(), safety=0.0)

@@ -3,7 +3,7 @@
 Pins down the degenerate aggregates benchmarks would otherwise silently
 mis-read: empty-window percentiles must be NaN (not a too-good-to-be-true
 0.0), a single request collapses every percentile to its latency, and the
-``to_training_result`` projection keeps latency extras in milliseconds.
+metrics summary keeps latency extras in milliseconds.
 """
 
 from __future__ import annotations
@@ -88,10 +88,10 @@ class TestUnits:
     def test_to_result_latency_units_stay_in_ms(self):
         """Regression: latency extras are milliseconds (seconds * 1e3)."""
         report = self.make_report([0.002, 0.004, 0.006])
-        result = report.to_training_result()
-        assert result.extras["mean_latency_ms"] == pytest.approx(4.0)
-        assert result.extras["p50_latency_ms"] == pytest.approx(4.0)
-        assert result.extras["p50_latency_ms"] == pytest.approx(
+        summary = report.metrics.summary()
+        assert summary["mean_latency_ms"] == pytest.approx(4.0)
+        assert summary["p50_latency_ms"] == pytest.approx(4.0)
+        assert summary["p50_latency_ms"] == pytest.approx(
             report.p50_latency * 1e3
         )
         # And the raw report quantities stay in seconds.

@@ -28,7 +28,7 @@ class TestInferenceSession:
         rng = np.random.default_rng(2)
         delta, _ = random_delta(
             store.head.adjacency.edge_keys(), store.num_nodes, rng,
-            feature_update_fraction=0.1, feature_dim=store.feature_dim,
+            feature_dim=store.feature_dim,
         )
         report = store.apply(delta)
         assert report.num_touched > 0
@@ -135,15 +135,6 @@ class TestServingScheduler:
         engine.pump(0.0, force=True)
         assert engine.policy.decisions[0].s_per == 2
         assert engine.policy.decisions[0].reason == "fixed by configuration"
-
-    def test_report_converts_to_training_result(self, make_serving_engine):
-        engine = make_serving_engine()
-        trace = synthesize_serving_trace(engine.store.head, 30, seed=6)
-        report = engine.run_trace(trace)
-        result = report.to_training_result()
-        assert result.method == "PiPAD-Serve"
-        assert result.extras["cache_hit_rate"] == report.cache_hit_rate
-        assert result.simulated_seconds == report.simulated_seconds
 
     def test_incremental_beats_naive_on_same_trace(self, small_graph, make_serving_engine):
         trace = synthesize_serving_trace(small_graph[-1], 80, seed=11)

@@ -60,7 +60,7 @@ class TestSharedForwardPass:
         rng = np.random.default_rng(5)
         delta, _ = random_delta(
             shared.head.adjacency.edge_keys(), shared.num_nodes, rng,
-            feature_update_fraction=0.1, feature_dim=shared.feature_dim,
+            feature_dim=shared.feature_dim,
         )
         for store, sessions in ((shared, (first, second)), (stores[1], (pairs[0][1],)),
                                 (stores[2], (pairs[1][1],))):

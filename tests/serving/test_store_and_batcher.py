@@ -19,7 +19,6 @@ from repro.serving import (
 class TestGraphDelta:
     def test_empty_delta(self):
         delta = GraphDelta.empty()
-        assert delta.is_empty
         assert delta.num_added == delta.num_removed == delta.num_feature_updates == 0
 
     def test_edge_keys_roundtrip(self):
@@ -88,7 +87,7 @@ class TestIncrementalSnapshotStore:
         for _ in range(6):
             delta, _ = random_delta(
                 store.head.adjacency.edge_keys(), store.num_nodes, rng,
-                feature_update_fraction=0.05, feature_dim=store.feature_dim,
+                feature_dim=store.feature_dim,
             )
             store.apply(delta)
         incremental = store.decomposition()
@@ -119,7 +118,7 @@ def slide(store, rng, deltas):
     for _ in range(deltas):
         delta, _ = random_delta(
             store.head.adjacency.edge_keys(), store.num_nodes, rng,
-            feature_update_fraction=0.05, feature_dim=store.feature_dim,
+            feature_dim=store.feature_dim,
         )
         store.apply(delta)
 

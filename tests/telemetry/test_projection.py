@@ -16,11 +16,11 @@ import pytest
 from repro.api import Engine, RunSpec
 from repro.api.cli import read_preset
 from repro.core.datapipe import (
+    DataPipe,
     DataPipeConfig,
     PipeItem,
     Prefetcher,
     apply_cache_plan,
-    build_datapipe,
 )
 from repro.gpu import SimulatedGPU
 from repro.gpu.device_group import DeviceGroup
@@ -42,7 +42,7 @@ class TestProjectTimelines:
 
     def test_stage_ops_become_prefetch_totals_and_spans(self):
         devices = [SimulatedGPU(), SimulatedGPU()]
-        pipe = build_datapipe(DataPipeConfig(prefetch_depth=2))
+        pipe = DataPipe(DataPipeConfig(prefetch_depth=2))
         for index, device in enumerate(devices):
             Prefetcher(pipe, device, device_index=index).schedule(
                 PipeItem(label=f"p{index}", num_snapshots=2, transfer_bytes=1e6)
@@ -85,7 +85,7 @@ class TestProjectTimelines:
             1e6,
             1e6,
         )
-        Prefetcher(build_datapipe(), device).schedule(item)
+        Prefetcher(DataPipe(), device).schedule(item)
         (gather,) = [op for op in device.timeline.ops if op.label == "gather_p3"]
         assert gather.attrs["hb_reads"] == [(0, 0), (0, 1)]
         totals, spans = project_timelines(_timelines([device]))
@@ -108,7 +108,7 @@ class TestProjectTimelines:
         }
 
     def test_collectives_count_once_and_only_in_the_train_domain(self):
-        group = DeviceGroup(3)
+        group = DeviceGroup([SimulatedGPU() for _ in range(3)])
         group.all_reduce(1e6, label="grad_all_reduce")
         group.all_reduce(2e6, label="grad_all_reduce")
         group.send(0, 2, 5e5, label="state_p0")
@@ -166,7 +166,7 @@ class TestProjectTimelines:
         devices = [SimulatedGPU(), SimulatedGPU()]
         plan = AccessPlan(total_bytes=1e6, miss_bytes=1e6, misses=1)
         for index, device in enumerate(devices):
-            Prefetcher(build_datapipe(), device, device_index=index).schedule(
+            Prefetcher(DataPipe(), device, device_index=index).schedule(
                 apply_cache_plan(
                     PipeItem(label="p0", num_snapshots=1, transfer_bytes=1e6), plan
                 )

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.tensor import Tensor, no_grad, observe_ops, ops, op_scope
-from repro.tensor.function import Function, OpEvent, current_scope
+from repro.tensor import function as function_module
+from repro.tensor.function import Function, OpEvent
 
 
 def numeric_gradient(fn, array, eps=1e-3):
@@ -121,10 +122,6 @@ class TestForwardValues:
             assert got.dtype == dtype
             assert got.tobytes() == expected.tobytes()
 
-    def test_softmax_rows_sum_to_one(self):
-        x = rand_tensor(5, 7, seed=3)
-        assert np.allclose(ops.softmax(x, axis=-1).numpy().sum(axis=-1), 1.0, atol=1e-5)
-
     def test_reductions(self):
         x = rand_tensor(3, 4, seed=4)
         assert np.allclose(ops.sum(x).item(), x.numpy().sum(), atol=1e-5)
@@ -166,11 +163,6 @@ class TestGradients:
     def test_activation_grads(self):
         x = rand_tensor(4, 3, seed=6)
         check_gradient(lambda: ops.sum(ops.sigmoid(x) * ops.tanh(x)), x)
-
-    def test_softmax_grad(self):
-        x = rand_tensor(3, 5, seed=7)
-        weights = Tensor(np.random.default_rng(0).random((3, 5)).astype(np.float32))
-        check_gradient(lambda: ops.sum(ops.softmax(x, axis=-1) * weights), x)
 
     def test_mean_axis_grad(self):
         x = rand_tensor(4, 5, seed=8)
@@ -390,11 +382,11 @@ class TestGradModeAndObserver:
         assert all(isinstance(e, OpEvent) for e in events)
 
     def test_observer_restored_after_context(self):
-        from repro.tensor import get_op_observer
+        from repro.tensor import function
 
         with observe_ops(lambda e: None):
             pass
-        assert get_op_observer() is None
+        assert function._observer is None
 
     def test_op_scope_tagging(self):
         events = []
@@ -418,4 +410,4 @@ class TestGradModeAndObserver:
         assert backward_scopes == ["update"]
 
     def test_current_scope_default(self):
-        assert current_scope() == "other"
+        assert function_module._scope_stack == []

@@ -93,7 +93,7 @@ class TestExperimentHarness:
             assert row["speedup_over_pygt_g"] > 0.5
         util = thread_utilization(QUICK)
         assert util["pipad_thread_utilization"] > util["pygt_g_thread_utilization"]
-        sens = dimension_sensitivity(QUICK, dimensions=(2, 16), group_size=2)
+        sens = dimension_sensitivity(QUICK)
         assert all(v > 1.0 for v in sens.values())
 
     def test_space_overhead_between_csr_and_coo(self):

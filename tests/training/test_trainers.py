@@ -7,14 +7,12 @@ import pytest
 
 from repro.api.registries import trainer_registry
 from repro.baselines import (
-    METHOD_ORDER,
     PyGTAsyncTrainer,
     PyGTGeSpMMTrainer,
     PyGTReuseTrainer,
     PyGTTrainer,
     TrainerConfig,
     TrainingResult,
-    list_methods,
 )
 from repro.core import PiPADConfig, PiPADTrainer
 from repro.kernels import get_aggregation_kernel
@@ -27,11 +25,6 @@ class TestTrainerConfig:
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             TrainerConfig(frame_size=0)
-        with pytest.raises(ValueError):
-            TrainerConfig(optimizer="rmsprop")
-
-    def test_method_registry(self):
-        assert list_methods() == METHOD_ORDER
 
 
 class TestBaselineTrainers:
