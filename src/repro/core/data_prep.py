@@ -1,8 +1,10 @@
 """Partition-wise data preparation (❷ in Fig. 7).
 
 For every snapshot group PiPAD processes together, the data-preparation
-module extracts the overlap topology, builds the overlap/exclusive sliced
-adjacencies and knows how many bytes the group costs to ship.  Extraction
+module extracts the overlap topology as edge keys and knows how many bytes
+the group's overlap/exclusive sliced adjacencies cost to ship, counted from
+the keys (the adjacencies themselves are built by the kernels that read
+them, see :class:`~repro.core.parallel_gnn.PartitionKernels`).  Extraction
 results are cached by ``(start timestep, group size)`` because the same
 groups recur in every subsequent epoch — the paper amortizes the one-off
 extraction over the preparing epochs the same way.
@@ -13,6 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.graph.csr import CSRMatrix
 from repro.graph.overlap import SnapshotOverlap, extract_overlap
 from repro.graph.sliced_csr import DEFAULT_SLICE_CAPACITY, SlicedCSRMatrix
 from repro.graph.snapshot import GraphSnapshot
@@ -59,12 +64,33 @@ class DataPreparer:
         self.total_extraction_seconds = 0.0
 
     # -- helpers ---------------------------------------------------------------
-    def _format_bytes(self, adjacency) -> int:
-        if adjacency.nnz == 0:
+    def _format_bytes(self, keys: np.ndarray, shape: Tuple[int, int]) -> int:
+        """Transfer-format bytes of the adjacency holding the sorted edge
+        ``keys``, counted from the keys alone (no CSR is built): a row of
+        ``k`` keys owns ``ceil(k / DEFAULT_SLICE_CAPACITY)`` slices."""
+        nnz = len(keys)
+        if nnz == 0:
             return 0
-        if self.use_sliced_csr:
-            return SlicedCSRMatrix.csr_nbytes(adjacency, DEFAULT_SLICE_CAPACITY)
-        return adjacency.nbytes
+        if not self.use_sliced_csr:
+            return CSRMatrix.storage_bytes(nnz, shape[0])
+        row_nnz = np.bincount(keys // shape[1])
+        num_slices = int((-(-row_nnz // DEFAULT_SLICE_CAPACITY)).sum())
+        return SlicedCSRMatrix.storage_bytes(nnz, num_slices)
+
+    def _partition(
+        self, snapshots: Sequence[GraphSnapshot], overlap: SnapshotOverlap, seconds: float
+    ) -> PartitionData:
+        return PartitionData(
+            start_timestep=snapshots[0].timestep,
+            snapshots=tuple(snapshots),
+            overlap=overlap,
+            overlap_bytes=self._format_bytes(overlap.overlap_keys, overlap.shape),
+            exclusive_bytes=tuple(
+                self._format_bytes(overlap.exclusive_keys(i), overlap.shape)
+                for i in range(overlap.group_size)
+            ),
+            extraction_seconds=seconds,
+        )
 
     def _extraction_seconds(self, snapshots: Sequence[GraphSnapshot]) -> float:
         total_nnz = sum(s.adjacency.nnz for s in snapshots)
@@ -85,15 +111,7 @@ class DataPreparer:
         overlap = extract_overlap([s.adjacency for s in snapshots])
         extraction_seconds = self._extraction_seconds(snapshots)
         self.total_extraction_seconds += extraction_seconds
-        data = PartitionData(
-            start_timestep=snapshots[0].timestep,
-            snapshots=tuple(snapshots),
-            overlap=overlap,
-            overlap_bytes=self._format_bytes(overlap.overlap),
-            exclusive_bytes=tuple(self._format_bytes(e) for e in overlap.exclusives),
-            extraction_seconds=extraction_seconds,
-        )
-        self._cache[key] = data
+        data = self._cache[key] = self._partition(snapshots, overlap, extraction_seconds)
         return data
 
     def prepare_from_decomposition(
@@ -114,14 +132,7 @@ class DataPreparer:
             raise ValueError(
                 f"decomposition covers {overlap.group_size} snapshots, got {len(snapshots)}"
             )
-        return PartitionData(
-            start_timestep=snapshots[0].timestep,
-            snapshots=tuple(snapshots),
-            overlap=overlap,
-            overlap_bytes=self._format_bytes(overlap.overlap),
-            exclusive_bytes=tuple(self._format_bytes(e) for e in overlap.exclusives),
-            extraction_seconds=0.0,
-        )
+        return self._partition(snapshots, overlap, 0.0)
 
     def prepare_frame(
         self, snapshots: Sequence[GraphSnapshot], s_per: int

@@ -16,8 +16,13 @@ once as preprocessing (§4.2, §4.4).  A training run builds one set per
 prepared partition and reuses it in every frame and epoch
 (``PiPADTrainer._make_provider``); a serving fleet builds one set per
 window version group and shares it across replicas
-(``InferenceSession.kernels_for``).  The inverse degrees belong to the
-snapshot, so every set over a snapshot holds the same tensor.  A
+(``InferenceSession.kernels_for``).  A set starts empty: each kernel is
+built the first time a provider computes over its part (the CSR of the
+part with it, from the decomposition's edge keys), and a kernel builds its
+SciPy matrix on its first numerics and its sliced CSR on its first cost.
+Serving groups whose aggregations all come from the reuse cache therefore
+build no kernel at all.  The inverse degrees belong to the snapshot, so
+every set over a snapshot holds the same tensor.  A
 :class:`ParallelAggregationProvider` wraps the shared kernels with a reuse
 cache and its own hit/miss counters: the trainer's cache, or, in serving,
 the recording cache of the one forward pass a fleet runs per distinct
@@ -26,12 +31,15 @@ input (``InferenceSession.predict``).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.data_prep import PartitionData
 from repro.gpu.spec import GPUSpec
+from repro.graph.csr import CSRMatrix
+from repro.kernels.base import BaseAggregationKernel
 from repro.kernels.spmm_csr import GESpMMAggregation
 from repro.kernels.spmm_sliced import SlicedParallelAggregation
 from repro.nn.aggregation import AggregationCache, inverse_degree
@@ -46,7 +54,9 @@ class PartitionKernels:
 
     Nothing here changes once built, so every provider over the same
     partition — every frame and epoch of a training run, every replica of
-    a serving fleet — can share one instance.  The inverse degrees are the
+    a serving fleet — can share one instance.  Each kernel is built the
+    first time a provider asks for it, so a partition whose aggregations
+    all come from the reuse cache builds none.  The inverse degrees are the
     snapshots' own (:func:`~repro.nn.aggregation.inverse_degree`), shared
     with every other partition that holds the snapshot.
     """
@@ -60,23 +70,37 @@ class PartitionKernels:
         use_sliced_csr: bool = True,
     ) -> None:
         self.partition = partition
-        spec = spec or GPUSpec()
+        self._spec = spec or GPUSpec()
+        self._scale = scale
+        self._use_sliced_csr = use_sliced_csr
         self.inv_degree = [inverse_degree(s) for s in partition.snapshots]
+        self._exclusives: Dict[int, Optional[BaseAggregationKernel]] = {}
 
-        def kernel(adjacency, snapshots_coalesced: int):
-            if not adjacency.nnz:
-                return None
-            if use_sliced_csr:
-                return SlicedParallelAggregation(
-                    adjacency,
-                    spec,
-                    scale,
-                    snapshots_coalesced=snapshots_coalesced,
-                )
-            return GESpMMAggregation(adjacency, spec, scale)
+    def _kernel(self, adjacency: CSRMatrix, snapshots_coalesced: int) -> BaseAggregationKernel:
+        if self._use_sliced_csr:
+            return SlicedParallelAggregation(
+                adjacency, self._spec, self._scale, snapshots_coalesced=snapshots_coalesced
+            )
+        return GESpMMAggregation(adjacency, self._spec, self._scale)
 
-        self.overlap = kernel(partition.overlap.overlap, partition.size)
-        self.exclusives = [kernel(excl, 1) for excl in partition.overlap.exclusives]
+    @cached_property
+    def overlap(self) -> Optional[BaseAggregationKernel]:
+        """Kernel of the overlap adjacency (``None`` when it is empty)."""
+        decomposition = self.partition.overlap
+        if not len(decomposition.overlap_keys):
+            return None
+        return self._kernel(decomposition.overlap, self.partition.size)
+
+    def exclusive(self, index: int) -> Optional[BaseAggregationKernel]:
+        """Kernel of snapshot ``index``'s exclusive adjacency (``None`` when empty)."""
+        if index not in self._exclusives:
+            decomposition = self.partition.overlap
+            self._exclusives[index] = (
+                self._kernel(decomposition.exclusive(index), 1)
+                if len(decomposition.exclusive_keys(index))
+                else None
+            )
+        return self._exclusives[index]
 
 
 class ParallelAggregationProvider:
@@ -145,7 +169,7 @@ class ParallelAggregationProvider:
                         part = overlap_out[:, start : start + feature_dim]
                     else:
                         part = None
-                    exclusive_kernel = kernels.exclusives[index]
+                    exclusive_kernel = kernels.exclusive(index)
                     pieces = x if part is None else part + x
                     if exclusive_kernel is not None:
                         pieces = pieces + spmm(exclusive_kernel, x)

@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.graph.csr import CSRMatrix
 from repro.graph.keys import difference, union
-from repro.graph.sliced_csr import DEFAULT_SLICE_CAPACITY
 from repro.gpu.spec import GPUSpec
 from repro.kernels.gemm import update_gemm_cost
 from repro.kernels.spmm_sliced import SlicedParallelAggregation
@@ -106,7 +105,6 @@ class OfflineAnalysis:
     spec: GPUSpec = field(default_factory=GPUSpec)
     num_nodes: int = 1024
     avg_degree: float = 4.0
-    slice_capacity: int = DEFAULT_SLICE_CAPACITY
     seed: int = 0
 
     def parallel_gnn_seconds(
@@ -122,17 +120,13 @@ class OfflineAnalysis:
         seconds = 0.0
         launch = self.spec.cudagraph_launch_overhead_us * 1e-6
         if overlap.nnz:
-            kernel = SlicedParallelAggregation(
-                overlap, self.spec, slice_capacity=self.slice_capacity, snapshots_coalesced=group
-            )
+            kernel = SlicedParallelAggregation(overlap, self.spec, snapshots_coalesced=group)
             seconds += kernel.forward_cost((overlap.num_rows, feature_dim * group)).execution_seconds(
                 self.spec
             ) + launch
         for exclusive in exclusives:
             if exclusive.nnz:
-                kernel = SlicedParallelAggregation(
-                    exclusive, self.spec, slice_capacity=self.slice_capacity, snapshots_coalesced=1
-                )
+                kernel = SlicedParallelAggregation(exclusive, self.spec, snapshots_coalesced=1)
                 seconds += kernel.forward_cost(
                     (exclusive.num_rows, feature_dim)
                 ).execution_seconds(self.spec) + launch
@@ -150,9 +144,7 @@ class OfflineAnalysis:
         launch = self.spec.kernel_launch_overhead_us * 1e-6
         for adjacency in snapshots:
             if adjacency.nnz:
-                kernel = SlicedParallelAggregation(
-                    adjacency, self.spec, slice_capacity=self.slice_capacity, snapshots_coalesced=1
-                )
+                kernel = SlicedParallelAggregation(adjacency, self.spec, snapshots_coalesced=1)
                 seconds += kernel.forward_cost(
                     (adjacency.num_rows, feature_dim)
                 ).execution_seconds(self.spec) + launch
@@ -174,7 +166,6 @@ class OfflineAnalysis:
             self.spec,
             self.num_nodes,
             self.avg_degree,
-            self.slice_capacity,
             self.seed,
             s_per,
             overlap_rate,
@@ -218,7 +209,6 @@ def offline_speedup(
     spec: GPUSpec,
     num_nodes: int,
     avg_degree: float,
-    slice_capacity: int,
     seed: int,
     s_per: int,
     overlap_rate: float,
@@ -226,7 +216,7 @@ def offline_speedup(
     hidden_dim: int,
 ) -> float:
     """Offline speedup of one configuration (see :meth:`OfflineAnalysis.speedup`)."""
-    analysis = OfflineAnalysis(spec, num_nodes, avg_degree, slice_capacity, seed)
+    analysis = OfflineAnalysis(spec, num_nodes, avg_degree, seed)
     edges = max(1, int(round(num_nodes * avg_degree)))
     overlap, exclusives, full = build_overlap_group(
         num_nodes, edges, s_per, overlap_rate, seed=seed

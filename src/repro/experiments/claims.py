@@ -31,11 +31,12 @@ BENCH_FILE = "BENCH_paper.json"
 
 _OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le, "==": operator.eq}
 
-#: experiment name -> ``run(config)``, plus two Fig. 11 panels that are not experiments
+#: experiment name -> ``run(config)``, plus two Fig. 11 panels that are not
+#: experiments (the thread-utilization panel reads no config)
 _RUNNERS: Dict[str, Callable[[ExperimentConfig], Any]] = {
     **{name: module.run for name, module in EXPERIMENTS.items()},
     "fig11b": fig11_parallel_gnn.dimension_sensitivity,
-    "thread_utilization": fig11_parallel_gnn.thread_utilization,
+    "thread_utilization": lambda _config: fig11_parallel_gnn.thread_utilization(),
 }
 
 

@@ -139,7 +139,7 @@ def dimension_sensitivity(config: Optional[ExperimentConfig] = None) -> Dict[int
     return result
 
 
-def thread_utilization(config: Optional[ExperimentConfig] = None) -> Dict[str, float]:
+def thread_utilization() -> Dict[str, float]:
     """§5.3 thread-utilization comparison (warp execution efficiency).
 
     The paper sets input/hidden dimensions of all datasets to 2/6 and reports

@@ -59,7 +59,7 @@ from repro.tensor.function import OpEvent
 _FREE_OPS = {"reshape"}
 
 #: transcendental activations cost a few flops per element
-_TRANSCENDENTAL = {"sigmoid", "tanh", "exp", "log"}
+_TRANSCENDENTAL = {"sigmoid", "tanh"}
 
 #: ops that move data without arithmetic
 _COPY_OPS = {"transpose", "concat", "stack", "getitem"}

@@ -146,7 +146,12 @@ class CSRMatrix:
     @property
     def nbytes(self) -> int:
         """Storage per the paper's accounting: ``2*nnz + n_rows + 1`` elements."""
-        return (2 * self.nnz + self.num_rows + 1) * INDEX_BYTES
+        return self.storage_bytes(self.nnz, self.num_rows)
+
+    @staticmethod
+    def storage_bytes(nnz: int, num_rows: int) -> int:
+        """Bytes of a CSR with ``nnz`` elements over ``num_rows`` rows."""
+        return (2 * nnz + num_rows + 1) * INDEX_BYTES
 
     def row_nnz(self) -> np.ndarray:
         """Per-row number of stored elements (the out-degree for adjacencies)."""

@@ -6,14 +6,20 @@ topology.  PiPAD regroups the adjacency data of a partition into one
 *overlap* adjacency (the intersection of all member snapshots) plus one
 small *exclusive* adjacency per snapshot, which both reduces the transfer
 volume and enables the parallel aggregation of §4.2.
+
+Every function here works on sorted edge keys and returns a
+:class:`SnapshotOverlap` of keys.  A part's CSR is built only when a reader
+asks for it — in practice when an aggregation kernel over that part is
+first built — so the serving path, which re-derives the window and its
+partition groups after every delta, builds CSRs only for the parts a
+forward pass actually computes.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import reduce
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import Deque, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -21,28 +27,72 @@ from repro.graph.csr import CSRMatrix
 from repro.graph.keys import union, unique
 
 
-@dataclass(frozen=True)
 class SnapshotOverlap:
     """The overlap decomposition of a group of snapshots.
 
-    Attributes
-    ----------
-    overlap:
-        Adjacency holding the edges present in *every* snapshot of the group.
-    exclusives:
-        One adjacency per snapshot holding its edges not in ``overlap``.
-        ``overlap + exclusives[i]`` reconstructs snapshot ``i`` exactly.
-    overlap_rate:
-        ``|intersection| / |union|`` across the group (the paper's OR).
+    The group has ``group_size + 1`` parts: the *overlap* (the edges present
+    in every snapshot) and one *exclusive* part per snapshot (its edges not
+    in the overlap; ``overlap ∪ exclusive_i`` is snapshot ``i`` exactly).
+    Each part is held in one form at a time: as sorted, distinct
+    ``row * n_cols + col`` edge keys (§4.1) until its CSR is first read,
+    then as that CSR alone, whose
+    :meth:`~repro.graph.csr.CSRMatrix.edge_keys` give the same keys back.
+    Refining, sizing and tracking a decomposition are set operations over
+    keys, so a part's CSR is built only for a kernel that reads it, and a
+    group never holds its edges twice.
+
+    ``overlap_rate`` is ``|intersection| / |union|`` across the group (the
+    paper's OR); ``shape`` is ``(n_rows, n_cols)`` of every member.
     """
 
-    overlap: CSRMatrix
-    exclusives: List[CSRMatrix]
-    overlap_rate: float
+    def __init__(
+        self,
+        overlap_keys: np.ndarray,
+        exclusive_keys: Sequence[np.ndarray],
+        shape: Tuple[int, int],
+        overlap_rate: float,
+    ) -> None:
+        self.shape = shape
+        self.overlap_rate = overlap_rate
+        #: the overlap, then each snapshot's exclusive part
+        self._parts: List[Union[np.ndarray, CSRMatrix]] = [overlap_keys, *exclusive_keys]
 
     @property
     def group_size(self) -> int:
-        return len(self.exclusives)
+        return len(self._parts) - 1
+
+    def _keys(self, part: int) -> np.ndarray:
+        held = self._parts[part]
+        return held.edge_keys() if isinstance(held, CSRMatrix) else held
+
+    def _csr(self, part: int) -> CSRMatrix:
+        held = self._parts[part]
+        if not isinstance(held, CSRMatrix):
+            held = self._parts[part] = CSRMatrix.from_edge_keys(held, self.shape)
+        return held
+
+    @property
+    def overlap_keys(self) -> np.ndarray:
+        """Sorted keys of the edges present in every snapshot of the group."""
+        return self._keys(0)
+
+    def exclusive_keys(self, index: int) -> np.ndarray:
+        """Sorted keys of snapshot ``index``'s edges not in the overlap."""
+        return self._keys(index + 1)
+
+    @property
+    def overlap(self) -> CSRMatrix:
+        """Adjacency of the edges present in every snapshot of the group."""
+        return self._csr(0)
+
+    def exclusive(self, index: int) -> CSRMatrix:
+        """Adjacency of snapshot ``index``'s edges not in ``overlap``."""
+        return self._csr(index + 1)
+
+    @property
+    def exclusives(self) -> List[CSRMatrix]:
+        """:meth:`exclusive` of every snapshot, in group order."""
+        return [self.exclusive(i) for i in range(self.group_size)]
 
 
 def extract_overlap(adjacencies: Sequence[CSRMatrix]) -> SnapshotOverlap:
@@ -64,13 +114,11 @@ def extract_overlap(adjacencies: Sequence[CSRMatrix]) -> SnapshotOverlap:
     else:
         overlap_keys = reduce(lambda a, b: np.intersect1d(a, b, assume_unique=True), key_sets)
     union_size = len(unique(np.concatenate(key_sets)))
-    exclusives = [
-        CSRMatrix.from_edge_keys(np.setdiff1d(keys, overlap_keys, assume_unique=True), shape)
-        for keys in key_sets
-    ]
-    overlap = CSRMatrix.from_edge_keys(overlap_keys, shape)
+    exclusive_keys = tuple(
+        np.setdiff1d(keys, overlap_keys, assume_unique=True) for keys in key_sets
+    )
     rate = float(len(overlap_keys) / union_size) if union_size else 1.0
-    return SnapshotOverlap(overlap=overlap, exclusives=exclusives, overlap_rate=rate)
+    return SnapshotOverlap(overlap_keys, exclusive_keys, shape, rate)
 
 
 def pairwise_overlap_rate(a: CSRMatrix, b: CSRMatrix) -> float:
@@ -109,32 +157,27 @@ def refine_overlap(decomposition: SnapshotOverlap, indices: Sequence[int]) -> Sn
     (small) exclusive set.  Intersecting only the exclusives therefore yields
     the subgroup decomposition without touching the (large) overlap adjacency
     — the serving path uses this to build partition-level groups from the
-    incrementally maintained window decomposition.
+    incrementally maintained window decomposition.  It reads and returns
+    keys only; no CSR is built.
     """
     if not indices:
         raise ValueError("need at least one snapshot index")
     for i in indices:
         if not 0 <= i < decomposition.group_size:
             raise IndexError(f"snapshot index {i} out of range [0, {decomposition.group_size})")
-    shape = decomposition.overlap.shape
-    base_keys = decomposition.overlap.edge_keys()
-    exclusive_keys = [decomposition.exclusives[i].edge_keys() for i in indices]
+    base_keys = decomposition.overlap_keys
+    exclusive_keys = [decomposition.exclusive_keys(i) for i in indices]
     promoted = reduce(
         lambda a, b: np.intersect1d(a, b, assume_unique=True), exclusive_keys
     )
     overlap_keys = union(base_keys, promoted)
-    exclusives = [
-        CSRMatrix.from_edge_keys(np.setdiff1d(keys, promoted, assume_unique=True), shape)
-        for keys in exclusive_keys
-    ]
+    exclusives = tuple(
+        np.setdiff1d(keys, promoted, assume_unique=True) for keys in exclusive_keys
+    )
     # base overlap and every exclusive are disjoint, so |∪| decomposes.
     union_size = len(base_keys) + len(unique(np.concatenate(exclusive_keys)))
     rate = float(len(overlap_keys) / union_size) if union_size else 1.0
-    return SnapshotOverlap(
-        overlap=CSRMatrix.from_edge_keys(overlap_keys, shape),
-        exclusives=exclusives,
-        overlap_rate=rate,
-    )
+    return SnapshotOverlap(overlap_keys, exclusives, decomposition.shape, rate)
 
 
 class IncrementalOverlapTracker:
@@ -225,19 +268,15 @@ class IncrementalOverlapTracker:
         if self._decomposition is None:
             full = len(self._window)
             overlap_keys = self._count_keys[self._count_vals == full]
-            exclusives = [
-                CSRMatrix.from_edge_keys(
-                    np.setdiff1d(keys, overlap_keys, assume_unique=True), self.shape
-                )
+            # A member's exclusive keys are its keys not in every member:
+            # look their counts up instead of diffing against the overlap.
+            exclusives = tuple(
+                keys[self._count_vals[np.searchsorted(self._count_keys, keys)] < full]
                 for _, keys in self._window
-            ]
+            )
             union_size = len(self._count_keys)
             rate = float(len(overlap_keys) / union_size) if union_size else 1.0
-            self._decomposition = SnapshotOverlap(
-                overlap=CSRMatrix.from_edge_keys(overlap_keys, self.shape),
-                exclusives=exclusives,
-                overlap_rate=rate,
-            )
+            self._decomposition = SnapshotOverlap(overlap_keys, exclusives, self.shape, rate)
         return self._decomposition
 
     def overlap_rate(self) -> float:

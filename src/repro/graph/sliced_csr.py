@@ -1,7 +1,8 @@
 """PiPAD's slice-based graph representation (sliced CSR), §4.1 of the paper.
 
-Each CSR row is divided into *slices* holding at most ``slice_capacity``
-non-zeros.  The ``Row Offsets`` array of CSR is replaced by two arrays:
+Each CSR row is divided into *slices* holding at most
+:data:`DEFAULT_SLICE_CAPACITY` (32) non-zeros.  The ``Row Offsets`` array of
+CSR is replaced by two arrays:
 
 - ``row_indices`` (RI): the row index of every slice, and
 - ``slice_offsets`` (SO): the offset of the first element of each slice in
@@ -23,9 +24,10 @@ import numpy as np
 
 from repro.graph.coo import INDEX_BYTES
 from repro.graph.csr import CSRMatrix
-from repro.utils.validation import check_array, check_positive
+from repro.utils.validation import check_array
 
-#: default maximum number of non-zeros held by one slice (paper §4.1: 32)
+#: maximum number of non-zeros held by one slice (paper §4.1: 32); every
+#: sliced CSR, its transfer size and the sliced kernel's cost use it
 DEFAULT_SLICE_CAPACITY = 32
 
 
@@ -44,8 +46,6 @@ class SlicedCSRMatrix:
         Shared element arrays, identical in content to the source CSR.
     shape:
         ``(n_rows, n_cols)``.
-    slice_capacity:
-        Upper bound on non-zeros per slice.
     """
 
     row_indices: np.ndarray
@@ -53,10 +53,8 @@ class SlicedCSRMatrix:
     col_indices: np.ndarray
     values: np.ndarray
     shape: Tuple[int, int]
-    slice_capacity: int = DEFAULT_SLICE_CAPACITY
 
     def __post_init__(self) -> None:
-        check_positive("slice_capacity", self.slice_capacity)
         row_indices = check_array("row_indices", self.row_indices, ndim=1, dtype_kind="iu")
         slice_offsets = check_array("slice_offsets", self.slice_offsets, ndim=1, dtype_kind="iu")
         col_indices = check_array("col_indices", self.col_indices, ndim=1, dtype_kind="iu")
@@ -68,8 +66,8 @@ class SlicedCSRMatrix:
         sizes = np.diff(slice_offsets)
         if np.any(sizes <= 0) and len(sizes):
             raise ValueError("every slice must hold at least one element")
-        if len(sizes) and sizes.max(initial=0) > self.slice_capacity:
-            raise ValueError("a slice exceeds slice_capacity")
+        if len(sizes) and sizes.max(initial=0) > DEFAULT_SLICE_CAPACITY:
+            raise ValueError(f"a slice exceeds {DEFAULT_SLICE_CAPACITY} elements")
         n_rows, n_cols = self.shape
         if len(row_indices) and (row_indices.min() < 0 or row_indices.max() >= n_rows):
             raise ValueError(
@@ -90,13 +88,10 @@ class SlicedCSRMatrix:
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def from_csr(
-        cls, csr: CSRMatrix, slice_capacity: int = DEFAULT_SLICE_CAPACITY
-    ) -> "SlicedCSRMatrix":
+    def from_csr(cls, csr: CSRMatrix) -> "SlicedCSRMatrix":
         """Slice a CSR matrix; the element arrays are shared, only the row
         bookkeeping changes, so slicing is O(num_slices)."""
-        check_positive("slice_capacity", slice_capacity)
-        slices_per_row = cls._slices_per_row(csr, slice_capacity)
+        slices_per_row = -(-csr.row_nnz() // DEFAULT_SLICE_CAPACITY)  # ceil; 0 for empty rows
         num_slices = int(slices_per_row.sum())
         if num_slices == 0:
             return cls(
@@ -105,7 +100,6 @@ class SlicedCSRMatrix:
                 col_indices=csr.indices,
                 values=csr.data,
                 shape=csr.shape,
-                slice_capacity=slice_capacity,
             )
         row_of_slice = np.repeat(np.arange(csr.num_rows, dtype=np.int64), slices_per_row)
         # Position of each slice within its own row (0, 1, 2, ...).
@@ -113,7 +107,7 @@ class SlicedCSRMatrix:
         within_row = np.arange(num_slices, dtype=np.int64) - np.repeat(
             first_slice_of_row, slices_per_row
         )
-        starts = csr.indptr[row_of_slice] + within_row * slice_capacity
+        starts = csr.indptr[row_of_slice] + within_row * DEFAULT_SLICE_CAPACITY
         slice_offsets = np.concatenate((starts, [csr.nnz])).astype(np.int64)
         return cls(
             row_indices=row_of_slice,
@@ -121,23 +115,12 @@ class SlicedCSRMatrix:
             col_indices=csr.indices,
             values=csr.data,
             shape=csr.shape,
-            slice_capacity=slice_capacity,
         )
 
     @staticmethod
-    def _slices_per_row(csr: CSRMatrix, slice_capacity: int) -> np.ndarray:
-        return -(-csr.row_nnz() // slice_capacity)  # ceil; 0 for empty rows
-
-    @staticmethod
-    def _storage_bytes(nnz: int, num_slices: int) -> int:
+    def storage_bytes(nnz: int, num_slices: int) -> int:
+        """Bytes of a sliced CSR with ``nnz`` elements in ``num_slices`` slices."""
         return (2 * nnz + 2 * num_slices + 1) * INDEX_BYTES
-
-    @classmethod
-    def csr_nbytes(cls, csr: CSRMatrix, slice_capacity: int) -> int:
-        """``from_csr(csr, slice_capacity).nbytes`` from the slice count alone."""
-        check_positive("slice_capacity", slice_capacity)
-        num_slices = int(cls._slices_per_row(csr, slice_capacity).sum())
-        return cls._storage_bytes(csr.nnz, num_slices)
 
     # -- properties --------------------------------------------------------
     @property
@@ -159,10 +142,10 @@ class SlicedCSRMatrix:
     @property
     def nbytes(self) -> int:
         """Storage per the paper's accounting: ``2*nnz + 2*num_slices + 1``."""
-        return self._storage_bytes(self.nnz, self.num_slices)
+        return self.storage_bytes(self.nnz, self.num_slices)
 
     def slice_nnz(self) -> np.ndarray:
-        """Per-slice element counts (all ``<= slice_capacity``)."""
+        """Per-slice element counts (all ``<= DEFAULT_SLICE_CAPACITY``)."""
         return np.diff(self.slice_offsets)
 
     # -- conversions & numerics -------------------------------------------
@@ -183,5 +166,5 @@ class SlicedCSRMatrix:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"SlicedCSRMatrix(shape={self.shape}, nnz={self.nnz}, "
-            f"num_slices={self.num_slices}, capacity={self.slice_capacity})"
+            f"num_slices={self.num_slices})"
         )

@@ -12,10 +12,16 @@ depends only on the dense operand's width and the direction: each
 ``(feature_dim, direction)`` cost is built once and returned from then on.
 Kernels that live across frames and epochs (PiPAD's partition kernels, the
 baselines' per-snapshot kernels) thus pay the load-balance analysis once.
+Construction itself only stores the adjacency: the SciPy matrix the numerics
+run on is built by the first ``forward``/``backward`` (or by a backward cost,
+which reads the transpose), and a subclass's cost-side structures by the
+first cost, so a kernel asked only for forward costs (the offline analysis)
+never holds SciPy's int32 index copies.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -49,8 +55,6 @@ class BaseAggregationKernel:
         self.adjacency = adjacency
         self.spec = spec or GPUSpec()
         self.scale = float(scale)
-        self._forward_mat: sp.csr_matrix = adjacency.to_scipy()
-        self._backward_mat: Optional[sp.csr_matrix] = None
         self._costs: Dict[Tuple[int, str], KernelCost] = {}
 
     # -- numerics ------------------------------------------------------------
@@ -66,13 +70,17 @@ class BaseAggregationKernel:
     def backward(self, grad: np.ndarray) -> np.ndarray:
         """Compute ``A^T @ grad`` (gradient w.r.t. the dense operand)."""
         grad = np.asarray(grad, dtype=np.float32)
-        return np.asarray(self._transposed() @ grad, dtype=np.float32)
+        return np.asarray(self._backward_mat @ grad, dtype=np.float32)
 
-    def _transposed(self) -> sp.csr_matrix:
+    @cached_property
+    def _forward_mat(self) -> sp.csr_matrix:
+        """``A`` as a SciPy CSR, built on the first forward or backward pass."""
+        return self.adjacency.to_scipy()
+
+    @cached_property
+    def _backward_mat(self) -> sp.csr_matrix:
         """``A^T`` in CSR, built on first use and kept."""
-        if self._backward_mat is None:
-            self._backward_mat = self._forward_mat.T.tocsr()
-        return self._backward_mat
+        return self._forward_mat.T.tocsr()
 
     # -- cost ------------------------------------------------------------------
     def forward_cost(self, dense_shape: Tuple[int, int]) -> KernelCost:

@@ -97,5 +97,5 @@ class GESpMMAggregation(BaseAggregationKernel):
     def _transposed_row_nnz(self) -> np.ndarray:
         """Row sizes of ``A^T``: the CSC column extents the backward reads."""
         if self._transpose_row_nnz is None:
-            self._transpose_row_nnz = np.diff(self._transposed().indptr).astype(np.int64)
+            self._transpose_row_nnz = np.diff(self._backward_mat.indptr).astype(np.int64)
         return self._transpose_row_nnz

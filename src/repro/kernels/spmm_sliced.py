@@ -20,6 +20,7 @@ distribution, which is the effect Fig. 12 measures.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -57,21 +58,21 @@ class SlicedParallelAggregation(BaseAggregationKernel):
         spec: Optional[GPUSpec] = None,
         scale: float = 1.0,
         *,
-        slice_capacity: int = DEFAULT_SLICE_CAPACITY,
         snapshots_coalesced: int = 1,
     ) -> None:
         super().__init__(adjacency, spec, scale)
         if snapshots_coalesced <= 0:
             raise ValueError("snapshots_coalesced must be > 0")
-        self.slice_capacity = slice_capacity
         self.snapshots_coalesced = snapshots_coalesced
-        self.sliced = SlicedCSRMatrix.from_csr(adjacency, slice_capacity=slice_capacity)
-        self._slice_nnz = self.sliced.slice_nnz()
-        self._transpose_slice_nnz: Optional[np.ndarray] = None
 
     # -- cost -----------------------------------------------------------------
+    @cached_property
+    def sliced(self) -> SlicedCSRMatrix:
+        """The adjacency in sliced CSR, built on the first cost."""
+        return SlicedCSRMatrix.from_csr(self.adjacency)
+
     def _build_cost(self, feature_dim: int, direction: str) -> KernelCost:
-        slice_nnz = self._slice_nnz if direction == "fwd" else self._transposed_slice_nnz()
+        slice_nnz = self.sliced.slice_nnz() if direction == "fwd" else self._transposed_slice_nnz
         nnz = float(slice_nnz.sum()) * self.scale
         num_slices = float(len(slice_nnz)) * self.scale
         rows_touched = float(len(unique(self.sliced.row_indices))) * self.scale
@@ -115,16 +116,14 @@ class SlicedParallelAggregation(BaseAggregationKernel):
             num_blocks=max(1, int(np.ceil(num_slices / _SLICES_PER_BLOCK))),
             shared_mem_bytes=min(
                 self.spec.shared_mem_per_sm_kb * 1024.0,
-                _SLICES_PER_BLOCK * self.slice_capacity * _NNZ_BYTES,
+                _SLICES_PER_BLOCK * DEFAULT_SLICE_CAPACITY * _NNZ_BYTES,
             ),
             launches=1,
             bandwidth_efficiency=_SLICED_BANDWIDTH_EFFICIENCY,
         )
 
+    @cached_property
     def _transposed_slice_nnz(self) -> np.ndarray:
-        """Slice sizes of ``A^T`` sliced at the same capacity (backward pass)."""
-        if self._transpose_slice_nnz is None:
-            transpose = CSRMatrix.from_scipy(self._transposed())
-            sliced_t = SlicedCSRMatrix.from_csr(transpose, slice_capacity=self.slice_capacity)
-            self._transpose_slice_nnz = sliced_t.slice_nnz()
-        return self._transpose_slice_nnz
+        """Slice sizes of ``A^T`` (backward pass)."""
+        transpose = CSRMatrix.from_scipy(self._backward_mat)
+        return SlicedCSRMatrix.from_csr(transpose).slice_nnz()

@@ -190,7 +190,7 @@ class ServingPolicy:
         for candidate in self.tuner.candidates:
             groups = store.partition_positions(candidate)
             overlap_rates[candidate] = float(
-                np.mean([store.partition_overlap_rate(g) for g in groups])
+                np.mean([store.partition_decomposition(g).overlap_rate for g in groups])
             )
         return FrameProfile.sized(
             batch_index,

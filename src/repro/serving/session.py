@@ -14,6 +14,13 @@ arrives, only the delta-touched rows of the head version's aggregation are
 recomputed from the parent version's cached result — the other ~90+ % of
 rows carry over untouched.
 
+Per window version group, the store keeps the group's overlap
+decomposition as edge keys, its :class:`~repro.core.data_prep.PartitionData`
+(transfer sizes counted from the keys) and an initially empty
+:class:`~repro.core.parallel_gnn.PartitionKernels`.  CSRs, SciPy matrices
+and sliced CSRs of a group's parts are built only when a forward pass
+computes over them; after a delta the window is re-derived as keys alone.
+
 The same insight applies to the forward pass itself.  Its outputs — the
 head predictions, the kernel costs and the reuse-cache traffic — depend
 only on the window versions, the parallelism and the exact contents of the
@@ -130,10 +137,11 @@ class InferenceSession:
     def partitions_for(self, s_per: int) -> List[PartitionData]:
         """Prepared partition data for the current window at ``s_per``.
 
-        Built from the store's incrementally refined decompositions and
-        shared through the store by every replica until a member version
-        leaves the window (used by kernel construction and transfer-size
-        accounting).
+        Built from the store's incrementally refined decompositions, which
+        are edge keys (transfer sizes are counted from them, no CSR built),
+        and shared through the store by every replica until a member
+        version leaves the window (used by kernel construction and
+        transfer-size accounting).
         """
         preparer = self.preparer
         snapshots = self.store.window_snapshots()
@@ -152,8 +160,10 @@ class InferenceSession:
     def kernels_for(self, s_per: int) -> List[PartitionKernels]:
         """Aggregation kernels of the current window's partitions at ``s_per``.
 
-        Built once per version group and shared through the store by every
-        replica until a member version leaves the window.
+        One set per version group, shared through the store by every replica
+        until a member version leaves the window.  A set is empty when made:
+        the forward pass builds a kernel (and its CSR) only for a part it
+        computes, so a group served from the reuse cache builds none.
         """
         spec, scale = self.device.spec, self.scale
         return [

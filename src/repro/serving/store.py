@@ -13,12 +13,15 @@ machinery are reused instead of recomputed from scratch on every delta:
   decomposition (:func:`~repro.graph.overlap.refine_overlap`) by
   intersecting only the small exclusive sets.
 
+Both stay edge keys: a part's CSR is built only when an aggregation kernel
+over it is.
+
 Everything derived from the window is a function of the snapshot versions
-it covers: refinements, the tuner's per-group overlap rates (counted from
-the members' edge keys, no CSR built), and what the inference sessions
-build through :meth:`IncrementalSnapshotStore.shared` (partition data,
-aggregation kernels, the rows a delta patches, and the forward pass itself,
-keyed also by the bytes of the caller's cached aggregations).  Each piece
+it covers: refinements (which also give the tuner its per-group overlap
+rates), and what the inference sessions build through
+:meth:`IncrementalSnapshotStore.shared` (partition data, aggregation
+kernels, the rows a delta patches, and the forward pass itself, keyed also
+by the bytes of the caller's cached aggregations).  Each piece
 is built once and read by every replica sharing the store; it is dropped
 when one of its versions leaves the window.
 
@@ -31,7 +34,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce
 from typing import Any, Callable, Deque, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -210,22 +212,6 @@ class IncrementalSnapshotStore:
             "decomposition",
             lambda: refine_overlap(self.decomposition(), positions),
         )
-
-    def partition_overlap_rate(self, positions: Sequence[int]) -> float:
-        """``partition_decomposition(positions).overlap_rate`` without the CSRs.
-
-        ``|∩ keys| / |∪ keys|`` over the members' edge keys: the same two
-        integers the decomposition divides, so the same float.
-        """
-        versions = self.versions_at(positions)
-
-        def rate() -> float:
-            keys = [self._keys[v] for v in versions]
-            common = reduce(lambda a, b: np.intersect1d(a, b, assume_unique=True), keys)
-            union_size = len(unique(np.concatenate(keys)))
-            return float(len(common) / union_size) if union_size else 1.0
-
-        return self.shared(versions, "overlap_rate", rate)
 
     # ------------------------------------------------------------------ deltas
     def _touched_rows(

@@ -148,28 +148,6 @@ class ReLU(Function):
         return (grad * self.mask,)
 
 
-class Exp(Function):
-    op_name = "exp"
-
-    def forward(self, a: np.ndarray) -> np.ndarray:
-        self.out = np.exp(a)
-        return self.out
-
-    def backward(self, grad: np.ndarray):
-        return (grad * self.out,)
-
-
-class Log(Function):
-    op_name = "log"
-
-    def forward(self, a: np.ndarray) -> np.ndarray:
-        self.a = a
-        return np.log(a)
-
-    def backward(self, grad: np.ndarray):
-        return (grad / self.a,)
-
-
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------
@@ -353,14 +331,6 @@ def tanh(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     return ReLU.apply(a)
-
-
-def exp(a: Tensor) -> Tensor:
-    return Exp.apply(a)
-
-
-def log(a: Tensor) -> Tensor:
-    return Log.apply(a)
 
 
 def sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001 - mirrors numpy

@@ -290,16 +290,6 @@ class Tensor:
 
         return ops.relu(self)
 
-    def exp(self) -> "Tensor":
-        from repro.tensor import ops
-
-        return ops.exp(self)
-
-    def log(self) -> "Tensor":
-        from repro.tensor import ops
-
-        return ops.log(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{grad_flag})"

@@ -125,11 +125,16 @@ class TestLoadBalance:
         large = analyze_block_work(work, gpu_spec, scale=1000.0)
         assert large.imbalance < small.imbalance
 
-    def test_sliced_mapping_more_balanced_than_rows(self, random_csr, gpu_spec):
-        from repro.graph import SlicedCSRMatrix
+    def test_sliced_mapping_more_balanced_than_rows(self, gpu_spec):
+        from repro.graph import CSRMatrix, SlicedCSRMatrix
 
-        row_report = analyze_block_work(block_work_from_row_nnz(random_csr.row_nnz()), gpu_spec)
-        sliced = SlicedCSRMatrix.from_csr(random_csr, slice_capacity=2)
+        # a power-law-like row-size spread: a few rows far over one slice
+        row_sizes = [400, 150, 90, 40, 10] + [2] * 60
+        rows = np.repeat(np.arange(len(row_sizes)), row_sizes)
+        cols = np.concatenate([np.arange(k) for k in row_sizes])
+        csr = CSRMatrix.from_edges(rows, cols, (512, 512))
+        row_report = analyze_block_work(block_work_from_row_nnz(csr.row_nnz()), gpu_spec)
+        sliced = SlicedCSRMatrix.from_csr(csr)
         slice_report = analyze_block_work(
             block_work_from_slice_nnz(sliced.slice_nnz()), gpu_spec
         )

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import COOMatrix, CSRMatrix, SlicedCSRMatrix
+from repro.graph import DEFAULT_SLICE_CAPACITY, COOMatrix, CSRMatrix, SlicedCSRMatrix
 
 
 def random_edges(seed: int, n: int, m: int):
@@ -92,57 +92,50 @@ class TestCSR:
             )
 
 
+def wide_csr() -> CSRMatrix:
+    """An 80x80 CSR whose rows hold 0, 1, 32, 33, 64 and 70 non-zeros, so
+    rows span zero to three slices of :data:`DEFAULT_SLICE_CAPACITY`."""
+    row_sizes = [0, 1, DEFAULT_SLICE_CAPACITY, 0, DEFAULT_SLICE_CAPACITY + 1, 64, 70, 3]
+    rows = np.repeat(np.arange(len(row_sizes)), row_sizes)
+    cols = np.concatenate([np.arange(k) for k in row_sizes])
+    return CSRMatrix.from_edges(rows, cols, (80, 80))
+
+
 class TestSlicedCSR:
-    @pytest.mark.parametrize("capacity", [1, 2, 4, 32])
-    def test_roundtrip(self, random_csr, capacity):
-        sliced = SlicedCSRMatrix.from_csr(random_csr, slice_capacity=capacity)
-        assert sliced.nnz == random_csr.nnz
-        assert np.allclose(sliced.to_csr().to_dense(), random_csr.to_dense())
+    @pytest.mark.parametrize("source", ["wide", "random"])
+    def test_roundtrip(self, source, random_csr):
+        csr = wide_csr() if source == "wide" else random_csr
+        sliced = SlicedCSRMatrix.from_csr(csr)
+        assert sliced.nnz == csr.nnz
+        assert np.allclose(sliced.to_csr().to_dense(), csr.to_dense())
 
-    def test_slice_capacity_respected(self, random_csr):
-        sliced = SlicedCSRMatrix.from_csr(random_csr, slice_capacity=3)
-        assert sliced.slice_nnz().max() <= 3
+    def test_slice_capacity_respected(self):
+        sliced = SlicedCSRMatrix.from_csr(wide_csr())
+        assert sliced.slice_nnz().max() == DEFAULT_SLICE_CAPACITY
 
-    def test_num_slices_lower_bound(self, random_csr):
-        sliced = SlicedCSRMatrix.from_csr(random_csr, slice_capacity=4)
-        expected = int(np.sum(-(-random_csr.row_nnz() // 4)))
-        assert sliced.num_slices == expected
+    def test_num_slices_lower_bound(self):
+        csr = wide_csr()
+        sliced = SlicedCSRMatrix.from_csr(csr)
+        expected = int(np.sum(-(-csr.row_nnz() // DEFAULT_SLICE_CAPACITY)))
+        assert sliced.num_slices == expected == 0 + 1 + 1 + 0 + 2 + 2 + 3 + 1
 
     def test_empty_rows_have_no_slices(self):
-        csr = CSRMatrix.from_edges(np.array([0, 0]), np.array([1, 2]), (5, 5))
-        sliced = SlicedCSRMatrix.from_csr(csr, slice_capacity=1)
-        assert set(sliced.row_indices.tolist()) == {0}
+        sliced = SlicedCSRMatrix.from_csr(wide_csr())
+        assert set(sliced.row_indices.tolist()) == {1, 2, 4, 5, 6, 7}
 
-    def test_space_formula(self, random_csr):
-        sliced = SlicedCSRMatrix.from_csr(random_csr, slice_capacity=2)
+    def test_space_formula(self):
+        sliced = SlicedCSRMatrix.from_csr(wide_csr())
         assert sliced.nbytes == (2 * sliced.nnz + 2 * sliced.num_slices + 1) * 4
-
-    @pytest.mark.parametrize("capacity", [1, 3, 32])
-    def test_slice_count_bytes_match_the_built_matrix(self, capacity):
-        """``csr_nbytes`` sizes a matrix from its slice count alone."""
-        n = max(5, 2 * capacity)
-        row_sizes = [0, capacity, 0, capacity + 1, 2 * capacity]  # with empty rows
-        rows = np.repeat(np.arange(len(row_sizes)), row_sizes)
-        cols = np.concatenate([np.arange(k) for k in row_sizes])
-        matrices = [
-            CSRMatrix.empty((n, n)),
-            CSRMatrix.from_edges(rows, cols, (n, n)),
-        ] + [
-            CSRMatrix.from_edges(np.zeros(k, dtype=np.int64), np.arange(k), (n, n))
-            for k in (capacity, capacity + 1, 2 * capacity)
-        ]
-        for csr in matrices:
-            built = SlicedCSRMatrix.from_csr(csr, slice_capacity=capacity)
-            assert SlicedCSRMatrix.csr_nbytes(csr, capacity) == built.nbytes
 
     def test_space_between_csr_and_coo_for_default_capacity(self, random_csr):
         sliced = SlicedCSRMatrix.from_csr(random_csr)
         assert random_csr.nbytes <= sliced.nbytes <= random_csr.to_coo().nbytes + 4
 
-    def test_matmul_matches_csr(self, random_csr):
-        x = np.random.default_rng(1).random((30, 3)).astype(np.float32)
-        sliced = SlicedCSRMatrix.from_csr(random_csr, slice_capacity=2)
-        assert np.allclose(sliced.matmul_dense(x), random_csr.matmul_dense(x), atol=1e-5)
+    def test_matmul_matches_csr(self):
+        csr = wide_csr()
+        x = np.random.default_rng(1).random((80, 3)).astype(np.float32)
+        sliced = SlicedCSRMatrix.from_csr(csr)
+        assert np.allclose(sliced.matmul_dense(x), csr.matmul_dense(x), atol=1e-5)
 
     def test_empty_matrix(self):
         sliced = SlicedCSRMatrix.from_csr(CSRMatrix.empty((3, 3)))
@@ -151,18 +144,20 @@ class TestSlicedCSR:
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(0, 1000),
-        capacity=st.integers(1, 8),
-        n=st.integers(2, 25),
-        m=st.integers(0, 80),
+        rows_used=st.integers(1, 4),
+        n=st.integers(2, 90),
+        m=st.integers(0, 300),
     )
-    def test_property_roundtrip_and_capacity(self, seed, capacity, n, m):
-        """Slicing any CSR matrix is lossless and respects the capacity bound."""
+    def test_property_roundtrip_and_capacity(self, seed, rows_used, n, m):
+        """Slicing any CSR matrix is lossless and respects the capacity bound
+        (edges crowd into the first ``rows_used`` rows, so rows of more than
+        one slice are common)."""
         rng = np.random.default_rng(seed)
-        rows = rng.integers(0, n, size=m)
+        rows = rng.integers(0, min(rows_used, n), size=m)
         cols = rng.integers(0, n, size=m)
         csr = CSRMatrix.from_edges(rows, cols, (n, n))
-        sliced = SlicedCSRMatrix.from_csr(csr, slice_capacity=capacity)
+        sliced = SlicedCSRMatrix.from_csr(csr)
         assert np.allclose(sliced.to_csr().to_dense(), csr.to_dense())
         if sliced.num_slices:
-            assert sliced.slice_nnz().max() <= capacity
+            assert sliced.slice_nnz().max() <= DEFAULT_SLICE_CAPACITY
             assert sliced.slice_nnz().min() >= 1

@@ -131,7 +131,6 @@ class TestSharedWindowState:
     def query_every_group(self, store):
         for s_per in self.S_PER:
             for positions in store.partition_positions(s_per):
-                store.partition_overlap_rate(positions)
                 store.partition_decomposition(positions)
 
     def test_partition_positions_cover_the_window_in_order(self, make_snapshot_store):
@@ -148,26 +147,14 @@ class TestSharedWindowState:
             slide(store, rng, 1)
         self.query_every_group(store)
         kinds = {kind for _, kind in store._shared}
-        assert kinds == {"overlap_rate", "decomposition"}
+        assert kinds == {"decomposition"}
         for (versions, kind), value in store._shared.items():
             scratch = extract_overlap([store.snapshot(v).adjacency for v in versions])
-            if kind == "overlap_rate":
-                assert value.hex() == scratch.overlap_rate.hex()
-                continue
             assert value.overlap_rate.hex() == scratch.overlap_rate.hex()
             assert np.array_equal(value.overlap.edge_keys(), scratch.overlap.edge_keys())
             assert len(value.exclusives) == len(scratch.exclusives)
             for cached, fresh in zip(value.exclusives, scratch.exclusives):
                 assert np.array_equal(cached.edge_keys(), fresh.edge_keys())
-
-    def test_rate_equals_the_decomposition_rate(self, make_snapshot_store):
-        store = make_snapshot_store(window=4)
-        slide(store, np.random.default_rng(6), 5)
-        for s_per in self.S_PER:
-            for positions in store.partition_positions(s_per):
-                decomposition = store.partition_decomposition(positions)
-                rate = store.partition_overlap_rate(positions)
-                assert rate.hex() == decomposition.overlap_rate.hex()
 
     def test_no_entry_outlives_its_versions(self, make_snapshot_store):
         store = make_snapshot_store(window=4)

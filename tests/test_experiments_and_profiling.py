@@ -91,7 +91,7 @@ class TestExperimentHarness:
         for row in rows.values():
             assert row["speedup_over_pygt"] > 1.0
             assert row["speedup_over_pygt_g"] > 0.5
-        util = thread_utilization(QUICK)
+        util = thread_utilization()
         assert util["pipad_thread_utilization"] > util["pygt_g_thread_utilization"]
         sens = dimension_sensitivity(QUICK)
         assert all(v > 1.0 for v in sens.values())
