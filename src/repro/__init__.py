@@ -83,7 +83,6 @@ _LAZY_EXPORTS = {
     "LinkSpec": "repro.distributed",
     "NVLINK": "repro.distributed",
     "PCIE_PEER": "repro.distributed",
-    "PARTITION_MODES": "repro.distributed",
     "SCHEDULE_MODES": "repro.distributed",
     "SnapshotShard": "repro.distributed",
     "ShardedServingEngine": "repro.distributed",
@@ -125,7 +124,6 @@ _LAZY_EXPORTS = {
     "random_delta": "repro.serving",
     "synthesize_serving_trace": "repro.serving",
     # telemetry
-    "CALLBACK_REGISTRY": "repro.telemetry",
     "EXPORTER_REGISTRY": "repro.telemetry",
     "MetricsRegistry": "repro.telemetry",
     "SpanTracer": "repro.telemetry",

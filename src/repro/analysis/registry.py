@@ -97,13 +97,13 @@ register_check(
 register_check(
     "memory-watermark",
     FAMILY_EXECUTION,
-    "HBM / pinned / spill budgets hold at every simulated instant",
+    "HBM / GPU-tier / pinned budgets hold at every simulated instant",
     _execution(watermark.check_memory_watermark),
 )
 register_check(
     "spec-dead-memory",
     FAMILY_STATIC,
-    "tier budgets are not declared while the feature cache is off",
+    "no GPU-tier budget is declared while the feature cache is off",
     _static(speclint.lint_dead_memory_knobs),
 )
 register_check(

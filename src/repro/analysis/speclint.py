@@ -6,7 +6,7 @@ already rejects the cross-section errors (``pipad.fixed_s_per`` above
 ``frame_size``, serving ``fixed_s_per`` above the ``window``, a
 ``window`` above ``num_snapshots``, a fleet ``max_batch_requests`` above
 its ``admission_limit``).  What is left is legal but useless: tier
-budgets with the feature cache off (``spec-dead-memory``) and a prefetch
+budget with the feature cache off (``spec-dead-memory``) and a prefetch
 depth under the pipeline ablation (``spec-prefetch-pipeline``).  Rules
 are registered individually in ``CHECK_REGISTRY`` so
 ``python -m repro list`` shows the full catalog and ``analysis.checks``
@@ -21,26 +21,16 @@ from .base import SEVERITY_WARNING, Violation
 
 
 def lint_dead_memory_knobs(spec: object) -> List[Violation]:
-    """Tier budgets declared while the feature cache is off do nothing."""
+    """A GPU-tier budget declared while the feature cache is off does nothing."""
     memory = spec.memory
-    if memory.feature_cache:
-        return []
-    dead = [
-        f"memory.{field_name}"
-        for field_name, value in (
-            ("gpu_budget_mb", memory.gpu_budget_mb),
-            ("spill_budget_mb", memory.spill_budget_mb),
-        )
-        if value is not None
-    ]
-    if not dead:
+    if memory.feature_cache or memory.gpu_budget_mb is None:
         return []
     return [
         Violation(
             check="spec-dead-memory",
             message=(
-                f"{', '.join(dead)} set while memory.feature_cache is false — "
-                "the tier budgets are ignored; enable the cache or drop them"
+                "memory.gpu_budget_mb set while memory.feature_cache is false — "
+                "the tier budget is ignored; enable the cache or drop it"
             ),
             severity=SEVERITY_WARNING,
             source="spec.memory",

@@ -8,8 +8,8 @@ Three ceilings, checked at every instant rather than just at the end:
   events in simulated-time order recovers the exact pinned high-water mark,
   which must stay within ``pinned_budget_mb`` (the ROADMAP overshoot this
   checker was built to catch).
-- **cache tiers** — final GPU/pinned/spill residency (+ reservations) must
-  sit within each tier's declared capacity.
+- **cache tiers** — final GPU/pinned residency (+ reservations) must
+  sit within each tier's declared capacity (the spill tier is unbounded).
 - **HBM** — every device's ``peak_bytes`` ledger must stay within its
   simulated GPU's memory.
 """

@@ -137,10 +137,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
     from repro.core.datapipe import STAGE_REGISTRY
     from repro.experiments import list_experiments
     from repro.graph.datasets import DATASET_ORDER
-    from repro.memory import CACHE_POLICY_REGISTRY
     from repro.nn import MODEL_ORDER
     from repro.telemetry.chrome_trace import EXPORTER_REGISTRY
-    from repro.telemetry.hooks import CALLBACK_REGISTRY
 
     catalogue = {
         "datasets": list(DATASET_ORDER),
@@ -149,13 +147,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
         "device_kinds": {k: v.description for k, v in DEVICE_REGISTRY.items()},
         "serving_kinds": {k: v.description for k, v in SERVING_REGISTRY.items()},
         "datapipe_stages": dict(STAGE_REGISTRY),
-        "cache_policies": {
-            name: description
-            for name, (_, description) in CACHE_POLICY_REGISTRY.items()
-        },
         "experiments": list_experiments(),
         "presets": preset_names(),
-        "telemetry_callbacks": dict(CALLBACK_REGISTRY),
         "telemetry_exporters": dict(EXPORTER_REGISTRY),
         "analysis_checks": {
             name: f"[{info.family}] {info.description}"

@@ -297,8 +297,9 @@ class Engine:
 
         With ``spec.analysis.enabled`` the sanitizer replays the finished
         run *before* artifact export (so violations land in the trace and
-        the persisted report), then — unless ``fail_on_violation`` is off —
-        fails the run with :class:`~repro.analysis.AnalysisError`.
+        the persisted report), then fails the run with
+        :class:`~repro.analysis.AnalysisError` on any error-severity
+        violation; the error carries the analysis report.
         """
         self.train()
         if self.spec.serving is not None:
@@ -347,11 +348,9 @@ class Engine:
         return report
 
     def raise_on_violations(self) -> None:
-        """Fail the run if a cached sanitize pass found errors (and the
-        spec says violations are fatal).  No-op when clean or not sanitized."""
-        if self._analysis is None or self._analysis.ok:
-            return
-        if self.spec.analysis.fail_on_violation:
+        """Fail the run if a cached sanitize pass found errors.  No-op when
+        clean or not sanitized."""
+        if self._analysis is not None and not self._analysis.ok:
             raise AnalysisError(self._analysis)
 
     def _record_violations(self, report: AnalysisReport) -> None:

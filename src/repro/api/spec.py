@@ -116,9 +116,8 @@ class _SpecBase:
 class DeviceSpec(_SpecBase, GroupConfig):
     """Device topology: the trainers' :class:`GroupConfig` plus its ``kind``.
 
-    ``partition_mode`` is consulted by kind ``"group"`` only and
-    ``schedule`` by kind ``"pipeline"`` only; both are validated for every
-    kind.
+    ``schedule`` is consulted by kind ``"pipeline"`` only and validated for
+    every kind.
     """
 
     #: ``"single"`` (one simulated GPU), ``"group"`` (node-sharded device
@@ -160,13 +159,12 @@ class TraceSpec(_SpecBase):
 
 @dataclass(frozen=True)
 class TelemetrySpec(_SpecBase):
-    """Observability section of a run: exporters and callback sinks.
+    """Observability section of a run: its exporters.
 
     ``trace_path``/``report_path`` are export destinations the engine writes
     after :meth:`~repro.api.engine.Engine.run` (the CLI's ``--trace`` /
-    ``--save-report`` flags set them); ``callbacks`` selects extra sinks from
-    the telemetry callback registry (the tracing and metrics sinks are always
-    active while telemetry is enabled).
+    ``--save-report`` flags set them).  While telemetry is enabled, the
+    tracing and metrics sinks record every lifecycle event.
     """
 
     enabled: bool = True
@@ -174,20 +172,6 @@ class TelemetrySpec(_SpecBase):
     trace_path: Optional[str] = None
     #: run-report JSON destination (None -> no report export)
     report_path: Optional[str] = None
-    #: extra callback sinks by registry name (e.g. ``("logging",)``)
-    callbacks: Tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        from repro.telemetry.hooks import CALLBACK_REGISTRY
-
-        if not isinstance(self.callbacks, tuple):
-            object.__setattr__(self, "callbacks", tuple(self.callbacks))
-        unknown = set(self.callbacks) - set(CALLBACK_REGISTRY)
-        if unknown:
-            raise ValueError(
-                f"unknown telemetry callback(s) {sorted(unknown)}; "
-                f"valid callbacks: {_known_choices(CALLBACK_REGISTRY)}"
-            )
 
 
 @dataclass(frozen=True)
@@ -264,8 +248,8 @@ class AnalysisSpec(_SpecBase):
     execution checkers (happens-before races, collective lint, memory
     watermarks) plus the static spec lint, surfaces violations in
     ``RunReport.extras["analysis"]`` and as Chrome-trace instant events,
-    and — with ``fail_on_violation`` — fails the run on any
-    error-severity finding.  ``python -m repro check`` runs the static
+    and fails the run on any error-severity finding once the trace and
+    report are exported.  ``python -m repro check`` runs the static
     family alone, no engine required.  The static family only warns
     (``spec-dead-memory``, ``spec-prefetch-pipeline``): the cross-section
     errors (partition sizes vs. frame and window, window vs. stream,
@@ -275,9 +259,6 @@ class AnalysisSpec(_SpecBase):
     enabled: bool = False
     #: check selection from ``repro.analysis.CHECK_REGISTRY``; empty = all
     checks: Tuple[str, ...] = ()
-    #: raise :class:`repro.analysis.AnalysisError` after export when the
-    #: sanitizer found error-severity violations
-    fail_on_violation: bool = True
 
     def __post_init__(self) -> None:
         from repro.analysis import resolve_checks
@@ -331,13 +312,13 @@ class RunSpec(_SpecBase):
     device: DeviceSpec = field(default_factory=DeviceSpec)
     #: data pipeline: stage composition, prefetch depth, pinning
     data: DataSpec = field(default_factory=DataSpec)
-    #: multi-tier feature cache: tiers, budgets, eviction policy
+    #: multi-tier feature cache: on/off, tier budgets, block size
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     #: optional online-serving phase; ``None`` means a training-only run
     serving: Optional[ServingSpec] = None
-    #: observability: exporters + callback sinks (enabled by default)
+    #: observability: exporters (enabled by default)
     telemetry: TelemetrySpec = field(default_factory=TelemetrySpec)
-    #: sanitizer: check selection + failure policy (off by default)
+    #: sanitizer: check selection (off by default)
     analysis: AnalysisSpec = field(default_factory=AnalysisSpec)
 
     def __post_init__(self) -> None:

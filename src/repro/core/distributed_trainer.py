@@ -66,9 +66,7 @@ class DistributedTrainer(GroupTrainer):
             graph, config, pipad_config, group_config, data_config, memory_config
         )
         num_devices = self.group_config.num_devices
-        self.partitioner = GraphPartitioner(
-            num_devices, mode=self.group_config.partition_mode
-        )
+        self.partitioner = GraphPartitioner(num_devices)
         # Cheap provisional plan; _run_preprocessing replans (and computes the
         # halo/edge statistics, an O(devices x snapshots x edges) sharding
         # pass) right before the first steady-state frame can consume them.

@@ -43,7 +43,7 @@ from repro.gpu.device_group import DeviceGroup
 from repro.gpu.interconnect import INTERCONNECT_KINDS
 from repro.gpu.timeline import TimelineOp
 from repro.graph.dynamic_graph import DynamicGraph
-from repro.graph.partition import PARTITION_MODES, SCHEDULE_MODES
+from repro.graph.partition import SCHEDULE_MODES
 from repro.memory import MemoryConfig
 from repro.utils.validation import check_choice, check_positive
 
@@ -68,10 +68,6 @@ class GroupConfig:
     num_devices: int = 1
     #: peer-link model between devices (``"nvlink"`` or ``"pcie"``)
     interconnect: str = "nvlink"
-    #: node-assignment strategy of the data-parallel partitioner
-    #: (``"edges"`` balances the aggregation work; ``"nodes"`` gives
-    #: equal-sized ranges)
-    partition_mode: str = "edges"
     #: stage-assignment strategy of the pipeline's frame partitioner
     #: (``"round_robin"`` or ``"blocked"``)
     schedule: str = "round_robin"
@@ -79,9 +75,6 @@ class GroupConfig:
     def __post_init__(self) -> None:
         check_positive("num_devices", self.num_devices)
         check_choice("interconnect", self.interconnect, INTERCONNECT_KINDS, "kinds")
-        check_choice(
-            "partition_mode", self.partition_mode, PARTITION_MODES, "partition modes"
-        )
         check_choice("schedule", self.schedule, SCHEDULE_MODES, "schedules")
 
 

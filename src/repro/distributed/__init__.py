@@ -40,7 +40,6 @@ from repro.distributed.serving import ShardedServingEngine, build_sharded_servin
 from repro.gpu.device_group import COMM_STREAM, RESOURCE_PEER_LINK, DeviceGroup
 from repro.gpu.interconnect import NVLINK, PCIE_PEER, Interconnect, LinkSpec
 from repro.graph.partition import (
-    PARTITION_MODES,
     SCHEDULE_MODES,
     FramePartitioner,
     FrameStage,
@@ -61,7 +60,6 @@ __all__ = [
     "Interconnect",
     "LinkSpec",
     "NVLINK",
-    "PARTITION_MODES",
     "PCIE_PEER",
     "PipelineTrainer",
     "RESOURCE_PEER_LINK",

@@ -30,7 +30,7 @@ round-robin queueing cannot.
 ``min_replicas`` start active; a rolling p99 over recently completed
 requests is compared against ``slo_p99_ms`` on every submission, scaling the
 active pool up (p99 above SLO) or down (p99 under half the SLO) within
-``[min_replicas, max_replicas]``, with a cooldown between decisions.  Scale
+``[min_replicas, num_shards]``, with a cooldown between decisions.  Scale
 events emit through the engine's telemetry hooks (``on_phase_start`` /
 ``on_phase_end``) and are counted in the report.  Inactive replicas keep
 absorbing deltas so their caches are consistent the moment they activate.
@@ -81,8 +81,8 @@ class ScaleEvent:
 class FleetServingEngine(ShardedServingEngine):
     """Node-sharded, admission-controlled, autoscaling serving fleet.
 
-    Inherits the shared store and its apply-once ingestion, the id
-    bookkeeping, pump re-keying, trace replay and report merging of
+    Inherits the shared store and its apply-once ingestion, the batch-id
+    offsets, trace replay and report merging of
     :class:`ShardedServingEngine`; overrides routing (ownership + queue
     depth + admission) and extends the merged report with fleet accounting
     (node-sharded store footprint, admission, scaling, halo).
@@ -101,14 +101,13 @@ class FleetServingEngine(ShardedServingEngine):
                 f"FleetConfig.num_shards={self.fleet_config.num_shards} but "
                 f"{len(replicas)} replicas were provided"
             )
-        partitioner = GraphPartitioner(
-            self.fleet_config.num_shards, mode=self.fleet_config.partition_mode
-        )
+        partitioner = GraphPartitioner(self.fleet_config.num_shards)
         #: persistent node-ownership boundaries (length ``num_shards + 1``)
         self.boundaries = partitioner.plan(store.window_snapshots())
         self._partitioner = partitioner
         self._active = self.fleet_config.min_replicas
         self._since_scale = SCALE_COOLDOWN
+        self.admitted_requests = 0
         self.rejected_requests = 0
         self.scale_events: List[ScaleEvent] = []
         #: per-shard outstanding requests (queued + in flight), maintained
@@ -185,8 +184,8 @@ class FleetServingEngine(ShardedServingEngine):
     ) -> Optional[int]:
         """Route one request through admission control.
 
-        Returns the global request id, or ``None`` when every eligible
-        replica is at its admission limit and the request is shed.
+        Returns the request id, or ``None`` when every eligible replica is
+        at its admission limit and the request is shed.
         """
         self._touch_wall_clock()
         ids = np.asarray(list(node_ids), dtype=np.int64)
@@ -196,11 +195,12 @@ class FleetServingEngine(ShardedServingEngine):
         if shard is None:
             self.rejected_requests += 1
             return None
-        local_id = self.replicas[shard].submit(ids, at=at)
+        request_id = self.replicas[shard].submit(ids, at=at)
         # Count only after the replica accepted the request — submit raises
         # on out-of-range node ids and a failed submission is not backlog.
         self._outstanding[shard] += 1
-        return self._register_route(shard, local_id)
+        self.admitted_requests += 1
+        return request_id
 
     def pump(self, now: Optional[float] = None, *, force: bool = False) -> List[BatchResult]:
         """Pump every shard, then account completions and re-check scale.
@@ -257,7 +257,7 @@ class FleetServingEngine(ShardedServingEngine):
         if math.isnan(p99):
             return
         p99_ms = p99 * 1e3
-        if p99_ms > cfg.slo_p99_ms and self._active < cfg.replica_ceiling:
+        if p99_ms > cfg.slo_p99_ms and self._active < self.num_shards:
             self._active += 1
             self._emit_scale("up", now, p99_ms)
         elif p99_ms < 0.5 * cfg.slo_p99_ms and self._active > cfg.min_replicas:
@@ -313,11 +313,11 @@ class FleetServingEngine(ShardedServingEngine):
         cfg = self.fleet_config
         merged.extras.update(
             {
-                "admitted_requests": float(len(self._routes)),
+                "admitted_requests": float(self.admitted_requests),
                 "rejected_requests": float(self.rejected_requests),
                 "active_replicas": float(self._active),
                 "min_replicas": float(cfg.min_replicas),
-                "max_replicas": float(cfg.replica_ceiling),
+                "max_replicas": float(self.num_shards),
                 "scale_up_events": float(
                     sum(1 for e in self.scale_events if e.direction == "up")
                 ),

@@ -7,10 +7,11 @@ one shared :class:`~repro.serving.store.IncrementalSnapshotStore`, with
 request traffic routed across the replicas.  A graph delta is applied to
 the store once and every replica absorbs the result, so every shard serves
 the same head version.  Each deployed replica would hold a full window
-copy, which is what the report accounts per replica.  Routing is
-deterministic round-robin, so a trace replay is reproducible run to run —
-the property the golden determinism test locks in for the single-device
-engine.
+copy, which is what the report accounts per replica.  The replicas draw
+request ids from one shared counter, so the id a replica records is the
+engine's id.  Routing is deterministic round-robin, so a trace replay is
+reproducible run to run — the property the golden determinism test locks
+in for the single-device engine.
 """
 
 from __future__ import annotations
@@ -87,10 +88,6 @@ class ShardedServingEngine(TraceReplay):
         self.replicas = replicas
         self.store = store
         self._next_shard = 0
-        #: global request id -> (shard index, shard-local request id)
-        self._routes: List[Tuple[int, int]] = []
-        #: (shard index, shard-local request id) -> global request id
-        self._global_ids: Dict[Tuple[int, int], int] = {}
         #: engine-level telemetry sink (deltas, the fleet's scale events); the
         #: runtime swaps in a live CallbackList alongside the per-replica hooks
         self.hooks: TelemetryCallback = NULL_CALLBACK
@@ -119,73 +116,35 @@ class ShardedServingEngine(TraceReplay):
         return report
 
     def submit(self, node_ids: Iterable[int], *, at: Optional[float] = None) -> int:
-        """Route one request to the next shard; returns a global request id."""
+        """Route one request to the next shard; returns its request id."""
         self._touch_wall_clock()
         shard = self._next_shard
         self._next_shard = (self._next_shard + 1) % self.num_shards
-        local_id = self.replicas[shard].submit(node_ids, at=at)
-        return self._register_route(shard, local_id)
-
-    def _register_route(self, shard: int, local_id: int) -> int:
-        """Issue the next global request id for a shard-local submission."""
-        global_id = len(self._routes)
-        self._routes.append((shard, local_id))
-        self._global_ids[(shard, local_id)] = global_id
-        return global_id
-
-    def _to_global(self, shard: int, local_id: int) -> int:
-        """Global id of a shard-local request.
-
-        Strict by design: falling back to the local id would collide with
-        already-issued global ids and silently mis-attribute predictions, so
-        requests must enter through :meth:`submit`, never through a replica
-        directly.
-        """
-        try:
-            return self._global_ids[(shard, local_id)]
-        except KeyError:
-            raise KeyError(
-                f"request {local_id} on shard {shard} was not submitted through "
-                "ShardedServingEngine.submit(); submit requests via the engine "
-                "so they receive a collision-free global id"
-            ) from None
+        return self.replicas[shard].submit(node_ids, at=at)
 
     def pump(self, now: Optional[float] = None, *, force: bool = False) -> List[BatchResult]:
         """Cut and execute due micro-batches on every shard.
 
-        The returned results are re-keyed from shard-local ids to engine-level
-        ones, so the sharded engine honours the same id contract as the
-        single-device scheduler: prediction dicts use the global request ids
-        :meth:`submit` handed out, and batch ids carry the same per-shard
-        offset the merged report uses (shard-local ids collide across shards
-        and must not leak out).
+        Prediction dicts are keyed by the request ids :meth:`submit` handed
+        out.  Batch ids carry the same per-shard offset the merged report
+        uses: each replica numbers its batches from 0, and those ids appear
+        in op labels, so they must not leak out unmapped.
         """
-        results: List[BatchResult] = []
-        for shard, replica in enumerate(self.replicas):
-            for result in replica.pump(now, force=force):
-                results.append(
-                    BatchResult(
-                        batch_id=result.batch_id + shard * _BATCH_ID_STRIDE,
-                        decision=result.decision,
-                        completion_time=result.completion_time,
-                        predictions={
-                            self._to_global(shard, local_id): rows
-                            for local_id, rows in result.predictions.items()
-                        },
-                    )
-                )
-        return results
+        return [
+            dataclasses.replace(result, batch_id=result.batch_id + shard * _BATCH_ID_STRIDE)
+            for shard, replica in enumerate(self.replicas)
+            for result in replica.pump(now, force=force)
+        ]
 
     # ------------------------------------------------------------------ reporting
     def report(self) -> ServingReport:
         """One merged report over all shards.
 
-        Latency records concatenate across shards (request ids map back to
-        the global ids ``submit`` returned; batch ids are offset so they
-        stay unique).  Every replica absorbs every delta, so a delta is one
-        update, not ``K``: ``deltas_ingested`` and ``rows_touched`` merge as
-        the max across replicas, and ``rows_per_delta`` stays the mean rows
-        one delta touched.  The replicas' own patch work adds up in the
+        Latency records concatenate across shards (batch ids are offset so
+        they stay unique).  Every replica absorbs every delta, so a delta is
+        one update, not ``K``: ``deltas_ingested`` and ``rows_touched`` merge
+        as the max across replicas, and ``rows_per_delta`` stays the mean
+        rows one delta touched.  The replicas' own patch work adds up in the
         ``rows_patched`` reuse stat.
         """
         reports = [replica.report() for replica in self.replicas]
@@ -194,11 +153,7 @@ class ShardedServingEngine(TraceReplay):
             offset = shard * _BATCH_ID_STRIDE
             for record in replica.metrics.requests:
                 merged.record_request(
-                    dataclasses.replace(
-                        record,
-                        request_id=self._to_global(shard, record.request_id),
-                        batch_id=record.batch_id + offset,
-                    )
+                    dataclasses.replace(record, batch_id=record.batch_id + offset)
                 )
             for batch in replica.metrics.batches:
                 merged.record_batch(

@@ -66,20 +66,17 @@ def feature_cache_budget_bytes(
     *,
     model_bytes: float = 0.0,
     activation_bytes: float = 0.0,
-    fraction: float = 0.5,
 ) -> int:
     """GPU-tier budget for the feature cache: what HBM can spare.
 
     Reserves the model parameters and the frame's activation working set
-    (plus 10 % of HBM as headroom for allocator slack), then grants
-    ``fraction`` of the remainder to feature rows.  Clamped at zero: an
-    over-committed device simply gets no GPU tier and every row stages
-    through the pinned-host tier instead.
+    (plus 10 % of HBM as headroom for allocator slack), then grants half of
+    the remainder to feature rows.  Clamped at zero: an over-committed
+    device simply gets no GPU tier and every row stages through the
+    pinned-host tier instead.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must be within [0, 1]")
     available = spec.memory_bytes * 0.9 - model_bytes - activation_bytes
-    return int(max(0.0, available) * fraction)
+    return int(max(0.0, available) * 0.5)
 
 
 def contiguous_bytes_cost(nbytes: float, spec: GPUSpec) -> RowAccessCost:

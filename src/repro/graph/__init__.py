@@ -20,7 +20,6 @@ from repro.graph.overlap import (
     refine_overlap,
 )
 from repro.graph.partition import (
-    PARTITION_MODES,
     SCHEDULE_MODES,
     FramePartitioner,
     FrameStage,
@@ -56,7 +55,6 @@ __all__ = [
     "extract_overlap",
     "pairwise_overlap_rate",
     "refine_overlap",
-    "PARTITION_MODES",
     "SCHEDULE_MODES",
     "FramePartitioner",
     "FrameStage",

@@ -27,9 +27,6 @@ from repro.graph.overlap import extract_overlap
 from repro.graph.snapshot import GraphSnapshot
 from repro.utils.validation import check_positive
 
-#: supported node-assignment strategies
-PARTITION_MODES = ("nodes", "edges")
-
 #: supported stage-assignment strategies of :class:`FramePartitioner`
 SCHEDULE_MODES = ("round_robin", "blocked")
 
@@ -87,23 +84,14 @@ def _row_slice(adjacency: CSRMatrix, start: int, stop: int) -> CSRMatrix:
 class GraphPartitioner:
     """Shards snapshots node-wise across ``num_devices`` devices.
 
-    Parameters
-    ----------
-    num_devices:
-        Number of shards (one per device).
-    mode:
-        ``"nodes"`` assigns equal-sized contiguous node ranges; ``"edges"``
-        places the range boundaries so each shard owns roughly the same
-        number of edges (summed over the planning snapshots), the
-        load-balance criterion that matters for aggregation time.
+    The range boundaries are placed so each shard owns roughly the same
+    number of edges (summed over the planning snapshots), the load-balance
+    criterion that matters for aggregation time.
     """
 
-    def __init__(self, num_devices: int, *, mode: str = "edges") -> None:
+    def __init__(self, num_devices: int) -> None:
         check_positive("num_devices", num_devices)
-        if mode not in PARTITION_MODES:
-            raise ValueError(f"unknown partition mode {mode!r}; expected one of {PARTITION_MODES}")
         self.num_devices = num_devices
-        self.mode = mode
 
     # ------------------------------------------------------------------ planning
     def plan(
@@ -127,8 +115,6 @@ class GraphPartitioner:
             raise ValueError(
                 f"cannot shard {num_nodes} nodes across {self.num_devices} devices"
             )
-        if self.mode == "nodes" or self.num_devices == 1:
-            return np.linspace(0, num_nodes, self.num_devices + 1).astype(np.int64)
         degree = np.zeros(num_nodes, dtype=np.float64)
         for snapshot in snapshots:
             degree += snapshot.adjacency.row_nnz()

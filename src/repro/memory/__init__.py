@@ -1,7 +1,6 @@
 """repro.memory — multi-tier feature cache (HBM → pinned-host → spill).
 
-See :mod:`repro.memory.cache` for the tier semantics and
-:mod:`repro.memory.policy` for the eviction policies.
+See :mod:`repro.memory.cache` for the tier semantics.
 """
 
 from .cache import (
@@ -18,16 +17,11 @@ from .cache import (
     blocks_of_rows,
     build_feature_cache,
 )
-from .policy import CACHE_POLICY_REGISTRY, CachePolicy, ClockPolicy, LRUPolicy, build_policy
 
 __all__ = [
     "AccessPlan",
-    "CACHE_POLICY_REGISTRY",
-    "CachePolicy",
     "CacheTier",
-    "ClockPolicy",
     "FeatureCache",
-    "LRUPolicy",
     "MemoryConfig",
     "TIER_GPU",
     "TIER_ORDER",
@@ -37,5 +31,4 @@ __all__ = [
     "blocks_covering",
     "blocks_of_rows",
     "build_feature_cache",
-    "build_policy",
 ]

@@ -14,27 +14,22 @@ byte accounting handed to the datapipe:
   A hit is tracked (the row was cache-managed) but costs the same as a
   miss: it re-enters the pipe at the gather stage.
 
-Evictions cascade downward (GPU → pinned → spill); eviction from the
-spill tier is final.  Cached rows are read-only copies, so an eviction
-never writes anything back (``feature_cache_writeback_bytes`` stays 0).
+Every tier evicts its least-recently-used block first.  Evictions cascade
+downward (GPU → pinned → spill); the spill tier is unbounded, so a block
+leaves it only when a delta invalidates its rows.  Cached rows are
+read-only copies, so an eviction never writes anything back
+(``feature_cache_writeback_bytes`` stays 0).
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.gpu.device import OutOfMemoryError, SimulatedGPU
 from repro.gpu.memory_model import feature_cache_budget_bytes
-from repro.utils.validation import (
-    check_choice,
-    check_in_range,
-    check_int,
-    check_non_negative,
-    check_positive,
-)
-
-from .policy import CACHE_POLICY_REGISTRY, CachePolicy, build_policy
+from repro.utils.validation import check_int, check_non_negative, check_positive
 
 TIER_GPU = "gpu"
 TIER_PINNED = "pinned"
@@ -46,24 +41,22 @@ TIER_ORDER = (TIER_GPU, TIER_PINNED, TIER_SPILL)
 class MemoryConfig:
     """Knobs of the feature cache; a run spec's ``memory`` section is one.
 
-    The rule tying ``gpu_budget_mb`` to the device's HBM belongs to the run
-    (``RunSpec``), which knows its devices.
+    Every tier evicts least-recently-used first, and the spill tier is
+    unbounded.  Without ``gpu_budget_mb`` the GPU tier takes half of the HBM
+    the model and activations leave free.  The rule tying ``gpu_budget_mb``
+    to the device's HBM belongs to the run (``RunSpec``), which knows its
+    devices.
     """
 
     feature_cache: bool = False
-    policy: str = "lru"
-    gpu_budget_fraction: float = 0.5
     gpu_budget_mb: Optional[float] = None
     pinned_budget_mb: float = 256.0
-    spill_budget_mb: Optional[float] = None
     block_rows: int = 256
 
     def __post_init__(self) -> None:
-        check_choice("cache policy", self.policy, CACHE_POLICY_REGISTRY, "policies")
-        check_in_range("gpu_budget_fraction", self.gpu_budget_fraction, 0.0, 1.0)
-        for name in ("gpu_budget_mb", "pinned_budget_mb", "spill_budget_mb"):
-            if getattr(self, name) is not None:
-                check_non_negative(name, getattr(self, name))
+        if self.gpu_budget_mb is not None:
+            check_non_negative("gpu_budget_mb", self.gpu_budget_mb)
+        check_non_negative("pinned_budget_mb", self.pinned_budget_mb)
         check_int("block_rows", self.block_rows)
         check_positive("block_rows", self.block_rows)
 
@@ -101,13 +94,17 @@ class AccessPlan:
 
 
 class CacheTier:
-    """One tier: capacity-bounded set of key → bytes with a policy."""
+    """One tier: capacity-bounded set of key → bytes in LRU order.
 
-    def __init__(self, name: str, capacity_bytes: Optional[int], policy: CachePolicy) -> None:
+    ``entries`` runs from least to most recently used: an admission appends
+    its key, an access moves the key to the end, and the victim is the first
+    key.
+    """
+
+    def __init__(self, name: str, capacity_bytes: Optional[int]) -> None:
         self.name = name
         self.capacity_bytes = capacity_bytes  # None = unbounded
-        self.policy = policy
-        self.entries: Dict[Hashable, float] = {}
+        self.entries: "OrderedDict[Hashable, float]" = OrderedDict()
         self.used_bytes = 0.0
         #: bytes promised to in-flight staging buffers (no key, not evictable);
         #: the prefetcher charges its pin-stage buffers here so resident
@@ -128,51 +125,39 @@ class CacheTier:
     def admit(self, key: Hashable, nbytes: float) -> None:
         self.entries[key] = nbytes
         self.used_bytes += nbytes
-        self.policy.on_admit(key)
+
+    def touch(self, key: Hashable) -> None:
+        """Mark ``key`` most recently used."""
+        self.entries.move_to_end(key)
 
     def remove(self, key: Hashable) -> float:
         nbytes = self.entries.pop(key)
         self.used_bytes -= nbytes
-        self.policy.on_evict(key)
         return nbytes
 
     def victim(self) -> Optional[Hashable]:
-        return self.policy.victim()
+        return next(iter(self.entries), None)
 
     def clear(self) -> None:
         self.entries.clear()
         self.used_bytes = 0.0
-        self.policy.clear()
 
 
 class FeatureCache:
     """Three-tier feature-row cache with cascading demotion.
 
-    Budgets are explicit byte capacities; derive the GPU budget with
-    :func:`repro.gpu.memory_model.feature_cache_budget_bytes`.
+    The GPU and pinned budgets are explicit byte capacities (derive the GPU
+    budget with :func:`repro.gpu.memory_model.feature_cache_budget_bytes`);
+    the spill tier is unbounded.
     """
 
-    def __init__(
-        self,
-        *,
-        gpu_budget_bytes: int = 0,
-        pinned_budget_bytes: int = 0,
-        spill_budget_bytes: Optional[int] = None,
-        policy: str = "lru",
-    ) -> None:
+    def __init__(self, *, gpu_budget_bytes: int = 0, pinned_budget_bytes: int = 0) -> None:
         if gpu_budget_bytes < 0 or pinned_budget_bytes < 0:
             raise ValueError("tier budgets must be >= 0")
-        if spill_budget_bytes is not None and spill_budget_bytes < 0:
-            raise ValueError("tier budgets must be >= 0")
-        self.policy_name = policy
         self.tiers: Dict[str, CacheTier] = {
-            TIER_GPU: CacheTier(TIER_GPU, int(gpu_budget_bytes), build_policy(policy)),
-            TIER_PINNED: CacheTier(TIER_PINNED, int(pinned_budget_bytes), build_policy(policy)),
-            TIER_SPILL: CacheTier(
-                TIER_SPILL,
-                None if spill_budget_bytes is None else int(spill_budget_bytes),
-                build_policy(policy),
-            ),
+            TIER_GPU: CacheTier(TIER_GPU, int(gpu_budget_bytes)),
+            TIER_PINNED: CacheTier(TIER_PINNED, int(pinned_budget_bytes)),
+            TIER_SPILL: CacheTier(TIER_SPILL, None),
         }
         #: high-water mark of pinned residency + in-flight staging, the
         #: quantity the memory-watermark checker verifies against the budget
@@ -216,7 +201,7 @@ class FeatureCache:
             plan.total_bytes += nbytes
             tier = self.tier_of(key)
             if tier is not None:
-                self.tiers[tier].policy.on_access(key)
+                self.tiers[tier].touch(key)
                 self.counters["hit_bytes"] += nbytes
                 if tier == TIER_GPU:
                     plan.gpu_hits += 1
@@ -239,8 +224,10 @@ class FeatureCache:
         plan.block_keys = tuple(keys)
         return plan
 
-    def _admit(self, key: Hashable, nbytes: float) -> None:
-        for name in TIER_ORDER:
+    def _admit(self, key: Hashable, nbytes: float, start: int = 0) -> None:
+        """Place a block in the first tier from ``TIER_ORDER[start]`` on that
+        can hold it; the unbounded spill tier always can."""
+        for name in TIER_ORDER[start:]:
             tier = self.tiers[name]
             if not tier.fits(nbytes):
                 continue
@@ -253,7 +240,6 @@ class FeatureCache:
             if name == TIER_PINNED:
                 self._note_pinned_peak()
             return
-        # Block larger than every bounded tier: stays uncached.
 
     def _make_room(self, name: str, nbytes: float) -> None:
         tier = self.tiers[name]
@@ -263,22 +249,8 @@ class FeatureCache:
                 return
             victim_bytes = tier.remove(victim)
             self.counters["evictions"] += 1
-            self._demote(name, victim, victim_bytes)
-
-    def _demote(self, from_tier: str, key: Hashable, nbytes: float) -> None:
-        start = TIER_ORDER.index(from_tier) + 1
-        for name in TIER_ORDER[start:]:
-            tier = self.tiers[name]
-            if not tier.fits(nbytes):
-                continue
-            self._make_room(name, nbytes)
-            if not tier.has_room(nbytes):
-                continue
-            tier.admit(key, nbytes)
-            if name == TIER_PINNED:
-                self._note_pinned_peak()
+            self._admit(victim, victim_bytes, TIER_ORDER.index(name) + 1)
             self.counters["demotions"] += 1
-            return
 
     # -- staging reservations ---------------------------------------------
 
@@ -390,9 +362,9 @@ def build_feature_cache(
     Uncached, the device must hold all ``feature_bytes`` of its feature set
     (``feature_set`` names it in the error) in HBM, or the run is refused
     with :class:`~repro.gpu.device.OutOfMemoryError`.  Cached, the GPU tier
-    is carved out of the device's HBM: ``memory.gpu_budget_mb`` when pinned,
-    otherwise what HBM can spare next to the model's ``parameters`` and the
-    activation working set.
+    is carved out of the device's HBM: ``memory.gpu_budget_mb`` when set,
+    otherwise half of what HBM can spare next to the model's ``parameters``
+    and the activation working set.
     """
     spec = device.spec
     if not memory.feature_cache:
@@ -412,14 +384,10 @@ def build_feature_cache(
             spec,
             model_bytes=float(sum(p.data.nbytes for p in parameters)),
             activation_bytes=activation_bytes,
-            fraction=memory.gpu_budget_fraction,
         )
-    spill_mb = memory.spill_budget_mb
     cache = FeatureCache(
         gpu_budget_bytes=gpu_budget,
         pinned_budget_bytes=int(memory.pinned_budget_mb * mib),
-        spill_budget_bytes=None if spill_mb is None else int(spill_mb * mib),
-        policy=memory.policy,
     )
     if gpu_budget > 0:
         # Peak-memory honesty: the GPU tier occupies real HBM alongside the

@@ -19,7 +19,6 @@ from repro.nn.gcn import GCNUpdate
 from repro.tensor import ops
 from repro.tensor.function import op_scope
 from repro.tensor.nn.linear import Linear
-from repro.tensor.nn.rnn_cells import GRUCell  # noqa: F401  (kept for API parity)
 from repro.tensor.nn.module import Parameter
 from repro.tensor.nn import init
 from repro.tensor.tensor import Tensor

@@ -19,6 +19,7 @@ touched rows rather than to the graph.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
@@ -42,7 +43,6 @@ from repro.core.tuner import (
 )
 from repro.gpu.device import SimulatedGPU
 from repro.graph.dynamic_graph import DynamicGraph
-from repro.graph.partition import PARTITION_MODES
 from repro.memory import (
     FeatureCache,
     MemoryConfig,
@@ -57,7 +57,7 @@ from repro.serving.metrics import BatchRecord, RequestRecord, ServingMetrics, Se
 from repro.serving.session import InferenceSession
 from repro.serving.store import DeltaReport, IncrementalSnapshotStore
 from repro.telemetry.hooks import NULL_CALLBACK, TelemetryCallback
-from repro.utils.validation import check_choice, check_non_negative, check_positive
+from repro.utils.validation import check_non_negative, check_positive
 
 
 @dataclass(frozen=True)
@@ -107,33 +107,21 @@ class FleetConfig:
     num_shards: int = 1
     #: replicas active at start (and the scale-down floor)
     min_replicas: int = 1
-    #: scale-up ceiling; ``None`` means all provisioned shards
-    max_replicas: Optional[int] = None
     #: per-replica queue depth at which new requests are shed
     admission_limit: int = 32
     #: p99 latency target (milliseconds, simulated time) driving autoscale
     slo_p99_ms: float = 50.0
-    #: node-assignment strategy of the ownership plan (``"edges"``/``"nodes"``)
-    partition_mode: str = "edges"
 
     def __post_init__(self) -> None:
         check_positive("num_shards", self.num_shards)
         check_positive("min_replicas", self.min_replicas)
         check_positive("admission_limit", self.admission_limit)
         check_positive("slo_p99_ms", self.slo_p99_ms)
-        if not self.min_replicas <= self.replica_ceiling <= self.num_shards:
+        if self.min_replicas > self.num_shards:
             raise ValueError(
-                f"need min_replicas <= max_replicas <= num_shards, got "
-                f"min={self.min_replicas} max={self.replica_ceiling} "
+                f"need min_replicas <= num_shards, got min={self.min_replicas} "
                 f"shards={self.num_shards}"
             )
-        check_choice(
-            "partition_mode", self.partition_mode, PARTITION_MODES, "partition modes"
-        )
-
-    @property
-    def replica_ceiling(self) -> int:
-        return self.num_shards if self.max_replicas is None else self.max_replicas
 
 
 @dataclass(frozen=True)
@@ -337,7 +325,9 @@ class ServingScheduler(TraceReplay):
         self.hooks: TelemetryCallback = NULL_CALLBACK
         #: ``(op uid, bytes, seconds)`` of every halo gather, in issue order
         self.halo_gathers: List[Tuple[int, float, float]] = []
-        self._next_request_id = 0
+        #: request-id source; replicas of one engine share it, so their ids
+        #: are the engine's ids
+        self._request_ids = itertools.count()
         self._last_delta_op = None
 
     def _elapsed_seconds(self) -> float:
@@ -463,11 +453,10 @@ class ServingScheduler(TraceReplay):
                 f"[{ids.min()}, {ids.max()}]"
             )
         request = InferenceRequest(
-            request_id=self._next_request_id,
+            request_id=next(self._request_ids),
             node_ids=ids,
             arrival_time=at,
         )
-        self._next_request_id += 1
         self.batcher.submit(request)
         return request.request_id
 
@@ -608,6 +597,8 @@ def _build_serving_replicas(
 
     A graph gets a fresh store and names the reports after itself; a store
     passed in is shared as is, and the reports name the dataset ``serving``.
+    The replicas share one request-id counter, so a request's id is unique
+    across them and is the id the engine hands out.
     """
     config = config or ServingConfig()
     if isinstance(graph, IncrementalSnapshotStore):
@@ -616,7 +607,7 @@ def _build_serving_replicas(
     else:
         store = IncrementalSnapshotStore(graph, window=config.window)
         dataset = graph.name
-    return [
+    replicas = [
         ServingScheduler(
             model,
             store,
@@ -628,6 +619,10 @@ def _build_serving_replicas(
         )
         for _ in range(num_replicas)
     ]
+    request_ids = itertools.count()
+    for replica in replicas:
+        replica._request_ids = request_ids
+    return replicas
 
 
 def _build_serving_scheduler(

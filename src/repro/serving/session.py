@@ -34,6 +34,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.core.data_prep import DataPreparer, PartitionData
 from repro.core.parallel_gnn import ParallelAggregationProvider, PartitionKernels
@@ -126,12 +127,25 @@ class InferenceSession:
         return flops * 1e-9  # ~1 GFLOP/s conservative host estimate
 
     def _patched_rows(self, report: DeltaReport) -> np.ndarray:
-        """``(X[t] + A[t]·X) / (deg[t] + 1)`` of the head version's touched rows."""
+        """``(X[t] + A[t]·X) / (deg[t] + 1)`` of the head version's touched rows.
+
+        ``A[t]`` is a SciPy CSR of the touched rows alone, each row's entries
+        in their stored order, so the products are those of the whole
+        adjacency's rows without converting it.
+        """
         head = self.store.snapshot(report.version)
+        adjacency = head.adjacency
         touched = report.touched_rows
-        sub = head.adjacency.to_scipy()[touched] @ head.features
-        degree = head.adjacency.row_nnz()[touched].astype(np.float32)
-        return (head.features[touched] + sub) / (degree + 1.0)[:, None]
+        starts = adjacency.indptr[touched]
+        degree = adjacency.indptr[touched + 1] - starts
+        indptr = np.concatenate(([0], np.cumsum(degree)))
+        entries = np.repeat(starts - indptr[:-1], degree) + np.arange(indptr[-1])
+        rows = sp.csr_matrix(
+            (adjacency.data[entries], adjacency.indices[entries], indptr),
+            shape=(len(touched), adjacency.num_cols),
+        )
+        sub = rows @ head.features
+        return (head.features[touched] + sub) / (degree.astype(np.float32) + 1.0)[:, None]
 
     # ------------------------------------------------------------------ providers
     def partitions_for(self, s_per: int) -> List[PartitionData]:

@@ -27,9 +27,7 @@ from repro.telemetry.chrome_trace import (
     export_chrome_trace,
 )
 from repro.telemetry.hooks import (
-    CALLBACK_REGISTRY,
     CallbackList,
-    LoggingCallback,
     MetricsCallback,
     NULL_CALLBACK,
     TelemetryCallback,
@@ -47,14 +45,12 @@ from repro.telemetry.runtime import Telemetry
 from repro.telemetry.spans import SPAN_DOMAINS, Span, SpanTracer
 
 __all__ = [
-    "CALLBACK_REGISTRY",
     "CallbackList",
     "Counter",
     "EXPORTER_REGISTRY",
     "Gauge",
     "HISTOGRAM_PERCENTILES",
     "Histogram",
-    "LoggingCallback",
     "MetricsCallback",
     "MetricsRegistry",
     "NULL_CALLBACK",

@@ -6,9 +6,9 @@ emit lifecycle events — phases, epochs, frames, serving requests, batches
 and deltas — against the :class:`TelemetryCallback` interface, a null
 object whose methods are all no-ops, so the execution machinery never
 imports a tracer, a metrics registry or an exporter.  The engine attaches a
-:class:`CallbackList` fanning out to whichever sinks the run's
-``TelemetrySpec`` asked for; code paths that run outside the engine keep the
-default no-op callback and pay one virtual call per event.
+:class:`CallbackList` fanning out to the tracing and metrics sinks; code
+paths that run outside the engine keep the default no-op callback and pay
+one virtual call per event.
 
 Per-op facts (datapipe stages, feature-cache lookups, pipeline bubbles,
 collectives) are not hooks: they are tagged on the timeline ops that carry
@@ -111,14 +111,6 @@ for _name in HOOK_NAMES:
 
 
 # ---------------------------------------------------------------------- sinks
-#: registered callback kinds: name -> description.  ``TelemetrySpec.callbacks``
-#: is validated against these names; ``python -m repro list`` shows them.
-CALLBACK_REGISTRY: Dict[str, str] = {
-    "tracing": "feeds lifecycle spans into the span tracer (active by default)",
-    "metrics": "feeds live counters/histograms into the metrics registry (active by default)",
-    "logging": "prints one progress line per phase/epoch/delta",
-}
-
 #: phase name -> clock domain its spans live on (see telemetry.spans)
 _PHASE_DOMAINS: Dict[str, str] = {"prepare": "train", "train": "train", "serve": "serve"}
 
@@ -222,34 +214,9 @@ class MetricsCallback(TelemetryCallback):
         self.registry.counter("serving.rows_touched").inc(num_touched)
 
 
-class LoggingCallback(TelemetryCallback):
-    """Prints one progress line per coarse event (opt-in via the spec)."""
-
-    def on_phase_start(self, phase: str, at: float) -> None:
-        print(f"[telemetry] phase {phase} started @ {at * 1e3:.2f} ms")
-
-    def on_phase_end(self, phase: str, at: float) -> None:
-        print(f"[telemetry] phase {phase} finished @ {at * 1e3:.2f} ms")
-
-    def on_epoch_end(
-        self, epoch: int, metrics: "EpochMetrics", start: float, end: float
-    ) -> None:
-        print(
-            f"[telemetry] epoch {epoch}: {(end - start) * 1e3:.2f} ms simulated, "
-            f"loss {metrics.loss:.4f}"
-        )
-
-    def on_delta(self, version: int, num_touched: int, at: float) -> None:
-        print(
-            f"[telemetry] delta v{version}: {num_touched} rows @ {at * 1e3:.2f} ms"
-        )
-
-
 __all__ = [
-    "CALLBACK_REGISTRY",
     "CallbackList",
     "HOOK_NAMES",
-    "LoggingCallback",
     "MetricsCallback",
     "NULL_CALLBACK",
     "TelemetryCallback",

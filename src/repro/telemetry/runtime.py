@@ -1,7 +1,7 @@
 """The telemetry runtime: one object binding tracer, registry and hooks.
 
 :class:`Telemetry` is what the :class:`~repro.api.engine.Engine` owns per
-run.  It builds the callback fan-out a ``TelemetrySpec`` asks for and
+run.  It builds the callback fan-out (the tracing and metrics sinks) and
 attaches it to whatever machinery the spec resolved to (any trainer, the
 serving scheduler or every replica of a sharded engine).  Those hooks carry
 lifecycle events only.
@@ -31,13 +31,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.base import collect_artifacts
 from repro.telemetry.chrome_trace import TraceTrack, export_chrome_trace
-from repro.telemetry.hooks import (
-    CALLBACK_REGISTRY,
-    CallbackList,
-    LoggingCallback,
-    MetricsCallback,
-    TracingCallback,
-)
+from repro.telemetry.hooks import CallbackList, MetricsCallback, TracingCallback
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import Span, SpanTracer
 
@@ -123,18 +117,7 @@ def project_timelines(
 class Telemetry:
     """Tracer + registry + callback fan-out for one engine run."""
 
-    def __init__(
-        self,
-        *,
-        enabled: bool = True,
-        callbacks: Sequence[str] = (),
-    ) -> None:
-        unknown = set(callbacks) - set(CALLBACK_REGISTRY)
-        if unknown:
-            raise ValueError(
-                f"unknown telemetry callback(s) {sorted(unknown)}; "
-                f"valid: {', '.join(sorted(CALLBACK_REGISTRY))}"
-            )
+    def __init__(self, *, enabled: bool = True) -> None:
         self.enabled = enabled
         self.tracer = SpanTracer()
         self.registry = MetricsRegistry()
@@ -144,15 +127,13 @@ class Telemetry:
             # report's metrics snapshot are made of, so they are always on.
             self.hooks.add(TracingCallback(self.tracer))
             self.hooks.add(MetricsCallback(self.registry))
-            if "logging" in callbacks:
-                self.hooks.add(LoggingCallback())
 
     @classmethod
     def from_spec(cls, spec: Optional[Any]) -> "Telemetry":
         """Build from a ``TelemetrySpec`` (or None -> disabled)."""
         if spec is None:
             return cls(enabled=False)
-        return cls(enabled=spec.enabled, callbacks=spec.callbacks)
+        return cls(enabled=spec.enabled)
 
     # ------------------------------------------------------------------ attachment
     def attach_trainer(self, trainer: Any) -> None:

@@ -87,30 +87,30 @@ class TestEngineSanitize:
         with pytest.raises(AnalysisError, match="seeded violation"):
             Engine.from_spec(spec).run()
 
-    def test_fail_on_violation_false_keeps_the_report(self, failing_check):
+    def test_failed_run_exports_the_report_and_raises_with_it(
+        self, failing_check, tmp_path
+    ):
+        report_path = tmp_path / "report.json"
         spec = quick_spec(
-            analysis={
-                "enabled": True,
-                "checks": [failing_check],
-                "fail_on_violation": False,
-            }
+            analysis={"enabled": True, "checks": [failing_check]},
+            telemetry={"enabled": True, "report_path": str(report_path)},
         )
-        report = Engine.from_spec(spec).run()
-        assert report.extras["analysis"]["num_errors"] == 1
+        with pytest.raises(AnalysisError) as failure:
+            Engine.from_spec(spec).run()
+        assert len(failure.value.report.errors) == 1
+        saved = RunReport.from_json(report_path.read_text())
+        assert saved.extras["analysis"]["num_errors"] == 1
 
     def test_violations_export_as_trace_instant_events(
         self, failing_check, tmp_path
     ):
         trace_path = tmp_path / "trace.json"
         spec = quick_spec(
-            analysis={
-                "enabled": True,
-                "checks": [failing_check],
-                "fail_on_violation": False,
-            },
+            analysis={"enabled": True, "checks": [failing_check]},
             telemetry={"enabled": True, "trace_path": str(trace_path)},
         )
-        Engine.from_spec(spec).run()
+        with pytest.raises(AnalysisError):
+            Engine.from_spec(spec).run()
         document = json.loads(trace_path.read_text())
         instants = [
             e for e in document["traceEvents"] if e.get("cat") == "violation"

@@ -114,7 +114,6 @@ class TestAnalysisSpec:
     def test_defaults(self):
         spec = AnalysisSpec()
         assert not spec.enabled and spec.checks == ()
-        assert spec.fail_on_violation
 
     def test_checks_coerce_to_tuple(self):
         spec = AnalysisSpec.from_dict({"checks": ["hb-race"]})

@@ -29,7 +29,7 @@ class TestList:
         for section in ("datasets:", "models:", "methods:", "device_kinds:",
                         "serving_kinds:", "datapipe_stages:",
                         "experiments:", "presets:",
-                        "telemetry_callbacks:", "telemetry_exporters:"):
+                        "telemetry_exporters:"):
             assert section in out
         assert "pipad" in out
         assert "covid19_england" in out
@@ -40,7 +40,6 @@ class TestList:
         assert "sharded" in catalogue["serving_kinds"]
         assert "quick" in catalogue["presets"]
         assert "table1" in catalogue["experiments"]
-        assert "logging" in catalogue["telemetry_callbacks"]
         assert "chrome-trace" in catalogue["telemetry_exporters"]
         # The one stage chain, in execution order.
         assert list(catalogue["datapipe_stages"]) == ["slice", "gather", "pin", "h2d"]
@@ -159,7 +158,7 @@ class TestSetCoercion:
             ("serving.enable_reuse=nope", "ServingSpec.enable_reuse"),
             ("pipad.use_sliced_csr=nope", "PiPADConfig.use_sliced_csr"),
             ('telemetry.enabled="false"', "TelemetrySpec.enabled"),
-            ("analysis.fail_on_violation=0", "AnalysisSpec.fail_on_violation"),
+            ("analysis.enabled=0", "AnalysisSpec.enabled"),
         ],
     )
     def test_bool_field_rejects_non_bool(self, override, field, capsys):
@@ -220,16 +219,34 @@ class TestSetCoercion:
             [
                 "telemetry.enabled=False",
                 "telemetry.trace_path=out.json",
-                'telemetry.callbacks=["logging"]',
             ],
         )
         assert spec.telemetry.enabled is False
         assert spec.telemetry.trace_path == "out.json"
-        assert spec.telemetry.callbacks == ("logging",)
 
-    def test_unknown_telemetry_callback_rejected(self):
-        with pytest.raises(ValueError, match="unknown telemetry callback"):
-            load_spec("quick", ['telemetry.callbacks=["prometheus"]'])
+    @pytest.mark.parametrize(
+        "override, section",
+        [
+            ("memory.policy=lru", "MemoryConfig"),
+            ("memory.gpu_budget_fraction=0.5", "MemoryConfig"),
+            ("memory.spill_budget_mb=null", "MemoryConfig"),
+            ("device.partition_mode=edges", "DeviceSpec"),
+            ("serving.partition_mode=edges", "ServingSpec"),
+            ("serving.max_replicas=null", "ServingSpec"),
+            ("telemetry.callbacks=[]", "TelemetrySpec"),
+            ("analysis.fail_on_violation=true", "AnalysisSpec"),
+        ],
+    )
+    def test_removed_key_fails_and_names_it(self, override, section, capsys):
+        """A spec written for a removed setting fails loudly, even at the
+        setting's old default, instead of being ignored."""
+        key = override.split("=")[0].split(".")[-1]
+        message = f"unknown {section} key(s) ['{key}']"
+        with pytest.raises(ValueError) as failure:
+            load_spec("fleet-serving", [override])
+        assert message in str(failure.value)
+        assert main(["check", "fleet-serving", "--set", override]) == 2
+        assert message in capsys.readouterr().err
 
     def test_data_section_coerces_from_dotted_keys(self):
         """The quick preset has no data section; dotted overrides must

@@ -58,14 +58,11 @@ class TestTrainerDispatch:
     def test_group_device_settings_reach_trainer(self):
         spec = RunSpec(
             method="pipad",
-            device=DeviceSpec(
-                kind="group", num_devices=3, interconnect="pcie", partition_mode="nodes"
-            ),
+            device=DeviceSpec(kind="group", num_devices=3, interconnect="pcie"),
             **_QUICK,
         )
         trainer = Engine.from_spec(spec).trainer
         assert trainer.group_config.interconnect == "pcie"
-        assert trainer.group_config.partition_mode == "nodes"
         assert len(trainer.group.devices) == 3
 
     def test_pipeline_device_resolves_pipeline_trainer(self):
@@ -139,8 +136,7 @@ class TestServingDispatch:
             serving=ServingSpec(
                 kind="fleet",
                 num_shards=4,
-                min_replicas=1,
-                max_replicas=3,
+                min_replicas=3,
                 max_batch_requests=5,
                 admission_limit=5,
                 slo_p99_ms=7.5,
@@ -150,7 +146,7 @@ class TestServingDispatch:
         fleet = Engine.from_spec(spec).serving_engine
         assert fleet.fleet_config.admission_limit == 5
         assert fleet.fleet_config.slo_p99_ms == 7.5
-        assert fleet.fleet_config.replica_ceiling == 3
+        assert fleet.active_replicas == 3
 
     def test_serving_without_section_raises(self):
         engine = Engine.from_spec(RunSpec(**_QUICK))

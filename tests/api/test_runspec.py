@@ -54,18 +54,16 @@ class TestRoundTrip:
                 kind="fleet",
                 num_shards=4,
                 min_replicas=2,
-                max_replicas=3,
                 max_batch_requests=8,
                 admission_limit=8,
                 slo_p99_ms=1.5,
-                partition_mode="nodes",
                 trace=TraceSpec(num_events=40, seed=3),
             ),
         )
         restored = RunSpec.from_json(spec.to_json())
         assert restored == spec
-        assert restored.serving.max_replicas == 3
-        assert restored.serving.partition_mode == "nodes"
+        assert restored.serving.min_replicas == 2
+        assert restored.serving.slo_p99_ms == 1.5
 
     def test_to_dict_is_plain_json_data(self):
         spec = RunSpec(dataset="pems08", serving=ServingSpec())
@@ -259,15 +257,9 @@ class TestValidation:
         with pytest.raises(ValueError, match="requires num_shards>=2"):
             ServingSpec(kind="fleet", num_shards=1)
 
-    def test_fleet_replica_bounds_ordered(self):
-        with pytest.raises(ValueError, match="min_replicas <= max_replicas"):
+    def test_fleet_replica_floor_within_shards(self):
+        with pytest.raises(ValueError, match="min_replicas <= num_shards"):
             ServingSpec(kind="fleet", num_shards=2, min_replicas=3)
-        with pytest.raises(ValueError, match="min_replicas <= max_replicas"):
-            ServingSpec(kind="fleet", num_shards=4, max_replicas=5)
-
-    def test_fleet_unknown_partition_mode(self):
-        with pytest.raises(ValueError, match="unknown partition_mode"):
-            ServingSpec(kind="fleet", num_shards=2, partition_mode="metis")
 
     def test_fleet_admission_limit_positive(self):
         with pytest.raises(ValueError, match="admission_limit"):
@@ -358,15 +350,12 @@ class TestSectionsAreConfigs:
             max_batch_requests=4,
             admission_limit=6,
             slo_p99_ms=3.0,
-            partition_mode="nodes",
         )
         assert isinstance(cfg, FleetConfig)
         assert cfg.num_shards == 4
         assert cfg.min_replicas == 2
         assert cfg.admission_limit == 6
         assert cfg.slo_p99_ms == 3.0
-        assert cfg.partition_mode == "nodes"
-        assert cfg.replica_ceiling == 4
 
     def test_data_spec_is_a_pipe_config(self):
         from repro.core.datapipe import DataPipeConfig
@@ -391,11 +380,10 @@ class TestSectionsAreConfigs:
             "dataset": "flickr",
             "pipad": {"fixed_s_per": 2},
             "device": {"kind": "pipeline", "num_devices": 4, "interconnect": "nvlink",
-                       "partition_mode": "edges", "schedule": "round_robin"},
+                       "schedule": "round_robin"},
             "data": {"pipeline": "staged", "prefetch_depth": 2, "pin_memory": True},
-            "memory": {"feature_cache": True, "policy": "lru", "gpu_budget_fraction": 0.5,
-                       "gpu_budget_mb": 2048.0, "pinned_budget_mb": 1024.0,
-                       "spill_budget_mb": None, "block_rows": 64},
+            "memory": {"feature_cache": True, "gpu_budget_mb": 2048.0,
+                       "pinned_budget_mb": 1024.0, "block_rows": 64},
         }
         report = RunReport.from_dict(
             {"spec": old, "training": None, "serving": None, "metrics": {}, "extras": {}}

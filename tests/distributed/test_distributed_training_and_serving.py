@@ -188,12 +188,13 @@ class TestShardedServing:
         # Every replica absorbed every delta: caches and counters follow.
         assert [r.metrics.deltas_ingested for r in engine.replicas] == [len(deltas)] * 3
 
-    def test_routing_is_recorded(self, small_graph):
+    def test_routing_is_round_robin(self, small_graph):
         engine = self.make_engine(small_graph, 2)
         first = engine.submit([0, 1], at=0.0)
         second = engine.submit([2], at=0.0)
-        assert engine._routes[first][0] == 0
-        assert engine._routes[second][0] == 1
+        engine.pump(0.0, force=True)
+        served = [[r.request_id for r in replica.metrics.requests] for replica in engine.replicas]
+        assert served == [[first], [second]]
 
     def test_pump_results_keyed_by_global_request_ids(self, small_graph):
         """Regression: shard-local ids collide across shards; the ids submit
@@ -214,14 +215,17 @@ class TestShardedServing:
             r.batch_id for r in results
         }
 
-    def test_direct_replica_submit_rejected_at_pump(self, small_graph):
-        """Regression: unmapped shard-local ids used to fall back to the raw
-        local id, colliding with issued global ids."""
+    def test_replicas_draw_ids_from_one_counter(self, small_graph):
+        """Even a request submitted to a replica directly gets an id no
+        other replica holds."""
         engine = self.make_engine(small_graph, 2)
-        engine.submit([0], at=0.0)
-        engine.replicas[0].submit([1], at=0.0)  # bypasses the engine
-        with pytest.raises(KeyError, match="submitted through"):
-            engine.pump(0.0, force=True)
+        first = engine.submit([0], at=0.0)
+        direct = engine.replicas[0].submit([1], at=0.0)
+        last = engine.submit([2], at=0.0)
+        assert (first, direct, last) == (0, 1, 2)
+        results = engine.pump(0.0, force=True)
+        predicted = [rid for result in results for rid in result.predictions]
+        assert sorted(predicted) == [0, 1, 2]
 
     def test_merged_breakdown_does_not_sum_makespans(self, small_graph):
         """Regression: summing K shard makespans ~Kx-inflated the clock."""

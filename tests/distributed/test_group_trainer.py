@@ -33,10 +33,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="interconnect 'bogus'.*nvlink"):
             config_cls(interconnect="bogus")
 
-    def test_unknown_partition_mode_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="partition_mode 'bogus'.*edges"):
-            GroupConfig(partition_mode="bogus")
-
 
 class TestOneDeviceGroup:
     @pytest.mark.parametrize(

@@ -17,13 +17,8 @@ class TestPlan:
             assert np.all(np.diff(plan) >= 1)
             assert len(plan) == devices + 1
 
-    def test_node_mode_gives_uniform_ranges(self, small_graph):
-        plan = GraphPartitioner(4, mode="nodes").plan(small_graph.snapshots)
-        sizes = np.diff(plan)
-        assert sizes.max() - sizes.min() <= 1
-
-    def test_edge_mode_balances_edge_mass(self, small_graph):
-        partitioner = GraphPartitioner(3, mode="edges")
+    def test_plan_balances_edge_mass(self, small_graph):
+        partitioner = GraphPartitioner(3)
         plan = partitioner.plan(small_graph.snapshots, node_weight=0.0)
         fractions = partitioner.edge_fractions(small_graph.snapshots, plan)
         # Contiguous ranges cannot be perfect, but no shard should be wild.
@@ -32,10 +27,6 @@ class TestPlan:
     def test_rejects_more_devices_than_nodes(self, small_graph):
         with pytest.raises(ValueError):
             GraphPartitioner(small_graph.num_nodes + 1).plan(small_graph.snapshots)
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            GraphPartitioner(2, mode="hash")
 
 
 class TestShards:
@@ -86,7 +77,7 @@ class TestShards:
         snapshot = GraphSnapshot(
             adjacency=adjacency, features=np.zeros((4, 2), dtype=np.float32)
         )
-        shard = GraphPartitioner(2, mode="nodes").shard_snapshot(
+        shard = GraphPartitioner(2).shard_snapshot(
             snapshot, np.array([0, 2, 4])
         )[0]
         assert shard.halo_nodes.tolist() == [3]

@@ -1,4 +1,4 @@
-"""FeatureCache semantics: tier cascade, demotion, invalidation."""
+"""FeatureCache semantics: LRU order, tier cascade, demotion, invalidation."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from repro.memory import (
     TIER_GPU,
     TIER_PINNED,
     TIER_SPILL,
+    CacheTier,
     FeatureCache,
     aggregate_cache_stats,
     blocks_covering,
@@ -17,13 +18,36 @@ from repro.memory import (
 )
 
 
-def make_cache(gpu=100, pinned=100, spill=None, policy="lru"):
-    return FeatureCache(
-        gpu_budget_bytes=gpu,
-        pinned_budget_bytes=pinned,
-        spill_budget_bytes=spill,
-        policy=policy,
-    )
+def make_cache(gpu=100, pinned=100):
+    return FeatureCache(gpu_budget_bytes=gpu, pinned_budget_bytes=pinned)
+
+
+class TestLRUOrder:
+    def test_victim_is_the_oldest_admission(self):
+        tier = CacheTier("t", 100)
+        for key in "abc":
+            tier.admit(key, 10.0)
+        assert tier.victim() == "a"
+        tier.touch("a")  # now b is the least recently used
+        assert tier.victim() == "b"
+
+    def test_admission_after_an_access_goes_last(self):
+        tier = CacheTier("t", 100)
+        tier.admit("a", 10.0)
+        tier.admit("b", 10.0)
+        tier.touch("a")
+        tier.admit("c", 10.0)
+        assert list(tier.entries) == ["b", "a", "c"]
+
+    def test_remove_and_clear(self):
+        tier = CacheTier("t", None)
+        for key in "abc":
+            tier.admit(key, 10.0)
+        assert tier.remove("a") == 10.0
+        assert tier.victim() == "b"
+        tier.clear()
+        assert tier.victim() is None
+        assert tier.used_bytes == 0.0
 
 
 class TestAccessAndAdmission:
@@ -66,13 +90,12 @@ class TestAccessAndAdmission:
         assert stats["feature_cache_evictions"] == 1
         assert stats["feature_cache_demotions"] == 1
 
-    def test_block_larger_than_every_bounded_tier_stays_uncached(self):
-        cache = make_cache(gpu=10, pinned=10, spill=10)
+    def test_block_larger_than_the_bounded_tiers_spills(self):
+        cache = make_cache(gpu=10, pinned=10)
         plan = cache.access([("huge", 50.0)])
         assert plan.misses == 1
-        assert "huge" not in cache
-        # A second access misses again — the block never became resident.
-        assert cache.access([("huge", 50.0)]).misses == 1
+        assert cache.tier_of("huge") == TIER_SPILL
+        assert cache.access([("huge", 50.0)]).spill_hits == 1
 
     def test_zero_capacity_gpu_tier_sends_everything_down(self):
         """Satellite: a 0-byte GPU budget degrades to pinned+spill cleanly."""
@@ -88,10 +111,10 @@ class TestAccessAndAdmission:
         plan = cache.access([(k, 40.0) for k in "abcd"])
         assert plan.pinned_hits + plan.spill_hits == 4
 
-    def test_clock_policy_spares_hot_blocks(self):
-        cache = make_cache(gpu=100, pinned=0, policy="clock")
+    def test_access_spares_recently_used_blocks(self):
+        cache = make_cache(gpu=100, pinned=0)
         cache.access([("hot", 50.0), ("cold", 50.0)])
-        cache.access([("hot", 50.0)])  # sets hot's reference bit
+        cache.access([("hot", 50.0)])  # hot becomes most recently used
         cache.access([("new", 50.0)])  # evicts cold, not hot
         assert cache.tier_of("hot") == TIER_GPU
         assert cache.tier_of("cold") == TIER_SPILL
@@ -126,19 +149,12 @@ class TestInvalidate:
     ),
     gpu=st.integers(min_value=0, max_value=120),
     pinned=st.integers(min_value=0, max_value=120),
-    spill=st.one_of(st.none(), st.integers(min_value=0, max_value=120)),
-    policy=st.sampled_from(["lru", "clock"]),
 )
-def test_tiers_stay_within_budget(ops, gpu, pinned, spill, policy):
+def test_tiers_stay_within_budget(ops, gpu, pinned):
     """Property: whatever interleaving of accesses and invalidations the
     cache sees, each block lives in at most one tier and no tier holds more
     bytes than its budget."""
-    cache = FeatureCache(
-        gpu_budget_bytes=gpu,
-        pinned_budget_bytes=pinned,
-        spill_budget_bytes=spill,
-        policy=policy,
-    )
+    cache = make_cache(gpu=gpu, pinned=pinned)
     for op, block in ops:
         key = f"k{block}"
         if op == "access":

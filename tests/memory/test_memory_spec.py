@@ -16,23 +16,12 @@ class TestValidation:
     def test_defaults_are_off(self):
         spec = MemoryConfig()
         assert spec.feature_cache is False
-        assert spec.policy == "lru"
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="cache policy"):
-            MemoryConfig(policy="arc")
-
-    def test_fraction_bounds(self):
-        with pytest.raises(ValueError, match="gpu_budget_fraction"):
-            MemoryConfig(gpu_budget_fraction=1.5)
 
     def test_negative_budgets_rejected(self):
         with pytest.raises(ValueError, match="gpu_budget_mb"):
             MemoryConfig(gpu_budget_mb=-1.0)
         with pytest.raises(ValueError, match="pinned_budget_mb"):
             MemoryConfig(pinned_budget_mb=-1.0)
-        with pytest.raises(ValueError, match="spill_budget_mb"):
-            MemoryConfig(spill_budget_mb=-1.0)
 
     @pytest.mark.parametrize("budget_mb", [16384.0, 20000.0])
     def test_gpu_budget_as_large_as_hbm_rejected(self, budget_mb):
@@ -62,11 +51,11 @@ class TestRunSpecPlumbing:
     def test_json_round_trip_with_memory(self):
         spec = RunSpec(
             dataset="flickr",
-            memory=MemoryConfig(feature_cache=True, policy="clock", block_rows=32),
+            memory=MemoryConfig(feature_cache=True, gpu_budget_mb=64.0, block_rows=32),
         )
         restored = RunSpec.from_json(spec.to_json())
         assert restored == spec
-        assert restored.memory.policy == "clock"
+        assert restored.memory.gpu_budget_mb == 64.0
 
     def test_mapping_coercion(self):
         spec = RunSpec.from_dict(
@@ -87,13 +76,11 @@ class TestCliOverrides:
             "quick",
             [
                 "memory.feature_cache=true",
-                "memory.policy=clock",
                 "memory.gpu_budget_mb=64",
                 "memory.block_rows=32",
             ],
         )
         assert spec.memory.feature_cache is True
-        assert spec.memory.policy == "clock"
         assert spec.memory.gpu_budget_mb == 64
         assert spec.memory.block_rows == 32
 
@@ -111,17 +98,11 @@ class TestBudgetDerivation:
     def test_budget_subtracts_reservations(self):
         gpu = GPUSpec()
         budget = feature_cache_budget_bytes(
-            gpu, model_bytes=1024**3, activation_bytes=1024**3, fraction=0.5
+            gpu, model_bytes=1024**3, activation_bytes=1024**3
         )
         expected = int((gpu.memory_bytes * 0.9 - 2 * 1024**3) * 0.5)
         assert budget == expected
 
     def test_budget_floors_at_zero(self):
         gpu = GPUSpec()
-        assert (
-            feature_cache_budget_bytes(gpu, activation_bytes=1e18, fraction=0.5) == 0
-        )
-
-    def test_budget_rejects_bad_fraction(self):
-        with pytest.raises(ValueError):
-            feature_cache_budget_bytes(GPUSpec(), fraction=1.5)
+        assert feature_cache_budget_bytes(gpu, activation_bytes=1e18) == 0

@@ -12,6 +12,7 @@ import pytest
 from repro.api import Engine, RunSpec, ServingSpec, TraceSpec
 from repro.gpu import SimulatedGPU
 from repro.core import ReuseManager
+from repro.graph import CSRMatrix
 from repro.serving import GraphDelta, random_delta, synthesize_serving_trace
 
 
@@ -38,6 +39,37 @@ class TestInferenceSession:
         np.testing.assert_allclose(
             patched, reference_aggregation(store.head), rtol=1e-5, atol=1e-6
         )
+
+    def test_patch_converts_only_the_touched_rows(self, make_serving_engine, monkeypatch):
+        """Patching a delta converts no whole adjacency to SciPy, and its rows
+        are bit-identical to those of the whole head adjacency's SciPy CSR."""
+        engine = make_serving_engine()
+        session, store = engine.session, engine.store
+        session.predict(np.arange(4), s_per=2)
+        rng = np.random.default_rng(2)
+        delta, _ = random_delta(
+            store.head.adjacency.edge_keys(), store.num_nodes, rng,
+            feature_dim=store.feature_dim,
+        )
+        report = store.apply(delta)
+        assert report.num_touched > 0
+        conversions = []
+        to_scipy = CSRMatrix.to_scipy
+
+        def counting_to_scipy(matrix):
+            conversions.append(matrix.shape)
+            return to_scipy(matrix)
+
+        monkeypatch.setattr(CSRMatrix, "to_scipy", counting_to_scipy)
+        session.refresh(report)
+        assert conversions == []
+        monkeypatch.undo()
+        head, touched = store.snapshot(report.version), report.touched_rows
+        whole = head.adjacency.to_scipy()[touched] @ head.features
+        degree = head.adjacency.row_nnz()[touched].astype(np.float32)
+        expected = (head.features[touched] + whole) / (degree + 1.0)[:, None]
+        patched = session.reuse.peek(report.version)[touched]
+        assert patched.tobytes() == expected.tobytes()
 
     def test_refresh_invalidates_evicted_version(self, make_serving_engine):
         engine = make_serving_engine()

@@ -6,8 +6,8 @@ import pytest
 
 from repro.api import Engine
 from repro.telemetry import (
-    CALLBACK_REGISTRY,
     CallbackList,
+    MetricsCallback,
     MetricsRegistry,
     SpanTracer,
     Telemetry,
@@ -99,12 +99,9 @@ class TestCallbackList:
 
 
 class TestTelemetryRuntime:
-    def test_unknown_callback_name_rejected(self):
-        with pytest.raises(ValueError):
-            Telemetry(callbacks=("nope",))
-
-    def test_known_names_match_registry(self):
-        Telemetry(callbacks=tuple(CALLBACK_REGISTRY))  # does not raise
+    def test_enabled_runtime_fans_out_to_tracing_and_metrics(self):
+        sinks = [type(sink) for sink in Telemetry().hooks]
+        assert sinks == [TracingCallback, MetricsCallback]
 
     def test_disabled_telemetry_collects_nothing(self):
         tel = Telemetry(enabled=False)
@@ -157,3 +154,22 @@ class TestServingDeltaHook:
         spans = [e["name"] for e in doc["traceEvents"] if e.get("cat") == "delta"]
         assert len(spans) == len(set(spans)) == deltas
         assert all(name.startswith("delta_v") for name in spans)
+
+
+class TestServingRequestSpans:
+    """Replicas of one engine draw request ids from one counter, so every
+    request span of a sharded or fleet trace has its own name, and the names
+    are the report's request ids."""
+
+    @pytest.mark.parametrize("preset", ["sharded-serving", "fleet-serving"])
+    def test_request_span_names_are_the_report_ids(self, preset, tmp_path):
+        from repro.api.cli import load_spec
+
+        engine = Engine.from_spec(load_spec(preset, ["serving.trace.num_events=60"]))
+        report = engine.serve()
+        doc = engine.export_trace(tmp_path / "serve.json")
+        names = [e["name"] for e in doc["traceEvents"] if e.get("cat") == "request"]
+        ids = [record.request_id for record in report.metrics.requests]
+        assert len(ids) == len(set(ids)) > 0
+        assert len(names) == len(set(names))
+        assert set(names) == {f"request_{request_id}" for request_id in ids}
