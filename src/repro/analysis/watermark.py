@@ -109,7 +109,7 @@ def check_memory_watermark(
                     )
                 )
         budget = cache.tiers["pinned"].capacity_bytes
-        if budget is not None and _over(cache.peak_pinned_bytes, float(budget)):
+        if _over(cache.peak_pinned_bytes, float(budget)):
             violations.append(
                 Violation(
                     check="memory-watermark",

@@ -371,9 +371,8 @@ class Prefetcher:
         acquire: Dict[str, object] = {
             "pinned_acquire_bytes": charged,
             "pinned_tier_used_bytes": tier.used_bytes,
+            "pinned_budget_bytes": float(tier.capacity_bytes),
         }
-        if tier.capacity_bytes is not None:
-            acquire["pinned_budget_bytes"] = float(tier.capacity_bytes)
         timeline = self.device.timeline
         timeline.annotate(pin_op, **acquire)
         timeline.annotate(transfer, pinned_release_bytes=charged)

@@ -278,14 +278,11 @@ class FeatureCache:
         if nbytes <= 0:
             return 0.0
         tier = self.tiers[TIER_PINNED]
-        if tier.capacity_bytes is not None:
-            nbytes = min(nbytes, float(tier.capacity_bytes))
+        nbytes = min(nbytes, float(tier.capacity_bytes))
         self._make_room(TIER_PINNED, nbytes)
-        if tier.capacity_bytes is not None:
-            nbytes = min(
-                nbytes,
-                max(0.0, tier.capacity_bytes - tier.used_bytes - tier.reserved_bytes),
-            )
+        nbytes = min(
+            nbytes, max(0.0, tier.capacity_bytes - tier.used_bytes - tier.reserved_bytes)
+        )
         tier.reserved_bytes += nbytes
         self._note_pinned_peak()
         return nbytes
