@@ -24,6 +24,15 @@ class TestPlan:
         # Contiguous ranges cannot be perfect, but no shard should be wild.
         assert fractions.max() < 0.6
 
+    def test_node_dominated_plan_gives_uniform_ranges(self, small_graph):
+        plan = GraphPartitioner(4).plan(small_graph.snapshots, node_weight=1e9)
+        sizes = np.diff(plan)
+        assert sizes.max() - sizes.min() <= 1
+
+    def test_rejects_negative_node_weight(self, small_graph):
+        with pytest.raises(ValueError, match="node_weight"):
+            GraphPartitioner(2).plan(small_graph.snapshots, node_weight=-1.0)
+
     def test_rejects_more_devices_than_nodes(self, small_graph):
         with pytest.raises(ValueError):
             GraphPartitioner(small_graph.num_nodes + 1).plan(small_graph.snapshots)

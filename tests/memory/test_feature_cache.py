@@ -49,6 +49,19 @@ class TestLRUOrder:
         assert tier.victim() is None
         assert tier.used_bytes == 0.0
 
+    def test_unbounded_tier_always_has_room(self):
+        tier = CacheTier("t", None)
+        tier.admit("a", 1e12)
+        assert tier.fits(1e18) and tier.has_room(1e18)
+
+    def test_staging_reservation_counts_against_room(self):
+        tier = CacheTier("t", 100)
+        tier.admit("a", 40.0)
+        tier.reserved_bytes = 50.0
+        assert tier.has_room(10.0)
+        assert not tier.has_room(11.0)
+        assert tier.fits(100.0)  # capacity, not what is free, bounds a block
+
 
 class TestAccessAndAdmission:
     def test_miss_admits_into_gpu_tier_first(self):
@@ -96,6 +109,14 @@ class TestAccessAndAdmission:
         assert plan.misses == 1
         assert cache.tier_of("huge") == TIER_SPILL
         assert cache.access([("huge", 50.0)]).spill_hits == 1
+
+    def test_spill_tier_keeps_every_demoted_block(self):
+        cache = make_cache(gpu=10, pinned=10)
+        blocks = [(f"b{k}", 10.0) for k in range(20)]
+        assert cache.access(blocks).misses == 20
+        assert cache.tiers[TIER_SPILL].used_bytes == 180.0
+        assert all(key in cache for key, _ in blocks)
+        assert cache.access(blocks).misses == 0
 
     def test_zero_capacity_gpu_tier_sends_everything_down(self):
         """Satellite: a 0-byte GPU budget degrades to pinned+spill cleanly."""

@@ -1,15 +1,25 @@
-"""The memory section (a ``MemoryConfig``): validation, serialization and
-CLI override coercion."""
+"""The memory section (a ``MemoryConfig``): validation, serialization, CLI
+override coercion, and the tier budgets it gives a device's cache."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from repro.api import RunSpec
 from repro.api.cli import load_spec
 from repro.gpu.memory_model import feature_cache_budget_bytes
+from repro.gpu.device import SimulatedGPU
 from repro.gpu.spec import GPUSpec
-from repro.memory import MemoryConfig
+from repro.memory import (
+    TIER_GPU,
+    TIER_PINNED,
+    TIER_SPILL,
+    MemoryConfig,
+    build_feature_cache,
+)
 
 
 class TestValidation:
@@ -106,3 +116,61 @@ class TestBudgetDerivation:
     def test_budget_floors_at_zero(self):
         gpu = GPUSpec()
         assert feature_cache_budget_bytes(gpu, activation_bytes=1e18) == 0
+
+
+class TestBuildFeatureCache:
+    """``build_feature_cache`` sizes one device's tiers from a ``MemoryConfig``."""
+
+    MIB = 1024 * 1024
+
+    @staticmethod
+    def build(memory, device=None, *, model_bytes=0, activation_bytes=0.0):
+        parameters = [SimpleNamespace(data=np.zeros(model_bytes, dtype=np.uint8))]
+        return build_feature_cache(
+            device or SimulatedGPU(),
+            memory,
+            feature_bytes=1024.0,
+            feature_set="features",
+            parameters=parameters,
+            activation_bytes=activation_bytes,
+        )
+
+    def test_cache_off_builds_nothing(self):
+        device = SimulatedGPU()
+        assert self.build(MemoryConfig(), device) is None
+        assert device.allocated_bytes == 0
+
+    def test_gpu_budget_mb_sizes_the_gpu_tier_and_holds_hbm(self):
+        device = SimulatedGPU()
+        cache = self.build(MemoryConfig(feature_cache=True, gpu_budget_mb=64.0), device)
+        assert cache.tiers[TIER_GPU].capacity_bytes == 64 * self.MIB
+        assert device.allocated_bytes == 64 * self.MIB
+
+    def test_unset_gpu_budget_takes_half_of_the_spare_hbm(self):
+        device = SimulatedGPU()
+        cache = self.build(
+            MemoryConfig(feature_cache=True),
+            device,
+            model_bytes=4096,
+            activation_bytes=1024.0**3,
+        )
+        expected = feature_cache_budget_bytes(
+            device.spec, model_bytes=4096, activation_bytes=1024.0**3
+        )
+        assert cache.tiers[TIER_GPU].capacity_bytes == expected
+        assert expected == int((device.spec.memory_bytes * 0.9 - 4096 - 1024**3) * 0.5)
+
+    def test_pinned_budget_sized_and_spill_unbounded(self):
+        cache = self.build(
+            MemoryConfig(feature_cache=True, gpu_budget_mb=1.0, pinned_budget_mb=8.0)
+        )
+        assert cache.tiers[TIER_PINNED].capacity_bytes == 8 * self.MIB
+        assert cache.tiers[TIER_SPILL].capacity_bytes is None
+
+    def test_over_committed_device_gets_no_gpu_tier(self):
+        device = SimulatedGPU()
+        cache = self.build(
+            MemoryConfig(feature_cache=True), device, activation_bytes=1e18
+        )
+        assert cache.tiers[TIER_GPU].capacity_bytes == 0
+        assert device.allocated_bytes == 0
