@@ -26,7 +26,7 @@ Sub-packages
   group with ring collectives, data-parallel trainer and sharded serving.
 - :mod:`repro.experiments` — one module per paper table/figure, plus ``CLAIMS``.
 - :mod:`repro.telemetry` — observability: span tracing, Chrome-trace export,
-  the unified metrics registry and the callback/hook layer.
+  the training hooks and the metrics and spans projected from run records.
 - :mod:`repro.api` — the unified entry layer: declarative ``RunSpec``,
   the ``Engine`` façade and the ``python -m repro`` CLI.
 
@@ -107,6 +107,7 @@ _LAZY_EXPORTS = {
     # serving
     "BatchRecord": "repro.serving",
     "BatchResult": "repro.serving",
+    "DeltaRecord": "repro.serving",
     "DeltaReport": "repro.serving",
     "GraphDelta": "repro.serving",
     "IncrementalSnapshotStore": "repro.serving",
@@ -125,7 +126,6 @@ _LAZY_EXPORTS = {
     "synthesize_serving_trace": "repro.serving",
     # telemetry
     "EXPORTER_REGISTRY": "repro.telemetry",
-    "MetricsRegistry": "repro.telemetry",
     "SpanTracer": "repro.telemetry",
     "Telemetry": "repro.telemetry",
     "TelemetryCallback": "repro.telemetry",

@@ -46,8 +46,8 @@ class RunReport:
     spec: RunSpec
     training: Optional[TrainingResult] = None
     serving: Optional[ServingReport] = None
-    #: flat telemetry snapshot (``MetricsRegistry.snapshot()``); empty when
-    #: the run's telemetry is disabled
+    #: flat metrics snapshot projected from the run's records
+    #: (``Telemetry.collect``); empty when the run's telemetry is disabled
     metrics: Dict[str, float] = field(default_factory=dict)
     #: structured side-channels keyed by producer (``"analysis"`` holds the
     #: sanitizer's :class:`~repro.analysis.base.AnalysisReport` as plain data)
@@ -246,7 +246,6 @@ class Engine:
             self._serving_engine = registries.build_serving(
                 self.spec, self.graph, self.model
             )
-            self.telemetry.attach_serving(self._serving_engine)
         return self._serving_engine
 
     # ------------------------------------------------------------------ lifecycle
@@ -377,6 +376,7 @@ class Engine:
             path,
             trainer=self._trainer,
             serving_engine=self._serving_engine,
+            serving=self._serving_report,
             metadata={
                 "dataset": self.spec.dataset,
                 "model": self.spec.model,

@@ -33,7 +33,7 @@ import numpy as np
 from repro.baselines.base import DGNNTrainerBase, TrainerConfig
 from repro.baselines.results import EpochMetrics
 from repro.core.config import PiPADConfig
-from repro.core.data_prep import PartitionData
+from repro.core.data_prep import PartitionData, transfer_bytes
 from repro.core.datapipe import (
     DataPipe,
     DataPipeConfig,
@@ -285,23 +285,12 @@ class PiPADTrainer(DGNNTrainerBase):
         self.reuse.plan_gpu_residency(timesteps, {t: agg_bytes for t in timesteps})
 
     def _partition_transfer_bytes(self, snapshots: Sequence[GraphSnapshot]) -> float:
-        partition = self.datapipe.partition(snapshots)
-        nbytes = 0.0
-        topology_needed = False
-        for snapshot in snapshots:
-            cached = self.reuse.has_cached(snapshot.timestep) if self.cache is not None else False
-            if cached:
-                if not self.reuse.is_gpu_resident(snapshot.timestep):
-                    # Ship the cached aggregation result instead of raw features.
-                    nbytes += snapshot.num_nodes * snapshot.feature_dim * 4
-                if self.model.needs_topology_with_reuse:
-                    topology_needed = True
-            else:
-                nbytes += snapshot.feature_bytes()
-                topology_needed = True
-            nbytes += snapshot.num_nodes * 4  # targets
-        if topology_needed:
-            nbytes += partition.adjacency_bytes
+        nbytes = transfer_bytes(
+            [self.datapipe.partition(snapshots)],
+            self.reuse,
+            topology_with_reuse=self.model.needs_topology_with_reuse,
+            target_bytes=4,
+        )
         return nbytes * self.scale
 
     def _transfer_partition(

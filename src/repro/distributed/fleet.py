@@ -31,9 +31,9 @@ round-robin queueing cannot.
 requests is compared against ``slo_p99_ms`` on every submission, scaling the
 active pool up (p99 above SLO) or down (p99 under half the SLO) within
 ``[min_replicas, num_shards]``, with a cooldown between decisions.  Scale
-events emit through the engine's telemetry hooks (``on_phase_start`` /
-``on_phase_end``) and are counted in the report.  Inactive replicas keep
-absorbing deltas so their caches are consistent the moment they activate.
+events are kept in ``scale_events`` (the trace projects them onto the serve
+clock) and counted in the report.  Inactive replicas keep absorbing deltas
+so their caches are consistent the moment they activate.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from typing import Any, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.distributed.serving import _BATCH_ID_STRIDE, ShardedServingEngine
+from repro.distributed.serving import ShardedServingEngine
 from repro.graph.csr import INDEX_BYTES
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.partition import GraphPartitioner
@@ -81,8 +81,8 @@ class ScaleEvent:
 class FleetServingEngine(ShardedServingEngine):
     """Node-sharded, admission-controlled, autoscaling serving fleet.
 
-    Inherits the shared store and its apply-once ingestion, the batch-id
-    offsets, trace replay and report merging of
+    Inherits the shared store and its apply-once ingestion, trace replay
+    and report merging of
     :class:`ShardedServingEngine`; overrides routing (ownership + queue
     depth + admission) and extends the merged report with fleet accounting
     (node-sharded store footprint, admission, scaling, halo).
@@ -203,21 +203,22 @@ class FleetServingEngine(ShardedServingEngine):
         return request_id
 
     def pump(self, now: Optional[float] = None, *, force: bool = False) -> List[BatchResult]:
-        """Pump every shard, then account completions and re-check scale.
+        """Pump every shard, accounting completions, then re-check scale.
 
-        Completion times feed the per-shard admission heaps, and every pump
-        tick — :meth:`run_trace` issues one per trace event — drives the
-        autoscaler, so an idle fleet whose rolling p99 has headroom drains
-        back down to ``min_replicas`` even when no submissions arrive to
-        trigger a decision.
+        Each batch's completion time feeds its shard's admission heap, and
+        every pump tick — :meth:`run_trace` issues one per trace event —
+        drives the autoscaler, so an idle fleet whose rolling p99 has
+        headroom drains back down to ``min_replicas`` even when no
+        submissions arrive to trigger a decision.
         """
-        results = super().pump(now, force=force)
-        for result in results:
-            shard = result.batch_id // _BATCH_ID_STRIDE
-            heapq.heappush(
-                self._completions[shard],
-                (result.completion_time, len(result.predictions)),
-            )
+        results: List[BatchResult] = []
+        for shard, replica in enumerate(self.replicas):
+            for result in replica.pump(now, force=force):
+                heapq.heappush(
+                    self._completions[shard],
+                    (result.completion_time, len(result.predictions)),
+                )
+                results.append(result)
         self._maybe_scale(self._elapsed_seconds() if now is None else now)
         return results
 
@@ -259,20 +260,18 @@ class FleetServingEngine(ShardedServingEngine):
         p99_ms = p99 * 1e3
         if p99_ms > cfg.slo_p99_ms and self._active < self.num_shards:
             self._active += 1
-            self._emit_scale("up", now, p99_ms)
+            self._record_scale("up", now, p99_ms)
         elif p99_ms < 0.5 * cfg.slo_p99_ms and self._active > cfg.min_replicas:
             self._active -= 1
-            self._emit_scale("down", now, p99_ms)
+            self._record_scale("down", now, p99_ms)
 
-    def _emit_scale(self, direction: str, now: float, p99_ms: float) -> None:
+    def _record_scale(self, direction: str, now: float, p99_ms: float) -> None:
         self._since_scale = 0
-        event = ScaleEvent(
-            direction=direction, active_replicas=self._active, at=now, p99_ms=p99_ms
+        self.scale_events.append(
+            ScaleEvent(
+                direction=direction, active_replicas=self._active, at=now, p99_ms=p99_ms
+            )
         )
-        self.scale_events.append(event)
-        phase = f"fleet_scale_{direction}_to_{self._active}"
-        self.hooks.on_phase_start(phase, now)
-        self.hooks.on_phase_end(phase, now)
 
     # ------------------------------------------------------------------ reporting
     def shard_store_bytes(self) -> List[float]:

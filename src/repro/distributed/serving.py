@@ -8,15 +8,14 @@ request traffic routed across the replicas.  A graph delta is applied to
 the store once and every replica absorbs the result, so every shard serves
 the same head version.  Each deployed replica would hold a full window
 copy, which is what the report accounts per replica.  The replicas draw
-request ids from one shared counter, so the id a replica records is the
-engine's id.  Routing is deterministic round-robin, so a trace replay is
-reproducible run to run — the property the golden determinism test locks
-in for the single-device engine.
+request and batch ids from shared counters, so the ids a replica records
+are the engine's ids.  Routing is deterministic round-robin, so a trace
+replay is reproducible run to run — the property the golden determinism
+test locks in for the single-device engine.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -25,7 +24,7 @@ from repro.graph.dynamic_graph import DynamicGraph
 from repro.memory import aggregate_cache_stats
 from repro.nn.base_model import DGNNModel
 from repro.serving.deltas import GraphDelta
-from repro.serving.metrics import ServingMetrics, ServingReport
+from repro.serving.metrics import DeltaRecord, ServingMetrics, ServingReport
 from repro.serving.scheduler import (
     BatchResult,
     ServingConfig,
@@ -34,11 +33,8 @@ from repro.serving.scheduler import (
     _build_serving_replicas,
 )
 from repro.serving.store import DeltaReport, IncrementalSnapshotStore
-from repro.telemetry.hooks import NULL_CALLBACK, TelemetryCallback
 from repro.utils.validation import check_positive
 
-#: offset separating one shard's batch ids from the next in merged output
-_BATCH_ID_STRIDE = 1_000_000
 #: per-replica breakdown keys that are ratios/horizons, not additive seconds
 _NON_ADDITIVE_BREAKDOWN = ("makespan", "gpu_utilization", "sm_utilization")
 #: per-replica reuse-stat keys that are gauges (cache sizes, buffer bytes),
@@ -88,9 +84,9 @@ class ShardedServingEngine(TraceReplay):
         self.replicas = replicas
         self.store = store
         self._next_shard = 0
-        #: engine-level telemetry sink (deltas, the fleet's scale events); the
-        #: runtime swaps in a live CallbackList alongside the per-replica hooks
-        self.hooks: TelemetryCallback = NULL_CALLBACK
+        #: one record per delta applied to the shared store, stamped on the
+        #: engine clock; the replicas keep their own records of absorbing it
+        self.deltas: List[DeltaRecord] = []
 
     def _elapsed_seconds(self) -> float:
         return max(replica.device.elapsed_seconds() for replica in self.replicas)
@@ -104,15 +100,14 @@ class ShardedServingEngine(TraceReplay):
         """Apply a delta once to the shared store; every replica absorbs it.
 
         Replicas that receive no traffic absorb too, so their caches are
-        consistent the moment routing sends them a request.  The delta is
-        one update, so ``on_delta`` fires once, not once per replica.
+        consistent the moment routing sends them a request.
         """
         self._touch_wall_clock()
         stamp = self._elapsed_seconds() if at is None else at
         report = self.store.apply(delta)
         for replica in self.replicas:
             replica.absorb_delta(report, at=at)
-        self.hooks.on_delta(report.version, report.num_touched, stamp)
+        self.deltas.append(DeltaRecord(report.version, report.num_touched, stamp))
         return report
 
     def submit(self, node_ids: Iterable[int], *, at: Optional[float] = None) -> int:
@@ -123,48 +118,39 @@ class ShardedServingEngine(TraceReplay):
         return self.replicas[shard].submit(node_ids, at=at)
 
     def pump(self, now: Optional[float] = None, *, force: bool = False) -> List[BatchResult]:
-        """Cut and execute due micro-batches on every shard.
+        """Cut and execute due micro-batches on every shard, in shard order.
 
         Prediction dicts are keyed by the request ids :meth:`submit` handed
-        out.  Batch ids carry the same per-shard offset the merged report
-        uses: each replica numbers its batches from 0, and those ids appear
-        in op labels, so they must not leak out unmapped.
+        out, and batch ids are the engine's: the replicas draw both from
+        shared counters.
         """
         return [
-            dataclasses.replace(result, batch_id=result.batch_id + shard * _BATCH_ID_STRIDE)
-            for shard, replica in enumerate(self.replicas)
-            for result in replica.pump(now, force=force)
+            result for replica in self.replicas for result in replica.pump(now, force=force)
         ]
 
     # ------------------------------------------------------------------ reporting
     def report(self) -> ServingReport:
         """One merged report over all shards.
 
-        Latency records concatenate across shards (batch ids are offset so
-        they stay unique).  Every replica absorbs every delta, so a delta is
-        one update, not ``K``: ``deltas_ingested`` and ``rows_touched`` merge
-        as the max across replicas, and ``rows_per_delta`` stays the mean
-        rows one delta touched.  The replicas' own patch work adds up in the
-        ``rows_patched`` reuse stat.
+        Request and batch records merge in batch-id order, which is the
+        order the shards executed them in: batch ids come from one counter
+        as :meth:`pump` cuts the batches.  Every replica absorbs every delta,
+        but a delta is one update, not ``K``: the merged delta records are
+        the engine's, one per :meth:`ingest`, and ``rows_per_delta`` stays
+        the mean rows one delta touched.  The replicas' own patch work adds
+        up in the ``rows_patched`` reuse stat.
         """
         reports = [replica.report() for replica in self.replicas]
         merged = ServingMetrics()
-        for shard, replica in enumerate(self.replicas):
-            offset = shard * _BATCH_ID_STRIDE
-            for record in replica.metrics.requests:
-                merged.record_request(
-                    dataclasses.replace(record, batch_id=record.batch_id + offset)
-                )
-            for batch in replica.metrics.batches:
-                merged.record_batch(
-                    dataclasses.replace(batch, batch_id=batch.batch_id + offset)
-                )
-        merged.deltas_ingested = max(
-            replica.metrics.deltas_ingested for replica in self.replicas
+        merged.requests = sorted(
+            (r for replica in self.replicas for r in replica.metrics.requests),
+            key=lambda record: record.batch_id,
         )
-        merged.rows_touched = max(
-            replica.metrics.rows_touched for replica in self.replicas
+        merged.batches = sorted(
+            (b for replica in self.replicas for b in replica.metrics.batches),
+            key=lambda record: record.batch_id,
         )
+        merged.deltas = list(self.deltas)
 
         # Kind-seconds and hit/miss counters add up across shards; horizons,
         # utilization ratios and cache-size gauges do not (summing K makespans

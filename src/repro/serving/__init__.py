@@ -12,8 +12,9 @@ low-latency online system:
 - :mod:`repro.serving.batcher` — request coalescing into micro-batches;
 - :mod:`repro.serving.scheduler` — :class:`ServingScheduler`, the pipelined
   batch executor with a tuner-backed partitioning policy;
-- :mod:`repro.serving.metrics` — p50/p99 latency, throughput and cache-hit
-  reporting compatible with :mod:`repro.baselines.results`.
+- :mod:`repro.serving.metrics` — per-request, per-batch and per-delta
+  records and the p50/p99 latency, throughput and cache-hit report built
+  from them.
 
 See the README's "Streaming inference serving" section for how this maps
 onto the paper's Fig. 7 reuse path.
@@ -28,6 +29,7 @@ from repro.serving.deltas import (
 )
 from repro.serving.metrics import (
     BatchRecord,
+    DeltaRecord,
     RequestRecord,
     ServingMetrics,
     ServingReport,
@@ -44,6 +46,7 @@ from repro.serving.store import DeltaReport, IncrementalSnapshotStore
 __all__ = [
     "BatchRecord",
     "BatchResult",
+    "DeltaRecord",
     "DeltaReport",
     "GraphDelta",
     "IncrementalSnapshotStore",

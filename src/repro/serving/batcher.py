@@ -10,6 +10,7 @@ pending or the oldest request has waited ``max_delay_ms``.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, List
@@ -64,9 +65,8 @@ class MicroBatcher:
         self.max_requests = max_requests
         self.max_delay_s = max_delay_ms * 1e-3
         self._pending: Deque[InferenceRequest] = deque()
-        self._next_batch_id = 0
-        self.batches_formed = 0
-        self.requests_seen = 0
+        #: batch-id source; the replicas of one serving engine share it
+        self.batch_ids = itertools.count()
 
     @property
     def pending(self) -> int:
@@ -74,7 +74,6 @@ class MicroBatcher:
 
     def submit(self, request: InferenceRequest) -> None:
         self._pending.append(request)
-        self.requests_seen += 1
 
     def ready(self, now: float) -> bool:
         """Whether a batch should be cut at simulated time ``now``."""
@@ -92,9 +91,6 @@ class MicroBatcher:
             while self._pending and len(members) < self.max_requests:
                 members.append(self._pending.popleft())
             formed = max(now, max(r.arrival_time for r in members))
-            batches.append(
-                MicroBatch(batch_id=self._next_batch_id, requests=members, formed_time=formed)
-            )
-            self._next_batch_id += 1
-            self.batches_formed += 1
+            batch_id = next(self.batch_ids)
+            batches.append(MicroBatch(batch_id=batch_id, requests=members, formed_time=formed))
         return batches

@@ -1,7 +1,9 @@
 """Serving-side metrics: request latency, throughput and cache efficiency.
 
-Records are kept per request so tail latency (p99) is a first-class
-quantity, the way online inference systems are actually judged.  The
+Records are kept per request, per batch and per delta, so tail latency
+(p99) is a first-class quantity, the way online inference systems are
+actually judged, and the run's serving spans and metrics are projections
+of them (:mod:`repro.telemetry.runtime`).  The
 aggregate :class:`ServingReport` carries the run's summary, and
 ``speedup_over`` compares two runs of one trace.
 """
@@ -46,16 +48,26 @@ class BatchRecord:
     cache_misses: int
 
 
+@dataclass(frozen=True)
+class DeltaRecord:
+    """Ingestion record of one graph delta."""
+
+    version: int
+    #: rows the delta *invalidated* (patched only when reuse is enabled —
+    #: the session reports actual patches separately as ``rows_patched``)
+    num_touched: int
+    #: simulated time the delta was ingested at
+    time: float
+
+
 class ServingMetrics:
-    """Accumulates per-request and per-batch records during a serving run."""
+    """Accumulates per-request, per-batch and per-delta records during a
+    serving run."""
 
     def __init__(self) -> None:
         self.requests: List[RequestRecord] = []
         self.batches: List[BatchRecord] = []
-        self.deltas_ingested = 0
-        #: rows *invalidated* by deltas (patched only when reuse is enabled —
-        #: the session reports actual patches separately as ``rows_patched``)
-        self.rows_touched = 0
+        self.deltas: List[DeltaRecord] = []
 
     # -- recording -----------------------------------------------------------
     def record_request(self, record: RequestRecord) -> None:
@@ -64,14 +76,22 @@ class ServingMetrics:
     def record_batch(self, record: BatchRecord) -> None:
         self.batches.append(record)
 
-    def record_delta(self, touched_rows: int) -> None:
-        self.deltas_ingested += 1
-        self.rows_touched += touched_rows
+    def record_delta(self, record: DeltaRecord) -> None:
+        self.deltas.append(record)
 
     # -- aggregates ----------------------------------------------------------
     @property
     def num_requests(self) -> int:
         return len(self.requests)
+
+    @property
+    def deltas_ingested(self) -> int:
+        return len(self.deltas)
+
+    @property
+    def rows_touched(self) -> int:
+        """Rows invalidated by every ingested delta."""
+        return sum(d.num_touched for d in self.deltas)
 
     def latencies(self) -> np.ndarray:
         return np.array([r.latency for r in self.requests], dtype=np.float64)
@@ -149,8 +169,7 @@ class ServingMetrics:
         return {
             "requests": [sanitize_floats(asdict(r)) for r in self.requests],
             "batches": [sanitize_floats(asdict(b)) for b in self.batches],
-            "deltas_ingested": self.deltas_ingested,
-            "rows_touched": self.rows_touched,
+            "deltas": [sanitize_floats(asdict(d)) for d in self.deltas],
         }
 
     @classmethod
@@ -160,8 +179,8 @@ class ServingMetrics:
             metrics.record_request(RequestRecord(**restore_floats(dict(item))))
         for item in data.get("batches", ()):
             metrics.record_batch(BatchRecord(**restore_floats(dict(item))))
-        metrics.deltas_ingested = int(data.get("deltas_ingested", 0))
-        metrics.rows_touched = int(data.get("rows_touched", 0))
+        for item in data.get("deltas", ()):
+            metrics.record_delta(DeltaRecord(**restore_floats(dict(item))))
         return metrics
 
 

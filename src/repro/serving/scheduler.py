@@ -53,10 +53,15 @@ from repro.memory import (
 from repro.nn.base_model import DGNNModel
 from repro.serving.batcher import InferenceRequest, MicroBatch, MicroBatcher
 from repro.serving.deltas import GraphDelta, ServingEvent
-from repro.serving.metrics import BatchRecord, RequestRecord, ServingMetrics, ServingReport
+from repro.serving.metrics import (
+    BatchRecord,
+    DeltaRecord,
+    RequestRecord,
+    ServingMetrics,
+    ServingReport,
+)
 from repro.serving.session import InferenceSession
 from repro.serving.store import DeltaReport, IncrementalSnapshotStore
-from repro.telemetry.hooks import NULL_CALLBACK, TelemetryCallback
 from repro.utils.validation import check_non_negative, check_positive
 
 
@@ -321,8 +326,6 @@ class ServingScheduler(TraceReplay):
         # pinned tier (pinned_budget_mb covers residency and staging alike).
         self.prefetcher.cache = self.feature_cache
         self.metrics = ServingMetrics()
-        #: telemetry sink; the engine swaps in a live CallbackList
-        self.hooks: TelemetryCallback = NULL_CALLBACK
         #: ``(op uid, bytes, seconds)`` of every halo gather, in issue order
         self.halo_gathers: List[Tuple[int, float, float]] = []
         #: request-id source; replicas of one engine share it, so their ids
@@ -396,11 +399,7 @@ class ServingScheduler(TraceReplay):
     def ingest(self, delta: GraphDelta, *, at: Optional[float] = None) -> DeltaReport:
         """Apply a graph delta and incrementally maintain the reuse cache."""
         self._touch_wall_clock()
-        at = self.device.elapsed_seconds() if at is None else at
-        report = self.store.apply(delta)
-        self.absorb_delta(report, at=at)
-        self.hooks.on_delta(report.version, report.num_touched, at)
-        return report
+        return self.absorb_delta(self.store.apply(delta), at=at)
 
     def absorb_delta(self, report: DeltaReport, *, at: Optional[float] = None) -> DeltaReport:
         """Maintain caches/metrics for a delta already applied to the store.
@@ -408,8 +407,7 @@ class ServingScheduler(TraceReplay):
         The seam the fleet engine needs: its replicas share one
         :class:`IncrementalSnapshotStore`, so the delta is applied once and
         every replica absorbs the resulting report (cache patch + accounting)
-        without re-applying it.  Emits no hook: whoever applied the delta
-        reports it once through ``on_delta``.
+        without re-applying it.
         """
         self._touch_wall_clock()
         at = self.device.elapsed_seconds() if at is None else at
@@ -435,7 +433,7 @@ class ServingScheduler(TraceReplay):
             not_before=at,
             attrs={"hb_writes": list(touched_blocks)} if touched_blocks else None,
         )
-        self.metrics.record_delta(report.num_touched)
+        self.metrics.record_delta(DeltaRecord(report.version, report.num_touched, at))
         return report
 
     def submit(self, node_ids: Iterable[int], *, at: Optional[float] = None) -> int:
@@ -530,21 +528,20 @@ class ServingScheduler(TraceReplay):
             cache_misses=self.reuse.misses - misses_before,
         )
         self.metrics.record_batch(batch_record)
-        self.hooks.on_batch(batch_record)
         per_request: Dict[int, np.ndarray] = {}
         batch_nodes = batch.node_ids
         for request in batch.requests:
             rows = np.searchsorted(batch_nodes, request.node_ids)
             per_request[request.request_id] = predictions[rows]
-            request_record = RequestRecord(
-                request_id=request.request_id,
-                batch_id=batch.batch_id,
-                arrival_time=request.arrival_time,
-                completion_time=completion,
-                num_nodes=len(request.node_ids),
+            self.metrics.record_request(
+                RequestRecord(
+                    request_id=request.request_id,
+                    batch_id=batch.batch_id,
+                    arrival_time=request.arrival_time,
+                    completion_time=completion,
+                    num_nodes=len(request.node_ids),
+                )
             )
-            self.metrics.record_request(request_record)
-            self.hooks.on_request(request_record)
         return BatchResult(
             batch_id=batch.batch_id,
             decision=decision,
@@ -597,8 +594,8 @@ def _build_serving_replicas(
 
     A graph gets a fresh store and names the reports after itself; a store
     passed in is shared as is, and the reports name the dataset ``serving``.
-    The replicas share one request-id counter, so a request's id is unique
-    across them and is the id the engine hands out.
+    The replicas share one request-id and one batch-id counter, so a
+    request's or a batch's id is unique across them and is the engine's id.
     """
     config = config or ServingConfig()
     if isinstance(graph, IncrementalSnapshotStore):
@@ -619,9 +616,10 @@ def _build_serving_replicas(
         )
         for _ in range(num_replicas)
     ]
-    request_ids = itertools.count()
+    request_ids, batch_ids = itertools.count(), itertools.count()
     for replica in replicas:
         replica._request_ids = request_ids
+        replica.batcher.batch_ids = batch_ids
     return replicas
 
 

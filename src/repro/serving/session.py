@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.data_prep import DataPreparer, PartitionData
+from repro.core.data_prep import DataPreparer, PartitionData, transfer_bytes
 from repro.core.parallel_gnn import ParallelAggregationProvider, PartitionKernels
 from repro.core.reuse import ReuseManager
 from repro.gpu.device import SimulatedGPU
@@ -268,26 +268,14 @@ class InferenceSession:
 
     # ------------------------------------------------------------------ transfer planning
     def partition_transfer_bytes(self, s_per: int) -> float:
-        """Host→device bytes a batch needs given current cache/residency state.
-
-        Mirrors the trainer's partition accounting: cached snapshots ship the
-        (smaller) aggregation result unless GPU-resident; uncached ones ship
-        raw features plus their share of the overlap-decomposed adjacency.
-        """
-        nbytes = 0.0
-        for partition in self.partitions_for(s_per):
-            topology_needed = False
-            for snapshot in partition.snapshots:
-                if self.reuse.has_cached(snapshot.timestep):
-                    if not self.reuse.is_gpu_resident(snapshot.timestep):
-                        nbytes += snapshot.num_nodes * snapshot.feature_dim * 4
-                    if self.model.needs_topology_with_reuse:
-                        topology_needed = True
-                else:
-                    nbytes += snapshot.feature_bytes()
-                    topology_needed = True
-            if topology_needed:
-                nbytes += partition.adjacency_bytes
+        """Host→device bytes a batch needs given current cache/residency
+        state: the trainer's partition rule without loss targets."""
+        nbytes = transfer_bytes(
+            self.partitions_for(s_per),
+            self.reuse,
+            topology_with_reuse=self.model.needs_topology_with_reuse,
+            target_bytes=0,
+        )
         return nbytes * self.scale
 
     def stats(self) -> Dict[str, float]:

@@ -2,20 +2,19 @@
 
 The subsystem turns every run into a measured claim, the way the paper's own
 arguments are measurement-shaped (per-stage breakdowns in Figs. 3/4, memory
-requests in Fig. 5, utilization in Table 2):
+requests in Fig. 5, utilization in Table 2).  Metrics and serving spans are
+projections of what the run recorded:
 
 - :mod:`repro.telemetry.spans` — nested spans on the simulated clock;
-- :mod:`repro.telemetry.metrics` — one counters/gauges/histograms registry
-  unifying the scattered quantitative surfaces behind ``snapshot()``;
-- :mod:`repro.telemetry.hooks` — the lifecycle callback layer trainers and
-  serving schedulers emit phase/epoch/frame/request/batch/delta events
-  through, decoupled from any exporter;
+- :mod:`repro.telemetry.hooks` — the training lifecycle hooks (phases,
+  epochs, frames) trainers emit through, decoupled from any exporter;
 - :mod:`repro.telemetry.chrome_trace` — Chrome-trace-event JSON export (one
   Perfetto track per device, one thread per resource);
 - :mod:`repro.telemetry.runtime` — the per-run binding the engine owns; it
   projects the per-op facts tagged on the device timelines (datapipe
-  stages, cache lookups, bubbles, collectives) into spans and metrics after
-  the run;
+  stages, cache lookups, bubbles, collectives) and the serving report's
+  request, batch and delta records into spans, and builds the flat metrics
+  snapshot from those totals and the result records after the run;
 - :mod:`repro.telemetry.persistence` — strict-JSON helpers for the NaN
   convention (non-finite floats round-trip as marker strings).
 """
@@ -28,17 +27,9 @@ from repro.telemetry.chrome_trace import (
 )
 from repro.telemetry.hooks import (
     CallbackList,
-    MetricsCallback,
     NULL_CALLBACK,
     TelemetryCallback,
     TracingCallback,
-)
-from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    HISTOGRAM_PERCENTILES,
-    MetricsRegistry,
 )
 from repro.telemetry.persistence import restore_floats, sanitize_floats
 from repro.telemetry.runtime import Telemetry
@@ -46,13 +37,7 @@ from repro.telemetry.spans import SPAN_DOMAINS, Span, SpanTracer
 
 __all__ = [
     "CallbackList",
-    "Counter",
     "EXPORTER_REGISTRY",
-    "Gauge",
-    "HISTOGRAM_PERCENTILES",
-    "Histogram",
-    "MetricsCallback",
-    "MetricsRegistry",
     "NULL_CALLBACK",
     "SPAN_DOMAINS",
     "Span",

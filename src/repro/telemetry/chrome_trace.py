@@ -44,7 +44,7 @@ EXPORTER_REGISTRY: Dict[str, str] = {
 #: seconds -> trace microseconds
 _US = 1e6
 
-#: pid 0 thread layout for tracer spans, by span category
+#: pid 0 thread layout for lifecycle and serving spans, by span category
 _RUN_PID = 0
 _RUN_THREADS: Dict[str, str] = {
     "phase": "lifecycle",
@@ -53,6 +53,7 @@ _RUN_THREADS: Dict[str, str] = {
     "request": "requests",
     "batch": "batches",
     "delta": "deltas",
+    "scale": "scaling",
     "violation": "violations",
 }
 #: span category -> thread reserved for it on the owning device's track:
@@ -121,7 +122,7 @@ def build_chrome_trace(
         }
         events.append(event)
 
-    # -- pid 0: the run process (lifecycle spans from the tracer) -----------
+    # -- pid 0: the run process (lifecycle and serving spans) ---------------
     run_tids: Dict[str, int] = {}
 
     def run_tid(thread: str) -> int:
@@ -172,7 +173,7 @@ def build_chrome_trace(
                 }
             )
 
-    # -- X events: tracer spans ---------------------------------------------
+    # -- X events: spans ----------------------------------------------------
     domain_track_pids: Dict[str, List[int]] = {}
     for i, t in enumerate(tracks):
         domain_track_pids.setdefault(t.domain, []).append(i + 1)

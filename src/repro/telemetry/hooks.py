@@ -1,19 +1,19 @@
-"""The callback layer: lifecycle hooks decoupled from any exporter.
+"""The training lifecycle hooks.
 
 Trainers (:class:`~repro.baselines.base.DGNNTrainerBase` and its PiPAD /
-distributed / pipeline subclasses), the engine and the serving schedulers
-emit lifecycle events — phases, epochs, frames, serving requests, batches
-and deltas — against the :class:`TelemetryCallback` interface, a null
-object whose methods are all no-ops, so the execution machinery never
-imports a tracer, a metrics registry or an exporter.  The engine attaches a
-:class:`CallbackList` fanning out to the tracing and metrics sinks; code
-paths that run outside the engine keep the default no-op callback and pay
-one virtual call per event.
+distributed / pipeline subclasses) and the engine emit lifecycle events —
+phases, epochs and frames — against the :class:`TelemetryCallback`
+interface, a null object whose methods are all no-ops, so the execution
+machinery never imports a tracer or an exporter.  The engine attaches a
+:class:`CallbackList` holding the tracing sink; code paths that run outside
+the engine keep the default no-op callback and pay one virtual call per
+event.
 
-Per-op facts (datapipe stages, feature-cache lookups, pipeline bubbles,
-collectives) are not hooks: they are tagged on the timeline ops that carry
-them and projected into spans and metrics after the run
-(:mod:`repro.telemetry.runtime`).
+Serving keeps no hooks: its request, batch, delta and scale spans and every
+metric are projections of the run's records, made after the run
+(:mod:`repro.telemetry.runtime`), as are the per-op facts tagged on the
+timelines (datapipe stages, feature-cache lookups, pipeline bubbles,
+collectives).
 
 Every timestamp crossing this interface is **simulated** time (the device /
 group clock), never wall time — that is what keeps trace exports
@@ -22,12 +22,10 @@ deterministic.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List
+from typing import TYPE_CHECKING, Any, Callable, List
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.baselines.results import EpochMetrics
-    from repro.serving.metrics import BatchRecord, RequestRecord
-    from repro.telemetry.metrics import MetricsRegistry
     from repro.telemetry.spans import SpanTracer
 
 
@@ -36,7 +34,7 @@ class TelemetryCallback:
 
     Timestamps (``at`` / ``start`` / ``end``) are simulated seconds on the
     emitting phase's clock: training events live on the trainer's device
-    (group) clock, serving events on the serving device clock.
+    (group) clock, the ``serve`` phase on the serving device clock.
     """
 
     # -- run lifecycle (engine) ---------------------------------------------
@@ -59,16 +57,6 @@ class TelemetryCallback:
         self, frame_index: int, epoch: int, start: float, end: float, loss: float
     ) -> None:
         """One frame's forward/backward/update completed."""
-
-    # -- serving (schedulers) -----------------------------------------------
-    def on_request(self, record: "RequestRecord") -> None:
-        """One serving request completed."""
-
-    def on_batch(self, record: "BatchRecord") -> None:
-        """One serving micro-batch completed."""
-
-    def on_delta(self, version: int, num_touched: int, at: float) -> None:
-        """One graph delta was ingested."""
 
 
 #: module-level no-op instance: the default hook target of every emitter
@@ -111,20 +99,16 @@ for _name in HOOK_NAMES:
 
 
 # ---------------------------------------------------------------------- sinks
-#: phase name -> clock domain its spans live on (see telemetry.spans)
-_PHASE_DOMAINS: Dict[str, str] = {"prepare": "train", "train": "train", "serve": "serve"}
-
-
 class TracingCallback(TelemetryCallback):
-    """Feeds lifecycle/epoch/frame/request/batch events into a span tracer."""
+    """Feeds phase/epoch/frame events into a span tracer."""
 
     def __init__(self, tracer: "SpanTracer") -> None:
         self.tracer = tracer
 
     def on_phase_start(self, phase: str, at: float) -> None:
-        self.tracer.begin(
-            phase, at, category="phase", domain=_PHASE_DOMAINS.get(phase, "train")
-        )
+        # ``prepare`` and ``train`` run on the training clock
+        domain = "serve" if phase == "serve" else "train"
+        self.tracer.begin(phase, at, category="phase", domain=domain)
 
     def on_phase_end(self, phase: str, at: float) -> None:
         self.tracer.end(phase, at)
@@ -149,75 +133,10 @@ class TracingCallback(TelemetryCallback):
             epoch=epoch,
         )
 
-    def on_request(self, record: "RequestRecord") -> None:
-        self.tracer.record(
-            f"request_{record.request_id}",
-            record.arrival_time,
-            record.completion_time,
-            category="request",
-            domain="serve",
-            batch_id=record.batch_id,
-            num_nodes=record.num_nodes,
-        )
-
-    def on_batch(self, record: "BatchRecord") -> None:
-        self.tracer.record(
-            f"batch_{record.batch_id}",
-            record.formed_time,
-            record.completion_time,
-            category="batch",
-            domain="serve",
-            size=record.size,
-            s_per=record.s_per,
-        )
-
-    def on_delta(self, version: int, num_touched: int, at: float) -> None:
-        self.tracer.record(
-            f"delta_v{version}",
-            at,
-            at,
-            category="delta",
-            domain="serve",
-            num_touched=num_touched,
-        )
-
-
-class MetricsCallback(TelemetryCallback):
-    """Accumulates live counters/histograms into a metrics registry."""
-
-    def __init__(self, registry: "MetricsRegistry") -> None:
-        self.registry = registry
-
-    def on_epoch_end(
-        self, epoch: int, metrics: "EpochMetrics", start: float, end: float
-    ) -> None:
-        self.registry.counter("train.epochs").inc()
-        self.registry.histogram("train.epoch_seconds").observe(end - start)
-
-    def on_frame(
-        self, frame_index: int, epoch: int, start: float, end: float, loss: float
-    ) -> None:
-        self.registry.counter("train.frames").inc()
-
-    def on_request(self, record: "RequestRecord") -> None:
-        self.registry.counter("serving.requests").inc()
-        self.registry.histogram("serving.latency_ms").observe(record.latency * 1e3)
-
-    def on_batch(self, record: "BatchRecord") -> None:
-        self.registry.counter("serving.batches").inc()
-        self.registry.histogram("serving.batch_size").observe(record.size)
-        self.registry.counter("serving.cache_hits").inc(record.cache_hits)
-        self.registry.counter("serving.cache_misses").inc(record.cache_misses)
-
-    def on_delta(self, version: int, num_touched: int, at: float) -> None:
-        self.registry.counter("serving.deltas").inc()
-        self.registry.counter("serving.rows_touched").inc(num_touched)
-
 
 __all__ = [
     "CallbackList",
     "HOOK_NAMES",
-    "MetricsCallback",
     "NULL_CALLBACK",
     "TelemetryCallback",
     "TracingCallback",

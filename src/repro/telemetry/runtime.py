@@ -1,38 +1,41 @@
-"""The telemetry runtime: one object binding tracer, registry and hooks.
+"""The telemetry runtime: the tracer, the training hooks and the projections.
 
 :class:`Telemetry` is what the :class:`~repro.api.engine.Engine` owns per
-run.  It builds the callback fan-out (the tracing and metrics sinks) and
-attaches it to whatever machinery the spec resolved to (any trainer, the
-serving scheduler or every replica of a sharded engine).  Those hooks carry
-lifecycle events only.
+run.  It attaches the tracing sink to the trainer, whose hooks carry the
+phase, epoch and frame lifecycle.  Everything else is a *projection of the
+run's records*, made after the run:
 
-Everything per-op is a *projection of the timelines* after the run
-(:func:`project_timelines`): ops carry the facts they stand for — a datapipe
-stage (``attrs["stage"]``), the feature-cache lookup on an item's gather op
-(``cache_*``), a pipeline stall on the first chained kernel
-(``bubble_from``), a collective's kind and bytes — and the projection turns
-them into the prefetch / cache / bubble spans of the Chrome trace and the
-``prefetch.*``, ``memory.cache.*``, ``pipeline.*`` and ``collective.*``
-metrics.  The timelines come from
-:func:`~repro.analysis.base.collect_artifacts`, the device walk the
-sanitizer uses, so trace tracks, projection and sanitizer name devices
-alike (``gpu{i}`` / ``serve_gpu{i}``).  :meth:`Telemetry.collect` folds the
-projection and the end-of-run result records into the metrics registry, so
-``snapshot()`` is the single flat quantitative view of the run.
+- per-op facts (:func:`project_timelines`): ops carry the facts they stand
+  for — a datapipe stage (``attrs["stage"]``), the feature-cache lookup on
+  an item's gather op (``cache_*``), a pipeline stall on the first chained
+  kernel (``bubble_from``), a collective's kind and bytes — and the
+  projection turns them into the prefetch / cache / bubble spans of the
+  Chrome trace and the ``prefetch.*``, ``memory.cache.*``, ``pipeline.*``
+  and ``collective.*`` metrics.  The timelines come from
+  :func:`~repro.analysis.base.collect_artifacts`, the device walk the
+  sanitizer uses, so trace tracks, projection and sanitizer name devices
+  alike (``gpu{i}`` / ``serve_gpu{i}``);
+- serving (:func:`project_serving`): the request, batch and delta records
+  of the final :class:`~repro.serving.metrics.ServingReport` and a fleet's
+  scale events become spans on the serve clock;
+- metrics (:meth:`Telemetry.collect`): the projection totals, the training
+  result and the serving report flatten into one ``name -> value`` dict,
+  the run report's metrics snapshot.
 
 Everything here is duck-typed against the execution layer (``trainer.hooks``,
-``trainer.group``, ``engine.replicas`` …) so the runtime works for any
+``trainer.group``, ``engine.scale_events`` …) so the runtime works for any
 registered device/serving topology without importing their classes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.base import collect_artifacts
 from repro.telemetry.chrome_trace import TraceTrack, export_chrome_trace
-from repro.telemetry.hooks import CallbackList, MetricsCallback, TracingCallback
-from repro.telemetry.metrics import MetricsRegistry
+import numpy as np
+
+from repro.telemetry.hooks import CallbackList, TracingCallback
 from repro.telemetry.spans import Span, SpanTracer
 
 #: op attrs that mark an op as carrying a telemetry fact
@@ -114,19 +117,85 @@ def project_timelines(
     return totals, spans
 
 
+def project_serving(serving: Any, scale_events: Iterable[Any] = ()) -> List[Span]:
+    """Serve-clock spans of a serving report's records and a fleet's scale
+    events: one span per request, batch and ingested delta, and a zero-width
+    ``fleet_scale_*`` span per autoscale decision."""
+    spans: List[Span] = []
+    if serving is None:
+        return spans
+    metrics = serving.metrics
+    for record in metrics.requests:
+        spans.append(
+            Span(
+                f"request_{record.request_id}",
+                "request",
+                "serve",
+                record.arrival_time,
+                max(record.completion_time, record.arrival_time),
+                attrs={"batch_id": record.batch_id, "num_nodes": record.num_nodes},
+            )
+        )
+    for record in metrics.batches:
+        spans.append(
+            Span(
+                f"batch_{record.batch_id}",
+                "batch",
+                "serve",
+                record.formed_time,
+                max(record.completion_time, record.formed_time),
+                attrs={"size": record.size, "s_per": record.s_per},
+            )
+        )
+    for record in metrics.deltas:
+        spans.append(
+            Span(
+                f"delta_v{record.version}",
+                "delta",
+                "serve",
+                record.time,
+                record.time,
+                attrs={"num_touched": record.num_touched},
+            )
+        )
+    for event in scale_events:
+        spans.append(
+            Span(
+                f"fleet_scale_{event.direction}_to_{event.active_replicas}",
+                "scale",
+                "serve",
+                event.at,
+                event.at,
+                attrs={"p99_ms": event.p99_ms},
+            )
+        )
+    return spans
+
+
+def summarize(values: Sequence[float]) -> Dict[str, float]:
+    """Count, sum, mean, p50 and p99 of ``values``; the mean and the
+    percentiles are NaN when there is nothing to summarize (an absent
+    measurement must not read as a perfect one)."""
+    values = [float(value) for value in values]
+    count = len(values)
+    total = float(sum(values))
+    nan = float("nan")
+    out = {"count": float(count), "sum": total, "mean": total / count if count else nan}
+    for suffix, q in (("p50", 50.0), ("p99", 99.0)):
+        out[suffix] = float(np.percentile(values, q)) if count else nan
+    return out
+
+
 class Telemetry:
-    """Tracer + registry + callback fan-out for one engine run."""
+    """Tracer and training hooks for one engine run."""
 
     def __init__(self, *, enabled: bool = True) -> None:
         self.enabled = enabled
         self.tracer = SpanTracer()
-        self.registry = MetricsRegistry()
         self.hooks = CallbackList()
         if enabled:
-            # The tracing and metrics sinks are what the trace export and the
-            # report's metrics snapshot are made of, so they are always on.
+            # The phase, epoch and frame spans of the trace export.
             self.hooks.add(TracingCallback(self.tracer))
-            self.hooks.add(MetricsCallback(self.registry))
 
     @classmethod
     def from_spec(cls, spec: Optional[Any]) -> "Telemetry":
@@ -140,12 +209,6 @@ class Telemetry:
         """Point a trainer's hook emissions at this runtime."""
         trainer.hooks = self.hooks
 
-    def attach_serving(self, engine: Any) -> None:
-        """Point a serving engine (single scheduler or sharded replicas)."""
-        engine.hooks = self.hooks
-        for replica in getattr(engine, "replicas", ()):
-            replica.hooks = self.hooks
-
     # ------------------------------------------------------------------ export
     def export_trace(
         self,
@@ -153,44 +216,55 @@ class Telemetry:
         *,
         trainer: Any = None,
         serving_engine: Any = None,
+        serving: Any = None,
         metadata: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, Any]:
-        """Write the Chrome-trace JSON covering whatever machinery ran."""
+        """Write the Chrome-trace JSON covering whatever machinery ran.
+
+        ``serving`` is the serving report whose records become the request,
+        batch and delta spans.
+        """
         timelines = collect_artifacts(trainer, serving_engine).timelines
         tracks = [
             TraceTrack(name, timeline, domain=domain)
             for name, domain, timeline in timelines
         ]
-        op_spans = project_timelines(timelines)[1] if self.enabled else []
+        spans: List[Span] = []
+        if self.enabled:
+            spans = project_serving(
+                serving, getattr(serving_engine, "scale_events", ())
+            ) + project_timelines(timelines)[1]
         self.tracer.close_all()
         return export_chrome_trace(
-            path, tracks, self.tracer.spans + op_spans, metadata=metadata
+            path, tracks, self.tracer.spans + spans, metadata=metadata
         )
 
-    # ------------------------------------------------------------------ unification
+    # ------------------------------------------------------------------ metrics
     def collect(
         self, report: Any, *, trainer: Any = None, serving_engine: Any = None
     ) -> Dict[str, float]:
-        """Fold a run report's scalar surfaces into the registry and snapshot.
+        """The run's flat, name-sorted metrics snapshot.
 
-        This is the unification point: the timeline projection (prefetch,
-        cache, bubble and collective totals of ``trainer`` and
-        ``serving_engine``), the training breakdown and extras, the
-        per-kernel category totals and the serving summary all land as
-        gauges next to the live counters/histograms the callbacks
-        accumulated.  Every value is *set*, so collecting twice is
-        idempotent.
+        Built from records alone: the timeline projection (prefetch, cache,
+        bubble and collective totals of ``trainer`` and ``serving_engine``),
+        the training result (breakdown, extras, per-epoch seconds), the
+        per-kernel category totals and the serving report (summary, request
+        latencies, batch sizes, deltas).  Collecting twice gives the same
+        dict.
         """
         if not self.enabled:
             return {}
-        registry = self.registry
-        totals, _ = project_timelines(
+        out, _ = project_timelines(
             collect_artifacts(trainer, serving_engine).timelines
         )
-        registry.set_gauges(totals)
+
+        def put(values: Dict[str, float], prefix: str = "") -> None:
+            for key, value in values.items():
+                out[prefix + key] = float(value)
+
         group = getattr(trainer, "group", None)
         if group is not None:
-            registry.set_gauges(
+            put(
                 {
                     f"collective.{kind}.seconds": seconds
                     for kind, seconds in group.collective_seconds.items()
@@ -198,48 +272,61 @@ class Telemetry:
             )
         training = getattr(report, "training", None)
         if training is not None:
-            registry.set_gauges(training.breakdown, prefix="train.breakdown.")
-            registry.set_gauges(
-                training.category_seconds, prefix="train.category_seconds."
+            put(training.breakdown, "train.breakdown.")
+            put(training.category_seconds, "train.category_seconds.")
+            put(training.extras, "train.extras.")
+            epochs = len(training.epoch_metrics)
+            put(
+                summarize([m.simulated_seconds for m in training.epoch_metrics]),
+                "train.epoch_seconds.",
             )
-            registry.set_gauges(training.extras, prefix="train.extras.")
-            registry.set_gauges(
+            put(
                 {
+                    "train.epochs": epochs,
+                    "train.frames": epochs * trainer.frames.num_frames,
                     "train.simulated_seconds": training.simulated_seconds,
                     "train.steady_epoch_seconds": training.steady_epoch_seconds,
                     "train.final_loss": training.final_loss,
                     "train.gpu_utilization": training.gpu_utilization,
                     "train.sm_utilization": training.sm_utilization,
-                    "train.kernel_launches": float(training.kernel_launches),
-                    "train.peak_memory_bytes": float(training.peak_memory_bytes),
+                    "train.kernel_launches": training.kernel_launches,
+                    "train.peak_memory_bytes": training.peak_memory_bytes,
                 }
             )
         serving = getattr(report, "serving", None)
         if serving is not None:
-            registry.set_gauges(serving.metrics.summary(), prefix="serving.summary.")
-            registry.set_gauges(serving.breakdown, prefix="serving.breakdown.")
-            registry.set_gauges(serving.reuse_stats, prefix="serving.reuse.")
-            registry.set_gauges(serving.extras, prefix="serving.extras.")
-            registry.set_gauges(
+            metrics = serving.metrics
+            batches = metrics.batches
+            put(metrics.summary(), "serving.summary.")
+            put(serving.breakdown, "serving.breakdown.")
+            put(serving.reuse_stats, "serving.reuse.")
+            put(serving.extras, "serving.extras.")
+            put(summarize([r.latency * 1e3 for r in metrics.requests]), "serving.latency_ms.")
+            put(summarize([b.size for b in batches]), "serving.batch_size.")
+            put(
                 {
+                    "serving.requests": metrics.num_requests,
+                    "serving.batches": len(batches),
+                    "serving.cache_hits": sum(b.cache_hits for b in batches),
+                    "serving.cache_misses": sum(b.cache_misses for b in batches),
+                    "serving.deltas": metrics.deltas_ingested,
+                    "serving.rows_touched": metrics.rows_touched,
                     "serving.simulated_seconds": serving.simulated_seconds,
                     "serving.gpu_utilization": serving.gpu_utilization,
-                    "serving.peak_memory_bytes": float(serving.peak_memory_bytes),
+                    "serving.peak_memory_bytes": serving.peak_memory_bytes,
                 }
             )
         analysis = getattr(report, "extras", {}).get("analysis")
         if analysis is not None:
-            registry.set_gauges(
+            put(
                 {
-                    "analysis.num_checks": float(len(analysis.get("checks", []))),
-                    "analysis.num_violations": float(
-                        analysis.get("num_violations", 0)
-                    ),
-                    "analysis.num_errors": float(analysis.get("num_errors", 0)),
-                    "analysis.num_warnings": float(analysis.get("num_warnings", 0)),
+                    "analysis.num_checks": len(analysis.get("checks", [])),
+                    "analysis.num_violations": analysis.get("num_violations", 0),
+                    "analysis.num_errors": analysis.get("num_errors", 0),
+                    "analysis.num_warnings": analysis.get("num_warnings", 0),
                 }
             )
-        return registry.snapshot()
+        return dict(sorted(out.items()))
 
 
 __all__ = ["Telemetry"]

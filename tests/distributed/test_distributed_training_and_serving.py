@@ -15,7 +15,6 @@ from repro.core import (
 from repro.distributed import build_sharded_serving_engine
 from repro.nn import build_model
 from repro.serving import synthesize_serving_trace
-from repro.telemetry.hooks import TelemetryCallback
 
 
 @pytest.fixture()
@@ -300,20 +299,24 @@ class TestReportMergeBugfixes:
         """Pinned: report() used to sum rows_touched over the replicas, so
         rows_per_delta counted each delta's rows once per replica."""
 
-        class TouchedRows(TelemetryCallback):
-            def __init__(self):
-                self.touched = []
-
-            def on_delta(self, version, num_touched, at):
-                self.touched.append(num_touched)
-
         engine = self.make_engine(small_graph, 3)
-        engine.hooks = TouchedRows()
+        applied = []
+        apply = engine.store.apply
+
+        def recording_apply(delta):
+            applied.append(apply(delta))
+            return applied[-1]
+
+        engine.store.apply = recording_apply
         report = engine.run_trace(synthesize_serving_trace(small_graph[-1], 40, seed=7))
-        touched = engine.hooks.touched
+        touched = [delta.num_touched for delta in applied]
         merged = report.metrics
         assert merged.rows_touched == sum(touched) > 0
         assert merged.rows_per_delta() == sum(touched) / len(touched)
+        # One record per applied delta, at the time it was ingested.
+        assert [(d.version, d.num_touched) for d in merged.deltas] == [
+            (delta.version, delta.num_touched) for delta in applied
+        ]
         # The replicas' own cache patch work still adds up.
         patched = [r.session.rows_patched for r in engine.replicas]
         assert report.reuse_stats["rows_patched"] == sum(patched) > max(patched)
@@ -324,6 +327,20 @@ class TestReportMergeBugfixes:
             engine.ingest(delta, at=0.0)
         # Each broadcast lands on all 3 replicas but is ONE logical delta.
         assert engine.report().metrics.deltas_ingested == 3
+
+    def test_delta_record_is_stamped_on_the_engine_clock(self, small_graph):
+        """An unstamped delta is recorded once, at the engine's time (the
+        busiest replica's clock), not at the first replica's."""
+        engine = self.make_engine(small_graph, 2)
+        engine.replicas[1].submit([0], at=0.0)
+        engine.pump(0.0, force=True)
+        now = engine.replicas[1].device.elapsed_seconds()
+        assert now > engine.replicas[0].device.elapsed_seconds()
+        report = engine.ingest(self.deltas_from_trace(small_graph)[0])
+        (record,) = engine.report().metrics.deltas
+        assert (record.version, record.num_touched, record.time) == (
+            report.version, report.num_touched, now,
+        )
 
     def test_reuse_gauges_average_while_counters_sum(self, small_graph):
         engine = self.make_engine(small_graph, 2)

@@ -27,7 +27,7 @@ from repro.serving import ServingConfig, random_delta, synthesize_serving_trace
 from repro.serving.metrics import RequestRecord
 from repro.serving.scheduler import _build_serving_scheduler
 from repro.serving.session import InferenceSession
-from repro.telemetry.hooks import TelemetryCallback
+from repro.telemetry.runtime import project_serving
 
 
 def make_fleet(graph, *, fleet=None, model_seed=0, **config_kwargs):
@@ -60,17 +60,6 @@ def served_by(engine, request_id: int) -> int:
         if any(record.request_id == request_id for record in replica.metrics.requests)
     ]
     return shard
-
-
-class PhaseRecorder(TelemetryCallback):
-    def __init__(self) -> None:
-        self.phases = []
-
-    def on_phase_start(self, phase, at):
-        self.phases.append(("start", phase, at))
-
-    def on_phase_end(self, phase, at):
-        self.phases.append(("end", phase, at))
 
 
 class TestFleetRouting:
@@ -258,20 +247,22 @@ class TestAutoscale:
         assert report.extras["scale_up_events"] >= 1.0
         assert report.extras["active_replicas"] == float(engine.active_replicas)
 
-    def test_scale_events_emitted_through_hooks(self, small_graph):
+    def test_scale_events_project_to_serve_spans(self, small_graph):
         engine = self.pressure_fleet(small_graph)
-        recorder = PhaseRecorder()
-        engine.hooks = recorder
         trace = synthesize_serving_trace(
             small_graph[-1], 60, seed=5, mean_interarrival_ms=0.05
         )
-        engine.run_trace(trace)
-        scale_phases = [p for p in recorder.phases if p[1].startswith("fleet_scale_")]
-        assert scale_phases, "no scale phase events reached the telemetry hooks"
-        # Every scale event opens and closes its phase.
-        starts = [p for p in scale_phases if p[0] == "start"]
-        ends = [p for p in scale_phases if p[0] == "end"]
-        assert len(starts) == len(ends) == len(engine.scale_events)
+        report = engine.run_trace(trace)
+        spans = [
+            s for s in project_serving(report, engine.scale_events)
+            if s.category == "scale"
+        ]
+        assert spans, "no scale event was recorded"
+        # One zero-width serve-clock span per decision, at its time.
+        assert [(s.name, s.domain, s.start, s.end) for s in spans] == [
+            (f"fleet_scale_{e.direction}_to_{e.active_replicas}", "serve", e.at, e.at)
+            for e in engine.scale_events
+        ]
 
     def test_scales_down_when_latency_has_headroom(self, small_graph):
         engine = self.pressure_fleet(small_graph, slo_p99_ms=1e9)

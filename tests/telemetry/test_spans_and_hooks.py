@@ -1,14 +1,14 @@
-"""Unit tests for the span tracer and the callback/hook layer."""
+"""Unit tests for the span tracer, the training hooks and the serving spans
+projected from the serving report's records."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.api import Engine
+from repro.api.cli import load_spec
 from repro.telemetry import (
     CallbackList,
-    MetricsCallback,
-    MetricsRegistry,
     SpanTracer,
     Telemetry,
     TelemetryCallback,
@@ -86,6 +86,27 @@ class TestCallbackList:
             assert callable(getattr(fan, name))
             assert callable(getattr(NULL_CALLBACK, name))
 
+    def test_training_hooks_only(self):
+        assert HOOK_NAMES == (
+            "on_phase_start",
+            "on_phase_end",
+            "on_epoch_start",
+            "on_epoch_end",
+            "on_frame",
+        )
+
+    def test_phase_domains(self):
+        tracer = SpanTracer()
+        cb = TracingCallback(tracer)
+        for phase in ("prepare", "train", "serve"):
+            cb.on_phase_start(phase, 0.0)
+            cb.on_phase_end(phase, 1.0)
+        assert {s.name: s.domain for s in tracer.spans} == {
+            "prepare": "train",
+            "train": "train",
+            "serve": "serve",
+        }
+
     def test_tracing_callback_builds_spans(self):
         tracer = SpanTracer()
         cb = TracingCallback(tracer)
@@ -99,22 +120,22 @@ class TestCallbackList:
 
 
 class TestTelemetryRuntime:
-    def test_enabled_runtime_fans_out_to_tracing_and_metrics(self):
+    def test_enabled_runtime_feeds_the_tracer(self):
         sinks = [type(sink) for sink in Telemetry().hooks]
-        assert sinks == [TracingCallback, MetricsCallback]
+        assert sinks == [TracingCallback]
+        assert len(Telemetry(enabled=False).hooks) == 0
 
     def test_disabled_telemetry_collects_nothing(self):
-        tel = Telemetry(enabled=False)
-        assert isinstance(tel.registry, MetricsRegistry)
-        assert tel.collect(None) == {}
+        assert Telemetry(enabled=False).collect(None) == {}
 
     def test_from_spec_none_is_disabled(self):
         assert Telemetry.from_spec(None).enabled is False
 
 
-class TestServingDeltaHook:
-    """A delta applied once to the shared store is one ``on_delta`` event,
-    and its rows count once in the summary, however many replicas absorb it."""
+class TestServingDeltaSpans:
+    """A delta applied once to the shared store is one delta record and one
+    ``delta_v<n>`` span, and its rows count once in the summary, however many
+    replicas absorb it."""
 
     SERVING = {
         "window": 8,
@@ -162,14 +183,109 @@ class TestServingRequestSpans:
     are the report's request ids."""
 
     @pytest.mark.parametrize("preset", ["sharded-serving", "fleet-serving"])
-    def test_request_span_names_are_the_report_ids(self, preset, tmp_path):
-        from repro.api.cli import load_spec
-
-        engine = Engine.from_spec(load_spec(preset, ["serving.trace.num_events=60"]))
-        report = engine.serve()
-        doc = engine.export_trace(tmp_path / "serve.json")
-        names = [e["name"] for e in doc["traceEvents"] if e.get("cat") == "request"]
+    def test_request_span_names_are_the_report_ids(self, preset, served):
+        report, events = served(preset)
+        names = [e["name"] for e in events if e.get("cat") == "request"]
         ids = [record.request_id for record in report.metrics.requests]
         assert len(ids) == len(set(ids)) > 0
         assert len(names) == len(set(names))
         assert set(names) == {f"request_{request_id}" for request_id in ids}
+
+    @pytest.mark.parametrize("preset", ["sharded-serving", "fleet-serving"])
+    def test_request_span_batch_ids_are_the_records(self, preset, served):
+        report, events = served(preset)
+        spans = {
+            e["name"]: e["args"]["batch_id"]
+            for e in events
+            if e.get("cat") == "request"
+        }
+        assert spans == {
+            f"request_{record.request_id}": record.batch_id
+            for record in report.metrics.requests
+        }
+
+
+@pytest.fixture(scope="module")
+def served(tmp_path_factory):
+    """``preset -> (serving report, trace events)`` of a 60-event serve run,
+    each preset run once for the module."""
+    runs = {}
+
+    def run(preset):
+        if preset not in runs:
+            engine = Engine.from_spec(load_spec(preset, ["serving.trace.num_events=60"]))
+            report = engine.serve()
+            path = tmp_path_factory.mktemp("serve") / f"{preset}.json"
+            runs[preset] = (report, engine.export_trace(path)["traceEvents"])
+        return runs[preset]
+
+    return run
+
+
+class TestServingBatchSpans:
+    """Replicas of one engine draw batch ids from one counter, so every batch
+    span of a sharded or fleet trace has its own name, and the names are the
+    report's batch ids."""
+
+    @pytest.mark.parametrize("preset", ["sharded-serving", "fleet-serving"])
+    def test_batch_span_names_are_the_report_ids(self, preset, served):
+        report, events = served(preset)
+        names = [e["name"] for e in events if e.get("cat") == "batch"]
+        ids = [record.batch_id for record in report.metrics.batches]
+        assert len(ids) == len(set(ids)) > 1
+        assert len(names) == len(set(names)) == len(ids)
+        assert set(names) == {f"batch_{batch_id}" for batch_id in ids}
+
+    @pytest.mark.parametrize("preset", ["sharded-serving", "fleet-serving"])
+    def test_merged_records_are_in_batch_id_order(self, preset, served):
+        report, _ = served(preset)
+        batch_ids = [record.batch_id for record in report.metrics.batches]
+        assert batch_ids == sorted(batch_ids)
+        request_batches = [record.batch_id for record in report.metrics.requests]
+        assert request_batches == sorted(request_batches)
+        assert set(request_batches) == set(batch_ids)
+
+
+class TestFleetScaleSpans:
+    """Fleet scale events are serve-clock spans projected from
+    ``scale_events``, never spans of the training domain."""
+
+    FLEET_SERVE = {
+        "dataset": "youtube",
+        "model": "tgcn",
+        "method": "pipad",
+        "num_snapshots": 12,
+        "frame_size": 8,
+        "epochs": 1,
+        "lr": 0.005,
+        "serving": {
+            "kind": "fleet",
+            "num_shards": 4,
+            "min_replicas": 2,
+            "admission_limit": 16,
+            "slo_p99_ms": 2.0,
+            "window": 8,
+            "max_batch_requests": 8,
+            "max_delay_ms": 1.0,
+            "trace": {"num_events": 40, "mean_interarrival_ms": 0.2, "seed": 7},
+        },
+    }
+
+    def test_scale_spans_sit_in_the_serve_domain(self, tmp_path):
+        engine = Engine.from_spec(self.FLEET_SERVE)
+        engine.serve()
+        fleet = engine.serving_engine
+        doc = engine.export_trace(tmp_path / "fleet.json")
+        events = doc["traceEvents"]
+        (serve,) = [e for e in events if e.get("cat") == "phase" and e["name"] == "serve"]
+        prepare = [e for e in events if e.get("cat") == "phase" and e["name"] == "prepare"]
+        scale = [e for e in events if e["name"].startswith("fleet_scale_")]
+        assert [e["name"] for e in scale] == [
+            f"fleet_scale_{event.direction}_to_{event.active_replicas}"
+            for event in fleet.scale_events
+        ] == ["fleet_scale_up_to_3", "fleet_scale_up_to_4"]
+        for event, record in zip(scale, fleet.scale_events):
+            assert event["cat"] == "scale" and event["dur"] == 0.0
+            # The serve clock starts where the train domain ends.
+            assert event["ts"] == serve["ts"] + record.at * 1e6
+            assert all(event["ts"] >= p["ts"] + p["dur"] for p in prepare)

@@ -5,7 +5,10 @@ cannot see simulated time drift from one commit to the next.  These tests
 pin a SHA-256 over every op of five small runs.  A change that is meant to
 be host-side only (faster bookkeeping, fewer allocations) must leave them
 untouched; a change that moves simulated time on purpose updates the
-constants and says why.
+constants and says why.  The two serving digests were re-baselined once
+when sharded and fleet batch ids became engine-wide: op labels carry them
+(``serve_b<id>``), and with every ``b<digits>`` label token replaced by
+``b#`` the records hash equal before and after.
 
 Each op contributes ``(timeline, label, kind, resource, stream, start, end,
 deps)`` with times as ``float.hex`` and deps as ``(timeline, op_id)`` —
@@ -139,12 +142,12 @@ GOLDEN = {
     "fleet-serve": (
         FLEET_SERVE,
         4255,
-        "4613bcb438be9d99ac36ba83b2fd2677f516a4786f8759cbaa2aeaed45a8648c",
+        "a1c3e639f1ebadac91b684af1a9cc9641ac2f056b5842a8a921888d8bcf1350c",
     ),
     "sharded-serve": (
         SHARDED_SERVE,
         8832,
-        "d5a05525c0d9f51e3432532368a48eccdf430c0f7cd8a0cd0bd1e99826d6511e",
+        "c9a74c43581b843c40292235d7838f7c0259c2d7dd66b36d9a70ed4b12a048ed",
     ),
 }
 
