@@ -2,7 +2,7 @@
 
 :mod:`tests.test_determinism` compares two runs of the same code, so it
 cannot see simulated time drift from one commit to the next.  These tests
-pin a SHA-256 over every op of five small runs.  A change that is meant to
+pin a SHA-256 over every op of seven small runs.  A change that is meant to
 be host-side only (faster bookkeeping, fewer allocations) must leave them
 untouched; a change that moves simulated time on purpose updates the
 constants and says why.  The two serving digests were re-baselined once
@@ -16,7 +16,7 @@ deps)`` with times as ``float.hex`` and deps as ``(timeline, op_id)`` —
 
 A second digest pins the run report's metrics snapshot (every
 ``(name, float.hex(value))`` pair of ``engine.report().metrics``) for the
-same five runs, so telemetry that is derived after the run — prefetch,
+same seven runs, so telemetry that is derived after the run — prefetch,
 cache, bubble and collective totals — cannot drift silently either.
 
 A third digest pins the op-event stream the cost collector receives in one
@@ -122,6 +122,20 @@ SHARDED_SERVE = {
     },
 }
 
+#: The canonical one-snapshot-at-a-time trainers: PyGT-R aggregates with COO
+#: kernels, PyGT-G with GE-SpMM, both with first-layer reuse; both models
+#: aggregate hidden features again at layer 1.
+PYGT_REUSE = {
+    "dataset": "covid19_england",
+    "model": "mpnn_lstm",
+    "method": "pygt-r",
+    "num_snapshots": 14,
+    "frame_size": 8,
+    "epochs": 2,
+}
+
+PYGT_GESPMM = {**PYGT_REUSE, "model": "evolvegcn", "method": "pygt-g"}
+
 #: name -> (spec, op count, digest)
 GOLDEN = {
     "pipad-1gpu": (
@@ -148,6 +162,16 @@ GOLDEN = {
         SHARDED_SERVE,
         8832,
         "c9a74c43581b843c40292235d7838f7c0259c2d7dd66b36d9a70ed4b12a048ed",
+    ),
+    "pygt-r": (
+        PYGT_REUSE,
+        9926,
+        "0671c6fee2026d524e136027bc39ae15452fe343015caa1900bef1a7d387416d",
+    ),
+    "pygt-g": (
+        PYGT_GESPMM,
+        11032,
+        "3ff1fb184776275d9039b9d07cca36a3e9cccebc1c355d34c36c352ed3f0be5a",
     ),
 }
 
@@ -201,6 +225,14 @@ GOLDEN_METRICS = {
     "sharded-serve": (
         95,
         "2ff113c4207ca8e858bc2e111e54a6f4339a3229cd4398f5d1a0f6eee6e815e6",
+    ),
+    "pygt-r": (
+        26,
+        "67541f8e011157ebd649cbed37fa29317cc0376410fc8e307bb4105e252a8435",
+    ),
+    "pygt-g": (
+        26,
+        "b5c39a8b65c79557ef9e9e851c3ff5d15019fcec41c766fc159400b1f5d27af3",
     ),
 }
 
