@@ -7,7 +7,7 @@ definition, and the frame/epoch loops; subclasses customize
 
 - how a frame is split into partitions,
 - what data is transferred for each partition and on which stream,
-- which aggregation kernel / provider executes the GNN part,
+- which aggregation kernels the GNN part of a partition runs through,
 - whether inter-frame reuse and CUDA-Graph launching are active.
 
 Numerics are always computed for real (the models genuinely train); the
@@ -35,12 +35,7 @@ from repro.gpu.profiler import KernelCostCollector
 from repro.gpu.spec import GPUSpec, HostSpec, PCIeSpec
 from repro.gpu.timeline import TimelineOp
 from repro.nn import build_model
-from repro.kernels.base import BaseAggregationKernel
-from repro.nn.aggregation import (
-    DictAggregationCache,
-    SequentialAggregationProvider,
-    snapshot_kernel,
-)
+from repro.nn.aggregation import AggregationProvider, DictAggregationCache, SnapshotKernels
 from repro.nn.base_model import DGNNModel
 from repro.nn.context import ExecutionContext
 from repro.telemetry.hooks import NULL_CALLBACK, TelemetryCallback
@@ -81,7 +76,7 @@ class DGNNTrainerBase:
 
     #: human-readable method name used in figures/tables
     method_name = "base"
-    #: aggregation-kernel family for the sequential provider
+    #: aggregation-kernel family of the one-snapshot kernel sets
     kernel_name = "coo"
     #: adjacency transfer format (``"coo"``, ``"csr"`` or ``"csr+csc"``)
     adjacency_format = "coo"
@@ -107,9 +102,9 @@ class DGNNTrainerBase:
         self.frames = FrameIterator(graph, frame_size=self.config.frame_size)
         self.cache = DictAggregationCache() if self.use_reuse else None
         self.context = ExecutionContext(spec=self.config.gpu, scale=self.scale)
-        #: one aggregation kernel per (kernel family, snapshot timestep), kept
-        #: for the whole run: every frame, epoch and ``evaluate`` reuses it
-        self._snapshot_kernels: Dict[Tuple[str, int], Optional[BaseAggregationKernel]] = {}
+        #: one kernel set per partition, keyed by (first timestep, size) and
+        #: kept for the whole run: every frame, epoch and ``evaluate`` reuses it
+        self._kernel_sets: Dict[Tuple[int, int], object] = {}
         #: telemetry sink; the engine swaps in a live CallbackList, standalone
         #: trainers keep the no-op null object
         self.hooks: TelemetryCallback = NULL_CALLBACK
@@ -181,23 +176,21 @@ class DGNNTrainerBase:
         """Split a frame into the snapshot groups processed together."""
         return [(snapshot,) for snapshot in frame]
 
-    def _snapshot_kernel(self, snapshot: GraphSnapshot) -> Optional[BaseAggregationKernel]:
-        key = (self.kernel_name, snapshot.timestep)
-        if key not in self._snapshot_kernels:
-            self._snapshot_kernels[key] = snapshot_kernel(
-                snapshot, self.kernel_name, self.config.gpu, self.scale
-            )
-        return self._snapshot_kernels[key]
+    def _kernel_set(self, snapshots: Sequence[GraphSnapshot]):
+        """Build the aggregation kernels of one partition (the canonical
+        pattern: a partition of one snapshot)."""
+        (snapshot,) = snapshots
+        return SnapshotKernels(snapshot, self.kernel_name, self.config.gpu, self.scale)
 
-    def _make_provider(self, snapshots: Sequence[GraphSnapshot]):
-        return SequentialAggregationProvider(
-            snapshots,
-            kernel_name=self.kernel_name,
-            spec=self.config.gpu,
-            scale=self.scale,
+    def _make_provider(self, snapshots: Sequence[GraphSnapshot]) -> AggregationProvider:
+        key = (snapshots[0].timestep, len(snapshots))
+        kernels = self._kernel_sets.get(key)
+        if kernels is None:
+            kernels = self._kernel_sets[key] = self._kernel_set(snapshots)
+        return AggregationProvider(
+            kernels,
             cache=self.cache,
             reusable_layers=self.model.reusable_aggregation_layers if self.use_reuse else (),
-            kernels=[self._snapshot_kernel(s) for s in snapshots],
         )
 
     def _partition_context(self, snapshots: Sequence[GraphSnapshot]) -> ExecutionContext:

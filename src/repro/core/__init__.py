@@ -11,7 +11,7 @@ from repro.core.datapipe import (
     STAGE_REGISTRY,
 )
 from repro.core.reuse import ReuseManager
-from repro.core.parallel_gnn import ParallelAggregationProvider, PartitionKernels
+from repro.core.parallel_gnn import PartitionKernels
 from repro.core.tuner import (
     DynamicTuner,
     FrameProfile,
@@ -35,7 +35,6 @@ __all__ = [
     "Prefetcher",
     "STAGE_REGISTRY",
     "ReuseManager",
-    "ParallelAggregationProvider",
     "PartitionKernels",
     "DynamicTuner",
     "FrameProfile",

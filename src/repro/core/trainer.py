@@ -6,8 +6,8 @@ The trainer extends the shared training loop with PiPAD's four mechanisms:
    one sliced-CSR overlap adjacency plus per-snapshot exclusives
    (:class:`~repro.core.data_prep.DataPreparer`,
    :class:`~repro.core.slicer.GraphSlicer`).
-2. *Intra-frame parallelism* — the GNN part of a partition executes through
-   the :class:`~repro.core.parallel_gnn.ParallelAggregationProvider`, with
+2. *Intra-frame parallelism* — the GNN part of a partition aggregates over
+   its :class:`~repro.core.parallel_gnn.PartitionKernels`, with
    locality-optimized weight reuse in the update GEMM and CUDA-Graph
    launches.
 3. *Pipeline execution* — CPU preparation, PCIe transfers and kernels run on
@@ -33,7 +33,7 @@ import numpy as np
 from repro.baselines.base import DGNNTrainerBase, TrainerConfig
 from repro.baselines.results import EpochMetrics
 from repro.core.config import PiPADConfig
-from repro.core.data_prep import PartitionData, transfer_bytes
+from repro.core.data_prep import transfer_bytes
 from repro.core.datapipe import (
     DataPipe,
     DataPipeConfig,
@@ -41,7 +41,7 @@ from repro.core.datapipe import (
     Prefetcher,
     apply_cache_plan,
 )
-from repro.core.parallel_gnn import ParallelAggregationProvider, PartitionKernels
+from repro.core.parallel_gnn import PartitionKernels
 from repro.core.reuse import ReuseManager
 from repro.core.slicer import GraphSlicer
 from repro.core.tuner import (
@@ -108,9 +108,6 @@ class PiPADTrainer(DGNNTrainerBase):
             candidates = capped_candidates(self.graph.metadata.get("max_s_per"))
         self.tuner = DynamicTuner(self.config.gpu, candidates, feature_dim=self.graph.feature_dim)
         self._frame_s_per: Dict[int, int] = {}
-        #: one kernel set per prepared partition, keyed like the preparer's
-        #: ``PartitionData`` cache and reused by every frame and epoch
-        self._partition_kernels: Dict[Tuple[int, int], PartitionKernels] = {}
         self._tuning_decisions: List[TuningDecision] = []
         self._preparing = self.pipad.preparing_epochs > 0
         self._preprocessed = False
@@ -232,8 +229,8 @@ class PiPADTrainer(DGNNTrainerBase):
             self._frame_s_per[frame.index] = decision.s_per
             self._tuning_decisions.append(decision)
         self._preprocessed = True
-        # The canonical per-snapshot kernels served the preparing epochs only.
-        self._snapshot_kernels.clear()
+        # The canonical per-snapshot kernel sets served the preparing epochs only.
+        self._kernel_sets.clear()
 
     # ------------------------------------------------------------------ frame execution overrides
     def _make_partitions(self, frame: Frame) -> List[Tuple[GraphSnapshot, ...]]:
@@ -245,24 +242,14 @@ class PiPADTrainer(DGNNTrainerBase):
             for start in range(0, frame.size, s_per)
         ]
 
-    def _make_provider(self, snapshots: Sequence[GraphSnapshot]):
+    def _kernel_set(self, snapshots: Sequence[GraphSnapshot]):
         if self._preparing:
-            return super()._make_provider(snapshots)
-        partition = self.datapipe.partition(snapshots)
-        key = (partition.start_timestep, partition.size)
-        kernels = self._partition_kernels.get(key)
-        if kernels is None:
-            kernels = PartitionKernels(
-                partition,
-                self.config.gpu,
-                self.scale,
-                use_sliced_csr=self.pipad.use_sliced_csr,
-            )
-            self._partition_kernels[key] = kernels
-        return ParallelAggregationProvider(
-            kernels,
-            cache=self.cache,
-            reusable_layers=self.model.reusable_aggregation_layers if self.use_reuse else (),
+            return super()._kernel_set(snapshots)
+        return PartitionKernels(
+            self.datapipe.partition(snapshots),
+            self.config.gpu,
+            self.scale,
+            use_sliced_csr=self.pipad.use_sliced_csr,
         )
 
     def _partition_context(self, snapshots: Sequence[GraphSnapshot]) -> ExecutionContext:

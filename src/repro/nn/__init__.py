@@ -1,4 +1,4 @@
-"""DGNN models (MPNN-LSTM, EvolveGCN, T-GCN) and aggregation providers."""
+"""DGNN models (MPNN-LSTM, EvolveGCN, T-GCN) and the aggregation provider."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from repro.nn.aggregation import (
     AggregationCache,
     AggregationProvider,
     DictAggregationCache,
-    SequentialAggregationProvider,
+    SnapshotKernels,
     mean_inverse_degree,
 )
 from repro.nn.base_model import DGNNModel, ModelState
@@ -48,7 +48,7 @@ __all__ = [
     "AggregationCache",
     "AggregationProvider",
     "DictAggregationCache",
-    "SequentialAggregationProvider",
+    "SnapshotKernels",
     "mean_inverse_degree",
     "DGNNModel",
     "ModelState",

@@ -1,20 +1,25 @@
-"""Aggregation providers: how a model obtains ``mean(A+I)``-aggregated features.
+"""The aggregation provider: how a model obtains ``mean(A+I)``-aggregated features.
 
-A *provider* abstracts the execution strategy of the GNN aggregation so the
-model code stays identical between the canonical one-snapshot baselines and
-PiPAD's multi-snapshot parallel GNN:
+A model aggregates a group of snapshots through one
+:class:`AggregationProvider`, whatever the execution strategy, so the model
+code is identical between the canonical one-snapshot baselines and PiPAD's
+multi-snapshot parallel GNN.  The strategy lives in the provider's kernel
+set, which splits each snapshot's adjacency as ``A_i = A_over + A_excl_i``
+(§4.2):
 
-- :class:`SequentialAggregationProvider` (this module) aggregates each
-  snapshot independently with a chosen kernel flavour (PyG COO or GE-SpMM),
-  which is what all PyGT variants do;
-- :class:`repro.core.parallel_gnn.ParallelAggregationProvider` aggregates the
-  overlap topology of a whole partition at once against the coalescent
-  feature matrix.
+- :class:`SnapshotKernels` (this module) is the canonical one-graph-at-a-time
+  pattern of all PyGT variants: a partition of one snapshot with an empty
+  overlap and the whole adjacency, under a chosen kernel flavour (PyG COO
+  or GE-SpMM), as its exclusive part;
+- :class:`repro.core.parallel_gnn.PartitionKernels` is PiPAD's partition of
+  several snapshots, whose shared overlap is aggregated once against the
+  coalescent feature matrix.
 
-Both consult an optional :class:`AggregationCache` for the inter-frame reuse
-of first-layer aggregation results (§4.4): the first GCN layer operates on
-the raw input features and the topology only, so its result is identical
-across frames and epochs and can be cached per snapshot timestep.
+The provider consults an optional :class:`AggregationCache` for the
+inter-frame reuse of first-layer aggregation results (§4.4): the first GCN
+layer operates on the raw input features and the topology only, so its
+result is identical across frames and epochs and can be cached per
+snapshot timestep.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from repro.graph.snapshot import GraphSnapshot
 from repro.gpu.spec import GPUSpec
 from repro.kernels.base import BaseAggregationKernel
 from repro.kernels.registry import get_aggregation_kernel
+from repro.tensor import ops
 from repro.tensor.function import op_scope
 from repro.tensor.sparse import spmm
 from repro.tensor.tensor import Tensor
@@ -42,17 +48,6 @@ class AggregationCache(Protocol):
         """Cache the aggregation result of a snapshot."""
 
 
-class AggregationProvider(Protocol):
-    """Strategy object the models call to aggregate a group of snapshots."""
-
-    @property
-    def num_snapshots(self) -> int:
-        ...
-
-    def aggregate_many(self, layer: int, xs: Sequence[Tensor]) -> List[Tensor]:
-        """Aggregate one tensor per snapshot of the current group for ``layer``."""
-
-
 def mean_inverse_degree(snapshot: GraphSnapshot) -> np.ndarray:
     """``1 / (out_degree + 1)`` column vector used by the mean aggregator."""
     degree = snapshot.adjacency.row_nnz().astype(np.float32)
@@ -66,93 +61,121 @@ def inverse_degree(snapshot: GraphSnapshot) -> Tensor:
     return snapshot._inverse_degree
 
 
-def snapshot_kernel(
-    snapshot: GraphSnapshot, kernel_name: str, spec: GPUSpec, scale: float
-) -> Optional[BaseAggregationKernel]:
-    """The ``kernel_name`` kernel over one snapshot's adjacency (``None``
-    when the snapshot has no edges: its aggregation is the self term only)."""
-    if not snapshot.adjacency.nnz:
-        return None
-    return get_aggregation_kernel(kernel_name)(snapshot.adjacency, spec, scale)
+class SnapshotKernels:
+    """The kernel set of one snapshot aggregated on its own.
+
+    The canonical one-snapshot aggregation is a partition of one: the
+    overlap is empty and the whole adjacency is the exclusive part, under
+    the ``kernel_name`` kernel (``"coo"`` for PyGT/PyGT-A/PyGT-R,
+    ``"gespmm"`` for PyGT-G), or ``None`` when the snapshot has no edges
+    (its aggregation is the self term only).  The trainers keep one set per
+    snapshot for the whole run.
+    """
+
+    overlap = None
+
+    def __init__(
+        self,
+        snapshot: GraphSnapshot,
+        kernel_name: str = "coo",
+        spec: Optional[GPUSpec] = None,
+        scale: float = 1.0,
+    ) -> None:
+        self.snapshots = (snapshot,)
+        self.inv_degree = [inverse_degree(snapshot)]
+        self._kernel = (
+            get_aggregation_kernel(kernel_name)(snapshot.adjacency, spec or GPUSpec(), scale)
+            if snapshot.adjacency.nnz
+            else None
+        )
+
+    def exclusive(self, index: int) -> Optional[BaseAggregationKernel]:
+        """The snapshot's kernel (``index`` is always 0)."""
+        return self._kernel
 
 
-class SequentialAggregationProvider:
-    """One-snapshot-at-a-time aggregation (all PyGT baseline variants).
+class AggregationProvider:
+    """Aggregates a group of snapshots at once over its overlap decomposition.
 
-    Parameters
-    ----------
-    snapshots:
-        The snapshots of the group being processed (a partition of size 1 for
-        the canonical baselines).
-    kernel_name:
-        Aggregation-kernel family (``"coo"`` for PyGT/PyGT-A/PyGT-R,
-        ``"gespmm"`` for PyGT-G).
-    spec, scale:
-        Simulated-GPU spec and workload-extrapolation factor for kernel costs.
-    cache:
-        Optional first-layer aggregation cache (PyGT-R / PyGT-G reuse).
-    reusable_layers:
-        Which GCN layer indices may consult the cache (layer 0 by default).
-    kernels:
-        Per-snapshot kernels already built by :func:`snapshot_kernel` (the
-        trainers keep one per snapshot for the whole run); when omitted the
-        provider builds its own from ``kernel_name``, ``spec`` and ``scale``.
+    ``kernels`` is the group's kernel set — :class:`SnapshotKernels` or
+    :class:`~repro.core.parallel_gnn.PartitionKernels` — built once and
+    shared by every provider over the same group: a trainer keeps one set
+    per group for the whole run, the serving store one per version group.
+    The set's ``overlap`` kernel (``None`` when empty) runs once against the
+    coalescent feature matrix, each ``exclusive(i)`` kernel (``None`` when
+    empty) against snapshot ``i``'s features, and ``inv_degree[i]`` applies
+    the mean.  The reuse cache and the hit/miss counters are the provider's
+    own.
     """
 
     def __init__(
         self,
-        snapshots: Sequence[GraphSnapshot],
-        kernel_name: str = "coo",
-        spec: Optional[GPUSpec] = None,
-        scale: float = 1.0,
+        kernels,
         cache: Optional[AggregationCache] = None,
         reusable_layers: Sequence[int] = (0,),
-        *,
-        kernels: Optional[Sequence[Optional[BaseAggregationKernel]]] = None,
     ) -> None:
-        if not snapshots:
-            raise ValueError("provider needs at least one snapshot")
-        self.snapshots = list(snapshots)
-        self.spec = spec or GPUSpec()
-        self.scale = scale
+        self.kernels = kernels
         self.cache = cache
         self.reusable_layers = tuple(reusable_layers)
-        if kernels is None:
-            kernels = [
-                snapshot_kernel(snap, kernel_name, self.spec, scale) for snap in self.snapshots
-            ]
-        elif len(kernels) != len(self.snapshots):
-            raise ValueError(f"expected {len(self.snapshots)} kernels, got {len(kernels)}")
-        self._kernels = list(kernels)
-        self._inv_degree = [inverse_degree(snap) for snap in self.snapshots]
-        #: number of aggregations served from the cache (reporting/telemetry)
         self.cache_hits = 0
         self.cache_misses = 0
 
     @property
     def num_snapshots(self) -> int:
-        return len(self.snapshots)
+        return len(self.kernels.snapshots)
 
     def aggregate_many(self, layer: int, xs: Sequence[Tensor]) -> List[Tensor]:
+        """Aggregate one tensor per snapshot of the group for ``layer``."""
         if len(xs) != self.num_snapshots:
-            raise ValueError(
-                f"expected {self.num_snapshots} feature tensors, got {len(xs)}"
-            )
-        results: List[Tensor] = []
-        for index, (snapshot, x) in enumerate(zip(self.snapshots, xs)):
-            cached = None
-            if self.cache is not None and layer in self.reusable_layers:
-                cached = self.cache.lookup(snapshot.timestep)
-            if cached is not None:
-                self.cache_hits += 1
-                results.append(Tensor(cached))
-                continue
-            self.cache_misses += 1
+            raise ValueError(f"expected {self.num_snapshots} feature tensors, got {len(xs)}")
+        snapshots = self.kernels.snapshots
+        reusable = layer in self.reusable_layers and self.cache is not None
+
+        # Serve every snapshot from the cache when possible (all-or-nothing per
+        # snapshot; mixing cached and computed snapshots is still exact).
+        cached_results: List[Optional[np.ndarray]] = [
+            self.cache.lookup(s.timestep) if reusable else None for s in snapshots
+        ]
+        to_compute = [i for i, c in enumerate(cached_results) if c is None]
+        self.cache_hits += len(snapshots) - len(to_compute)
+        self.cache_misses += len(to_compute)
+
+        computed: dict = {}
+        if to_compute:
+            feature_dim = xs[0].shape[1]
             with op_scope("aggregation"):
-                kernel = self._kernels[index]
-                aggregated = spmm(kernel, x) + x if kernel is not None else x
-                result = aggregated * self._inv_degree[index]
-            if self.cache is not None and layer in self.reusable_layers:
+                # Parallel aggregation of the overlap topology against the
+                # coalescent feature matrix of the snapshots still to compute.
+                kernels = self.kernels
+                if kernels.overlap is not None:
+                    coalescent = (
+                        ops.concat([xs[i] for i in to_compute], axis=1)
+                        if len(to_compute) > 1
+                        else xs[to_compute[0]]
+                    )
+                    overlap_out = spmm(kernels.overlap, coalescent)
+                else:
+                    overlap_out = None
+                for position, index in enumerate(to_compute):
+                    x = xs[index]
+                    if overlap_out is not None:
+                        start = position * feature_dim
+                        part = overlap_out[:, start : start + feature_dim]
+                    else:
+                        part = None
+                    exclusive_kernel = kernels.exclusive(index)
+                    pieces = x if part is None else part + x
+                    if exclusive_kernel is not None:
+                        pieces = pieces + spmm(exclusive_kernel, x)
+                    computed[index] = pieces * kernels.inv_degree[index]
+
+        results: List[Tensor] = []
+        for index, snapshot in enumerate(snapshots):
+            if cached_results[index] is not None:
+                results.append(Tensor(cached_results[index]))
+                continue
+            result = computed[index]
+            if reusable:
                 self.cache.store(snapshot.timestep, result.data)
             results.append(result)
         return results

@@ -2,9 +2,9 @@
 
 All models process a frame of snapshots one *partition* (contiguous group of
 snapshots) at a time: the GNN part of a partition is handed to an
-:class:`~repro.nn.aggregation.AggregationProvider` (which may execute it
-snapshot-by-snapshot or in parallel over the group), while the RNN part
-carries hidden state sequentially across snapshots and partitions.  The class
+:class:`~repro.nn.aggregation.AggregationProvider` (whose kernel set is one
+snapshot's adjacency or the group's overlap decomposition), while the RNN
+part carries hidden state sequentially across snapshots and partitions.  The class
 attributes describe the structural properties PiPAD's runtime keys on.
 """
 

@@ -1,6 +1,6 @@
 """GCN update module (the dense half of a GCN layer).
 
-The aggregation half is performed by an
+The aggregation half is performed by the
 :class:`~repro.nn.aggregation.AggregationProvider`; :class:`GCNUpdate`
 applies the fully connected transformation to aggregated features via the
 weight-reuse-aware :func:`repro.kernels.gemm.update_gemm` kernel so the cost

@@ -2,8 +2,8 @@
 
 The session owns a trained DGNN model and turns the store's window into
 predictions.  It is the serving-side twin of the trainer's frame execution:
-partitions of the window run through the
-:class:`~repro.core.parallel_gnn.ParallelAggregationProvider` against the
+partitions of the window run through the trainer's
+:class:`~repro.nn.aggregation.AggregationProvider` against the
 incrementally maintained overlap decomposition, first-layer aggregations are
 served from the :class:`~repro.core.reuse.ReuseManager`, and kernel costs are
 collected so the scheduler can account them on the simulated device.
@@ -37,11 +37,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.data_prep import DataPreparer, PartitionData, transfer_bytes
-from repro.core.parallel_gnn import ParallelAggregationProvider, PartitionKernels
+from repro.core.parallel_gnn import PartitionKernels
 from repro.core.reuse import ReuseManager
 from repro.gpu.device import SimulatedGPU
 from repro.gpu.kernel_cost import KernelCost
 from repro.gpu.profiler import KernelCostCollector
+from repro.nn.aggregation import AggregationProvider
 from repro.nn.base_model import DGNNModel
 from repro.nn.context import ExecutionContext
 from repro.serving.store import DeltaReport, IncrementalSnapshotStore
@@ -241,7 +242,7 @@ class InferenceSession:
             cache = _RecordingCache({v: a for v, a in cached.items() if a is not None})
         reusable = self.model.reusable_aggregation_layers if cache is not None else ()
         providers = [
-            ParallelAggregationProvider(kernels, cache=cache, reusable_layers=reusable)
+            AggregationProvider(kernels, cache=cache, reusable_layers=reusable)
             for kernels in self.kernels_for(s_per)
         ]
         snapshots = self.store.window_snapshots()

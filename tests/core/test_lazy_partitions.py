@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.data_prep import DataPreparer
-from repro.core.parallel_gnn import ParallelAggregationProvider, PartitionKernels
+from repro.core.parallel_gnn import PartitionKernels
 from repro.distributed import FleetConfig, build_fleet_serving_engine
 from repro.gpu.spec import GPUSpec
 from repro.graph import (
@@ -37,7 +37,7 @@ from repro.graph import (
 from repro.graph.snapshot import GraphSnapshot
 from repro.kernels.base import BaseAggregationKernel
 from repro.kernels.spmm_sliced import SlicedParallelAggregation
-from repro.nn import build_model
+from repro.nn import AggregationProvider, build_model
 from repro.serving import ServingConfig, synthesize_serving_trace
 
 N = 90
@@ -275,7 +275,7 @@ def materializations(monkeypatch):
         within("partition_kernels", sets_init)(self, *args, **kwargs)
 
     monkeypatch.setattr(PartitionKernels, "__init__", init_set)
-    aggregate = ParallelAggregationProvider.aggregate_many
+    aggregate = AggregationProvider.aggregate_many
 
     def aggregate_many(self, layer, xs):
         misses = self.cache_misses
@@ -286,7 +286,7 @@ def materializations(monkeypatch):
             context.pop()
             record["passes"][id(self.kernels)].append(self.cache_misses - misses)
 
-    monkeypatch.setattr(ParallelAggregationProvider, "aggregate_many", aggregate_many)
+    monkeypatch.setattr(AggregationProvider, "aggregate_many", aggregate_many)
     to_scipy = CSRMatrix.to_scipy
     from_csr = SlicedCSRMatrix.from_csr.__func__
 

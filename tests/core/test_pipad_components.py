@@ -9,7 +9,6 @@ from repro.core import (
     DynamicTuner,
     GraphSlicer,
     OfflineAnalysis,
-    ParallelAggregationProvider,
     PartitionKernels,
     PiPADConfig,
     PiPADTrainer,
@@ -22,7 +21,12 @@ from repro.core import trainer as trainer_module
 from repro.core import tuner as tuner_module
 from repro.core.tuner import FrameProfile, capped_candidates
 from repro.gpu import GPUSpec, PCIeSpec, SimulatedGPU
-from repro.nn import ExecutionContext, SequentialAggregationProvider, mean_inverse_degree
+from repro.nn import (
+    AggregationProvider,
+    ExecutionContext,
+    SnapshotKernels,
+    mean_inverse_degree,
+)
 from repro.tensor import Tensor
 
 SPEC = GPUSpec()
@@ -151,7 +155,7 @@ class TestReuseManager:
         manager = ReuseManager(SimulatedGPU())
         old = small_graph[0]
         x = Tensor(old.features)
-        provider = SequentialAggregationProvider([old], cache=manager, spec=SPEC)
+        provider = AggregationProvider(SnapshotKernels(old, "coo", SPEC), cache=manager)
         (before,) = provider.aggregate_many(0, [x])
         assert manager.has_cached(old.timestep)
 
@@ -165,12 +169,12 @@ class TestReuseManager:
             timestep=old.timestep,
         )
         # Without invalidation the stale result would be served verbatim.
-        stale_provider = SequentialAggregationProvider([changed], cache=manager, spec=SPEC)
+        stale_provider = AggregationProvider(SnapshotKernels(changed, "coo", SPEC), cache=manager)
         (stale,) = stale_provider.aggregate_many(0, [x])
         np.testing.assert_allclose(stale.data, before.data)
 
         manager.invalidate([old.timestep])
-        fresh_provider = SequentialAggregationProvider([changed], cache=manager, spec=SPEC)
+        fresh_provider = AggregationProvider(SnapshotKernels(changed, "coo", SPEC), cache=manager)
         (fresh,) = fresh_provider.aggregate_many(0, [x])
         assert fresh_provider.cache_misses == 1
         assert not np.allclose(fresh.data, before.data)
@@ -251,22 +255,29 @@ class TestOfflineAnalysisAndTuner:
         assert capped_candidates(cap) == expected
 
 
+def one_by_one(snapshots, xs, kernel_name="coo"):
+    """Each snapshot aggregated on its own, the canonical way."""
+    return [
+        AggregationProvider(SnapshotKernels(s, kernel_name, SPEC)).aggregate_many(0, [x])[0]
+        for s, x in zip(snapshots, xs)
+    ]
+
+
 class TestParallelProvider:
     def test_parallel_matches_sequential_numerics(self, small_graph):
         group = small_graph.snapshots[:3]
         data = DataPipe().partition(group)
-        parallel = ParallelAggregationProvider(PartitionKernels(data, SPEC))
-        sequential = SequentialAggregationProvider(group, kernel_name="coo", spec=SPEC)
+        parallel = AggregationProvider(PartitionKernels(data, SPEC))
         xs = [Tensor(s.features) for s in group]
         parallel_out = parallel.aggregate_many(0, xs)
-        sequential_out = sequential.aggregate_many(0, xs)
+        sequential_out = one_by_one(group, xs)
         for a, b in zip(parallel_out, sequential_out):
             assert np.allclose(a.numpy(), b.numpy(), atol=1e-4)
 
     def test_parallel_gradients_flow(self, small_graph):
         group = small_graph.snapshots[:2]
         data = DataPipe().partition(group)
-        provider = ParallelAggregationProvider(PartitionKernels(data, SPEC))
+        provider = AggregationProvider(PartitionKernels(data, SPEC))
         xs = [Tensor(s.features, requires_grad=True) for s in group]
         outs = provider.aggregate_many(0, xs)
         (outs[0].sum() + outs[1].sum()).backward()
@@ -276,34 +287,32 @@ class TestParallelProvider:
         group = small_graph.snapshots[:2]
         data = DataPipe().partition(group)
         manager = ReuseManager(SimulatedGPU())
-        provider = ParallelAggregationProvider(PartitionKernels(data, SPEC), cache=manager)
+        provider = AggregationProvider(PartitionKernels(data, SPEC), cache=manager)
         xs = [Tensor(s.features) for s in group]
         provider.aggregate_many(0, xs)
         assert provider.cache_misses == 2
-        provider2 = ParallelAggregationProvider(PartitionKernels(data, SPEC), cache=manager)
+        provider2 = AggregationProvider(PartitionKernels(data, SPEC), cache=manager)
         out_cached = provider2.aggregate_many(0, xs)
         assert provider2.cache_hits == 2
-        out_fresh = ParallelAggregationProvider(PartitionKernels(data, SPEC)).aggregate_many(0, xs)
+        out_fresh = AggregationProvider(PartitionKernels(data, SPEC)).aggregate_many(0, xs)
         for a, b in zip(out_cached, out_fresh):
             assert np.allclose(a.numpy(), b.numpy(), atol=1e-5)
 
     def test_single_snapshot_partition(self, small_graph):
         group = small_graph.snapshots[:1]
         data = DataPipe().partition(group)
-        provider = ParallelAggregationProvider(PartitionKernels(data, SPEC))
+        provider = AggregationProvider(PartitionKernels(data, SPEC))
         [out] = provider.aggregate_many(0, [Tensor(group[0].features)])
-        seq = SequentialAggregationProvider(group, spec=SPEC).aggregate_many(
-            0, [Tensor(group[0].features)]
-        )[0]
+        [seq] = one_by_one(group, [Tensor(group[0].features)])
         assert np.allclose(out.numpy(), seq.numpy(), atol=1e-4)
 
     def test_csr_fallback_matches(self, small_graph):
         group = small_graph.snapshots[:2]
         data = DataPipe(use_sliced_csr=False).partition(group)
-        provider = ParallelAggregationProvider(PartitionKernels(data, SPEC, use_sliced_csr=False))
+        provider = AggregationProvider(PartitionKernels(data, SPEC, use_sliced_csr=False))
         xs = [Tensor(s.features) for s in group]
         outs = provider.aggregate_many(0, xs)
-        seq = SequentialAggregationProvider(group, spec=SPEC).aggregate_many(0, xs)
+        seq = one_by_one(group, xs)
         for a, b in zip(outs, seq):
             assert np.allclose(a.numpy(), b.numpy(), atol=1e-4)
 
@@ -314,7 +323,7 @@ class TestParallelProvider:
         second = PartitionKernels(DataPipe().partition(snapshots[2:4]), SPEC)
         shared = first.inv_degree[2]
         assert shared is second.inv_degree[0]
-        assert SequentialAggregationProvider(snapshots[2:3], spec=SPEC)._inv_degree[0] is shared
+        assert SnapshotKernels(snapshots[2], "coo", SPEC).inv_degree[0] is shared
         expected = mean_inverse_degree(snapshots[2])
         assert [float(x).hex() for x in shared.data.ravel()] == [
             float(x).hex() for x in expected.ravel()
@@ -354,18 +363,18 @@ class TestTrainerKernelMemo:
 
         trainer = RecordingTrainer(graph, config, PiPADConfig(preparing_epochs=1))
         trainer.train(epochs=1 + self.STEADY_EPOCHS)
-        return built, providers
+        return trainer, built, providers
 
     def test_every_provider_of_a_partition_wraps_the_same_kernels(
         self, small_graph, trainer_config, monkeypatch
     ):
-        _, providers = self._train(small_graph, trainer_config, monkeypatch)
+        _, _, providers = self._train(small_graph, trainer_config, monkeypatch)
         assert {epoch for epoch, _, _ in providers} == {1, 2, 3}
         by_partition = {}
         for _, key, provider in providers:
             by_partition.setdefault(key, []).append(provider)
-            assert isinstance(provider, ParallelAggregationProvider)
-            assert tuple(s.timestep for s in provider.partition.snapshots) == key
+            assert isinstance(provider.kernels, PartitionKernels)
+            assert tuple(s.timestep for s in provider.kernels.snapshots) == key
         for key, group in by_partition.items():
             assert len(group) >= self.STEADY_EPOCHS, key
             assert all(p.kernels is group[0].kernels for p in group), key
@@ -374,7 +383,7 @@ class TestTrainerKernelMemo:
     def test_providers_keep_their_own_reuse_counters(
         self, small_graph, trainer_config, monkeypatch
     ):
-        _, providers = self._train(small_graph, trainer_config, monkeypatch)
+        _, _, providers = self._train(small_graph, trainer_config, monkeypatch)
         for _, key, provider in providers:
             # One forward pass per provider: each counts only its own
             # layer-0 lookups, one per snapshot, never a shared running total.
@@ -383,11 +392,14 @@ class TestTrainerKernelMemo:
     def test_one_kernel_set_per_distinct_partition(
         self, small_graph, trainer_config, monkeypatch
     ):
-        built, providers = self._train(small_graph, trainer_config, monkeypatch)
+        trainer, built, providers = self._train(small_graph, trainer_config, monkeypatch)
         keys = {key for _, key, _ in providers}
         assert {(2, 3), (2, 3, 4, 5)} <= keys
         assert len(built) == len(keys)
-        assert {tuple(s.timestep for s in k.partition.snapshots) for k in built} == keys
+        assert {tuple(s.timestep for s in k.snapshots) for k in built} == keys
+        # The run's one memo holds exactly these sets: preprocessing dropped
+        # the canonical one-snapshot sets of the preparing epoch.
+        assert sorted(map(id, trainer._kernel_sets.values())) == sorted(map(id, built))
         # One inverse-degree tensor per snapshot, however many sets hold it.
         timesteps = {t for key in keys for t in key}
         assert len({id(d) for k in built for d in k.inv_degree}) == len(timesteps)

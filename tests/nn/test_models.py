@@ -1,24 +1,29 @@
-"""Tests for the DGNN models and the aggregation providers."""
+"""Tests for the DGNN models and the aggregation provider."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.core.datapipe import DataPipe
+from repro.core.parallel_gnn import PartitionKernels
 from repro.gpu import GPUSpec
+from repro.graph import CSRMatrix, GraphSnapshot
+from repro.kernels.spmm_coo import PyGCOOAggregation
+from repro.kernels.spmm_csr import GESpMMAggregation
 from repro.nn import (
+    AggregationProvider,
     DictAggregationCache,
     EvolveGCN,
     ExecutionContext,
     GCNUpdate,
     MODEL_REGISTRY,
     MPNNLSTM,
-    SequentialAggregationProvider,
+    SnapshotKernels,
     TGCN,
     build_model,
     mean_inverse_degree,
 )
-from repro.nn.aggregation import snapshot_kernel
 from repro.tensor import Tensor
 from repro.tensor.nn.loss import mse_loss
 
@@ -29,10 +34,15 @@ def features_of(snapshots):
     return [Tensor(s.features) for s in snapshots]
 
 
+def snapshot_provider(snapshot, kernel_name="coo", **kwargs):
+    """The canonical one-snapshot provider over ``snapshot``."""
+    return AggregationProvider(SnapshotKernels(snapshot, kernel_name, SPEC), **kwargs)
+
+
 class TestProviders:
-    def test_sequential_aggregation_matches_mean_normalization(self, small_graph):
+    def test_snapshot_aggregation_matches_mean_normalization(self, small_graph):
         snapshot = small_graph[0]
-        provider = SequentialAggregationProvider([snapshot], kernel_name="coo", spec=SPEC)
+        provider = snapshot_provider(snapshot)
         [result] = provider.aggregate_many(0, [Tensor(snapshot.features)])
         dense = snapshot.adjacency.to_dense()
         expected = (dense @ snapshot.features + snapshot.features) * mean_inverse_degree(snapshot)
@@ -42,50 +52,69 @@ class TestProviders:
         snapshot = small_graph[1]
         outs = []
         for kernel in ("coo", "gespmm", "sliced"):
-            provider = SequentialAggregationProvider([snapshot], kernel_name=kernel, spec=SPEC)
+            provider = snapshot_provider(snapshot, kernel)
             outs.append(provider.aggregate_many(0, [Tensor(snapshot.features)])[0].numpy())
         assert np.allclose(outs[0], outs[1], atol=1e-4)
         assert np.allclose(outs[0], outs[2], atol=1e-4)
 
+    def test_edgeless_snapshot_aggregates_its_self_term(self, small_graph):
+        snapshot = small_graph[0]
+        edgeless = GraphSnapshot(
+            adjacency=CSRMatrix.from_edges(
+                np.zeros(0), np.zeros(0), (snapshot.num_nodes, snapshot.num_nodes)
+            ),
+            features=snapshot.features,
+            timestep=snapshot.timestep,
+        )
+        kernels = SnapshotKernels(edgeless, "coo", SPEC)
+        assert kernels.overlap is None and kernels.exclusive(0) is None
+        [result] = AggregationProvider(kernels).aggregate_many(0, [Tensor(edgeless.features)])
+        assert np.array_equal(result.numpy(), edgeless.features)
+
+    def test_snapshot_set_is_a_partition_of_one(self, small_graph):
+        snapshot = small_graph[0]
+        kernels = SnapshotKernels(snapshot, "gespmm", SPEC)
+        assert kernels.snapshots == (snapshot,)
+        assert kernels.overlap is None
+        assert isinstance(kernels.exclusive(0), GESpMMAggregation)
+        assert isinstance(SnapshotKernels(snapshot).exclusive(0), PyGCOOAggregation)
+        assert kernels.inv_degree == [snapshot._inverse_degree]
+
     def test_cache_hit_skips_recompute_and_matches(self, small_graph):
         snapshot = small_graph[2]
         cache = DictAggregationCache()
-        provider = SequentialAggregationProvider([snapshot], spec=SPEC, cache=cache)
+        provider = snapshot_provider(snapshot, cache=cache)
         first = provider.aggregate_many(0, [Tensor(snapshot.features)])[0].numpy()
         assert len(cache) == 1
-        second_provider = SequentialAggregationProvider([snapshot], spec=SPEC, cache=cache)
+        assert (provider.cache_hits, provider.cache_misses) == (0, 1)
+        second_provider = snapshot_provider(snapshot, cache=cache)
         second = second_provider.aggregate_many(0, [Tensor(snapshot.features)])[0].numpy()
-        assert second_provider.cache_hits == 1
+        assert (second_provider.cache_hits, second_provider.cache_misses) == (1, 0)
         assert np.allclose(first, second)
 
     def test_cache_not_used_for_non_reusable_layer(self, small_graph):
         snapshot = small_graph[2]
         cache = DictAggregationCache()
-        provider = SequentialAggregationProvider(
-            [snapshot], spec=SPEC, cache=cache, reusable_layers=(0,)
-        )
+        provider = snapshot_provider(snapshot, cache=cache, reusable_layers=(0,))
         provider.aggregate_many(1, [Tensor(snapshot.features)])
         assert len(cache) == 0
 
     def test_wrong_feature_count_rejected(self, small_graph):
-        provider = SequentialAggregationProvider([small_graph[0]], spec=SPEC)
-        with pytest.raises(ValueError):
+        provider = snapshot_provider(small_graph[0])
+        with pytest.raises(ValueError, match="expected 1 feature tensors"):
             provider.aggregate_many(0, [])
 
-    def test_prebuilt_kernels_are_used_as_given(self, small_graph):
-        group = [small_graph[0], small_graph[1]]
-        kernels = [snapshot_kernel(s, "gespmm", SPEC, 1.0) for s in group]
-        provider = SequentialAggregationProvider(group, spec=SPEC, kernels=kernels)
-        assert provider._kernels == kernels
-        built = SequentialAggregationProvider(group, kernel_name="gespmm", spec=SPEC)
-        outs = zip(
-            provider.aggregate_many(0, features_of(group)),
-            built.aggregate_many(0, features_of(group)),
-        )
-        for a, b in outs:
-            assert np.array_equal(a.numpy(), b.numpy())
-        with pytest.raises(ValueError, match="expected 2 kernels"):
-            SequentialAggregationProvider(group, spec=SPEC, kernels=kernels[:1])
+    def test_providers_share_one_kernel_set(self, small_graph):
+        snapshot = small_graph[1]
+        kernels = SnapshotKernels(snapshot, "gespmm", SPEC)
+        first, second = AggregationProvider(kernels), AggregationProvider(kernels)
+        assert first.kernels is second.kernels
+        fresh = snapshot_provider(snapshot, "gespmm")
+        outs = [
+            p.aggregate_many(0, [Tensor(snapshot.features)])[0].numpy()
+            for p in (first, second, fresh)
+        ]
+        assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
 
 
 class TestGCNUpdate:
@@ -136,9 +165,13 @@ class TestModelForward:
         for size in partition_sizes:
             group = snapshots[index : index + size]
             index += size
-            provider = SequentialAggregationProvider(group, kernel_name="coo", spec=SPEC)
+            kernels = (
+                SnapshotKernels(group[0], "coo", SPEC)
+                if size == 1
+                else PartitionKernels(DataPipe().partition(group), SPEC)
+            )
             outs, state = model.forward_partition(
-                provider, features_of(group), state, ExecutionContext()
+                AggregationProvider(kernels), features_of(group), state, ExecutionContext()
             )
             predictions.extend(outs)
         return predictions

@@ -16,6 +16,7 @@ from repro.baselines import (
 )
 from repro.core import PiPADConfig, PiPADTrainer
 from repro.kernels import get_aggregation_kernel
+from repro.nn import SnapshotKernels
 
 
 class TestTrainerConfig:
@@ -73,18 +74,24 @@ class TestBaselineTrainers:
         class Recording(trainer_cls):
             def _make_provider(self, snapshots):
                 provider = super()._make_provider(snapshots)
-                for snapshot, kernel in zip(snapshots, provider._kernels):
-                    seen.setdefault(snapshot.timestep, []).append(kernel)
+                (snapshot,) = snapshots
+                seen.setdefault(snapshot.timestep, []).append(provider.kernels)
                 return provider
 
         trainer = Recording(small_graph, trainer_config)
         trainer.train(epochs=2)
         trainer.evaluate()
         assert set(seen) == {s.timestep for s in small_graph.snapshots}
-        for timestep, kernels in seen.items():
-            assert len(kernels) >= 2, timestep
-            assert all(k is kernels[0] for k in kernels), timestep
-            assert kernels[0].name == get_aggregation_kernel(trainer_cls.kernel_name).name
+        for timestep, sets in seen.items():
+            assert len(sets) >= 2, timestep
+            assert all(k is sets[0] for k in sets), timestep
+            assert isinstance(sets[0], SnapshotKernels)
+            kernel = sets[0].exclusive(0)
+            assert kernel.name == get_aggregation_kernel(trainer_cls.kernel_name).name
+        # The run's one memo holds exactly those sets, one per snapshot.
+        assert {id(k) for k in trainer._kernel_sets.values()} == {
+            id(sets[0]) for sets in seen.values()
+        }
 
     def test_custom_cost_scale_respected(self, small_graph):
         config = TrainerConfig(model="tgcn", frame_size=4, epochs=1, cost_scale=50.0)
