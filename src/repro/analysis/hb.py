@@ -40,7 +40,7 @@ time, and an op view is built only for the ops a race report names.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from .base import ExecutionArtifacts, Violation
 

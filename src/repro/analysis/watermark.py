@@ -16,7 +16,7 @@ Three ceilings, checked at every instant rather than just at the end:
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from .base import ExecutionArtifacts, Violation
 

@@ -10,8 +10,8 @@ paper's full grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Sequence, Tuple
 
 from repro.baselines import METHOD_ORDER, _registry
 from repro.baselines.results import TrainingResult

@@ -10,7 +10,7 @@ when it would run given stream ordering and resource contention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.gpu.kernel_cost import CATEGORIES, KernelCost, LaunchTerms

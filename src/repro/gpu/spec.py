@@ -11,7 +11,7 @@ kernel-launch overheads with and without CUDA Graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.utils.validation import check_positive
 

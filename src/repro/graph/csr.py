@@ -9,13 +9,13 @@ here via :meth:`CSRMatrix.transpose`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.graph.coo import INDEX_BYTES, VALUE_BYTES, COOMatrix
+from repro.graph.coo import INDEX_BYTES, COOMatrix
 from repro.graph.keys import unique
 from repro.utils.validation import check_array
 

@@ -11,7 +11,7 @@ computation and of partition-grained transfer (§4.1/§4.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from typing import Iterator, List
 
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.snapshot import GraphSnapshot

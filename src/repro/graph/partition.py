@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.graph.csr import CSRMatrix
 from repro.graph.keys import unique
-from repro.graph.overlap import extract_overlap
 from repro.graph.snapshot import GraphSnapshot
 from repro.utils.validation import check_positive
 

@@ -13,7 +13,7 @@ pure cost estimator used for ablation benches.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 

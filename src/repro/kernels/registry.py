@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Type
+from typing import Dict, Type
 
 from repro.kernels.base import BaseAggregationKernel
 from repro.kernels.spmm_coo import PyGCOOAggregation

@@ -9,7 +9,7 @@ returns one gradient per positional input recorded by the engine.
 from __future__ import annotations
 
 import copy
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 

@@ -10,7 +10,7 @@ simulated device can charge them.
 
 from __future__ import annotations
 
-from typing import Any, Protocol, Tuple
+from typing import Protocol, Tuple
 
 import numpy as np
 

@@ -1,11 +1,14 @@
-"""Tier-1 dead-code gate: public code and defaulted parameters nothing uses.
+"""Tier-1 dead-code gate: public code, defaulted parameters and imports nothing uses.
 
-One stdlib-``ast`` pass over ``src/`` lists two kinds of finding:
+One stdlib-``ast`` pass over ``src/`` lists three kinds of finding:
 
 - a public function or method (name without a leading ``_``) that no
   caller references, by name, attribute or string;
 - a defaulted parameter (positional, keyword-only, or a dataclass /
-  NamedTuple field) that no caller passes, by keyword or by position.
+  NamedTuple field) that no caller passes, by keyword or by position;
+- a module-level import in a ``src/`` module that the module never
+  references and that no program or test file imports from it (a name in
+  the module's ``__all__`` or in a lazy-export table counts as imported).
 
 The callers are every program file under ``src/``, ``examples/`` and
 ``benchmarks/e2e/`` (tests are not callers), the string literals in them
@@ -147,6 +150,12 @@ def _program_files() -> Iterator[Path]:
         for path in sorted((ROOT / folder).rglob("*.py")):
             if not path.name.startswith("test_"):
                 yield path
+
+
+def _test_files() -> Iterator[Path]:
+    yield from sorted((ROOT / "tests").rglob("*.py"))
+    for folder in CALLER_DIRS:
+        yield from sorted((ROOT / folder).rglob("test_*.py"))
 
 
 def _module_name(path: Path) -> str:
@@ -446,18 +455,111 @@ class _Index:
         return found
 
 
+#: a string that may be an annotation or a dotted target: its identifiers count
+_TYPE_LIKE = re.compile(r"[\w.:*\[\], ]+")
+
+
+def _imported_module(node: ast.ImportFrom, module: str, is_package: bool) -> str:
+    """The absolute module ``node`` imports from, inside ``module``."""
+    if not node.level:
+        return node.module or ""
+    parts = module.split(".")
+    base = parts if is_package else parts[:-1]
+    base = base[: len(base) - (node.level - 1)]
+    return ".".join(base + ([node.module] if node.module else []))
+
+
+def _names_used_from(trees: Dict[Path, ast.Module], modules: Set[str]) -> Set[Tuple[str, str]]:
+    """``(module, name)`` pairs some file takes from a ``src/`` module: by
+    ``from module import name``, ``alias.name`` or ``setattr(alias, "name")``
+    on a module alias, a ``module.name`` / ``module:name`` string, or a
+    ``{"name": "module"}`` lazy-export entry."""
+    used: Set[Tuple[str, str]] = set()
+    for path, tree in trees.items():
+        module = _module_name(path) if path.is_relative_to(ROOT / "src") else ""
+        aliases: Dict[str, str] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                source = _imported_module(node, module, path.name == "__init__.py")
+                for alias in node.names:
+                    used.add((source, alias.name))
+                    if f"{source}.{alias.name}" in modules:
+                        aliases[alias.asname or alias.name] = f"{source}.{alias.name}"
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.asname and alias.name in modules:
+                        aliases[alias.asname] = alias.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in aliases:
+                used.add((aliases[node.value.id], node.attr))
+            elif isinstance(node, ast.Call) and _Index._callee(node.func) in ("setattr", "getattr"):
+                target, name = (node.args + [None, None])[:2]
+                if getattr(target, "id", None) in aliases and isinstance(name, ast.Constant):
+                    used.add((aliases[target.id], name.value))
+            elif isinstance(node, ast.Dict):
+                for key, value in zip(node.keys, node.values):
+                    if isinstance(key, ast.Constant) and getattr(value, "value", None) in modules:
+                        used.add((value.value, key.value))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                head, _, name = node.value.replace(":", ".").partition(".")
+                while name and (head in modules or "." in name):
+                    if head in modules:
+                        used.add((head, name.split(".")[0]))
+                    step, _, name = name.partition(".")
+                    head = f"{head}.{step}"
+    return used
+
+
+def _referenced_names(tree: ast.Module) -> Set[str]:
+    """Names a module reads: loads, its ``__all__`` and type-like strings."""
+    names: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if _TYPE_LIKE.fullmatch(node.value):
+                names.update(_IDENT.findall(node.value))
+    return names
+
+
+def unused_imports() -> List[str]:
+    """Module-level imports of ``src/`` modules that nothing uses."""
+    trees = {path: ast.parse(path.read_text()) for path in (*_program_files(), *_test_files())}
+    sources = {
+        _module_name(path): tree for path, tree in trees.items()
+        if path.is_relative_to(ROOT / "src")
+    }
+    used = _names_used_from(trees, set(sources))
+    found = []
+    for module, tree in sources.items():
+        references = _referenced_names(tree)
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names if a.name != "*"]
+            else:
+                continue
+            for name in bound:
+                if name not in references and (module, name) not in used:
+                    found.append(f"{module}: import {name}")
+    return found
+
+
 @functools.lru_cache(maxsize=None)
 def findings() -> Tuple[str, ...]:
     index = _Index()
-    return tuple(sorted(index.unused_functions() + index.unpassed_parameters()))
+    return tuple(
+        sorted(index.unused_functions() + index.unpassed_parameters() + unused_imports())
+    )
 
 
 def test_no_dead_code():
     current = findings()
     unexplained = [f for f in current if f not in ALLOWLIST]
     assert not unexplained, (
-        "public code nothing uses, or defaulted parameters nothing passes; delete "
-        "them or allowlist each with a reason:\n  " + "\n  ".join(unexplained)
+        "public code nothing uses, defaulted parameters nothing passes, or imports "
+        "nothing uses; delete them or allowlist each with a reason:\n  " + "\n  ".join(unexplained)
     )
 
 
