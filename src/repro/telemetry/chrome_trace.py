@@ -241,11 +241,12 @@ def export_chrome_trace(
     """Write the trace to ``path`` and return the document.
 
     Serialization is ``sort_keys`` with a fixed separator style, so the
-    bytes on disk depend only on the simulated run.
+    bytes on disk depend only on the simulated run.  ``json.dumps`` runs
+    the C encoder; ``json.dump`` to a file would run the pure-Python one.
     """
     document = build_chrome_trace(tracks, spans, metadata=metadata)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, sort_keys=True, separators=(",", ":"))
+        handle.write(json.dumps(document, sort_keys=True, separators=(",", ":")))
         handle.write("\n")
     return document
 

@@ -14,7 +14,7 @@ import pytest
 
 from repro.api import Engine, RunSpec
 from repro.api.cli import read_preset
-from repro.telemetry import SpanTracer, TraceTrack, build_chrome_trace
+from repro.telemetry import SpanTracer, TraceTrack, build_chrome_trace, export_chrome_trace
 
 
 def _pipeline_spec() -> RunSpec:
@@ -122,6 +122,21 @@ class TestBuildChromeTrace:
         (event,) = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert isinstance(event["args"]["loss"], str)  # repr, not bare NaN
         json.dumps(doc, allow_nan=False)  # strict JSON round-trips
+
+    def test_export_writes_the_compact_sorted_dump_of_the_document(self, tmp_path):
+        from repro.gpu.device import SimulatedGPU
+
+        gpu = SimulatedGPU()
+        copy = gpu.transfer_h2d(1024, label="x")
+        gpu.host_op(1e-6, label="prep", stream="cpu", depends_on=[copy])
+        tracer = SpanTracer()
+        tracer.record("phase", 0.0, 1.0, category="phase", loss=float("nan"), note="é")
+        path = tmp_path / "trace.json"
+        doc = export_chrome_trace(
+            str(path), [TraceTrack("gpu0", gpu.timeline)], tracer.spans, metadata={"b": 1, "a": 2}
+        )
+        expected = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        assert path.read_text(encoding="utf-8") == expected
 
     def test_track_threads_follow_resource_order(self):
         from repro.gpu.device import SimulatedGPU
