@@ -2,8 +2,8 @@
 
 The session owns a trained DGNN model and turns the store's window into
 predictions.  It is the serving-side twin of the trainer's frame execution:
-partitions of the window run through the trainer's
-:class:`~repro.nn.aggregation.AggregationProvider` against the
+partitions of the window run through the trainer's own
+:class:`~repro.nn.aggregation.AggregationProvider` class against the
 incrementally maintained overlap decomposition, first-layer aggregations are
 served from the :class:`~repro.core.reuse.ReuseManager`, and kernel costs are
 collected so the scheduler can account them on the simulated device.

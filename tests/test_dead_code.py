@@ -7,8 +7,8 @@ One stdlib-``ast`` pass over ``src/`` lists three kinds of finding:
 - a defaulted parameter (positional, keyword-only, or a dataclass /
   NamedTuple field) that no caller passes, by keyword or by position;
 - a module-level import in a ``src/`` module that the module never
-  references and that no program or test file imports from it (a name in
-  the module's ``__all__`` or in a lazy-export table counts as imported).
+  references (a name its ``__all__`` lists counts) and that no program or
+  test file imports from it.
 
 The callers are every program file under ``src/``, ``examples/`` and
 ``benchmarks/e2e/`` (tests are not callers), the string literals in them
@@ -32,7 +32,7 @@ import json
 import re
 from collections import defaultdict
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 CALLER_DIRS = ("src", "examples", "benchmarks/e2e")
@@ -455,63 +455,24 @@ class _Index:
         return found
 
 
-#: a string that may be an annotation or a dotted target: its identifiers count
-_TYPE_LIKE = re.compile(r"[\w.:*\[\], ]+")
+#: a string that may be an annotation or an ``__all__`` entry: its identifiers count
+_TYPE_LIKE = re.compile(r"[\w.\[\], ]+")
 
 
-def _imported_module(node: ast.ImportFrom, module: str, is_package: bool) -> str:
-    """The absolute module ``node`` imports from, inside ``module``."""
-    if not node.level:
-        return node.module or ""
-    parts = module.split(".")
-    base = parts if is_package else parts[:-1]
-    base = base[: len(base) - (node.level - 1)]
-    return ".".join(base + ([node.module] if node.module else []))
-
-
-def _names_used_from(trees: Dict[Path, ast.Module], modules: Set[str]) -> Set[Tuple[str, str]]:
-    """``(module, name)`` pairs some file takes from a ``src/`` module: by
-    ``from module import name``, ``alias.name`` or ``setattr(alias, "name")``
-    on a module alias, a ``module.name`` / ``module:name`` string, or a
-    ``{"name": "module"}`` lazy-export entry."""
-    used: Set[Tuple[str, str]] = set()
-    for path, tree in trees.items():
-        module = _module_name(path) if path.is_relative_to(ROOT / "src") else ""
-        aliases: Dict[str, str] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                source = _imported_module(node, module, path.name == "__init__.py")
-                for alias in node.names:
-                    used.add((source, alias.name))
-                    if f"{source}.{alias.name}" in modules:
-                        aliases[alias.asname or alias.name] = f"{source}.{alias.name}"
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.asname and alias.name in modules:
-                        aliases[alias.asname] = alias.name
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in aliases:
-                used.add((aliases[node.value.id], node.attr))
-            elif isinstance(node, ast.Call) and _Index._callee(node.func) in ("setattr", "getattr"):
-                target, name = (node.args + [None, None])[:2]
-                if getattr(target, "id", None) in aliases and isinstance(name, ast.Constant):
-                    used.add((aliases[target.id], name.value))
-            elif isinstance(node, ast.Dict):
-                for key, value in zip(node.keys, node.values):
-                    if isinstance(key, ast.Constant) and getattr(value, "value", None) in modules:
-                        used.add((value.value, key.value))
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                head, _, name = node.value.replace(":", ".").partition(".")
-                while name and (head in modules or "." in name):
-                    if head in modules:
-                        used.add((head, name.split(".")[0]))
-                    step, _, name = name.partition(".")
-                    head = f"{head}.{step}"
-    return used
+def _names_imported(trees: Iterable[ast.Module]) -> Set[Tuple[str, str]]:
+    """``(module, name)`` pairs some file takes with ``from module import name``."""
+    return {
+        (node.module, alias.name)
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and not node.level
+        for alias in node.names
+    }
 
 
 def _referenced_names(tree: ast.Module) -> Set[str]:
-    """Names a module reads: loads, its ``__all__`` and type-like strings."""
+    """Names a module reads: loads and type-like strings (string
+    annotations, the names its ``__all__`` re-exports)."""
     names: Set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
@@ -529,7 +490,7 @@ def unused_imports() -> List[str]:
         _module_name(path): tree for path, tree in trees.items()
         if path.is_relative_to(ROOT / "src")
     }
-    used = _names_used_from(trees, set(sources))
+    used = _names_imported(trees.values())
     found = []
     for module, tree in sources.items():
         references = _referenced_names(tree)
