@@ -10,6 +10,12 @@ definition, and the frame/epoch loops; subclasses customize
 - which aggregation kernels the GNN part of a partition runs through,
 - whether inter-frame reuse and CUDA-Graph launching are active.
 
+Every trainer keeps one :class:`~repro.nn.aggregation.ReuseManager`, the
+first-layer aggregation cache (disabled where reuse is off), and sizes every
+partition's transfer with :func:`~repro.nn.aggregation.transfer_bytes` from
+the partition's kernel set; the canonical one-snapshot pattern is a
+partition of one whose adjacency ships in its kernel class's format.
+
 Numerics are always computed for real (the models genuinely train); the
 simulated device only *accounts* for when each transfer and kernel would run
 on the modelled hardware, which yields the end-to-end times, utilizations and
@@ -20,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -35,7 +41,14 @@ from repro.gpu.profiler import KernelCostCollector
 from repro.gpu.spec import GPUSpec, HostSpec, PCIeSpec
 from repro.gpu.timeline import TimelineOp
 from repro.nn import build_model
-from repro.nn.aggregation import AggregationProvider, DictAggregationCache, SnapshotKernels
+from repro.kernels.base import BaseAggregationKernel
+from repro.kernels.spmm_coo import PyGCOOAggregation
+from repro.nn.aggregation import (
+    AggregationProvider,
+    ReuseManager,
+    SnapshotKernels,
+    transfer_bytes,
+)
 from repro.nn.base_model import DGNNModel
 from repro.nn.context import ExecutionContext
 from repro.telemetry.hooks import NULL_CALLBACK, TelemetryCallback
@@ -76,10 +89,9 @@ class DGNNTrainerBase:
 
     #: human-readable method name used in figures/tables
     method_name = "base"
-    #: aggregation-kernel family of the one-snapshot kernel sets
-    kernel_name = "coo"
-    #: adjacency transfer format (``"coo"``, ``"csr"`` or ``"csr+csc"``)
-    adjacency_format = "coo"
+    #: aggregation-kernel class of the one-snapshot kernel sets; it also
+    #: sets the format their adjacency ships in
+    kernel: Type[BaseAggregationKernel] = PyGCOOAggregation
     #: whether transfers are asynchronous (separate stream, pinned memory)
     async_transfer = False
     #: whether the first-layer aggregation cache (inter-frame reuse) is active
@@ -100,7 +112,7 @@ class DGNNTrainerBase:
         )
         self.optimizer = Adam(self.model.parameters(), lr=self.config.lr)
         self.frames = FrameIterator(graph, frame_size=self.config.frame_size)
-        self.cache = DictAggregationCache() if self.use_reuse else None
+        self.reuse = ReuseManager(self.device, enabled=self.use_reuse)
         self.context = ExecutionContext(spec=self.config.gpu, scale=self.scale)
         #: one kernel set per partition, keyed by (first timestep, size) and
         #: kept for the whole run: every frame, epoch and ``evaluate`` reuses it
@@ -149,28 +161,6 @@ class DGNNTrainerBase:
         host = self.config.host
         return len(snapshots) * host.snapshot_prep_us * 1e-6
 
-    # ------------------------------------------------------------------ transfer planning
-    def _cache_covers(self, snapshot: GraphSnapshot) -> bool:
-        return self.cache is not None and self.cache.lookup(snapshot.timestep) is not None
-
-    def _snapshot_transfer_bytes(self, snapshot: GraphSnapshot) -> float:
-        """Host→device bytes needed before this snapshot can be processed."""
-        cached = self._cache_covers(snapshot)
-        nbytes = 0.0
-        if cached:
-            # The cached first-layer aggregation is shipped instead of the raw
-            # features; the adjacency is only needed if deeper layers
-            # re-aggregate hidden features.
-            nbytes += snapshot.num_nodes * snapshot.feature_dim * 4
-            if self.model.needs_topology_with_reuse:
-                nbytes += snapshot.adjacency_bytes(self.adjacency_format)
-        else:
-            nbytes += snapshot.feature_bytes()
-            nbytes += snapshot.adjacency_bytes(self.adjacency_format)
-        # Per-node targets for the loss.
-        nbytes += snapshot.num_nodes * 4
-        return nbytes * self.scale
-
     # ------------------------------------------------------------------ frame execution
     def _make_partitions(self, frame: Frame) -> List[Tuple[GraphSnapshot, ...]]:
         """Split a frame into the snapshot groups processed together."""
@@ -180,18 +170,37 @@ class DGNNTrainerBase:
         """Build the aggregation kernels of one partition (the canonical
         pattern: a partition of one snapshot)."""
         (snapshot,) = snapshots
-        return SnapshotKernels(snapshot, self.kernel_name, self.config.gpu, self.scale)
+        return SnapshotKernels(snapshot, self.kernel, self.config.gpu, self.scale)
 
-    def _make_provider(self, snapshots: Sequence[GraphSnapshot]) -> AggregationProvider:
+    def _kernels(self, snapshots: Sequence[GraphSnapshot]):
+        """The partition's kernel set from the run's memo, built on first use."""
         key = (snapshots[0].timestep, len(snapshots))
         kernels = self._kernel_sets.get(key)
         if kernels is None:
             kernels = self._kernel_sets[key] = self._kernel_set(snapshots)
+        return kernels
+
+    def _make_provider(self, snapshots: Sequence[GraphSnapshot]) -> AggregationProvider:
         return AggregationProvider(
-            kernels,
-            cache=self.cache,
+            self._kernels(snapshots),
+            cache=self.reuse,
             reusable_layers=self.model.reusable_aggregation_layers if self.use_reuse else (),
         )
+
+    def _partition_transfer_bytes(self, snapshots: Sequence[GraphSnapshot]) -> float:
+        """Host→device bytes the partition needs given the reuse cache's state.
+
+        A cached snapshot ships its first-layer aggregation instead of its
+        raw features, and the adjacency only if deeper layers re-aggregate
+        hidden features; loss targets ride along with every snapshot.
+        """
+        nbytes = transfer_bytes(
+            [self._kernels(snapshots)],
+            self.reuse,
+            topology_with_reuse=self.model.needs_topology_with_reuse,
+            target_bytes=4,
+        )
+        return nbytes * self.scale
 
     def _partition_context(self, snapshots: Sequence[GraphSnapshot]) -> ExecutionContext:
         return self.context
@@ -223,7 +232,7 @@ class DGNNTrainerBase:
         host_op = self.device.host_op(
             self._host_prep_seconds(snapshots), label="host_prep", stream=self._host_stream()
         )
-        nbytes = sum(self._snapshot_transfer_bytes(s) for s in snapshots)
+        nbytes = self._partition_transfer_bytes(snapshots)
         stream = "copy" if self.async_transfer else "default"
         transfer = self.device.transfer_h2d(
             nbytes,
@@ -329,8 +338,6 @@ class DGNNTrainerBase:
             transfer_seconds=end_breakdown.get("h2d", 0.0) - start_breakdown.get("h2d", 0.0),
             compute_seconds=end_breakdown.get("kernel", 0.0) - start_breakdown.get("kernel", 0.0),
             cpu_seconds=end_breakdown.get("cpu", 0.0) - start_breakdown.get("cpu", 0.0),
-            cache_hits=0,
-            cache_misses=0,
         )
         self._loss_history.append(metrics.loss)
         self._epoch_boundaries.append(end)

@@ -15,14 +15,15 @@
 from __future__ import annotations
 
 from repro.baselines.base import DGNNTrainerBase
+from repro.kernels.spmm_coo import PyGCOOAggregation
+from repro.kernels.spmm_csr import GESpMMAggregation
 
 
 class PyGTTrainer(DGNNTrainerBase):
     """Canonical PyGT: synchronous transfers, COO aggregation, no reuse."""
 
     method_name = "PyGT"
-    kernel_name = "coo"
-    adjacency_format = "coo"
+    kernel = PyGCOOAggregation
     async_transfer = False
     use_reuse = False
     use_cuda_graph = False
@@ -46,5 +47,4 @@ class PyGTGeSpMMTrainer(PyGTReuseTrainer):
     """PyGT-G: PyGT-R with the GE-SpMM aggregation kernel (CSR+CSC resident)."""
 
     method_name = "PyGT-G"
-    kernel_name = "gespmm"
-    adjacency_format = "csr+csc"
+    kernel = GESpMMAggregation

@@ -18,8 +18,6 @@ class EpochMetrics:
     transfer_seconds: float
     compute_seconds: float
     cpu_seconds: float
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
         return sanitize_floats(asdict(self))

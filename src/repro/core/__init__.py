@@ -1,4 +1,4 @@
-"""PiPAD runtime: data organization, parallel GNN, pipeline, reuse, tuning."""
+"""PiPAD runtime: data organization, parallel GNN, pipeline, tuning."""
 
 from repro.core.config import PiPADConfig
 from repro.core.slicer import GraphSlicer
@@ -10,7 +10,6 @@ from repro.core.datapipe import (
     Prefetcher,
     STAGE_REGISTRY,
 )
-from repro.core.reuse import ReuseManager
 from repro.core.parallel_gnn import PartitionKernels
 from repro.core.tuner import (
     DynamicTuner,
@@ -34,7 +33,6 @@ __all__ = [
     "PipeItem",
     "Prefetcher",
     "STAGE_REGISTRY",
-    "ReuseManager",
     "PartitionKernels",
     "DynamicTuner",
     "FrameProfile",

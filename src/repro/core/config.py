@@ -18,7 +18,7 @@ class PiPADConfig:
     :data:`~repro.core.tuner.S_PER_CANDIDATES` (2/4/8) and its memory bound
     keeps 10 % of HBM free (:class:`~repro.core.tuner.DynamicTuner`), the
     GPU-side reuse buffer may take a quarter of free HBM
-    (:class:`~repro.core.reuse.ReuseManager`), and sliced CSR holds at most
+    (:class:`~repro.nn.aggregation.ReuseManager`), and sliced CSR holds at most
     :data:`~repro.graph.sliced_csr.DEFAULT_SLICE_CAPACITY` (32) non-zeros per
     slice.  Serving runs the same runtime with its own three switches
     (:class:`~repro.serving.scheduler.ServingConfig`).

@@ -13,7 +13,7 @@ extraction over the preparing epochs the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,9 +22,6 @@ from repro.graph.overlap import SnapshotOverlap, extract_overlap
 from repro.graph.sliced_csr import DEFAULT_SLICE_CAPACITY, SlicedCSRMatrix
 from repro.graph.snapshot import GraphSnapshot
 from repro.gpu.spec import HostSpec
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.reuse import ReuseManager
 
 
 @dataclass(frozen=True)
@@ -53,40 +50,6 @@ class PartitionData:
     def adjacency_bytes(self) -> int:
         """Total adjacency bytes shipped for the group (overlap + exclusives)."""
         return self.overlap_bytes + sum(self.exclusive_bytes)
-
-
-def transfer_bytes(
-    partitions: Sequence[PartitionData],
-    reuse: "ReuseManager",
-    *,
-    topology_with_reuse: bool,
-    target_bytes: int,
-) -> float:
-    """Host→device bytes the groups need given the reuse cache's state.
-
-    The one rule training and serving share: a snapshot whose first-layer
-    aggregation is cached ships that (smaller) result unless it is already
-    GPU-resident, and needs its group's topology only if the model
-    re-aggregates under reuse; an uncached snapshot ships its raw features
-    and the topology.  ``target_bytes`` per node ride along with every
-    snapshot (training's loss targets; serving ships none).  Unscaled, and
-    added in one running total, snapshot by snapshot.
-    """
-    nbytes = 0.0
-    for partition in partitions:
-        topology_needed = False
-        for snapshot in partition.snapshots:
-            if reuse.has_cached(snapshot.timestep):
-                if not reuse.is_gpu_resident(snapshot.timestep):
-                    nbytes += snapshot.num_nodes * snapshot.feature_dim * 4
-                topology_needed = topology_needed or topology_with_reuse
-            else:
-                nbytes += snapshot.feature_bytes()
-                topology_needed = True
-            nbytes += snapshot.num_nodes * target_bytes
-        if topology_needed:
-            nbytes += partition.adjacency_bytes
-    return nbytes
 
 
 class DataPreparer:

@@ -24,9 +24,12 @@ SciPy matrix on its first numerics and its sliced CSR on its first cost.
 Serving groups whose aggregations all come from the reuse cache therefore
 build no kernel at all.  The inverse degrees belong to the snapshot, so
 every set over a snapshot holds the same tensor.  A provider wraps the
-shared kernels with a reuse cache and its own hit/miss counters: the
-trainer's cache, or, in serving, the recording cache of the one forward
-pass a fleet runs per distinct input (``InferenceSession.predict``).
+shared kernels with a reuse cache: the trainer's
+:class:`~repro.nn.aggregation.ReuseManager`, or, in serving, the recording
+cache of the one forward pass a fleet runs per distinct input
+(``InferenceSession.predict``).  A set's ``adjacency_bytes`` are its
+partition's, which the transfer rule
+(:func:`~repro.nn.aggregation.transfer_bytes`) reads.
 """
 
 from __future__ import annotations
@@ -70,6 +73,11 @@ class PartitionKernels:
         self._use_sliced_csr = use_sliced_csr
         self.inv_degree = [inverse_degree(s) for s in partition.snapshots]
         self._exclusives: Dict[int, Optional[BaseAggregationKernel]] = {}
+
+    @property
+    def adjacency_bytes(self) -> int:
+        """The partition's overlap plus exclusive bytes in the transfer format."""
+        return self.partition.adjacency_bytes
 
     def _kernel(self, adjacency: CSRMatrix, snapshots_coalesced: int) -> BaseAggregationKernel:
         if self._use_sliced_csr:

@@ -34,7 +34,7 @@ single-GPU PiPAD trainer does (losses are bit-identical — the preparing
 epochs, tuner decisions and every forward/backward run the identical code
 path); the device group only accounts for *when* the same work would finish
 under the pipelined schedule.  The overlap-reuse cache is the existing
-:class:`~repro.core.reuse.ReuseManager`: each stage's transfer sizing
+:class:`~repro.nn.aggregation.ReuseManager`: each stage's transfer sizing
 consults the same cache, so reuse keeps cutting per-stage transfer volume.
 """
 

@@ -15,7 +15,7 @@ The trainer extends the shared training loop with PiPAD's four mechanisms:
    hides behind partition ``k``'s compute.
 4. *Inter-frame reuse and dynamic tuning* — first-layer aggregation results
    are cached on the host and (capacity permitting) on the device
-   (:class:`~repro.core.reuse.ReuseManager`), and the per-frame parallelism
+   (:class:`~repro.nn.aggregation.ReuseManager`), and the per-frame parallelism
    level is chosen by the :class:`~repro.core.tuner.DynamicTuner` from the
    offline kernel analysis plus statistics gathered in the preparing epochs.
 
@@ -33,7 +33,6 @@ import numpy as np
 from repro.baselines.base import DGNNTrainerBase, TrainerConfig
 from repro.baselines.results import EpochMetrics
 from repro.core.config import PiPADConfig
-from repro.core.data_prep import transfer_bytes
 from repro.core.datapipe import (
     DataPipe,
     DataPipeConfig,
@@ -42,7 +41,6 @@ from repro.core.datapipe import (
     apply_cache_plan,
 )
 from repro.core.parallel_gnn import PartitionKernels
-from repro.core.reuse import ReuseManager
 from repro.core.slicer import GraphSlicer
 from repro.core.tuner import (
     DynamicTuner,
@@ -71,8 +69,6 @@ class PiPADTrainer(DGNNTrainerBase):
     """End-to-end PiPAD training on the simulated device."""
 
     method_name = "PiPAD"
-    kernel_name = "coo"  # only used for the canonical preparing epochs
-    adjacency_format = "coo"
     async_transfer = True
     use_reuse = True
     use_cuda_graph = True
@@ -93,8 +89,6 @@ class PiPADTrainer(DGNNTrainerBase):
         self.use_cuda_graph = self.pipad.use_cuda_graph
         super().__init__(graph, config)
 
-        self.reuse = ReuseManager(self.device, enabled=self.pipad.enable_inter_frame_reuse)
-        self.cache = self.reuse if self.pipad.enable_inter_frame_reuse else None
         self.slicer = GraphSlicer(host=self.config.host)
         self.data = (data_config or DataPipeConfig()).for_pipeline(self.pipad.enable_pipeline)
         self.datapipe = DataPipe(
@@ -261,7 +255,7 @@ class PiPADTrainer(DGNNTrainerBase):
         return self.context.with_reuse_group(reuse_group)
 
     def _before_frame(self, frame: Frame, epoch: int) -> None:
-        if self._preparing or self.cache is None:
+        if self._preparing:
             return
         # Keep the aggregation results this frame will consume resident on the
         # GPU-side buffer (capacity permitting), in use order.
@@ -270,15 +264,6 @@ class PiPADTrainer(DGNNTrainerBase):
         )
         timesteps = [s.timestep for s in frame.snapshots]
         self.reuse.plan_gpu_residency(timesteps, {t: agg_bytes for t in timesteps})
-
-    def _partition_transfer_bytes(self, snapshots: Sequence[GraphSnapshot]) -> float:
-        nbytes = transfer_bytes(
-            [self.datapipe.partition(snapshots)],
-            self.reuse,
-            topology_with_reuse=self.model.needs_topology_with_reuse,
-            target_bytes=4,
-        )
-        return nbytes * self.scale
 
     def _transfer_partition(
         self,
@@ -333,7 +318,7 @@ class PiPADTrainer(DGNNTrainerBase):
         return metrics
 
     def _extra_metrics(self) -> Dict[str, float]:
-        extras: Dict[str, float] = dict(self.reuse.stats()) if self.cache is not None else {}
+        extras: Dict[str, float] = dict(self.reuse.stats()) if self.reuse.enabled else {}
         extras["slicing_host_seconds"] = self.slicer.total_host_seconds
         extras["extraction_host_seconds"] = self.preparer.total_extraction_seconds
         extras.update(self.prefetcher.stats())

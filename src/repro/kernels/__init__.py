@@ -11,10 +11,6 @@ from repro.kernels.spmm_coo import PyGCOOAggregation
 from repro.kernels.spmm_csr import GESpMMAggregation
 from repro.kernels.spmm_sliced import SlicedParallelAggregation
 from repro.kernels.gemm import UpdateGEMM, update_gemm, update_gemm_cost
-from repro.kernels.registry import (
-    AGGREGATION_KERNELS,
-    get_aggregation_kernel,
-)
 
 __all__ = [
     "BaseAggregationKernel",
@@ -24,6 +20,4 @@ __all__ = [
     "UpdateGEMM",
     "update_gemm",
     "update_gemm_cost",
-    "AGGREGATION_KERNELS",
-    "get_aggregation_kernel",
 ]

@@ -15,6 +15,8 @@ import numpy as np
 
 from repro.gpu.kernel_cost import CATEGORY_AGGREGATION, KernelCost
 from repro.gpu.memory_model import FLOAT_BYTES, contiguous_bytes_cost, row_access
+from repro.graph.coo import INDEX_BYTES, VALUE_BYTES
+from repro.graph.csr import CSRMatrix
 from repro.kernels.base import BaseAggregationKernel
 
 #: bytes per COO edge entry transferred to the kernel (two int32 indices)
@@ -30,6 +32,11 @@ class PyGCOOAggregation(BaseAggregationKernel):
     """Gather + scatter-add aggregation over a COO edge list."""
 
     name = "spmm_coo_pyg"
+
+    @staticmethod
+    def adjacency_bytes(adjacency: CSRMatrix) -> int:
+        """Host→device bytes of ``adjacency`` as a COO edge list."""
+        return adjacency.nnz * (2 * INDEX_BYTES + VALUE_BYTES)
 
     def _build_cost(self, feature_dim: int, direction: str) -> KernelCost:
         # Backward gathers/scatters over A^T with the same per-edge traffic.

@@ -44,6 +44,18 @@ class GESpMMAggregation(BaseAggregationKernel):
 
     name = "spmm_csr_gespmm"
 
+    @staticmethod
+    def adjacency_bytes(adjacency: CSRMatrix) -> int:
+        """Host→device bytes of ``adjacency`` as a CSR plus its CSC copy.
+
+        The CSC holds the same entries with ``num_cols + 1`` pointers; an
+        edgeless adjacency still ships both pointer arrays.
+        """
+        nnz = adjacency.nnz
+        return CSRMatrix.storage_bytes(nnz, adjacency.num_rows) + CSRMatrix.storage_bytes(
+            nnz, adjacency.num_cols
+        )
+
     def __init__(
         self,
         adjacency: CSRMatrix,

@@ -1,4 +1,4 @@
-"""DGNN models (MPNN-LSTM, EvolveGCN, T-GCN) and the aggregation provider."""
+"""DGNN models (MPNN-LSTM, EvolveGCN, T-GCN), the aggregation provider and its reuse cache."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from typing import Dict, List, Type
 from repro.nn.aggregation import (
     AggregationCache,
     AggregationProvider,
-    DictAggregationCache,
+    ReuseManager,
     SnapshotKernels,
     mean_inverse_degree,
 )
@@ -47,7 +47,7 @@ def build_model(
 __all__ = [
     "AggregationCache",
     "AggregationProvider",
-    "DictAggregationCache",
+    "ReuseManager",
     "SnapshotKernels",
     "mean_inverse_degree",
     "DGNNModel",

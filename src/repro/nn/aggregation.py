@@ -9,37 +9,44 @@ set, which splits each snapshot's adjacency as ``A_i = A_over + A_excl_i``
 
 - :class:`SnapshotKernels` (this module) is the canonical one-graph-at-a-time
   pattern of all PyGT variants: a partition of one snapshot with an empty
-  overlap and the whole adjacency, under a chosen kernel flavour (PyG COO
-  or GE-SpMM), as its exclusive part;
+  overlap and the whole adjacency, under the trainer's kernel class (PyG
+  COO or GE-SpMM), as its exclusive part;
 - :class:`repro.core.parallel_gnn.PartitionKernels` is PiPAD's partition of
   several snapshots, whose shared overlap is aggregated once against the
   coalescent feature matrix.
 
-The provider consults an optional :class:`AggregationCache` for the
-inter-frame reuse of first-layer aggregation results (§4.4): the first GCN
-layer operates on the raw input features and the topology only, so its
-result is identical across frames and epochs and can be cached per
-snapshot timestep.
+The provider consults the :class:`ReuseManager` for the inter-frame reuse of
+first-layer aggregation results (§4.4, Fig. 7 ❸): the first GCN layer
+operates on the raw input features and the topology only, so its result is
+identical across frames and epochs and can be cached per snapshot timestep.
+Every trainer and every serving replica keeps one such cache, and it counts
+every lookup a model makes.  :func:`transfer_bytes` is the one rule that
+sizes a group's host→device transfer against that cache, from the kernel
+set's snapshots and ``adjacency_bytes``.
 """
-
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Protocol, Sequence
+from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Type
 
 import numpy as np
 
 from repro.graph.snapshot import GraphSnapshot
+from repro.gpu.device import SimulatedGPU
 from repro.gpu.spec import GPUSpec
 from repro.kernels.base import BaseAggregationKernel
-from repro.kernels.registry import get_aggregation_kernel
+from repro.kernels.spmm_coo import PyGCOOAggregation
 from repro.tensor import ops
 from repro.tensor.function import op_scope
 from repro.tensor.sparse import spmm
 from repro.tensor.tensor import Tensor
 
 
+#: share of the device's free memory the reuse cache's GPU-side buffer may occupy
+GPU_BUFFER_FRACTION = 0.25
+
+
 class AggregationCache(Protocol):
-    """Minimal cache interface for first-layer aggregation reuse."""
+    """What a provider asks of its first-layer aggregation cache."""
 
     def lookup(self, timestep: int) -> Optional[np.ndarray]:
         """Return the cached aggregation for a snapshot, or ``None``."""
@@ -66,10 +73,13 @@ class SnapshotKernels:
 
     The canonical one-snapshot aggregation is a partition of one: the
     overlap is empty and the whole adjacency is the exclusive part, under
-    the ``kernel_name`` kernel (``"coo"`` for PyGT/PyGT-A/PyGT-R,
-    ``"gespmm"`` for PyGT-G), or ``None`` when the snapshot has no edges
-    (its aggregation is the self term only).  The trainers keep one set per
-    snapshot for the whole run.
+    the ``kernel`` class (:class:`~repro.kernels.spmm_coo.PyGCOOAggregation`
+    for PyGT/PyGT-A/PyGT-R,
+    :class:`~repro.kernels.spmm_csr.GESpMMAggregation` for PyGT-G), or
+    ``None`` when the snapshot has no edges (its aggregation is the self
+    term only).  ``adjacency_bytes`` is the adjacency in that class's
+    transfer format.  The trainers keep one set per snapshot for the whole
+    run.
     """
 
     overlap = None
@@ -77,14 +87,15 @@ class SnapshotKernels:
     def __init__(
         self,
         snapshot: GraphSnapshot,
-        kernel_name: str = "coo",
+        kernel: Type[BaseAggregationKernel] = PyGCOOAggregation,
         spec: Optional[GPUSpec] = None,
         scale: float = 1.0,
     ) -> None:
         self.snapshots = (snapshot,)
         self.inv_degree = [inverse_degree(snapshot)]
+        self.adjacency_bytes = kernel.adjacency_bytes(snapshot.adjacency)
         self._kernel = (
-            get_aggregation_kernel(kernel_name)(snapshot.adjacency, spec or GPUSpec(), scale)
+            kernel(snapshot.adjacency, spec or GPUSpec(), scale)
             if snapshot.adjacency.nnz
             else None
         )
@@ -104,8 +115,8 @@ class AggregationProvider:
     The set's ``overlap`` kernel (``None`` when empty) runs once against the
     coalescent feature matrix, each ``exclusive(i)`` kernel (``None`` when
     empty) against snapshot ``i``'s features, and ``inv_degree[i]`` applies
-    the mean.  The reuse cache and the hit/miss counters are the provider's
-    own.
+    the mean.  The reuse cache is the caller's: the trainer's or serving
+    replica's :class:`ReuseManager`, which counts the lookups.
     """
 
     def __init__(
@@ -117,8 +128,6 @@ class AggregationProvider:
         self.kernels = kernels
         self.cache = cache
         self.reusable_layers = tuple(reusable_layers)
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     @property
     def num_snapshots(self) -> int:
@@ -137,8 +146,6 @@ class AggregationProvider:
             self.cache.lookup(s.timestep) if reusable else None for s in snapshots
         ]
         to_compute = [i for i, c in enumerate(cached_results) if c is None]
-        self.cache_hits += len(snapshots) - len(to_compute)
-        self.cache_misses += len(to_compute)
 
         computed: dict = {}
         if to_compute:
@@ -181,23 +188,172 @@ class AggregationProvider:
         return results
 
 
-class DictAggregationCache:
-    """Simple in-memory cache keyed by snapshot timestep (CPU-side buffer)."""
+class ReuseManager:
+    """The inter-frame reuse cache of first-layer aggregations (Fig. 7 ❸, §4.4).
 
-    def __init__(self) -> None:
-        self._store: Dict[int, np.ndarray] = {}
+    The first-layer aggregation of a snapshot depends only on its topology
+    and raw features, so the result computed in one frame/epoch is valid in
+    every later frame/epoch that contains the same snapshot.  Every result
+    is kept in a CPU-side buffer and, capacity permitting, the ones the
+    *next* frame needs stay resident in a GPU-side buffer so they need
+    neither recomputation nor re-transfer.  A disabled cache stores nothing
+    and counts nothing.
+    """
 
+    def __init__(
+        self,
+        device: SimulatedGPU,
+        *,
+        enabled: bool = True,
+    ) -> None:
+        self.device = device
+        self.enabled = enabled
+        self._cpu_store: Dict[int, np.ndarray] = {}
+        self._gpu_resident: Dict[int, int] = {}  # timestep -> bytes
+        self._gpu_buffer_bytes = 0
+        self.cpu_hits = 0
+        self.gpu_hits = 0
+        self.misses = 0
+
+    # -- AggregationCache protocol (used by the providers) ----------------------
     def lookup(self, timestep: int) -> Optional[np.ndarray]:
-        return self._store.get(timestep)
+        if not self.enabled:
+            return None
+        value = self._cpu_store.get(timestep)
+        if value is None:
+            self.misses += 1
+            return None
+        if timestep in self._gpu_resident:
+            self.gpu_hits += 1
+        else:
+            self.cpu_hits += 1
+        return value
 
     def store(self, timestep: int, value: np.ndarray) -> None:
-        self._store[timestep] = value
+        if self.enabled:
+            self._cpu_store[timestep] = value
 
-    def __len__(self) -> int:
-        return len(self._store)
+    def peek(self, timestep: int) -> Optional[np.ndarray]:
+        """Like :meth:`lookup` but without touching the hit/miss counters.
 
-    def nbytes(self) -> int:
-        return sum(v.nbytes for v in self._store.values())
+        The serving path uses this to patch a cached result incrementally;
+        only genuine model-driven lookups should count towards the hit rate.
+        """
+        if not self.enabled:
+            return None
+        return self._cpu_store.get(timestep)
+
+    def invalidate(self, timesteps: Iterable[int]) -> int:
+        """Drop the cached aggregations of the given snapshots.
+
+        A topology or feature delta invalidates the first-layer aggregation of
+        every snapshot version it touches; callers must evict those entries
+        before the next forward pass or the model would silently read stale
+        results.  Returns the number of CPU-side entries actually removed.
+        """
+        removed = 0
+        for timestep in timesteps:
+            if self._cpu_store.pop(timestep, None) is not None:
+                removed += 1
+            self._gpu_resident.pop(timestep, None)
+        return removed
+
+    # -- residency planning -------------------------------------------------------
+    def has_cached(self, timestep: int) -> bool:
+        return self.enabled and timestep in self._cpu_store
+
+    def is_gpu_resident(self, timestep: int) -> bool:
+        return self.enabled and timestep in self._gpu_resident
+
+    def gpu_buffer_capacity(self) -> int:
+        """Bytes the GPU-side buffer may occupy given current free memory."""
+        free = self.device.spec.memory_bytes - self.device.allocated_bytes + self._gpu_buffer_bytes
+        return int(free * GPU_BUFFER_FRACTION)
+
+    def plan_gpu_residency(
+        self, upcoming_timesteps: Sequence[int], bytes_per_timestep: Dict[int, int]
+    ) -> List[int]:
+        """Choose which cached results stay on the GPU for the next frame.
+
+        Results are admitted in the order they will be used (§4.4: "based on
+        the used order in the next frame") until the capacity budget runs out.
+        The device allocation is resized only when it must grow, mirroring the
+        paper's note that ``cudaMalloc``/``cudaFree`` churn is avoided.
+        """
+        if not self.enabled:
+            return []
+        capacity = self.gpu_buffer_capacity()
+        resident: List[int] = []
+        used = 0
+        for timestep in upcoming_timesteps:
+            if timestep not in self._cpu_store:
+                continue
+            size = bytes_per_timestep.get(timestep, self._cpu_store[timestep].nbytes)
+            if used + size > capacity:
+                break
+            resident.append(timestep)
+            used += size
+
+        self._gpu_resident = {t: bytes_per_timestep.get(t, 0) for t in resident}
+        if used > self._gpu_buffer_bytes:
+            # Grow the buffer allocation (free + malloc models a realloc).
+            if "reuse_buffer" in self.device._allocations:  # noqa: SLF001 - ledger access
+                self.device.free("reuse_buffer")
+            if self.device.would_fit(used):
+                self.device.malloc("reuse_buffer", used)
+                self._gpu_buffer_bytes = used
+        return resident
+
+    # -- reporting ------------------------------------------------------------------
+    def stats(self) -> Dict[str, float]:
+        return {
+            "cpu_hits": float(self.cpu_hits),
+            "gpu_hits": float(self.gpu_hits),
+            "misses": float(self.misses),
+            "cpu_cached_snapshots": float(len(self._cpu_store)),
+            "gpu_resident_snapshots": float(len(self._gpu_resident)),
+            "gpu_buffer_bytes": float(self._gpu_buffer_bytes),
+        }
 
     def clear(self) -> None:
-        self._store.clear()
+        self._cpu_store.clear()
+        self._gpu_resident.clear()
+        self._gpu_buffer_bytes = 0
+        self.cpu_hits = self.gpu_hits = self.misses = 0
+
+
+def transfer_bytes(
+    groups: Sequence,
+    reuse: ReuseManager,
+    *,
+    topology_with_reuse: bool,
+    target_bytes: int,
+) -> float:
+    """Host→device bytes the groups need given the reuse cache's state.
+
+    The one rule training and serving share.  Each group has ``snapshots``
+    and ``adjacency_bytes`` (a kernel set, or
+    :class:`~repro.core.data_prep.PartitionData`).  A snapshot whose
+    first-layer aggregation is cached ships that (smaller) result unless it
+    is already GPU-resident, and needs its group's topology only if the
+    model re-aggregates under reuse; an uncached snapshot ships its raw
+    features and the topology.  ``target_bytes`` per node ride along with
+    every snapshot (training's loss targets; serving ships none).  Unscaled,
+    and added in one running total, snapshot by snapshot.  It asks the cache
+    :meth:`~ReuseManager.has_cached`, which counts nothing.
+    """
+    nbytes = 0.0
+    for group in groups:
+        topology_needed = False
+        for snapshot in group.snapshots:
+            if reuse.has_cached(snapshot.timestep):
+                if not reuse.is_gpu_resident(snapshot.timestep):
+                    nbytes += snapshot.num_nodes * snapshot.feature_dim * 4
+                topology_needed = topology_needed or topology_with_reuse
+            else:
+                nbytes += snapshot.feature_bytes()
+                topology_needed = True
+            nbytes += snapshot.num_nodes * target_bytes
+        if topology_needed:
+            nbytes += group.adjacency_bytes
+    return nbytes

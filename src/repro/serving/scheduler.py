@@ -33,7 +33,6 @@ from repro.core.datapipe import (
     Prefetcher,
     apply_cache_plan,
 )
-from repro.core.reuse import ReuseManager
 from repro.core.tuner import (
     DynamicTuner,
     FrameProfile,
@@ -50,6 +49,7 @@ from repro.memory import (
     blocks_of_rows,
     build_feature_cache,
 )
+from repro.nn.aggregation import ReuseManager
 from repro.nn.base_model import DGNNModel
 from repro.serving.batcher import InferenceRequest, MicroBatch, MicroBatcher
 from repro.serving.deltas import GraphDelta, ServingEvent

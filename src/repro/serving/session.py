@@ -5,7 +5,7 @@ predictions.  It is the serving-side twin of the trainer's frame execution:
 partitions of the window run through the trainer's own
 :class:`~repro.nn.aggregation.AggregationProvider` class against the
 incrementally maintained overlap decomposition, first-layer aggregations are
-served from the :class:`~repro.core.reuse.ReuseManager`, and kernel costs are
+served from the :class:`~repro.nn.aggregation.ReuseManager`, and kernel costs are
 collected so the scheduler can account them on the simulated device.
 
 The paper's reuse insight (Fig. 7 ❸: a first-layer aggregation depends only
@@ -26,7 +26,10 @@ head predictions, the kernel costs and the reuse-cache traffic — depend
 only on the window versions, the parallelism and the exact contents of the
 replica's cached aggregations, so a fleet runs it once per distinct input
 through the shared store and every replica replays the recorded cache
-traffic against its own :class:`~repro.core.reuse.ReuseManager`.
+traffic against its own :class:`~repro.nn.aggregation.ReuseManager`.
+Transfer sizes follow the trainer's rule,
+:func:`~repro.nn.aggregation.transfer_bytes`, over the window's partition
+data.
 """
 
 from __future__ import annotations
@@ -36,13 +39,12 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.data_prep import DataPreparer, PartitionData, transfer_bytes
+from repro.core.data_prep import DataPreparer, PartitionData
 from repro.core.parallel_gnn import PartitionKernels
-from repro.core.reuse import ReuseManager
 from repro.gpu.device import SimulatedGPU
 from repro.gpu.kernel_cost import KernelCost
 from repro.gpu.profiler import KernelCostCollector
-from repro.nn.aggregation import AggregationProvider
+from repro.nn.aggregation import AggregationProvider, ReuseManager, transfer_bytes
 from repro.nn.base_model import DGNNModel
 from repro.nn.context import ExecutionContext
 from repro.serving.store import DeltaReport, IncrementalSnapshotStore
@@ -206,7 +208,7 @@ class InferenceSession:
         (patched and computed caches differ in their last bits), so it runs
         once per distinct input through the shared store.  Every caller
         replays the pass's reuse-cache calls against its own
-        :class:`~repro.core.reuse.ReuseManager`: hit and miss counts and
+        :class:`~repro.nn.aggregation.ReuseManager`: hit and miss counts and
         the stored aggregations are the same as if it had run the pass.
         """
         versions = tuple(self.store.window_versions())

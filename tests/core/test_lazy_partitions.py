@@ -278,13 +278,16 @@ def materializations(monkeypatch):
     aggregate = AggregationProvider.aggregate_many
 
     def aggregate_many(self, layer, xs):
-        misses = self.cache_misses
+        log = self.cache.log
+        logged = len(log)
         context.append(("aggregate", self.kernels))
         try:
             return aggregate(self, layer, xs)
         finally:
             context.pop()
-            record["passes"][id(self.kernels)].append(self.cache_misses - misses)
+            # A pass stores each snapshot it computes in its recording cache.
+            stores = sum(stored is not None for _, stored in log[logged:])
+            record["passes"][id(self.kernels)].append(stores)
 
     monkeypatch.setattr(AggregationProvider, "aggregate_many", aggregate_many)
     to_scipy = CSRMatrix.to_scipy

@@ -12,21 +12,22 @@ from repro.core import (
     PartitionKernels,
     PiPADConfig,
     PiPADTrainer,
-    ReuseManager,
     build_overlap_group,
 )
 from repro.core.datapipe import DataPipe
-from repro.core import reuse as reuse_module
 from repro.core import trainer as trainer_module
 from repro.core import tuner as tuner_module
 from repro.core.tuner import FrameProfile, capped_candidates
 from repro.gpu import GPUSpec, PCIeSpec, SimulatedGPU
+from repro.kernels import PyGCOOAggregation
 from repro.nn import (
     AggregationProvider,
     ExecutionContext,
+    ReuseManager,
     SnapshotKernels,
     mean_inverse_degree,
 )
+from repro.nn import aggregation as reuse_module
 from repro.tensor import Tensor
 
 SPEC = GPUSpec()
@@ -155,7 +156,7 @@ class TestReuseManager:
         manager = ReuseManager(SimulatedGPU())
         old = small_graph[0]
         x = Tensor(old.features)
-        provider = AggregationProvider(SnapshotKernels(old, "coo", SPEC), cache=manager)
+        provider = AggregationProvider(SnapshotKernels(old, PyGCOOAggregation, SPEC), cache=manager)
         (before,) = provider.aggregate_many(0, [x])
         assert manager.has_cached(old.timestep)
 
@@ -169,14 +170,15 @@ class TestReuseManager:
             timestep=old.timestep,
         )
         # Without invalidation the stale result would be served verbatim.
-        stale_provider = AggregationProvider(SnapshotKernels(changed, "coo", SPEC), cache=manager)
+        stale_provider = AggregationProvider(SnapshotKernels(changed, PyGCOOAggregation, SPEC), cache=manager)
         (stale,) = stale_provider.aggregate_many(0, [x])
         np.testing.assert_allclose(stale.data, before.data)
 
         manager.invalidate([old.timestep])
-        fresh_provider = AggregationProvider(SnapshotKernels(changed, "coo", SPEC), cache=manager)
+        misses = manager.misses
+        fresh_provider = AggregationProvider(SnapshotKernels(changed, PyGCOOAggregation, SPEC), cache=manager)
         (fresh,) = fresh_provider.aggregate_many(0, [x])
-        assert fresh_provider.cache_misses == 1
+        assert manager.misses == misses + 1
         assert not np.allclose(fresh.data, before.data)
         degree = changed.adjacency.row_nnz().astype(np.float32)
         expected = (
@@ -255,10 +257,10 @@ class TestOfflineAnalysisAndTuner:
         assert capped_candidates(cap) == expected
 
 
-def one_by_one(snapshots, xs, kernel_name="coo"):
+def one_by_one(snapshots, xs):
     """Each snapshot aggregated on its own, the canonical way."""
     return [
-        AggregationProvider(SnapshotKernels(s, kernel_name, SPEC)).aggregate_many(0, [x])[0]
+        AggregationProvider(SnapshotKernels(s, PyGCOOAggregation, SPEC)).aggregate_many(0, [x])[0]
         for s, x in zip(snapshots, xs)
     ]
 
@@ -290,10 +292,10 @@ class TestParallelProvider:
         provider = AggregationProvider(PartitionKernels(data, SPEC), cache=manager)
         xs = [Tensor(s.features) for s in group]
         provider.aggregate_many(0, xs)
-        assert provider.cache_misses == 2
+        assert (manager.cpu_hits, manager.misses) == (0, 2)
         provider2 = AggregationProvider(PartitionKernels(data, SPEC), cache=manager)
         out_cached = provider2.aggregate_many(0, xs)
-        assert provider2.cache_hits == 2
+        assert (manager.cpu_hits, manager.misses) == (2, 2)
         out_fresh = AggregationProvider(PartitionKernels(data, SPEC)).aggregate_many(0, xs)
         for a, b in zip(out_cached, out_fresh):
             assert np.allclose(a.numpy(), b.numpy(), atol=1e-5)
@@ -323,7 +325,7 @@ class TestParallelProvider:
         second = PartitionKernels(DataPipe().partition(snapshots[2:4]), SPEC)
         shared = first.inv_degree[2]
         assert shared is second.inv_degree[0]
-        assert SnapshotKernels(snapshots[2], "coo", SPEC).inv_degree[0] is shared
+        assert SnapshotKernels(snapshots[2], PyGCOOAggregation, SPEC).inv_degree[0] is shared
         expected = mean_inverse_degree(snapshots[2])
         assert [float(x).hex() for x in shared.data.ravel()] == [
             float(x).hex() for x in expected.ravel()
@@ -380,14 +382,17 @@ class TestTrainerKernelMemo:
             assert all(p.kernels is group[0].kernels for p in group), key
             assert len({id(p) for p in group}) == len(group)
 
-    def test_providers_keep_their_own_reuse_counters(
+    def test_reuse_cache_counts_only_the_model_lookups(
         self, small_graph, trainer_config, monkeypatch
     ):
-        _, _, providers = self._train(small_graph, trainer_config, monkeypatch)
-        for _, key, provider in providers:
-            # One forward pass per provider: each counts only its own
-            # layer-0 lookups, one per snapshot, never a shared running total.
-            assert provider.cache_hits + provider.cache_misses == len(key)
+        trainer, _, _ = self._train(small_graph, trainer_config, monkeypatch)
+        # One layer-0 lookup per snapshot of every frame and epoch; planning
+        # a transfer asks the cache without counting.
+        reuse = trainer.reuse
+        epochs = 1 + self.STEADY_EPOCHS
+        lookups = epochs * trainer.frames.num_frames * trainer.config.frame_size
+        assert reuse.cpu_hits + reuse.gpu_hits + reuse.misses == lookups
+        assert reuse.misses == len(small_graph.snapshots)
 
     def test_one_kernel_set_per_distinct_partition(
         self, small_graph, trainer_config, monkeypatch

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -33,43 +31,6 @@ class TestSnapshot:
     def test_target_length_checked(self):
         with pytest.raises(ValueError):
             GraphSnapshot(tiny_adj(), np.zeros((4, 3), dtype=np.float32), targets=np.zeros(3))
-
-    def test_adjacency_bytes_formats(self):
-        snap = GraphSnapshot(tiny_adj(), np.zeros((4, 2), dtype=np.float32))
-        assert snap.adjacency_bytes("coo") == 3 * snap.num_edges * 4
-        assert snap.adjacency_bytes("csr+csc") > snap.adjacency_bytes("csr")
-        with pytest.raises(ValueError):
-            snap.adjacency_bytes("bogus")
-
-    @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("shape", [(7, 7), (9, 5), (4, 11)])
-    def test_adjacency_bytes_match_the_format_conversions(self, seed, shape):
-        """The arithmetic sizes equal those of the converted matrices on CSRs
-        with explicit zeros, empty rows and duplicate entries."""
-        rng = np.random.default_rng(seed)
-        n_rows, n_cols = shape
-        row_nnz = rng.integers(2, 5, size=n_rows)
-        row_nnz[rng.integers(0, n_rows)] = 0  # an empty row
-        indptr = np.concatenate(([0], np.cumsum(row_nnz)))
-        indices = rng.integers(0, n_cols, size=int(indptr[-1]))
-        indices[1] = indices[0]  # a duplicate entry (every non-empty row holds two)
-        data = rng.choice(np.array([0.0, 1.0, 2.5], dtype=np.float32), size=len(indices))
-        data[-1] = 0.0  # an explicit zero
-        csr = CSRMatrix(indptr=indptr, indices=indices, data=data, shape=shape)
-        expected = {
-            "coo": csr.to_coo().nbytes,
-            "csr": csr.nbytes,
-            "csr+csc": csr.nbytes + csr.transpose().nbytes,
-        }
-        # a snapshot's adjacency is square, so the non-square shapes go
-        # through the method on a stand-in that only has ``adjacency``
-        owner = (
-            GraphSnapshot(csr, np.zeros((n_rows, 2), dtype=np.float32))
-            if n_rows == n_cols
-            else SimpleNamespace(adjacency=csr)
-        )
-        for fmt, nbytes in expected.items():
-            assert GraphSnapshot.adjacency_bytes(owner, fmt) == nbytes
 
 
 class TestDynamicGraph:

@@ -15,7 +15,6 @@ from repro.kernels import (
     GESpMMAggregation,
     PyGCOOAggregation,
     SlicedParallelAggregation,
-    get_aggregation_kernel,
     update_gemm,
     update_gemm_cost,
 )
@@ -169,15 +168,36 @@ class TestUpdateGEMM:
         assert np.allclose(out.numpy(), x.numpy() @ w.numpy(), atol=1e-5)
 
 
-class TestRegistry:
-    def test_lookup_aliases(self):
-        assert get_aggregation_kernel("pyg") is PyGCOOAggregation
-        assert get_aggregation_kernel("GESPMM") is GESpMMAggregation
-        assert get_aggregation_kernel("pipad") is SlicedParallelAggregation
+class TestAdjacencyTransferBytes:
+    """Each baseline kernel class states the bytes its adjacency ships as."""
 
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(KeyError):
-            get_aggregation_kernel("nope")
+    def test_coo_ships_three_words_per_edge(self):
+        adj = CSRMatrix.from_edges(np.array([0, 1, 2]), np.array([1, 2, 0]), (4, 4))
+        assert PyGCOOAggregation.adjacency_bytes(adj) == 3 * adj.nnz * 4
+        assert GESpMMAggregation.adjacency_bytes(adj) > adj.nbytes
+
+    def test_edgeless_gespmm_still_ships_both_pointer_arrays(self):
+        edgeless = CSRMatrix.from_edges(np.zeros(0), np.zeros(0), (4, 6))
+        assert PyGCOOAggregation.adjacency_bytes(edgeless) == 0
+        assert GESpMMAggregation.adjacency_bytes(edgeless) == ((4 + 1) + (6 + 1)) * 4
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("shape", [(7, 7), (9, 5), (4, 11)])
+    def test_sizes_match_the_format_conversions(self, seed, shape):
+        """The arithmetic sizes equal those of the converted matrices on CSRs
+        with explicit zeros, empty rows and duplicate entries."""
+        rng = np.random.default_rng(seed)
+        n_rows, n_cols = shape
+        row_nnz = rng.integers(2, 5, size=n_rows)
+        row_nnz[rng.integers(0, n_rows)] = 0  # an empty row
+        indptr = np.concatenate(([0], np.cumsum(row_nnz)))
+        indices = rng.integers(0, n_cols, size=int(indptr[-1]))
+        indices[1] = indices[0]  # a duplicate entry (every non-empty row holds two)
+        data = rng.choice(np.array([0.0, 1.0, 2.5], dtype=np.float32), size=len(indices))
+        data[-1] = 0.0  # an explicit zero
+        csr = CSRMatrix(indptr=indptr, indices=indices, data=data, shape=shape)
+        assert PyGCOOAggregation.adjacency_bytes(csr) == csr.to_coo().nbytes
+        assert GESpMMAggregation.adjacency_bytes(csr) == csr.nbytes + csr.transpose().nbytes
 
 
 def _cost_fields(cost):

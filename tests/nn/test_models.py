@@ -7,23 +7,24 @@ import pytest
 
 from repro.core.datapipe import DataPipe
 from repro.core.parallel_gnn import PartitionKernels
-from repro.gpu import GPUSpec
+from repro.gpu import GPUSpec, SimulatedGPU
 from repro.graph import CSRMatrix, GraphSnapshot
 from repro.kernels.spmm_coo import PyGCOOAggregation
 from repro.kernels.spmm_csr import GESpMMAggregation
 from repro.nn import (
     AggregationProvider,
-    DictAggregationCache,
     EvolveGCN,
     ExecutionContext,
     GCNUpdate,
     MODEL_REGISTRY,
     MPNNLSTM,
+    ReuseManager,
     SnapshotKernels,
     TGCN,
     build_model,
     mean_inverse_degree,
 )
+from repro.nn.aggregation import transfer_bytes
 from repro.tensor import Tensor
 from repro.tensor.nn.loss import mse_loss
 
@@ -34,9 +35,9 @@ def features_of(snapshots):
     return [Tensor(s.features) for s in snapshots]
 
 
-def snapshot_provider(snapshot, kernel_name="coo", **kwargs):
+def snapshot_provider(snapshot, kernel=PyGCOOAggregation, **kwargs):
     """The canonical one-snapshot provider over ``snapshot``."""
-    return AggregationProvider(SnapshotKernels(snapshot, kernel_name, SPEC), **kwargs)
+    return AggregationProvider(SnapshotKernels(snapshot, kernel, SPEC), **kwargs)
 
 
 class TestProviders:
@@ -50,9 +51,14 @@ class TestProviders:
 
     def test_kernel_flavours_agree(self, small_graph):
         snapshot = small_graph[1]
+        sliced = PartitionKernels(DataPipe().partition([snapshot]), SPEC)
         outs = []
-        for kernel in ("coo", "gespmm", "sliced"):
-            provider = snapshot_provider(snapshot, kernel)
+        for kernels in (
+            SnapshotKernels(snapshot, PyGCOOAggregation, SPEC),
+            SnapshotKernels(snapshot, GESpMMAggregation, SPEC),
+            sliced,
+        ):
+            provider = AggregationProvider(kernels)
             outs.append(provider.aggregate_many(0, [Tensor(snapshot.features)])[0].numpy())
         assert np.allclose(outs[0], outs[1], atol=1e-4)
         assert np.allclose(outs[0], outs[2], atol=1e-4)
@@ -66,14 +72,14 @@ class TestProviders:
             features=snapshot.features,
             timestep=snapshot.timestep,
         )
-        kernels = SnapshotKernels(edgeless, "coo", SPEC)
+        kernels = SnapshotKernels(edgeless, PyGCOOAggregation, SPEC)
         assert kernels.overlap is None and kernels.exclusive(0) is None
         [result] = AggregationProvider(kernels).aggregate_many(0, [Tensor(edgeless.features)])
         assert np.array_equal(result.numpy(), edgeless.features)
 
     def test_snapshot_set_is_a_partition_of_one(self, small_graph):
         snapshot = small_graph[0]
-        kernels = SnapshotKernels(snapshot, "gespmm", SPEC)
+        kernels = SnapshotKernels(snapshot, GESpMMAggregation, SPEC)
         assert kernels.snapshots == (snapshot,)
         assert kernels.overlap is None
         assert isinstance(kernels.exclusive(0), GESpMMAggregation)
@@ -82,22 +88,23 @@ class TestProviders:
 
     def test_cache_hit_skips_recompute_and_matches(self, small_graph):
         snapshot = small_graph[2]
-        cache = DictAggregationCache()
+        cache = ReuseManager(SimulatedGPU())
         provider = snapshot_provider(snapshot, cache=cache)
         first = provider.aggregate_many(0, [Tensor(snapshot.features)])[0].numpy()
-        assert len(cache) == 1
-        assert (provider.cache_hits, provider.cache_misses) == (0, 1)
+        assert cache.has_cached(snapshot.timestep)
+        assert (cache.cpu_hits, cache.misses) == (0, 1)
         second_provider = snapshot_provider(snapshot, cache=cache)
         second = second_provider.aggregate_many(0, [Tensor(snapshot.features)])[0].numpy()
-        assert (second_provider.cache_hits, second_provider.cache_misses) == (1, 0)
-        assert np.allclose(first, second)
+        assert (cache.cpu_hits, cache.misses) == (1, 1)
+        assert np.array_equal(first, second)
 
     def test_cache_not_used_for_non_reusable_layer(self, small_graph):
         snapshot = small_graph[2]
-        cache = DictAggregationCache()
+        cache = ReuseManager(SimulatedGPU())
         provider = snapshot_provider(snapshot, cache=cache, reusable_layers=(0,))
         provider.aggregate_many(1, [Tensor(snapshot.features)])
-        assert len(cache) == 0
+        assert cache.stats()["cpu_cached_snapshots"] == 0
+        assert (cache.cpu_hits, cache.gpu_hits, cache.misses) == (0, 0, 0)
 
     def test_wrong_feature_count_rejected(self, small_graph):
         provider = snapshot_provider(small_graph[0])
@@ -106,15 +113,48 @@ class TestProviders:
 
     def test_providers_share_one_kernel_set(self, small_graph):
         snapshot = small_graph[1]
-        kernels = SnapshotKernels(snapshot, "gespmm", SPEC)
+        kernels = SnapshotKernels(snapshot, GESpMMAggregation, SPEC)
         first, second = AggregationProvider(kernels), AggregationProvider(kernels)
         assert first.kernels is second.kernels
-        fresh = snapshot_provider(snapshot, "gespmm")
+        fresh = snapshot_provider(snapshot, GESpMMAggregation)
         outs = [
             p.aggregate_many(0, [Tensor(snapshot.features)])[0].numpy()
             for p in (first, second, fresh)
         ]
         assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
+
+
+class TestTransferBytes:
+    """The one transfer-size rule, over a canonical partition of one."""
+
+    def _bytes(self, kernels, reuse, topology_with_reuse=False):
+        return transfer_bytes(
+            [kernels], reuse, topology_with_reuse=topology_with_reuse, target_bytes=4
+        )
+
+    @pytest.mark.parametrize("kernel", [PyGCOOAggregation, GESpMMAggregation])
+    def test_uncached_snapshot_ships_features_targets_and_adjacency(self, small_graph, kernel):
+        snapshot = small_graph[3]
+        kernels = SnapshotKernels(snapshot, kernel, SPEC)
+        assert kernels.adjacency_bytes == kernel.adjacency_bytes(snapshot.adjacency)
+        reuse = ReuseManager(SimulatedGPU())
+        expected = snapshot.feature_bytes() + snapshot.num_nodes * 4 + kernels.adjacency_bytes
+        assert self._bytes(kernels, reuse) == expected
+
+    def test_cached_snapshot_ships_its_aggregation_and_counts_nothing(self, small_graph):
+        snapshot = small_graph[3]
+        kernels = SnapshotKernels(snapshot, GESpMMAggregation, SPEC)
+        reuse = ReuseManager(SimulatedGPU())
+        reuse.store(snapshot.timestep, np.zeros((snapshot.num_nodes, 1), np.float32))
+        aggregation = snapshot.num_nodes * snapshot.feature_dim * 4
+        targets = snapshot.num_nodes * 4
+        assert self._bytes(kernels, reuse) == aggregation + targets
+        assert self._bytes(kernels, reuse, topology_with_reuse=True) == (
+            aggregation + targets + kernels.adjacency_bytes
+        )
+        reuse.plan_gpu_residency([snapshot.timestep], {snapshot.timestep: aggregation})
+        assert self._bytes(kernels, reuse) == targets
+        assert (reuse.cpu_hits, reuse.gpu_hits, reuse.misses) == (0, 0, 0)
 
 
 class TestGCNUpdate:
@@ -166,7 +206,7 @@ class TestModelForward:
             group = snapshots[index : index + size]
             index += size
             kernels = (
-                SnapshotKernels(group[0], "coo", SPEC)
+                SnapshotKernels(group[0], PyGCOOAggregation, SPEC)
                 if size == 1
                 else PartitionKernels(DataPipe().partition(group), SPEC)
             )

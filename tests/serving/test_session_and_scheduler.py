@@ -11,8 +11,8 @@ import pytest
 
 from repro.api import Engine, RunSpec, ServingSpec, TraceSpec
 from repro.gpu import SimulatedGPU
-from repro.core import ReuseManager
 from repro.graph import CSRMatrix
+from repro.nn import ReuseManager
 from repro.serving import GraphDelta, random_delta, synthesize_serving_trace
 
 
@@ -235,10 +235,3 @@ class TestReuseForwardOnlyAPI:
         assert manager.peek(3) is not None
         assert manager.peek(4) is None
         assert manager.cpu_hits == 0 and manager.misses == 0
-
-    def test_hit_rate(self):
-        manager = ReuseManager(SimulatedGPU())
-        manager.store(0, np.ones(2, dtype=np.float32))
-        manager.lookup(0)
-        manager.lookup(1)
-        assert manager.hit_rate() == pytest.approx(0.5)

@@ -12,9 +12,9 @@ import dataclasses
 
 import numpy as np
 
-from repro.core import DataPreparer, ReuseManager
+from repro.core import DataPreparer
 from repro.gpu import GPUSpec, SimulatedGPU
-from repro.nn import build_model
+from repro.nn import ReuseManager, build_model
 from repro.serving import IncrementalSnapshotStore, random_delta
 from repro.serving.session import InferenceSession
 

@@ -15,8 +15,8 @@ from repro.baselines import (
     TrainingResult,
 )
 from repro.core import PiPADConfig, PiPADTrainer
-from repro.kernels import get_aggregation_kernel
-from repro.nn import SnapshotKernels
+from repro.kernels import GESpMMAggregation, PyGCOOAggregation
+from repro.nn import AggregationProvider, SnapshotKernels
 
 
 class TestTrainerConfig:
@@ -44,8 +44,8 @@ class TestBaselineTrainers:
         assert PyGTTrainer.async_transfer is False and PyGTTrainer.use_reuse is False
         assert PyGTAsyncTrainer.async_transfer is True
         assert PyGTReuseTrainer.use_reuse is True
-        assert PyGTGeSpMMTrainer.kernel_name == "gespmm"
-        assert PyGTGeSpMMTrainer.adjacency_format == "csr+csc"
+        assert PyGTReuseTrainer.kernel is PyGCOOAggregation
+        assert PyGTGeSpMMTrainer.kernel is GESpMMAggregation
 
     def test_reuse_reduces_steady_state_time(self, small_graph, trainer_config):
         async_result = PyGTAsyncTrainer(small_graph, trainer_config).train()
@@ -86,12 +86,40 @@ class TestBaselineTrainers:
             assert len(sets) >= 2, timestep
             assert all(k is sets[0] for k in sets), timestep
             assert isinstance(sets[0], SnapshotKernels)
-            kernel = sets[0].exclusive(0)
-            assert kernel.name == get_aggregation_kernel(trainer_cls.kernel_name).name
+            assert type(sets[0].exclusive(0)) is trainer_cls.kernel
         # The run's one memo holds exactly those sets, one per snapshot.
         assert {id(k) for k in trainer._kernel_sets.values()} == {
             id(sets[0]) for sets in seen.values()
         }
+
+    @pytest.mark.parametrize("trainer_cls", [PyGTReuseTrainer, PyGTGeSpMMTrainer])
+    def test_reuse_cache_counts_exactly_the_first_layer_lookups(
+        self, small_graph, trainer_config, trainer_cls, monkeypatch
+    ):
+        first_layer = []
+        aggregate = AggregationProvider.aggregate_many
+
+        def counting(provider, layer, xs):
+            if layer == 0:
+                first_layer.append(len(xs))
+            return aggregate(provider, layer, xs)
+
+        monkeypatch.setattr(AggregationProvider, "aggregate_many", counting)
+        trainer = trainer_cls(small_graph, trainer_config)
+        trainer.train(epochs=2)
+        reuse = trainer.reuse
+        assert reuse.cpu_hits + reuse.gpu_hits + reuse.misses == sum(first_layer)
+        # Each snapshot misses once, in the first frame that holds it.
+        assert reuse.misses == len(small_graph.snapshots)
+
+    @pytest.mark.parametrize("trainer_cls", [PyGTTrainer, PyGTAsyncTrainer])
+    def test_trainers_without_reuse_keep_a_disabled_cache(
+        self, small_graph, trainer_config, trainer_cls
+    ):
+        trainer = trainer_cls(small_graph, trainer_config)
+        trainer.train(epochs=1)
+        assert not trainer.reuse.enabled
+        assert set(trainer.reuse.stats().values()) == {0.0}
 
     def test_custom_cost_scale_respected(self, small_graph):
         config = TrainerConfig(model="tgcn", frame_size=4, epochs=1, cost_scale=50.0)
@@ -155,7 +183,8 @@ class TestPiPADTrainer:
             PiPADConfig(preparing_epochs=1, enable_inter_frame_reuse=False),
         )
         result = trainer.train()
-        assert trainer.cache is None
+        assert not trainer.reuse.enabled
+        assert trainer.reuse.stats()["cpu_cached_snapshots"] == 0
         assert "cpu_hits" not in result.extras
 
     def test_ablations_do_not_change_numerics(self, small_graph, trainer_config):
