@@ -184,7 +184,7 @@ class DGNNTrainerBase:
         return AggregationProvider(
             self._kernels(snapshots),
             cache=self.reuse,
-            reusable_layers=self.model.reusable_aggregation_layers if self.use_reuse else (),
+            reusable_layers=self.model.reusable_aggregation_layers,
         )
 
     def _partition_transfer_bytes(self, snapshots: Sequence[GraphSnapshot]) -> float:
